@@ -2,6 +2,7 @@
 //! implementations behind the workload descriptors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ndft_dft::SiliconSystem;
 use ndft_numerics::{
     face_splitting, gemm_c64, gemm_f64, heevd, syevd, CMat, Complex64, Fft3Plan, FftPlan, GridDims,
     Mat,
@@ -18,9 +19,10 @@ fn bench_fft(c: &mut Criterion) {
     for &n in &[240usize, 1024, 4096, 12_000] {
         let plan = FftPlan::new(n);
         let data = signal(n);
+        let mut buf = data.clone();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let mut buf = data.clone();
+                buf.copy_from_slice(&data);
                 plan.forward(&mut buf);
                 black_box(buf[0])
             })
@@ -30,13 +32,18 @@ fn bench_fft(c: &mut Criterion) {
 
     let mut group3 = c.benchmark_group("fft3d");
     group3.sample_size(10);
-    for &n in &[20usize, 40] {
-        let dims = GridDims::cubic(n);
+    // Cubic grids, then the Si_8/16/24 grids of the scf_sweep workload
+    // (20³, 20×20×40 and 20×20×60).
+    let scf = [8usize, 16, 24].map(|atoms| ("scf", SiliconSystem::new(atoms).unwrap().grid()));
+    let cubic = [20usize, 40].map(|n| ("cubic", GridDims::cubic(n)));
+    for (kind, dims) in cubic.into_iter().chain(scf) {
         let plan = Fft3Plan::new(dims);
         let data = signal(dims.len());
-        group3.bench_with_input(BenchmarkId::new("cubic", n), &n, |b, _| {
+        let mut buf = data.clone();
+        let id = format!("{}x{}x{}", dims.nx, dims.ny, dims.nz);
+        group3.bench_with_input(BenchmarkId::new(kind, id), &dims, |b, _| {
             b.iter(|| {
-                let mut buf = data.clone();
+                buf.copy_from_slice(&data);
                 plan.forward(&mut buf);
                 black_box(buf[0])
             })

@@ -181,14 +181,21 @@ pub fn charge_density(orbitals: &CMat, occupations: &[f64], dv: f64) -> Vec<f64>
 /// Panics if `rho.len()` does not match the system grid.
 pub fn hartree_potential(system: &SiliconSystem, rho: &[f64]) -> Vec<f64> {
     let grid = system.grid();
-    let nr = grid.len();
-    assert_eq!(rho.len(), nr, "density must live on the system grid");
-    let plan = Fft3Plan::new(grid);
-    let g2 = system_g2(system);
+    assert_eq!(
+        rho.len(),
+        grid.len(),
+        "density must live on the system grid"
+    );
+    hartree_in(&Fft3Plan::new(grid), &system_g2(system), rho)
+}
+
+/// [`hartree_potential`] on a prebuilt plan and `|G|²` table of the
+/// density's grid.
+fn hartree_in(plan: &Fft3Plan, g2: &[f64], rho: &[f64]) -> Vec<f64> {
     let mut buf: Vec<Complex64> = rho.iter().map(|&x| Complex64::from_real(x)).collect();
     plan.forward(&mut buf);
     const COULOMB_EV_A: f64 = 14.399_6;
-    for (z, &g2v) in buf.iter_mut().zip(&g2) {
+    for (z, &g2v) in buf.iter_mut().zip(g2) {
         if g2v == 0.0 {
             *z = Complex64::ZERO;
         } else {
@@ -276,6 +283,9 @@ pub fn run_scf_selfconsistent_seeded(
         .collect();
 
     let mut h = KsHamiltonian::new(system, opts);
+    // The Hamiltonian already holds this system's plan and |G|² table;
+    // every cycle's solve and Poisson step reuses them.
+    let order = sorted_g_indices(&h.g2);
     let bare_vloc = h.vloc.clone();
     let mut rho = vec![0.0f64; nr];
     let mut residuals = Vec::with_capacity(cycles);
@@ -293,7 +303,7 @@ pub fn run_scf_selfconsistent_seeded(
             );
             seed
         }
-        None => run_scf_in(system, opts, &h)?,
+        None => solve_bands(opts, &h, &order)?,
     };
     for _cycle in 0..cycles {
         let rho_new = charge_density(&gs.orbitals, &occupations, dv);
@@ -303,11 +313,11 @@ pub fn run_scf_selfconsistent_seeded(
         for (r, n) in rho.iter_mut().zip(&rho_new) {
             *r = (1.0 - alpha) * *r + alpha * *n;
         }
-        let vh = hartree_potential(system, &rho);
+        let vh = hartree_in(&h.plan, &h.g2, &rho);
         for ((v, b), htr) in h.vloc.iter_mut().zip(&bare_vloc).zip(&vh) {
             *v = *b + *htr;
         }
-        gs = run_scf_in(system, opts, &h)?;
+        gs = solve_bands(opts, &h, &order)?;
     }
     Ok(SelfConsistentResult {
         ground_state: gs,
@@ -382,13 +392,21 @@ pub fn run_scf_in(
     opts: &ScfOptions,
     h: &KsHamiltonian,
 ) -> Result<GroundState, EigError> {
-    let grid = system.grid();
+    solve_bands(opts, h, &sorted_g_indices(&system_g2(system)))
+}
+
+/// The band solve behind [`run_scf_in`], started from the plane waves
+/// `order[..opts.bands]` (grid indices sorted by ascending `|G|²`).
+fn solve_bands(
+    opts: &ScfOptions,
+    h: &KsHamiltonian,
+    order: &[usize],
+) -> Result<GroundState, EigError> {
+    let grid = h.plan.dims();
     let nr = grid.len();
     let nb = opts.bands;
 
     // Initial guess: the lowest plane waves.
-    let g2 = system_g2(system);
-    let order = sorted_g_indices(&g2);
     let mut psi: Vec<Vec<Complex64>> = (0..nb).map(|b| plane_wave(grid, order[b])).collect();
 
     let mut energies = vec![0.0f64; nb];

@@ -330,6 +330,35 @@ mod tests {
     }
 
     #[test]
+    fn fft_cost_model_is_pinned() {
+        // The modeled machine consumes these costs; a change to the FFT
+        // kernel must not move them.
+        let pinned = [
+            (8, 518_400, 768_000),
+            (16, 1_116_800, 1_792_000),
+            (24, 1_745_600, 2_688_000),
+            (256, 22_995_200, 36_864_000),
+        ];
+        for (atoms, flops, bytes) in pinned {
+            let grid = SiliconSystem::new(atoms).unwrap().grid();
+            let cost = ndft_numerics::Fft3Plan::new(grid).cost();
+            let expect = KernelCost {
+                flops,
+                bytes_read: bytes,
+                bytes_written: bytes,
+            };
+            assert_eq!(cost, expect, "Si_{atoms}");
+        }
+        let fft = graph(64).stages_of(KernelKind::Fft)[0].cost;
+        let expect = KernelCost {
+            flops: 612_864_000,
+            bytes_read: 737_280_000,
+            bytes_written: 737_280_000,
+        };
+        assert_eq!(fft, expect);
+    }
+
+    #[test]
     fn has_all_kernel_kinds() {
         let g = graph(64);
         for kind in KernelKind::all() {

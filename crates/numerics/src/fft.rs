@@ -1,10 +1,23 @@
-//! One-dimensional complex FFT.
+//! One-dimensional complex FFT and the multi-lane Stockham kernel.
 //!
-//! Implements a mixed-radix (2/3/4/5) decimation-in-time Cooley–Tukey
-//! transform with a Bluestein (chirp-z) fallback for lengths containing
-//! prime factors larger than five. Plane-wave DFT codes size their grids
-//! 2/3/5-smooth precisely so the fast path applies; the fallback keeps the
-//! API total.
+//! Lengths whose prime factors are all 2, 3 or 5 run an iterative,
+//! self-sorting Stockham decimation-in-frequency transform built from
+//! radix-2/3/4/5 passes. Plane-wave DFT codes size their grids 2/3/5-smooth
+//! precisely so this path applies; lengths with a larger prime factor fall
+//! back to Bluestein's chirp-z transform, which keeps the API total.
+//!
+//! The kernel transforms `lanes` interleaved signals at once: element `j`
+//! of lane `l` lives at `data[j·lanes + l]`. Every butterfly operand is
+//! then a run of `lanes` contiguous values sharing one twiddle, so each
+//! pass streams memory in order. A plain 1-D transform is the `lanes = 1`
+//! case; [`crate::Fft3Plan`] hands whole rows and whole planes to the same
+//! kernel as lanes, so no axis needs a strided gather. A pass of radix `p`
+//! over sub-transforms of length `p·m`, after passes whose radices
+//! multiply to `s`, reads operand `k` of butterfly `q` at `(q + k·m)·s`,
+//! writes output `j` at `(p·q + j)·s`, and scales it by the twiddle
+//! `root[j·q·s]` (`j·q·s < n`, so the table needs no modulo). Passes
+//! ping-pong between the data and one scratch buffer, so the output lands
+//! in natural order with no bit-reversal step.
 //!
 //! Conventions: [`FftPlan::forward`] computes the unnormalized DFT
 //! `X[k] = sum_j x[j]·e^{-2πi jk/n}`; [`FftPlan::inverse`] applies the
@@ -12,9 +25,6 @@
 
 use crate::counters::KernelCost;
 use crate::Complex64;
-
-/// Maximum radix handled by the fast mixed-radix path.
-const MAX_RADIX: usize = 5;
 
 /// A reusable FFT plan for a fixed transform length.
 ///
@@ -36,7 +46,7 @@ const MAX_RADIX: usize = 5;
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    /// Radix factors of `n`, applied outermost-first (empty for Bluestein).
+    /// Radix of each Stockham pass, in pass order (empty for Bluestein).
     factors: Vec<usize>,
     /// `root[k] = e^{-2πi k / n}` for the forward transform.
     root: Vec<Complex64>,
@@ -106,16 +116,8 @@ impl FftPlan {
     /// Panics if `data.len() != self.len()`.
     pub fn forward(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
-        if self.n == 1 {
-            return;
-        }
-        if let Some(b) = &self.bluestein {
-            b.run(data, &self.root);
-            return;
-        }
-        let mut dst = vec![Complex64::ZERO; self.n];
-        self.rec(data, 1, &mut dst, self.n);
-        data.copy_from_slice(&dst);
+        let mut scratch = vec![Complex64::ZERO; self.n];
+        self.forward_lanes(data, 1, &mut scratch);
     }
 
     /// Transforms `count` contiguous signals of length `self.len()` stored
@@ -131,8 +133,9 @@ impl FftPlan {
             count * self.n,
             "batched FFT buffer length mismatch"
         );
+        let mut scratch = vec![Complex64::ZERO; self.n];
         for row in data.chunks_exact_mut(self.n) {
-            self.forward(row);
+            self.forward_lanes(row, 1, &mut scratch);
         }
     }
 
@@ -142,14 +145,9 @@ impl FftPlan {
     ///
     /// Panics if `data.len() != count * self.len()`.
     pub fn inverse_batch(&self, data: &mut [Complex64], count: usize) {
-        assert_eq!(
-            data.len(),
-            count * self.n,
-            "batched FFT buffer length mismatch"
-        );
-        for row in data.chunks_exact_mut(self.n) {
-            self.inverse(row);
-        }
+        conj_all(data);
+        self.forward_batch(data, count);
+        conj_scale_all(data, 1.0 / self.n as f64);
     }
 
     /// In-place inverse DFT, normalized by `1/n`.
@@ -159,49 +157,49 @@ impl FftPlan {
     /// Panics if `data.len() != self.len()`.
     pub fn inverse(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
-        for z in data.iter_mut() {
-            *z = z.conj();
-        }
+        conj_all(data);
         self.forward(data);
-        let s = 1.0 / self.n as f64;
-        for z in data.iter_mut() {
-            *z = z.conj().scale(s);
-        }
+        conj_scale_all(data, 1.0 / self.n as f64);
     }
 
-    /// Recursive decimation-in-time step.
-    ///
-    /// Reads `n` elements from `src` with stride `sstride` and writes the
-    /// size-`n` DFT contiguously into `dst`.
-    fn rec(&self, src: &[Complex64], sstride: usize, dst: &mut [Complex64], n: usize) {
-        if n == 1 {
-            dst[0] = src[0];
+    /// In-place forward DFT of `lanes` interleaved signals: element `j` of
+    /// lane `l` is `data[j·lanes + l]`. `scratch` must hold at least
+    /// `data.len()` values; its contents are clobbered.
+    pub(crate) fn forward_lanes(
+        &self,
+        data: &mut [Complex64],
+        lanes: usize,
+        scratch: &mut [Complex64],
+    ) {
+        debug_assert_eq!(data.len(), self.n * lanes);
+        if self.n == 1 {
             return;
         }
-        let r = smallest_factor(n);
-        let m = n / r;
-        for j in 0..r {
-            self.rec(
-                &src[j * sstride..],
-                sstride * r,
-                &mut dst[j * m..(j + 1) * m],
-                m,
-            );
+        if let Some(b) = &self.bluestein {
+            b.run(data, lanes);
+            return;
         }
-        // Combine the r interleaved m-point DFTs. The twiddle for index
-        // (j, t) at sub-length n is w_n^{j t} = root[(N/n)·j·t mod N].
-        let scale = self.n / n;
-        let mut tmp = [Complex64::ZERO; MAX_RADIX];
-        let mut out = [Complex64::ZERO; MAX_RADIX];
-        for t in 0..m {
-            for (j, slot) in tmp.iter_mut().enumerate().take(r) {
-                let idx = (scale * j * t) % self.n;
-                *slot = dst[j * m + t] * self.root[idx];
+        let scratch = &mut scratch[..data.len()];
+        let mut s = 1;
+        let mut in_data = true;
+        for &p in &self.factors {
+            let (src, dst) = if in_data {
+                (&*data, &mut *scratch)
+            } else {
+                (&*scratch, &mut *data)
+            };
+            match p {
+                2 => pass::<2>(src, dst, s, lanes, &self.root),
+                3 => pass::<3>(src, dst, s, lanes, &self.root),
+                4 => pass::<4>(src, dst, s, lanes, &self.root),
+                5 => pass::<5>(src, dst, s, lanes, &self.root),
+                r => unreachable!("unsupported radix {r}"),
             }
-            butterfly(&tmp[..r], &mut out[..r]);
-            for q in 0..r {
-                dst[t + q * m] = out[q];
-            }
+            s *= p;
+            in_data = !in_data;
+        }
+        if !in_data {
+            data.copy_from_slice(scratch);
         }
     }
 
@@ -231,10 +229,51 @@ impl FftPlan {
     }
 }
 
-/// Hard-coded small-radix DFT butterflies (r in 2..=5).
-#[inline]
-fn butterfly(x: &[Complex64], out: &mut [Complex64]) {
-    match x.len() {
+/// One Stockham pass of radix `P` over `lanes` interleaved signals, after
+/// earlier passes whose radices multiply to `s`: reads `src`, writes the
+/// twiddled butterflies to `dst` (see the module docs for the indexing).
+fn pass<const P: usize>(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    s: usize,
+    lanes: usize,
+    root: &[Complex64],
+) {
+    // Operand runs are `s` sub-transforms times `lanes` signals long.
+    let run = s * lanes;
+    let m = src.len() / (P * run);
+    for (q, out) in dst.chunks_exact_mut(P * run).enumerate() {
+        let x: [&[Complex64]; P] = std::array::from_fn(|k| &src[(q + k * m) * run..][..run]);
+        let mut rows = out.chunks_exact_mut(run);
+        let y: [&mut [Complex64]; P] = std::array::from_fn(|_| rows.next().unwrap());
+        if q == 0 {
+            // Every twiddle is 1 here, and the last pass (m = 1) has no
+            // other butterfly, so skip the multiplies.
+            for i in 0..run {
+                let b = butterfly::<P>(std::array::from_fn(|k| x[k][i]));
+                for j in 0..P {
+                    y[j][i] = b[j];
+                }
+            }
+            continue;
+        }
+        let w: [Complex64; P] = std::array::from_fn(|j| root[j * q * s]);
+        for i in 0..run {
+            let b = butterfly::<P>(std::array::from_fn(|k| x[k][i]));
+            y[0][i] = b[0];
+            for j in 1..P {
+                y[j][i] = b[j] * w[j];
+            }
+        }
+    }
+}
+
+/// Hard-coded small-radix DFT butterflies (`P` in 2..=5):
+/// `out[j] = Σ_k x[k]·e^{-2πi jk/P}`.
+#[inline(always)]
+fn butterfly<const P: usize>(x: [Complex64; P]) -> [Complex64; P] {
+    let mut out = [Complex64::ZERO; P];
+    match P {
         2 => {
             out[0] = x[0] + x[1];
             out[1] = x[0] - x[1];
@@ -286,6 +325,23 @@ fn butterfly(x: &[Complex64], out: &mut [Complex64]) {
         }
         r => unreachable!("unsupported radix {r}"),
     }
+    out
+}
+
+/// Conjugates every value in place (the first step of an inverse
+/// transform done with the forward kernel).
+pub(crate) fn conj_all(data: &mut [Complex64]) {
+    for z in data.iter_mut() {
+        *z = z.conj();
+    }
+}
+
+/// Conjugates and scales every value in place (the last step of an
+/// inverse transform done with the forward kernel).
+pub(crate) fn conj_scale_all(data: &mut [Complex64], s: f64) {
+    for z in data.iter_mut() {
+        *z = z.conj().scale(s);
+    }
 }
 
 /// Factorizes `n` over {2,3,4,5}, preferring radix 4 over two radix-2 passes.
@@ -311,21 +367,6 @@ fn factorize_smooth(n: usize) -> Vec<usize> {
         factors
     } else {
         Vec::new()
-    }
-}
-
-/// Smallest radix used by [`FftPlan::rec`] for a smooth `n`.
-fn smallest_factor(n: usize) -> usize {
-    if n.is_multiple_of(4) {
-        4
-    } else if n.is_multiple_of(2) {
-        2
-    } else if n.is_multiple_of(3) {
-        3
-    } else if n.is_multiple_of(5) {
-        5
-    } else {
-        unreachable!("non-smooth length {n} reached the mixed-radix path")
     }
 }
 
@@ -355,20 +396,38 @@ impl Bluestein {
         }
     }
 
-    /// Runs the chirp-z transform: `X = chirp ⊙ IFFT(FFT(chirp ⊙ x) ⊙ B)`.
-    fn run(&self, data: &mut [Complex64], _root: &[Complex64]) {
-        let n = data.len();
-        let mut a = vec![Complex64::ZERO; self.m];
-        for k in 0..n {
-            a[k] = data[k] * self.chirp[k];
+    /// Runs the chirp-z transform `X = chirp ⊙ IFFT(FFT(chirp ⊙ x) ⊙ B)`
+    /// on `lanes` interleaved signals.
+    fn run(&self, data: &mut [Complex64], lanes: usize) {
+        let mut a = vec![Complex64::ZERO; self.m * lanes];
+        for ((dst, src), &c) in a
+            .chunks_exact_mut(lanes)
+            .zip(data.chunks_exact(lanes))
+            .zip(&self.chirp)
+        {
+            for (d, x) in dst.iter_mut().zip(src) {
+                *d = *x * c;
+            }
         }
-        self.inner.forward(&mut a);
-        for (ak, bk) in a.iter_mut().zip(&self.chirp_fft) {
-            *ak *= *bk;
+        let mut scratch = vec![Complex64::ZERO; self.m * lanes];
+        self.inner.forward_lanes(&mut a, lanes, &mut scratch);
+        // Multiply by B and conjugate: the inverse transform is the
+        // conjugate of the forward transform of the conjugate.
+        for (row, &b) in a.chunks_exact_mut(lanes).zip(&self.chirp_fft) {
+            for z in row {
+                *z = (*z * b).conj();
+            }
         }
-        self.inner.inverse(&mut a);
-        for k in 0..n {
-            data[k] = a[k] * self.chirp[k];
+        self.inner.forward_lanes(&mut a, lanes, &mut scratch);
+        let s = 1.0 / self.m as f64;
+        for ((dst, src), &c) in data
+            .chunks_exact_mut(lanes)
+            .zip(a.chunks_exact(lanes))
+            .zip(&self.chirp)
+        {
+            for (d, x) in dst.iter_mut().zip(src) {
+                *d = x.conj().scale(s) * c;
+            }
         }
     }
 }
@@ -571,6 +630,35 @@ mod tests {
         plan.inverse_batch(&mut batched, rows);
         let err = max_err(&batched, &flat);
         assert!(err < 1e-10 * n as f64);
+    }
+
+    #[test]
+    fn lane_kernel_matches_per_line_forward() {
+        // Every radix (2, 3, 4, 5) and one Bluestein length; lane l of the
+        // interleaved buffer must equal FftPlan::forward of that signal,
+        // bit for bit.
+        for &n in &[2usize, 3, 4, 5, 8, 20, 40, 60, 90, 7] {
+            let plan = FftPlan::new(n);
+            for lanes in [1usize, 3, 20] {
+                let signals: Vec<Vec<Complex64>> = (0..lanes)
+                    .map(|l| random_signal(n, (n * 31 + l) as u64))
+                    .collect();
+                let mut interleaved: Vec<Complex64> = (0..n * lanes)
+                    .map(|i| signals[i % lanes][i / lanes])
+                    .collect();
+                let mut scratch = vec![Complex64::ZERO; n * lanes];
+                plan.forward_lanes(&mut interleaved, lanes, &mut scratch);
+                for (l, signal) in signals.iter().enumerate() {
+                    let mut expect = signal.clone();
+                    plan.forward(&mut expect);
+                    for (j, e) in expect.iter().enumerate() {
+                        let got = interleaved[j * lanes + l];
+                        assert_eq!(got.re.to_bits(), e.re.to_bits(), "n {n} lanes {lanes}");
+                        assert_eq!(got.im.to_bits(), e.im.to_bits(), "n {n} lanes {lanes}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,19 @@
 //! reciprocal space with 3-D FFTs on the simulation grid. The transform is
 //! separable: one 1-D FFT along each axis. Data is stored row-major with
 //! `x` fastest: `index = (z * ny + y) * nx + x`.
+//!
+//! All three axes run the multi-lane Stockham kernel of [`crate::fft`] in
+//! place, with no strided gather. The x-lines are contiguous and go one at
+//! a time (`lanes = 1`). Within a z-slab, the y-lines are the slab's `nx`
+//! columns, so the slab is transformed as `ny` rows of `nx` lanes: every
+//! butterfly operand is a whole row. The z-lines are the grid's `nx·ny`
+//! columns, so the grid is transformed as `nz` planes of `nx·ny` lanes.
+//! One scratch buffer of one grid serves every pass of a transform (and
+//! every grid of a batch). The inverse is a conjugate pass, the forward
+//! transform, then a conjugate-and-`1/(nx·ny·nz)` pass.
 
 use crate::counters::{KernelCost, C64_BYTES};
-use crate::fft::FftPlan;
+use crate::fft::{conj_all, conj_scale_all, FftPlan};
 use crate::Complex64;
 
 /// Dimensions of a 3-D grid.
@@ -126,47 +136,33 @@ impl Fft3Plan {
     }
 
     fn transform(&self, data: &mut [Complex64], inverse: bool) {
-        let GridDims { nx, ny, nz } = self.dims;
         assert_eq!(
             data.len(),
             self.dims.len(),
             "3-D FFT buffer length mismatch"
         );
-        let run = |plan: &FftPlan, buf: &mut [Complex64]| {
-            if inverse {
-                plan.inverse(buf);
-            } else {
-                plan.forward(buf);
-            }
-        };
-        // Along x: contiguous lines.
+        let mut scratch = vec![Complex64::ZERO; data.len()];
+        self.transform_in(data, inverse, &mut scratch);
+    }
+
+    /// One 3-D transform of a single grid, reusing `scratch` (one grid long).
+    fn transform_in(&self, data: &mut [Complex64], inverse: bool, scratch: &mut [Complex64]) {
+        let GridDims { nx, ny, .. } = self.dims;
+        if inverse {
+            conj_all(data);
+        }
+        // x: contiguous lines, one signal each.
         for line in data.chunks_exact_mut(nx) {
-            run(&self.plan_x, line);
+            self.plan_x.forward_lanes(line, 1, scratch);
         }
-        // Along y: stride nx within each z-slab.
-        let mut buf = vec![Complex64::ZERO; ny.max(nz)];
-        for z in 0..nz {
-            for x in 0..nx {
-                for y in 0..ny {
-                    buf[y] = data[self.dims.index(x, y, z)];
-                }
-                run(&self.plan_y, &mut buf[..ny]);
-                for y in 0..ny {
-                    data[self.dims.index(x, y, z)] = buf[y];
-                }
-            }
+        // y: within each z-slab, the nx columns are interleaved lanes.
+        for slab in data.chunks_exact_mut(nx * ny) {
+            self.plan_y.forward_lanes(slab, nx, scratch);
         }
-        // Along z: stride nx·ny.
-        for y in 0..ny {
-            for x in 0..nx {
-                for z in 0..nz {
-                    buf[z] = data[self.dims.index(x, y, z)];
-                }
-                run(&self.plan_z, &mut buf[..nz]);
-                for z in 0..nz {
-                    data[self.dims.index(x, y, z)] = buf[z];
-                }
-            }
+        // z: every (x, y) column of the grid is a lane.
+        self.plan_z.forward_lanes(data, nx * ny, scratch);
+        if inverse {
+            conj_scale_all(data, 1.0 / data.len() as f64);
         }
     }
 
@@ -200,8 +196,9 @@ impl Fft3Plan {
             !data.is_empty() && data.len().is_multiple_of(len),
             "batched 3-D FFT buffer must hold a positive whole number of grids"
         );
+        let mut scratch = vec![Complex64::ZERO; len];
         for grid in data.chunks_exact_mut(len) {
-            self.transform(grid, inverse);
+            self.transform_in(grid, inverse, &mut scratch);
         }
     }
 
@@ -310,6 +307,24 @@ mod tests {
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0f64, f64::max);
         assert!(err < 1e-9, "err = {err}");
+    }
+
+    #[test]
+    fn matches_naive_3d_on_non_cubic_grids() {
+        // 20 = 5·4, 6 = 3·2, 40 = 5·4·2 and 3 cover every radix on the
+        // single-line (x) and multi-lane (y, z) passes; 7 takes Bluestein.
+        for dims in [GridDims::new(20, 6, 7), GridDims::new(40, 20, 3)] {
+            let x = random_field(dims.len(), dims.len() as u64);
+            let expect = dft3_naive(dims, &x);
+            let mut got = x;
+            Fft3Plan::new(dims).forward(&mut got);
+            let err = got
+                .iter()
+                .zip(&expect)
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(err < 1e-9 * dims.len() as f64, "{dims:?}: err = {err}");
+        }
     }
 
     #[test]
