@@ -13,6 +13,15 @@
 //! kernels the paper characterizes. The eigensolver is a blocked
 //! Davidson-style subspace iteration: expand the trial space with
 //! preconditioned residuals, orthonormalize, Rayleigh–Ritz, repeat.
+//!
+//! Every Hamiltonian application streams whole grids through the FFT and
+//! the projector gather/scatter, so the solver applies `H` only to
+//! vectors that are new: the initial plane waves, then each iteration's
+//! surviving residual directions. It keeps `Hψ` beside every trial
+//! vector and rotates it with the same Ritz coefficients and
+//! normalization as `ψ`, as LOBPCG/Davidson codes do; residuals and the
+//! final band energies come from those carried pairs. A solve of `nb`
+//! bands over `k` iterations applies `H` `nb·(k + 1)` times.
 
 use crate::basis::{local_potential, plane_wave, sorted_g_indices, system_g2, HBAR2_OVER_2M};
 use crate::pseudo::{apply_nonlocal, build_pseudos, AtomPseudo};
@@ -109,6 +118,8 @@ impl KsHamiltonian {
     /// Panics if `psi.len()` does not match the grid.
     pub fn apply(&self, psi: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(psi.len(), self.nr, "orbital length mismatch");
+        #[cfg(test)]
+        tests::APPLY_CALLS.with(|c| c.set(c.get() + 1));
         // Kinetic: FFT → ×(ħ²/2m)G² → inverse FFT.
         let mut kin = psi.to_vec();
         self.plan.forward(&mut kin);
@@ -406,8 +417,9 @@ fn solve_bands(
     let nr = grid.len();
     let nb = opts.bands;
 
-    // Initial guess: the lowest plane waves.
+    // Initial guess: the lowest plane waves, and their H-images.
     let mut psi: Vec<Vec<Complex64>> = (0..nb).map(|b| plane_wave(grid, order[b])).collect();
+    let mut hpsi: Vec<Vec<Complex64>> = psi.iter().map(|p| h.apply(p)).collect();
 
     let mut energies = vec![0.0f64; nb];
     let mut residuals = vec![f64::INFINITY; nb];
@@ -415,9 +427,9 @@ fn solve_bands(
 
     for _iter in 0..opts.max_iterations {
         iterations += 1;
-        // Apply H to the current bands.
-        let hpsi: Vec<Vec<Complex64>> = psi.iter().map(|p| h.apply(p)).collect();
-        // Rayleigh quotients + residuals.
+        // Rayleigh quotients + residuals from the carried H·ψ; the
+        // preconditioned residuals are the new search directions.
+        let mut dirs = Vec::with_capacity(nb);
         for b in 0..nb {
             energies[b] = vecops::dot(&psi[b], &hpsi[b]).re;
             let mut r: Vec<Complex64> = hpsi[b]
@@ -426,46 +438,50 @@ fn solve_bands(
                 .map(|(hp, p)| *hp - p.scale(energies[b]))
                 .collect();
             residuals[b] = vecops::norm(&r);
-            // Preconditioned residual extends the subspace.
             h.precondition(&mut r);
-            psi.push(r);
+            dirs.push(r);
         }
-        // Orthonormalize the 2·nb trial vectors (dependent rows zeroed).
-        let mut flat: Vec<Complex64> = psi.iter().flatten().copied().collect();
-        let rank = vecops::mgs_orthonormalize(&mut flat, psi.len(), nr);
-        let kept = rank.min(psi.len());
-        let trial: Vec<&[Complex64]> = (0..kept).map(|i| &flat[i * nr..(i + 1) * nr]).collect();
+        // Trial space: ψ (already orthonormal) plus the surviving new
+        // directions. H is applied to the new directions only.
+        let dirs = orthonormalize_against(&psi, dirs);
+        hpsi.extend(dirs.iter().map(|d| h.apply(d)));
+        psi.extend(dirs);
         // Rayleigh–Ritz in the trial space.
-        let htrial: Vec<Vec<Complex64>> = trial.iter().map(|t| h.apply(t)).collect();
-        let mut hsub = CMat::zeros(kept, kept);
-        for i in 0..kept {
-            for j in 0..kept {
-                hsub[(i, j)] = vecops::dot(trial[i], &htrial[j]);
-            }
-        }
+        let m = psi.len();
+        let hsub = CMat::from_fn(m, m, |i, j| vecops::dot(&psi[i], &hpsi[j]));
         let eig = heevd(&hsub)?;
-        // Rotate the lowest nb Ritz vectors back to the grid.
-        let mut next: Vec<Vec<Complex64>> = Vec::with_capacity(nb);
-        for b in 0..nb.min(kept) {
+        // Rotate the lowest nb Ritz vectors back to the grid, and their
+        // H-images with the same coefficients and normalization.
+        let mut next = Vec::with_capacity(nb);
+        let mut hnext = Vec::with_capacity(nb);
+        for b in 0..nb {
             let mut v = vec![Complex64::ZERO; nr];
-            for (j, t) in trial.iter().enumerate() {
+            let mut hv = vec![Complex64::ZERO; nr];
+            for (j, (t, ht)) in psi.iter().zip(&hpsi).enumerate() {
                 let c = eig.vectors[(j, b)];
-                for (vi, ti) in v.iter_mut().zip(*t) {
-                    *vi = c.mul_add(*ti, *vi);
+                vecops::axpy(c, t, &mut v);
+                vecops::axpy(c, ht, &mut hv);
+            }
+            let norm = vecops::normalize(&mut v);
+            if norm > f64::MIN_POSITIVE {
+                let inv = 1.0 / norm;
+                for z in hv.iter_mut() {
+                    *z = z.scale(inv);
                 }
             }
-            vecops::normalize(&mut v);
             next.push(v);
+            hnext.push(hv);
         }
         psi = next;
+        hpsi = hnext;
         if residuals.iter().all(|r| *r < opts.residual_tolerance) {
             break;
         }
     }
 
-    // Final energies from the converged orbitals.
+    // Final energies: Rayleigh quotients of the rotated pairs.
     for b in 0..nb {
-        energies[b] = h.expectation(&psi[b]);
+        energies[b] = vecops::dot(&psi[b], &hpsi[b]).re;
     }
     // Sort ascending (Rayleigh-Ritz should already order them).
     let mut idx: Vec<usize> = (0..nb).collect();
@@ -488,9 +504,38 @@ fn solve_bands(
     })
 }
 
+/// Orthonormalizes `dirs` against the orthonormal `basis` and against
+/// each other by modified Gram–Schmidt. A direction whose remainder
+/// falls below `1e-12` (the cut of [`vecops::mgs_orthonormalize`]) is
+/// dropped; the survivors are returned in their original order.
+fn orthonormalize_against(
+    basis: &[Vec<Complex64>],
+    dirs: Vec<Vec<Complex64>>,
+) -> Vec<Vec<Complex64>> {
+    let mut kept: Vec<Vec<Complex64>> = Vec::with_capacity(dirs.len());
+    for mut d in dirs {
+        for q in basis.iter().chain(&kept) {
+            let proj = vecops::dot(q, &d);
+            for (a, b) in d.iter_mut().zip(q) {
+                *a -= *b * proj;
+            }
+        }
+        if vecops::normalize(&mut d) > 1e-12 {
+            kept.push(d);
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`KsHamiltonian::apply`] calls made on this thread.
+        pub(super) static APPLY_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn small_opts(bands: usize, iters: usize) -> ScfOptions {
         ScfOptions {
@@ -498,6 +543,63 @@ mod tests {
             max_iterations: iters,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn rotated_h_psi_matches_recomputed() {
+        // The solver never re-applies H to a Ritz vector: its energies
+        // come from H·ψ rotated alongside ψ. They must match a fresh
+        // application, and H must run once per new vector only.
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            for bands in [2, 4] {
+                for iters in [1, 2, 4] {
+                    let opts = small_opts(bands, iters);
+                    let h = KsHamiltonian::new(&sys, &opts);
+                    let before = APPLY_CALLS.with(Cell::get);
+                    let gs = run_scf_in(&sys, &opts, &h).unwrap();
+                    let applies = APPLY_CALLS.with(Cell::get) - before;
+                    let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
+                    assert_eq!(applies, bands * (gs.iterations + 1), "{case}");
+                    for (b, &e) in gs.energies_ev.iter().enumerate() {
+                        let fresh = h.expectation(gs.orbitals.row(b));
+                        assert!(
+                            (e - fresh).abs() <= 1e-10 * fresh.abs(),
+                            "{case}, band {b}: rotated {e} vs recomputed {fresh}"
+                        );
+                    }
+                    for i in 0..bands {
+                        for j in 0..bands {
+                            let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                            let expect = if i == j { 1.0 } else { 0.0 };
+                            assert!(
+                                (d - Complex64::from_real(expect)).abs() < 1e-10,
+                                "{case}, orthonormality ({i},{j}): {d:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dependent_middle_direction_is_dropped_and_order_kept() {
+        let e = |k: usize| {
+            let mut v = vec![Complex64::ZERO; 4];
+            v[k] = Complex64::ONE;
+            v
+        };
+        let row = |xs: [f64; 4]| xs.map(Complex64::from_real).to_vec();
+        // After projecting out e0, the middle direction is 3·e1: a
+        // multiple of the first one's remainder e1.
+        let dirs = vec![
+            row([1.0, 1.0, 0.0, 0.0]),
+            row([2.0, 3.0, 0.0, 0.0]),
+            row([1.0, 1.0, 1.0, 0.0]),
+        ];
+        let kept = orthonormalize_against(&[e(0)], dirs);
+        assert_eq!(kept, vec![e(1), e(2)]);
     }
 
     #[test]
