@@ -135,9 +135,14 @@ pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Vec<AtomPseudo
         .collect()
 }
 
-/// Applies the nonlocal pseudopotential to one wavefunction in place —
-/// the computational core of the paper's Algorithm 1 (lines 17–21):
-/// `ψ ← ψ + Σ_a Σ_p D_p |β_ap⟩⟨β_ap|ψ⟩`.
+/// Applies the nonlocal pseudopotential to one wavefunction in place,
+/// atom after atom — the computational core of the paper's Algorithm 1
+/// (lines 17–21), with `V_a = Σ_p D_p |β_ap⟩⟨β_ap|`.
+///
+/// Each atom projects the `ψ` that earlier atoms already updated, so the
+/// result is `ψ ← Π_a (1 + V_a) ψ`. Where projector spheres overlap this
+/// differs from `ψ + Σ_a V_a ψ` and is not Hermitian;
+/// [`crate::KsHamiltonian::apply`] adds the Hermitian sum instead.
 ///
 /// Returns the number of projector contractions performed.
 ///
@@ -145,30 +150,53 @@ pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Vec<AtomPseudo
 ///
 /// Panics if `psi.len()` does not cover every projector grid index.
 pub fn apply_nonlocal(psi: &mut [Complex64], pseudos: &[AtomPseudo], volume_element: f64) -> u64 {
-    let mut contractions = 0;
     for ap in pseudos {
-        // ⟨β_p|ψ⟩ for all projectors of this atom.
-        let mut coef = [Complex64::ZERO; N_PROJ];
-        for (j, &idx) in ap.indices.iter().enumerate() {
-            let v = psi[idx as usize];
-            for (p, cp) in coef.iter_mut().enumerate() {
-                *cp += v.scale(ap.projectors[(p, j)]);
-            }
-        }
-        for c in coef.iter_mut() {
-            *c = c.scale(volume_element);
-        }
-        // ψ += Σ_p D_p · coef_p · β_p
-        for (j, &idx) in ap.indices.iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for (p, cf) in coef.iter().enumerate() {
-                acc += cf.scale(ap.coefficients[p] * ap.projectors[(p, j)]);
-            }
-            psi[idx as usize] += acc;
-        }
-        contractions += N_PROJ as u64;
+        let coef = project(ap, psi, volume_element);
+        scatter(ap, &coef, psi);
     }
-    contractions
+    (pseudos.len() * N_PROJ) as u64
+}
+
+/// Adds the Hermitian nonlocal term `Σ_a V_a ψ` to `out`: every atom
+/// projects the unmodified `psi`.
+///
+/// # Panics
+///
+/// Panics if `psi` or `out` does not cover every projector grid index.
+pub(crate) fn add_nonlocal(
+    psi: &[Complex64],
+    pseudos: &[AtomPseudo],
+    volume_element: f64,
+    out: &mut [Complex64],
+) {
+    for ap in pseudos {
+        let coef = project(ap, psi, volume_element);
+        scatter(ap, &coef, out);
+    }
+}
+
+/// `⟨β_ap|ψ⟩·dv` for every projector of one atom (the gather half).
+fn project(ap: &AtomPseudo, psi: &[Complex64], volume_element: f64) -> [Complex64; N_PROJ] {
+    let mut coef = [Complex64::ZERO; N_PROJ];
+    for (j, &idx) in ap.indices.iter().enumerate() {
+        let v = psi[idx as usize];
+        for (p, cp) in coef.iter_mut().enumerate() {
+            *cp += v.scale(ap.projectors[(p, j)]);
+        }
+    }
+    coef.map(|c| c.scale(volume_element))
+}
+
+/// `out += Σ_p D_p · coef_p · β_ap` over one atom's sphere (the scatter
+/// half).
+fn scatter(ap: &AtomPseudo, coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
+    for (j, &idx) in ap.indices.iter().enumerate() {
+        let mut acc = Complex64::ZERO;
+        for (p, cf) in coef.iter().enumerate() {
+            acc += cf.scale(ap.coefficients[p] * ap.projectors[(p, j)]);
+        }
+        out[idx as usize] += acc;
+    }
 }
 
 /// Pseudopotential layout variants whose footprints the paper compares.
