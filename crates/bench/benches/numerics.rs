@@ -2,7 +2,7 @@
 //! implementations behind the workload descriptors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ndft_dft::SiliconSystem;
+use ndft_dft::{run_scf_selfconsistent, ScfOptions, SiliconSystem};
 use ndft_numerics::{
     face_splitting, gemm_c64, gemm_f64, heevd, syevd, CMat, Complex64, Fft3Plan, FftPlan, GridDims,
     Mat,
@@ -119,11 +119,33 @@ fn bench_face_splitting(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_scf(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scf");
+    group.sample_size(10);
+    // The ScfSelfConsistent (atoms, bands) shapes of the scf_sweep
+    // workload, at its 2 subspace iterations × 2 density cycles, so
+    // solver-level cost sits next to the kernel rows above.
+    for &(atoms, bands) in &[(8usize, 2usize), (8, 3), (16, 2), (16, 3), (24, 2)] {
+        let sys = SiliconSystem::new(atoms).unwrap();
+        let opts = ScfOptions {
+            bands,
+            max_iterations: 2,
+            ..Default::default()
+        };
+        let id = format!("si{atoms}_b{bands}");
+        group.bench_with_input(BenchmarkId::new("selfconsistent", id), &opts, |b, opts| {
+            b.iter(|| black_box(run_scf_selfconsistent(&sys, opts, bands, 2, 0.5).expect("solves")))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fft,
     bench_gemm,
     bench_eig,
-    bench_face_splitting
+    bench_face_splitting,
+    bench_scf
 );
 criterion_main!(benches);
