@@ -458,12 +458,11 @@ fn solve_bands(
                 vecops::axpy(c, t, &mut v);
                 vecops::axpy(c, ht, &mut hv);
             }
-            let norm = vecops::normalize(&mut v);
-            if norm > f64::MIN_POSITIVE {
-                let inv = 1.0 / norm;
-                for z in hv.iter_mut() {
-                    *z = z.scale(inv);
-                }
+            // A unit coefficient vector over an orthonormal basis: the
+            // norm is ≈ 1, never 0.
+            let inv = 1.0 / vecops::normalize(&mut v);
+            for z in hv.iter_mut() {
+                *z = z.scale(inv);
             }
             next.push(v);
             hnext.push(hv);
@@ -800,9 +799,9 @@ mod tests {
 
     #[test]
     fn hamiltonian_is_hermitian_in_expectation() {
-        // ⟨b|Ha⟩ == conj⟨a|Hb⟩ for random vectors, which fill the grid
-        // points where projector spheres overlap; low plane waves are
-        // too smooth to expose an order-dependent nonlocal term.
+        // ⟨b|Ha⟩ == conj⟨a|Hb⟩ for seeded random vectors, which weight
+        // every grid point, including those where projector spheres
+        // of several atoms overlap.
         for (atoms, seed) in [(8, 0x5eed_0008u64), (16, 0x5eed_0016), (24, 0x5eed_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
