@@ -70,44 +70,104 @@ pub fn plane_wave(grid: GridDims, g_idx: usize) -> Vec<Complex64> {
     out
 }
 
+/// Grid points within a radius of a grid site, as offsets from that
+/// site: the scan the local potential and the projector spheres both
+/// make around every atom. Offsets and radii depend only on the grid
+/// spacing, never on the atom, so one stencil serves every atom of a
+/// system; atoms differ only in the site the offsets wrap around.
+pub(crate) struct SphereStencil {
+    grid: GridDims,
+    /// Grid spacing along each axis in Å.
+    step: [f64; 3],
+    /// Half-width of the scanned box along each axis, in grid steps.
+    span: [isize; 3],
+    /// `(dx, dy, dz)` of every point inside the sphere, in scan order
+    /// (`dz` slowest, `dx` fastest).
+    offsets: Vec<[isize; 3]>,
+    /// Squared distance of every offset from the site, in Å².
+    r2: Vec<f64>,
+}
+
+impl SphereStencil {
+    /// Scans the box around a site for the points within `radius` Å.
+    pub(crate) fn new(system: &SiliconSystem, radius: f64) -> Self {
+        let grid = system.grid();
+        let (lx, ly, lz) = system.lengths();
+        let step = [
+            lx / grid.nx as f64,
+            ly / grid.ny as f64,
+            lz / grid.nz as f64,
+        ];
+        let span = step.map(|h| (radius / h).ceil() as isize + 1);
+        let rc2 = radius * radius;
+        let mut offsets = Vec::new();
+        let mut r2s = Vec::new();
+        for dz in -span[2]..=span[2] {
+            for dy in -span[1]..=span[1] {
+                for dx in -span[0]..=span[0] {
+                    let fx = dx as f64 * step[0];
+                    let fy = dy as f64 * step[1];
+                    let fz = dz as f64 * step[2];
+                    let r2 = fx * fx + fy * fy + fz * fz;
+                    if r2 <= rc2 {
+                        offsets.push([dx, dy, dz]);
+                        r2s.push(r2);
+                    }
+                }
+            }
+        }
+        SphereStencil {
+            grid,
+            step,
+            span,
+            offsets,
+            r2: r2s,
+        }
+    }
+
+    /// Squared distance of every stencil point from its site, in Å².
+    pub(crate) fn r2(&self) -> &[f64] {
+        &self.r2
+    }
+
+    /// Linear grid index of every stencil point around the atom at `pos`
+    /// (Cartesian Å), in stencil order, wrapped periodically around the
+    /// nearest grid site.
+    pub(crate) fn indices_at(&self, pos: [f64; 3]) -> impl Iterator<Item = usize> + '_ {
+        let dims = [self.grid.nx, self.grid.ny, self.grid.nz];
+        // Per axis, the wrapped coordinate of each offset in -span..=span.
+        let wrap: [Vec<usize>; 3] = std::array::from_fn(|a| {
+            let c = (pos[a] / self.step[a]).round() as isize;
+            (-self.span[a]..=self.span[a])
+                .map(|d| (c + d).rem_euclid(dims[a] as isize) as usize)
+                .collect()
+        });
+        self.offsets.iter().map(move |&[dx, dy, dz]| {
+            let at = |a: usize, d: isize| wrap[a][(d + self.span[a]) as usize];
+            self.grid.index(at(0, dx), at(1, dy), at(2, dz))
+        })
+    }
+}
+
 /// Local (pseudo)potential of the silicon lattice on the grid, in eV:
 /// a Gaussian attractive well at each atom site with periodic wrapping.
 /// Depth/width chosen to be silicon-like (a few eV deep, ~bond-length
 /// range).
+///
+/// The well is tabulated once on a [`SphereStencil`] of radius `4σ` and
+/// accumulated atom by atom, in the stencil's scan order.
 pub fn local_potential(system: &SiliconSystem, depth_ev: f64, sigma_angstrom: f64) -> Vec<f64> {
-    let grid = system.grid();
-    let (lx, ly, lz) = system.lengths();
-    let h = (
-        lx / grid.nx as f64,
-        ly / grid.ny as f64,
-        lz / grid.nz as f64,
-    );
-    let mut v = vec![0.0f64; grid.len()];
-    let cutoff = 4.0 * sigma_angstrom;
+    let stencil = SphereStencil::new(system, 4.0 * sigma_angstrom);
     let inv2s2 = 1.0 / (2.0 * sigma_angstrom * sigma_angstrom);
-    let span = |step: f64| (cutoff / step).ceil() as isize;
+    let well: Vec<f64> = stencil
+        .r2()
+        .iter()
+        .map(|&r2| depth_ev * (-r2 * inv2s2).exp())
+        .collect();
+    let mut v = vec![0.0f64; system.grid().len()];
     for pos in system.atom_positions() {
-        let (cx, cy, cz) = (
-            (pos[0] / h.0).round() as isize,
-            (pos[1] / h.1).round() as isize,
-            (pos[2] / h.2).round() as isize,
-        );
-        for dz in -span(h.2)..=span(h.2) {
-            for dy in -span(h.1)..=span(h.1) {
-                for dx in -span(h.0)..=span(h.0) {
-                    let fx = dx as f64 * h.0;
-                    let fy = dy as f64 * h.1;
-                    let fz = dz as f64 * h.2;
-                    let r2 = fx * fx + fy * fy + fz * fz;
-                    if r2 > cutoff * cutoff {
-                        continue;
-                    }
-                    let gx = (cx + dx).rem_euclid(grid.nx as isize) as usize;
-                    let gy = (cy + dy).rem_euclid(grid.ny as isize) as usize;
-                    let gz = (cz + dz).rem_euclid(grid.nz as isize) as usize;
-                    v[grid.index(gx, gy, gz)] -= depth_ev * (-r2 * inv2s2).exp();
-                }
-            }
+        for (idx, w) in stencil.indices_at(pos).zip(&well) {
+            v[idx] -= w;
         }
     }
     v
@@ -147,6 +207,64 @@ mod tests {
         let b = plane_wave(grid, 5);
         assert!((vecops::norm(&a) - 1.0).abs() < 1e-12);
         assert!(vecops::dot(&a, &b).abs() < 1e-10);
+    }
+
+    /// The per-atom box scan `local_potential` made before it used a
+    /// shared stencil.
+    fn local_potential_reference(system: &SiliconSystem, depth_ev: f64, sigma: f64) -> Vec<f64> {
+        let grid = system.grid();
+        let (lx, ly, lz) = system.lengths();
+        let h = (
+            lx / grid.nx as f64,
+            ly / grid.ny as f64,
+            lz / grid.nz as f64,
+        );
+        let mut v = vec![0.0f64; grid.len()];
+        let cutoff = 4.0 * sigma;
+        let inv2s2 = 1.0 / (2.0 * sigma * sigma);
+        let span = |step: f64| (cutoff / step).ceil() as isize;
+        for pos in system.atom_positions() {
+            let (cx, cy, cz) = (
+                (pos[0] / h.0).round() as isize,
+                (pos[1] / h.1).round() as isize,
+                (pos[2] / h.2).round() as isize,
+            );
+            for dz in -span(h.2)..=span(h.2) {
+                for dy in -span(h.1)..=span(h.1) {
+                    for dx in -span(h.0)..=span(h.0) {
+                        let fx = dx as f64 * h.0;
+                        let fy = dy as f64 * h.1;
+                        let fz = dz as f64 * h.2;
+                        let r2 = fx * fx + fy * fy + fz * fz;
+                        if r2 > cutoff * cutoff {
+                            continue;
+                        }
+                        let gx = (cx + dx).rem_euclid(grid.nx as isize) as usize;
+                        let gy = (cy + dy).rem_euclid(grid.ny as isize) as usize;
+                        let gz = (cz + dz).rem_euclid(grid.nz as isize) as usize;
+                        v[grid.index(gx, gy, gz)] -= depth_ev * (-r2 * inv2s2).exp();
+                    }
+                }
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn stencil_local_potential_matches_per_atom_scan_bitwise() {
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            for (depth, sigma) in [(5.0, 0.8), (3.5, 0.55)] {
+                let fast = local_potential(&sys, depth, sigma);
+                let slow = local_potential_reference(&sys, depth, sigma);
+                assert!(
+                    fast.iter()
+                        .zip(&slow)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "Si_{atoms}, depth {depth}, sigma {sigma}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Two things live here:
 //!
 //! 1. **Runtime data** — Kleinman–Bylander-style nonlocal projectors
-//!    discretized on the real-space grid (an index array of sphere points
-//!    plus an `n_proj × n_pts` coefficient matrix per atom), and the
-//!    wavefunction-update kernel of the paper's Algorithm 1. This path is
-//!    exercised numerically by the small-system driver.
+//!    discretized on the real-space grid, and the wavefunction-update
+//!    kernel of the paper's Algorithm 1. One point-major projector table
+//!    serves every atom, which keeps only an index array of its sphere
+//!    points ([`Pseudopotential`]): the runtime analogue of the shared
+//!    pseudopotential block of §IV-B. This path is exercised numerically
+//!    by the Kohn–Sham solver and the small-system driver.
 //! 2. **Sizing model** — the byte-accounting used by the Table I
 //!    reproduction. Per process: a constant block (species radial tables,
 //!    dense local-potential arrays, application workspace) plus one
@@ -14,8 +16,9 @@
 //!    DESIGN.md §4.3 so the CPU cells of Table I are matched; the NDP and
 //!    NDFT layouts are then *derived* from process topology, not fitted.
 
+use crate::basis::SphereStencil;
 use crate::system::SiliconSystem;
-use ndft_numerics::{Complex64, Mat};
+use ndft_numerics::Complex64;
 use serde::{Deserialize, Serialize};
 
 /// Nonlocal projectors per silicon atom (s/p/d channels × 2 each + spares,
@@ -39,26 +42,38 @@ pub const fn atom_block_bytes() -> u64 {
     (N_PROJ * SPHERE_PTS * 8 + SPHERE_PTS * 4) as u64
 }
 
-/// Runtime nonlocal pseudopotential of one atom, on an actual grid.
+/// Runtime nonlocal pseudopotential of a system on its grid: one
+/// projector table shared by every atom, plus each atom's sphere indices.
+///
+/// Every atom is the same species on the same grid, and a projector's
+/// value at a sphere point depends only on that point's offset from the
+/// atom's nearest grid site. So the table is computed once per system,
+/// point-major (the `N_PROJ` values of one sphere point are adjacent, the
+/// order the gather and the scatter read them in), and the atoms differ
+/// only in where the sphere lands. This is the runtime analogue of the
+/// paper's shared pseudopotential block (§IV-B): one copy of the
+/// coefficients, read through per-consumer index tables, instead of one
+/// copy per atom.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pseudopotential {
+    /// Projector values, one `[β_p(r_j); N_PROJ]` row per sphere point.
+    pub table: Vec<[f64; N_PROJ]>,
+    /// Kleinman–Bylander strengths `D_p`, one per projector.
+    pub coefficients: [f64; N_PROJ],
+    /// The same rows scaled by `D_p`, as the scatter reads them.
+    scaled: Vec<[f64; N_PROJ]>,
+    /// Every atom's sphere, in atom order.
+    pub atoms: Vec<AtomPseudo>,
+}
+
+/// The grid points one atom's projector sphere covers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomPseudo {
     /// Which atom this belongs to.
     pub atom: usize,
-    /// Linear grid indices of the points inside the projector sphere.
+    /// Linear grid index of each sphere point, in the order of the rows
+    /// of [`Pseudopotential::table`].
     pub indices: Vec<u32>,
-    /// Projector values: `n_proj` rows × `indices.len()` columns.
-    pub projectors: Mat,
-    /// Kleinman–Bylander denominators/strengths, one per projector.
-    pub coefficients: Vec<f64>,
-}
-
-impl AtomPseudo {
-    /// Bytes this structure occupies (data only).
-    pub fn bytes(&self) -> u64 {
-        (self.indices.len() * 4
-            + self.projectors.rows() * self.projectors.cols() * 8
-            + self.coefficients.len() * 8) as u64
-    }
 }
 
 /// Builds synthetic-but-physical projectors for every atom of a system on
@@ -67,72 +82,47 @@ impl AtomPseudo {
 ///
 /// The small-system numeric driver uses this; the sizing model above uses
 /// the calibrated double-grid constants instead.
-pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Vec<AtomPseudo> {
-    let grid = system.grid();
-    let (lx, ly, lz) = system.lengths();
-    let h = (
-        lx / grid.nx as f64,
-        ly / grid.ny as f64,
-        lz / grid.nz as f64,
-    );
-    let positions = system.atom_positions();
-    let rc2 = rc_angstrom * rc_angstrom;
-    positions
+pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Pseudopotential {
+    let stencil = SphereStencil::new(system, rc_angstrom);
+    let table: Vec<[f64; N_PROJ]> = stencil
+        .r2()
         .iter()
-        .enumerate()
-        .map(|(atom, pos)| {
-            let mut indices = Vec::new();
-            let mut radii = Vec::new();
-            // Scan the bounding box of the sphere (with periodic wrap).
-            let span = |r: f64, step: f64| (r / step).ceil() as isize + 1;
-            let (cx, cy, cz) = (
-                (pos[0] / h.0).round() as isize,
-                (pos[1] / h.1).round() as isize,
-                (pos[2] / h.2).round() as isize,
-            );
-            for dz in -span(rc_angstrom, h.2)..=span(rc_angstrom, h.2) {
-                for dy in -span(rc_angstrom, h.1)..=span(rc_angstrom, h.1) {
-                    for dx in -span(rc_angstrom, h.0)..=span(rc_angstrom, h.0) {
-                        let fx = dx as f64 * h.0;
-                        let fy = dy as f64 * h.1;
-                        let fz = dz as f64 * h.2;
-                        let r2 = fx * fx + fy * fy + fz * fz;
-                        if r2 > rc2 {
-                            continue;
-                        }
-                        let gx = (cx + dx).rem_euclid(grid.nx as isize) as usize;
-                        let gy = (cy + dy).rem_euclid(grid.ny as isize) as usize;
-                        let gz = (cz + dz).rem_euclid(grid.nz as isize) as usize;
-                        indices.push(grid.index(gx, gy, gz) as u32);
-                        radii.push(r2.sqrt());
-                    }
-                }
-            }
-            let n = indices.len();
-            let projectors = Mat::from_fn(N_PROJ, n, |p, i| {
-                let r = radii[i];
+        .map(|&r2| {
+            let r = r2.sqrt();
+            std::array::from_fn(|p| {
                 // Channel-dependent radial shape: r^l · exp(-(r/σ_p)²).
                 let l = (p / 2) as i32; // s, s, p, p, d, d, f, f
                 let sigma = 0.6 + 0.25 * (p % 2) as f64 + 0.1 * l as f64;
                 r.powi(l) * (-(r / sigma).powi(2)).exp()
-            });
-            let coefficients = (0..N_PROJ)
-                .map(|p| {
-                    if p % 2 == 0 {
-                        0.9 / (1.0 + p as f64)
-                    } else {
-                        -0.4 / (1.0 + p as f64)
-                    }
-                })
-                .collect();
-            AtomPseudo {
-                atom,
-                indices,
-                projectors,
-                coefficients,
-            }
+            })
         })
-        .collect()
+        .collect();
+    let coefficients: [f64; N_PROJ] = std::array::from_fn(|p| {
+        if p % 2 == 0 {
+            0.9 / (1.0 + p as f64)
+        } else {
+            -0.4 / (1.0 + p as f64)
+        }
+    });
+    let scaled = table
+        .iter()
+        .map(|row| std::array::from_fn(|p| coefficients[p] * row[p]))
+        .collect();
+    let atoms = system
+        .atom_positions()
+        .into_iter()
+        .enumerate()
+        .map(|(atom, pos)| AtomPseudo {
+            atom,
+            indices: stencil.indices_at(pos).map(|i| i as u32).collect(),
+        })
+        .collect();
+    Pseudopotential {
+        table,
+        coefficients,
+        scaled,
+        atoms,
+    }
 }
 
 /// Applies the nonlocal pseudopotential to one wavefunction in place,
@@ -149,12 +139,16 @@ pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Vec<AtomPseudo
 /// # Panics
 ///
 /// Panics if `psi.len()` does not cover every projector grid index.
-pub fn apply_nonlocal(psi: &mut [Complex64], pseudos: &[AtomPseudo], volume_element: f64) -> u64 {
-    for ap in pseudos {
-        let coef = project(ap, psi, volume_element);
-        scatter(ap, &coef, psi);
+pub fn apply_nonlocal(
+    psi: &mut [Complex64],
+    pseudos: &Pseudopotential,
+    volume_element: f64,
+) -> u64 {
+    for ap in &pseudos.atoms {
+        let coef = pseudos.project(ap, psi, volume_element);
+        pseudos.scatter(ap, &coef, psi);
     }
-    (pseudos.len() * N_PROJ) as u64
+    (pseudos.atoms.len() * N_PROJ) as u64
 }
 
 /// Adds the Hermitian nonlocal term `Σ_a V_a ψ` to `out`: every atom
@@ -165,37 +159,44 @@ pub fn apply_nonlocal(psi: &mut [Complex64], pseudos: &[AtomPseudo], volume_elem
 /// Panics if `psi` or `out` does not cover every projector grid index.
 pub(crate) fn add_nonlocal(
     psi: &[Complex64],
-    pseudos: &[AtomPseudo],
+    pseudos: &Pseudopotential,
     volume_element: f64,
     out: &mut [Complex64],
 ) {
-    for ap in pseudos {
-        let coef = project(ap, psi, volume_element);
-        scatter(ap, &coef, out);
+    for ap in &pseudos.atoms {
+        let coef = pseudos.project(ap, psi, volume_element);
+        pseudos.scatter(ap, &coef, out);
     }
 }
 
-/// `⟨β_ap|ψ⟩·dv` for every projector of one atom (the gather half).
-fn project(ap: &AtomPseudo, psi: &[Complex64], volume_element: f64) -> [Complex64; N_PROJ] {
-    let mut coef = [Complex64::ZERO; N_PROJ];
-    for (j, &idx) in ap.indices.iter().enumerate() {
-        let v = psi[idx as usize];
-        for (p, cp) in coef.iter_mut().enumerate() {
-            *cp += v.scale(ap.projectors[(p, j)]);
+impl Pseudopotential {
+    /// `⟨β_ap|ψ⟩·dv` for every projector of one atom (the gather half).
+    fn project(
+        &self,
+        ap: &AtomPseudo,
+        psi: &[Complex64],
+        volume_element: f64,
+    ) -> [Complex64; N_PROJ] {
+        let mut coef = [Complex64::ZERO; N_PROJ];
+        for (&idx, row) in ap.indices.iter().zip(&self.table) {
+            let v = psi[idx as usize];
+            for (cp, &b) in coef.iter_mut().zip(row) {
+                *cp += v.scale(b);
+            }
         }
+        coef.map(|c| c.scale(volume_element))
     }
-    coef.map(|c| c.scale(volume_element))
-}
 
-/// `out += Σ_p D_p · coef_p · β_ap` over one atom's sphere (the scatter
-/// half).
-fn scatter(ap: &AtomPseudo, coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
-    for (j, &idx) in ap.indices.iter().enumerate() {
-        let mut acc = Complex64::ZERO;
-        for (p, cf) in coef.iter().enumerate() {
-            acc += cf.scale(ap.coefficients[p] * ap.projectors[(p, j)]);
+    /// `out += Σ_p D_p · coef_p · β_ap` over one atom's sphere (the
+    /// scatter half).
+    fn scatter(&self, ap: &AtomPseudo, coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
+        for (&idx, row) in ap.indices.iter().zip(&self.scaled) {
+            let mut acc = Complex64::ZERO;
+            for (cf, &db) in coef.iter().zip(row) {
+                acc += cf.scale(db);
+            }
+            out[idx as usize] += acc;
         }
-        out[idx as usize] += acc;
     }
 }
 
@@ -270,7 +271,7 @@ pub fn footprint_bytes(system: &SiliconSystem, layout: PseudoLayout) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndft_numerics::vecops;
+    use ndft_numerics::{vecops, Mat};
 
     #[test]
     fn atom_block_is_about_1_6_mib() {
@@ -282,12 +283,12 @@ mod tests {
     fn build_pseudos_covers_every_atom() {
         let sys = SiliconSystem::new(16).unwrap();
         let ps = build_pseudos(&sys, 2.0);
-        assert_eq!(ps.len(), 16);
-        for p in &ps {
+        assert_eq!(ps.atoms.len(), 16);
+        assert_eq!(ps.scaled.len(), ps.table.len());
+        for (atom, p) in ps.atoms.iter().enumerate() {
+            assert_eq!(p.atom, atom);
             assert!(!p.indices.is_empty());
-            assert_eq!(p.projectors.rows(), N_PROJ);
-            assert_eq!(p.projectors.cols(), p.indices.len());
-            assert_eq!(p.coefficients.len(), N_PROJ);
+            assert_eq!(p.indices.len(), ps.table.len());
             // All indices must be valid grid points.
             let nr = sys.grid().len() as u32;
             assert!(p.indices.iter().all(|&i| i < nr));
@@ -302,7 +303,7 @@ mod tests {
         // Expected: (4/3)π rc³ / (h³) within ±30% (lattice discretization).
         let h: f64 = 5.43 / 20.0;
         let expect = 4.0 / 3.0 * std::f64::consts::PI * rc.powi(3) / h.powi(3);
-        for p in &ps {
+        for p in &ps.atoms {
             let n = p.indices.len() as f64;
             assert!(
                 (n - expect).abs() / expect < 0.3,
@@ -399,6 +400,149 @@ mod tests {
             reduction > 0.45 && reduction < 0.70,
             "reduction = {reduction}"
         );
+    }
+
+    /// One atom as `build_pseudos` built it before the shared table: its
+    /// own box scan, an `N_PROJ × n` projector matrix, and strengths.
+    struct ReferenceAtom {
+        indices: Vec<u32>,
+        projectors: Mat,
+        coefficients: Vec<f64>,
+    }
+
+    fn reference_pseudos(system: &SiliconSystem, rc: f64) -> Vec<ReferenceAtom> {
+        let grid = system.grid();
+        let (lx, ly, lz) = system.lengths();
+        let h = (
+            lx / grid.nx as f64,
+            ly / grid.ny as f64,
+            lz / grid.nz as f64,
+        );
+        let rc2 = rc * rc;
+        let span = |step: f64| (rc / step).ceil() as isize + 1;
+        system
+            .atom_positions()
+            .iter()
+            .map(|pos| {
+                let mut indices = Vec::new();
+                let mut radii = Vec::new();
+                let (cx, cy, cz) = (
+                    (pos[0] / h.0).round() as isize,
+                    (pos[1] / h.1).round() as isize,
+                    (pos[2] / h.2).round() as isize,
+                );
+                for dz in -span(h.2)..=span(h.2) {
+                    for dy in -span(h.1)..=span(h.1) {
+                        for dx in -span(h.0)..=span(h.0) {
+                            let fx = dx as f64 * h.0;
+                            let fy = dy as f64 * h.1;
+                            let fz = dz as f64 * h.2;
+                            let r2 = fx * fx + fy * fy + fz * fz;
+                            if r2 > rc2 {
+                                continue;
+                            }
+                            let gx = (cx + dx).rem_euclid(grid.nx as isize) as usize;
+                            let gy = (cy + dy).rem_euclid(grid.ny as isize) as usize;
+                            let gz = (cz + dz).rem_euclid(grid.nz as isize) as usize;
+                            indices.push(grid.index(gx, gy, gz) as u32);
+                            radii.push(r2.sqrt());
+                        }
+                    }
+                }
+                let projectors = Mat::from_fn(N_PROJ, indices.len(), |p, i| {
+                    let r = radii[i];
+                    let l = (p / 2) as i32;
+                    let sigma = 0.6 + 0.25 * (p % 2) as f64 + 0.1 * l as f64;
+                    r.powi(l) * (-(r / sigma).powi(2)).exp()
+                });
+                let coefficients = (0..N_PROJ)
+                    .map(|p| {
+                        if p % 2 == 0 {
+                            0.9 / (1.0 + p as f64)
+                        } else {
+                            -0.4 / (1.0 + p as f64)
+                        }
+                    })
+                    .collect();
+                ReferenceAtom {
+                    indices,
+                    projectors,
+                    coefficients,
+                }
+            })
+            .collect()
+    }
+
+    /// Projects `src` and scatters into `dst` atom by atom, on the
+    /// per-atom matrices.
+    fn reference_nonlocal(
+        atoms: &[ReferenceAtom],
+        dv: f64,
+        src: Option<&[Complex64]>,
+        dst: &mut [Complex64],
+    ) {
+        for ap in atoms {
+            let mut coef = [Complex64::ZERO; N_PROJ];
+            for (j, &idx) in ap.indices.iter().enumerate() {
+                let v = src.map_or(dst[idx as usize], |s| s[idx as usize]);
+                for (p, cp) in coef.iter_mut().enumerate() {
+                    *cp += v.scale(ap.projectors[(p, j)]);
+                }
+            }
+            let coef = coef.map(|c| c.scale(dv));
+            for (j, &idx) in ap.indices.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (p, cf) in coef.iter().enumerate() {
+                    acc += cf.scale(ap.coefficients[p] * ap.projectors[(p, j)]);
+                }
+                dst[idx as usize] += acc;
+            }
+        }
+    }
+
+    fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    #[test]
+    fn shared_table_matches_per_atom_scan_bitwise() {
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let nr = sys.grid().len();
+            let dv = sys.volume() / nr as f64;
+            let ps = build_pseudos(&sys, 1.8);
+            let reference = reference_pseudos(&sys, 1.8);
+            assert_eq!(ps.atoms.len(), reference.len());
+            for (ap, r) in ps.atoms.iter().zip(&reference) {
+                assert_eq!(ap.indices, r.indices, "Si_{atoms}, atom {}", ap.atom);
+                assert_eq!(ps.coefficients.to_vec(), r.coefficients);
+                for (j, (row, srow)) in ps.table.iter().zip(&ps.scaled).enumerate() {
+                    for p in 0..N_PROJ {
+                        let b = r.projectors[(p, j)];
+                        assert_eq!(row[p].to_bits(), b.to_bits());
+                        assert_eq!(srow[p].to_bits(), (r.coefficients[p] * b).to_bits());
+                    }
+                }
+            }
+            let psi: Vec<Complex64> = (0..nr)
+                .map(|i| Complex64::new((i % 17) as f64 / 17.0 - 0.5, (i % 5) as f64 / 5.0))
+                .collect();
+            // Sequential (Algorithm 1) update.
+            let mut fast = psi.clone();
+            apply_nonlocal(&mut fast, &ps, dv);
+            let mut slow = psi.clone();
+            reference_nonlocal(&reference, dv, None, &mut slow);
+            assert!(same_bits(&fast, &slow), "Si_{atoms}: apply_nonlocal");
+            // Hermitian sum, every atom projecting the unmodified ψ.
+            let mut fast = psi.clone();
+            add_nonlocal(&psi, &ps, dv, &mut fast);
+            let mut slow = psi.clone();
+            reference_nonlocal(&reference, dv, Some(&psi), &mut slow);
+            assert!(same_bits(&fast, &slow), "Si_{atoms}: add_nonlocal");
+        }
     }
 
     #[test]

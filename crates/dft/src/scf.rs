@@ -24,7 +24,7 @@
 //! bands over `k` iterations applies `H` `nb·(k + 1)` times.
 
 use crate::basis::{local_potential, plane_wave, sorted_g_indices, system_g2, HBAR2_OVER_2M};
-use crate::pseudo::{add_nonlocal, build_pseudos, AtomPseudo};
+use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
 use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,7 @@ pub struct KsHamiltonian {
     plan: Fft3Plan,
     g2: Vec<f64>,
     vloc: Vec<f64>,
-    pseudos: Vec<AtomPseudo>,
+    pseudos: Pseudopotential,
     dv: f64,
     nr: usize,
 }
@@ -606,7 +606,7 @@ mod tests {
             ..Default::default()
         };
         let mut h = KsHamiltonian::new(&sys, &opts);
-        h.pseudos.clear(); // kinetic only
+        h.pseudos.atoms.clear(); // kinetic only
         let g2 = system_g2(&sys);
         let order = sorted_g_indices(&g2);
         let idx = order[3];
