@@ -46,6 +46,25 @@ pub fn sorted_g_indices(g2: &[f64]) -> Vec<usize> {
     order
 }
 
+/// The `count` grid bins of lowest `|G|²`, ascending, ties broken by bin
+/// index: the first `count` entries of [`sorted_g_indices`] (a stable
+/// sort), found by selection instead of sorting the whole grid.
+pub fn lowest_g_indices(g2: &[f64], count: usize) -> Vec<usize> {
+    let key = |a: &usize, b: &usize| {
+        g2[*a]
+            .partial_cmp(&g2[*b])
+            .expect("finite |G|²")
+            .then(a.cmp(b))
+    };
+    let mut order: Vec<usize> = (0..g2.len()).collect();
+    if count < order.len() {
+        order.select_nth_unstable_by(count, key);
+        order.truncate(count);
+    }
+    order.sort_unstable_by(key);
+    order
+}
+
 /// Normalized plane wave addressed by a linear FFT-grid frequency index
 /// (unit 2-norm on the grid).
 pub fn plane_wave(grid: GridDims, g_idx: usize) -> Vec<Complex64> {
@@ -196,6 +215,22 @@ mod tests {
         assert_eq!(order[0], 0);
         for w in order.windows(2) {
             assert!(g2[w[0]] <= g2[w[1]] + 1e-12);
+        }
+    }
+
+    #[test]
+    fn lowest_indices_are_the_sorted_prefix() {
+        for atoms in [8, 16, 24] {
+            let g2 = system_g2(&SiliconSystem::new(atoms).unwrap());
+            let order = sorted_g_indices(&g2);
+            for count in (0..=12).chain([57, 200]) {
+                assert_eq!(
+                    lowest_g_indices(&g2, count),
+                    order[..count],
+                    "Si_{atoms}, {count} bins"
+                );
+            }
+            assert_eq!(lowest_g_indices(&g2, g2.len() + 1), order);
         }
     }
 

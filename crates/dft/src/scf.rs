@@ -23,7 +23,7 @@
 //! final band energies come from those carried pairs. A solve of `nb`
 //! bands over `k` iterations applies `H` `nb·(k + 1)` times.
 
-use crate::basis::{local_potential, plane_wave, sorted_g_indices, system_g2, HBAR2_OVER_2M};
+use crate::basis::{local_potential, lowest_g_indices, plane_wave, system_g2, HBAR2_OVER_2M};
 use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
 use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
@@ -292,7 +292,7 @@ pub fn run_scf_selfconsistent_seeded(
     let mut h = KsHamiltonian::new(system, opts);
     // The Hamiltonian already holds this system's plan and |G|² table;
     // every cycle's solve and Poisson step reuses them.
-    let order = sorted_g_indices(&h.g2);
+    let order = lowest_g_indices(&h.g2, opts.bands);
     let bare_vloc = h.vloc.clone();
     let mut rho = vec![0.0f64; nr];
     let mut residuals = Vec::with_capacity(cycles);
@@ -394,16 +394,25 @@ pub fn run_scf_batch(
 /// # Errors
 ///
 /// Propagates [`EigError`] from the Rayleigh–Ritz diagonalization.
+///
+/// # Panics
+///
+/// Panics if `h` was built on a grid other than `system`'s.
 pub fn run_scf_in(
     system: &SiliconSystem,
     opts: &ScfOptions,
     h: &KsHamiltonian,
 ) -> Result<GroundState, EigError> {
-    solve_bands(opts, h, &sorted_g_indices(&system_g2(system)))
+    assert_eq!(
+        system.grid(),
+        h.plan.dims(),
+        "the Hamiltonian must be built on the system's grid"
+    );
+    solve_bands(opts, h, &lowest_g_indices(&h.g2, opts.bands))
 }
 
 /// The band solve behind [`run_scf_in`], started from the plane waves
-/// `order[..opts.bands]` (grid indices sorted by ascending `|G|²`).
+/// `order[..opts.bands]` (the lowest-`|G|²` grid bins, ascending).
 fn solve_bands(
     opts: &ScfOptions,
     h: &KsHamiltonian,
@@ -525,6 +534,7 @@ fn orthonormalize_against(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::sorted_g_indices;
     use std::cell::Cell;
 
     thread_local! {
