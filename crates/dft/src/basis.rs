@@ -173,7 +173,7 @@ impl SphereStencil {
 /// Depth/width chosen to be silicon-like (a few eV deep, ~bond-length
 /// range).
 ///
-/// The well is tabulated once on a [`SphereStencil`] of radius `4σ` and
+/// The well is tabulated once on a sphere stencil of radius `4σ` and
 /// accumulated atom by atom, in the stencil's scan order.
 pub fn local_potential(system: &SiliconSystem, depth_ev: f64, sigma_angstrom: f64) -> Vec<f64> {
     let stencil = SphereStencil::new(system, 4.0 * sigma_angstrom);

@@ -7,23 +7,33 @@
 //! H = -ħ²∇²/2m  +  V_loc(r)  +  V_nl   (nonlocal pseudopotential)
 //! ```
 //!
-//! Kinetic energy is applied in reciprocal space through the 3-D FFT,
-//! the local potential pointwise in real space, and the nonlocal part
-//! through the projector machinery of [`crate::pseudo`] — the same
-//! kernels the paper characterizes. The eigensolver is a blocked
-//! Davidson-style subspace iteration: expand the trial space with
-//! preconditioned residuals, orthonormalize, Rayleigh–Ritz, repeat.
+//! The eigensolver is a blocked Davidson-style subspace iteration:
+//! expand the trial space with preconditioned residuals, orthonormalize,
+//! Rayleigh–Ritz, repeat. It works on plane-wave coefficients, as
+//! plane-wave DFT codes do: a band is carried as its unitary expansion
+//! `c(G) = (F ψ)(G)/√N` over the `N` bins of the FFT grid, where the
+//! kinetic energy `(ħ²/2m)G²` and the preconditioner `1/(1 + (ħ²/2m)G²)`
+//! are both diagonal. The local potential stays pointwise in real space
+//! and the nonlocal part goes through the projector machinery of
+//! [`crate::pseudo`], so one application of `H` to a coefficient vector
+//! is an inverse 3-D FFT, the real-space potential step, a forward 3-D
+//! FFT and a diagonal kinetic term — the kernels the paper characterizes.
 //!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to
-//! vectors that are new: the initial plane waves, then each iteration's
-//! surviving residual directions. It keeps `Hψ` beside every trial
-//! vector and rotates it with the same Ritz coefficients and
-//! normalization as `ψ`, as LOBPCG/Davidson codes do; residuals and the
-//! final band energies come from those carried pairs. A solve of `nb`
-//! bands over `k` iterations applies `H` `nb·(k + 1)` times.
+//! vectors that are new: the initial plane waves (unit vectors in `G`),
+//! then each iteration's surviving residual directions. It keeps `Hψ`
+//! beside every trial vector and rotates it with the same Ritz
+//! coefficients and normalization as `ψ`, as LOBPCG/Davidson codes do;
+//! residuals and the final band energies come from those carried pairs.
+//! The orbitals return to real space once, at the end.
+//!
+//! Per solve of `nb` bands over `k` iterations, `H` is applied
+//! `nb·(k + 1)` times (two 3-D FFTs each), and the final transform adds
+//! one inverse FFT per band: `nb·(2k + 3)` 3-D FFTs in all. The
+//! preconditioner costs none.
 
-use crate::basis::{local_potential, lowest_g_indices, plane_wave, system_g2, HBAR2_OVER_2M};
+use crate::basis::{local_potential, lowest_g_indices, system_g2, HBAR2_OVER_2M};
 use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
 use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
@@ -118,8 +128,6 @@ impl KsHamiltonian {
     /// Panics if `psi.len()` does not match the grid.
     pub fn apply(&self, psi: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(psi.len(), self.nr, "orbital length mismatch");
-        #[cfg(test)]
-        tests::APPLY_CALLS.with(|c| c.set(c.get() + 1));
         // Kinetic: FFT → ×(ħ²/2m)G² → inverse FFT.
         let mut kin = psi.to_vec();
         self.plan.forward(&mut kin);
@@ -127,12 +135,7 @@ impl KsHamiltonian {
             *z = z.scale(HBAR2_OVER_2M * g2);
         }
         self.plan.inverse(&mut kin);
-        // Local potential, pointwise.
-        for ((k, p), &v) in kin.iter_mut().zip(psi).zip(&self.vloc) {
-            *k += p.scale(v);
-        }
-        // Nonlocal: Σ_a V_a ψ, every atom projecting the unmodified ψ.
-        add_nonlocal(psi, &self.pseudos, self.dv, &mut kin);
+        self.add_potential(psi, &mut kin);
         kin
     }
 
@@ -142,14 +145,36 @@ impl KsHamiltonian {
         vecops::dot(psi, &h).re
     }
 
-    /// Preconditions a residual: damp high-kinetic components,
-    /// `r̂(G) = r(G) / (1 + (ħ²/2m)G²)`.
-    pub fn precondition(&self, r: &mut [Complex64]) {
-        self.plan.forward(r);
-        for (z, &g2) in r.iter_mut().zip(&self.g2) {
-            *z = z.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
+    /// Applies `H` to plane-wave coefficients `c(G)`: the inverse FFT
+    /// takes `c` to real space, the potential acts there, the forward FFT
+    /// brings the result back, and the kinetic term is added diagonally.
+    /// The forward transform is unnormalized and the inverse carries
+    /// `1/N`, so this is `H` in the unitary basis `c = Fψ/√N` without
+    /// any further scaling.
+    fn apply_g(&self, c: &[Complex64]) -> Vec<Complex64> {
+        let mut phi = c.to_vec();
+        self.plan.inverse(&mut phi);
+        let mut out = vec![Complex64::ZERO; self.nr];
+        self.add_potential(&phi, &mut out);
+        self.plan.forward(&mut out);
+        for ((o, z), &g2) in out.iter_mut().zip(c).zip(&self.g2) {
+            *o += z.scale(HBAR2_OVER_2M * g2);
         }
-        self.plan.inverse(r);
+        out
+    }
+
+    /// `out += (V_loc + V_nl)·φ` on the real-space grid: the potential
+    /// step both [`apply`](Self::apply) and the coefficient-space apply
+    /// share.
+    fn add_potential(&self, phi: &[Complex64], out: &mut [Complex64]) {
+        #[cfg(test)]
+        tests::APPLY_CALLS.with(|c| c.set(c.get() + 1));
+        // Local potential, pointwise.
+        for ((o, p), &v) in out.iter_mut().zip(phi).zip(&self.vloc) {
+            *o += p.scale(v);
+        }
+        // Nonlocal: Σ_a V_a φ, every atom projecting the unmodified φ.
+        add_nonlocal(phi, &self.pseudos, self.dv, out);
     }
 }
 
@@ -413,18 +438,28 @@ pub fn run_scf_in(
 
 /// The band solve behind [`run_scf_in`], started from the plane waves
 /// `order[..opts.bands]` (the lowest-`|G|²` grid bins, ascending).
+///
+/// Works on plane-wave coefficients throughout (see the module docs) and
+/// returns real-space orbitals.
 fn solve_bands(
     opts: &ScfOptions,
     h: &KsHamiltonian,
     order: &[usize],
 ) -> Result<GroundState, EigError> {
-    let grid = h.plan.dims();
-    let nr = grid.len();
+    let nr = h.nr;
     let nb = opts.bands;
 
-    // Initial guess: the lowest plane waves, and their H-images.
-    let mut psi: Vec<Vec<Complex64>> = (0..nb).map(|b| plane_wave(grid, order[b])).collect();
-    let mut hpsi: Vec<Vec<Complex64>> = psi.iter().map(|p| h.apply(p)).collect();
+    // Initial guess: the lowest plane waves — unit vectors in G — and
+    // their H-images.
+    let mut psi: Vec<Vec<Complex64>> = order[..nb]
+        .iter()
+        .map(|&g| {
+            let mut c = vec![Complex64::ZERO; nr];
+            c[g] = Complex64::ONE;
+            c
+        })
+        .collect();
+    let mut hpsi: Vec<Vec<Complex64>> = psi.iter().map(|c| h.apply_g(c)).collect();
 
     let mut energies = vec![0.0f64; nb];
     let mut residuals = vec![f64::INFINITY; nb];
@@ -433,7 +468,8 @@ fn solve_bands(
     for _iter in 0..opts.max_iterations {
         iterations += 1;
         // Rayleigh quotients + residuals from the carried H·ψ; the
-        // preconditioned residuals are the new search directions.
+        // preconditioned residuals are the new search directions. The
+        // preconditioner is diagonal in G.
         let mut dirs = Vec::with_capacity(nb);
         for b in 0..nb {
             energies[b] = vecops::dot(&psi[b], &hpsi[b]).re;
@@ -443,20 +479,22 @@ fn solve_bands(
                 .map(|(hp, p)| *hp - p.scale(energies[b]))
                 .collect();
             residuals[b] = vecops::norm(&r);
-            h.precondition(&mut r);
+            for (z, &g2) in r.iter_mut().zip(&h.g2) {
+                *z = z.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
+            }
             dirs.push(r);
         }
         // Trial space: ψ (already orthonormal) plus the surviving new
         // directions. H is applied to the new directions only.
         let dirs = orthonormalize_against(&psi, dirs);
-        hpsi.extend(dirs.iter().map(|d| h.apply(d)));
+        hpsi.extend(dirs.iter().map(|d| h.apply_g(d)));
         psi.extend(dirs);
         // Rayleigh–Ritz in the trial space.
         let m = psi.len();
         let hsub = CMat::from_fn(m, m, |i, j| vecops::dot(&psi[i], &hpsi[j]));
         let eig = heevd(&hsub)?;
-        // Rotate the lowest nb Ritz vectors back to the grid, and their
-        // H-images with the same coefficients and normalization.
+        // Rotate the lowest nb Ritz vectors, and their H-images with the
+        // same coefficients and normalization.
         let mut next = Vec::with_capacity(nb);
         let mut hnext = Vec::with_capacity(nb);
         for b in 0..nb {
@@ -496,9 +534,18 @@ fn solve_bands(
     });
     let energies_sorted: Vec<f64> = idx.iter().map(|&i| energies[i]).collect();
     let residuals_sorted: Vec<f64> = idx.iter().map(|&i| residuals[i]).collect();
+    // Back to real space, once per band: ψ = √N · F⁻¹c keeps the unit
+    // grid norm.
+    let sqrt_n = (nr as f64).sqrt();
     let mut flat = Vec::with_capacity(nb * nr);
     for &i in &idx {
+        let start = flat.len();
         flat.extend_from_slice(&psi[i]);
+        let band = &mut flat[start..];
+        h.plan.inverse(band);
+        for z in band.iter_mut() {
+            *z = z.scale(sqrt_n);
+        }
     }
     Ok(GroundState {
         energies_ev: energies_sorted,
@@ -534,11 +581,12 @@ fn orthonormalize_against(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::sorted_g_indices;
+    use crate::basis::{plane_wave, sorted_g_indices};
     use std::cell::Cell;
 
     thread_local! {
-        /// [`KsHamiltonian::apply`] calls made on this thread.
+        /// Hamiltonian applications (real-space or plane-wave) made on
+        /// this thread.
         pub(super) static APPLY_CALLS: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -585,6 +633,74 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Band energies of the `scf_sweep` ground-state shapes (atoms,
+    /// bands, iteration cap) from the real-space solver the plane-wave
+    /// solve replaced; every one of them ran to its cap.
+    #[rustfmt::skip]
+    const REAL_SPACE_ENERGIES: [(usize, usize, usize, &[f64]); 27] = [
+        (8, 2, 2, &[-2.5831239759483995, 2.7337117573053082]),
+        (8, 2, 3, &[-2.5831242335207523, 2.7333628149238103]),
+        (8, 2, 4, &[-2.5831242342254135, 2.7333454332550047]),
+        (8, 3, 2, &[-2.5831239759483973, 2.7337117573053225, 2.733711757305325]),
+        (8, 3, 3, &[-2.5831242335207283, 2.733362814923779, 2.7333628149237903]),
+        (8, 3, 4, &[-2.583124234225388, 2.7333454332549225, 2.7333454332549376]),
+        (8, 4, 2, &[-2.5831239759484, 2.733711757305323, 2.733711757305327, 2.733711757305345]),
+        (8, 4, 3, &[-2.583124233520729, 2.7333628149237836, 2.733362814923791, 2.7333628149237916]),
+        (8, 4, 4, &[-2.583124234225383, 2.73334543325493, 2.733345433254941, 2.733345433254946]),
+        (16, 2, 2, &[-2.583123975948429, -1.226275690144037]),
+        (16, 2, 3, &[-2.583124233520735, -1.2262771753156367]),
+        (16, 2, 4, &[-2.5831242342253433, -1.2262771820116405]),
+        (16, 3, 2, &[-2.5831239759484057, -1.2262756901439447, -1.2262756901439167]),
+        (16, 3, 3, &[-2.583124233520697, -1.2262771753156696, -1.226277175315654]),
+        (16, 3, 4, &[-2.5831242342253367, -1.2262771820116256, -1.226277182011617]),
+        (16, 4, 2, &[-2.5831239759484026, -1.2262756901439438, -1.2262756901439413, 2.7337117573052834]),
+        (16, 4, 3, &[-2.583124233520683, -1.2262771753156638, -1.2262771753156638, 2.73336281492347]),
+        (16, 4, 4, &[-2.5831242342253375, -1.2262771820116352, -1.2262771820116307, 2.733345433254918]),
+        (24, 2, 2, &[-2.5831239759484474, -1.9776786262037553]),
+        (24, 2, 3, &[-2.583124233520966, -1.9776791150394923]),
+        (24, 2, 4, &[-2.583124234225377, -1.9776791163663252]),
+        (24, 3, 2, &[-2.5831239759484395, -1.977678626203827, -1.9776786262038135]),
+        (24, 3, 3, &[-2.5831242335210556, -1.9776791150393933, -1.9776791150393198]),
+        (24, 3, 4, &[-2.5831242342252416, -1.97767911636642, -1.9776791163663652]),
+        (24, 4, 2, &[-2.5831239759484887, -1.977678626203791, -1.9776786262037793, -0.1839682307449827]),
+        (24, 4, 3, &[-2.5831242335209303, -1.977679115039348, -1.9776791150393285, -0.18397541980681598]),
+        (24, 4, 4, &[-2.5831242342252674, -1.977679116366463, -1.9776791163664598, -0.18397549910969904]),
+    ];
+
+    #[test]
+    fn plane_wave_solve_matches_real_space_energies() {
+        for &(atoms, bands, iters, expect) in &REAL_SPACE_ENERGIES {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let gs = run_scf(&sys, &small_opts(bands, iters)).unwrap();
+            let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
+            assert_eq!(gs.iterations, iters, "{case}");
+            for (b, (&e, &x)) in gs.energies_ev.iter().zip(expect).enumerate() {
+                assert!(
+                    (e - x).abs() <= 1e-10 * x.abs(),
+                    "{case}, band {b}: {e} vs {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plane_wave_apply_matches_real_space_apply() {
+        // apply_g(c) ≡ F·apply(F⁻¹c) on seeded random coefficients.
+        for (atoms, seed) in [(8, 0xc0ef_0008u64), (16, 0xc0ef_0016), (24, 0xc0ef_0024)] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
+            let c = random_unit(h.len(), seed);
+            let fast = h.apply_g(&c);
+            let mut psi = c.clone();
+            h.plan.inverse(&mut psi);
+            let mut slow = h.apply(&psi);
+            h.plan.forward(&mut slow);
+            let diff: Vec<Complex64> = fast.iter().zip(&slow).map(|(a, b)| *a - *b).collect();
+            let rel = vecops::norm(&diff) / vecops::norm(&slow);
+            assert!(rel <= 1e-12, "Si_{atoms}: relative difference {rel:e}");
         }
     }
 
