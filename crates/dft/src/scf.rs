@@ -243,14 +243,21 @@ fn hartree_in(plan: &Fft3Plan, g2: &[f64], rho: &[f64]) -> Vec<f64> {
 pub struct SelfConsistentResult {
     /// Converged (or best-effort) ground state of the final cycle.
     pub ground_state: GroundState,
-    /// Relative density change per cycle, `‖ρ_new − ρ_old‖₁/‖ρ_old‖₁`.
+    /// Relative density change per cycle, `‖ρ_out − ρ_in‖₁/‖ρ_in‖₁`:
+    /// the density the cycle's solve produced against the density its
+    /// potential was built from.
     pub density_residuals: Vec<f64>,
-    /// Final electron density.
+    /// Final mixed electron density (the input a further cycle would
+    /// use); integrates to `2·occupied` electrons.
     pub density: Vec<f64>,
 }
 
-/// Runs density-mixing self-consistency: solve bands in the current
-/// potential, rebuild `ρ` and `V_H[ρ]`, linearly mix, repeat.
+/// Runs density-mixing self-consistency. The bare-Hamiltonian ground
+/// state gives the first input density `ρ_in`; each cycle then solves
+/// the bands in `V_loc + V_H[ρ_in]`, rebuilds `ρ_out`, records
+/// `‖ρ_out − ρ_in‖₁/‖ρ_in‖₁`, and mixes `ρ_in ← (1 − α)ρ_in + αρ_out`.
+/// Every density in the loop carries the full electron count, and the
+/// band solve runs `1 + cycles` times.
 ///
 /// `cycles` outer iterations with mixing factor `alpha` (0 < α ≤ 1);
 /// the lowest `occupied` bands carry occupation 2 (spin-paired).
@@ -319,7 +326,6 @@ pub fn run_scf_selfconsistent_seeded(
     // every cycle's solve and Poisson step reuses them.
     let order = lowest_g_indices(&h.g2, opts.bands);
     let bare_vloc = h.vloc.clone();
-    let mut rho = vec![0.0f64; nr];
     let mut residuals = Vec::with_capacity(cycles);
     let mut gs = match initial {
         Some(seed) => {
@@ -337,19 +343,21 @@ pub fn run_scf_selfconsistent_seeded(
         }
         None => solve_bands(opts, &h, &order)?,
     };
+    // The bare ground state's density is the first input density.
+    let mut rho = charge_density(&gs.orbitals, &occupations, dv);
     for _cycle in 0..cycles {
-        let rho_new = charge_density(&gs.orbitals, &occupations, dv);
-        let norm_old: f64 = rho.iter().map(|x| x.abs()).sum::<f64>().max(1e-30);
-        let diff: f64 = rho.iter().zip(&rho_new).map(|(a, b)| (a - b).abs()).sum();
-        residuals.push(diff / norm_old);
-        for (r, n) in rho.iter_mut().zip(&rho_new) {
-            *r = (1.0 - alpha) * *r + alpha * *n;
-        }
         let vh = hartree_in(&h.plan, &h.g2, &rho);
         for ((v, b), htr) in h.vloc.iter_mut().zip(&bare_vloc).zip(&vh) {
             *v = *b + *htr;
         }
         gs = solve_bands(opts, &h, &order)?;
+        let rho_out = charge_density(&gs.orbitals, &occupations, dv);
+        let norm_in: f64 = rho.iter().map(|x| x.abs()).sum::<f64>().max(1e-30);
+        let diff: f64 = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum();
+        residuals.push(diff / norm_in);
+        for (r, o) in rho.iter_mut().zip(&rho_out) {
+            *r = (1.0 - alpha) * *r + alpha * *o;
+        }
     }
     Ok(SelfConsistentResult {
         ground_state: gs,
@@ -875,17 +883,39 @@ mod tests {
         let sys = SiliconSystem::new(16).unwrap();
         let r = run_scf_selfconsistent(&sys, &small_opts(4, 2), 4, 3, 0.5).unwrap();
         assert_eq!(r.density_residuals.len(), 3);
-        // After the bootstrap cycle (vs ρ = 0), the residual must shrink.
+        // Mixing starts from the bare ground state's density, so every
+        // cycle's change is small and shrinks.
         assert!(
-            r.density_residuals[2] < r.density_residuals[1],
+            r.density_residuals[0] < 0.5,
             "residuals {:?}",
             r.density_residuals
         );
+        for w in r.density_residuals.windows(2) {
+            assert!(w[1] < w[0], "residuals {:?}", r.density_residuals);
+        }
         // Final state is still physical.
         for w in r.ground_state.energies_ev.windows(2) {
             assert!(w[0] <= w[1] + 1e-9);
         }
         assert!(r.density.iter().all(|&x| x >= 0.0));
+    }
+
+    #[test]
+    fn self_consistent_density_carries_every_electron() {
+        for (atoms, bands, occupied, cycles, alpha) in
+            [(8, 2, 2, 2, 0.5), (8, 3, 2, 1, 0.3), (16, 4, 4, 3, 0.75)]
+        {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let dv = sys.volume() / sys.grid().len() as f64;
+            let r = run_scf_selfconsistent(&sys, &small_opts(bands, 2), occupied, cycles, alpha)
+                .unwrap();
+            let electrons: f64 = r.density.iter().sum::<f64>() * dv;
+            let expect = 2.0 * occupied as f64;
+            assert!(
+                (electrons - expect).abs() < 1e-9 * expect,
+                "Si_{atoms}, {cycles} cycles at α = {alpha}: ∫ρ = {electrons}, expected {expect}"
+            );
+        }
     }
 
     #[test]
