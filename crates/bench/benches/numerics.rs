@@ -2,7 +2,7 @@
 //! implementations behind the workload descriptors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ndft_dft::{run_scf_selfconsistent, ScfOptions, SiliconSystem};
+use ndft_dft::{run_scf_selfconsistent, KsHamiltonian, ScfOptions, SiliconSystem};
 use ndft_numerics::{
     face_splitting, gemm_c64, gemm_f64, heevd, syevd, CMat, Complex64, Fft3Plan, FftPlan, GridDims,
     Mat,
@@ -119,6 +119,28 @@ fn bench_face_splitting(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hamiltonian(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hamiltonian");
+    group.sample_size(10);
+    // Setup (grid tables, local potential, shared projector table) and
+    // one real-space application on the scf_sweep systems, so the two
+    // costs sit next to the scf rows below.
+    let opts = ScfOptions::default();
+    for atoms in [8usize, 16, 24] {
+        let sys = SiliconSystem::new(atoms).unwrap();
+        let id = format!("si{atoms}");
+        group.bench_with_input(BenchmarkId::new("new", &id), &sys, |b, sys| {
+            b.iter(|| black_box(KsHamiltonian::new(sys, &opts)))
+        });
+        let h = KsHamiltonian::new(&sys, &opts);
+        let psi = signal(h.len());
+        group.bench_with_input(BenchmarkId::new("apply", &id), &psi, |b, psi| {
+            b.iter(|| black_box(h.apply(psi)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_scf(c: &mut Criterion) {
     let mut group = c.benchmark_group("scf");
     group.sample_size(10);
@@ -146,6 +168,7 @@ criterion_group!(
     bench_gemm,
     bench_eig,
     bench_face_splitting,
+    bench_hamiltonian,
     bench_scf
 );
 criterion_main!(benches);
