@@ -290,6 +290,76 @@ mod tests {
         SiliconSystem::new(16).expect("Si_16 is a valid system")
     }
 
+    fn same_bits(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    #[test]
+    fn si8_spectra_are_pinned_bit_for_bit() {
+        // TDA and Casida outputs of Si_8, recorded with per-atom projector
+        // matrices and per-atom well scans. The shared projector table and
+        // stencils must reproduce them exactly; a deliberate change to the
+        // numerics re-records them.
+        let sys = SiliconSystem::new(8).unwrap();
+        let tda = crate::run_lr_tddft(&sys).unwrap();
+        assert!(same_bits(
+            &tda.energies_ev,
+            &[
+                1.947817143439485,
+                2.281591992072758,
+                2.281591992072758,
+                2.2847426037690166,
+                2.284745612552831,
+                2.2854741620305044,
+                2.2854741620305052,
+                2.287885243433105,
+                2.289356331988252,
+                2.706277161301212,
+                2.706295438980787,
+                2.7070273348265665,
+            ]
+        ));
+        let c = run_casida(&sys).unwrap();
+        assert!(same_bits(
+            &c.energies_ev,
+            &[
+                1.9183227935761986,
+                2.180552090380175,
+                2.180552090380175,
+                2.182576801711042,
+                2.183416830037552,
+                2.183416830037553,
+                2.183416830037553,
+                2.1854244278100623,
+                2.1862778159513763,
+                2.344406851358319,
+                2.345176614635261,
+                2.34519623890073,
+            ]
+        ));
+        assert!(same_bits(
+            &c.tda_energies_ev,
+            &[
+                1.9478171434394835,
+                2.281591992072758,
+                2.2815919920727588,
+                2.284742603769017,
+                2.2854741620305044,
+                2.285474162030505,
+                2.2854741620305057,
+                2.2886179926588457,
+                2.289356331988252,
+                2.7055668895031153,
+                2.706277161301212,
+                2.7062945856008267,
+            ]
+        ));
+    }
+
     #[test]
     fn scalar_case_matches_closed_form() {
         // 1×1: TDA gives d+k, Casida gives √(d(d+2k)).
