@@ -51,7 +51,7 @@ pub use kpoints::{band_structure, monkhorst_pack, si_path, BandPathPoint, BandSt
 pub use md::{bond_list, run_md, run_md_batch, run_md_prepared, MdOptions, MdSample, MdTrajectory};
 pub use pseudo::{
     apply_nonlocal, atom_block_bytes, build_pseudos, domain_atom_fraction, footprint_bytes,
-    AtomPseudo, PseudoLayout, Pseudopotential,
+    PseudoLayout, Pseudopotential,
 };
 pub use scf::{
     charge_density, hartree_potential, run_scf, run_scf_batch, run_scf_in, run_scf_selfconsistent,

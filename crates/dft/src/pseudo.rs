@@ -57,23 +57,13 @@ pub const fn atom_block_bytes() -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pseudopotential {
     /// Projector values, one `[β_p(r_j); N_PROJ]` row per sphere point.
-    pub table: Vec<[f64; N_PROJ]>,
-    /// Kleinman–Bylander strengths `D_p`, one per projector.
-    pub coefficients: [f64; N_PROJ],
-    /// The same rows scaled by `D_p`, as the scatter reads them.
+    table: Vec<[f64; N_PROJ]>,
+    /// The same rows scaled by the Kleinman–Bylander strengths `D_p`, as
+    /// the scatter reads them.
     scaled: Vec<[f64; N_PROJ]>,
-    /// Every atom's sphere, in atom order.
-    pub atoms: Vec<AtomPseudo>,
-}
-
-/// The grid points one atom's projector sphere covers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AtomPseudo {
-    /// Which atom this belongs to.
-    pub atom: usize,
-    /// Linear grid index of each sphere point, in the order of the rows
-    /// of [`Pseudopotential::table`].
-    pub indices: Vec<u32>,
+    /// Per atom, in atom order, the linear grid index of each sphere
+    /// point, in the order of the table's rows.
+    pub(crate) spheres: Vec<Vec<u32>>,
 }
 
 /// Builds synthetic-but-physical projectors for every atom of a system on
@@ -97,6 +87,7 @@ pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Pseudopotentia
             })
         })
         .collect();
+    // Kleinman–Bylander strengths D_p, one per projector.
     let coefficients: [f64; N_PROJ] = std::array::from_fn(|p| {
         if p % 2 == 0 {
             0.9 / (1.0 + p as f64)
@@ -108,20 +99,15 @@ pub fn build_pseudos(system: &SiliconSystem, rc_angstrom: f64) -> Pseudopotentia
         .iter()
         .map(|row| std::array::from_fn(|p| coefficients[p] * row[p]))
         .collect();
-    let atoms = system
+    let spheres = system
         .atom_positions()
         .into_iter()
-        .enumerate()
-        .map(|(atom, pos)| AtomPseudo {
-            atom,
-            indices: stencil.indices_at(pos).map(|i| i as u32).collect(),
-        })
+        .map(|pos| stencil.indices_at(pos).map(|i| i as u32).collect())
         .collect();
     Pseudopotential {
         table,
-        coefficients,
         scaled,
-        atoms,
+        spheres,
     }
 }
 
@@ -144,11 +130,11 @@ pub fn apply_nonlocal(
     pseudos: &Pseudopotential,
     volume_element: f64,
 ) -> u64 {
-    for ap in &pseudos.atoms {
-        let coef = pseudos.project(ap, psi, volume_element);
-        pseudos.scatter(ap, &coef, psi);
+    for sphere in &pseudos.spheres {
+        let coef = pseudos.project(sphere, psi, volume_element);
+        pseudos.scatter(sphere, &coef, psi);
     }
-    (pseudos.atoms.len() * N_PROJ) as u64
+    (pseudos.spheres.len() * N_PROJ) as u64
 }
 
 /// Adds the Hermitian nonlocal term `Σ_a V_a ψ` to `out`: every atom
@@ -163,9 +149,9 @@ pub(crate) fn add_nonlocal(
     volume_element: f64,
     out: &mut [Complex64],
 ) {
-    for ap in &pseudos.atoms {
-        let coef = pseudos.project(ap, psi, volume_element);
-        pseudos.scatter(ap, &coef, out);
+    for sphere in &pseudos.spheres {
+        let coef = pseudos.project(sphere, psi, volume_element);
+        pseudos.scatter(sphere, &coef, out);
     }
 }
 
@@ -173,12 +159,12 @@ impl Pseudopotential {
     /// `⟨β_ap|ψ⟩·dv` for every projector of one atom (the gather half).
     fn project(
         &self,
-        ap: &AtomPseudo,
+        sphere: &[u32],
         psi: &[Complex64],
         volume_element: f64,
     ) -> [Complex64; N_PROJ] {
         let mut coef = [Complex64::ZERO; N_PROJ];
-        for (&idx, row) in ap.indices.iter().zip(&self.table) {
+        for (&idx, row) in sphere.iter().zip(&self.table) {
             let v = psi[idx as usize];
             for (cp, &b) in coef.iter_mut().zip(row) {
                 *cp += v.scale(b);
@@ -189,8 +175,8 @@ impl Pseudopotential {
 
     /// `out += Σ_p D_p · coef_p · β_ap` over one atom's sphere (the
     /// scatter half).
-    fn scatter(&self, ap: &AtomPseudo, coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
-        for (&idx, row) in ap.indices.iter().zip(&self.scaled) {
+    fn scatter(&self, sphere: &[u32], coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
+        for (&idx, row) in sphere.iter().zip(&self.scaled) {
             let mut acc = Complex64::ZERO;
             for (cf, &db) in coef.iter().zip(row) {
                 acc += cf.scale(db);
@@ -283,15 +269,14 @@ mod tests {
     fn build_pseudos_covers_every_atom() {
         let sys = SiliconSystem::new(16).unwrap();
         let ps = build_pseudos(&sys, 2.0);
-        assert_eq!(ps.atoms.len(), 16);
+        assert_eq!(ps.spheres.len(), 16);
+        assert!(!ps.table.is_empty());
         assert_eq!(ps.scaled.len(), ps.table.len());
-        for (atom, p) in ps.atoms.iter().enumerate() {
-            assert_eq!(p.atom, atom);
-            assert!(!p.indices.is_empty());
-            assert_eq!(p.indices.len(), ps.table.len());
+        for sphere in &ps.spheres {
+            assert_eq!(sphere.len(), ps.table.len());
             // All indices must be valid grid points.
             let nr = sys.grid().len() as u32;
-            assert!(p.indices.iter().all(|&i| i < nr));
+            assert!(sphere.iter().all(|&i| i < nr));
         }
     }
 
@@ -303,8 +288,8 @@ mod tests {
         // Expected: (4/3)π rc³ / (h³) within ±30% (lattice discretization).
         let h: f64 = 5.43 / 20.0;
         let expect = 4.0 / 3.0 * std::f64::consts::PI * rc.powi(3) / h.powi(3);
-        for p in &ps.atoms {
-            let n = p.indices.len() as f64;
+        for sphere in &ps.spheres {
+            let n = sphere.len() as f64;
             assert!(
                 (n - expect).abs() / expect < 0.3,
                 "sphere pts {n} vs {expect}"
@@ -515,10 +500,9 @@ mod tests {
             let dv = sys.volume() / nr as f64;
             let ps = build_pseudos(&sys, 1.8);
             let reference = reference_pseudos(&sys, 1.8);
-            assert_eq!(ps.atoms.len(), reference.len());
-            for (ap, r) in ps.atoms.iter().zip(&reference) {
-                assert_eq!(ap.indices, r.indices, "Si_{atoms}, atom {}", ap.atom);
-                assert_eq!(ps.coefficients.to_vec(), r.coefficients);
+            assert_eq!(ps.spheres.len(), reference.len());
+            for (atom, (sphere, r)) in ps.spheres.iter().zip(&reference).enumerate() {
+                assert_eq!(*sphere, r.indices, "Si_{atoms}, atom {atom}");
                 for (j, (row, srow)) in ps.table.iter().zip(&ps.scaled).enumerate() {
                     for p in 0..N_PROJ {
                         let b = r.projectors[(p, j)];

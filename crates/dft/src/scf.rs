@@ -740,7 +740,7 @@ mod tests {
             ..Default::default()
         };
         let mut h = KsHamiltonian::new(&sys, &opts);
-        h.pseudos.atoms.clear(); // kinetic only
+        h.pseudos.spheres.clear(); // kinetic only
         let g2 = system_g2(&sys);
         let order = sorted_g_indices(&g2);
         let idx = order[3];
