@@ -49,7 +49,7 @@ pub fn sorted_g_indices(g2: &[f64]) -> Vec<usize> {
 /// The `count` grid bins of lowest `|G|²`, ascending, ties broken by bin
 /// index: the first `count` entries of [`sorted_g_indices`] (a stable
 /// sort), found by selection instead of sorting the whole grid.
-pub fn lowest_g_indices(g2: &[f64], count: usize) -> Vec<usize> {
+pub(crate) fn lowest_g_indices(g2: &[f64], count: usize) -> Vec<usize> {
     let key = |a: &usize, b: &usize| {
         g2[*a]
             .partial_cmp(&g2[*b])
