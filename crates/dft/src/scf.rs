@@ -390,8 +390,8 @@ pub fn run_scf(system: &SiliconSystem, opts: &ScfOptions) -> Result<GroundState,
 }
 
 /// Runs `K` same-system SCF solves through the fused path: one shared
-/// [`KsHamiltonian`] (whose construction — dominated by the pseudopotential
-/// projector tables — depends only on the geometry and the potential
+/// [`KsHamiltonian`] (whose construction — grid tables, local potential
+/// and projector table — depends only on the geometry and the potential
 /// shape, not on band counts) serves every member via [`run_scf_in`].
 /// Each ground state is bit-identical to a solo [`run_scf`] call.
 ///
@@ -547,9 +547,9 @@ fn solve_bands(
     let sqrt_n = (nr as f64).sqrt();
     let mut flat = Vec::with_capacity(nb * nr);
     for &i in &idx {
-        let start = flat.len();
         flat.extend_from_slice(&psi[i]);
-        let band = &mut flat[start..];
+    }
+    for band in flat.chunks_exact_mut(nr) {
         h.plan.inverse(band);
         for z in band.iter_mut() {
             *z = z.scale(sqrt_n);
