@@ -44,9 +44,9 @@ pub use dynamic::{simulate_online, DynamicOptions, DynamicReport};
 pub use granularity::{granularity_study, split_stages, Granularity, GranularityReport};
 pub use overlap::{analyze_overlap, OverlapAnalysis};
 pub use planner::{
-    plan_chain, plan_chain_loaded, plan_exhaustive, plan_exhaustive_loaded, plan_fused,
+    plan, plan_chain, plan_chain_loaded, plan_exhaustive, plan_exhaustive_loaded, plan_fused,
     plan_fused_loaded, plan_greedy, plan_greedy_loaded, plan_pinned, FusedTimer, LoadBiasedTimer,
-    Plan, StageTimer,
+    PlacementPolicy, Plan, PlanRequest, StageTimer,
 };
 pub use roofline::{fig4_points, Boundedness, Roofline, RooflinePoint};
 pub use sca::{Analysis, StaticCodeAnalyzer, Target, TargetModel};

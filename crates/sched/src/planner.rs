@@ -443,6 +443,101 @@ pub fn plan_pinned(stages: &[KernelDescriptor], target: Target, timer: &dyn Stag
     make_plan(stages, vec![target; stages.len()], timer)
 }
 
+/// Which placement algorithm [`plan`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlacementPolicy {
+    /// The NDFT mechanism: the optimal chain DP.
+    CostAware,
+    /// Per-stage argmin ignoring boundary costs (the ablation baseline).
+    Greedy,
+    /// Brute force over all `2^n` placements, used to validate the DP;
+    /// chains longer than 24 stages get the chain-DP plan instead.
+    Exhaustive,
+    /// Everything on the host CPU (baseline).
+    CpuPinned,
+    /// Everything on the NDP side (baseline).
+    NdpPinned,
+}
+
+impl PlacementPolicy {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PlacementPolicy::CostAware => "cost-aware",
+            PlacementPolicy::Greedy => "greedy",
+            PlacementPolicy::Exhaustive => "exhaustive",
+            PlacementPolicy::CpuPinned => "cpu-pinned",
+            PlacementPolicy::NdpPinned => "ndp-pinned",
+        }
+    }
+}
+
+/// What [`plan`] decides besides the stages and the timer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanRequest {
+    /// The placement algorithm.
+    pub policy: PlacementPolicy,
+    /// Cross-job pressure the decision is biased by.
+    pub load: TargetLoad,
+    /// Width of the fused batch the plan is for (clamped to at least 1).
+    pub members: usize,
+}
+
+impl Default for PlanRequest {
+    /// The cost-aware chain DP for one job on an idle machine.
+    fn default() -> Self {
+        PlanRequest {
+            policy: PlacementPolicy::CostAware,
+            load: TargetLoad::NONE,
+            members: 1,
+        }
+    }
+}
+
+/// Largest chain [`PlacementPolicy::Exhaustive`] searches by brute force.
+const EXHAUSTIVE_MAX_STAGES: usize = 24;
+
+/// The one planner entry point.
+pub fn plan(stages: &[KernelDescriptor], timer: &dyn StageTimer, request: &PlanRequest) -> Plan {
+    let fused = FusedTimer::new(timer, request.members);
+    let biased = LoadBiasedTimer::new(&fused, request.load);
+    let placement = match request.policy {
+        PlacementPolicy::CostAware => dp_placement(stages, &biased),
+        PlacementPolicy::Exhaustive if stages.len() <= EXHAUSTIVE_MAX_STAGES => {
+            search_placement(stages, &biased)
+        }
+        PlacementPolicy::Exhaustive => dp_placement(stages, &biased),
+        PlacementPolicy::Greedy => greedy_placement(stages, &biased),
+        PlacementPolicy::CpuPinned => vec![Target::Cpu; stages.len()],
+        PlacementPolicy::NdpPinned => vec![Target::Ndp; stages.len()],
+    };
+    make_plan(stages, placement, &fused)
+}
+
+fn dp_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
+    if stages.is_empty() {
+        return Vec::new();
+    }
+    chain_dp(stages, timer).placement
+}
+
+fn search_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
+    exhaustive_search(stages, timer).placement
+}
+
+fn greedy_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
+    stages
+        .iter()
+        .map(|s| {
+            if timer.stage_time(s, Target::Ndp) < timer.stage_time(s, Target::Cpu) {
+                Target::Ndp
+            } else {
+                Target::Cpu
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,5 +800,80 @@ mod tests {
         let dp = plan_chain(&s, &t);
         // Greedy may cross more often than the DP.
         assert!(dp.crossings() <= greedy.crossings() + 1);
+    }
+
+    #[test]
+    fn plan_request_reproduces_every_variant_function() {
+        use ndft_dft::build_task_graph_fused;
+        let t = sca();
+        let policies = [
+            PlacementPolicy::CostAware,
+            PlacementPolicy::Greedy,
+            PlacementPolicy::Exhaustive,
+            PlacementPolicy::CpuPinned,
+            PlacementPolicy::NdpPinned,
+        ];
+        let mut shifted = 0;
+        for atoms in [16usize, 64, 256, 1024] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            for members in [0usize, 1, 2, 16] {
+                for graph in [
+                    build_task_graph(&sys, 1),
+                    build_task_graph_fused(&sys, 1, members),
+                ] {
+                    let s = &graph.stages;
+                    let scale = plan_chain(s, &t).total_time();
+                    for load in [
+                        TargetLoad::NONE,
+                        TargetLoad::new(0.0, 0.0, 1.0),
+                        TargetLoad::new(3.0, 5.0, 0.0),
+                        TargetLoad::new(0.0, 8.0 * scale, scale),
+                        TargetLoad::new(1e6 * scale, 0.0, scale),
+                    ] {
+                        for policy in policies {
+                            let fused = FusedTimer::new(&t, members);
+                            let old_timer: &dyn StageTimer = if members <= 1 { &t } else { &fused };
+                            let old = match policy {
+                                PlacementPolicy::CostAware if members <= 1 => {
+                                    plan_chain_loaded(s, &t, load)
+                                }
+                                PlacementPolicy::CostAware => {
+                                    plan_fused_loaded(s, &t, load, members)
+                                }
+                                PlacementPolicy::Greedy => plan_greedy_loaded(s, old_timer, load),
+                                PlacementPolicy::Exhaustive => {
+                                    plan_exhaustive_loaded(s, old_timer, load)
+                                }
+                                PlacementPolicy::CpuPinned => {
+                                    plan_pinned(s, Target::Cpu, old_timer)
+                                }
+                                PlacementPolicy::NdpPinned => {
+                                    plan_pinned(s, Target::Ndp, old_timer)
+                                }
+                            };
+                            let new = plan(
+                                s,
+                                &t,
+                                &PlanRequest {
+                                    policy,
+                                    load,
+                                    members,
+                                },
+                            );
+                            let at = format!("Si_{atoms} {policy:?} {load:?} members {members}");
+                            assert_eq!(new, old, "{at}");
+                            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{at}");
+                            let idle = PlanRequest {
+                                load: TargetLoad::NONE,
+                                policy,
+                                members,
+                            };
+                            shifted += usize::from(new.placement != plan(s, &t, &idle).placement);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(shifted > 0, "the loaded rows must exercise the bias");
     }
 }
