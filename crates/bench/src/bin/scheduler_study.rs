@@ -13,7 +13,7 @@
 use ndft_dft::{build_task_graph, SiliconSystem};
 use ndft_sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
 use ndft_sched::dynamic::{simulate_online, DynamicOptions};
-use ndft_sched::{plan_chain, StaticCodeAnalyzer};
+use ndft_sched::{plan, PlanRequest, StaticCodeAnalyzer};
 
 fn main() {
     ndft_bench::print_header("Scheduler study: objectives & online adaptation");
@@ -23,7 +23,7 @@ fn main() {
     // --- Part 1: objective sweep. ---
     for atoms in [64usize, 1024] {
         let stages = build_task_graph(&SiliconSystem::new(atoms).expect("paper size"), 1).stages;
-        let dp = plan_chain(&stages, &sca);
+        let dp = plan(&stages, &sca, &PlanRequest::default());
         println!("Si_{atoms}: placement objectives (annealed, 20k steps)\n");
         println!(
             "{:<22} {:>12} {:>12} {:>14} {:>10}",

@@ -1620,17 +1620,10 @@ fn main() {
         "{:>10} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "system", "cost-aware", "greedy", "exhaustive", "cpu-pinned", "ndp-pinned"
     );
-    let policies = [
-        PlacementPolicy::CostAware,
-        PlacementPolicy::Greedy,
-        PlacementPolicy::Exhaustive,
-        PlacementPolicy::CpuPinned,
-        PlacementPolicy::NdpPinned,
-    ];
     for system in SiliconSystem::paper_suite() {
         let graph = build_task_graph(&system, 1);
         print!("{:>10}", system.label());
-        for policy in policies {
+        for policy in PlacementPolicy::all() {
             let d = plan_placement(&graph, policy);
             print!(" {:>12.4}", d.modeled_time());
         }

@@ -8,7 +8,7 @@ use crate::machine::{
     StageTime,
 };
 use ndft_dft::{atom_block_bytes, KernelDescriptor, KernelKind, TaskGraph};
-use ndft_sched::{plan_chain, CostModel, Plan, StageTimer, Target};
+use ndft_sched::{plan, CostModel, Plan, PlanRequest, StageTimer, Target};
 use ndft_shmem::{simulate_block_gather, CommScheme};
 use serde::{Deserialize, Serialize};
 
@@ -218,7 +218,7 @@ pub fn run_ndft_custom(
 
     // Cost-aware placement (the §IV-A mechanism).
     let timer = MeasuredTimer::new(machine.clone());
-    let plan: Plan = plan_chain(&graph.stages, &timer);
+    let plan: Plan = plan(&graph.stages, &timer, &PlanRequest::default());
 
     // Time each stage on its planned side and attribute boundary costs.
     let mut stages = Vec::with_capacity(graph.stages.len());

@@ -11,8 +11,8 @@ use crate::engine::{
 use crate::machine::GpuAlltoallPolicy;
 use ndft_dft::{build_task_graph, KernelKind, SiliconSystem};
 use ndft_sched::{
-    analyze_overlap, fig4_points, granularity_study, plan_chain, GranularityReport,
-    OverlapAnalysis, Roofline, RooflinePoint, StaticCodeAnalyzer,
+    analyze_overlap, fig4_points, granularity_study, plan, GranularityReport, OverlapAnalysis,
+    PlanRequest, Roofline, RooflinePoint, StaticCodeAnalyzer,
 };
 use ndft_shmem::{
     simulate_block_gather, simulate_block_gather_on, table1_rows, CommScheme, FootprintRow,
@@ -234,7 +234,7 @@ pub fn ablations(system: &SiliconSystem) -> Ablations {
             })
             .collect(),
         overlap: {
-            let plan = plan_chain(&graph.stages, &sca);
+            let plan = plan(&graph.stages, &sca, &PlanRequest::default());
             analyze_overlap(&graph.stages, &plan, &sca)
         },
     }

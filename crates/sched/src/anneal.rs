@@ -180,7 +180,7 @@ fn objective_value(
 ///
 /// ```
 /// use ndft_sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
-/// use ndft_sched::{plan_chain, StaticCodeAnalyzer};
+/// use ndft_sched::{plan, PlanRequest, StaticCodeAnalyzer};
 /// use ndft_dft::{build_task_graph, SiliconSystem};
 ///
 /// let sca = StaticCodeAnalyzer::paper_default();
@@ -193,7 +193,7 @@ fn objective_value(
 ///     &AnnealOptions::default(),
 /// );
 /// // On the time objective the annealer recovers the DP optimum.
-/// let dp = plan_chain(&stages, &sca);
+/// let dp = plan(&stages, &sca, &PlanRequest::default());
 /// assert!((sa.plan.total_time() - dp.total_time()).abs() < 1e-12);
 /// ```
 pub fn plan_anneal(
@@ -275,7 +275,7 @@ pub fn plan_anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_chain, plan_pinned};
+    use crate::planner::{plan, PlacementPolicy, PlanRequest};
     use crate::sca::StaticCodeAnalyzer;
     use ndft_dft::{build_task_graph, SiliconSystem};
 
@@ -292,7 +292,7 @@ mod tests {
         for atoms in [64usize, 1024] {
             let s = stages(atoms);
             let t = sca();
-            let dp = plan_chain(&s, &t);
+            let dp = plan(&s, &t, &PlanRequest::default());
             let sa = plan_anneal(
                 &s,
                 &t,
@@ -314,7 +314,7 @@ mod tests {
         let s = stages(1024);
         let t = sca();
         let power = PowerModel::paper_default();
-        let time_plan = plan_chain(&s, &t);
+        let time_plan = plan(&s, &t, &PlanRequest::default());
         let time_energy = power.plan_energy(&s, &time_plan.placement, &t);
         let sa = plan_anneal(&s, &t, &power, Objective::Energy, &AnnealOptions::default());
         assert!(
@@ -334,7 +334,7 @@ mod tests {
             let (c, o) = crate::planner::evaluate(&s, placement, &t);
             (c + o) * power.plan_energy(&s, placement, &t)
         };
-        let time_plan = plan_chain(&s, &t);
+        let time_plan = plan(&s, &t, &PlanRequest::default());
         let energy_sa = plan_anneal(&s, &t, &power, Objective::Energy, &AnnealOptions::default());
         let edp_sa = plan_anneal(&s, &t, &power, Objective::Edp, &AnnealOptions::default());
         assert!(edp_sa.objective_value <= edp_of(&time_plan.placement) * (1.0 + 1e-9));
@@ -361,7 +361,14 @@ mod tests {
         let s = stages(64);
         let t = sca();
         let power = PowerModel::paper_default();
-        let pinned = plan_pinned(&s, Target::Cpu, &t);
+        let pinned = plan(
+            &s,
+            &t,
+            &PlanRequest {
+                policy: PlacementPolicy::CpuPinned,
+                ..PlanRequest::default()
+            },
+        );
         let e = power.plan_energy(&s, &pinned.placement, &t);
         // No crossings ⇒ pure busy energy.
         assert!((e - pinned.compute_time * power.cpu_watts).abs() < 1e-9 * e);

@@ -23,8 +23,8 @@
 //! caller's own pinned time is the natural choice). Under processor
 //! sharing, a target already claimed by `k` batch-equivalents runs new
 //! work `1 + k` times slower — exactly what [`TargetLoad::dilation`]
-//! returns and what the `*_loaded` planner variants in
-//! [`crate::planner`] multiply into per-stage time estimates.
+//! returns and what [`crate::plan`] multiplies into per-stage time
+//! estimates when a [`crate::PlanRequest`] carries a load.
 
 use crate::sca::Target;
 use serde::{Deserialize, Serialize};
@@ -87,8 +87,9 @@ impl CostModel {
     /// `amortized(k).boundary(bytes) == fused_boundary(bytes, k) / k`
     /// exactly, and `amortized(1)` is the identity.
     ///
-    /// Planners consume this view (see [`crate::FusedTimer`]) so existing
-    /// per-member DP machinery prices fused batches without new code paths.
+    /// [`crate::plan`] consumes this view for a request's `members`, so
+    /// the per-member DP machinery prices fused batches without new code
+    /// paths.
     pub fn amortized(&self, members: usize) -> CostModel {
         let k = members.max(1) as f64;
         CostModel {
@@ -129,10 +130,10 @@ impl CostModel {
 ///
 /// Produced by a serving layer's global utilization view (reserved
 /// modeled busy time per target across in-flight batches) and consumed
-/// by the load-aware planners ([`crate::plan_chain_loaded`] and
-/// friends), which dilate per-target stage-time estimates by
-/// [`TargetLoad::dilation`] so concurrent batches spread across targets
-/// instead of piling onto the one an isolated plan would pick.
+/// by [`crate::plan`] through [`crate::PlanRequest::load`], which
+/// dilates per-target stage-time estimates by [`TargetLoad::dilation`]
+/// so concurrent batches spread across targets instead of piling onto
+/// the one an isolated plan would pick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TargetLoad {
     /// Modeled busy seconds concurrent work has reserved on the host CPU.
@@ -147,8 +148,8 @@ pub struct TargetLoad {
 }
 
 impl TargetLoad {
-    /// The idle cluster: no reservations, no bias. `plan_*` entry points
-    /// without a load parameter plan under this.
+    /// The idle cluster: no reservations, no bias. The default
+    /// [`crate::PlanRequest`] plans under this.
     pub const NONE: TargetLoad = TargetLoad {
         cpu_reserved_s: 0.0,
         ndp_reserved_s: 0.0,

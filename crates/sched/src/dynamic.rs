@@ -16,7 +16,7 @@
 //! converge towards the oracle plan (the DP run on the true times).
 //!
 //! The re-planning step is the same `(stage, last target)` chain DP as
-//! [`crate::plan_chain`] (see the [`crate::planner`] module docs for the
+//! [`crate::plan`] (see the [`crate::planner`] module docs for the
 //! recurrence), run over the scheduler's *current estimate table*
 //! instead of a [`crate::StageTimer`]. Note the relation to the
 //! cross-job [`crate::TargetLoad`] bias: both mechanisms perturb the
@@ -144,7 +144,7 @@ fn normalish(rng: &mut StdRng) -> f64 {
 }
 
 /// Chain DP over explicit per-(stage, target) estimates. Mirrors
-/// [`crate::planner::plan_chain`] but takes a table instead of a
+/// [`crate::plan`]'s chain DP but takes a table instead of a
 /// [`crate::planner::StageTimer`], which is what the online scheduler
 /// updates in place.
 fn dp_over_estimates(est: &[[f64; 2]], bounds: &[u64], cost: &CostModel) -> Vec<Target> {
@@ -315,7 +315,7 @@ pub fn simulate_online(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_chain, StageTimer};
+    use crate::planner::{plan, PlanRequest, StageTimer};
     use ndft_dft::{build_task_graph, SiliconSystem};
 
     fn stages(atoms: usize) -> Vec<KernelDescriptor> {
@@ -351,7 +351,7 @@ mod tests {
             .map(|d| [t.stage_time(d, Target::Cpu), t.stage_time(d, Target::Ndp)])
             .collect();
         let internal = dp_over_estimates(&est, &bounds, &t.cost);
-        let public = plan_chain(&s, &t);
+        let public = plan(&s, &t, &PlanRequest::default());
         assert_eq!(internal, public.placement);
     }
 

@@ -9,7 +9,7 @@
 //! overhead curve the paper's design decision rests on.
 //!
 //! Mechanically, [`split_stages`] rewrites the kernel chain and the
-//! ordinary chain DP ([`crate::plan_chain`]) plans the split chain: the
+//! ordinary chain DP ([`crate::plan`]) plans the split chain: the
 //! DP's `O(n)` cost is what makes the instruction-level point (≈1024
 //! segments per kernel) tractable at all, where the exhaustive search's
 //! `2^n` could not go past 24 total segments. The study runs on an idle
@@ -18,7 +18,7 @@
 //! a *serve-time* input; conflating them would double-count contention.
 
 use crate::cost::CostModel;
-use crate::planner::{plan_chain, Plan, StageTimer};
+use crate::planner::{plan, Plan, PlanRequest, StageTimer};
 use ndft_dft::KernelDescriptor;
 use serde::{Deserialize, Serialize};
 
@@ -128,7 +128,7 @@ pub fn granularity_study(
         .into_iter()
         .map(|g| {
             let split = split_stages(stages, g);
-            let plan: Plan = plan_chain(&split, timer);
+            let plan: Plan = plan(&split, timer, &PlanRequest::default());
             // Sub-function granularity pays per-segment dispatch even
             // without a placement flip.
             let dispatch = if g.segments_per_kernel() > 1 {

@@ -74,12 +74,12 @@ impl OverlapAnalysis {
 /// # Examples
 ///
 /// ```
-/// use ndft_sched::{analyze_overlap, plan_chain, StaticCodeAnalyzer};
+/// use ndft_sched::{analyze_overlap, plan, PlanRequest, StaticCodeAnalyzer};
 /// use ndft_dft::{build_task_graph, SiliconSystem};
 ///
 /// let sca = StaticCodeAnalyzer::paper_default();
 /// let graph = build_task_graph(&SiliconSystem::large(), 1);
-/// let plan = plan_chain(&graph.stages, &sca);
+/// let plan = plan(&graph.stages, &sca, &PlanRequest::default());
 /// let overlap = analyze_overlap(&graph.stages, &plan, &sca);
 /// // Overlap can only help.
 /// assert!(overlap.speedup(10) >= 1.0);
@@ -117,7 +117,7 @@ pub fn analyze_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_chain, plan_pinned};
+    use crate::planner::{plan, PlacementPolicy, PlanRequest};
     use crate::sca::StaticCodeAnalyzer;
     use ndft_dft::{build_task_graph, SiliconSystem};
 
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn overlap_never_slower_than_serial() {
         let (stages, sca) = setup(1024);
-        let plan = plan_chain(&stages, &sca);
+        let plan = plan(&stages, &sca, &PlanRequest::default());
         let o = analyze_overlap(&stages, &plan, &sca);
         for k in [1usize, 2, 5, 50] {
             assert!(
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn single_iteration_gains_nothing() {
         let (stages, sca) = setup(256);
-        let plan = plan_chain(&stages, &sca);
+        let plan = plan(&stages, &sca, &PlanRequest::default());
         let o = analyze_overlap(&stages, &plan, &sca);
         assert!((o.speedup(1) - 1.0).abs() < 1e-12);
     }
@@ -153,7 +153,14 @@ mod tests {
     #[test]
     fn pinned_plans_cannot_overlap() {
         let (stages, sca) = setup(256);
-        let plan = plan_pinned(&stages, Target::Ndp, &sca);
+        let plan = plan(
+            &stages,
+            &sca,
+            &PlanRequest {
+                policy: PlacementPolicy::NdpPinned,
+                ..PlanRequest::default()
+            },
+        );
         let o = analyze_overlap(&stages, &plan, &sca);
         assert_eq!(o.host_time, 0.0);
         assert!((o.asymptotic_speedup() - 1.0).abs() < 1e-12);
@@ -162,7 +169,7 @@ mod tests {
     #[test]
     fn speedup_grows_with_iterations_toward_asymptote() {
         let (stages, sca) = setup(1024);
-        let plan = plan_chain(&stages, &sca);
+        let plan = plan(&stages, &sca, &PlanRequest::default());
         let o = analyze_overlap(&stages, &plan, &sca);
         let s2 = o.speedup(2);
         let s10 = o.speedup(10);
@@ -187,7 +194,7 @@ mod tests {
     #[test]
     fn zero_iterations_is_zero_time() {
         let (stages, sca) = setup(64);
-        let plan = plan_chain(&stages, &sca);
+        let plan = plan(&stages, &sca, &PlanRequest::default());
         let o = analyze_overlap(&stages, &plan, &sca);
         assert_eq!(o.total_overlapped(0), 0.0);
     }

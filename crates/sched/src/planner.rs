@@ -1,15 +1,20 @@
-//! Cost-aware offload planners (§IV-A).
+//! Cost-aware offload planning (§IV-A).
 //!
 //! Given a chain of kernel stages, per-target time estimates, and the
 //! Eq. 1 boundary-cost model, choose a CPU/NDP placement per stage
-//! minimizing end-to-end time. Three planners:
+//! minimizing end-to-end time. [`plan`] is the one entry point; the
+//! [`PlanRequest`]'s [`PlacementPolicy`] picks the algorithm:
 //!
-//! * [`plan_chain`] — dynamic programming, optimal for chain graphs
-//!   (which the LR-TDDFT pipeline is). This is NDFT's planner.
-//! * [`plan_exhaustive`] — brute force over all `2^n` placements,
-//!   used to validate the DP.
-//! * [`plan_greedy`] — per-stage argmin ignoring boundaries, the naive
-//!   baseline an ablation compares against.
+//! * [`PlacementPolicy::CostAware`] — dynamic programming, optimal for
+//!   chain graphs (which the LR-TDDFT pipeline is). This is NDFT's
+//!   planner.
+//! * [`PlacementPolicy::Exhaustive`] — brute force over all `2^n`
+//!   placements, used to validate the DP. Chains longer than 24 stages
+//!   get the chain-DP plan instead (the same optimum, without the `2^n`).
+//! * [`PlacementPolicy::Greedy`] — per-stage argmin ignoring boundaries,
+//!   the naive baseline an ablation compares against.
+//! * [`PlacementPolicy::CpuPinned`] / [`PlacementPolicy::NdpPinned`] —
+//!   every stage on one target (the single-target baselines).
 //!
 //! ## The chain DP
 //!
@@ -28,41 +33,38 @@
 //! ```
 //!
 //! Two states per stage, two predecessors per state: `O(n)` time,
-//! provably optimal for chains (validated against [`plan_exhaustive`]
+//! provably optimal for chains (validated against the exhaustive search
 //! in `tests/planner_coverage.rs` up to the 24-stage brute-force guard).
 //! The back-pointers are traced to recover the placement.
 //!
-//! ## Cross-job load bias ([`TargetLoad`])
+//! ## Cross-job load bias ([`PlanRequest::load`])
 //!
-//! Every planner also has a `*_loaded` variant
-//! ([`plan_chain_loaded`], [`plan_greedy_loaded`],
-//! [`plan_exhaustive_loaded`]) that plans under a cross-job
-//! [`TargetLoad`]: per-target stage-time estimates are dilated by the
+//! A request's [`TargetLoad`] is the pressure concurrent batches put on
+//! each target. Per-target stage-time estimates are dilated by the
 //! processor-sharing factor [`TargetLoad::dilation`] (a target already
 //! claimed by `k` concurrent batch-equivalents runs new work `1 + k`
 //! times slower), so the placement *decision* accounts for what
 //! concurrent batches have reserved. The returned [`Plan`]'s costs are
-//! then **re-evaluated under the unbiased timer**: reported
-//! `compute_time` / `sched_overhead` always describe the plan on an
-//! idle machine, so costs stay comparable across load levels and
-//! against the pinned baselines. The unloaded entry points are thin
-//! wrappers passing [`TargetLoad::NONE`]. Pinned placements
-//! ([`plan_pinned`]) take no load parameter — a pinned placement is the
-//! same under any load, only its completion time differs.
+//! then **re-evaluated without the bias**: reported `compute_time` /
+//! `sched_overhead` always describe the plan on an idle machine, so
+//! costs stay comparable across load levels and against the pinned
+//! baselines. The pinned policies ignore the load — a pinned placement
+//! is the same under any load, only its completion time differs.
 //!
-//! ## Fusion-aware planning ([`plan_fused`])
+//! ## Fusion-aware planning ([`PlanRequest::members`])
 //!
 //! When a serving layer fuses `k` same-class jobs into one batch, every
 //! placement boundary is paid **once per batch** instead of once per
 //! member: the coalesced transfer pays one wire latency and one context
-//! switch for all `k` tensors ([`CostModel::fused_boundary`]). The
-//! [`FusedTimer`] adapter swaps the cost model for its per-member
-//! amortized view ([`CostModel::amortized`]) while leaving stage times
-//! untouched, and [`plan_fused`] / [`plan_fused_loaded`] run the same
-//! chain DP under it — so placement can prefer larger NDP spans when
-//! amortization beats the boundary tax. `plan_fused(s, t, 1)` is
-//! exactly `plan_chain(s, t)`, and the fused optimum's total time is
-//! non-increasing in `k` (boundaries only get cheaper).
+//! switch for all `k` tensors ([`CostModel::fused_boundary`]). A request
+//! for `members = k` swaps the cost model for its per-member amortized
+//! view ([`CostModel::amortized`]) while leaving stage times untouched,
+//! so placement can prefer larger NDP spans when amortization beats the
+//! boundary tax. Unlike the load bias, the amortization is *kept* in the
+//! reported costs: it is a real property of the placement, and the
+//! costs are **per member** (multiply by `k` for whole-batch totals).
+//! `members` 0 and 1 are the solo plan exactly, and the fused optimum's
+//! total time is non-increasing in `k` (boundaries only get cheaper).
 
 use crate::cost::{CostModel, TargetLoad};
 use crate::sca::{StaticCodeAnalyzer, Target};
@@ -118,6 +120,124 @@ impl Plan {
     }
 }
 
+/// Which placement algorithm [`plan`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlacementPolicy {
+    /// The NDFT mechanism: the optimal chain DP.
+    CostAware,
+    /// Per-stage argmin ignoring boundary costs (the ablation baseline).
+    Greedy,
+    /// Brute force over all `2^n` placements, used to validate the DP;
+    /// chains longer than 24 stages get the chain-DP plan instead.
+    Exhaustive,
+    /// Everything on the host CPU (baseline).
+    CpuPinned,
+    /// Everything on the NDP side (baseline).
+    NdpPinned,
+}
+
+impl PlacementPolicy {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PlacementPolicy::CostAware => "cost-aware",
+            PlacementPolicy::Greedy => "greedy",
+            PlacementPolicy::Exhaustive => "exhaustive",
+            PlacementPolicy::CpuPinned => "cpu-pinned",
+            PlacementPolicy::NdpPinned => "ndp-pinned",
+        }
+    }
+
+    /// Every policy, the NDFT mechanism first.
+    pub fn all() -> [PlacementPolicy; 5] {
+        [
+            PlacementPolicy::CostAware,
+            PlacementPolicy::Greedy,
+            PlacementPolicy::Exhaustive,
+            PlacementPolicy::CpuPinned,
+            PlacementPolicy::NdpPinned,
+        ]
+    }
+}
+
+/// What [`plan`] decides besides the stages and the timer. The
+/// [`Default`] is the cost-aware chain DP for one job on an idle machine.
+///
+/// # Examples
+///
+/// ```
+/// use ndft_sched::{plan, PlanRequest, StaticCodeAnalyzer, Target, TargetLoad};
+/// use ndft_dft::{build_task_graph, SiliconSystem};
+///
+/// let sca = StaticCodeAnalyzer::paper_default();
+/// let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
+/// let idle = plan(&stages, &sca, &PlanRequest::default());
+/// // Concurrent batches hold 4 batch-equivalents of NDP busy time:
+/// // the loaded plan backs off the NDP side.
+/// let load = TargetLoad::new(0.0, 4.0 * idle.total_time(), idle.total_time());
+/// let loaded = plan(&stages, &sca, &PlanRequest { load, ..PlanRequest::default() });
+/// let ndp = |p: &ndft_sched::Plan| p.placement.iter().filter(|t| **t == Target::Ndp).count();
+/// assert!(ndp(&loaded) <= ndp(&idle));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanRequest {
+    /// The placement algorithm.
+    pub policy: PlacementPolicy,
+    /// Cross-job pressure the decision is biased by (see the
+    /// [module docs](self)); reported costs stay unbiased.
+    pub load: TargetLoad,
+    /// Width of the fused batch the plan is for; boundaries are priced
+    /// at their per-member share. 0 is treated as 1.
+    pub members: usize,
+}
+
+impl Default for PlanRequest {
+    fn default() -> Self {
+        PlanRequest {
+            policy: PlacementPolicy::CostAware,
+            load: TargetLoad::NONE,
+            members: 1,
+        }
+    }
+}
+
+/// Largest chain [`PlacementPolicy::Exhaustive`] searches by brute force.
+const EXHAUSTIVE_MAX_STAGES: usize = 24;
+
+/// Places every stage of a chain as `request` asks: the policy's
+/// algorithm decides under the load-dilated, fusion-amortized view of
+/// `timer`, and the returned costs are the placement re-evaluated under
+/// the amortized view alone (see the [module docs](self)).
+///
+/// # Examples
+///
+/// ```
+/// use ndft_sched::{plan, PlanRequest, StaticCodeAnalyzer, Target};
+/// use ndft_dft::{build_task_graph, SiliconSystem};
+///
+/// let sca = StaticCodeAnalyzer::paper_default();
+/// let graph = build_task_graph(&SiliconSystem::large(), 1);
+/// let plan = plan(&graph.stages, &sca, &PlanRequest::default());
+/// // Memory-bound majority ⇒ most stages land on the NDP side.
+/// let ndp = plan.placement.iter().filter(|t| **t == Target::Ndp).count();
+/// assert!(ndp >= plan.placement.len() / 2);
+/// ```
+pub fn plan(stages: &[KernelDescriptor], timer: &dyn StageTimer, request: &PlanRequest) -> Plan {
+    let fused = FusedTimer::new(timer, request.members);
+    let biased = LoadBiasedTimer::new(&fused, request.load);
+    let placement = match request.policy {
+        PlacementPolicy::CostAware => chain_dp(stages, &biased),
+        PlacementPolicy::Exhaustive if stages.len() <= EXHAUSTIVE_MAX_STAGES => {
+            exhaustive_search(stages, &biased)
+        }
+        PlacementPolicy::Exhaustive => chain_dp(stages, &biased),
+        PlacementPolicy::Greedy => greedy(stages, &biased),
+        PlacementPolicy::CpuPinned => vec![Target::Cpu; stages.len()],
+        PlacementPolicy::NdpPinned => vec![Target::Ndp; stages.len()],
+    };
+    make_plan(stages, placement, &fused)
+}
+
 /// Bytes flowing across the boundary from stage `k` to `k+1`: the tensor
 /// stage `k` produced.
 pub(crate) fn boundary_bytes(stages: &[KernelDescriptor]) -> Vec<u64> {
@@ -132,11 +252,12 @@ pub(crate) fn evaluate(
     placement: &[Target],
     timer: &dyn StageTimer,
 ) -> (f64, f64) {
-    let compute: f64 = stages
+    // fold from +0.0: `Iterator::sum::<f64>()` of an empty iterator is -0.0.
+    let compute = stages
         .iter()
         .zip(placement)
         .map(|(s, &t)| timer.stage_time(s, t))
-        .sum();
+        .fold(0.0, |acc, x| acc + x);
     let bounds = boundary_bytes(stages);
     let crossings: Vec<bool> = placement.windows(2).map(|w| w[0] != w[1]).collect();
     let overhead = timer.cost_model().scheduling_overhead(&bounds, &crossings);
@@ -157,20 +278,20 @@ pub(crate) fn make_plan(
 }
 
 /// [`StageTimer`] adapter that dilates per-target stage times by a
-/// [`TargetLoad`]'s processor-sharing factor. This is how the `*_loaded`
-/// planners see a contended machine without any change to the DP itself;
-/// boundary costs pass through unchanged (the host link is modeled
-/// uncontended — transfers are short relative to compute and the link is
-/// not the shared resource the load view tracks).
-pub struct LoadBiasedTimer<'a> {
+/// [`TargetLoad`]'s processor-sharing factor. This is how [`plan`] sees
+/// a contended machine without any change to the algorithms; boundary
+/// costs pass through unchanged (the host link is modeled uncontended —
+/// transfers are short relative to compute and the link is not the
+/// shared resource the load view tracks).
+struct LoadBiasedTimer<'a> {
     inner: &'a dyn StageTimer,
     load: TargetLoad,
 }
 
 impl<'a> LoadBiasedTimer<'a> {
     /// Wraps `inner` so every estimate on a target is multiplied by
-    /// `load.dilation(target)`.
-    pub fn new(inner: &'a dyn StageTimer, load: TargetLoad) -> Self {
+    /// `load.dilation(target)` (exactly 1 for an idle load).
+    fn new(inner: &'a dyn StageTimer, load: TargetLoad) -> Self {
         LoadBiasedTimer { inner, load }
     }
 }
@@ -186,9 +307,8 @@ impl StageTimer for LoadBiasedTimer<'_> {
 
 /// [`StageTimer`] adapter pricing boundaries at their `k`-way-fused
 /// per-member share: stage times pass through unchanged, the cost model
-/// is replaced by [`CostModel::amortized`]`(members)`. See the
-/// [module docs](self) on fusion-aware planning.
-pub struct FusedTimer<'a> {
+/// is replaced by [`CostModel::amortized`]`(members)`.
+struct FusedTimer<'a> {
     inner: &'a dyn StageTimer,
     amortized: CostModel,
 }
@@ -196,7 +316,7 @@ pub struct FusedTimer<'a> {
 impl<'a> FusedTimer<'a> {
     /// Wraps `inner` for a fused batch of `members` jobs (`members` is
     /// clamped to at least 1; at 1 the adapter is an exact identity).
-    pub fn new(inner: &'a dyn StageTimer, members: usize) -> Self {
+    fn new(inner: &'a dyn StageTimer, members: usize) -> Self {
         FusedTimer {
             amortized: inner.cost_model().amortized(members),
             inner,
@@ -213,95 +333,11 @@ impl StageTimer for FusedTimer<'_> {
     }
 }
 
-/// Optimal per-member placement for a chain executed as a `members`-way
-/// fused batch: the chain DP under [`FusedTimer`], so every boundary is
-/// charged its amortized share of one coalesced batch transfer. Reported
-/// costs are the **per-member** view (multiply by `members` for whole-batch
-/// totals). `plan_fused(stages, timer, 1)` equals [`plan_chain`] exactly.
-pub fn plan_fused(stages: &[KernelDescriptor], timer: &dyn StageTimer, members: usize) -> Plan {
-    plan_fused_loaded(stages, timer, TargetLoad::NONE, members)
-}
-
-/// [`plan_fused`] under a cross-job [`TargetLoad`]. The load bias follows
-/// the [`plan_chain_loaded`] convention (decide dilated, report unbiased);
-/// the fusion amortization is *kept* in the reported costs — unlike load
-/// dilation it is a real property of the placement, not a tie-breaking
-/// bias.
-pub fn plan_fused_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-    members: usize,
-) -> Plan {
-    let fused = FusedTimer::new(timer, members);
-    plan_chain_loaded(stages, &fused, load)
-}
-
-/// Optimal placement for a chain of stages via dynamic programming over
-/// (stage, last-target) states — NDFT's cost-aware offloading mechanism.
-/// Thin wrapper over [`plan_chain_loaded`] with [`TargetLoad::NONE`]
-/// (an idle machine).
-///
-/// # Examples
-///
-/// ```
-/// use ndft_sched::{plan_chain, StaticCodeAnalyzer, Target};
-/// use ndft_dft::{build_task_graph, SiliconSystem};
-///
-/// let sca = StaticCodeAnalyzer::paper_default();
-/// let graph = build_task_graph(&SiliconSystem::large(), 1);
-/// let plan = plan_chain(&graph.stages, &sca);
-/// // Memory-bound majority ⇒ most stages land on the NDP side.
-/// let ndp = plan.placement.iter().filter(|t| **t == Target::Ndp).count();
-/// assert!(ndp >= plan.placement.len() / 2);
-/// ```
-pub fn plan_chain(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_chain_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_chain`] under a cross-job [`TargetLoad`]: the DP decides the
-/// placement with per-target times dilated by the load's
-/// processor-sharing factor, then the chosen placement's reported costs
-/// are re-evaluated under the unbiased `timer` (see the
-/// [module docs](self) for why).
-///
-/// # Examples
-///
-/// ```
-/// use ndft_sched::{plan_chain, plan_chain_loaded, StaticCodeAnalyzer, Target, TargetLoad};
-/// use ndft_dft::{build_task_graph, SiliconSystem};
-///
-/// let sca = StaticCodeAnalyzer::paper_default();
-/// let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
-/// let idle = plan_chain(&stages, &sca);
-/// // Concurrent batches hold 4 batch-equivalents of NDP busy time:
-/// // the loaded plan backs off the NDP side.
-/// let load = TargetLoad::new(0.0, 4.0 * idle.total_time(), idle.total_time());
-/// let loaded = plan_chain_loaded(&stages, &sca, load);
-/// let ndp = |p: &ndft_sched::Plan| p.placement.iter().filter(|t| **t == Target::Ndp).count();
-/// assert!(ndp(&loaded) <= ndp(&idle));
-/// ```
-pub fn plan_chain_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
-    if load.is_idle() {
-        return chain_dp(stages, timer);
-    }
-    let biased = LoadBiasedTimer::new(timer, load);
-    let plan = chain_dp(stages, &biased);
-    make_plan(stages, plan.placement, timer)
-}
-
-/// The chain DP body shared by the loaded and unloaded entry points.
-fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
+/// The optimal chain placement via the DP over (stage, last-target)
+/// states described in the [module docs](self).
+fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
     if stages.is_empty() {
-        return Plan {
-            placement: Vec::new(),
-            compute_time: 0.0,
-            sched_overhead: 0.0,
-        };
+        return Vec::new();
     }
     let bounds = boundary_bytes(stages);
     let targets = [Target::Cpu, Target::Ndp];
@@ -342,51 +378,13 @@ fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
             ti = back[k][ti];
         }
     }
-    make_plan(stages, placement, timer)
+    placement
 }
 
-/// Brute-force optimal placement (`2^n` candidates). Thin wrapper over
-/// [`plan_exhaustive_loaded`] with [`TargetLoad::NONE`].
-///
-/// # Panics
-///
-/// Panics if `stages.len() > 24` (search-space guard).
-pub fn plan_exhaustive(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_exhaustive_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_exhaustive`] under a cross-job [`TargetLoad`]: the search
-/// ranks candidates by load-dilated times, the winner's reported costs
-/// are unbiased (same convention as [`plan_chain_loaded`]).
-///
-/// # Panics
-///
-/// Panics if `stages.len() > 24` (search-space guard).
-pub fn plan_exhaustive_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
-    if !load.is_idle() {
-        let biased = LoadBiasedTimer::new(timer, load);
-        let plan = exhaustive_search(stages, &biased);
-        return make_plan(stages, plan.placement, timer);
-    }
-    exhaustive_search(stages, timer)
-}
-
-/// The `2^n` search body shared by the loaded and unloaded entry points.
-fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    assert!(stages.len() <= 24, "exhaustive search limited to 24 stages");
-    if stages.is_empty() {
-        return Plan {
-            placement: Vec::new(),
-            compute_time: 0.0,
-            sched_overhead: 0.0,
-        };
-    }
+/// The cheapest of all `2^n` placements (the first one found on ties).
+fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
     let n = stages.len();
-    let mut best: Option<Plan> = None;
+    let mut best: Option<(f64, Vec<Target>)> = None;
     for mask in 0u32..(1 << n) {
         let placement: Vec<Target> = (0..n)
             .map(|k| {
@@ -397,135 +395,17 @@ fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Pla
                 }
             })
             .collect();
-        let candidate = make_plan(stages, placement, timer);
-        if best
-            .as_ref()
-            .is_none_or(|b| candidate.total_time() < b.total_time())
-        {
-            best = Some(candidate);
+        let (compute, overhead) = evaluate(stages, &placement, timer);
+        let total = compute + overhead;
+        if best.as_ref().is_none_or(|(b, _)| total < *b) {
+            best = Some((total, placement));
         }
     }
-    best.expect("at least one placement")
+    best.expect("at least one placement").1
 }
 
-/// Greedy per-stage placement: each stage goes wherever it runs faster,
-/// ignoring boundary costs (the ablation baseline). Thin wrapper over
-/// [`plan_greedy_loaded`] with [`TargetLoad::NONE`].
-pub fn plan_greedy(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_greedy_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_greedy`] under a cross-job [`TargetLoad`]: each stage's argmin
-/// compares load-dilated times, reported costs are unbiased (same
-/// convention as [`plan_chain_loaded`]).
-pub fn plan_greedy_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
-    let placement: Vec<Target> = stages
-        .iter()
-        .map(|s| {
-            let cpu = timer.stage_time(s, Target::Cpu) * load.dilation(Target::Cpu);
-            let ndp = timer.stage_time(s, Target::Ndp) * load.dilation(Target::Ndp);
-            if ndp < cpu {
-                Target::Ndp
-            } else {
-                Target::Cpu
-            }
-        })
-        .collect();
-    make_plan(stages, placement, timer)
-}
-
-/// Pins every stage to one target (the CPU-only / NDP-only baselines).
-pub fn plan_pinned(stages: &[KernelDescriptor], target: Target, timer: &dyn StageTimer) -> Plan {
-    make_plan(stages, vec![target; stages.len()], timer)
-}
-
-/// Which placement algorithm [`plan`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// The NDFT mechanism: the optimal chain DP.
-    CostAware,
-    /// Per-stage argmin ignoring boundary costs (the ablation baseline).
-    Greedy,
-    /// Brute force over all `2^n` placements, used to validate the DP;
-    /// chains longer than 24 stages get the chain-DP plan instead.
-    Exhaustive,
-    /// Everything on the host CPU (baseline).
-    CpuPinned,
-    /// Everything on the NDP side (baseline).
-    NdpPinned,
-}
-
-impl PlacementPolicy {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlacementPolicy::CostAware => "cost-aware",
-            PlacementPolicy::Greedy => "greedy",
-            PlacementPolicy::Exhaustive => "exhaustive",
-            PlacementPolicy::CpuPinned => "cpu-pinned",
-            PlacementPolicy::NdpPinned => "ndp-pinned",
-        }
-    }
-}
-
-/// What [`plan`] decides besides the stages and the timer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanRequest {
-    /// The placement algorithm.
-    pub policy: PlacementPolicy,
-    /// Cross-job pressure the decision is biased by.
-    pub load: TargetLoad,
-    /// Width of the fused batch the plan is for (clamped to at least 1).
-    pub members: usize,
-}
-
-impl Default for PlanRequest {
-    /// The cost-aware chain DP for one job on an idle machine.
-    fn default() -> Self {
-        PlanRequest {
-            policy: PlacementPolicy::CostAware,
-            load: TargetLoad::NONE,
-            members: 1,
-        }
-    }
-}
-
-/// Largest chain [`PlacementPolicy::Exhaustive`] searches by brute force.
-const EXHAUSTIVE_MAX_STAGES: usize = 24;
-
-/// The one planner entry point.
-pub fn plan(stages: &[KernelDescriptor], timer: &dyn StageTimer, request: &PlanRequest) -> Plan {
-    let fused = FusedTimer::new(timer, request.members);
-    let biased = LoadBiasedTimer::new(&fused, request.load);
-    let placement = match request.policy {
-        PlacementPolicy::CostAware => dp_placement(stages, &biased),
-        PlacementPolicy::Exhaustive if stages.len() <= EXHAUSTIVE_MAX_STAGES => {
-            search_placement(stages, &biased)
-        }
-        PlacementPolicy::Exhaustive => dp_placement(stages, &biased),
-        PlacementPolicy::Greedy => greedy_placement(stages, &biased),
-        PlacementPolicy::CpuPinned => vec![Target::Cpu; stages.len()],
-        PlacementPolicy::NdpPinned => vec![Target::Ndp; stages.len()],
-    };
-    make_plan(stages, placement, &fused)
-}
-
-fn dp_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
-    if stages.is_empty() {
-        return Vec::new();
-    }
-    chain_dp(stages, timer).placement
-}
-
-fn search_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
-    exhaustive_search(stages, timer).placement
-}
-
-fn greedy_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
+/// Each stage wherever it runs faster, ignoring boundary costs.
+fn greedy(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<Target> {
     stages
         .iter()
         .map(|s| {
@@ -541,6 +421,7 @@ fn greedy_placement(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::granularity::{split_stages, Granularity};
     use ndft_dft::{build_task_graph, SiliconSystem};
 
     fn sca() -> StaticCodeAnalyzer {
@@ -551,15 +432,46 @@ mod tests {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1).stages
     }
 
+    fn request(policy: PlacementPolicy) -> PlanRequest {
+        PlanRequest {
+            policy,
+            ..PlanRequest::default()
+        }
+    }
+
+    fn loaded(load: TargetLoad) -> PlanRequest {
+        PlanRequest {
+            load,
+            ..PlanRequest::default()
+        }
+    }
+
+    fn batch(policy: PlacementPolicy, members: usize) -> PlanRequest {
+        PlanRequest {
+            policy,
+            members,
+            ..PlanRequest::default()
+        }
+    }
+
+    fn ndp_stages(p: &Plan) -> usize {
+        p.placement.iter().filter(|t| **t == Target::Ndp).count()
+    }
+
+    /// `a` and `b` have equal total time up to `rel` relative error.
+    fn same_total(a: &Plan, b: &Plan, rel: f64) -> bool {
+        (a.total_time() - b.total_time()).abs() <= rel * b.total_time().max(1e-12)
+    }
+
     #[test]
     fn dp_matches_exhaustive() {
+        let t = sca();
         for atoms in [16usize, 64, 256, 1024] {
             let s = stages(atoms);
-            let t = sca();
-            let dp = plan_chain(&s, &t);
-            let ex = plan_exhaustive(&s, &t);
+            let dp = plan(&s, &t, &PlanRequest::default());
+            let ex = plan(&s, &t, &request(PlacementPolicy::Exhaustive));
             assert!(
-                (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
+                same_total(&dp, &ex, 1e-9),
                 "Si_{atoms}: dp {} vs exhaustive {}",
                 dp.total_time(),
                 ex.total_time()
@@ -568,21 +480,42 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_falls_back_to_the_dp_beyond_24_stages() {
+        let t = sca();
+        let split = split_stages(&stages(16), Granularity::BasicBlock);
+        assert!(split.len() > EXHAUSTIVE_MAX_STAGES);
+        let load = TargetLoad::new(0.0, 1.0, 1.0);
+        for members in [1usize, 4] {
+            let exhaustive = PlanRequest {
+                policy: PlacementPolicy::Exhaustive,
+                load,
+                members,
+            };
+            let cost_aware = PlanRequest {
+                policy: PlacementPolicy::CostAware,
+                ..exhaustive
+            };
+            assert_eq!(plan(&split, &t, &exhaustive), plan(&split, &t, &cost_aware));
+        }
+    }
+
+    #[test]
     fn dp_beats_or_matches_greedy_and_pinned() {
         let s = stages(1024);
         let t = sca();
-        let dp = plan_chain(&s, &t).total_time();
-        assert!(dp <= plan_greedy(&s, &t).total_time() + 1e-12);
-        assert!(dp <= plan_pinned(&s, Target::Cpu, &t).total_time() + 1e-12);
-        assert!(dp <= plan_pinned(&s, Target::Ndp, &t).total_time() + 1e-12);
+        let dp = plan(&s, &t, &PlanRequest::default()).total_time();
+        for policy in PlacementPolicy::all() {
+            let other = plan(&s, &t, &request(policy)).total_time();
+            assert!(dp <= other + 1e-12, "{policy:?}: dp {dp} vs {other}");
+        }
     }
 
     #[test]
     fn hybrid_placement_beats_single_target_on_large_system() {
         let s = stages(1024);
         let t = sca();
-        let dp = plan_chain(&s, &t);
-        let cpu_only = plan_pinned(&s, Target::Cpu, &t);
+        let dp = plan(&s, &t, &PlanRequest::default());
+        let cpu_only = plan(&s, &t, &request(PlacementPolicy::CpuPinned));
         assert!(
             dp.total_time() < 0.8 * cpu_only.total_time(),
             "hybrid {} vs CPU-only {}",
@@ -598,7 +531,7 @@ mod tests {
         // (large). Our plan-level estimate must stay in single digits.
         for atoms in [64usize, 1024] {
             let s = stages(atoms);
-            let plan = plan_chain(&s, &sca());
+            let plan = plan(&s, &sca(), &PlanRequest::default());
             assert!(
                 plan.overhead_fraction() < 0.12,
                 "Si_{atoms} overhead {}",
@@ -611,34 +544,54 @@ mod tests {
     fn pinned_plans_have_no_crossings() {
         let s = stages(64);
         let t = sca();
-        assert_eq!(plan_pinned(&s, Target::Cpu, &t).crossings(), 0);
-        assert_eq!(plan_pinned(&s, Target::Ndp, &t).sched_overhead, 0.0);
+        for (policy, target) in [
+            (PlacementPolicy::CpuPinned, Target::Cpu),
+            (PlacementPolicy::NdpPinned, Target::Ndp),
+        ] {
+            let p = plan(&s, &t, &request(policy));
+            assert!(p.placement.iter().all(|&x| x == target), "{policy:?}");
+            assert_eq!(p.crossings(), 0);
+            assert_eq!(p.sched_overhead, 0.0);
+        }
     }
 
     #[test]
     fn empty_chain_is_trivial() {
         let t = sca();
-        let p = plan_chain(&[], &t);
-        assert!(p.placement.is_empty());
-        assert_eq!(p.total_time(), 0.0);
+        for policy in PlacementPolicy::all() {
+            let p = plan(&[], &t, &request(policy));
+            assert!(p.placement.is_empty());
+            assert_eq!(p.total_time().to_bits(), 0.0f64.to_bits(), "{policy:?}");
+        }
     }
 
     #[test]
     fn idle_load_reproduces_the_unloaded_plan() {
-        let s = stages(256);
+        // Inert request fields reduce every policy to its plain plan: an
+        // idle load (no reservations, or no reference scale) and a batch
+        // of 0 or 1 members. The plain plan's costs are its placement
+        // evaluated under the raw timer.
         let t = sca();
-        let base = plan_chain(&s, &t);
-        for load in [
-            TargetLoad::NONE,
-            TargetLoad::new(0.0, 0.0, 1.0),
-            TargetLoad::new(3.0, 5.0, 0.0), // no reference scale ⇒ inert
-        ] {
-            assert_eq!(plan_chain_loaded(&s, &t, load), base);
-            assert_eq!(
-                plan_greedy_loaded(&s, &t, load),
-                plan_greedy(&s, &t),
-                "greedy under idle load"
-            );
+        for atoms in [16usize, 256] {
+            let s = stages(atoms);
+            for policy in PlacementPolicy::all() {
+                let base = plan(&s, &t, &request(policy));
+                assert_eq!(base, make_plan(&s, base.placement.clone(), &t));
+                for load in [
+                    TargetLoad::NONE,
+                    TargetLoad::new(0.0, 0.0, 1.0),
+                    TargetLoad::new(3.0, 5.0, 0.0), // no reference scale ⇒ inert
+                ] {
+                    for members in [0usize, 1] {
+                        let req = PlanRequest {
+                            policy,
+                            load,
+                            members,
+                        };
+                        assert_eq!(plan(&s, &t, &req), base, "Si_{atoms} {req:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -646,27 +599,20 @@ mod tests {
     fn ndp_pressure_pushes_placement_toward_cpu() {
         let s = stages(1024);
         let t = sca();
-        let idle = plan_chain(&s, &t);
+        let idle = plan(&s, &t, &PlanRequest::default());
         let scale = idle.total_time();
-        let ndp_stages = |p: &Plan| {
-            p.placement
-                .iter()
-                .filter(|target| **target == Target::Ndp)
-                .count()
-        };
         // Monotone back-off: growing NDP pressure never adds NDP stages.
         let mut last = ndp_stages(&idle);
         for pressure in [1.0, 4.0, 16.0, 256.0] {
             let load = TargetLoad::new(0.0, pressure * scale, scale);
-            let plan = plan_chain_loaded(&s, &t, load);
-            let n = ndp_stages(&plan);
+            let n = ndp_stages(&plan(&s, &t, &loaded(load)));
             assert!(n <= last, "pressure {pressure}: {n} > {last}");
             last = n;
         }
         // Crushing pressure on one side pins the plan to the other.
-        let crushed = plan_chain_loaded(&s, &t, TargetLoad::new(0.0, 1e6 * scale, scale));
+        let crushed = plan(&s, &t, &loaded(TargetLoad::new(0.0, 1e6 * scale, scale)));
         assert_eq!(ndp_stages(&crushed), 0, "NDP fully evacuated");
-        let crushed_cpu = plan_chain_loaded(&s, &t, TargetLoad::new(1e6 * scale, 0.0, scale));
+        let crushed_cpu = plan(&s, &t, &loaded(TargetLoad::new(1e6 * scale, 0.0, scale)));
         assert_eq!(ndp_stages(&crushed_cpu), crushed_cpu.placement.len());
     }
 
@@ -678,13 +624,21 @@ mod tests {
         // loaded plan can never beat the unloaded optimum on those terms.
         let s = stages(1024);
         let t = sca();
-        let idle = plan_chain(&s, &t);
+        let idle = plan(&s, &t, &PlanRequest::default());
         let scale = idle.total_time();
         let load = TargetLoad::new(0.0, 8.0 * scale, scale);
-        let loaded = plan_chain_loaded(&s, &t, load);
-        let reeval = make_plan(&s, loaded.placement.clone(), &t);
-        assert_eq!(loaded, reeval);
-        assert!(loaded.total_time() >= idle.total_time() - 1e-12 * idle.total_time());
+        for policy in PlacementPolicy::all() {
+            let p = plan(
+                &s,
+                &t,
+                &PlanRequest {
+                    load,
+                    ..request(policy)
+                },
+            );
+            assert_eq!(p, make_plan(&s, p.placement.clone(), &t), "{policy:?}");
+            assert!(p.total_time() >= idle.total_time() - 1e-12 * idle.total_time());
+        }
     }
 
     #[test]
@@ -692,15 +646,24 @@ mod tests {
         let s = stages(64);
         let t = sca();
         let load = TargetLoad::new(0.0, 5.0, 1.0);
-        let dp = plan_chain_loaded(&s, &t, load);
-        let ex = plan_exhaustive_loaded(&s, &t, load);
+        let dp = plan(&s, &t, &loaded(load));
+        let ex = plan(
+            &s,
+            &t,
+            &PlanRequest {
+                load,
+                ..request(PlacementPolicy::Exhaustive)
+            },
+        );
         // Both optimize the same dilated objective; compare under it.
         let biased = LoadBiasedTimer::new(&t, load);
-        let dp_cost = make_plan(&s, dp.placement, &biased).total_time();
-        let ex_cost = make_plan(&s, ex.placement, &biased).total_time();
+        let dp = make_plan(&s, dp.placement, &biased);
+        let ex = make_plan(&s, ex.placement, &biased);
         assert!(
-            (dp_cost - ex_cost).abs() <= 1e-9 * ex_cost.max(1e-12),
-            "dp {dp_cost} vs exhaustive {ex_cost}"
+            same_total(&dp, &ex, 1e-9),
+            "dp {} vs exhaustive {}",
+            dp.total_time(),
+            ex.total_time()
         );
     }
 
@@ -718,27 +681,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_plan_of_one_is_the_plain_plan() {
-        for atoms in [16usize, 256] {
-            let s = stages(atoms);
-            let t = sca();
-            assert_eq!(plan_fused(&s, &t, 1), plan_chain(&s, &t));
-            assert_eq!(plan_fused(&s, &t, 0), plan_chain(&s, &t)); // clamped
-            let load = TargetLoad::new(0.0, 3.0, 1.0);
-            assert_eq!(
-                plan_fused_loaded(&s, &t, load, 1),
-                plan_chain_loaded(&s, &t, load)
-            );
-        }
-    }
-
-    #[test]
     fn fused_total_time_is_nonincreasing_in_members() {
         let s = stages(256);
         let t = sca();
         let mut last = f64::INFINITY;
         for k in [1usize, 2, 4, 8, 32] {
-            let total = plan_fused(&s, &t, k).total_time();
+            let total = plan(&s, &t, &batch(PlacementPolicy::CostAware, k)).total_time();
             assert!(
                 total <= last + 1e-12 * last.abs().max(1e-12),
                 "k={k}: {total} > {last}"
@@ -752,11 +700,10 @@ mod tests {
         let s = stages(64);
         let t = sca();
         for k in [2usize, 8] {
-            let fused = FusedTimer::new(&t, k);
-            let dp = plan_fused(&s, &t, k);
-            let ex = plan_exhaustive(&s, &fused);
+            let dp = plan(&s, &t, &batch(PlacementPolicy::CostAware, k));
+            let ex = plan(&s, &t, &batch(PlacementPolicy::Exhaustive, k));
             assert!(
-                (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
+                same_total(&dp, &ex, 1e-9),
                 "k={k}: dp {} vs exhaustive {}",
                 dp.total_time(),
                 ex.total_time()
@@ -786,8 +733,8 @@ mod tests {
         // must shrink toward zero while compute stays optimal.
         let s = stages(1024);
         let t = sca();
-        let solo = plan_chain(&s, &t);
-        let fused = plan_fused(&s, &t, 1024);
+        let solo = plan(&s, &t, &PlanRequest::default());
+        let fused = plan(&s, &t, &batch(PlacementPolicy::CostAware, 1024));
         assert!(fused.sched_overhead <= solo.sched_overhead + 1e-15);
         assert!(fused.total_time() <= solo.total_time() + 1e-15);
     }
@@ -796,84 +743,9 @@ mod tests {
     fn greedy_ignores_boundaries_dp_does_not() {
         let s = stages(64);
         let t = sca();
-        let greedy = plan_greedy(&s, &t);
-        let dp = plan_chain(&s, &t);
+        let greedy = plan(&s, &t, &request(PlacementPolicy::Greedy));
+        let dp = plan(&s, &t, &PlanRequest::default());
         // Greedy may cross more often than the DP.
         assert!(dp.crossings() <= greedy.crossings() + 1);
-    }
-
-    #[test]
-    fn plan_request_reproduces_every_variant_function() {
-        use ndft_dft::build_task_graph_fused;
-        let t = sca();
-        let policies = [
-            PlacementPolicy::CostAware,
-            PlacementPolicy::Greedy,
-            PlacementPolicy::Exhaustive,
-            PlacementPolicy::CpuPinned,
-            PlacementPolicy::NdpPinned,
-        ];
-        let mut shifted = 0;
-        for atoms in [16usize, 64, 256, 1024] {
-            let sys = SiliconSystem::new(atoms).unwrap();
-            for members in [0usize, 1, 2, 16] {
-                for graph in [
-                    build_task_graph(&sys, 1),
-                    build_task_graph_fused(&sys, 1, members),
-                ] {
-                    let s = &graph.stages;
-                    let scale = plan_chain(s, &t).total_time();
-                    for load in [
-                        TargetLoad::NONE,
-                        TargetLoad::new(0.0, 0.0, 1.0),
-                        TargetLoad::new(3.0, 5.0, 0.0),
-                        TargetLoad::new(0.0, 8.0 * scale, scale),
-                        TargetLoad::new(1e6 * scale, 0.0, scale),
-                    ] {
-                        for policy in policies {
-                            let fused = FusedTimer::new(&t, members);
-                            let old_timer: &dyn StageTimer = if members <= 1 { &t } else { &fused };
-                            let old = match policy {
-                                PlacementPolicy::CostAware if members <= 1 => {
-                                    plan_chain_loaded(s, &t, load)
-                                }
-                                PlacementPolicy::CostAware => {
-                                    plan_fused_loaded(s, &t, load, members)
-                                }
-                                PlacementPolicy::Greedy => plan_greedy_loaded(s, old_timer, load),
-                                PlacementPolicy::Exhaustive => {
-                                    plan_exhaustive_loaded(s, old_timer, load)
-                                }
-                                PlacementPolicy::CpuPinned => {
-                                    plan_pinned(s, Target::Cpu, old_timer)
-                                }
-                                PlacementPolicy::NdpPinned => {
-                                    plan_pinned(s, Target::Ndp, old_timer)
-                                }
-                            };
-                            let new = plan(
-                                s,
-                                &t,
-                                &PlanRequest {
-                                    policy,
-                                    load,
-                                    members,
-                                },
-                            );
-                            let at = format!("Si_{atoms} {policy:?} {load:?} members {members}");
-                            assert_eq!(new, old, "{at}");
-                            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{at}");
-                            let idle = PlanRequest {
-                                load: TargetLoad::NONE,
-                                policy,
-                                members,
-                            };
-                            shifted += usize::from(new.placement != plan(s, &t, &idle).placement);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(shifted > 0, "the loaded rows must exercise the bias");
     }
 }

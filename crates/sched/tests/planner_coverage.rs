@@ -1,15 +1,33 @@
 //! Focused coverage for `ndft_sched::planner`: agreement between the
-//! planners on short chains, and bit-level determinism of `Plan`
-//! metrics across repeated runs.
+//! placement policies on short chains, and bit-level determinism of
+//! `Plan` metrics across repeated runs.
 
 use ndft_dft::{build_task_graph, KernelDescriptor, SiliconSystem};
 use ndft_sched::{
-    plan_chain, plan_exhaustive, plan_fused, plan_greedy, plan_pinned, split_stages, CostModel,
-    FusedTimer, Granularity, StageTimer, StaticCodeAnalyzer, Target,
+    plan, split_stages, CostModel, Granularity, PlacementPolicy, Plan, PlanRequest, StageTimer,
+    StaticCodeAnalyzer, Target,
 };
 
 fn stages(atoms: usize) -> Vec<KernelDescriptor> {
     build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1).stages
+}
+
+/// A one-job idle-machine request for `policy`, fused `members` wide.
+fn request(policy: PlacementPolicy, members: usize) -> PlanRequest {
+    PlanRequest {
+        policy,
+        members,
+        ..PlanRequest::default()
+    }
+}
+
+/// Plans `chain` under `timer` with each request of `rows`.
+fn plans<const N: usize>(
+    chain: &[KernelDescriptor],
+    timer: &dyn StageTimer,
+    rows: [PlanRequest; N],
+) -> [Plan; N] {
+    rows.map(|row| plan(chain, timer, &row))
 }
 
 /// The paper SCA timer with its boundary-cost model zeroed out: with free
@@ -41,13 +59,16 @@ impl StageTimer for FreeBoundaryTimer {
     }
 }
 
+const GREEDY: PlacementPolicy = PlacementPolicy::Greedy;
+const EXHAUSTIVE: PlacementPolicy = PlacementPolicy::Exhaustive;
+const DP: PlacementPolicy = PlacementPolicy::CostAware;
+
 #[test]
 fn greedy_matches_exhaustive_when_boundaries_are_free() {
     let timer = FreeBoundaryTimer::new();
     for atoms in [16usize, 64, 256] {
         let s = stages(atoms);
-        let greedy = plan_greedy(&s, &timer);
-        let ex = plan_exhaustive(&s, &timer);
+        let [greedy, ex] = plans(&s, &timer, [request(GREEDY, 1), request(EXHAUSTIVE, 1)]);
         assert!(
             (greedy.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
             "Si_{atoms}: greedy {} vs exhaustive {}",
@@ -65,8 +86,7 @@ fn greedy_agrees_with_exhaustive_on_single_stage_chains() {
     let sca = StaticCodeAnalyzer::paper_default();
     for stage in stages(64) {
         let chain = [stage];
-        let greedy = plan_greedy(&chain, &sca);
-        let ex = plan_exhaustive(&chain, &sca);
+        let [greedy, ex] = plans(&chain, &sca, [request(GREEDY, 1), request(EXHAUSTIVE, 1)]);
         assert_eq!(greedy.placement, ex.placement, "{}", chain[0].name);
         assert_eq!(greedy.crossings(), 0);
         assert!((greedy.total_time() - ex.total_time()).abs() <= f64::EPSILON);
@@ -78,8 +98,7 @@ fn greedy_never_beats_exhaustive_on_short_chains() {
     let sca = StaticCodeAnalyzer::paper_default();
     let all = stages(64);
     for window in all.windows(3) {
-        let greedy = plan_greedy(window, &sca);
-        let ex = plan_exhaustive(window, &sca);
+        let [greedy, ex] = plans(window, &sca, [request(GREEDY, 1), request(EXHAUSTIVE, 1)]);
         assert!(
             ex.total_time() <= greedy.total_time() + 1e-15,
             "exhaustive must lower-bound greedy on {:?}",
@@ -94,8 +113,7 @@ fn chain_dp_matches_exhaustive_on_short_chains() {
     let all = stages(64);
     for len in 1..=4usize {
         for window in all.windows(len) {
-            let dp = plan_chain(window, &sca);
-            let ex = plan_exhaustive(window, &sca);
+            let [dp, ex] = plans(window, &sca, [request(DP, 1), request(EXHAUSTIVE, 1)]);
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                 "len {len}: dp {} vs exhaustive {}",
@@ -124,8 +142,7 @@ fn chain_dp_matches_exhaustive_on_split_stage_chains() {
         );
         for len in [2usize, 3, 4] {
             for window in split.windows(len).step_by(5) {
-                let dp = plan_chain(window, &sca);
-                let ex = plan_exhaustive(window, &sca);
+                let [dp, ex] = plans(window, &sca, [request(DP, 1), request(EXHAUSTIVE, 1)]);
                 assert!(
                     (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                     "Si_{atoms} len {len}: dp {} vs exhaustive {}",
@@ -139,17 +156,20 @@ fn chain_dp_matches_exhaustive_on_split_stage_chains() {
 
 #[test]
 fn fused_dp_matches_fused_exhaustive_on_split_stage_chains() {
-    // The same coverage holds for fused plans: plan_fused is the chain DP
-    // under FusedTimer, so exhaustive search under the same adapter must
-    // agree on split-stage windows too — exhaustive coverage stays
-    // meaningful for fused planning.
+    // The same coverage holds for fused plans: a request's `members`
+    // prices boundaries at their amortized share for every policy, so
+    // the exhaustive search under the same request must agree on
+    // split-stage windows too — exhaustive coverage stays meaningful for
+    // fused planning.
     let sca = StaticCodeAnalyzer::paper_default();
     let split = split_stages(&stages(64), Granularity::BasicBlock);
     for members in [2usize, 8] {
-        let fused = FusedTimer::new(&sca, members);
         for window in split.windows(4).step_by(9) {
-            let dp = plan_fused(window, &sca, members);
-            let ex = plan_exhaustive(window, &fused);
+            let [dp, ex] = plans(
+                window,
+                &sca,
+                [request(DP, members), request(EXHAUSTIVE, members)],
+            );
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                 "members {members}: dp {} vs exhaustive {}",
@@ -166,23 +186,17 @@ fn plan_metrics_are_deterministic_across_runs() {
     for atoms in [16usize, 64, 1024] {
         let s1 = stages(atoms);
         let s2 = stages(atoms);
-        for (label, a, b) in [
-            ("chain", plan_chain(&s1, &sca), plan_chain(&s2, &sca)),
-            ("greedy", plan_greedy(&s1, &sca), plan_greedy(&s2, &sca)),
-            (
-                "cpu-pinned",
-                plan_pinned(&s1, Target::Cpu, &sca),
-                plan_pinned(&s2, Target::Cpu, &sca),
-            ),
-        ] {
+        for policy in [DP, GREEDY, PlacementPolicy::CpuPinned] {
+            let row = request(policy, 1);
+            let (a, b) = (plan(&s1, &sca, &row), plan(&s2, &sca, &row));
             // Bit-exact: same placement, same times, same crossings.
-            assert_eq!(a.placement, b.placement, "Si_{atoms} {label}");
+            assert_eq!(a.placement, b.placement, "Si_{atoms} {policy:?}");
             assert_eq!(
                 a.total_time().to_bits(),
                 b.total_time().to_bits(),
-                "Si_{atoms} {label} total_time"
+                "Si_{atoms} {policy:?} total_time"
             );
-            assert_eq!(a.crossings(), b.crossings(), "Si_{atoms} {label}");
+            assert_eq!(a.crossings(), b.crossings(), "Si_{atoms} {policy:?}");
         }
     }
 }
@@ -191,8 +205,7 @@ fn plan_metrics_are_deterministic_across_runs() {
 fn exhaustive_is_deterministic_on_small_graphs() {
     let sca = StaticCodeAnalyzer::paper_default();
     let s = stages(16);
-    let a = plan_exhaustive(&s, &sca);
-    let b = plan_exhaustive(&s, &sca);
+    let [a, b] = plans(&s, &sca, [request(EXHAUSTIVE, 1); 2]);
     assert_eq!(a.placement, b.placement);
     assert_eq!(a.total_time().to_bits(), b.total_time().to_bits());
     assert_eq!(a.crossings(), b.crossings());
@@ -202,7 +215,7 @@ fn exhaustive_is_deterministic_on_small_graphs() {
 fn crossings_consistent_with_placement() {
     let sca = StaticCodeAnalyzer::paper_default();
     let s = stages(256);
-    for plan in [plan_chain(&s, &sca), plan_greedy(&s, &sca)] {
+    for plan in plans(&s, &sca, [request(DP, 1), request(GREEDY, 1)]) {
         let manual = plan.placement.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(plan.crossings(), manual);
     }

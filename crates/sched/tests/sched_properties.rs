@@ -3,9 +3,7 @@
 use ndft_dft::workload::{KernelDescriptor, KernelKind};
 use ndft_numerics::KernelCost;
 use ndft_sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
-use ndft_sched::{
-    plan_chain, plan_exhaustive, plan_greedy, plan_pinned, StaticCodeAnalyzer, Target,
-};
+use ndft_sched::{plan, PlacementPolicy, PlanRequest, StaticCodeAnalyzer, Target};
 use proptest::prelude::*;
 
 /// An arbitrary kernel stage: random cost mix, pattern mix, parallelism.
@@ -30,6 +28,14 @@ fn arb_stage() -> impl Strategy<Value = KernelDescriptor> {
         })
 }
 
+/// A one-job idle-machine request for `policy`.
+fn request(policy: PlacementPolicy) -> PlanRequest {
+    PlanRequest {
+        policy,
+        ..PlanRequest::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -40,19 +46,16 @@ proptest! {
         stages in prop::collection::vec(arb_stage(), 1..10)
     ) {
         let sca = StaticCodeAnalyzer::paper_default();
-        let dp = plan_chain(&stages, &sca);
-        let ex = plan_exhaustive(&stages, &sca);
+        let dp = plan(&stages, &sca, &PlanRequest::default());
+        let ex = plan(&stages, &sca, &request(PlacementPolicy::Exhaustive));
         prop_assert!(
             (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
             "dp {} vs exhaustive {}", dp.total_time(), ex.total_time()
         );
-        prop_assert!(dp.total_time() <= plan_greedy(&stages, &sca).total_time() + 1e-12);
-        prop_assert!(
-            dp.total_time() <= plan_pinned(&stages, Target::Cpu, &sca).total_time() + 1e-12
-        );
-        prop_assert!(
-            dp.total_time() <= plan_pinned(&stages, Target::Ndp, &sca).total_time() + 1e-12
-        );
+        for policy in PlacementPolicy::all() {
+            let other = plan(&stages, &sca, &request(policy));
+            prop_assert!(dp.total_time() <= other.total_time() + 1e-12, "{:?}", policy);
+        }
     }
 
     /// The annealer on the time objective is sandwiched between the DP
@@ -66,8 +69,8 @@ proptest! {
         let power = PowerModel::paper_default();
         let opts = AnnealOptions { iterations: 4000, seed, ..AnnealOptions::default() };
         let sa = plan_anneal(&stages, &sca, &power, Objective::Time, &opts);
-        let dp = plan_chain(&stages, &sca);
-        let greedy = plan_greedy(&stages, &sca);
+        let dp = plan(&stages, &sca, &PlanRequest::default());
+        let greedy = plan(&stages, &sca, &request(PlacementPolicy::Greedy));
         prop_assert!(sa.plan.total_time() + 1e-12 >= dp.total_time());
         prop_assert!(sa.plan.total_time() <= greedy.total_time() + 1e-12);
     }
@@ -80,7 +83,7 @@ proptest! {
     ) {
         let sca = StaticCodeAnalyzer::paper_default();
         let power = PowerModel::paper_default();
-        let pinned = plan_pinned(&stages, Target::Cpu, &sca);
+        let pinned = plan(&stages, &sca, &request(PlacementPolicy::CpuPinned));
         let e = power.plan_energy(&stages, &pinned.placement, &sca);
         prop_assert!((e - pinned.compute_time * power.cpu_watts).abs() <= 1e-9 * e.max(1e-12));
         // A placement with one crossing pays link energy on top of busy.

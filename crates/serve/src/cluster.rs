@@ -9,8 +9,8 @@
 //! 1. **Consult** — [`ClusterView::snapshot`] reads the modeled busy
 //!    seconds concurrent batches currently hold on each target (plus
 //!    the in-flight batch counts per origin shard). The worker feeds
-//!    the snapshot into [`crate::plan_placement_loaded`], which turns
-//!    it into an `ndft_sched::TargetLoad` bias: targets other batches
+//!    the snapshot into its placement decision, which turns it into the
+//!    planner request's `ndft_sched::TargetLoad` bias: targets other batches
 //!    have reserved look proportionally slower, so the chain DP spreads
 //!    simultaneous batches across CPU and NDP instead of stacking them.
 //! 2. **Reserve** — once a batch's plan is made, the worker calls

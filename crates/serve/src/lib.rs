@@ -27,8 +27,8 @@
 //!   ([`ServeConfig::fused_execution`], default on): one Kohn–Sham
 //!   Hamiltonian serves every ground-state member, one neighbour scan
 //!   every MD member, and the batch is placed under the amortized
-//!   per-member view ([`plan_placement_fused`], built on
-//!   `ndft_sched::plan_fused` and the fused task graph), where shared
+//!   per-member view (an `ndft_sched::PlanRequest` with `members` set,
+//!   over the fused task graph), where shared
 //!   operand DRAM traffic and boundary transfer latency are charged
 //!   once per batch instead of once per job. Per-job results stay
 //!   **bit-identical** to solo execution — fusion shares only setup.
@@ -43,8 +43,8 @@
 //!   baselines so service-level speedup is always checkable.
 //! * **Utilization-aware cross-job placement** — workers share a
 //!   [`ClusterView`] of the modeled busy time in-flight batches have
-//!   reserved per target; planning consults it
-//!   ([`plan_placement_loaded`]) so concurrent batches spread across
+//!   reserved per target; planning consults it (as the request's
+//!   `ndft_sched::TargetLoad`) so concurrent batches spread across
 //!   CPU and NDP instead of piling onto the same modeled stacks, and
 //!   each batch's footprint is held as an RAII [`Reservation`] released
 //!   on every exit path. `ServeConfig { load_aware: false, .. }`
@@ -172,13 +172,9 @@ pub use job::{
 };
 pub use metrics::{ExecutionSample, Metrics, ServeReport};
 pub use persist::{Dec, DiskTier, Enc, PersistValue};
-pub use placement::{
-    measured_timer, plan_placement, plan_placement_fused, plan_placement_fused_loaded,
-    plan_placement_loaded, plan_placement_loaded_with, plan_placement_with, PlacementDecision,
-    PlacementPolicy,
-};
+pub use placement::{plan_placement, PlacementDecision, PlacementPolicy};
 pub use progress::{JobStage, ProgressEvent, ProgressStream};
-pub use queue::{BoundedQueue, ShardedQueue, StolenRun, SubmitError};
+pub use queue::{ShardedQueue, StolenRun, SubmitError};
 pub use router::{FaultAction, FaultEvent, FaultPlan, HashRing, RouteInfo, RoutingLog};
 pub use service::{DftService, ServeConfig};
 pub use telemetry::{

@@ -1,29 +1,30 @@
 //! Planner-driven placement.
 //!
 //! Before executing a batch, a worker consults the `ndft_sched` planner
-//! over the measured CPU-NDP machine model ([`MeasuredTimer`] over
-//! [`CpuNdpMachine`]) to pick a CPU-vs-NDP placement per pipeline stage.
-//! The decision also carries both pinned baselines, so callers can verify
-//! the planner never loses to a CPU-only run — the service-level analogue
-//! of the paper's §IV-A guarantee.
+//! ([`ndft_sched::plan`]) over the measured CPU-NDP machine model
+//! ([`MeasuredTimer`] over [`CpuNdpMachine`]) to pick a CPU-vs-NDP
+//! placement per pipeline stage. The decision also carries both pinned
+//! baselines, so callers can verify the planner never loses to a
+//! CPU-only run — the service-level analogue of the paper's §IV-A
+//! guarantee.
 //!
-//! Placement is **utilization-aware**: [`plan_placement_loaded`] takes a
+//! Placement is **utilization-aware**: the engine hands the planner a
 //! [`ClusterSnapshot`] of what concurrent batches have already reserved
-//! per target and converts it into an [`ndft_sched::TargetLoad`] bias —
-//! the reserved busy seconds divided by this graph's faster pinned time,
-//! i.e. pressure measured in *batch-equivalents of this very workload*.
-//! The `*_loaded` planners then see contended targets as proportionally
-//! slower and spread simultaneous batches across CPU and NDP. The
-//! reported plan costs stay unbiased (idle-machine numbers), so the
-//! pinned-baseline comparisons remain meaningful at any load.
+//! per target, converted into the request's [`ndft_sched::TargetLoad`]
+//! bias — the reserved busy seconds divided by this graph's faster
+//! pinned time, i.e. pressure measured in *batch-equivalents of this
+//! very workload*. The planner then sees contended targets as
+//! proportionally slower and spreads simultaneous batches across CPU
+//! and NDP. The reported plan costs stay unbiased (idle-machine
+//! numbers), so the pinned-baseline comparisons remain meaningful at
+//! any load. A fused batch of `k` members is planned with
+//! `members = k`, so boundaries are priced at their per-member share.
+//! [`plan_placement`] is the load-blind, one-member decision.
 
 use crate::cluster::ClusterSnapshot;
 use ndft_core::{calib, CpuNdpMachine, MeasuredTimer, ModelConstants};
 use ndft_dft::TaskGraph;
-use ndft_sched::{
-    plan, plan_chain_loaded, plan_exhaustive_loaded, plan_greedy_loaded, plan_pinned, FusedTimer,
-    Plan, PlanRequest, StageTimer, Target, TargetLoad,
-};
+use ndft_sched::{plan, Plan, PlanRequest, StageTimer, Target, TargetLoad};
 use serde::{Deserialize, Serialize};
 
 pub use ndft_sched::PlacementPolicy;
@@ -91,138 +92,10 @@ impl PlacementDecision {
     }
 }
 
-/// The measured-machine timer placement decisions are made against
-/// (the paper's Table III system with its measured calibration).
-pub fn measured_timer() -> MeasuredTimer {
-    MeasuredTimer::new(CpuNdpMachine::new(
-        calib::system_config(),
-        calib::measured(),
-        ModelConstants::paper_default(),
-    ))
-}
-
 /// Consults the planner selected by `policy` for one task graph on an
-/// idle cluster (load-blind). Thin wrapper over
-/// [`plan_placement_loaded`] with [`ClusterSnapshot::idle`].
+/// idle cluster (load-blind, one member).
 pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDecision {
     decide_placement(graph, policy, &ClusterSnapshot::idle(), 1)
-}
-
-/// [`plan_placement`] against an explicit timer (tests inject the static
-/// code analyzer here to cross-check against the measured machine).
-pub fn plan_placement_with(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    timer: &dyn StageTimer,
-) -> PlacementDecision {
-    plan_placement_loaded_with(graph, policy, timer, &ClusterSnapshot::idle())
-}
-
-/// Utilization-aware planner consultation: the placement decision is
-/// biased by what concurrent batches have reserved per target in
-/// `cluster` (see the [module docs](self) for the pressure model).
-pub fn plan_placement_loaded(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    cluster: &ClusterSnapshot,
-) -> PlacementDecision {
-    let timer = measured_timer();
-    plan_placement_loaded_with(graph, policy, &timer, cluster)
-}
-
-/// Fusion-aware planner consultation for a `members`-way fused batch:
-/// like [`plan_placement`] but boundaries are priced at their per-member
-/// amortized share ([`ndft_sched::FusedTimer`]), so placement can prefer
-/// wider NDP spans when the batch foots the crossing bill together. Pair
-/// with a fused task graph (`ndft_dft::build_task_graph_fused`) so the
-/// stage *times* also reflect the shared-operand traffic. Reported times
-/// are per member. At `members = 1` this equals [`plan_placement`]
-/// exactly. Thin wrapper over [`plan_placement_fused_loaded`] with an
-/// idle cluster.
-pub fn plan_placement_fused(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    members: usize,
-) -> PlacementDecision {
-    plan_placement_fused_loaded(graph, policy, &ClusterSnapshot::idle(), members)
-}
-
-/// Utilization-aware variant of [`plan_placement_fused`]: the fused
-/// boundary pricing and the cross-job load bias compose (fusion is a
-/// property of the batch, load a property of the cluster).
-pub fn plan_placement_fused_loaded(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    cluster: &ClusterSnapshot,
-    members: usize,
-) -> PlacementDecision {
-    let timer = measured_timer();
-    let fused = FusedTimer::new(&timer, members);
-    plan_placement_loaded_with(graph, policy, &fused, cluster)
-}
-
-/// [`plan_placement_loaded`] against an explicit timer.
-pub fn plan_placement_loaded_with(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    timer: &dyn StageTimer,
-    cluster: &ClusterSnapshot,
-) -> PlacementDecision {
-    let stages = &graph.stages;
-    let cpu_pinned_time = plan_pinned(stages, Target::Cpu, timer).total_time();
-    let ndp_pinned_time = plan_pinned(stages, Target::Ndp, timer).total_time();
-    // One unit of pressure = one batch-equivalent of *this* workload:
-    // reserved seconds are measured against the graph's faster pinned
-    // time, so the bias is dimensionless and scale-appropriate whatever
-    // the job size.
-    let reference_s = cpu_pinned_time.min(ndp_pinned_time);
-    let load = TargetLoad::new(cluster.cpu_reserved_s, cluster.ndp_reserved_s, reference_s);
-    let plan_under = |load: TargetLoad| match policy {
-        PlacementPolicy::CostAware => plan_chain_loaded(stages, timer, load),
-        PlacementPolicy::Greedy => plan_greedy_loaded(stages, timer, load),
-        PlacementPolicy::Exhaustive => {
-            if stages.len() <= 24 {
-                plan_exhaustive_loaded(stages, timer, load)
-            } else {
-                plan_chain_loaded(stages, timer, load)
-            }
-        }
-        // Pinned baselines ignore load: the placement is fixed by
-        // definition, only its completion time would change.
-        PlacementPolicy::CpuPinned => plan_pinned(stages, Target::Cpu, timer),
-        PlacementPolicy::NdpPinned => plan_pinned(stages, Target::Ndp, timer),
-    };
-    let plan = plan_under(load);
-    // A shift is observable only against the idle-machine plan; skip the
-    // second consultation when the bias was inert, and for pinned
-    // policies, whose placement is fixed by definition. (For the biased
-    // policies the re-plan is one extra O(n) DP per *batch* — noise next
-    // to the numerics — and Exhaustive is a validation-only policy.)
-    let pinned = matches!(
-        policy,
-        PlacementPolicy::CpuPinned | PlacementPolicy::NdpPinned
-    );
-    let shifted =
-        !pinned && !load.is_idle() && plan.placement != plan_under(TargetLoad::NONE).placement;
-    let (mut cpu_busy, mut ndp_busy) = (0.0, 0.0);
-    for (stage, &target) in stages.iter().zip(&plan.placement) {
-        let t = timer.stage_time(stage, target);
-        match target {
-            Target::Cpu => cpu_busy += t,
-            Target::Ndp => ndp_busy += t,
-        }
-    }
-    PlacementDecision {
-        policy,
-        plan,
-        cpu_pinned_time,
-        ndp_pinned_time,
-        cpu_busy,
-        ndp_busy,
-        cpu_load_s: cluster.cpu_reserved_s.max(0.0),
-        ndp_load_s: cluster.ndp_reserved_s.max(0.0),
-        shifted,
-    }
 }
 
 /// Consults the planner for one task graph: `policy` decides the
@@ -233,7 +106,12 @@ pub(crate) fn decide_placement(
     cluster: &ClusterSnapshot,
     members: usize,
 ) -> PlacementDecision {
-    let timer = measured_timer();
+    // The paper's Table III system with its measured calibration.
+    let timer = MeasuredTimer::new(CpuNdpMachine::new(
+        calib::system_config(),
+        calib::measured(),
+        ModelConstants::paper_default(),
+    ));
     let stages = &graph.stages;
     let plan_under = |policy, load| {
         plan(
@@ -285,10 +163,18 @@ pub(crate) fn decide_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndft_dft::{build_task_graph, SiliconSystem};
+    use ndft_dft::{build_task_graph, build_task_graph_fused, SiliconSystem};
 
     fn graph(atoms: usize) -> TaskGraph {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1)
+    }
+
+    fn snapshot(cpu: f64, ndp: f64) -> ClusterSnapshot {
+        ClusterSnapshot {
+            cpu_reserved_s: cpu,
+            ndp_reserved_s: ndp,
+            shard_inflight: vec![1],
+        }
     }
 
     #[test]
@@ -315,13 +201,15 @@ mod tests {
 
     #[test]
     fn busy_split_sums_to_compute_time() {
-        let d = plan_placement(&graph(64), PlacementPolicy::CostAware);
-        let sum = d.cpu_busy + d.ndp_busy;
-        assert!(
-            (sum - d.plan.compute_time).abs() < 1e-9 * d.plan.compute_time.max(1e-12),
-            "{sum} vs {}",
-            d.plan.compute_time
-        );
+        for policy in PlacementPolicy::all() {
+            let d = plan_placement(&graph(64), policy);
+            let sum = d.cpu_busy + d.ndp_busy;
+            assert!(
+                (sum - d.plan.compute_time).abs() < 1e-9 * d.plan.compute_time.max(1e-12),
+                "{policy:?}: {sum} vs {}",
+                d.plan.compute_time
+            );
+        }
     }
 
     #[test]
@@ -350,23 +238,31 @@ mod tests {
         );
     }
 
-    fn snapshot(cpu: f64, ndp: f64) -> ClusterSnapshot {
-        ClusterSnapshot {
-            cpu_reserved_s: cpu,
-            ndp_reserved_s: ndp,
-            shard_inflight: vec![1],
-        }
-    }
-
     #[test]
     fn idle_cluster_reproduces_load_blind_decision() {
+        // Inert inputs reduce every policy to its load-blind solo
+        // decision: an idle cluster (or one with nothing reserved) and a
+        // batch of 0 or 1 members. Under a busy cluster, 0 and 1 members
+        // still agree with each other.
         let g = graph(256);
-        let blind = plan_placement(&g, PlacementPolicy::CostAware);
-        let idle = plan_placement_loaded(&g, PlacementPolicy::CostAware, &ClusterSnapshot::idle());
-        assert_eq!(blind, idle);
-        assert!(!blind.shifted);
-        assert_eq!(blind.cpu_load_s, 0.0);
-        assert_eq!(blind.ndp_load_s, 0.0);
+        let busy = snapshot(0.5, 2.0);
+        for policy in PlacementPolicy::all() {
+            let blind = plan_placement(&g, policy);
+            assert!(!blind.shifted, "{policy:?}");
+            assert_eq!(blind.cpu_load_s, 0.0);
+            assert_eq!(blind.ndp_load_s, 0.0);
+            for members in [0usize, 1] {
+                for cluster in [ClusterSnapshot::idle(), snapshot(0.0, 0.0)] {
+                    let d = decide_placement(&g, policy, &cluster, members);
+                    assert_eq!(d, blind, "{policy:?} {cluster:?} members {members}");
+                }
+                assert_eq!(
+                    decide_placement(&g, policy, &busy, members),
+                    decide_placement(&g, policy, &busy, 1),
+                    "{policy:?} busy members {members}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -377,7 +273,7 @@ mod tests {
         // Concurrent batches hold many batch-equivalents of NDP busy
         // time; the loaded plan must evacuate (records the load + shift).
         let heavy = snapshot(0.0, 1e4 * blind.cpu_pinned_time);
-        let loaded = plan_placement_loaded(&g, PlacementPolicy::CostAware, &heavy);
+        let loaded = decide_placement(&g, PlacementPolicy::CostAware, &heavy, 1);
         assert!(loaded.ndp_stage_count() < blind.ndp_stage_count());
         assert!(loaded.shifted);
         assert_eq!(loaded.ndp_load_s, heavy.ndp_reserved_s);
@@ -391,42 +287,25 @@ mod tests {
         let g = graph(64);
         let heavy = snapshot(1e6, 1e6);
         for policy in [PlacementPolicy::CpuPinned, PlacementPolicy::NdpPinned] {
-            let d = plan_placement_loaded(&g, policy, &heavy);
+            let d = decide_placement(&g, policy, &heavy, 1);
             assert!(!d.shifted, "{policy:?} shifted under load");
             assert_eq!(d.plan.placement, plan_placement(&g, policy).plan.placement);
         }
     }
 
     #[test]
-    fn fused_placement_of_one_is_the_plain_placement() {
-        let g = graph(64);
-        for policy in [
-            PlacementPolicy::CostAware,
-            PlacementPolicy::Greedy,
-            PlacementPolicy::CpuPinned,
-        ] {
-            assert_eq!(
-                plan_placement_fused(&g, policy, 1),
-                plan_placement(&g, policy),
-                "{policy:?}"
-            );
-        }
-        let busy = snapshot(0.5, 2.0);
-        assert_eq!(
-            plan_placement_fused_loaded(&g, PlacementPolicy::CostAware, &busy, 1),
-            plan_placement_loaded(&g, PlacementPolicy::CostAware, &busy)
-        );
-    }
-
-    #[test]
     fn fused_placement_amortization_never_hurts() {
-        use ndft_dft::build_task_graph_fused;
         let sys = SiliconSystem::new(64).unwrap();
         let solo = plan_placement(&build_task_graph(&sys, 1), PlacementPolicy::CostAware);
         let mut last = solo.modeled_time();
         for members in [2usize, 4, 16] {
             let fg = build_task_graph_fused(&sys, 1, members);
-            let fused = plan_placement_fused(&fg, PlacementPolicy::CostAware, members);
+            let fused = decide_placement(
+                &fg,
+                PlacementPolicy::CostAware,
+                &ClusterSnapshot::idle(),
+                members,
+            );
             // Cheaper boundaries + amortized shared reads: per-member
             // modeled time is non-increasing in the batch width.
             assert!(
@@ -450,50 +329,5 @@ mod tests {
             n > 0 && n < d.plan.placement.len(),
             "hybrid expected, got {n}"
         );
-    }
-
-    #[test]
-    fn decide_placement_reproduces_every_variant_function() {
-        use ndft_dft::build_task_graph_fused;
-        let policies = [
-            PlacementPolicy::CostAware,
-            PlacementPolicy::Greedy,
-            PlacementPolicy::Exhaustive,
-            PlacementPolicy::CpuPinned,
-            PlacementPolicy::NdpPinned,
-        ];
-        let mut shifted = 0;
-        for atoms in [16usize, 64, 256, 1024] {
-            let sys = SiliconSystem::new(atoms).unwrap();
-            for members in [0usize, 1, 2, 16] {
-                for g in [
-                    build_task_graph(&sys, 1),
-                    build_task_graph_fused(&sys, 1, members),
-                ] {
-                    let scale = plan_placement(&g, PlacementPolicy::CostAware).modeled_time();
-                    for cluster in [
-                        ClusterSnapshot::idle(),
-                        snapshot(0.0, 0.0),
-                        snapshot(3.0, 5.0),
-                        snapshot(0.0, 8.0 * scale),
-                        snapshot(1e6 * scale, 0.0),
-                    ] {
-                        for policy in policies {
-                            let old = if members <= 1 {
-                                plan_placement_loaded(&g, policy, &cluster)
-                            } else {
-                                plan_placement_fused_loaded(&g, policy, &cluster, members)
-                            };
-                            let new = decide_placement(&g, policy, &cluster, members);
-                            let at = format!("Si_{atoms} {policy:?} {cluster:?} members {members}");
-                            assert_eq!(new, old, "{at}");
-                            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{at}");
-                            shifted += usize::from(new.shifted);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(shifted > 0, "the loaded rows must exercise the bias");
     }
 }

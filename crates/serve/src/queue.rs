@@ -1,14 +1,10 @@
 //! Bounded submission queues with backpressure.
 //!
-//! Two structures live here:
-//!
-//! * [`BoundedQueue`] — the original mutex-and-condvar MPMC queue, kept
-//!   as a single-lane primitive (and as the `shards = 1` mental model).
-//! * [`ShardedQueue`] — N independent bounded shards keyed by a caller
-//!   hash (the engine uses the [`crate::WorkloadClass`] shard key), plus
-//!   the work-stealing protocol the dispatcher runs: consumers drain a
-//!   *home* shard and, when it is empty, steal the largest batchable run
-//!   (the most common key) from the most-loaded victim shard.
+//! [`ShardedQueue`] is N independent bounded shards keyed by a caller
+//! hash (the engine uses the [`crate::WorkloadClass`] shard key), plus
+//! the work-stealing protocol the dispatcher runs: consumers drain a
+//! *home* shard and, when it is empty, steal the largest batchable run
+//! (the most common key) from the most-loaded victim shard.
 //!
 //! Each shard holds one FIFO *lane* per [`crate::Priority`]. Both home
 //! drains and steals pick the highest-priority nonempty lane, with an
@@ -103,144 +99,6 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Bounded MPMC queue.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero capacity.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            capacity,
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking push; the backpressure-aware entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] at capacity, [`SubmitError::Closed`]
-    /// after [`BoundedQueue::close`].
-    pub fn try_push(&self, item: T) -> Result<(), SubmitError> {
-        let mut st = self.state.lock().unwrap();
-        if st.closed {
-            return Err(SubmitError::Closed);
-        }
-        if st.items.len() >= self.capacity {
-            return Err(SubmitError::QueueFull);
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking push: waits for space instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] if the queue closes while waiting.
-    pub fn push(&self, item: T) -> Result<(), SubmitError> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return Err(SubmitError::Closed);
-            }
-            if st.items.len() < self.capacity {
-                st.items.push_back(item);
-                drop(st);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-    }
-
-    /// Pops up to `max` items, blocking until at least one is available
-    /// or the queue is closed and drained (then `None`).
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if !st.items.is_empty() {
-                let n = st.items.len().min(max.max(1));
-                let batch: Vec<T> = st.items.drain(..n).collect();
-                drop(st);
-                self.not_full.notify_all();
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Like [`BoundedQueue::pop_batch`] but gives up at a fixed deadline
-    /// `timeout` from now (spurious or raced wakeups do not extend it).
-    pub fn pop_batch_timeout(&self, max: usize, timeout: Duration) -> Option<Vec<T>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if !st.items.is_empty() {
-                let n = st.items.len().min(max.max(1));
-                let batch: Vec<T> = st.items.drain(..n).collect();
-                drop(st);
-                self.not_full.notify_all();
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            let remaining = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (guard, _res) = self.not_empty.wait_timeout(st, remaining).unwrap();
-            st = guard;
-        }
-    }
-
-    /// Closes the queue: pending items still drain, new pushes fail, and
-    /// blocked consumers wake.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// True once closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-}
 
 /// A run of same-key items stolen from a victim shard.
 #[derive(Debug)]
@@ -665,101 +523,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn try_push_applies_backpressure() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(SubmitError::QueueFull));
-        assert_eq!(q.pop_batch(10), Some(vec![1, 2]));
-        q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn close_rejects_and_drains() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.close();
-        assert_eq!(q.try_push(2), Err(SubmitError::Closed));
-        assert_eq!(q.pop_batch(4), Some(vec![1]));
-        assert_eq!(q.pop_batch(4), None);
-    }
-
-    #[test]
-    fn blocking_push_wakes_on_space() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0).unwrap();
-        let prod = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push(1))
-        };
-        // Give the producer time to block, then free a slot.
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop_batch(1), Some(vec![0]));
-        prod.join().unwrap().unwrap();
-        assert_eq!(q.pop_batch(1), Some(vec![1]));
-    }
-
-    #[test]
-    fn concurrent_producers_consumers_deliver_everything() {
-        let q = Arc::new(BoundedQueue::new(8));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    for i in 0..50 {
-                        q.push(p * 1000 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(batch) = q.pop_batch(4) {
-                        got.extend(batch);
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all.len(), 200);
-        all.dedup();
-        assert_eq!(all.len(), 200, "every item delivered exactly once");
-    }
-
-    #[test]
-    fn pop_batch_timeout_expires() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
-        assert_eq!(q.pop_batch_timeout(1, Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn close_unblocks_blocked_producer_with_closed() {
-        // Regression: a producer parked in push() while the queue is full
-        // must observe Closed when the queue closes, not hang forever.
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0).unwrap();
-        let prod = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push(1))
-        };
-        thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(prod.join().unwrap(), Err(SubmitError::Closed));
-    }
 
     #[test]
     fn sharded_routes_by_key_and_reports_depths() {

@@ -11,7 +11,7 @@ use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobRequest, Priority};
 use crate::metrics::{Metrics, ServeReport};
-use crate::placement::{plan_placement_loaded, PlacementPolicy};
+use crate::placement::{decide_placement, PlacementPolicy};
 use crate::progress::{JobStage, ProgressBus, ProgressStream};
 use crate::queue::{ShardedQueue, SubmitError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -524,11 +524,9 @@ impl EngineShared {
             return 0.0;
         };
         let snap = self.cluster.snapshot();
-        let decision = if self.config.load_aware {
-            plan_placement_loaded(&graph, self.config.policy, &snap)
-        } else {
-            plan_placement_loaded(&graph, self.config.policy, &ClusterSnapshot::idle())
-        };
+        let idle = ClusterSnapshot::idle();
+        let view = if self.config.load_aware { &snap } else { &idle };
+        let decision = decide_placement(&graph, self.config.policy, view, 1);
         let run_s = decision.modeled_cost_s(job.modeled_iterations());
         let backlog_s = snap.cpu_reserved_s + snap.ndp_reserved_s + self.queue.len() as f64 * run_s;
         backlog_s / self.config.workers.max(1) as f64 + run_s

@@ -31,14 +31,11 @@
 
 use crate::batch::{form_batches_from, Batch, BatchOrigin};
 use crate::cache::HitTier;
-use crate::cluster::Reservation;
+use crate::cluster::{ClusterSnapshot, Reservation};
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
-use crate::placement::{
-    plan_placement, plan_placement_fused, plan_placement_fused_loaded, plan_placement_loaded,
-    PlacementDecision,
-};
+use crate::placement::{decide_placement, PlacementDecision};
 use crate::progress::JobStage;
 use crate::service::EngineShared;
 use crate::telemetry::{PlacementTarget, Stage};
@@ -792,11 +789,12 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // targets that concurrent batches have reserved look
                 // slower, so simultaneous batches spread instead of
                 // stacking.
-                let snapshot = shared.config.load_aware.then(|| shared.cluster.snapshot());
-                let solo = match &snapshot {
-                    Some(snap) => plan_placement_loaded(&graph, shared.config.policy, snap),
-                    None => plan_placement(&graph, shared.config.policy),
+                let snapshot = if shared.config.load_aware {
+                    shared.cluster.snapshot()
+                } else {
+                    ClusterSnapshot::idle()
                 };
+                let solo = decide_placement(&graph, shared.config.policy, &snapshot, 1);
                 let (decision, modeled) = if fuse {
                     // Plan the amortized per-member view: the fused task
                     // graph charges shared operand traffic once across
@@ -807,17 +805,8 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     // saw.
                     let fused_graph =
                         build_task_graph_fused(&graph.system, graph.iterations, batch_jobs);
-                    let fused = match &snapshot {
-                        Some(snap) => plan_placement_fused_loaded(
-                            &fused_graph,
-                            shared.config.policy,
-                            snap,
-                            batch_jobs,
-                        ),
-                        None => {
-                            plan_placement_fused(&fused_graph, shared.config.policy, batch_jobs)
-                        }
-                    };
+                    let fused =
+                        decide_placement(&fused_graph, shared.config.policy, &snapshot, batch_jobs);
                     fused_saving_s = (solo.modeled_time() - fused.modeled_time()).max(0.0);
                     let modeled = run_ndft_with(&fused_graph, NdftOptions::default());
                     (fused, modeled)
@@ -1048,7 +1037,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementPolicy;
+    use crate::placement::{plan_placement, PlacementPolicy};
 
     #[test]
     fn execute_payload_runs_all_kinds() {

@@ -12,14 +12,14 @@
 use ndft::dft::{build_task_graph, SiliconSystem};
 use ndft::sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
 use ndft::sched::dynamic::{simulate_online, DynamicOptions};
-use ndft::sched::{plan_chain, StaticCodeAnalyzer, Target};
+use ndft::sched::{plan, PlanRequest, StaticCodeAnalyzer, Target};
 
 fn main() {
     let sca = StaticCodeAnalyzer::paper_default();
     let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
 
     // --- 1. The static plan and its energy/EDP alternatives. ---
-    let dp = plan_chain(&stages, &sca);
+    let dp = plan(&stages, &sca, &PlanRequest::default());
     println!(
         "Static DP plan (time-optimal): {:.1} ms, {} CPU↔NDP crossings",
         dp.total_time() * 1e3,

@@ -9,8 +9,7 @@
 
 use ndft::dft::{build_task_graph, SiliconSystem};
 use ndft::sched::{
-    granularity_study, plan_chain, plan_exhaustive, plan_greedy, plan_pinned, StaticCodeAnalyzer,
-    Target,
+    granularity_study, plan, PlacementPolicy, PlanRequest, StaticCodeAnalyzer, Target,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,10 +47,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== Placement plans (predicted total, Eq. 1 overhead) ===");
-    let dp = plan_chain(&graph.stages, &sca);
-    let greedy = plan_greedy(&graph.stages, &sca);
-    let cpu_only = plan_pinned(&graph.stages, Target::Cpu, &sca);
-    let ndp_only = plan_pinned(&graph.stages, Target::Ndp, &sca);
+    let by = |policy| {
+        let request = PlanRequest {
+            policy,
+            ..PlanRequest::default()
+        };
+        plan(&graph.stages, &sca, &request)
+    };
+    let dp = by(PlacementPolicy::CostAware);
+    let greedy = by(PlacementPolicy::Greedy);
+    let cpu_only = by(PlacementPolicy::CpuPinned);
+    let ndp_only = by(PlacementPolicy::NdpPinned);
     for (name, plan) in [
         ("cost-aware DP (NDFT)", &dp),
         ("greedy per-stage", &greedy),
@@ -67,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     if graph.stages.len() <= 24 {
-        let exhaustive = plan_exhaustive(&graph.stages, &sca);
+        let exhaustive = by(PlacementPolicy::Exhaustive);
         println!(
             "{:<22} total {:>10.2} ms  (validates the DP: {})",
             "exhaustive 2^n",

@@ -7,7 +7,7 @@ use ndft::dft::casida::{run_casida, solve_tda_iterative};
 use ndft::dft::{build_task_graph, SiliconSystem};
 use ndft::sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
 use ndft::sched::dynamic::{simulate_online, DynamicOptions};
-use ndft::sched::{plan_chain, StaticCodeAnalyzer};
+use ndft::sched::{plan, PlanRequest, StaticCodeAnalyzer};
 use ndft::shmem::coherence::simulate_update_cycle;
 use ndft::sim::timing::{CoreModel, KernelTrace, MemPort};
 use ndft::sim::{
@@ -89,7 +89,7 @@ fn coherence_saving_decreases_with_write_intensity() {
 fn annealer_and_online_scheduler_are_consistent_with_dp() {
     let sca = StaticCodeAnalyzer::paper_default();
     let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
-    let dp = plan_chain(&stages, &sca);
+    let dp = plan(&stages, &sca, &PlanRequest::default());
     // Annealed time plan = DP plan.
     let sa = plan_anneal(
         &stages,

@@ -5,7 +5,7 @@
 use ndft::core::{run_ndft, run_ndft_with, MeasuredTimer, NdftOptions};
 use ndft::dft::{atom_block_bytes, build_task_graph, run_lr_tddft, KernelKind, SiliconSystem};
 use ndft::numerics::{face_splitting_cost, Fft3Plan};
-use ndft::sched::{plan_chain, plan_exhaustive, Target};
+use ndft::sched::{plan, PlacementPolicy, PlanRequest, Target};
 use ndft::shmem::{CommScheme, NdftRuntime, UnitId};
 use ndft::sim::SystemConfig;
 
@@ -49,8 +49,15 @@ fn measured_planner_matches_exhaustive_on_real_pipeline() {
         ndft::core::ModelConstants::paper_default(),
     );
     let timer = MeasuredTimer::new(machine);
-    let dp = plan_chain(&graph.stages, &timer);
-    let ex = plan_exhaustive(&graph.stages, &timer);
+    let dp = plan(&graph.stages, &timer, &PlanRequest::default());
+    let ex = plan(
+        &graph.stages,
+        &timer,
+        &PlanRequest {
+            policy: PlacementPolicy::Exhaustive,
+            ..PlanRequest::default()
+        },
+    );
     assert!(
         (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
         "DP {} vs exhaustive {}",

@@ -4,7 +4,7 @@ use ndft::dft::{
     alltoall_volume, build_task_graph, footprint_bytes, ProcessTopology, PseudoLayout,
     SiliconSystem,
 };
-use ndft::sched::{plan_chain, plan_greedy, plan_pinned, StaticCodeAnalyzer, Target};
+use ndft::sched::{plan, PlacementPolicy, PlanRequest, StaticCodeAnalyzer};
 use ndft::sim::{MeshNoc, SystemConfig};
 use proptest::prelude::*;
 
@@ -31,10 +31,11 @@ proptest! {
     fn cost_aware_plan_never_loses_to_baselines(atoms in atom_count()) {
         let graph = build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1);
         let sca = StaticCodeAnalyzer::paper_default();
-        let dp = plan_chain(&graph.stages, &sca).total_time();
-        prop_assert!(dp <= plan_greedy(&graph.stages, &sca).total_time() + 1e-12);
-        prop_assert!(dp <= plan_pinned(&graph.stages, Target::Cpu, &sca).total_time() + 1e-12);
-        prop_assert!(dp <= plan_pinned(&graph.stages, Target::Ndp, &sca).total_time() + 1e-12);
+        let dp = plan(&graph.stages, &sca, &PlanRequest::default()).total_time();
+        for policy in PlacementPolicy::all() {
+            let other = plan(&graph.stages, &sca, &PlanRequest { policy, ..PlanRequest::default() });
+            prop_assert!(dp <= other.total_time() + 1e-12, "{:?}", policy);
+        }
     }
 
     #[test]
