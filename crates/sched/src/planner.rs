@@ -226,11 +226,10 @@ pub fn plan(stages: &[KernelDescriptor], timer: &dyn StageTimer, request: &PlanR
     let fused = FusedTimer::new(timer, request.members);
     let biased = LoadBiasedTimer::new(&fused, request.load);
     let placement = match request.policy {
-        PlacementPolicy::CostAware => chain_dp(stages, &biased),
         PlacementPolicy::Exhaustive if stages.len() <= EXHAUSTIVE_MAX_STAGES => {
             exhaustive_search(stages, &biased)
         }
-        PlacementPolicy::Exhaustive => chain_dp(stages, &biased),
+        PlacementPolicy::CostAware | PlacementPolicy::Exhaustive => chain_dp(stages, &biased),
         PlacementPolicy::Greedy => greedy(stages, &biased),
         PlacementPolicy::CpuPinned => vec![Target::Cpu; stages.len()],
         PlacementPolicy::NdpPinned => vec![Target::Ndp; stages.len()],
@@ -570,19 +569,21 @@ mod tests {
         // Inert request fields reduce every policy to its plain plan: an
         // idle load (no reservations, or no reference scale) and a batch
         // of 0 or 1 members. The plain plan's costs are its placement
-        // evaluated under the raw timer.
+        // evaluated under the raw timer. Under a busy load, 0 and 1
+        // members still agree with each other.
         let t = sca();
+        let busy = TargetLoad::new(0.0, 3.0, 1.0);
         for atoms in [16usize, 256] {
             let s = stages(atoms);
             for policy in PlacementPolicy::all() {
                 let base = plan(&s, &t, &request(policy));
                 assert_eq!(base, make_plan(&s, base.placement.clone(), &t));
-                for load in [
-                    TargetLoad::NONE,
-                    TargetLoad::new(0.0, 0.0, 1.0),
-                    TargetLoad::new(3.0, 5.0, 0.0), // no reference scale ⇒ inert
-                ] {
-                    for members in [0usize, 1] {
+                for members in [0usize, 1] {
+                    for load in [
+                        TargetLoad::NONE,
+                        TargetLoad::new(0.0, 0.0, 1.0),
+                        TargetLoad::new(3.0, 5.0, 0.0), // no reference scale ⇒ inert
+                    ] {
                         let req = PlanRequest {
                             policy,
                             load,
@@ -590,6 +591,17 @@ mod tests {
                         };
                         assert_eq!(plan(&s, &t, &req), base, "Si_{atoms} {req:?}");
                     }
+                    let req = PlanRequest {
+                        policy,
+                        load: busy,
+                        members,
+                    };
+                    let solo = PlanRequest { members: 1, ..req };
+                    assert_eq!(
+                        plan(&s, &t, &req),
+                        plan(&s, &t, &solo),
+                        "Si_{atoms} {req:?}"
+                    );
                 }
             }
         }
