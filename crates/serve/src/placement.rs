@@ -100,6 +100,9 @@ pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDe
 
 /// Consults the planner for one task graph: `policy` decides the
 /// placement of a `members`-way batch under the load `cluster` holds.
+/// A fused batch passes its `build_task_graph_fused` graph, so stage
+/// times also reflect the shared-operand traffic; reported times are
+/// per member.
 pub(crate) fn decide_placement(
     graph: &TaskGraph,
     policy: PlacementPolicy,
