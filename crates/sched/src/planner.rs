@@ -608,6 +608,37 @@ mod tests {
     }
 
     #[test]
+    fn fused_plan_of_one_is_the_plain_plan() {
+        // A batch of one member (0 is clamped to 1) is the plain plan,
+        // with or without load.
+        let t = sca();
+        let load = TargetLoad::new(0.0, 3.0, 1.0);
+        for atoms in [16usize, 256] {
+            let s = stages(atoms);
+            for policy in PlacementPolicy::all() {
+                let plain = plan(&s, &t, &request(policy));
+                let plain_loaded = plan(
+                    &s,
+                    &t,
+                    &PlanRequest {
+                        load,
+                        ..request(policy)
+                    },
+                );
+                for members in [0usize, 1] {
+                    assert_eq!(plan(&s, &t, &batch(policy, members)), plain, "{policy:?}");
+                    let req = PlanRequest {
+                        policy,
+                        load,
+                        members,
+                    };
+                    assert_eq!(plan(&s, &t, &req), plain_loaded, "{policy:?} {req:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ndp_pressure_pushes_placement_toward_cpu() {
         let s = stages(1024);
         let t = sca();

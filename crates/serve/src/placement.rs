@@ -269,6 +269,24 @@ mod tests {
     }
 
     #[test]
+    fn fused_placement_of_one_is_the_plain_placement() {
+        // A batch of one member (0 is clamped to 1) decides exactly as a
+        // solo job, on an idle and on a busy cluster.
+        let g = graph(64);
+        let busy = snapshot(0.5, 2.0);
+        for policy in PlacementPolicy::all() {
+            let plain = plan_placement(&g, policy);
+            let plain_busy = decide_placement(&g, policy, &busy, 1);
+            for members in [0usize, 1] {
+                let d = decide_placement(&g, policy, &ClusterSnapshot::idle(), members);
+                assert_eq!(d, plain, "{policy:?} members {members}");
+                let d = decide_placement(&g, policy, &busy, members);
+                assert_eq!(d, plain_busy, "{policy:?} busy members {members}");
+            }
+        }
+    }
+
+    #[test]
     fn ndp_contention_shifts_the_split_toward_cpu() {
         let g = graph(1024);
         let blind = plan_placement(&g, PlacementPolicy::CostAware);
