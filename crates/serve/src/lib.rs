@@ -69,11 +69,12 @@
 //!   channel-backed [`CompletionStream`] — and [`exec`] ships a minimal
 //!   `block_on` executor plus `join_all`/`race` combinators, all
 //!   runtime-agnostic (no tokio).
-//! * **Progress streaming** — workers publish per-job lifecycle events
-//!   (`Queued` → `Planned` → `Running` → `Done`, cache-hit and panic
-//!   paths included) into a bounded drop-oldest ring; subscribe with
-//!   [`DftService::progress`] ([`ProgressStream`]) to watch live
-//!   placement decisions without touching the aggregate report.
+//! * **Progress streaming** — every lifecycle transition is published
+//!   once, into the one bounded drop-oldest event ring in [`trace`];
+//!   [`DftService::progress`] ([`ProgressStream`]) is a live view of its
+//!   lifecycle kinds (`Queued` → `Running` → `Done`, cache-hit, cancel
+//!   and panic paths included), so a frontend can watch each job
+//!   without touching the aggregate report.
 //! * **Multi-tenant QoS** — submissions carry a [`JobRequest`] (built
 //!   from any [`DftJob`] via `JobRequest::new(job).priority(..)
 //!   .deadline(..).tenant(..)`): three [`Priority`] classes map onto
@@ -149,7 +150,6 @@ pub mod job;
 pub mod metrics;
 pub mod persist;
 pub mod placement;
-pub mod progress;
 pub mod queue;
 pub mod router;
 pub mod service;
@@ -173,7 +173,6 @@ pub use job::{
 pub use metrics::{ExecutionSample, Metrics, ServeReport};
 pub use persist::{Dec, DiskTier, Enc, PersistValue};
 pub use placement::{plan_placement, PlacementDecision, PlacementPolicy};
-pub use progress::{JobStage, ProgressEvent, ProgressStream};
 pub use queue::{ShardedQueue, StolenRun, SubmitError};
 pub use router::{FaultAction, FaultEvent, FaultPlan, HashRing, RouteInfo, RoutingLog};
 pub use service::{DftService, ServeConfig};
@@ -183,8 +182,8 @@ pub use telemetry::{
 };
 pub use ticket::{JobTicket, TicketFuture, TicketResolver};
 pub use trace::{
-    chrome_trace_json, federated_chrome_trace_json, TraceCollector, TraceEvent, TraceEventKind,
-    TraceId,
+    chrome_trace_json, federated_chrome_trace_json, JobStage, ProgressEvent, ProgressStream,
+    TraceCollector, TraceEvent, TraceEventKind, TraceId,
 };
 pub use worker::{
     execute_job, execute_job_fused, execute_payload, execute_payload_fused, FusedContext,

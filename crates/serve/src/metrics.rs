@@ -308,7 +308,8 @@ impl Metrics {
     }
 
     /// Snapshot folded together with cache counters, the queue's live
-    /// per-shard depths, the progress and trace rings' drop counters,
+    /// per-shard depths, the event ring's two drop counters (progress
+    /// stream and trace collector queues),
     /// and the telemetry hub's per-class and per-priority latency
     /// percentile rows.
     pub fn report(
@@ -443,13 +444,15 @@ pub struct ServeReport {
     /// (submitted − completed − failed; cache serves count as instantly
     /// fulfilled). The in-flight gauge async frontends watch.
     pub tickets_outstanding: u64,
-    /// Progress events evicted unread from the bounded drop-oldest ring
-    /// (slow or absent [`crate::ProgressStream`] consumer; never a
-    /// worker stall).
+    /// Lifecycle events the event ring's bounded drop-oldest stream
+    /// queue evicted unread (slow [`crate::ProgressStream`] consumer;
+    /// never a worker stall) or discarded when the last stream
+    /// detached.
     pub progress_events_dropped: u64,
-    /// Span events evicted unread from the trace ring (slow
-    /// [`crate::TraceCollector`] consumer; zero on unwatched engines,
-    /// which buffer nothing).
+    /// Span events the event ring's collector queue evicted unread
+    /// (slow [`crate::TraceCollector`] consumer) or discarded when the
+    /// last collector detached; zero on unwatched engines, which buffer
+    /// nothing.
     pub trace_events_dropped: u64,
     /// Per-class end-to-end latency percentiles (p50/p90/p99/p99.9 and
     /// the exact max), derived from the always-on telemetry histograms

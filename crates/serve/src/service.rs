@@ -12,12 +12,11 @@ use crate::dag::{WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobRequest, Priority};
 use crate::metrics::{Metrics, ServeReport};
 use crate::placement::{decide_placement, PlacementPolicy};
-use crate::progress::{JobStage, ProgressBus, ProgressStream};
 use crate::queue::{ShardedQueue, SubmitError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::tenant::TenantTable;
 use crate::ticket::JobTicket;
-use crate::trace::{TraceCollector, TraceEvent, TraceEventKind, TraceId};
+use crate::trace::{ProgressStream, TraceCollector, TraceEvent, TraceEventKind, TraceId};
 use crate::worker::{worker_loop, JobOutcome, PendingJob};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -61,17 +60,15 @@ pub struct ServeConfig {
     /// across restarts, not concurrent engines sharing a `dir` (see
     /// [`crate::persist`]).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Capacity of the bounded, drop-oldest progress-event ring
-    /// ([`crate::ProgressStream`]). Full ⇒ the oldest undelivered event
-    /// is evicted and counted ([`ServeReport::progress_events_dropped`]);
-    /// publishing never blocks a worker.
-    pub progress_capacity: usize,
-    /// Capacity of the bounded, drop-oldest span-event ring behind
-    /// [`DftService::trace`]. Only consumed while a
-    /// [`crate::TraceCollector`] is attached — unwatched engines buffer
+    /// Capacity of each of the event ring's two bounded, drop-oldest
+    /// queues: the [`DftService::trace`] collector queue and the
+    /// [`DftService::progress`] stream queue. A queue only fills while a
+    /// handle of its kind is attached — unwatched engines buffer
     /// nothing and pay one relaxed atomic load per would-be event. Full
     /// ⇒ the oldest undelivered event is evicted and counted
-    /// ([`ServeReport::trace_events_dropped`]).
+    /// ([`ServeReport::trace_events_dropped`],
+    /// [`ServeReport::progress_events_dropped`]); publishing never
+    /// blocks a worker. Must be positive.
     pub trace_capacity: usize,
     /// Quality-of-service dispatch: when `true` (the default) each
     /// shard serves its [`Priority`] lanes highest-first with an aging
@@ -108,7 +105,6 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             cache_policy: CachePolicy::CostWeighted,
             cache_dir: None,
-            progress_capacity: 1024,
             trace_capacity: 65_536,
             qos: true,
             tenant_quota: None,
@@ -146,7 +142,6 @@ pub(crate) struct EngineShared {
     pub(crate) cache: ResultCache<Arc<JobOutcome>>,
     pub(crate) cluster: ClusterView,
     pub(crate) metrics: Arc<Metrics>,
-    pub(crate) progress: Arc<ProgressBus>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) tenants: Arc<TenantTable>,
     pub(crate) workflows: WorkflowRegistry,
@@ -164,14 +159,15 @@ impl DftService {
     ///
     /// # Panics
     ///
-    /// Panics on a zero worker count, queue capacity, or cache
-    /// capacity, and when `cache_dir` is set but the directory or its
-    /// write-ahead file cannot be created/opened (misconfiguration; a
-    /// *corrupt* existing file is recovered, not fatal — see
-    /// [`crate::persist`]).
+    /// Panics on a zero worker count, shard count, trace capacity, queue
+    /// capacity, or cache capacity, and when `cache_dir` is set but the
+    /// directory or its write-ahead file cannot be created/opened
+    /// (misconfiguration; a *corrupt* existing file is recovered, not
+    /// fatal — see [`crate::persist`]).
     pub fn start(config: ServeConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.shards > 0, "need at least one shard");
+        assert!(config.trace_capacity > 0, "trace capacity must be positive");
         let worker_count = config.workers;
         let cache = match &config.cache_dir {
             Some(dir) => ResultCache::with_disk(config.cache_capacity, config.cache_policy, dir)
@@ -183,7 +179,6 @@ impl DftService {
             cache,
             cluster: ClusterView::new(config.shards),
             metrics: Arc::new(Metrics::new(config.shards, config.workers)),
-            progress: Arc::new(ProgressBus::new(config.progress_capacity)),
             telemetry: Arc::new(Telemetry::new(config.trace_capacity)),
             tenants: Arc::new(TenantTable::new(config.tenant_quota)),
             workflows: WorkflowRegistry::new(),
@@ -335,50 +330,32 @@ impl EngineShared {
             let e2e = admitted.elapsed();
             self.telemetry.record_end_to_end(class, priority, e2e);
             if self.telemetry.traced() {
-                let start_ns = self.telemetry.ns_at(admitted);
+                let served = TraceEvent {
+                    seq: 0,
+                    trace,
+                    fingerprint,
+                    class,
+                    worker: None,
+                    start_ns: self.telemetry.ns_at(admitted),
+                    dur_ns: 0,
+                    kind: TraceEventKind::CacheHit { tier },
+                };
+                // The serve's whole life is the lookup, so the
+                // already-measured end-to-end span is the fulfill span —
+                // no second clock read.
+                let fulfill = TraceEvent {
+                    dur_ns: e2e.as_nanos() as u64,
+                    kind: TraceEventKind::TicketFulfill {
+                        ok: true,
+                        cached: true,
+                    },
+                    ..served
+                };
                 // One ring acquisition for the whole two-event chain,
                 // straight from the stack — this is the hottest traced
                 // path on a warm cache.
-                let events = [
-                    TraceEvent {
-                        seq: 0,
-                        trace,
-                        fingerprint,
-                        class,
-                        worker: None,
-                        start_ns,
-                        dur_ns: 0,
-                        kind: TraceEventKind::CacheHit { tier },
-                    },
-                    TraceEvent {
-                        seq: 0,
-                        trace,
-                        fingerprint,
-                        class,
-                        worker: None,
-                        start_ns,
-                        // The serve's whole life is the lookup, so the
-                        // already-measured end-to-end span is the
-                        // fulfill span — no second clock read.
-                        dur_ns: e2e.as_nanos() as u64,
-                        kind: TraceEventKind::TicketFulfill {
-                            ok: true,
-                            cached: true,
-                        },
-                    },
-                ];
-                self.telemetry.publish_slice(&events);
+                self.telemetry.publish_slice(&[served, fulfill]);
             }
-            // Done is published before the caller can observe the
-            // result, so by the time any waiter resolves, the lifecycle
-            // stream already tells the whole story.
-            self.progress.publish(
-                fingerprint,
-                JobStage::Done {
-                    ok: true,
-                    cached: true,
-                },
-            );
             return Ok(Issued::Cached {
                 fingerprint,
                 trace,
@@ -436,30 +413,23 @@ impl EngineShared {
             ticket: ticket.clone(),
             enqueued: admitted,
             warm,
-            progress: Arc::clone(&self.progress),
             metrics: Arc::clone(&self.metrics),
             telemetry: Arc::clone(&self.telemetry),
         };
-        // Queued is published *before* the push: once the job is in the
-        // queue a worker may stream Planned/Running/Done at any moment,
-        // and the lifecycle must never appear out of order (the Enqueue
-        // span event follows the same rule). A rejected push hands the
-        // PendingJob back, and the error arm below closes the dangling
-        // lifecycle itself — a never-admitted job must not run the
-        // worker-side Drop guard's failure accounting.
-        self.progress
-            .publish(fingerprint, JobStage::Queued { shard });
+        // Enqueue is published *before* the push: once the job is in
+        // the queue a worker may publish the rest of its lane at any
+        // moment, and the lifecycle must never appear out of order. A
+        // rejected push hands the PendingJob back, and the error arm
+        // below closes the dangling lane itself — a never-admitted job
+        // must not run the worker-side Drop guard's failure accounting.
         if self.telemetry.traced() {
-            self.telemetry.publish(TraceEvent {
-                seq: 0,
-                trace,
-                fingerprint,
-                class,
-                worker: None,
-                start_ns: self.telemetry.ns_at(admitted),
-                dur_ns: 0,
-                kind: TraceEventKind::Enqueue { shard },
-            });
+            let start_ns = self.telemetry.ns_at(admitted);
+            self.telemetry.publish(pending.event(
+                None,
+                start_ns,
+                0,
+                TraceEventKind::Enqueue { shard },
+            ));
         }
         let pushed = if blocking {
             self.queue.push_at(shard_key, lane, pending)
@@ -475,33 +445,19 @@ impl EngineShared {
                 if e == SubmitError::QueueFull {
                     self.metrics.on_reject();
                 }
-                // Close the streamed lifecycle, then defuse the Drop
-                // guard by resolving the ticket first: this job was
-                // never admitted, so it counts as a rejection — not as
-                // a submitted-then-failed job. (No end-to-end histogram
-                // record either, for the same reason; the trace chain
-                // still closes with a failed fulfill event.)
-                self.progress.publish(
-                    fingerprint,
-                    JobStage::Done {
+                // Close the lane with a failed fulfill event, then defuse
+                // the Drop guard by resolving the ticket first: this job
+                // was never admitted, so it counts as a rejection — not
+                // as a submitted-then-failed job (and records no
+                // end-to-end latency, for the same reason).
+                if self.telemetry.traced() {
+                    let fulfill = TraceEventKind::TicketFulfill {
                         ok: false,
                         cached: false,
-                    },
-                );
-                if self.telemetry.traced() {
-                    self.telemetry.publish(TraceEvent {
-                        seq: 0,
-                        trace,
-                        fingerprint,
-                        class,
-                        worker: None,
-                        start_ns: self.telemetry.now_ns(),
-                        dur_ns: 0,
-                        kind: TraceEventKind::TicketFulfill {
-                            ok: false,
-                            cached: false,
-                        },
-                    });
+                    };
+                    let now_ns = self.telemetry.now_ns();
+                    self.telemetry
+                        .publish(pending.event(None, now_ns, 0, fulfill));
                 }
                 pending.ticket.fulfill(Err(crate::job::JobError::ShutDown));
                 drop(pending);
@@ -543,11 +499,11 @@ impl DftService {
     }
 
     /// Subscribes to the engine's per-job lifecycle events (`Queued` →
-    /// `Planned` → `Running` → `Done`). Handles share one bounded
-    /// drop-oldest ring and consume destructively — see
-    /// [`crate::progress`].
+    /// `Running` → `Done`): a live view of the lifecycle kinds of the
+    /// event ring. Handles share one bounded drop-oldest queue and
+    /// consume destructively — see [`crate::trace`].
     pub fn progress(&self) -> ProgressStream {
-        ProgressStream::new(Arc::clone(&self.shared.progress))
+        ProgressStream::new(Arc::clone(&self.shared.telemetry))
     }
 
     /// Live in-flight ticket gauge: submissions not yet fulfilled
@@ -631,7 +587,7 @@ impl DftService {
             let r = self.shared.metrics.report(
                 self.shared.cache.stats(),
                 depths.clone(),
-                self.shared.progress.dropped(),
+                self.shared.telemetry.progress_events_dropped(),
                 self.shared.telemetry.class_latency(),
                 self.shared.telemetry.priority_latency(),
                 self.shared.telemetry.trace_events_dropped(),
@@ -705,7 +661,7 @@ impl DftService {
         // only if a worker thread died outright. Sweep every shard and
         // fail them explicitly rather than leaving waiters hanging. The
         // shared failure protocol records the counters, the end-to-end
-        // latency, the closing Done, and the trace fulfill event.
+        // latency, and the closing fulfill event.
         // Cancelled tombstones (ticket already resolved) take the
         // cancellation exit instead, so they count once as cancelled
         // rather than as shutdown failures.
@@ -727,10 +683,10 @@ impl DftService {
         // idempotent), so every workflow ticket resolves and the
         // extended conservation invariant closes its books.
         self.shared.workflows.sweep();
-        // Close the lifecycle stream last: buffered events still drain,
-        // then blocking consumers observe end-of-stream instead of
+        // Close the event ring last: buffered events still drain, then
+        // blocked progress streams observe end-of-stream instead of
         // parking forever on a dead engine.
-        self.shared.progress.close();
+        self.shared.telemetry.ring().close();
     }
 }
 
@@ -809,6 +765,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "trace capacity must be positive")]
+    fn zero_trace_capacity_is_rejected_at_start() {
+        DftService::start(ServeConfig {
+            trace_capacity: 0,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
     fn submissions_rejected_after_shutdown() {
         let mut svc = DftService::start_default();
         svc.shutdown_in_place();
@@ -859,7 +824,6 @@ mod tests {
             ticket: ticket.clone(),
             enqueued: Instant::now(),
             warm: None,
-            progress: Arc::clone(&svc.shared.progress),
             metrics: Arc::clone(&svc.shared.metrics),
             telemetry: Arc::clone(&svc.shared.telemetry),
         };

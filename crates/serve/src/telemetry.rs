@@ -49,7 +49,7 @@
 
 use crate::job::{Priority, WorkloadClass};
 use crate::placement::PlacementDecision;
-use crate::trace::{TraceEvent, TraceRing};
+use crate::trace::{HandleKind, TraceEvent, TraceRing};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -516,8 +516,8 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A fresh hub whose epoch is "now" and whose span ring holds
-    /// `trace_capacity` events.
+    /// A fresh hub whose epoch is "now" and whose event ring holds up
+    /// to `trace_capacity` (positive) events per handle kind.
     pub fn new(trace_capacity: usize) -> Self {
         Telemetry {
             epoch: Instant::now(),
@@ -551,8 +551,9 @@ impl Telemetry {
         crate::trace::TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// True while at least one [`crate::TraceCollector`] is attached —
-    /// the one relaxed load unwatched engines pay per would-be event.
+    /// True while at least one [`crate::TraceCollector`] or
+    /// [`crate::ProgressStream`] is attached — the one relaxed load
+    /// unwatched engines pay per would-be event.
     #[inline]
     pub fn traced(&self) -> bool {
         self.ring.has_subscribers()
@@ -560,7 +561,7 @@ impl Telemetry {
 
     /// Publishes a span event (dropped unless [`Telemetry::traced`]).
     pub fn publish(&self, event: TraceEvent) {
-        self.ring.publish(event);
+        self.ring.publish_slice(std::slice::from_ref(&event));
     }
 
     /// Publishes a run of span events under one ring-lock acquisition.
@@ -570,7 +571,7 @@ impl Telemetry {
         self.ring.publish_slice(events);
     }
 
-    /// The span ring (collector subscriptions attach here).
+    /// The event ring (collectors and progress streams attach here).
     pub(crate) fn ring(&self) -> &TraceRing {
         &self.ring
     }
@@ -615,9 +616,14 @@ impl Telemetry {
         self.e2e_recorded.load(Ordering::Acquire)
     }
 
-    /// Span events dropped because the ring was full.
+    /// Events the collector queue evicted or discarded unread.
     pub fn trace_events_dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.ring.dropped(HandleKind::Collector)
+    }
+
+    /// Events the progress-stream queue evicted or discarded unread.
+    pub(crate) fn progress_events_dropped(&self) -> u64 {
+        self.ring.dropped(HandleKind::Stream)
     }
 
     /// Merged snapshot of every class's histograms plus the ring's
@@ -641,7 +647,7 @@ impl Telemetry {
             classes,
             e2e_count: self.e2e_count(),
             trace_events_recorded: self.ring.recorded(),
-            trace_events_dropped: self.ring.dropped(),
+            trace_events_dropped: self.trace_events_dropped(),
             queue_high_watermarks: Vec::new(),
         }
     }

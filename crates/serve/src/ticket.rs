@@ -199,11 +199,12 @@ impl JobTicket {
     ///
     /// A still-queued job becomes a tombstone: the worker (or the
     /// shutdown sweep) that later dequeues it observes the resolved
-    /// ticket, counts the job as cancelled, and emits its progress and
-    /// trace exit events instead of executing it. A job that a worker
-    /// has already started executes to completion, but its result is
-    /// discarded — the ticket keeps the `Cancelled` outcome. Nothing is
-    /// released from [`crate::ClusterView`]: queued jobs reserve nothing.
+    /// ticket, counts the job as cancelled, and closes its trace lane
+    /// (a progress stream reads `cancelled` → `done`) instead of
+    /// executing it. A job that a worker has already started executes
+    /// to completion, but its result is discarded — the ticket keeps
+    /// the `Cancelled` outcome. Nothing is released from
+    /// [`crate::ClusterView`]: queued jobs reserve nothing.
     pub fn cancel(&self) -> bool {
         self.resolve(Err(JobError::Cancelled), true)
     }

@@ -1,23 +1,41 @@
-//! Per-job trace spans: the timeline behind the histograms.
+//! Per-job trace spans and lifecycle progress: the one event ring.
 //!
 //! Every submission is assigned a [`TraceId`] at admission; workers
 //! emit a [`TraceEvent`] at each lifecycle transition — enqueue, steal,
-//! batch formation, planner consult, reservation hold, numerics, cache
-//! store/hit, ticket fulfill — into one bounded, drop-oldest,
-//! drop-counting ring shared by all [`TraceCollector`] handles.
+//! batch formation, planner consult, execution start, reservation hold,
+//! numerics, cache store/hit, ticket fulfill — into one bounded ring.
+//! Each transition is published exactly once.
 //!
-//! Publication reuses the subscriber-gated idiom from
-//! [`crate::progress`]: with no collector attached the publish path is
-//! **one relaxed atomic load** and the event is never constructed
-//! (workers check [`crate::telemetry::Telemetry::traced`] before
-//! assembling one), so unwatched engines pay nothing for the tracing
-//! machinery. Stage *histograms* ([`crate::telemetry`]) are always on;
-//! only the per-event timeline is gated.
+//! The ring keeps one queue per handle kind, filled by the same publish
+//! under the same lock:
 //!
-//! Unlike the progress bus, collectors poll ([`TraceCollector::drain`])
-//! rather than block: traces are consumed after a run (or periodically
-//! by an exporter), not awaited event-by-event, so the ring carries no
-//! condvar.
+//! * [`TraceCollector`] handles receive every event. Collectors poll
+//!   ([`TraceCollector::drain`]): traces are consumed after a run (or
+//!   periodically by an exporter), not awaited event by event.
+//! * [`ProgressStream`] handles receive only the lifecycle kinds,
+//!   projected by [`JobStage::of`] into [`ProgressEvent`]s: `Queued` →
+//!   `Running` → `Done` (a cancelled job reads `Queued` → `Cancelled`
+//!   → `Done`; a cache hit at submission is a lone `Done`). Streams can
+//!   block ([`ProgressStream::next`]) until an event arrives or the
+//!   engine shuts down.
+//!
+//! Clones of one handle kind share its queue and consume destructively:
+//! an event drains to exactly one of them. A collector and a stream
+//! attached together never take each other's events.
+//!
+//! Both queues follow one set of rules. Each holds at most
+//! [`crate::ServeConfig::trace_capacity`] events; publishing into a full
+//! queue evicts the oldest and counts it, so a slow consumer never
+//! stalls a worker. Publication is **subscriber-gated**: with no handle
+//! of either kind attached the publish path is **one relaxed atomic
+//! load** and the event is never constructed (workers check
+//! [`crate::telemetry::Telemetry::traced`] before assembling one), so
+//! unwatched engines pay nothing for the machinery. When the last
+//! handle of a kind detaches, its undelivered events are discarded and
+//! counted as dropped, so every subscription window starts clean:
+//! attach before submitting to observe full lifecycles. Stage
+//! *histograms* ([`crate::telemetry`]) are always on; only the
+//! per-event timeline is gated.
 //!
 //! # Timestamps and the Chrome export
 //!
@@ -28,17 +46,18 @@
 //! `chrome://tracing` (or <https://ui.perfetto.dev>) and load the file
 //! to see one lane per job (`tid` = trace id), with spans for
 //! queue-wait, planning, reservation hold, numerics, and fulfillment,
-//! and instants for cache hits and stores.
+//! and instants for execution start, cache hits and stores.
 
 use crate::batch::BatchOrigin;
 use crate::cache::HitTier;
 use crate::fingerprint::Fingerprint;
 use crate::job::WorkloadClass;
-use crate::telemetry::PlacementTarget;
+use crate::telemetry::{PlacementTarget, Telemetry};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Identity of one submission's trace, unique per engine instance
 /// (allocated from a counter at admission; `0` marks spans created
@@ -84,6 +103,12 @@ pub enum TraceEventKind {
     /// the batch member that triggered planning — riders share the
     /// resulting decision without a consult of their own).
     PlannerConsult,
+    /// A batch member began its numerics under the batch's placement
+    /// (instant; one per executed member, riders included).
+    ExecStart {
+        /// Where the plan put the work.
+        target: PlacementTarget,
+    },
     /// The batch's reservation on the shared cluster view, from grant
     /// to release (span, emitted at release on the leader's lane).
     ReservationHold,
@@ -99,10 +124,12 @@ pub enum TraceEventKind {
         /// Which lookup tier produced the result.
         tier: HitTier,
     },
-    /// The submitter's ticket resolved (span: outcome-ready →
-    /// fulfilled). Every trace ends with exactly one of these, on
-    /// every path — executed, cache-served, rejected, failed, panic,
-    /// drop-guard.
+    /// The submitter's ticket is about to resolve (span: outcome-ready
+    /// → just before the fulfill call). Every trace ends with exactly
+    /// one of these, on every path — executed, cache-served, rejected,
+    /// failed, cancelled, panic, drop-guard — and every path publishes
+    /// it *before* resolving the ticket, so a waiter that wakes finds
+    /// its lane (and its progress lifecycle) already complete.
     TicketFulfill {
         /// Whether the job succeeded.
         ok: bool,
@@ -156,6 +183,7 @@ impl TraceEventKind {
             TraceEventKind::Steal { .. } => "steal",
             TraceEventKind::BatchForm { .. } => "batch-form",
             TraceEventKind::PlannerConsult => "plan",
+            TraceEventKind::ExecStart { .. } => "exec-start",
             TraceEventKind::ReservationHold => "reserve",
             TraceEventKind::Numerics { .. } => "numerics",
             TraceEventKind::CacheStore => "cache-store",
@@ -177,6 +205,7 @@ impl TraceEventKind {
             TraceEventKind::Enqueue { .. }
                 | TraceEventKind::Steal { .. }
                 | TraceEventKind::BatchForm { .. }
+                | TraceEventKind::ExecStart { .. }
                 | TraceEventKind::CacheStore
                 | TraceEventKind::CacheHit { .. }
                 | TraceEventKind::Cancelled
@@ -217,130 +246,130 @@ impl TraceEvent {
     }
 }
 
-struct RingState {
+/// One job's position in its lifecycle: the [`ProgressStream`] view of
+/// the lifecycle kinds of [`TraceEventKind`] (see [`JobStage::of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobStage {
+    /// Accepted by [`crate::DftService::submit`] and parked on a queue
+    /// shard.
+    Queued {
+        /// The shard the class-keyed routing chose.
+        shard: usize,
+    },
+    /// A worker began the job's numerics under its batch's placement
+    /// (the full decision is on [`crate::JobOutcome::placement`]).
+    Running {
+        /// Where the plan put the work.
+        target: PlacementTarget,
+    },
+    /// The job was cancelled while queued; a dispatcher consumed its
+    /// tombstone instead of executing it. A failed `Done` follows.
+    Cancelled,
+    /// The job's ticket resolved: the last stage of every lifecycle.
+    Done {
+        /// Whether the job produced a result (vs. an error/panic/shutdown).
+        ok: bool,
+        /// Whether the result came from the cache or in-batch dedup
+        /// rather than a fresh execution.
+        cached: bool,
+    },
+}
+
+impl JobStage {
+    /// The stage a trace event marks, or `None` for the span and marker
+    /// kinds a progress stream filters out.
+    pub fn of(kind: &TraceEventKind) -> Option<JobStage> {
+        match *kind {
+            TraceEventKind::Enqueue { shard } => Some(JobStage::Queued { shard }),
+            TraceEventKind::ExecStart { target } => Some(JobStage::Running { target }),
+            TraceEventKind::Cancelled => Some(JobStage::Cancelled),
+            TraceEventKind::TicketFulfill { ok, cached } => Some(JobStage::Done { ok, cached }),
+            _ => None,
+        }
+    }
+
+    /// Short label for logs and tables.
+    pub fn label(&self) -> &'static str {
+        match self {
+            JobStage::Queued { .. } => "queued",
+            JobStage::Running { .. } => "running",
+            JobStage::Cancelled => "cancelled",
+            JobStage::Done { .. } => "done",
+        }
+    }
+}
+
+/// One lifecycle transition, as a [`ProgressStream`] delivers it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProgressEvent {
+    /// The ring's sequence number of the underlying [`TraceEvent`].
+    /// Monotone within a stream; gaps mark the non-lifecycle events in
+    /// between, not drops ([`ProgressStream::dropped`] counts those).
+    pub seq: u64,
+    /// The job the transition belongs to (its cache key / identity).
+    pub fingerprint: Fingerprint,
+    /// The transition itself.
+    pub stage: JobStage,
+}
+
+impl ProgressEvent {
+    fn of(event: TraceEvent) -> ProgressEvent {
+        ProgressEvent {
+            seq: event.seq,
+            fingerprint: event.fingerprint,
+            stage: JobStage::of(&event.kind).expect("stream queues hold lifecycle kinds only"),
+        }
+    }
+}
+
+/// Which handle kind a ring queue serves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum HandleKind {
+    /// [`TraceCollector`]: every event.
+    Collector,
+    /// [`ProgressStream`]: the lifecycle kinds only.
+    Stream,
+}
+
+/// One handle kind's bounded, drop-oldest queue.
+#[derive(Default)]
+struct Queue {
     events: VecDeque<TraceEvent>,
+    /// Attached handles of this kind; the queue only fills while > 0.
+    handles: usize,
+    /// Events accepted over the engine's lifetime.
+    recorded: u64,
+    /// Events evicted from the full queue or discarded at last detach.
+    dropped: u64,
 }
 
-/// The bounded MPSC-ish event ring every worker publishes into and
-/// every collector drains from. Mirrors [`crate::progress::ProgressBus`]:
-/// subscriber-gated publish, drop-oldest eviction with a counter, ring
-/// cleared when the last collector detaches.
-pub(crate) struct TraceRing {
-    state: Mutex<RingState>,
-    capacity: usize,
-    /// Attached collectors; publish is a no-op at zero. Relaxed load on
-    /// the fast path, re-checked under the lock (same reasoning as the
-    /// progress bus: the gate is an optimization, the lock decides).
-    subscribers: AtomicUsize,
-    /// Events evicted unread because the ring was full.
-    dropped: AtomicU64,
-    /// Events accepted into the ring over the engine's lifetime.
-    recorded: AtomicU64,
-    next_seq: AtomicU64,
-}
-
-impl TraceRing {
-    pub(crate) fn new(capacity: usize) -> Self {
-        TraceRing {
-            state: Mutex::new(RingState {
-                events: VecDeque::new(),
-            }),
-            capacity: capacity.max(1),
-            subscribers: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
+impl Queue {
+    /// Appends `event` if a handle is attached, evicting (and counting)
+    /// the oldest when full. Returns whether the event was accepted.
+    fn push(&mut self, event: TraceEvent, capacity: usize) -> bool {
+        if self.handles == 0 {
+            return false;
         }
-    }
-
-    /// The one-relaxed-load gate unwatched engines pay.
-    #[inline]
-    pub(crate) fn has_subscribers(&self) -> bool {
-        self.subscribers.load(Ordering::Relaxed) > 0
-    }
-
-    /// Publishes `event` if any collector is attached; assigns its
-    /// sequence number under the lock so ring order and `seq` order
-    /// agree. Never blocks on a full ring: the oldest event is evicted
-    /// and counted.
-    pub(crate) fn publish(&self, mut event: TraceEvent) {
-        if !self.has_subscribers() {
-            return;
+        if self.events.len() >= capacity {
+            self.events.pop_front();
+            self.dropped += 1;
         }
-        let mut st = self.state.lock().unwrap();
-        // Re-check under the lock: the last collector may have detached
-        // (and cleared the ring) between the gate and here.
-        if self.subscribers.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        event.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if st.events.len() >= self.capacity {
-            st.events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Release);
-        }
-        st.events.push_back(event);
-        self.recorded.fetch_add(1, Ordering::Release);
+        self.events.push_back(event);
+        self.recorded += 1;
+        true
     }
 
-    /// Publishes a run of events under ONE lock acquisition. The hot
-    /// paths emit several span events per job; batching them keeps the
-    /// traced engine's lock traffic per job constant instead of per
-    /// event, and the slice shape (events are `Copy`) lets the cached
-    /// submit path publish its two-event chain from the stack with no
-    /// allocation. Sequence numbers are assigned in slice order, so a
-    /// lane's chain order survives exactly as with per-event publishes.
-    pub(crate) fn publish_slice(&self, events: &[TraceEvent]) {
-        if events.is_empty() || !self.has_subscribers() {
-            return;
-        }
-        let mut st = self.state.lock().unwrap();
-        if self.subscribers.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        // One atomic reserves the whole slice's sequence range (we hold
-        // the ring lock, so the range lands in ring order too).
-        let base = self
-            .next_seq
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-        for (i, &(mut event)) in events.iter().enumerate() {
-            event.seq = base + i as u64;
-            if st.events.len() >= self.capacity {
-                st.events.pop_front();
-                self.dropped.fetch_add(1, Ordering::Release);
-            }
-            st.events.push_back(event);
-        }
-        self.recorded
-            .fetch_add(events.len() as u64, Ordering::Release);
-    }
-
-    pub(crate) fn drain(&self) -> Vec<TraceEvent> {
-        self.state.lock().unwrap().events.drain(..).collect()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().unwrap().events.len()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Acquire)
-    }
-
-    fn subscribe(&self) {
-        if self.subscribers.fetch_add(1, Ordering::AcqRel) == 0 {
-            // First collector: pre-fault the ring's full backing store,
-            // so steady-state publishes never pay a realloc copy or a
+    fn attach(&mut self, capacity: usize) {
+        self.handles += 1;
+        if self.handles == 1 && self.events.capacity() < capacity {
+            // First handle: pre-fault the queue's full backing store, so
+            // steady-state publishes never pay a realloc copy or a
             // scattered fresh-page fault mid-serve. Resize-then-clear
-            // touches every slot once, sequentially (which the fault
-            // handler streams far better than one 4 KiB fault at a time
-            // from the hot path), and keeps the capacity.
-            let filler = TraceEvent {
+            // touches every slot once, sequentially, and keeps the
+            // capacity.
+            const FILLER: TraceEvent = TraceEvent {
                 seq: 0,
-                trace: TraceId(0),
+                trace: TraceId::DETACHED,
                 fingerprint: Fingerprint(0),
                 class: WorkloadClass {
                     kind: crate::job::JobKind::MdSegment,
@@ -352,59 +381,237 @@ impl TraceRing {
                 dur_ns: 0,
                 kind: TraceEventKind::CacheStore,
             };
-            let mut st = self.state.lock().unwrap();
-            if st.events.capacity() < self.capacity {
-                st.events.resize(self.capacity, filler);
-                st.events.clear();
-            }
+            self.events.resize(capacity, FILLER);
+            self.events.clear();
         }
     }
 
-    fn unsubscribe(&self) {
-        if self.subscribers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last collector gone: nobody can ever read the buffered
-            // events, so free them rather than letting them rot (same
-            // policy as the progress ring). Undelivered events count
-            // as dropped, keeping the counter honest.
-            let mut st = self.state.lock().unwrap();
-            if self.subscribers.load(Ordering::Acquire) == 0 {
-                let n = st.events.len() as u64;
-                if n > 0 {
-                    self.dropped.fetch_add(n, Ordering::Release);
-                    st.events.clear();
-                    st.events.shrink_to_fit();
-                }
-            }
+    fn detach(&mut self) {
+        self.handles -= 1;
+        if self.handles == 0 {
+            // Nobody can ever read the buffered events: free them and
+            // count them, keeping the drop counter honest.
+            self.dropped += self.events.len() as u64;
+            self.events.clear();
+            self.events.shrink_to_fit();
         }
     }
 }
 
-/// A subscription to the engine's span-event ring
+const POISONED: &str = "event ring lock poisoned";
+
+#[derive(Default)]
+struct RingState {
+    collector: Queue,
+    stream: Queue,
+    next_seq: u64,
+    /// Set at engine shutdown: blocked streams end once drained.
+    closed: bool,
+}
+
+impl RingState {
+    fn queue(&mut self, kind: HandleKind) -> &mut Queue {
+        match kind {
+            HandleKind::Collector => &mut self.collector,
+            HandleKind::Stream => &mut self.stream,
+        }
+    }
+}
+
+/// The bounded event ring every worker publishes into, with one queue
+/// per handle kind (see the [module docs](self)).
+pub(crate) struct TraceRing {
+    state: Mutex<RingState>,
+    /// Wakes streams blocked in [`ProgressStream::next`].
+    not_empty: Condvar,
+    capacity: usize,
+    /// Attached handles of either kind; publish is a no-op at zero.
+    /// Relaxed load on the fast path; the per-queue counts under the
+    /// lock decide.
+    attached: AtomicUsize,
+}
+
+impl TraceRing {
+    pub(crate) fn new(capacity: usize) -> Self {
+        TraceRing {
+            state: Mutex::new(RingState::default()),
+            not_empty: Condvar::new(),
+            capacity,
+            attached: AtomicUsize::new(0),
+        }
+    }
+
+    /// The ring lock. Nothing panics while holding it (queue pushes and
+    /// pops only), so a poisoned lock means a bug elsewhere.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// The one-relaxed-load gate unwatched engines pay.
+    #[inline]
+    pub(crate) fn has_subscribers(&self) -> bool {
+        self.attached.load(Ordering::Relaxed) > 0
+    }
+
+    /// Publishes a run of events under ONE lock acquisition. The hot
+    /// paths emit several events per job; batching them keeps the
+    /// traced engine's lock traffic per job constant instead of per
+    /// event, and the slice shape (events are `Copy`) lets the cached
+    /// submit path publish its two-event chain from the stack with no
+    /// allocation. Sequence numbers are assigned in slice order under
+    /// the lock, so ring order and `seq` order agree. Never blocks on a
+    /// full queue: the oldest event is evicted and counted.
+    pub(crate) fn publish_slice(&self, events: &[TraceEvent]) {
+        if events.is_empty() || !self.has_subscribers() {
+            return;
+        }
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let mut woke = false;
+        for &(mut event) in events {
+            event.seq = st.next_seq;
+            st.next_seq += 1;
+            st.collector.push(event, self.capacity);
+            if JobStage::of(&event.kind).is_some() {
+                woke |= st.stream.push(event, self.capacity);
+            }
+        }
+        drop(guard);
+        if woke {
+            self.not_empty.notify_all();
+        }
+    }
+
+    /// Marks the engine shut down: buffered events still drain, then
+    /// blocked streams observe the end of the stream (`None`).
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.not_empty.notify_all();
+    }
+
+    /// Events accepted into the collector queue over the engine's life.
+    pub(crate) fn recorded(&self) -> u64 {
+        self.queue(HandleKind::Collector, |q| q.recorded)
+    }
+
+    /// Events `kind`'s queue evicted or discarded unread.
+    pub(crate) fn dropped(&self, kind: HandleKind) -> u64 {
+        self.queue(kind, |q| q.dropped)
+    }
+
+    /// Runs `f` on `kind`'s queue under the ring lock.
+    fn queue<R>(&self, kind: HandleKind, f: impl FnOnce(&mut Queue) -> R) -> R {
+        f(self.lock().queue(kind))
+    }
+
+    fn attach(&self, kind: HandleKind) {
+        let mut st = self.lock();
+        st.queue(kind).attach(self.capacity);
+        self.attached.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn detach(&self, kind: HandleKind) {
+        let mut st = self.lock();
+        st.queue(kind).detach();
+        self.attached.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Pops the stream queue's oldest event, blocking until one arrives,
+    /// the ring closes, or `deadline` passes (spurious wakeups do not
+    /// extend it).
+    fn next_stream_event(&self, deadline: Option<Instant>) -> Option<TraceEvent> {
+        let mut st = self.lock();
+        loop {
+            if let Some(event) = st.stream.events.pop_front() {
+                return Some(event);
+            }
+            if st.closed {
+                return None;
+            }
+            st = match deadline {
+                None => self.not_empty.wait(st).expect(POISONED),
+                Some(deadline) => {
+                    let remaining = deadline.checked_duration_since(Instant::now())?;
+                    self.not_empty
+                        .wait_timeout(st, remaining)
+                        .expect(POISONED)
+                        .0
+                }
+            };
+        }
+    }
+}
+
+/// One attached handle of a kind: attaches on creation and on clone,
+/// detaches on drop.
+struct Subscription {
+    telemetry: Arc<Telemetry>,
+    kind: HandleKind,
+}
+
+impl Subscription {
+    fn new(telemetry: Arc<Telemetry>, kind: HandleKind) -> Self {
+        telemetry.ring().attach(kind);
+        Subscription { telemetry, kind }
+    }
+
+    fn ring(&self) -> &TraceRing {
+        self.telemetry.ring()
+    }
+
+    fn drain(&self) -> Vec<TraceEvent> {
+        self.ring()
+            .queue(self.kind, |q| q.events.drain(..).collect())
+    }
+
+    fn len(&self) -> usize {
+        self.ring().queue(self.kind, |q| q.events.len())
+    }
+
+    fn dropped(&self) -> u64 {
+        self.ring().dropped(self.kind)
+    }
+}
+
+impl Clone for Subscription {
+    fn clone(&self) -> Self {
+        Subscription::new(Arc::clone(&self.telemetry), self.kind)
+    }
+}
+
+impl Drop for Subscription {
+    fn drop(&mut self) {
+        self.ring().detach(self.kind);
+    }
+}
+
+/// A subscription to every event of the engine's ring
 /// ([`crate::DftService::trace`]).
 ///
-/// While at least one collector is alive, workers publish span events;
-/// when the last one drops, publishing reverts to the one-relaxed-load
-/// no-op and the buffered events are discarded (counted as dropped).
-/// Collectors share the one ring destructively: an event drains to
-/// exactly one of them.
+/// While at least one collector is alive, workers publish span events
+/// into the collector queue; when the last one drops, its buffered
+/// events are discarded (counted as dropped). Collectors share the
+/// queue destructively: an event drains to exactly one of them.
+#[derive(Clone)]
 pub struct TraceCollector {
-    ring: Arc<crate::telemetry::Telemetry>,
+    sub: Subscription,
 }
 
 impl TraceCollector {
-    pub(crate) fn new(telemetry: Arc<crate::telemetry::Telemetry>) -> Self {
-        telemetry.ring().subscribe();
-        TraceCollector { ring: telemetry }
+    pub(crate) fn new(telemetry: Arc<Telemetry>) -> Self {
+        TraceCollector {
+            sub: Subscription::new(telemetry, HandleKind::Collector),
+        }
     }
 
     /// Takes every buffered event, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.ring.ring().drain()
+        self.sub.drain()
     }
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.ring().len()
+        self.sub.len()
     }
 
     /// True when nothing is buffered.
@@ -414,27 +621,95 @@ impl TraceCollector {
 
     /// Events evicted unread over the engine's lifetime.
     pub fn dropped(&self) -> u64 {
-        self.ring.ring().dropped()
+        self.sub.dropped()
     }
 
-    /// Events accepted into the ring over the engine's lifetime.
+    /// Events accepted into the collector queue over the engine's
+    /// lifetime.
     pub fn recorded(&self) -> u64 {
-        self.ring.ring().recorded()
+        self.sub.ring().recorded()
     }
 }
 
-impl Clone for TraceCollector {
-    fn clone(&self) -> Self {
-        self.ring.ring().subscribe();
-        TraceCollector {
-            ring: Arc::clone(&self.ring),
+/// A live lifecycle view of the engine's ring
+/// ([`crate::DftService::progress`]).
+///
+/// Receives only the lifecycle kinds, projected by [`JobStage::of`].
+/// Clones share one queue and consume destructively (see the
+/// [module docs](self)). The engine only publishes while a handle is
+/// alive: subscribe *before* submitting to observe full lifecycles.
+#[derive(Clone)]
+pub struct ProgressStream {
+    sub: Subscription,
+}
+
+impl ProgressStream {
+    pub(crate) fn new(telemetry: Arc<Telemetry>) -> Self {
+        ProgressStream {
+            sub: Subscription::new(telemetry, HandleKind::Stream),
         }
     }
+
+    /// Next event without blocking; `None` when nothing is buffered
+    /// (the engine may still be running).
+    pub fn try_next(&self) -> Option<ProgressEvent> {
+        let ring = self.sub.ring();
+        ring.queue(HandleKind::Stream, |q| q.events.pop_front())
+            .map(ProgressEvent::of)
+    }
+
+    /// Blocks for the next event; `None` only once the engine has shut
+    /// down **and** the queue is drained (end of stream).
+    pub fn next(&self) -> Option<ProgressEvent> {
+        self.sub
+            .ring()
+            .next_stream_event(None)
+            .map(ProgressEvent::of)
+    }
+
+    /// [`ProgressStream::next`] with a fixed deadline `timeout` from
+    /// now; `None` on timeout or end of stream.
+    pub fn next_timeout(&self, timeout: Duration) -> Option<ProgressEvent> {
+        let deadline = Instant::now() + timeout;
+        self.sub
+            .ring()
+            .next_stream_event(Some(deadline))
+            .map(ProgressEvent::of)
+    }
+
+    /// Takes everything currently buffered, without blocking.
+    pub fn drain(&self) -> Vec<ProgressEvent> {
+        self.sub
+            .drain()
+            .into_iter()
+            .map(ProgressEvent::of)
+            .collect()
+    }
+
+    /// Events currently buffered (undelivered).
+    pub fn len(&self) -> usize {
+        self.sub.len()
+    }
+
+    /// True when nothing is currently buffered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Events evicted or discarded unread over the engine's lifetime
+    /// (the counter [`crate::ServeReport::progress_events_dropped`]
+    /// reports).
+    pub fn dropped(&self) -> u64 {
+        self.sub.dropped()
+    }
 }
 
-impl Drop for TraceCollector {
-    fn drop(&mut self) {
-        self.ring.ring().unsubscribe();
+impl fmt::Debug for ProgressStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProgressStream")
+            .field("buffered", &self.len())
+            .field("dropped", &self.dropped())
+            .finish()
     }
 }
 
@@ -508,7 +783,7 @@ fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
                     BatchOrigin::Stolen => "stolen",
                 }
             )),
-            TraceEventKind::Numerics { target } => {
+            TraceEventKind::Numerics { target } | TraceEventKind::ExecStart { target } => {
                 args.push_str(&format!(", \"target\": \"{target}\""));
             }
             TraceEventKind::CacheHit { tier } => {
@@ -556,7 +831,11 @@ fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
 mod tests {
     use super::*;
     use crate::job::JobKind;
-    use crate::telemetry::Telemetry;
+    use std::thread;
+
+    /// The ring's rules are the same for both queues, so every ring
+    /// test below runs once per handle kind.
+    const KINDS: [HandleKind; 2] = [HandleKind::Collector, HandleKind::Stream];
 
     fn event(trace: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
@@ -575,57 +854,176 @@ mod tests {
         }
     }
 
+    /// A lifecycle event, so both queues accept it.
+    fn queued(trace: u64) -> TraceEvent {
+        event(trace, TraceEventKind::Enqueue { shard: 0 })
+    }
+
     #[test]
     fn unwatched_ring_drops_everything_for_one_load() {
-        let t = Telemetry::new(8);
-        assert!(!t.traced());
-        t.publish(event(1, TraceEventKind::PlannerConsult));
-        assert_eq!(t.ring().recorded(), 0, "no subscriber ⇒ no buffering");
+        for kind in KINDS {
+            let t = Arc::new(Telemetry::new(8));
+            t.publish(queued(1)); // nothing attached: skipped
+            assert!(!t.traced(), "{kind:?}");
+            let sub = Subscription::new(Arc::clone(&t), kind);
+            assert!(t.traced(), "{kind:?}");
+            assert_eq!(sub.len(), 0, "{kind:?}: pre-attach event not stored");
+            t.publish(queued(2));
+            assert_eq!(sub.len(), 1, "{kind:?}");
+            assert_eq!(sub.dropped(), 0, "{kind:?}");
+        }
     }
 
     #[test]
     fn collector_receives_in_order_with_seq() {
-        let t = Arc::new(Telemetry::new(8));
-        let c = TraceCollector::new(Arc::clone(&t));
-        assert!(t.traced());
-        t.publish(event(1, TraceEventKind::PlannerConsult));
-        t.publish(event(2, TraceEventKind::CacheStore));
-        let got = c.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].seq, 0);
-        assert_eq!(got[1].seq, 1);
-        assert_eq!(got[0].trace, TraceId(1));
-        assert!(c.is_empty());
+        for kind in KINDS {
+            let t = Arc::new(Telemetry::new(8));
+            let sub = Subscription::new(Arc::clone(&t), kind);
+            t.publish(queued(1));
+            t.publish_slice(&[queued(2), queued(3)]);
+            let got = sub.drain();
+            let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
+            let traces: Vec<u64> = got.iter().map(|e| e.trace.0).collect();
+            assert_eq!(seqs, [0, 1, 2], "{kind:?}");
+            assert_eq!(traces, [1, 2, 3], "{kind:?}");
+            assert_eq!(sub.len(), 0, "{kind:?}");
+        }
     }
 
     #[test]
     fn full_ring_evicts_oldest_and_counts() {
-        let t = Arc::new(Telemetry::new(2));
-        let c = TraceCollector::new(Arc::clone(&t));
-        for i in 0..5 {
-            t.publish(event(i, TraceEventKind::CacheStore));
+        for kind in KINDS {
+            let t = Arc::new(Telemetry::new(2));
+            let sub = Subscription::new(Arc::clone(&t), kind);
+            for i in 0..5 {
+                t.publish(queued(i));
+            }
+            assert_eq!(sub.dropped(), 3, "{kind:?}");
+            let got = sub.drain();
+            let traces: Vec<u64> = got.iter().map(|e| e.trace.0).collect();
+            assert_eq!(traces, [3, 4], "{kind:?}: oldest evicted first");
+            assert_eq!(got[0].seq, 3, "{kind:?}");
         }
-        assert_eq!(c.dropped(), 3);
-        assert_eq!(c.recorded(), 5);
-        let got = c.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].trace, TraceId(3), "oldest evicted first");
     }
 
     #[test]
     fn last_collector_detaching_clears_and_regates() {
-        let t = Arc::new(Telemetry::new(8));
-        let c = TraceCollector::new(Arc::clone(&t));
-        let c2 = c.clone();
-        t.publish(event(1, TraceEventKind::CacheStore));
-        drop(c);
-        assert!(t.traced(), "second collector keeps the gate open");
-        drop(c2);
-        assert!(!t.traced());
-        assert_eq!(t.ring().len(), 0, "buffer freed with the last collector");
-        assert_eq!(t.trace_events_dropped(), 1, "undelivered counts dropped");
-        t.publish(event(2, TraceEventKind::CacheStore));
-        assert_eq!(t.ring().recorded(), 1, "publishing gated again");
+        for kind in KINDS {
+            let t = Arc::new(Telemetry::new(8));
+            let sub = Subscription::new(Arc::clone(&t), kind);
+            let clone = sub.clone();
+            t.publish(queued(1));
+            drop(sub);
+            assert!(t.traced(), "{kind:?}: the clone keeps the gate open");
+            drop(clone);
+            assert!(!t.traced(), "{kind:?}");
+            let freed = t.ring().queue(kind, |q| q.events.capacity());
+            assert_eq!(freed, 0, "{kind:?}: freed at last detach");
+            assert_eq!(t.ring().dropped(kind), 1, "{kind:?}: undelivered counts");
+            t.publish(queued(2)); // gated again
+            let late = Subscription::new(Arc::clone(&t), kind);
+            assert_eq!(late.len(), 0, "{kind:?}: a new window starts clean");
+        }
+    }
+
+    #[test]
+    fn collector_and_stream_each_receive_their_full_set() {
+        let t = Arc::new(Telemetry::new(16));
+        let collector = TraceCollector::new(Arc::clone(&t));
+        let stream = ProgressStream::new(Arc::clone(&t));
+        let target = PlacementTarget::Ndp;
+        let kinds = [
+            TraceEventKind::Enqueue { shard: 1 },
+            TraceEventKind::QueueWait,
+            TraceEventKind::ExecStart { target },
+            TraceEventKind::Numerics { target },
+            TraceEventKind::CacheStore,
+            TraceEventKind::TicketFulfill {
+                ok: true,
+                cached: false,
+            },
+        ];
+        t.publish_slice(&kinds.map(|k| event(1, k)));
+        let traced: Vec<TraceEventKind> = collector.drain().iter().map(|e| e.kind).collect();
+        assert_eq!(traced, kinds, "the collector gets every event");
+        let progress = stream.drain();
+        let stages: Vec<JobStage> = progress.iter().map(|e| e.stage).collect();
+        assert_eq!(
+            stages,
+            [
+                JobStage::Queued { shard: 1 },
+                JobStage::Running { target },
+                JobStage::Done {
+                    ok: true,
+                    cached: false
+                },
+            ],
+            "the stream gets the lifecycle kinds"
+        );
+        let seqs: Vec<u64> = progress.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 2, 5], "progress seq is the ring's seq");
+        assert_eq!(collector.dropped() + stream.dropped(), 0);
+    }
+
+    #[test]
+    fn job_stage_projects_exactly_the_lifecycle_kinds() {
+        use TraceEventKind as K;
+        let target = PlacementTarget::Cpu;
+        let (ok, cached) = (false, true);
+        let lifecycle = [
+            (K::Enqueue { shard: 2 }, JobStage::Queued { shard: 2 }),
+            (K::ExecStart { target }, JobStage::Running { target }),
+            (K::Cancelled, JobStage::Cancelled),
+            (
+                K::TicketFulfill { ok, cached },
+                JobStage::Done { ok, cached },
+            ),
+        ];
+        for (kind, stage) in lifecycle {
+            assert_eq!(JobStage::of(&kind), Some(stage), "{kind:?}");
+        }
+        let (size, origin, tier) = (2, BatchOrigin::Home, HitTier::Memory);
+        let (workflow, node) = (3, 1);
+        let filtered = [
+            K::Steal { from_shard: 0 },
+            K::BatchForm { size, origin },
+            K::PlannerConsult,
+            K::ReservationHold,
+            K::Numerics { target },
+            K::CacheStore,
+            K::CacheHit { tier },
+            K::QueueWait,
+            K::DeadlineDrop,
+            K::FusedExec { members: 2 },
+            K::DagWait { workflow, node },
+            K::DagOrphan { workflow, node },
+        ];
+        for kind in filtered {
+            assert_eq!(JobStage::of(&kind), None, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn blocking_next_wakes_on_publish_and_ends_on_close() {
+        // Whichever way the consumer interleaves with the publish and
+        // the close, it reads the one event and then the end.
+        let t = Arc::new(Telemetry::new(4));
+        let stream = ProgressStream::new(Arc::clone(&t));
+        let consumer = {
+            let stream = stream.clone();
+            thread::spawn(move || (stream.next(), stream.next()))
+        };
+        t.publish(queued(7));
+        t.ring().close();
+        let (first, end) = consumer.join().unwrap();
+        assert_eq!(first.unwrap().stage, JobStage::Queued { shard: 0 });
+        assert!(end.is_none(), "closed + drained ⇒ end of stream");
+    }
+
+    #[test]
+    fn next_timeout_expires_without_events() {
+        let stream = ProgressStream::new(Arc::new(Telemetry::new(4)));
+        assert!(stream.next_timeout(Duration::from_millis(10)).is_none());
     }
 
     #[test]

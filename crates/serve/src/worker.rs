@@ -36,7 +36,6 @@ use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
 use crate::placement::{decide_placement, PlacementDecision};
-use crate::progress::JobStage;
 use crate::service::EngineShared;
 use crate::telemetry::{PlacementTarget, Stage};
 use crate::tenant::TenantSlot;
@@ -100,14 +99,12 @@ pub(crate) struct PendingJob {
     /// result-preserving seeding ([`DftJob::accepts_warm_seed`]);
     /// never part of the fingerprint, so caching stays content-pure.
     pub(crate) warm: Option<Arc<JobOutcome>>,
-    /// Progress ring handle, so even the last-resort Drop fulfillment
-    /// below closes the job's streamed lifecycle with a `Done`.
-    pub(crate) progress: Arc<crate::progress::ProgressBus>,
     /// Metrics handle, so the guard's failure also lands in the
     /// counters (else `tickets_outstanding` would read > 0 forever).
     pub(crate) metrics: Arc<crate::metrics::Metrics>,
     /// Telemetry handle, so every exit path — the Drop guard included —
-    /// records an end-to-end latency and closes the trace span chain.
+    /// records an end-to-end latency and closes the job's lane in the
+    /// event ring (and with it a watched progress lifecycle).
     pub(crate) telemetry: Arc<crate::telemetry::Telemetry>,
 }
 
@@ -115,21 +112,14 @@ impl PendingJob {
     /// The one failure protocol, shared by every losing exit path (a
     /// solver error, a panic, the shutdown sweep, the Drop guard):
     /// count the failure, record the end-to-end latency (keeping the
-    /// histogram totals paired with `completed + failed`), stream the
-    /// closing `Done`, close the trace chain with a failed fulfill
-    /// event, and resolve the ticket — in that order, so by the time a
-    /// waiter observes the error the whole story is already told.
+    /// histogram totals paired with `completed + failed`), close the
+    /// lane with a failed fulfill event, and resolve the ticket — in
+    /// that order, so by the time a waiter observes the error the whole
+    /// story is already told.
     pub(crate) fn fail(&self, err: JobError) {
         self.metrics.on_fail();
         self.telemetry
             .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.progress.publish(
-            self.fingerprint,
-            JobStage::Done {
-                ok: false,
-                cached: false,
-            },
-        );
         self.close_trace_chain(&[]);
         self.ticket.fulfill(Err(err));
     }
@@ -138,14 +128,13 @@ impl PendingJob {
     /// with [`JobError::Cancelled`] by [`JobTicket::cancel`], so this
     /// exit only settles the books — count the cancellation, record the
     /// end-to-end latency (keeping the histogram paired with the four
-    /// terminal counters), stream the terminal `Cancelled` stage, and
-    /// close the trace chain. Called by whoever dequeues the entry: a
-    /// worker's batch loop or the shutdown sweep.
+    /// terminal counters), and close the lane with a cancellation
+    /// marker and a failed fulfill event. Called by whoever dequeues the
+    /// entry: a worker's batch loop or the shutdown sweep.
     pub(crate) fn consume_cancelled(&self) {
         self.metrics.on_cancel();
         self.telemetry
             .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.progress.publish(self.fingerprint, JobStage::Cancelled);
         self.close_trace_chain(&[TraceEventKind::Cancelled]);
     }
 
@@ -155,23 +144,36 @@ impl PendingJob {
     }
 
     /// Drops a queued job whose deadline expired before a worker
-    /// reached it: count the drop, record the end-to-end latency,
-    /// stream a failed `Done`, close the trace chain with a
-    /// deadline-drop marker, and resolve the ticket with
-    /// [`JobError::DeadlineExceeded`] — fulfill last, as everywhere.
+    /// reached it: count the drop, record the end-to-end latency, close
+    /// the lane with a deadline-drop marker and a failed fulfill event,
+    /// and resolve the ticket with [`JobError::DeadlineExceeded`] —
+    /// fulfill last, as everywhere.
     pub(crate) fn drop_deadline(&self) {
         self.metrics.on_deadline_drop();
         self.telemetry
             .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.progress.publish(
-            self.fingerprint,
-            JobStage::Done {
-                ok: false,
-                cached: false,
-            },
-        );
         self.close_trace_chain(&[TraceEventKind::DeadlineDrop]);
         self.ticket.fulfill(Err(JobError::DeadlineExceeded));
+    }
+
+    /// An event on this job's trace lane (`seq` is assigned at publish).
+    pub(crate) fn event(
+        &self,
+        worker: Option<usize>,
+        start_ns: u64,
+        dur_ns: u64,
+        kind: TraceEventKind,
+    ) -> TraceEvent {
+        TraceEvent {
+            seq: 0,
+            trace: self.trace,
+            fingerprint: self.fingerprint,
+            class: self.class,
+            worker,
+            start_ns,
+            dur_ns,
+            kind,
+        }
     }
 
     /// Publishes `markers` (instant events) followed by the failed
@@ -182,16 +184,6 @@ impl PendingJob {
             return;
         }
         let now_ns = self.telemetry.now_ns();
-        let event = |kind: TraceEventKind| TraceEvent {
-            seq: 0,
-            trace: self.trace,
-            fingerprint: self.fingerprint,
-            class: self.class,
-            worker: None,
-            start_ns: now_ns,
-            dur_ns: 0,
-            kind,
-        };
         let events: Vec<TraceEvent> = markers
             .iter()
             .cloned()
@@ -199,7 +191,7 @@ impl PendingJob {
                 ok: false,
                 cached: false,
             }))
-            .map(event)
+            .map(|kind| self.event(None, now_ns, 0, kind))
             .collect();
         self.telemetry.publish_slice(&events);
     }
@@ -596,15 +588,13 @@ fn dispatch_chunk(
         let now_ns = shared.telemetry.now_ns();
         let events: Vec<TraceEvent> = chunk
             .iter()
-            .map(|pending| TraceEvent {
-                seq: 0,
-                trace: pending.trace,
-                fingerprint: pending.fingerprint,
-                class: pending.class,
-                worker: Some(worker),
-                start_ns: now_ns,
-                dur_ns: 0,
-                kind: TraceEventKind::Steal { from_shard: shard },
+            .map(|pending| {
+                pending.event(
+                    Some(worker),
+                    now_ns,
+                    0,
+                    TraceEventKind::Steal { from_shard: shard },
+                )
             })
             .collect();
         shared.telemetry.publish_slice(&events);
@@ -653,29 +643,21 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         let batch_ns = telemetry.ns_at(batch_start);
         for pending in &batch.entries {
             let start_ns = telemetry.ns_at(pending.enqueued);
-            span_buf.push(TraceEvent {
-                seq: 0,
-                trace: pending.trace,
-                fingerprint: pending.fingerprint,
-                class: pending.class,
-                worker: Some(worker),
+            span_buf.push(pending.event(
+                Some(worker),
                 start_ns,
-                dur_ns: batch_ns.saturating_sub(start_ns),
-                kind: TraceEventKind::QueueWait,
-            });
-            span_buf.push(TraceEvent {
-                seq: 0,
-                trace: pending.trace,
-                fingerprint: pending.fingerprint,
-                class: pending.class,
-                worker: Some(worker),
-                start_ns: batch_ns,
-                dur_ns: 0,
-                kind: TraceEventKind::BatchForm {
+                batch_ns.saturating_sub(start_ns),
+                TraceEventKind::QueueWait,
+            ));
+            span_buf.push(pending.event(
+                Some(worker),
+                batch_ns,
+                0,
+                TraceEventKind::BatchForm {
                     size: batch_jobs,
                     origin,
                 },
-            });
+            ));
         }
         telemetry.publish_slice(&span_buf);
         span_buf.clear();
@@ -690,10 +672,10 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // path (including a panic unwinding through the catch below), so
     // the cluster view always returns to zero when the engine drains.
     let mut reservation: Option<Reservation<'_>> = None;
-    // The member whose consult created the plan — the reservation-hold
-    // span lands on its trace lane (set iff `reservation` is).
-    let mut leader: Option<(TraceId, Fingerprint)> = None;
-    let batch_class = batch.class;
+    // The consult event of the member that created the plan — the
+    // batch-scoped reservation-hold and fused-exec spans land on its
+    // trace lane (set iff `reservation` is).
+    let mut leader: Option<TraceEvent> = None;
     let mut executions = 0u64;
     // Fused cross-job execution engages only for real batches (≥ 2
     // members) with the knob on — a singleton gains nothing from
@@ -728,27 +710,6 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             shared
                 .metrics
                 .on_dedup_complete(pending.enqueued.elapsed().as_secs_f64());
-            if telemetry.traced() {
-                span_buf.push(TraceEvent {
-                    seq: 0,
-                    trace: pending.trace,
-                    fingerprint: pending.fingerprint,
-                    class: pending.class,
-                    worker: Some(worker),
-                    start_ns: telemetry.now_ns(),
-                    dur_ns: 0,
-                    kind: TraceEventKind::CacheHit { tier },
-                });
-            }
-            // Done is published before fulfillment on every path, so a
-            // waiter that just resolved can already read the lifecycle.
-            shared.progress.publish(
-                pending.fingerprint,
-                JobStage::Done {
-                    ok: true,
-                    cached: true,
-                },
-            );
             // End-to-end lands *before* the fulfill on every path: the
             // moment a waiter resolves, the histogram already counts its
             // job, so the report's completed/failed-vs-histogram pairing
@@ -759,25 +720,23 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 pending.enqueued.elapsed(),
             );
             let fulfill_start = Instant::now();
-            pending.ticket.fulfill(Ok(hit));
-            recorder.record(Stage::Fulfill, fulfill_start.elapsed());
+            // The lane (its closing fulfill event included) is published
+            // before fulfillment on every path, so a waiter that just
+            // resolved can already read its whole lifecycle.
             if telemetry.traced() {
-                span_buf.push(TraceEvent {
-                    seq: 0,
-                    trace: pending.trace,
-                    fingerprint: pending.fingerprint,
-                    class: pending.class,
-                    worker: Some(worker),
-                    start_ns: telemetry.ns_at(fulfill_start),
-                    dur_ns: fulfill_start.elapsed().as_nanos() as u64,
-                    kind: TraceEventKind::TicketFulfill {
-                        ok: true,
-                        cached: true,
-                    },
-                });
+                let now_ns = telemetry.ns_at(fulfill_start);
+                let event = |dur_ns, kind| pending.event(Some(worker), now_ns, dur_ns, kind);
+                let fulfill = TraceEventKind::TicketFulfill {
+                    ok: true,
+                    cached: true,
+                };
+                span_buf.push(event(0, TraceEventKind::CacheHit { tier }));
+                span_buf.push(event(fulfill_start.elapsed().as_nanos() as u64, fulfill));
                 telemetry.publish_slice(&span_buf);
                 span_buf.clear();
             }
+            pending.ticket.fulfill(Ok(hit));
+            recorder.record(Stage::Fulfill, fulfill_start.elapsed());
             continue;
         }
         // A panicking planner or solver must not take the worker thread
@@ -822,17 +781,14 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // reservation).
                 let plan_wall = plan_start.elapsed();
                 recorder.record(Stage::Plan, plan_wall);
+                let consult = pending.event(
+                    Some(worker),
+                    telemetry.ns_at(plan_start),
+                    plan_wall.as_nanos() as u64,
+                    TraceEventKind::PlannerConsult,
+                );
                 if telemetry.traced() {
-                    telemetry.publish(TraceEvent {
-                        seq: 0,
-                        trace: pending.trace,
-                        fingerprint: pending.fingerprint,
-                        class: pending.class,
-                        worker: Some(worker),
-                        start_ns: telemetry.ns_at(plan_start),
-                        dur_ns: plan_wall.as_nanos() as u64,
-                        kind: TraceEventKind::PlannerConsult,
-                    });
+                    telemetry.publish(consult);
                 }
                 shared
                     .metrics
@@ -845,27 +801,23 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     decision.cpu_busy * batch_jobs as f64,
                     decision.ndp_busy * batch_jobs as f64,
                 ));
-                leader = Some((pending.trace, pending.fingerprint));
+                leader = Some(consult);
                 planned = Some((decision, modeled));
             }
             let (placement, modeled) = planned.as_ref().expect("just planned");
-            // Stream the lifecycle: the job is now committed to this
-            // batch's placement and about to run. Riders publish the
-            // same (shared) decision as the member that planned it. The
-            // subscriber check guards the *construction* — cloning and
-            // boxing a PlacementDecision per executed job is exactly the
-            // cost the gate exists to avoid on unwatched engines.
-            if shared.progress.has_subscribers() {
-                shared.progress.publish(
-                    pending.fingerprint,
-                    JobStage::Planned {
-                        placement: Box::new(placement.clone()),
+            // The job is now committed to this batch's placement and
+            // about to run; riders share the decision of the member that
+            // planned it.
+            if telemetry.traced() {
+                telemetry.publish(pending.event(
+                    Some(worker),
+                    telemetry.now_ns(),
+                    0,
+                    TraceEventKind::ExecStart {
+                        target: PlacementTarget::of(placement),
                     },
-                );
+                ));
             }
-            shared
-                .progress
-                .publish(pending.fingerprint, JobStage::Running);
             let warm = pending.warm.as_deref();
             if warm_seed_for(&pending.job, warm).is_some() {
                 shared.metrics.on_warm_inject();
@@ -887,16 +839,12 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 recorder.record_target(target, outcome.wall_numeric);
                 if telemetry.traced() {
                     let wall_ns = outcome.wall_numeric.as_nanos().min(u64::MAX as u128) as u64;
-                    span_buf.push(TraceEvent {
-                        seq: 0,
-                        trace: pending.trace,
-                        fingerprint: pending.fingerprint,
-                        class: pending.class,
-                        worker: Some(worker),
-                        start_ns: telemetry.now_ns().saturating_sub(wall_ns),
-                        dur_ns: wall_ns,
-                        kind: TraceEventKind::Numerics { target },
-                    });
+                    span_buf.push(pending.event(
+                        Some(worker),
+                        telemetry.now_ns().saturating_sub(wall_ns),
+                        wall_ns,
+                        TraceEventKind::Numerics { target },
+                    ));
                 }
                 let fulfill_start = Instant::now();
                 // Write-through insert carrying the plan's modeled
@@ -911,56 +859,40 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     outcome.placement.modeled_cost_s(outcome.modeled.iterations),
                 );
                 if telemetry.traced() {
-                    span_buf.push(TraceEvent {
-                        seq: 0,
-                        trace: pending.trace,
-                        fingerprint: pending.fingerprint,
-                        class: pending.class,
-                        worker: Some(worker),
-                        start_ns: telemetry.now_ns(),
-                        dur_ns: 0,
-                        kind: TraceEventKind::CacheStore,
-                    });
+                    span_buf.push(pending.event(
+                        Some(worker),
+                        telemetry.now_ns(),
+                        0,
+                        TraceEventKind::CacheStore,
+                    ));
                 }
                 local.insert(pending.fingerprint, Arc::clone(&outcome));
                 shared
                     .metrics
                     .on_executed(pending.enqueued.elapsed().as_secs_f64(), outcome.sample());
-                shared.progress.publish(
-                    pending.fingerprint,
-                    JobStage::Done {
-                        ok: true,
-                        cached: false,
-                    },
-                );
-                // As on the dedup path: count end-to-end before the
-                // fulfill so resolved waiters are already in the
-                // histogram.
+                // As on the dedup path: count end-to-end and publish the
+                // lane before the fulfill, so resolved waiters are
+                // already in the histogram and their lane is complete.
                 telemetry.record_end_to_end(
                     pending.class,
                     pending.priority,
                     pending.enqueued.elapsed(),
                 );
-                pending.ticket.fulfill(Ok(outcome));
-                let fulfill_wall = fulfill_start.elapsed();
-                recorder.record(Stage::Fulfill, fulfill_wall);
                 if telemetry.traced() {
-                    span_buf.push(TraceEvent {
-                        seq: 0,
-                        trace: pending.trace,
-                        fingerprint: pending.fingerprint,
-                        class: pending.class,
-                        worker: Some(worker),
-                        start_ns: telemetry.ns_at(fulfill_start),
-                        dur_ns: fulfill_wall.as_nanos() as u64,
-                        kind: TraceEventKind::TicketFulfill {
+                    span_buf.push(pending.event(
+                        Some(worker),
+                        telemetry.ns_at(fulfill_start),
+                        fulfill_start.elapsed().as_nanos() as u64,
+                        TraceEventKind::TicketFulfill {
                             ok: true,
                             cached: false,
                         },
-                    });
+                    ));
                     telemetry.publish_slice(&span_buf);
                     span_buf.clear();
                 }
+                pending.ticket.fulfill(Ok(outcome));
+                recorder.record(Stage::Fulfill, fulfill_start.elapsed());
             }
             Ok(Err(e)) => {
                 pending.fail(e);
@@ -983,19 +915,14 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             .metrics
             .on_fused(executions, executions as f64 * fused_saving_s);
         if telemetry.traced() {
-            let (leader_trace, leader_fingerprint) =
-                leader.expect("an execution implies a planning member");
+            let leader = leader.expect("an execution implies a planning member");
             telemetry.publish(TraceEvent {
-                seq: 0,
-                trace: leader_trace,
-                fingerprint: leader_fingerprint,
-                class: batch_class,
-                worker: Some(worker),
                 start_ns: telemetry.ns_at(batch_start),
                 dur_ns: batch_start.elapsed().as_nanos() as u64,
                 kind: TraceEventKind::FusedExec {
                     members: executions as usize,
                 },
+                ..leader
             });
         }
     }
@@ -1006,17 +933,12 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         let hold = held.held_for();
         recorder.record(Stage::Reserve, hold);
         if telemetry.traced() {
-            let (leader_trace, leader_fingerprint) =
-                leader.expect("a reservation implies a planning member");
+            let leader = leader.expect("a reservation implies a planning member");
             telemetry.publish(TraceEvent {
-                seq: 0,
-                trace: leader_trace,
-                fingerprint: leader_fingerprint,
-                class: batch_class,
-                worker: Some(worker),
                 start_ns: telemetry.ns_at(held.granted_at()),
                 dur_ns: hold.as_nanos() as u64,
                 kind: TraceEventKind::ReservationHold,
+                ..leader
             });
         }
         drop(held);
@@ -1206,10 +1128,9 @@ mod tests {
             seed: 0,
         };
         let ticket = crate::ticket::JobTicket::pending(job.fingerprint(), TraceId(1));
-        let progress = Arc::new(crate::progress::ProgressBus::new(8));
-        let stream = crate::progress::ProgressStream::new(Arc::clone(&progress));
         let metrics = Arc::new(crate::metrics::Metrics::new(1, 1));
         let telemetry = Arc::new(crate::telemetry::Telemetry::new(8));
+        let stream = crate::trace::ProgressStream::new(Arc::clone(&telemetry));
         let pending = PendingJob {
             fingerprint: job.fingerprint(),
             class: job.workload_class(),
@@ -1221,7 +1142,6 @@ mod tests {
             ticket: ticket.clone(),
             enqueued: Instant::now(),
             warm: None,
-            progress,
             metrics: Arc::clone(&metrics),
             telemetry: Arc::clone(&telemetry),
         };
@@ -1241,16 +1161,16 @@ mod tests {
         );
         assert_eq!(report.failed, 1);
         assert_eq!(telemetry.e2e_count(), 1);
-        // The lifecycle closes too: the Drop guard streams a failed Done.
-        let events = stream.drain();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0].stage,
-            JobStage::Done {
+        // The lifecycle closes too: the guard's failed fulfill event
+        // reaches the stream as a failed Done.
+        let stages: Vec<_> = stream.drain().iter().map(|e| e.stage).collect();
+        assert_eq!(
+            stages,
+            [crate::trace::JobStage::Done {
                 ok: false,
                 cached: false
-            }
-        ));
+            }]
+        );
     }
 
     #[test]

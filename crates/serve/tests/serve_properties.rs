@@ -803,8 +803,9 @@ proptest! {
 }
 
 /// The batch-scoped reservation-hold and fused-execution spans are
-/// annotated on the planning member's lane *after* its ticket fulfills,
-/// so per-job chain checks exclude them.
+/// annotated on the planning member's lane *after* its ticket fulfills
+/// (and may not be published yet when the lanes are drained), so
+/// per-job chain checks exclude them.
 fn job_chain(events: &[&TraceEvent]) -> Vec<TraceEvent> {
     events
         .iter()
@@ -824,9 +825,12 @@ proptest! {
     /// Every traced job's span chain is monotone and complete: it opens
     /// with the admission event, every span lies inside
     /// [admission, fulfill-end], the core stages order as
-    /// enqueue <= plan <= execute <= fulfill, and exactly one ticket
-    /// fulfillment closes the chain — on the executed, in-batch-dedup,
-    /// and submission-time cache-hit paths alike.
+    /// enqueue <= plan <= exec-start <= execute <= fulfill, and exactly
+    /// one ticket fulfillment closes the chain — on the executed,
+    /// in-batch-dedup, and submission-time cache-hit paths alike. Every
+    /// path publishes its lane before resolving the ticket, so the
+    /// chains are already complete when the waits return, before
+    /// shutdown.
     #[test]
     fn trace_span_chains_are_monotone_and_complete(
         seeds in prop::collection::vec(0u64..5, 2..20),
@@ -856,10 +860,10 @@ proptest! {
         for t in &tickets {
             prop_assert!(t.wait().is_ok());
         }
+        let events = collector.drain();
         let report = svc.shutdown();
         prop_assert_eq!(report.completed, seeds.len() as u64);
 
-        let events = collector.drain();
         let mut per_trace: std::collections::HashMap<u64, Vec<&TraceEvent>> =
             std::collections::HashMap::new();
         for e in &events {
@@ -903,14 +907,17 @@ proptest! {
                 prop_assert!(e.start_ns >= first.start_ns, "trace {} starts early", id);
                 prop_assert!(e.end_ns() <= last.end_ns(), "trace {} ends late", id);
             }
-            // Core stage ordering: enqueue <= plan <= execute <= fulfill.
+            // Core stage ordering: enqueue <= plan <= exec-start <=
+            // execute <= fulfill.
             let start_of = |want: fn(&TraceEventKind) -> bool| {
                 chain.iter().find(|e| want(&e.kind)).map(|e| e.start_ns)
             };
             let plan = start_of(|k| matches!(k, TraceEventKind::PlannerConsult));
+            let exec_start = start_of(|k| matches!(k, TraceEventKind::ExecStart { .. }));
             let exec = start_of(|k| matches!(k, TraceEventKind::Numerics { .. }));
             let mut order = vec![first.start_ns];
             order.extend(plan);
+            order.extend(exec_start);
             order.extend(exec);
             order.push(last.start_ns);
             for w in order.windows(2) {
@@ -921,6 +928,7 @@ proptest! {
             match last.kind {
                 TraceEventKind::TicketFulfill { cached: false, .. } => {
                     prop_assert!(exec.is_some(), "executed trace {} missing numerics", id);
+                    prop_assert!(exec_start.is_some(), "executed trace {} missing exec-start", id);
                     prop_assert!(
                         chain.iter().any(|e| matches!(e.kind, TraceEventKind::CacheStore)),
                         "executed trace {} missing cache store",
@@ -933,7 +941,11 @@ proptest! {
                         "cached trace {} missing its hit",
                         id
                     );
-                    prop_assert!(exec.is_none(), "cached trace {} ran numerics", id);
+                    prop_assert!(
+                        exec.is_none() && exec_start.is_none(),
+                        "cached trace {} ran numerics",
+                        id
+                    );
                 }
                 _ => unreachable!(),
             }

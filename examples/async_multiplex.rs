@@ -11,7 +11,7 @@
 //! The tail of the demo shows the other two layers of the async API:
 //! ticket futures driven by the built-in `block_on`/`join_all`
 //! combinators, and the live per-job progress stream (`Queued` →
-//! `Planned` → `Running` → `Done`).
+//! `Running` → `Done`), a lifecycle view of the engine's event ring.
 //!
 //! Run with: `cargo run --release --example async_multiplex`
 
@@ -124,14 +124,14 @@ fn main() {
 
     // Layer 3: the lifecycle stream — sample what the workers published.
     let events = progress.drain();
-    let planned = events
+    let running = events
         .iter()
-        .filter(|e| matches!(e.stage, JobStage::Planned { .. }))
+        .filter(|e| matches!(e.stage, JobStage::Running { .. }))
         .count();
     println!(
-        "  progress ring: {} buffered events ({} Planned), {} dropped oldest (bounded ring)",
+        "  progress stream: {} buffered events ({} Running), {} dropped oldest (bounded queue)",
         events.len(),
-        planned,
+        running,
         progress.dropped()
     );
 

@@ -7,8 +7,8 @@
 use ndft::serve::{
     block_on, chrome_trace_json, join_all, race, CachePolicy, DftJob, DftService, FaultPlan,
     FederatedService, FederationConfig, JobError, JobKind, JobPayload, JobRequest, JobStage,
-    NodeId, PlacementPolicy, Priority, ServeConfig, Stage, SubmitError, TenantId, TraceEventKind,
-    WorkflowSpec,
+    NodeId, PlacementPolicy, PlacementTarget, Priority, ServeConfig, Stage, SubmitError, TenantId,
+    TraceEventKind, WorkflowSpec,
 };
 use std::collections::HashSet;
 use std::time::Duration;
@@ -517,23 +517,27 @@ fn progress_stream_reports_the_job_lifecycle() {
     // Fresh execution: every lifecycle stage streams, and Done is
     // published before the ticket resolves, so the whole story is
     // already in the ring when wait() returns.
-    svc.submit(job.clone()).unwrap().wait().unwrap();
+    let outcome = svc.submit(job.clone()).unwrap().wait().unwrap();
+    assert!(outcome.placement.cpu_pinned_time > 0.0);
+    assert_eq!(
+        outcome.placement.cpu_load_s, 0.0,
+        "idle engine plans unloaded"
+    );
     let events = stream.drain();
     let labels: Vec<&str> = events
         .iter()
         .filter(|e| e.fingerprint == fp)
         .map(|e| e.stage.label())
         .collect();
-    assert_eq!(labels, ["queued", "planned", "running", "done"]);
+    assert_eq!(labels, ["queued", "running", "done"]);
     assert!(
         events.windows(2).all(|w| w[0].seq < w[1].seq),
         "seq is monotone"
     );
     for event in &events {
         match &event.stage {
-            JobStage::Planned { placement } => {
-                assert!(placement.cpu_pinned_time > 0.0);
-                assert_eq!(placement.cpu_load_s, 0.0, "idle engine plans unloaded");
+            JobStage::Running { target } => {
+                assert_eq!(*target, PlacementTarget::of(&outcome.placement));
             }
             JobStage::Done { ok, cached } => {
                 assert!(*ok);
@@ -566,13 +570,14 @@ fn progress_stream_reports_the_job_lifecycle() {
 
 #[test]
 fn report_gauges_outstanding_tickets_and_progress_drops() {
-    // progress_capacity 4 cannot hold 8 jobs × ≥2 events: the ring must
-    // evict oldest and count every eviction, while workers never stall.
+    // trace_capacity 4 cannot hold 8 jobs × ≥2 lifecycle events: the
+    // stream queue must evict oldest and count every eviction, while
+    // workers never stall.
     let svc = DftService::start(ServeConfig {
         workers: 1,
         shards: 1,
         max_batch: 2,
-        progress_capacity: 4,
+        trace_capacity: 4,
         ..ServeConfig::default()
     });
     // Publishing is subscriber-gated: hold a stream (unconsumed — the
@@ -1057,7 +1062,7 @@ fn cancelled_jobs_resolve_cancelled_and_never_execute() {
         report.cancelled,
         report.deadline_dropped
     );
-    // Each victim's streamed lifecycle is queued → cancelled.
+    // Each victim's streamed lifecycle is queued → cancelled → done.
     let events = stream.drain();
     for v in &victims {
         let labels: Vec<&str> = events
@@ -1065,7 +1070,7 @@ fn cancelled_jobs_resolve_cancelled_and_never_execute() {
             .filter(|e| e.fingerprint == v.fingerprint())
             .map(|e| e.stage.label())
             .collect();
-        assert_eq!(labels, ["queued", "cancelled"]);
+        assert_eq!(labels, ["queued", "cancelled", "done"]);
     }
     // Each victim's trace lane opens with its enqueue and closes with
     // the cancellation marker and a failed fulfill; it may also carry
