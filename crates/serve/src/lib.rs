@@ -150,6 +150,9 @@ pub mod job;
 pub mod metrics;
 pub mod persist;
 pub mod placement;
+#[cfg(test)]
+#[path = "progress_tests.rs"]
+mod progress;
 pub mod queue;
 pub mod router;
 pub mod service;

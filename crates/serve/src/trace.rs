@@ -828,16 +828,15 @@ fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::job::JobKind;
-    use std::thread;
 
     /// The ring's rules are the same for both queues, so every ring
     /// test below runs once per handle kind.
     const KINDS: [HandleKind; 2] = [HandleKind::Collector, HandleKind::Stream];
 
-    fn event(trace: u64, kind: TraceEventKind) -> TraceEvent {
+    pub(crate) fn event(trace: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
             seq: 0,
             trace: TraceId(trace),
@@ -855,7 +854,7 @@ mod tests {
     }
 
     /// A lifecycle event, so both queues accept it.
-    fn queued(trace: u64) -> TraceEvent {
+    pub(crate) fn queued(trace: u64) -> TraceEvent {
         event(trace, TraceEventKind::Enqueue { shard: 0 })
     }
 
@@ -1001,29 +1000,6 @@ mod tests {
         for kind in filtered {
             assert_eq!(JobStage::of(&kind), None, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn blocking_next_wakes_on_publish_and_ends_on_close() {
-        // Whichever way the consumer interleaves with the publish and
-        // the close, it reads the one event and then the end.
-        let t = Arc::new(Telemetry::new(4));
-        let stream = ProgressStream::new(Arc::clone(&t));
-        let consumer = {
-            let stream = stream.clone();
-            thread::spawn(move || (stream.next(), stream.next()))
-        };
-        t.publish(queued(7));
-        t.ring().close();
-        let (first, end) = consumer.join().unwrap();
-        assert_eq!(first.unwrap().stage, JobStage::Queued { shard: 0 });
-        assert!(end.is_none(), "closed + drained ⇒ end of stream");
-    }
-
-    #[test]
-    fn next_timeout_expires_without_events() {
-        let stream = ProgressStream::new(Arc::new(Telemetry::new(4)));
-        assert!(stream.next_timeout(Duration::from_millis(10)).is_none());
     }
 
     #[test]
