@@ -1,6 +1,6 @@
 //! Tests of the [`ProgressStream`](crate::ProgressStream) API: the
-//! lifecycle view of the trace ring as a subscriber sees it. The ring
-//! rules both handle kinds share are pinned per kind in `trace::tests`.
+//! lifecycle view of the trace ring as a subscriber sees it: the stream
+//! side of the ring's rules, whose collector side `trace::tests` pins.
 
 mod tests {
     use crate::telemetry::{PlacementTarget, Telemetry};

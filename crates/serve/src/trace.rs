@@ -359,14 +359,13 @@ impl Queue {
         true
     }
 
-    fn attach(&mut self, capacity: usize) {
+    /// Attaches one handle. The first one pre-faults `prefault` slots
+    /// of backing store, so steady-state publishes never pay a realloc
+    /// copy or a scattered fresh-page fault mid-serve. Resize-then-clear
+    /// touches every slot once, sequentially, and keeps the capacity.
+    fn attach(&mut self, prefault: usize) {
         self.handles += 1;
-        if self.handles == 1 && self.events.capacity() < capacity {
-            // First handle: pre-fault the queue's full backing store, so
-            // steady-state publishes never pay a realloc copy or a
-            // scattered fresh-page fault mid-serve. Resize-then-clear
-            // touches every slot once, sequentially, and keeps the
-            // capacity.
+        if self.handles == 1 && self.events.capacity() < prefault {
             const FILLER: TraceEvent = TraceEvent {
                 seq: 0,
                 trace: TraceId::DETACHED,
@@ -381,7 +380,7 @@ impl Queue {
                 dur_ns: 0,
                 kind: TraceEventKind::CacheStore,
             };
-            self.events.resize(capacity, FILLER);
+            self.events.resize(prefault, FILLER);
             self.events.clear();
         }
     }
@@ -505,8 +504,16 @@ impl TraceRing {
     }
 
     fn attach(&self, kind: HandleKind) {
+        // Only the collector queue is pre-faulted: it takes every event
+        // and is typically drained after a run, so it fills. A stream
+        // takes a few lifecycle events per job and is usually consumed
+        // live, so its queue grows on demand up to the capacity.
+        let prefault = match kind {
+            HandleKind::Collector => self.capacity,
+            HandleKind::Stream => 0,
+        };
         let mut st = self.lock();
-        st.queue(kind).attach(self.capacity);
+        st.queue(kind).attach(prefault);
         self.attached.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -832,10 +839,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::job::JobKind;
 
-    /// The ring's rules are the same for both queues, so every ring
-    /// test below runs once per handle kind.
-    const KINDS: [HandleKind; 2] = [HandleKind::Collector, HandleKind::Stream];
-
     pub(crate) fn event(trace: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
             seq: 0,
@@ -858,71 +861,79 @@ pub(crate) mod tests {
         event(trace, TraceEventKind::Enqueue { shard: 0 })
     }
 
+    // The collector side of the ring's rules; `progress::tests` pins
+    // the same rules for streams.
+
     #[test]
     fn unwatched_ring_drops_everything_for_one_load() {
-        for kind in KINDS {
-            let t = Arc::new(Telemetry::new(8));
-            t.publish(queued(1)); // nothing attached: skipped
-            assert!(!t.traced(), "{kind:?}");
-            let sub = Subscription::new(Arc::clone(&t), kind);
-            assert!(t.traced(), "{kind:?}");
-            assert_eq!(sub.len(), 0, "{kind:?}: pre-attach event not stored");
-            t.publish(queued(2));
-            assert_eq!(sub.len(), 1, "{kind:?}");
-            assert_eq!(sub.dropped(), 0, "{kind:?}");
-        }
+        let t = Arc::new(Telemetry::new(8));
+        assert!(!t.traced());
+        t.publish(event(1, TraceEventKind::PlannerConsult));
+        assert_eq!(t.ring().recorded(), 0, "no subscriber ⇒ no buffering");
+        // A stream alone opens the gate, but only its queue takes events.
+        let stream = ProgressStream::new(Arc::clone(&t));
+        assert!(t.traced());
+        t.publish_slice(&[queued(2), event(2, TraceEventKind::CacheStore)]);
+        assert_eq!(stream.len(), 1);
+        let buffered = t.ring().queue(HandleKind::Collector, |q| q.events.len());
+        assert_eq!(buffered, 0);
+        assert_eq!(
+            t.ring().recorded(),
+            0,
+            "stream-only events are not recorded"
+        );
     }
 
     #[test]
     fn collector_receives_in_order_with_seq() {
-        for kind in KINDS {
-            let t = Arc::new(Telemetry::new(8));
-            let sub = Subscription::new(Arc::clone(&t), kind);
-            t.publish(queued(1));
-            t.publish_slice(&[queued(2), queued(3)]);
-            let got = sub.drain();
-            let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
-            let traces: Vec<u64> = got.iter().map(|e| e.trace.0).collect();
-            assert_eq!(seqs, [0, 1, 2], "{kind:?}");
-            assert_eq!(traces, [1, 2, 3], "{kind:?}");
-            assert_eq!(sub.len(), 0, "{kind:?}");
-        }
+        let t = Arc::new(Telemetry::new(8));
+        let c = TraceCollector::new(Arc::clone(&t));
+        assert!(t.traced());
+        t.publish(event(1, TraceEventKind::PlannerConsult));
+        t.publish_slice(&[event(2, TraceEventKind::CacheStore), queued(3)]);
+        let got = c.drain();
+        let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
+        let traces: Vec<u64> = got.iter().map(|e| e.trace.0).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert_eq!(traces, [1, 2, 3]);
+        assert_eq!(c.recorded(), 3);
+        assert!(c.is_empty());
     }
 
     #[test]
     fn full_ring_evicts_oldest_and_counts() {
-        for kind in KINDS {
-            let t = Arc::new(Telemetry::new(2));
-            let sub = Subscription::new(Arc::clone(&t), kind);
-            for i in 0..5 {
-                t.publish(queued(i));
-            }
-            assert_eq!(sub.dropped(), 3, "{kind:?}");
-            let got = sub.drain();
-            let traces: Vec<u64> = got.iter().map(|e| e.trace.0).collect();
-            assert_eq!(traces, [3, 4], "{kind:?}: oldest evicted first");
-            assert_eq!(got[0].seq, 3, "{kind:?}");
+        let t = Arc::new(Telemetry::new(2));
+        let c = TraceCollector::new(Arc::clone(&t));
+        for i in 0..5 {
+            t.publish(event(i, TraceEventKind::CacheStore));
         }
+        assert_eq!(c.dropped(), 3);
+        assert_eq!(c.recorded(), 5);
+        let got = c.drain();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].trace, TraceId(3), "oldest evicted first");
+        assert_eq!(got[0].seq, 3);
     }
 
     #[test]
     fn last_collector_detaching_clears_and_regates() {
-        for kind in KINDS {
-            let t = Arc::new(Telemetry::new(8));
-            let sub = Subscription::new(Arc::clone(&t), kind);
-            let clone = sub.clone();
-            t.publish(queued(1));
-            drop(sub);
-            assert!(t.traced(), "{kind:?}: the clone keeps the gate open");
-            drop(clone);
-            assert!(!t.traced(), "{kind:?}");
-            let freed = t.ring().queue(kind, |q| q.events.capacity());
-            assert_eq!(freed, 0, "{kind:?}: freed at last detach");
-            assert_eq!(t.ring().dropped(kind), 1, "{kind:?}: undelivered counts");
-            t.publish(queued(2)); // gated again
-            let late = Subscription::new(Arc::clone(&t), kind);
-            assert_eq!(late.len(), 0, "{kind:?}: a new window starts clean");
-        }
+        let t = Arc::new(Telemetry::new(8));
+        let c = TraceCollector::new(Arc::clone(&t));
+        let c2 = c.clone();
+        t.publish(event(1, TraceEventKind::CacheStore));
+        drop(c);
+        assert!(t.traced(), "second collector keeps the gate open");
+        drop(c2);
+        assert!(!t.traced());
+        let freed = t
+            .ring()
+            .queue(HandleKind::Collector, |q| q.events.capacity());
+        assert_eq!(freed, 0, "buffer freed with the last collector");
+        assert_eq!(t.trace_events_dropped(), 1, "undelivered counts dropped");
+        t.publish(event(2, TraceEventKind::CacheStore));
+        assert_eq!(t.ring().recorded(), 1, "publishing gated again");
+        let late = TraceCollector::new(Arc::clone(&t));
+        assert!(late.is_empty(), "a new window starts clean");
     }
 
     #[test]
@@ -945,6 +956,7 @@ pub(crate) mod tests {
         t.publish_slice(&kinds.map(|k| event(1, k)));
         let traced: Vec<TraceEventKind> = collector.drain().iter().map(|e| e.kind).collect();
         assert_eq!(traced, kinds, "the collector gets every event");
+        assert_eq!(collector.recorded(), kinds.len() as u64);
         let progress = stream.drain();
         let stages: Vec<JobStage> = progress.iter().map(|e| e.stage).collect();
         assert_eq!(

@@ -674,7 +674,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     let mut reservation: Option<Reservation<'_>> = None;
     // The consult event of the member that created the plan — the
     // batch-scoped reservation-hold and fused-exec spans land on its
-    // trace lane (set iff `reservation` is).
+    // trace lane (set only when that member was traced).
     let mut leader: Option<TraceEvent> = None;
     let mut executions = 0u64;
     // Fused cross-job execution engages only for real batches (≥ 2
@@ -781,14 +781,15 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // reservation).
                 let plan_wall = plan_start.elapsed();
                 recorder.record(Stage::Plan, plan_wall);
-                let consult = pending.event(
-                    Some(worker),
-                    telemetry.ns_at(plan_start),
-                    plan_wall.as_nanos() as u64,
-                    TraceEventKind::PlannerConsult,
-                );
                 if telemetry.traced() {
+                    let consult = pending.event(
+                        Some(worker),
+                        telemetry.ns_at(plan_start),
+                        plan_wall.as_nanos() as u64,
+                        TraceEventKind::PlannerConsult,
+                    );
                     telemetry.publish(consult);
+                    leader = Some(consult);
                 }
                 shared
                     .metrics
@@ -801,7 +802,6 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     decision.cpu_busy * batch_jobs as f64,
                     decision.ndp_busy * batch_jobs as f64,
                 ));
-                leader = Some(consult);
                 planned = Some((decision, modeled));
             }
             let (placement, modeled) = planned.as_ref().expect("just planned");
@@ -914,8 +914,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         shared
             .metrics
             .on_fused(executions, executions as f64 * fused_saving_s);
-        if telemetry.traced() {
-            let leader = leader.expect("an execution implies a planning member");
+        if let Some(leader) = leader.filter(|_| telemetry.traced()) {
             telemetry.publish(TraceEvent {
                 start_ns: telemetry.ns_at(batch_start),
                 dur_ns: batch_start.elapsed().as_nanos() as u64,
@@ -932,8 +931,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     if let Some(held) = reservation.take() {
         let hold = held.held_for();
         recorder.record(Stage::Reserve, hold);
-        if telemetry.traced() {
-            let leader = leader.expect("a reservation implies a planning member");
+        if let Some(leader) = leader.filter(|_| telemetry.traced()) {
             telemetry.publish(TraceEvent {
                 start_ns: telemetry.ns_at(held.granted_at()),
                 dur_ns: hold.as_nanos() as u64,
