@@ -694,6 +694,38 @@ mod tests {
         }
     }
 
+    /// `(atoms, bands, energies, density_residuals)` of the perfbench
+    /// `scf_sweep` self-consistent shapes (2 iterations, every band
+    /// occupied, 2 cycles at α = 0.5), recorded from the solver that
+    /// applied H to every unit start vector and filled `H_sub` with full
+    /// grid dot products.
+    #[rustfmt::skip]
+    const SELF_CONSISTENT_PIN: [(usize, usize, &[f64], &[f64]); 5] = [
+        (8, 2, &[-2.5516253217208615, 2.790578189263899], &[0.0340404391952761, 0.013844173364887554]),
+        (8, 3, &[-2.537436747678707, 2.8164649129996904, 2.8164649129996913], &[0.060467710373029865, 0.020960649371869814]),
+        (16, 2, &[-2.5692602089425747, -1.210431538446786], &[0.010819242422016614, 0.005005478908469113]),
+        (16, 3, &[-2.5627030803800683, -1.2029274796761755, -1.202927479676143], &[0.016903868410140667, 0.007485444150299357]),
+        (24, 2, &[-2.5739866114958643, -1.9679863035107599], &[0.006719826383875547, 0.0031980768282900357]),
+    ];
+
+    #[test]
+    fn self_consistent_sweep_shapes_match_pinned_values() {
+        for &(atoms, bands, energies, density_residuals) in &SELF_CONSISTENT_PIN {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let r = run_scf_selfconsistent(&sys, &small_opts(bands, 2), bands, 2, 0.5).unwrap();
+            let case = format!("Si_{atoms}, {bands} bands");
+            for (got, expect) in [
+                (&r.ground_state.energies_ev, energies),
+                (&r.density_residuals, density_residuals),
+            ] {
+                assert_eq!(got.len(), expect.len(), "{case}");
+                for (&g, &x) in got.iter().zip(expect) {
+                    assert!((g - x).abs() <= 1e-10 * x.abs(), "{case}: {g} vs {x}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn plane_wave_apply_matches_real_space_apply() {
         // apply_g(c) ≡ F·apply(F⁻¹c) on seeded random coefficients.

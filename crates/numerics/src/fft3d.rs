@@ -294,6 +294,78 @@ mod tests {
         out
     }
 
+    /// The 3-D transform with every x-line transformed on its own
+    /// (`lanes = 1`), then the plan's y and z passes.
+    fn row_by_row_reference(plan: &Fft3Plan, data: &mut [Complex64], inverse: bool) {
+        let GridDims { nx, ny, .. } = plan.dims;
+        let mut scratch = vec![Complex64::ZERO; data.len()];
+        if inverse {
+            conj_all(data);
+        }
+        for line in data.chunks_exact_mut(nx) {
+            plan.plan_x.forward_lanes(line, 1, &mut scratch);
+        }
+        for slab in data.chunks_exact_mut(nx * ny) {
+            plan.plan_y.forward_lanes(slab, nx, &mut scratch);
+        }
+        plan.plan_z.forward_lanes(data, nx * ny, &mut scratch);
+        if inverse {
+            conj_scale_all(data, 1.0 / data.len() as f64);
+        }
+    }
+
+    fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    #[test]
+    fn x_pass_matches_row_by_row_reference_bitwise() {
+        // Cubic, non-cubic, Bluestein lengths on x (7) and z (7), and
+        // grids with a single z-slab or a single row per slab.
+        for dims in [
+            GridDims::cubic(8),
+            GridDims::new(20, 6, 7),
+            GridDims::new(7, 4, 3),
+            GridDims::new(12, 10, 1),
+            GridDims::new(10, 1, 6),
+        ] {
+            let plan = Fft3Plan::new(dims);
+            let grids = 3;
+            let x = random_field(dims.len() * grids, dims.len() as u64 + 5);
+            for inverse in [false, true] {
+                let mut expect = x.clone();
+                for grid in expect.chunks_exact_mut(dims.len()) {
+                    row_by_row_reference(&plan, grid, inverse);
+                }
+                let mut solo = x.clone();
+                for grid in solo.chunks_exact_mut(dims.len()) {
+                    if inverse {
+                        plan.inverse(grid);
+                    } else {
+                        plan.forward(grid);
+                    }
+                }
+                let mut batch = x.clone();
+                if inverse {
+                    plan.inverse_batch(&mut batch);
+                } else {
+                    plan.forward_batch(&mut batch);
+                }
+                assert!(
+                    same_bits(&solo, &expect),
+                    "{dims:?}, inverse {inverse}: solo"
+                );
+                assert!(
+                    same_bits(&batch, &expect),
+                    "{dims:?}, inverse {inverse}: batch"
+                );
+            }
+        }
+    }
+
     #[test]
     fn matches_naive_3d() {
         let dims = GridDims::new(4, 3, 5);
