@@ -5,15 +5,21 @@
 //! separable: one 1-D FFT along each axis. Data is stored row-major with
 //! `x` fastest: `index = (z * ny + y) * nx + x`.
 //!
-//! All three axes run the multi-lane Stockham kernel of [`crate::fft`] in
-//! place, with no strided gather. The x-lines are contiguous and go one at
-//! a time (`lanes = 1`). Within a z-slab, the y-lines are the slab's `nx`
-//! columns, so the slab is transformed as `ny` rows of `nx` lanes: every
-//! butterfly operand is a whole row. The z-lines are the grid's `nx·ny`
-//! columns, so the grid is transformed as `nz` planes of `nx·ny` lanes.
-//! One scratch buffer of one grid serves every pass of a transform (and
-//! every grid of a batch). The inverse is a conjugate pass, the forward
-//! transform, then a conjugate-and-`1/(nx·ny·nz)` pass.
+//! All three axes run the multi-lane Stockham kernel of [`crate::fft`],
+//! with no strided gather. The x-lines are a z-slab's `ny` contiguous
+//! rows; the slab is transposed so that they become `ny` interleaved
+//! lanes of length `nx`, transformed together, and transposed back. Each
+//! butterfly then works on a run of `ny` values instead of a single one,
+//! and every lane does exactly the arithmetic of a lone row, so the
+//! result is bit-identical to transforming the rows one at a time.
+//! Within a z-slab, the y-lines are the slab's `nx` columns, so the slab
+//! is transformed as `ny` rows of `nx` lanes: every butterfly operand is a
+//! whole row. The z-lines are the grid's `nx·ny` columns, so the grid is
+//! transformed as `nz` planes of `nx·ny` lanes. One scratch buffer of one
+//! grid, and at least two slabs (the transposed slab plus the kernel's
+//! ping-pong buffer), serves every pass of a transform and every grid of
+//! a batch. The inverse is a conjugate pass, the forward transform, then a
+//! conjugate-and-`1/(nx·ny·nz)` pass.
 
 use crate::counters::{KernelCost, C64_BYTES};
 use crate::fft::{conj_all, conj_scale_all, FftPlan};
@@ -141,19 +147,38 @@ impl Fft3Plan {
             self.dims.len(),
             "3-D FFT buffer length mismatch"
         );
-        let mut scratch = vec![Complex64::ZERO; data.len()];
+        let mut scratch = self.scratch();
         self.transform_in(data, inverse, &mut scratch);
     }
 
-    /// One 3-D transform of a single grid, reusing `scratch` (one grid long).
+    /// Scratch for [`transform_in`](Self::transform_in): one grid, and no
+    /// less than two z-slabs.
+    fn scratch(&self) -> Vec<Complex64> {
+        let GridDims { nx, ny, .. } = self.dims;
+        vec![Complex64::ZERO; self.dims.len().max(2 * nx * ny)]
+    }
+
+    /// One 3-D transform of a single grid, reusing `scratch` (from
+    /// [`scratch`](Self::scratch)).
     fn transform_in(&self, data: &mut [Complex64], inverse: bool, scratch: &mut [Complex64]) {
         let GridDims { nx, ny, .. } = self.dims;
         if inverse {
             conj_all(data);
         }
-        // x: contiguous lines, one signal each.
-        for line in data.chunks_exact_mut(nx) {
-            self.plan_x.forward_lanes(line, 1, scratch);
+        // x: the slab's rows, transposed into interleaved lanes.
+        let (lanes, kernel_scratch) = scratch.split_at_mut(nx * ny);
+        for slab in data.chunks_exact_mut(nx * ny) {
+            for (x, column) in lanes.chunks_exact_mut(ny).enumerate() {
+                for (v, row) in column.iter_mut().zip(slab.chunks_exact(nx)) {
+                    *v = row[x];
+                }
+            }
+            self.plan_x.forward_lanes(lanes, ny, kernel_scratch);
+            for (x, column) in lanes.chunks_exact(ny).enumerate() {
+                for (&v, row) in column.iter().zip(slab.chunks_exact_mut(nx)) {
+                    row[x] = v;
+                }
+            }
         }
         // y: within each z-slab, the nx columns are interleaved lanes.
         for slab in data.chunks_exact_mut(nx * ny) {
@@ -196,7 +221,7 @@ impl Fft3Plan {
             !data.is_empty() && data.len().is_multiple_of(len),
             "batched 3-D FFT buffer must hold a positive whole number of grids"
         );
-        let mut scratch = vec![Complex64::ZERO; len];
+        let mut scratch = self.scratch();
         for grid in data.chunks_exact_mut(len) {
             self.transform_in(grid, inverse, &mut scratch);
         }
