@@ -130,58 +130,88 @@ pub fn apply_nonlocal(
     pseudos: &Pseudopotential,
     volume_element: f64,
 ) -> u64 {
+    let len = psi.len();
+    let mut coef = [[Complex64::ZERO; N_PROJ]];
     for sphere in &pseudos.spheres {
-        let coef = pseudos.project(sphere, psi, volume_element);
-        pseudos.scatter(sphere, &coef, psi);
+        pseudos.project(sphere, psi, len, volume_element, &mut coef);
+        pseudos.scatter(sphere, &coef, len, psi);
     }
     (pseudos.spheres.len() * N_PROJ) as u64
 }
 
-/// Adds the Hermitian nonlocal term `Σ_a V_a ψ` to `out`: every atom
-/// projects the unmodified `psi`.
+/// Adds the Hermitian nonlocal term `Σ_a V_a ψ` to `out` for every row
+/// of the block `psi` (rows of `len` grid points): every atom projects
+/// the unmodified rows.
+///
+/// Each atom's projector table rows and sphere indices are read once for
+/// the whole block, and every row gets exactly the arithmetic it would
+/// get as a block of one.
 ///
 /// # Panics
 ///
-/// Panics if `psi` or `out` does not cover every projector grid index.
+/// Panics if `psi` and `out` differ in length, are not whole rows of
+/// `len`, or a row does not cover every projector grid index.
 pub(crate) fn add_nonlocal(
     psi: &[Complex64],
+    len: usize,
     pseudos: &Pseudopotential,
     volume_element: f64,
     out: &mut [Complex64],
 ) {
+    assert_eq!(psi.len(), out.len(), "nonlocal block shape mismatch");
+    assert!(
+        psi.len().is_multiple_of(len),
+        "nonlocal block must hold whole rows"
+    );
+    let mut coef = vec![[Complex64::ZERO; N_PROJ]; psi.len() / len];
     for sphere in &pseudos.spheres {
-        let coef = pseudos.project(sphere, psi, volume_element);
-        pseudos.scatter(sphere, &coef, out);
+        pseudos.project(sphere, psi, len, volume_element, &mut coef);
+        pseudos.scatter(sphere, &coef, len, out);
     }
 }
 
 impl Pseudopotential {
-    /// `⟨β_ap|ψ⟩·dv` for every projector of one atom (the gather half).
+    /// `coef[b] = ⟨β_ap|ψ_b⟩·dv` for every projector of one atom and every
+    /// row `ψ_b` of the block (the gather half).
     fn project(
         &self,
         sphere: &[u32],
         psi: &[Complex64],
+        len: usize,
         volume_element: f64,
-    ) -> [Complex64; N_PROJ] {
-        let mut coef = [Complex64::ZERO; N_PROJ];
+        coef: &mut [[Complex64; N_PROJ]],
+    ) {
+        coef.fill([Complex64::ZERO; N_PROJ]);
         for (&idx, row) in sphere.iter().zip(&self.table) {
-            let v = psi[idx as usize];
-            for (cp, &b) in coef.iter_mut().zip(row) {
-                *cp += v.scale(b);
+            for (b, cb) in coef.iter_mut().enumerate() {
+                let v = psi[b * len + idx as usize];
+                for (cp, &beta) in cb.iter_mut().zip(row) {
+                    *cp += v.scale(beta);
+                }
             }
         }
-        coef.map(|c| c.scale(volume_element))
+        for cb in coef.iter_mut() {
+            *cb = cb.map(|c| c.scale(volume_element));
+        }
     }
 
-    /// `out += Σ_p D_p · coef_p · β_ap` over one atom's sphere (the
-    /// scatter half).
-    fn scatter(&self, sphere: &[u32], coef: &[Complex64; N_PROJ], out: &mut [Complex64]) {
+    /// `out_b += Σ_p D_p · coef[b]_p · β_ap` over one atom's sphere, for
+    /// every row `out_b` of the block (the scatter half).
+    fn scatter(
+        &self,
+        sphere: &[u32],
+        coef: &[[Complex64; N_PROJ]],
+        len: usize,
+        out: &mut [Complex64],
+    ) {
         for (&idx, row) in sphere.iter().zip(&self.scaled) {
-            let mut acc = Complex64::ZERO;
-            for (cf, &db) in coef.iter().zip(row) {
-                acc += cf.scale(db);
+            for (b, cb) in coef.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (cf, &db) in cb.iter().zip(row) {
+                    acc += cf.scale(db);
+                }
+                out[b * len + idx as usize] += acc;
             }
-            out[idx as usize] += acc;
         }
     }
 }
@@ -522,7 +552,7 @@ mod tests {
             assert!(same_bits(&fast, &slow), "Si_{atoms}: apply_nonlocal");
             // Hermitian sum, every atom projecting the unmodified ψ.
             let mut fast = psi.clone();
-            add_nonlocal(&psi, &ps, dv, &mut fast);
+            add_nonlocal(&psi, nr, &ps, dv, &mut fast);
             let mut slow = psi.clone();
             reference_nonlocal(&reference, dv, Some(&psi), &mut slow);
             assert!(same_bits(&fast, &slow), "Si_{atoms}: add_nonlocal");

@@ -38,6 +38,7 @@ use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
 use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
 use serde::{Deserialize, Serialize};
+use std::f64::consts::TAU;
 
 /// Converged (or best-effort) ground state.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,11 +131,11 @@ impl KsHamiltonian {
         assert_eq!(psi.len(), self.nr, "orbital length mismatch");
         // Kinetic: FFT → ×(ħ²/2m)G² → inverse FFT.
         let mut kin = psi.to_vec();
-        self.plan.forward(&mut kin);
+        self.fft(&mut kin, false);
         for (z, &g2) in kin.iter_mut().zip(&self.g2) {
             *z = z.scale(HBAR2_OVER_2M * g2);
         }
-        self.plan.inverse(&mut kin);
+        self.fft(&mut kin, true);
         self.add_potential(psi, &mut kin);
         kin
     }
@@ -163,18 +164,93 @@ impl KsHamiltonian {
         out
     }
 
-    /// `out += (V_loc + V_nl)·φ` on the real-space grid: the potential
-    /// step both [`apply`](Self::apply) and the coefficient-space apply
-    /// share.
+    /// `out = H·c` for every row of the plane-wave coefficient block `c`:
+    /// one batched inverse FFT to real space, the potential step over the
+    /// whole block, one batched forward FFT back, and the diagonal
+    /// kinetic term. `phi` (the shape of `c`) is clobbered.
+    fn apply_block(&self, c: &[Complex64], phi: &mut [Complex64], out: &mut [Complex64]) {
+        phi.copy_from_slice(c);
+        self.fft(phi, true);
+        self.potential_image(phi, out);
+        for (o_row, c_row) in out.chunks_exact_mut(self.nr).zip(c.chunks_exact(self.nr)) {
+            for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(&self.g2) {
+                *o += z.scale(HBAR2_OVER_2M * g2);
+            }
+        }
+    }
+
+    /// `out = F·(V_loc + V_nl)·phi` for every real-space row of `phi`: the
+    /// potential half of `H` in the plane-wave basis.
+    fn potential_image(&self, phi: &[Complex64], out: &mut [Complex64]) {
+        out.fill(Complex64::ZERO);
+        self.add_potential(phi, out);
+        self.fft(out, false);
+    }
+
+    /// `out` row `b` = `H·e_g` for the unit coefficient vector at bin
+    /// `g = bins[b]`. `F⁻¹e_g` is a plane wave, the product of one phase
+    /// table per axis, so it is written into `phi` directly and only the
+    /// forward FFT runs; the kinetic term lands on bin `g` alone.
+    fn unit_images(&self, bins: &[usize], phi: &mut [Complex64], out: &mut [Complex64]) {
+        let dims = self.plan.dims();
+        for (row, &g) in phi.chunks_exact_mut(self.nr).zip(bins) {
+            let (gx, gy, gz) = (
+                g % dims.nx,
+                (g / dims.nx) % dims.ny,
+                g / (dims.nx * dims.ny),
+            );
+            let phases = |k: usize, n: usize| -> Vec<Complex64> {
+                (0..n)
+                    .map(|i| Complex64::cis(TAU * ((k * i) % n) as f64 / n as f64))
+                    .collect()
+            };
+            let (tx, ty, tz) = (
+                phases(gx, dims.nx),
+                phases(gy, dims.ny),
+                phases(gz, dims.nz),
+            );
+            let inv_n = 1.0 / self.nr as f64;
+            let lines = tz
+                .iter()
+                .flat_map(|&z| ty.iter().map(move |&y| (z * y).scale(inv_n)));
+            for (line, zy) in row.chunks_exact_mut(dims.nx).zip(lines) {
+                for (v, &x) in line.iter_mut().zip(&tx) {
+                    *v = zy * x;
+                }
+            }
+        }
+        self.potential_image(phi, out);
+        for (row, &g) in out.chunks_exact_mut(self.nr).zip(bins) {
+            row[g] += Complex64::from_real(HBAR2_OVER_2M * self.g2[g]);
+        }
+    }
+
+    /// `out += (V_loc + V_nl)·φ` on the real-space grid, for every row of
+    /// the block `phi`: the potential step both [`apply`](Self::apply) (a
+    /// block of one) and the coefficient-space applies share.
     fn add_potential(&self, phi: &[Complex64], out: &mut [Complex64]) {
         #[cfg(test)]
-        tests::APPLY_CALLS.with(|c| c.set(c.get() + 1));
+        tests::APPLY_CALLS.with(|c| c.set(c.get() + phi.len() / self.nr));
         // Local potential, pointwise.
-        for ((o, p), &v) in out.iter_mut().zip(phi).zip(&self.vloc) {
-            *o += p.scale(v);
+        for (o_row, p_row) in out.chunks_exact_mut(self.nr).zip(phi.chunks_exact(self.nr)) {
+            for ((o, p), &v) in o_row.iter_mut().zip(p_row).zip(&self.vloc) {
+                *o += p.scale(v);
+            }
         }
         // Nonlocal: Σ_a V_a φ, every atom projecting the unmodified φ.
-        add_nonlocal(phi, &self.pseudos, self.dv, out);
+        add_nonlocal(phi, self.nr, &self.pseudos, self.dv, out);
+    }
+
+    /// Transforms every grid of `block` on this Hamiltonian's plan,
+    /// forward or inverse.
+    fn fft(&self, block: &mut [Complex64], inverse: bool) {
+        #[cfg(test)]
+        tests::FFT_CALLS.with(|c| c.set(c.get() + block.len() / self.nr));
+        if inverse {
+            self.plan.inverse_batch(block);
+        } else {
+            self.plan.forward_batch(block);
+        }
     }
 }
 
@@ -596,6 +672,9 @@ mod tests {
         /// Hamiltonian applications (real-space or plane-wave) made on
         /// this thread.
         pub(super) static APPLY_CALLS: Cell<usize> = const { Cell::new(0) };
+        /// 3-D FFTs (one grid each) run through a Hamiltonian's plan on
+        /// this thread.
+        pub(super) static FFT_CALLS: Cell<usize> = const { Cell::new(0) };
     }
 
     fn small_opts(bands: usize, iters: usize) -> ScfOptions {
@@ -741,6 +820,63 @@ mod tests {
             let diff: Vec<Complex64> = fast.iter().zip(&slow).map(|(a, b)| *a - *b).collect();
             let rel = vecops::norm(&diff) / vecops::norm(&slow);
             assert!(rel <= 1e-12, "Si_{atoms}: relative difference {rel:e}");
+        }
+    }
+
+    #[test]
+    fn unit_images_match_applied_unit_vectors() {
+        // The plane-wave start never transforms e_g: its real-space form
+        // comes from three per-axis phase tables. The bins cover the
+        // lowest shells and negative frequencies on every axis.
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
+            let nr = h.len();
+            let mut bins = lowest_g_indices(&h.g2, 6);
+            bins.push(nr - 1);
+            bins.push(nr / 2 + 3);
+            let mut phi = vec![Complex64::ZERO; bins.len() * nr];
+            let mut images = vec![Complex64::ZERO; bins.len() * nr];
+            h.unit_images(&bins, &mut phi, &mut images);
+            for (image, &g) in images.chunks_exact(nr).zip(&bins) {
+                let mut e = vec![Complex64::ZERO; nr];
+                e[g] = Complex64::ONE;
+                let applied = h.apply_g(&e);
+                let diff: Vec<Complex64> =
+                    image.iter().zip(&applied).map(|(a, b)| *a - *b).collect();
+                let rel = vecops::norm(&diff) / vecops::norm(&applied);
+                assert!(
+                    rel <= 1e-12,
+                    "Si_{atoms}, bin {g}: relative difference {rel:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_apply_matches_per_row_apply_bitwise() {
+        for (atoms, seed) in [(8, 0xb10c_0008u64), (16, 0xb10c_0016), (24, 0xb10c_0024)] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
+            let nr = h.len();
+            for k in 1..=4 {
+                let c: Vec<Complex64> = (0..k)
+                    .flat_map(|r| random_unit(nr, seed + r as u64))
+                    .collect();
+                let mut phi = vec![Complex64::ZERO; k * nr];
+                let mut block = vec![Complex64::ZERO; k * nr];
+                h.apply_block(&c, &mut phi, &mut block);
+                for (r, (row, got)) in c.chunks_exact(nr).zip(block.chunks_exact(nr)).enumerate() {
+                    let expect = h.apply_g(row);
+                    assert!(
+                        got.iter()
+                            .zip(&expect)
+                            .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
+                                && a.im.to_bits() == b.im.to_bits()),
+                        "Si_{atoms}, block of {k}, row {r}"
+                    );
+                }
+            }
         }
     }
 
