@@ -91,6 +91,8 @@ impl Default for ScfOptions {
 pub struct KsHamiltonian {
     plan: Fft3Plan,
     g2: Vec<f64>,
+    /// The preconditioner `1/(1 + (ħ²/2m)G²)`, per bin.
+    precond: Vec<f64>,
     vloc: Vec<f64>,
     pseudos: Pseudopotential,
     dv: f64,
@@ -102,9 +104,14 @@ impl KsHamiltonian {
     pub fn new(system: &SiliconSystem, opts: &ScfOptions) -> Self {
         let grid = system.grid();
         let nr = grid.len();
+        let g2 = system_g2(system);
         KsHamiltonian {
             plan: Fft3Plan::new(grid),
-            g2: system_g2(system),
+            precond: g2
+                .iter()
+                .map(|&g2| 1.0 / (1.0 + HBAR2_OVER_2M * g2))
+                .collect(),
+            g2,
             vloc: local_potential(system, opts.potential_depth_ev, opts.potential_sigma),
             pseudos: build_pseudos(system, 1.8),
             dv: system.volume() / nr as f64,
@@ -146,28 +153,12 @@ impl KsHamiltonian {
         vecops::dot(psi, &h).re
     }
 
-    /// Applies `H` to plane-wave coefficients `c(G)`: the inverse FFT
-    /// takes `c` to real space, the potential acts there, the forward FFT
-    /// brings the result back, and the kinetic term is added diagonally.
-    /// The forward transform is unnormalized and the inverse carries
-    /// `1/N`, so this is `H` in the unitary basis `c = Fψ/√N` without
-    /// any further scaling.
-    fn apply_g(&self, c: &[Complex64]) -> Vec<Complex64> {
-        let mut phi = c.to_vec();
-        self.plan.inverse(&mut phi);
-        let mut out = vec![Complex64::ZERO; self.nr];
-        self.add_potential(&phi, &mut out);
-        self.plan.forward(&mut out);
-        for ((o, z), &g2) in out.iter_mut().zip(c).zip(&self.g2) {
-            *o += z.scale(HBAR2_OVER_2M * g2);
-        }
-        out
-    }
-
     /// `out = H·c` for every row of the plane-wave coefficient block `c`:
     /// one batched inverse FFT to real space, the potential step over the
     /// whole block, one batched forward FFT back, and the diagonal
-    /// kinetic term. `phi` (the shape of `c`) is clobbered.
+    /// kinetic term. `phi` (the shape of `c`) is clobbered. The forward
+    /// transform is unnormalized and the inverse carries `1/N`, so this is
+    /// `H` in the unitary basis `c = Fψ/√N` without any further scaling.
     fn apply_block(&self, c: &[Complex64], phi: &mut [Complex64], out: &mut [Complex64]) {
         phi.copy_from_slice(c);
         self.fft(phi, true);
@@ -242,10 +233,13 @@ impl KsHamiltonian {
     }
 
     /// Transforms every grid of `block` on this Hamiltonian's plan,
-    /// forward or inverse.
+    /// forward or inverse; an empty block is left alone.
     fn fft(&self, block: &mut [Complex64], inverse: bool) {
         #[cfg(test)]
         tests::FFT_CALLS.with(|c| c.set(c.get() + block.len() / self.nr));
+        if block.is_empty() {
+            return;
+        }
         if inverse {
             self.plan.inverse_batch(block);
         } else {
@@ -532,131 +526,202 @@ fn solve_bands(
 ) -> Result<GroundState, EigError> {
     let nr = h.nr;
     let nb = opts.bands;
+    let bins = &order[..nb];
+    // Row blocks, allocated once per solve: the bands ψ and H·ψ, the new
+    // directions W and H·W, and the two blocks the Ritz rotation writes
+    // (the first also holds the real-space rows of every H application).
+    let mut psi = CMat::zeros(nb, nr);
+    let mut hpsi = CMat::zeros(nb, nr);
+    let mut w = CMat::zeros(nb, nr);
+    let mut hw = CMat::zeros(nb, nr);
+    let mut next = CMat::zeros(nb, nr);
+    let mut hnext = CMat::zeros(nb, nr);
 
-    // Initial guess: the lowest plane waves — unit vectors in G — and
-    // their H-images.
-    let mut psi: Vec<Vec<Complex64>> = order[..nb]
-        .iter()
-        .map(|&g| {
-            let mut c = vec![Complex64::ZERO; nr];
-            c[g] = Complex64::ONE;
-            c
-        })
-        .collect();
-    let mut hpsi: Vec<Vec<Complex64>> = psi.iter().map(|c| h.apply_g(c)).collect();
+    // Initial guess: the lowest plane waves — unit vectors e_g in G — and
+    // their H-images. Until the first rotation ⟨e_g|x⟩ is the element
+    // x[g], so every product with ψ is an element read.
+    for (b, &g) in bins.iter().enumerate() {
+        psi.row_mut(b)[g] = Complex64::ONE;
+    }
+    h.unit_images(bins, next.as_mut_slice(), hpsi.as_mut_slice());
+    let mut unit_start = true;
 
     let mut energies = vec![0.0f64; nb];
-    let mut residuals = vec![f64::INFINITY; nb];
+    let mut residuals = vec![0.0f64; nb];
     let mut iterations = 0;
-
-    for _iter in 0..opts.max_iterations {
-        iterations += 1;
-        // Rayleigh quotients + residuals from the carried H·ψ; the
-        // preconditioned residuals are the new search directions. The
-        // preconditioner is diagonal in G.
-        let mut dirs = Vec::with_capacity(nb);
+    loop {
+        // Rayleigh quotients and residuals from the carried H·ψ; the
+        // preconditioned residuals (the preconditioner is diagonal in G)
+        // are the new search directions.
         for b in 0..nb {
-            energies[b] = vecops::dot(&psi[b], &hpsi[b]).re;
-            let mut r: Vec<Complex64> = hpsi[b]
-                .iter()
-                .zip(&psi[b])
-                .map(|(hp, p)| *hp - p.scale(energies[b]))
-                .collect();
-            residuals[b] = vecops::norm(&r);
-            for (z, &g2) in r.iter_mut().zip(&h.g2) {
-                *z = z.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
+            let (p, hp) = (psi.row(b), hpsi.row(b));
+            let e = if unit_start {
+                hp[bins[b]].re
+            } else {
+                vecops::dot(p, hp).re
+            };
+            let mut norm_sqr = 0.0;
+            for (((d, hz), z), &k) in w.row_mut(b).iter_mut().zip(hp).zip(p).zip(&h.precond) {
+                let r = *hz - z.scale(e);
+                norm_sqr += r.norm_sqr();
+                *d = r.scale(k);
             }
-            dirs.push(r);
+            energies[b] = e;
+            residuals[b] = norm_sqr.sqrt();
+        }
+        // Converged (or nothing to iterate): ψ is returned as is, with
+        // the residuals just computed.
+        if residuals.iter().all(|r| *r < opts.residual_tolerance)
+            || iterations == opts.max_iterations
+        {
+            break;
         }
         // Trial space: ψ (already orthonormal) plus the surviving new
-        // directions. H is applied to the new directions only.
-        let dirs = orthonormalize_against(&psi, dirs);
-        hpsi.extend(dirs.iter().map(|d| h.apply_g(d)));
-        psi.extend(dirs);
-        // Rayleigh–Ritz in the trial space.
-        let m = psi.len();
-        let hsub = CMat::from_fn(m, m, |i, j| vecops::dot(&psi[i], &hpsi[j]));
+        // directions. Projecting e_g out of a direction zeroes its bin g.
+        if unit_start {
+            for d in w.as_mut_slice().chunks_exact_mut(nr) {
+                for &g in bins {
+                    d[g] = Complex64::ZERO;
+                }
+            }
+        }
+        let basis = if unit_start { &[][..] } else { psi.as_slice() };
+        let nw = orthonormalize_against(basis, w.as_mut_slice(), nr);
+        // H is applied to the new directions only, as one block.
+        h.apply_block(
+            &w.as_slice()[..nw * nr],
+            &mut next.as_mut_slice()[..nw * nr],
+            &mut hw.as_mut_slice()[..nw * nr],
+        );
+        // Rayleigh–Ritz in the trial space, computing only the entries of
+        // the Hermitian H_sub that are not already known: after a Ritz
+        // rotation ψ†Hψ is diag(ε); W†Hψ gives both off-diagonal blocks;
+        // W†HW needs one triangle.
+        let m = nb + nw;
+        let mut hsub = CMat::zeros(m, m);
+        for i in 0..nb {
+            for j in 0..nb {
+                hsub[(i, j)] = if unit_start {
+                    hpsi.row(j)[bins[i]]
+                } else if i == j {
+                    Complex64::from_real(energies[i])
+                } else {
+                    Complex64::ZERO
+                };
+            }
+        }
+        for i in 0..nw {
+            for j in 0..nb {
+                let x = if unit_start {
+                    hw.row(i)[bins[j]].conj()
+                } else {
+                    vecops::dot(w.row(i), hpsi.row(j))
+                };
+                hsub[(nb + i, j)] = x;
+                hsub[(j, nb + i)] = x.conj();
+            }
+            for j in i..nw {
+                let x = vecops::dot(w.row(i), hw.row(j));
+                hsub[(nb + j, nb + i)] = x.conj();
+                hsub[(nb + i, nb + j)] = x;
+            }
+        }
         let eig = heevd(&hsub)?;
+        iterations += 1;
         // Rotate the lowest nb Ritz vectors, and their H-images with the
-        // same coefficients and normalization.
-        let mut next = Vec::with_capacity(nb);
-        let mut hnext = Vec::with_capacity(nb);
+        // same coefficients and normalization. The last update needs no
+        // H-images: its energies are the Ritz values.
+        let last = iterations == opts.max_iterations;
         for b in 0..nb {
-            let mut v = vec![Complex64::ZERO; nr];
-            let mut hv = vec![Complex64::ZERO; nr];
-            for (j, (t, ht)) in psi.iter().zip(&hpsi).enumerate() {
-                let c = eig.vectors[(j, b)];
-                vecops::axpy(c, t, &mut v);
-                vecops::axpy(c, ht, &mut hv);
+            let c = |j: usize| eig.vectors[(j, b)];
+            let v = next.row_mut(b);
+            v.fill(Complex64::ZERO);
+            if unit_start {
+                for (j, &g) in bins.iter().enumerate() {
+                    v[g] = c(j);
+                }
+            } else {
+                for j in 0..nb {
+                    vecops::axpy(c(j), psi.row(j), v);
+                }
+            }
+            for j in 0..nw {
+                vecops::axpy(c(nb + j), w.row(j), v);
             }
             // A unit coefficient vector over an orthonormal basis: the
             // norm is ≈ 1, never 0.
-            let inv = 1.0 / vecops::normalize(&mut v);
-            for z in hv.iter_mut() {
-                *z = z.scale(inv);
+            let inv = 1.0 / vecops::normalize(v);
+            if !last {
+                let hv = hnext.row_mut(b);
+                hv.fill(Complex64::ZERO);
+                for j in 0..nb {
+                    vecops::axpy(c(j), hpsi.row(j), hv);
+                }
+                for j in 0..nw {
+                    vecops::axpy(c(nb + j), hw.row(j), hv);
+                }
+                for z in hv.iter_mut() {
+                    *z = z.scale(inv);
+                }
             }
-            next.push(v);
-            hnext.push(hv);
         }
-        psi = next;
-        hpsi = hnext;
-        if residuals.iter().all(|r| *r < opts.residual_tolerance) {
+        std::mem::swap(&mut psi, &mut next);
+        std::mem::swap(&mut hpsi, &mut hnext);
+        unit_start = false;
+        if last {
+            energies.copy_from_slice(&eig.values[..nb]);
             break;
         }
     }
 
-    // Final energies: Rayleigh quotients of the rotated pairs.
-    for b in 0..nb {
-        energies[b] = vecops::dot(&psi[b], &hpsi[b]).re;
-    }
-    // Sort ascending (Rayleigh-Ritz should already order them).
+    // Sort ascending (Rayleigh–Ritz should already order them).
     let mut idx: Vec<usize> = (0..nb).collect();
     idx.sort_by(|&a, &b| {
         energies[a]
             .partial_cmp(&energies[b])
             .expect("finite energies")
     });
-    let energies_sorted: Vec<f64> = idx.iter().map(|&i| energies[i]).collect();
-    let residuals_sorted: Vec<f64> = idx.iter().map(|&i| residuals[i]).collect();
-    // Back to real space, once per band: ψ = √N · F⁻¹c keeps the unit
-    // grid norm.
-    let sqrt_n = (nr as f64).sqrt();
-    let mut flat = Vec::with_capacity(nb * nr);
-    for &i in &idx {
-        flat.extend_from_slice(&psi[i]);
+    // Back to real space in one batch: ψ = √N · F⁻¹c keeps the unit grid
+    // norm.
+    let mut orbitals = w;
+    for (k, &i) in idx.iter().enumerate() {
+        orbitals.row_mut(k).copy_from_slice(psi.row(i));
     }
-    for band in flat.chunks_exact_mut(nr) {
-        h.plan.inverse(band);
-        for z in band.iter_mut() {
-            *z = z.scale(sqrt_n);
-        }
+    h.fft(orbitals.as_mut_slice(), true);
+    let sqrt_n = (nr as f64).sqrt();
+    for z in orbitals.as_mut_slice() {
+        *z = z.scale(sqrt_n);
     }
     Ok(GroundState {
-        energies_ev: energies_sorted,
-        orbitals: CMat::from_vec(nb, nr, flat),
-        residuals: residuals_sorted,
+        energies_ev: idx.iter().map(|&i| energies[i]).collect(),
+        orbitals,
+        residuals: idx.iter().map(|&i| residuals[i]).collect(),
         iterations,
     })
 }
 
-/// Orthonormalizes `dirs` against the orthonormal `basis` and against
-/// each other by modified Gram–Schmidt. A direction whose remainder
-/// falls below `1e-12` (the cut of [`vecops::mgs_orthonormalize`]) is
-/// dropped; the survivors are returned in their original order.
-fn orthonormalize_against(
-    basis: &[Vec<Complex64>],
-    dirs: Vec<Vec<Complex64>>,
-) -> Vec<Vec<Complex64>> {
-    let mut kept: Vec<Vec<Complex64>> = Vec::with_capacity(dirs.len());
-    for mut d in dirs {
-        for q in basis.iter().chain(&kept) {
-            let proj = vecops::dot(q, &d);
+/// Orthonormalizes the rows of `dirs` (each `len` long) against the
+/// orthonormal rows of `basis` and against each other by modified
+/// Gram–Schmidt, in place. A direction whose remainder falls below
+/// `1e-12` (the cut of [`vecops::mgs_orthonormalize`]) is dropped; the
+/// survivors are packed to the front in their original order, and their
+/// count is returned.
+fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usize) -> usize {
+    let mut kept = 0;
+    for b in 0..dirs.len() / len {
+        if b != kept {
+            dirs.copy_within(b * len..(b + 1) * len, kept * len);
+        }
+        let (done, rest) = dirs.split_at_mut(kept * len);
+        let d = &mut rest[..len];
+        for q in basis.chunks_exact(len).chain(done.chunks_exact(len)) {
+            let proj = vecops::dot(q, d);
             for (a, b) in d.iter_mut().zip(q) {
                 *a -= *b * proj;
             }
         }
-        if vecops::normalize(&mut d) > 1e-12 {
-            kept.push(d);
+        if vecops::normalize(d) > 1e-12 {
+            kept += 1;
         }
     }
     kept
@@ -689,18 +754,24 @@ mod tests {
     fn rotated_h_psi_matches_recomputed() {
         // The solver never re-applies H to a Ritz vector: its energies
         // come from H·ψ rotated alongside ψ. They must match a fresh
-        // application, and H must run once per new vector only.
+        // application, and H must run once per new vector only: per
+        // update, an inverse and a forward FFT of each new direction; at
+        // the start, one forward FFT per plane wave; at the end, one
+        // inverse FFT per band.
         for atoms in [8, 16, 24] {
             let sys = SiliconSystem::new(atoms).unwrap();
-            for bands in [2, 4] {
-                for iters in [1, 2, 4] {
+            for bands in [2, 3, 4] {
+                for iters in [1, 2, 3, 4] {
                     let opts = small_opts(bands, iters);
                     let h = KsHamiltonian::new(&sys, &opts);
-                    let before = APPLY_CALLS.with(Cell::get);
+                    let (applies, ffts) = (APPLY_CALLS.with(Cell::get), FFT_CALLS.with(Cell::get));
                     let gs = run_scf_in(&sys, &opts, &h).unwrap();
-                    let applies = APPLY_CALLS.with(Cell::get) - before;
+                    let applies = APPLY_CALLS.with(Cell::get) - applies;
+                    let ffts = FFT_CALLS.with(Cell::get) - ffts;
                     let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
-                    assert_eq!(applies, bands * (gs.iterations + 1), "{case}");
+                    let k = gs.iterations;
+                    assert_eq!(applies, bands * (k + 1), "{case}");
+                    assert_eq!(ffts, bands * (2 * k + 2), "{case}");
                     for (b, &e) in gs.energies_ev.iter().enumerate() {
                         let fresh = h.expectation(gs.orbitals.row(b));
                         assert!(
@@ -723,9 +794,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn converged_solve_returns_without_expanding() {
+        // Si_8 with 4 bands meets the tolerance after 6 updates: the
+        // solve stops there, with no H applications beyond the ones that
+        // produced those orbitals, and reports their own residuals.
+        let sys = SiliconSystem::new(8).unwrap();
+        let opts = small_opts(4, 12);
+        let h = KsHamiltonian::new(&sys, &opts);
+        let (applies, ffts) = (APPLY_CALLS.with(Cell::get), FFT_CALLS.with(Cell::get));
+        let gs = run_scf_in(&sys, &opts, &h).unwrap();
+        assert_eq!(gs.iterations, 6);
+        assert_eq!(APPLY_CALLS.with(Cell::get) - applies, 4 * 7);
+        assert_eq!(FFT_CALLS.with(Cell::get) - ffts, 4 * 14);
+        assert!(gs.max_residual() < opts.residual_tolerance);
+        for (b, (&e, &res)) in gs.energies_ev.iter().zip(&gs.residuals).enumerate() {
+            let psi = gs.orbitals.row(b);
+            let r: Vec<Complex64> = h
+                .apply(psi)
+                .iter()
+                .zip(psi)
+                .map(|(hp, p)| *hp - p.scale(e))
+                .collect();
+            let fresh = vecops::norm(&r);
+            assert!(
+                (res - fresh).abs() <= 1e-12,
+                "band {b}: reported {res:e}, recomputed {fresh:e}"
+            );
+        }
+    }
+
     /// Band energies of the `scf_sweep` ground-state shapes (atoms,
     /// bands, iteration cap) from the real-space solver the plane-wave
-    /// solve replaced; every one of them ran to its cap.
+    /// solve replaced; every one of them ran to its cap. That solver
+    /// checked convergence only after updating, so four shapes (Si_16 and
+    /// Si_24 with 2 or 3 bands, cap 4) ran their 4th update on orbitals
+    /// that had already converged after the 3rd.
     #[rustfmt::skip]
     const REAL_SPACE_ENERGIES: [(usize, usize, usize, &[f64]); 27] = [
         (8, 2, 2, &[-2.5831239759483995, 2.7337117573053082]),
@@ -759,18 +863,32 @@ mod tests {
 
     #[test]
     fn plane_wave_solve_matches_real_space_energies() {
-        for &(atoms, bands, iters, expect) in &REAL_SPACE_ENERGIES {
+        // A solve that converges before its cap returns the orbitals of
+        // its last update: the real-space solve capped at that count.
+        let mut converged_early = 0;
+        for &(atoms, bands, iters, _) in &REAL_SPACE_ENERGIES {
             let sys = SiliconSystem::new(atoms).unwrap();
-            let gs = run_scf(&sys, &small_opts(bands, iters)).unwrap();
+            let opts = small_opts(bands, iters);
+            let gs = run_scf(&sys, &opts).unwrap();
             let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
-            assert_eq!(gs.iterations, iters, "{case}");
-            for (b, (&e, &x)) in gs.energies_ev.iter().zip(expect).enumerate() {
+            if gs.iterations < iters {
+                assert!(gs.max_residual() < opts.residual_tolerance, "{case}");
+                converged_early += 1;
+            } else {
+                assert_eq!(gs.iterations, iters, "{case}");
+            }
+            let (.., expect) = REAL_SPACE_ENERGIES
+                .iter()
+                .find(|r| (r.0, r.1, r.2) == (atoms, bands, gs.iterations))
+                .unwrap_or_else(|| panic!("{case}: no pin for {} iterations", gs.iterations));
+            for (b, (&e, &x)) in gs.energies_ev.iter().zip(*expect).enumerate() {
                 assert!(
                     (e - x).abs() <= 1e-10 * x.abs(),
                     "{case}, band {b}: {e} vs {x}"
                 );
             }
         }
+        assert_eq!(converged_early, 4);
     }
 
     /// `(atoms, bands, energies, density_residuals)` of the perfbench
@@ -807,12 +925,14 @@ mod tests {
 
     #[test]
     fn plane_wave_apply_matches_real_space_apply() {
-        // apply_g(c) ≡ F·apply(F⁻¹c) on seeded random coefficients.
+        // apply_block(c) ≡ F·apply(F⁻¹c) on seeded random coefficients.
         for (atoms, seed) in [(8, 0xc0ef_0008u64), (16, 0xc0ef_0016), (24, 0xc0ef_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
             let c = random_unit(h.len(), seed);
-            let fast = h.apply_g(&c);
+            let mut phi = vec![Complex64::ZERO; h.len()];
+            let mut fast = vec![Complex64::ZERO; h.len()];
+            h.apply_block(&c, &mut phi, &mut fast);
             let mut psi = c.clone();
             h.plan.inverse(&mut psi);
             let mut slow = h.apply(&psi);
@@ -841,7 +961,8 @@ mod tests {
             for (image, &g) in images.chunks_exact(nr).zip(&bins) {
                 let mut e = vec![Complex64::ZERO; nr];
                 e[g] = Complex64::ONE;
-                let applied = h.apply_g(&e);
+                let mut applied = vec![Complex64::ZERO; nr];
+                h.apply_block(&e, &mut phi[..nr], &mut applied);
                 let diff: Vec<Complex64> =
                     image.iter().zip(&applied).map(|(a, b)| *a - *b).collect();
                 let rel = vecops::norm(&diff) / vecops::norm(&applied);
@@ -867,7 +988,8 @@ mod tests {
                 let mut block = vec![Complex64::ZERO; k * nr];
                 h.apply_block(&c, &mut phi, &mut block);
                 for (r, (row, got)) in c.chunks_exact(nr).zip(block.chunks_exact(nr)).enumerate() {
-                    let expect = h.apply_g(row);
+                    let mut expect = vec![Complex64::ZERO; nr];
+                    h.apply_block(row, &mut phi[..nr], &mut expect);
                     assert!(
                         got.iter()
                             .zip(&expect)
@@ -890,13 +1012,15 @@ mod tests {
         let row = |xs: [f64; 4]| xs.map(Complex64::from_real).to_vec();
         // After projecting out e0, the middle direction is 3·e1: a
         // multiple of the first one's remainder e1.
-        let dirs = vec![
+        let mut dirs = [
             row([1.0, 1.0, 0.0, 0.0]),
             row([2.0, 3.0, 0.0, 0.0]),
             row([1.0, 1.0, 1.0, 0.0]),
-        ];
-        let kept = orthonormalize_against(&[e(0)], dirs);
-        assert_eq!(kept, vec![e(1), e(2)]);
+        ]
+        .concat();
+        let kept = orthonormalize_against(&e(0), &mut dirs, 4);
+        assert_eq!(kept, 2);
+        assert_eq!(dirs[..8], [e(1), e(2)].concat());
     }
 
     #[test]
