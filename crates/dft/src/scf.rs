@@ -21,16 +21,36 @@
 //!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to
-//! vectors that are new: the initial plane waves (unit vectors in `G`),
-//! then each iteration's surviving residual directions. It keeps `Hψ`
-//! beside every trial vector and rotates it with the same Ritz
+//! vectors that are new: the initial plane waves (unit vectors `e_g` in
+//! `G`), then each iteration's surviving residual directions, all of an
+//! iteration's directions as one block (one batched inverse FFT, one pass
+//! of the potential over the block, one batched forward FFT). It keeps
+//! `Hψ` beside every trial vector and rotates it with the same Ritz
 //! coefficients and normalization as `ψ`, as LOBPCG/Davidson codes do;
-//! residuals and the final band energies come from those carried pairs.
-//! The orbitals return to real space once, at the end.
+//! residuals and band energies come from those carried pairs. The
+//! orbitals return to real space once, at the end, in one batch.
 //!
-//! Per solve of `nb` bands over `k` iterations, `H` is applied
-//! `nb·(k + 1)` times (two 3-D FFTs each), and the final transform adds
-//! one inverse FFT per band: `nb·(2k + 3)` 3-D FFTs in all. The
+//! The solver also skips work whose result it already knows:
+//!
+//! - `F⁻¹e_g` is a plane wave, a product of one phase table per axis, so
+//!   the start vectors' H-images need only the forward FFT.
+//! - While `ψ` is still the unit start, `⟨e_g|x⟩` is the element `x[g]`:
+//!   the Rayleigh quotients, the projection of the new directions `W` onto
+//!   `ψ`, the `ψ` rows of `H_sub` and the `ψ` part of the Ritz rotation
+//!   are element reads and writes at the start bins.
+//! - After a Ritz rotation, `ψ†Hψ` is `diag(ε)` up to rounding, with `ε`
+//!   the Rayleigh quotients the residual step computes anyway.
+//! - `H_sub` is Hermitian: `W†Hψ` is computed once and its adjoint fills
+//!   `ψ†HW`, and `W†HW` needs one triangle.
+//! - The last update (at the iteration cap) rotates `ψ` only: its energies
+//!   are the Ritz values, and no later step reads `Hψ`.
+//!
+//! Convergence is checked before the trial space is expanded: when every
+//! residual is below tolerance the solve returns `ψ` as is, with the
+//! residuals of the returned orbitals. Per solve of `nb` bands over `k`
+//! updates, `H` is applied `nb·(k + 1)` times, and the solve runs
+//! `nb·(2k + 2)` 3-D FFTs: one forward FFT per start vector, two per later
+//! application, and one inverse FFT per band at the end. The
 //! preconditioner costs none.
 
 use crate::basis::{local_potential, lowest_g_indices, system_g2, HBAR2_OVER_2M};
@@ -47,9 +67,13 @@ pub struct GroundState {
     pub energies_ev: Vec<f64>,
     /// Orbitals, one per row, unit grid 2-norm.
     pub orbitals: CMat,
-    /// Residual 2-norms `‖Hψ − εψ‖` per band at the last iteration.
+    /// Residual 2-norms `‖Hψ − εψ‖` per band. They belong to the
+    /// returned orbitals when the solve converged (or ran no update);
+    /// when it stopped at its iteration cap, they belong to the orbitals
+    /// the last update started from, since the rotated ones are never
+    /// applied `H` to again.
     pub residuals: Vec<f64>,
-    /// Subspace iterations performed.
+    /// Subspace updates (Rayleigh–Ritz rotations) performed.
     pub iterations: usize,
 }
 
@@ -569,8 +593,9 @@ fn solve_bands(
             energies[b] = e;
             residuals[b] = norm_sqr.sqrt();
         }
-        // Converged (or nothing to iterate): ψ is returned as is, with
-        // the residuals just computed.
+        // Converged (or a cap of 0): ψ is returned as is, with the
+        // residuals just computed. A positive cap ends at the last update
+        // below instead.
         if residuals.iter().all(|r| *r < opts.residual_tolerance)
             || iterations == opts.max_iterations
         {
