@@ -115,8 +115,6 @@ impl Default for ScfOptions {
 pub struct KsHamiltonian {
     plan: Fft3Plan,
     g2: Vec<f64>,
-    /// The preconditioner `1/(1 + (ħ²/2m)G²)`, per bin.
-    precond: Vec<f64>,
     vloc: Vec<f64>,
     pseudos: Pseudopotential,
     dv: f64,
@@ -128,14 +126,9 @@ impl KsHamiltonian {
     pub fn new(system: &SiliconSystem, opts: &ScfOptions) -> Self {
         let grid = system.grid();
         let nr = grid.len();
-        let g2 = system_g2(system);
         KsHamiltonian {
             plan: Fft3Plan::new(grid),
-            precond: g2
-                .iter()
-                .map(|&g2| 1.0 / (1.0 + HBAR2_OVER_2M * g2))
-                .collect(),
-            g2,
+            g2: system_g2(system),
             vloc: local_potential(system, opts.potential_depth_ev, opts.potential_sigma),
             pseudos: build_pseudos(system, 1.8),
             dv: system.volume() / nr as f64,
@@ -585,10 +578,10 @@ fn solve_bands(
                 vecops::dot(p, hp).re
             };
             let mut norm_sqr = 0.0;
-            for (((d, hz), z), &k) in w.row_mut(b).iter_mut().zip(hp).zip(p).zip(&h.precond) {
+            for (((d, hz), z), &g2) in w.row_mut(b).iter_mut().zip(hp).zip(p).zip(&h.g2) {
                 let r = *hz - z.scale(e);
                 norm_sqr += r.norm_sqr();
-                *d = r.scale(k);
+                *d = r.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
             }
             energies[b] = e;
             residuals[b] = norm_sqr.sqrt();

@@ -5,20 +5,21 @@
 //! separable: one 1-D FFT along each axis. Data is stored row-major with
 //! `x` fastest: `index = (z * ny + y) * nx + x`.
 //!
-//! All three axes run the multi-lane Stockham kernel of [`crate::fft`],
-//! with no strided gather. The x-lines are a z-slab's `ny` contiguous
-//! rows; the slab is transposed so that they become `ny` interleaved
-//! lanes of length `nx`, transformed together, and transposed back. Each
-//! butterfly then works on a run of `ny` values instead of a single one,
-//! and every lane does exactly the arithmetic of a lone row, so the
-//! result is bit-identical to transforming the rows one at a time.
-//! Within a z-slab, the y-lines are the slab's `nx` columns, so the slab
-//! is transformed as `ny` rows of `nx` lanes: every butterfly operand is a
-//! whole row. The z-lines are the grid's `nx·ny` columns, so the grid is
-//! transformed as `nz` planes of `nx·ny` lanes. One scratch buffer of one
-//! grid, and at least two slabs (the transposed slab plus the kernel's
-//! ping-pong buffer), serves every pass of a transform and every grid of
-//! a batch. The inverse is a conjugate pass, the forward transform, then a
+//! All three axes run the multi-lane Stockham kernel of [`crate::fft`].
+//! The x-lines are a z-slab's `ny` contiguous rows: the slab is transposed
+//! into scratch so that they become `ny` interleaved lanes of length `nx`,
+//! transformed together, and transposed back. Each butterfly then works
+//! on a run of `ny` values instead of a lone value (`lanes = 1`), and each
+//! lane does exactly the arithmetic of a lone row, so the result is
+//! bit-identical to transforming the rows one at a time. The y- and
+//! z-passes need no gather: within a z-slab, the y-lines are the slab's
+//! `nx` columns, so the slab is transformed as `ny` rows of `nx` lanes and
+//! every butterfly operand is a whole row; the z-lines are the grid's
+//! `nx·ny` columns, so the grid is transformed as `nz` planes of `nx·ny`
+//! lanes. One scratch buffer of one grid, and never less than two slabs
+//! (the transposed slab plus the kernel's ping-pong half), serves every
+//! pass of a transform and every grid of a batch. The inverse is a
+//! conjugate pass, the forward transform, then a
 //! conjugate-and-`1/(nx·ny·nz)` pass.
 
 use crate::counters::{KernelCost, C64_BYTES};
