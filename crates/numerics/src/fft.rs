@@ -11,7 +11,8 @@
 //! then a run of `lanes` contiguous values sharing one twiddle, so each
 //! pass streams memory in order. A plain 1-D transform is the `lanes = 1`
 //! case; [`crate::Fft3Plan`] hands whole rows and whole planes to the same
-//! kernel as lanes, so no axis needs a strided gather. A pass of radix `p`
+//! kernel as lanes, and the x-lines as the lanes of a transposed z-slab,
+//! so no axis runs one signal at a time. A pass of radix `p`
 //! over sub-transforms of length `p·m`, after passes whose radices
 //! multiply to `s`, reads operand `k` of butterfly `q` at `(q + k·m)·s`,
 //! writes output `j` at `(p·q + j)·s`, and scales it by the twiddle
