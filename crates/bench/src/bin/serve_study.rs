@@ -928,6 +928,7 @@ fn qos_leg(qos: bool) -> Leg {
         qos,
         ..ServeConfig::default()
     };
+    let mut snapshot = None;
     let (wall_s, r) = run_with(&config, |svc| {
         let submit = |priority, atoms, steps, seed| {
             let job = DftJob::MdSegment {
@@ -939,16 +940,19 @@ fn qos_leg(qos: bool) -> Leg {
             let request = JobRequest::new(job).priority(priority);
             svc.submit_blocking(request).expect("submit")
         };
-        for seed in 0..QOS_BULK_JOBS {
-            submit(Priority::Bulk, 96, QOS_BULK_STEPS, seed);
-        }
+        let bulk: Vec<_> = (0..QOS_BULK_JOBS)
+            .map(|seed| submit(Priority::Bulk, 96, QOS_BULK_STEPS, seed))
+            .collect();
         let interactive: Vec<_> = (0..QOS_INTERACTIVE_JOBS)
             .map(|seed| submit(Priority::Interactive, 16, 8, seed))
             .collect();
-        for t in &interactive {
-            t.wait().expect("interactive job completes");
+        for t in interactive.iter().chain(&bulk) {
+            t.wait().expect("job completes");
         }
+        // Every ticket resolved, so the histograms cover the whole flood.
+        snapshot = Some(svc.telemetry());
     });
+    let snapshot = snapshot.expect("snapshot taken after the drain");
     // Zero starved jobs: the flood's tail drained to completion in both
     // legs, nothing was cancelled, dropped, or denied...
     assert_eq!(r.completed, total, "a job starved (qos={qos})");
@@ -960,12 +964,7 @@ fn qos_leg(qos: bool) -> Leg {
     );
     // The p99 end-to-end latency one priority class saw (0.0 when the
     // class ran no jobs).
-    let p99 = |p| {
-        r.priority_latency
-            .iter()
-            .find(|row| row.priority == p)
-            .map_or(0.0, |row| row.p99_s)
-    };
+    let p99 = |p| snapshot.priority(p).quantile_s(0.99);
     Leg::new(["qos_off", "qos_on"][qos as usize])
         .row("qos", qos)
         .row("workers", config.workers)

@@ -48,13 +48,13 @@ pub use driver::{
     run_lr_tddft, Spectrum,
 };
 pub use kpoints::{band_structure, monkhorst_pack, si_path, BandPathPoint, BandStructure, KPoint};
-pub use md::{bond_list, run_md, run_md_batch, run_md_prepared, MdOptions, MdSample, MdTrajectory};
+pub use md::{bond_list, run_md, run_md_prepared, MdOptions, MdSample, MdTrajectory};
 pub use pseudo::{
     apply_nonlocal, atom_block_bytes, build_pseudos, domain_atom_fraction, footprint_bytes,
     PseudoLayout, Pseudopotential,
 };
 pub use scf::{
-    charge_density, hartree_potential, run_scf, run_scf_batch, run_scf_in, run_scf_selfconsistent,
+    charge_density, hartree_potential, run_scf, run_scf_in, run_scf_selfconsistent,
     run_scf_selfconsistent_seeded, GroundState, KsHamiltonian, ScfOptions, SelfConsistentResult,
 };
 pub use spectra::{model_oscillator_spectrum, oscillator_spectrum, OscillatorSpectrum};

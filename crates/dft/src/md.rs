@@ -322,17 +322,6 @@ pub fn run_md_prepared(
     }
 }
 
-/// Runs `K` same-system MD segments through the fused path: one shared
-/// [`bond_list`] amortized across every member. Each trajectory is
-/// bit-identical to a solo [`run_md`] call with the same options (the
-/// members differ only in seed/temperature/step count, never geometry).
-pub fn run_md_batch(system: &SiliconSystem, opts: &[MdOptions]) -> Vec<MdTrajectory> {
-    let bonds = bond_list(system);
-    opts.iter()
-        .map(|o| run_md_prepared(system, o, &bonds))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,8 +363,9 @@ mod tests {
                 ..MdOptions::default()
             })
             .collect();
-        let fused = run_md_batch(&sys, &opts);
-        for (o, traj) in opts.iter().zip(&fused) {
+        let bonds = bond_list(&sys);
+        for o in &opts {
+            let traj = run_md_prepared(&sys, o, &bonds);
             let solo = run_md(&sys, o);
             assert_eq!(traj.atoms, solo.atoms);
             assert_eq!(traj.total_rebuilds, solo.total_rebuilds);

@@ -476,40 +476,11 @@ pub fn run_scf(system: &SiliconSystem, opts: &ScfOptions) -> Result<GroundState,
     run_scf_in(system, opts, &h)
 }
 
-/// Runs `K` same-system SCF solves through the fused path: one shared
-/// [`KsHamiltonian`] (whose construction — grid tables, local potential
-/// and projector table — depends only on the geometry and the potential
-/// shape, not on band counts) serves every member via [`run_scf_in`].
-/// Each ground state is bit-identical to a solo [`run_scf`] call.
-///
-/// # Panics
-///
-/// Panics if members disagree on `potential_depth_ev`/`potential_sigma`
-/// (then no single Hamiltonian could serve them bit-exactly).
-///
-/// # Errors
-///
-/// Propagates the first [`EigError`] any member hits.
-pub fn run_scf_batch(
-    system: &SiliconSystem,
-    opts: &[ScfOptions],
-) -> Result<Vec<GroundState>, EigError> {
-    let Some(first) = opts.first() else {
-        return Ok(Vec::new());
-    };
-    assert!(
-        opts.iter().all(|o| {
-            o.potential_depth_ev.to_bits() == first.potential_depth_ev.to_bits()
-                && o.potential_sigma.to_bits() == first.potential_sigma.to_bits()
-        }),
-        "fused SCF batch members must share the potential shape"
-    );
-    let h = KsHamiltonian::new(system, first);
-    opts.iter().map(|o| run_scf_in(system, o, &h)).collect()
-}
-
 /// [`run_scf`] against an explicit (possibly self-consistently updated)
-/// Hamiltonian.
+/// Hamiltonian. A [`KsHamiltonian`] depends only on the geometry and the
+/// potential shape, not on the band count, so one instance can serve
+/// several same-system solves, each bit-identical to its solo
+/// [`run_scf`].
 ///
 /// # Errors
 ///
@@ -1070,8 +1041,9 @@ mod tests {
         // solo run bit for bit.
         let sys = SiliconSystem::new(8).unwrap();
         let opts: Vec<ScfOptions> = [2usize, 3, 4].iter().map(|&b| small_opts(b, 2)).collect();
-        let fused = run_scf_batch(&sys, &opts).unwrap();
-        for (o, gs) in opts.iter().zip(&fused) {
+        let shared = KsHamiltonian::new(&sys, &opts[0]);
+        for o in &opts {
+            let gs = run_scf_in(&sys, o, &shared).unwrap();
             let solo = run_scf(&sys, o).unwrap();
             assert_eq!(gs.iterations, solo.iterations);
             assert_eq!(gs.energies_ev.len(), solo.energies_ev.len());
@@ -1083,16 +1055,6 @@ mod tests {
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
         }
-        assert!(run_scf_batch(&sys, &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "share the potential shape")]
-    fn batch_scf_rejects_mixed_potentials() {
-        let sys = SiliconSystem::new(8).unwrap();
-        let mut odd = small_opts(2, 1);
-        odd.potential_depth_ev += 1.0;
-        let _ = run_scf_batch(&sys, &[small_opts(2, 1), odd]);
     }
 
     #[test]

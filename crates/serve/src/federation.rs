@@ -400,21 +400,25 @@ impl FederatedService {
 
     /// Live federation-wide report: client-level counters plus every
     /// replica's engine report (dead incarnations included) merged via
-    /// [`ServeReport::absorb`].
+    /// [`ServeReport::absorb`]. Counters only — latency comes from
+    /// [`FederatedService::telemetry`].
     pub fn report(&self) -> FederationReport {
         self.core.report()
     }
 
     /// Federation-wide telemetry: every replica's snapshot (dead
     /// incarnations included) merged bucket-wise via
-    /// [`TelemetrySnapshot::absorb`], so its quantiles are true
-    /// federated quantiles.
+    /// [`TelemetrySnapshot::absorb`], so its per-stage, per-class and
+    /// per-priority quantiles are true federated quantiles. The one
+    /// place federated latency is summarised.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.core.telemetry()
     }
 
     /// Per-slot telemetry snapshots (each slot's incarnations merged;
-    /// index = replica).
+    /// index = replica) — the per-replica latency view, as
+    /// [`FederationReport::per_replica`] is the per-replica counter
+    /// view.
     pub fn telemetry_per_replica(&self) -> Vec<TelemetrySnapshot> {
         self.core.telemetry_per_replica()
     }

@@ -113,11 +113,12 @@
 //!   fails are **orphaned** exactly once, extending conservation to
 //!   `submitted == completed + failed + cancelled + deadline_dropped +
 //!   orphaned`.
-//! * **Metrics** — per-job latency, throughput, steal counters,
-//!   per-shard depth/occupancy, in-flight ticket gauge, cancellation /
-//!   deadline-drop / admission accounting, per-priority latency
-//!   percentiles, and modeled per-target utilization, aggregated into
-//!   a [`ServeReport`].
+//! * **Metrics** — throughput, steal counters, per-shard
+//!   depth/occupancy, in-flight ticket gauge, cancellation /
+//!   deadline-drop / admission accounting, and modeled per-target
+//!   utilization, aggregated into a [`ServeReport`]. Latency (per
+//!   stage, per class, per priority) lives only in the telemetry
+//!   histograms, exported as a [`TelemetrySnapshot`].
 //!
 //! ## Example
 //!
@@ -180,8 +181,8 @@ pub use queue::{ShardedQueue, StolenRun, SubmitError};
 pub use router::{FaultAction, FaultEvent, FaultPlan, HashRing, RouteInfo, RoutingLog};
 pub use service::{DftService, ServeConfig};
 pub use telemetry::{
-    ClassLatencySummary, ClassSnapshot, HistogramSnapshot, LatencyHistogram, PlacementTarget,
-    PriorityLatencySummary, Stage, Telemetry, TelemetrySnapshot,
+    ClassSnapshot, HistogramSnapshot, LatencyHistogram, PlacementTarget, Stage, Telemetry,
+    TelemetrySnapshot,
 };
 pub use ticket::{JobTicket, TicketFuture, TicketResolver};
 pub use trace::{

@@ -1,13 +1,14 @@
 //! Service metrics and the aggregate [`ServeReport`].
 //!
-//! Counters sit on atomics (submission fast path); latency and modeled
-//! per-target busy time accumulate under a small mutex touched once per
-//! completed job. A [`ServeReport`] snapshot folds in the cache counters
-//! and renders as a plain-text table for examples and harness binaries.
+//! Counters sit on atomics (submission fast path); modeled per-target
+//! busy time accumulates under a small mutex touched once per executed
+//! job and once per plan. A [`ServeReport`] snapshot folds in the cache
+//! counters and renders as a plain-text table for examples and harness
+//! binaries. Latency is not counted here: it lives in the telemetry
+//! histograms ([`crate::TelemetrySnapshot`]).
 
 use crate::batch::BatchOrigin;
 use crate::cache::CacheStats;
-use crate::telemetry::{ClassLatencySummary, PriorityLatencySummary};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -15,9 +16,6 @@ use std::time::Instant;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct Accum {
-    latency_sum_s: f64,
-    latency_max_s: f64,
-    latency_count: u64,
     wall_numeric_s: f64,
     modeled_cpu_busy_s: f64,
     modeled_ndp_busy_s: f64,
@@ -26,14 +24,6 @@ struct Accum {
     cpu_contention_s: f64,
     ndp_contention_s: f64,
     fused_amortized_s: f64,
-}
-
-impl Accum {
-    fn record_latency(&mut self, latency_s: f64) {
-        self.latency_sum_s += latency_s;
-        self.latency_max_s = self.latency_max_s.max(latency_s);
-        self.latency_count += 1;
-    }
 }
 
 /// Modeled-cost contribution of one executed job, taken from its
@@ -151,7 +141,6 @@ impl Metrics {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.served_from_cache.fetch_add(1, Ordering::Relaxed);
-        self.accum.lock().unwrap().record_latency(0.0);
     }
 
     /// Records one planner consultation's view of the cluster:
@@ -188,10 +177,9 @@ impl Metrics {
     }
 
     /// Records a job the worker actually executed.
-    pub fn on_executed(&self, latency_s: f64, sample: ExecutionSample) {
+    pub fn on_executed(&self, sample: ExecutionSample) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         let mut a = self.accum.lock().unwrap();
-        a.record_latency(latency_s);
         a.wall_numeric_s += sample.wall_numeric_s;
         a.modeled_cpu_busy_s += sample.modeled_cpu_busy_s;
         a.modeled_ndp_busy_s += sample.modeled_ndp_busy_s;
@@ -200,10 +188,9 @@ impl Metrics {
     }
 
     /// Records a queued job completed by cache/dedup inside a worker.
-    pub fn on_dedup_complete(&self, latency_s: f64) {
+    pub fn on_dedup_complete(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.served_from_cache.fetch_add(1, Ordering::Relaxed);
-        self.accum.lock().unwrap().record_latency(latency_s);
     }
 
     /// Records one failed job.
@@ -308,27 +295,18 @@ impl Metrics {
     }
 
     /// Snapshot folded together with cache counters, the queue's live
-    /// per-shard depths, the event ring's two drop counters (progress
-    /// stream and trace collector queues),
-    /// and the telemetry hub's per-class and per-priority latency
-    /// percentile rows.
+    /// per-shard depths and the progress-stream queue's drop counter.
     pub fn report(
         &self,
         cache: CacheStats,
         shard_depths: Vec<usize>,
         progress_events_dropped: u64,
-        class_latency: Vec<ClassLatencySummary>,
-        priority_latency: Vec<PriorityLatencySummary>,
-        trace_events_dropped: u64,
     ) -> ServeReport {
         let a = *self.accum.lock().unwrap();
         ServeReport {
             uptime_s: self.started.elapsed().as_secs_f64(),
             tickets_outstanding: self.tickets_outstanding(),
             progress_events_dropped,
-            trace_events_dropped,
-            class_latency,
-            priority_latency,
             steals: self.steals.load(Ordering::Relaxed),
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
             stolen_batches: self.stolen_batches.load(Ordering::Relaxed),
@@ -366,12 +344,6 @@ impl Metrics {
             fused_jobs: self.fused_jobs.load(Ordering::Relaxed),
             fused_batches: self.fused_batches.load(Ordering::Relaxed),
             fused_amortized_s: a.fused_amortized_s,
-            mean_latency_s: if a.latency_count == 0 {
-                0.0
-            } else {
-                a.latency_sum_s / a.latency_count as f64
-            },
-            max_latency_s: a.latency_max_s,
             wall_numeric_s: a.wall_numeric_s,
             modeled_cpu_busy_s: a.modeled_cpu_busy_s,
             modeled_ndp_busy_s: a.modeled_ndp_busy_s,
@@ -382,7 +354,8 @@ impl Metrics {
     }
 }
 
-/// Aggregate view of one engine instance's lifetime.
+/// Aggregate view of one engine instance's lifetime: what [`Metrics`]
+/// counts. Latency percentiles come from [`crate::TelemetrySnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Seconds since the engine started.
@@ -449,21 +422,6 @@ pub struct ServeReport {
     /// never a worker stall) or discarded when the last stream
     /// detached.
     pub progress_events_dropped: u64,
-    /// Span events the event ring's collector queue evicted unread
-    /// (slow [`crate::TraceCollector`] consumer) or discarded when the
-    /// last collector detached; zero on unwatched engines, which buffer
-    /// nothing.
-    pub trace_events_dropped: u64,
-    /// Per-class end-to-end latency percentiles (p50/p90/p99/p99.9 and
-    /// the exact max), derived from the always-on telemetry histograms
-    /// and sorted by class. The mean/max fields below remain for
-    /// continuity; these rows carry the tail.
-    pub class_latency: Vec<ClassLatencySummary>,
-    /// Per-priority end-to-end latency percentiles in
-    /// [`crate::Priority`] order (always three rows; unused priorities
-    /// report zero jobs). The QoS view: compare the interactive row's
-    /// tail against bulk under load.
-    pub priority_latency: Vec<PriorityLatencySummary>,
     /// Worker threads that died by panic (0 in a healthy engine).
     pub worker_panics: u64,
     /// Work-stealing dispatches (one per stolen run).
@@ -490,10 +448,6 @@ pub struct ServeReport {
     pub shard_dispatched: Vec<u64>,
     /// Jobs dispatched to each worker over the engine's lifetime.
     pub worker_dispatched: Vec<u64>,
-    /// Mean submit→complete latency, seconds.
-    pub mean_latency_s: f64,
-    /// Worst-case latency, seconds.
-    pub max_latency_s: f64,
     /// Wall-clock spent in the numeric kernels, seconds.
     pub wall_numeric_s: f64,
     /// Modeled busy time placed on the host CPU, seconds.
@@ -618,23 +572,12 @@ impl ServeReport {
     ///   [`ServeReport::throughput_jobs_per_s`]).
     /// * **Per-shard / per-worker vectors** — concatenated in absorb
     ///   order (replica-major), so no replica's topology is lost.
-    /// * **Latency** — `mean_latency_s` re-weighted by each side's
-    ///   `completed + failed` population; `max_latency_s` is a true
-    ///   max. The per-class / per-priority percentile rows merge by
-    ///   key: `jobs` sums, and each percentile takes the **max** of the
-    ///   two sides — a deliberately conservative upper bound (the true
-    ///   federated pXX needs the underlying histograms; for those,
-    ///   merge [`crate::TelemetrySnapshot`]s instead).
     /// * **Modeled / wall seconds** — sum (they are work integrals, not
     ///   wall-clock).
+    ///
+    /// Federated latency quantiles come from merging the replicas'
+    /// [`crate::TelemetrySnapshot`]s, whose histograms add bucket-wise.
     pub fn absorb(&mut self, other: &ServeReport) {
-        let self_weight = (self.completed + self.failed) as f64;
-        let other_weight = (other.completed + other.failed) as f64;
-        if self_weight + other_weight > 0.0 {
-            self.mean_latency_s = (self.mean_latency_s * self_weight
-                + other.mean_latency_s * other_weight)
-                / (self_weight + other_weight);
-        }
         self.uptime_s = self.uptime_s.max(other.uptime_s);
         self.submitted += other.submitted;
         self.rejected += other.rejected;
@@ -656,39 +599,6 @@ impl ServeReport {
         self.plans_reused += other.plans_reused;
         self.tickets_outstanding += other.tickets_outstanding;
         self.progress_events_dropped += other.progress_events_dropped;
-        self.trace_events_dropped += other.trace_events_dropped;
-        for row in &other.class_latency {
-            match self.class_latency.iter_mut().find(|r| r.class == row.class) {
-                Some(mine) => {
-                    mine.jobs += row.jobs;
-                    mine.p50_s = mine.p50_s.max(row.p50_s);
-                    mine.p90_s = mine.p90_s.max(row.p90_s);
-                    mine.p99_s = mine.p99_s.max(row.p99_s);
-                    mine.p999_s = mine.p999_s.max(row.p999_s);
-                    mine.max_s = mine.max_s.max(row.max_s);
-                }
-                None => self.class_latency.push(row.clone()),
-            }
-        }
-        self.class_latency.sort_by_key(|r| r.class);
-        for row in &other.priority_latency {
-            match self
-                .priority_latency
-                .iter_mut()
-                .find(|r| r.priority == row.priority)
-            {
-                Some(mine) => {
-                    mine.jobs += row.jobs;
-                    mine.p50_s = mine.p50_s.max(row.p50_s);
-                    mine.p90_s = mine.p90_s.max(row.p90_s);
-                    mine.p99_s = mine.p99_s.max(row.p99_s);
-                    mine.p999_s = mine.p999_s.max(row.p999_s);
-                    mine.max_s = mine.max_s.max(row.max_s);
-                }
-                None => self.priority_latency.push(row.clone()),
-            }
-        }
-        self.priority_latency.sort_by_key(|r| r.priority.index());
         self.worker_panics += other.worker_panics;
         self.steals += other.steals;
         self.stolen_jobs += other.stolen_jobs;
@@ -702,7 +612,6 @@ impl ServeReport {
             .extend_from_slice(&other.shard_dispatched);
         self.worker_dispatched
             .extend_from_slice(&other.worker_dispatched);
-        self.max_latency_s = self.max_latency_s.max(other.max_latency_s);
         self.wall_numeric_s += other.wall_numeric_s;
         self.modeled_cpu_busy_s += other.modeled_cpu_busy_s;
         self.modeled_ndp_busy_s += other.modeled_ndp_busy_s;
@@ -784,8 +693,8 @@ impl fmt::Display for ServeReport {
         }
         writeln!(
             f,
-            "  streaming   tickets outstanding {:>6}  progress events dropped {:>6}  trace events dropped {:>6}",
-            self.tickets_outstanding, self.progress_events_dropped, self.trace_events_dropped
+            "  streaming   tickets outstanding {:>6}  progress events dropped {:>6}",
+            self.tickets_outstanding, self.progress_events_dropped
         )?;
         writeln!(
             f,
@@ -812,38 +721,9 @@ impl fmt::Display for ServeReport {
         )?;
         writeln!(
             f,
-            "  latency     mean {:>9.3} ms  max {:>9.3} ms  throughput {:>8.1} jobs/s",
-            self.mean_latency_s * 1e3,
-            self.max_latency_s * 1e3,
+            "  latency     throughput {:>8.1} jobs/s",
             self.throughput_jobs_per_s()
         )?;
-        for row in &self.class_latency {
-            writeln!(
-                f,
-                "    {:<14} jobs {:>6}  p50 {:>9.3} ms  p90 {:>9.3} ms  p99 {:>9.3} ms  max {:>9.3} ms",
-                row.class.to_string(),
-                row.jobs,
-                row.p50_s * 1e3,
-                row.p90_s * 1e3,
-                row.p99_s * 1e3,
-                row.max_s * 1e3
-            )?;
-        }
-        for row in &self.priority_latency {
-            if row.jobs == 0 {
-                continue;
-            }
-            writeln!(
-                f,
-                "    {:<14} jobs {:>6}  p50 {:>9.3} ms  p90 {:>9.3} ms  p99 {:>9.3} ms  max {:>9.3} ms",
-                row.priority.to_string(),
-                row.jobs,
-                row.p50_s * 1e3,
-                row.p90_s * 1e3,
-                row.p99_s * 1e3,
-                row.max_s * 1e3
-            )?;
-        }
         writeln!(
             f,
             "  placement   cpu busy {:>9.3}s ({:>4.1}%)  ndp busy {:>9.3}s ({:>4.1}%)",
@@ -880,16 +760,9 @@ mod tests {
     fn cache_serves_count_as_completions() {
         let m = Metrics::new(2, 2);
         m.on_submit();
-        m.on_executed(0.5, sample(1.0, 3.0, 4.2, 6.0));
+        m.on_executed(sample(1.0, 3.0, 4.2, 6.0));
         m.on_serve_from_cache();
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
         assert_eq!(r.submitted, 2);
         assert_eq!(r.completed, 2);
         assert_eq!(r.served_from_cache, 1);
@@ -898,15 +771,8 @@ mod tests {
     #[test]
     fn utilization_fractions_sum_to_one_when_busy() {
         let m = Metrics::new(2, 2);
-        m.on_executed(0.1, sample(1.0, 3.0, 4.1, 5.0));
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        m.on_executed(sample(1.0, 3.0, 4.1, 5.0));
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
         assert!((r.cpu_utilization() + r.ndp_utilization() - 1.0).abs() < 1e-12);
         assert!((r.cpu_utilization() - 0.25).abs() < 1e-12);
     }
@@ -916,14 +782,7 @@ mod tests {
         let m = Metrics::new(2, 2);
         m.on_batch(true, 3, BatchOrigin::Home); // planner consulted once, 3 riders
         m.on_batch(false, 0, BatchOrigin::Stolen); // fully cache-served: no plan at all
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
         assert_eq!(r.batches, 2);
         assert_eq!(r.planner_calls, 1);
         assert_eq!(r.plans_reused, 3);
@@ -931,36 +790,21 @@ mod tests {
     }
 
     #[test]
-    fn mean_latency_spans_executed_and_dedup_jobs() {
+    fn executed_and_dedup_jobs_both_complete() {
         let m = Metrics::new(2, 2);
-        m.on_executed(0.2, ExecutionSample::default());
-        m.on_dedup_complete(0.4);
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
-        assert!((r.mean_latency_s - 0.3).abs() < 1e-12);
-        assert!((r.max_latency_s - 0.4).abs() < 1e-12);
+        m.on_executed(ExecutionSample::default());
+        m.on_dedup_complete();
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
+        assert_eq!(r.completed, 2);
         assert_eq!(r.served_from_cache, 1);
     }
 
     #[test]
     fn modeled_speedup_aggregates_over_jobs() {
         let m = Metrics::new(2, 2);
-        m.on_executed(0.1, sample(1.0, 1.0, 2.0, 6.0));
-        m.on_executed(0.1, sample(1.0, 1.0, 2.0, 2.0));
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        m.on_executed(sample(1.0, 1.0, 2.0, 6.0));
+        m.on_executed(sample(1.0, 1.0, 2.0, 2.0));
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
         assert!((r.modeled_speedup_vs_cpu() - 2.0).abs() < 1e-12);
     }
 
@@ -970,14 +814,7 @@ mod tests {
         m.on_dispatch(0, 0, 4, false); // worker 0 drains its home shard
         m.on_dispatch(1, 0, 2, true); // worker 1 steals from shard 0
         m.on_dispatch(1, 1, 2, false);
-        let r = m.report(
-            CacheStats::default(),
-            vec![3, 1],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let r = m.report(CacheStats::default(), vec![3, 1], 0);
         assert_eq!(r.steals, 1);
         assert_eq!(r.stolen_jobs, 2);
         assert_eq!(r.shard_dispatched, vec![6, 2]);
@@ -999,14 +836,7 @@ mod tests {
         m.on_batch(true, 0, BatchOrigin::Home);
         m.on_batch(true, 0, BatchOrigin::Home);
         m.on_batch(true, 0, BatchOrigin::Home);
-        let r = m.report(
-            CacheStats::default(),
-            vec![0, 0],
-            0,
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let r = m.report(CacheStats::default(), vec![0, 0], 0);
         assert_eq!(r.plans_contended, 2);
         assert_eq!(r.plans_shifted, 1);
         assert!((r.cpu_contention_s - 1.5).abs() < 1e-12);
@@ -1017,7 +847,7 @@ mod tests {
     #[test]
     fn shift_fraction_is_zero_without_plans() {
         let m = Metrics::new(1, 1);
-        let r = m.report(CacheStats::default(), vec![0], 0, Vec::new(), Vec::new(), 0);
+        let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.shift_fraction(), 0.0);
     }
 
@@ -1027,13 +857,13 @@ mod tests {
         for _ in 0..4 {
             m.on_submit();
         }
-        m.on_executed(0.1, ExecutionSample::default());
+        m.on_executed(ExecutionSample::default());
         m.on_fail();
         m.on_cancel();
         m.on_deadline_drop();
         m.on_admission_denied(); // refused pre-queue: not part of submitted
         assert_eq!(m.tickets_outstanding(), 0);
-        let r = m.report(CacheStats::default(), vec![0], 0, Vec::new(), Vec::new(), 0);
+        let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.cancelled, 1);
         assert_eq!(r.deadline_dropped, 1);
         assert_eq!(r.admission_denied, 1);
@@ -1050,14 +880,14 @@ mod tests {
         // Two nodes released and completed, one orphaned before release.
         m.on_submit();
         m.on_workflow_released();
-        m.on_executed(0.1, ExecutionSample::default());
+        m.on_executed(ExecutionSample::default());
         m.on_submit();
         m.on_workflow_released();
         m.on_warm_inject();
-        m.on_executed(0.1, ExecutionSample::default());
+        m.on_executed(ExecutionSample::default());
         m.on_orphaned();
         assert_eq!(m.tickets_outstanding(), 0);
-        let r = m.report(CacheStats::default(), vec![0], 0, Vec::new(), Vec::new(), 0);
+        let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.submitted, 3);
         assert_eq!(r.orphaned, 1);
         assert_eq!(r.workflows, 1);
@@ -1080,7 +910,7 @@ mod tests {
         m.on_fused(4, 0.25);
         m.on_fused(2, 0.5);
         m.on_fused(3, -1.0); // negative savings clamp to zero
-        let r = m.report(CacheStats::default(), vec![0], 0, Vec::new(), Vec::new(), 0);
+        let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.fused_batches, 3);
         assert_eq!(r.fused_jobs, 9);
         assert!((r.fused_amortized_s - 0.75).abs() < 1e-12);
@@ -1092,7 +922,7 @@ mod tests {
         assert!((merged.fused_amortized_s - 1.5).abs() < 1e-12);
         // Engines that never fused keep the row out of the rendering.
         let quiet = Metrics::new(1, 1)
-            .report(CacheStats::default(), vec![0], 0, Vec::new(), Vec::new(), 0)
+            .report(CacheStats::default(), vec![0], 0)
             .to_string();
         assert!(!quiet.contains("fused batches"));
     }
@@ -1101,18 +931,10 @@ mod tests {
     fn report_renders() {
         let m = Metrics::new(2, 2);
         m.on_submit();
-        m.on_executed(0.01, sample(0.5, 1.5, 2.1, 3.0));
-        let text = m
-            .report(
-                CacheStats::default(),
-                vec![0, 0],
-                0,
-                Vec::new(),
-                Vec::new(),
-                0,
-            )
-            .to_string();
+        m.on_executed(sample(0.5, 1.5, 2.1, 3.0));
+        let text = m.report(CacheStats::default(), vec![0, 0], 0).to_string();
         assert!(text.contains("ndft-serve report"));
         assert!(text.contains("speedup"));
+        assert!(text.contains("throughput"));
     }
 }

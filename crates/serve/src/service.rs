@@ -66,7 +66,7 @@ pub struct ServeConfig {
     /// handle of its kind is attached — unwatched engines buffer
     /// nothing and pay one relaxed atomic load per would-be event. Full
     /// ⇒ the oldest undelivered event is evicted and counted
-    /// ([`ServeReport::trace_events_dropped`],
+    /// ([`TelemetrySnapshot::trace_events_dropped`],
     /// [`ServeReport::progress_events_dropped`]); publishing never
     /// blocks a worker. Must be positive.
     pub trace_capacity: usize,
@@ -569,32 +569,22 @@ impl DftService {
     /// The monotonic counters are the real witnesses — depths alone
     /// could read equal across a drain + offsetting pushes, but the
     /// dispatch total only ever grows, so equality proves no dispatch
-    /// raced the snapshot — and the telemetry hub's end-to-end record
-    /// count joins it: a stable attempt additionally requires that
-    /// count to equal the sum of the four terminal counters
-    /// (`completed`, `failed`, `cancelled`, `deadline_dropped`), so the
-    /// report's histogram-derived `class_latency` rows can never describe more
-    /// (or fewer) jobs than its counters admit to. A handful of
-    /// attempts always suffices in practice; if the engine churns
-    /// faster than we can snapshot, the last (possibly torn) attempt
-    /// is returned rather than spinning forever.
+    /// raced the snapshot. A handful of attempts always suffices in
+    /// practice; if the engine churns faster than we can snapshot, the
+    /// last (possibly torn) attempt is returned rather than spinning
+    /// forever. Latency is not in the report: read it from
+    /// [`DftService::telemetry`].
     pub fn report(&self) -> ServeReport {
         let mut report = None;
         for _ in 0..8 {
             let depths = self.shared.queue.shard_depths();
             let dispatched = self.shared.metrics.total_dispatched();
-            let e2e = self.shared.telemetry.e2e_count();
             let r = self.shared.metrics.report(
                 self.shared.cache.stats(),
                 depths.clone(),
                 self.shared.telemetry.progress_events_dropped(),
-                self.shared.telemetry.class_latency(),
-                self.shared.telemetry.priority_latency(),
-                self.shared.telemetry.trace_events_dropped(),
             );
             let stable = self.shared.metrics.total_dispatched() == dispatched
-                && self.shared.telemetry.e2e_count() == e2e
-                && r.completed + r.failed + r.cancelled + r.deadline_dropped == e2e
                 && self.shared.queue.shard_depths() == depths;
             report = Some(r);
             if stable {

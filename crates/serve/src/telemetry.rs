@@ -1,14 +1,14 @@
 //! Per-stage latency telemetry: lock-free sharded histograms and the
 //! consistent snapshot the export layer serves.
 //!
-//! The serve engine's [`crate::ServeReport`] carries means and raw
-//! counters — enough to rank configurations, useless at the tail. This
-//! module is the measurement substrate underneath it: every job that
-//! flows through the engine records nanosecond latencies into
-//! log-bucketed histograms keyed by [`Stage`] × [`WorkloadClass`] (and,
-//! for the execute stage, by [`PlacementTarget`]), so
-//! [`crate::DftService::telemetry`] can answer "what is the p99
-//! queue-wait of `md/Si_64x10` on the NDP path" at any moment.
+//! The serve engine's [`crate::ServeReport`] carries raw counters only;
+//! this module is the one place latency lives. Every job that flows
+//! through the engine records nanosecond latencies into log-bucketed
+//! histograms keyed by [`Stage`] × [`WorkloadClass`] (and, for the
+//! execute stage, by [`PlacementTarget`]; end-to-end also by
+//! [`Priority`]), so [`crate::DftService::telemetry`] can answer "what
+//! is the p99 queue-wait of `md/Si_64x10` on the NDP path" at any
+//! moment.
 //!
 //! # Histogram design
 //!
@@ -40,9 +40,9 @@
 //!
 //! # Relation to tracing
 //!
-//! Histograms are always on — they are the substrate
-//! [`crate::ServeReport`] percentiles are derived from, and their cost
-//! is a handful of uncontended atomic adds per job. Per-event *span*
+//! Histograms are always on — every latency figure the engine reports
+//! comes from a [`TelemetrySnapshot`], and their cost is a handful of
+//! uncontended atomic adds per job. Per-event *span*
 //! records (the Chrome-traceable timeline) are subscriber-gated and
 //! live in [`crate::trace`]; [`Telemetry`] owns the ring so one handle
 //! reaches both.
@@ -508,9 +508,6 @@ pub struct Telemetry {
     /// bank, indexed by [`Priority::index`]) — the substrate the QoS
     /// sweep's "interactive p99 under a bulk flood" gate reads.
     priority_e2e: [LatencyHistogram; 3],
-    /// Monotone count of end-to-end records — the seqlock witness
-    /// [`crate::DftService::report`] pairs with the job counters.
-    e2e_recorded: AtomicU64,
     next_trace: AtomicU64,
     ring: TraceRing,
 }
@@ -523,7 +520,6 @@ impl Telemetry {
             epoch: Instant::now(),
             classes: RwLock::new(HashMap::new()),
             priority_e2e: std::array::from_fn(|_| LatencyHistogram::new()),
-            e2e_recorded: AtomicU64::new(0),
             next_trace: AtomicU64::new(1),
             ring: TraceRing::new(trace_capacity),
         }
@@ -599,21 +595,15 @@ impl Telemetry {
         self.class(class).record(stage, d);
     }
 
-    /// Records a job's end-to-end latency and bumps the monotone
-    /// witness counter. Exactly one call per fulfilled ticket —
-    /// executed, deduped, cache-served, failed, cancelled,
-    /// deadline-dropped, or drop-guarded — so `e2e_count` always equals
+    /// Records a job's end-to-end latency under its class and its
+    /// priority. Exactly one call per fulfilled ticket — executed,
+    /// deduped, cache-served, failed, cancelled, deadline-dropped, or
+    /// drop-guarded — so [`TelemetrySnapshot::e2e_count`] always equals
     /// `completed + failed + cancelled + deadline_dropped` in a
     /// quiescent engine.
     pub fn record_end_to_end(&self, class: WorkloadClass, priority: Priority, d: Duration) {
         self.class(class).record(Stage::EndToEnd, d);
         self.priority_e2e[priority.index()].record(d);
-        self.e2e_recorded.fetch_add(1, Ordering::Release);
-    }
-
-    /// Monotone count of end-to-end records (the snapshot witness).
-    pub fn e2e_count(&self) -> u64 {
-        self.e2e_recorded.load(Ordering::Acquire)
     }
 
     /// Events the collector queue evicted or discarded unread.
@@ -642,102 +632,17 @@ impl Telemetry {
             })
             .collect();
         classes.sort_by_key(|c| c.class);
+        let priorities = self.priority_e2e.each_ref().map(LatencyHistogram::snapshot);
         TelemetrySnapshot {
             uptime_s: self.epoch.elapsed().as_secs_f64(),
             classes,
-            e2e_count: self.e2e_count(),
+            e2e_count: priorities.iter().map(HistogramSnapshot::count).sum(),
+            priorities,
             trace_events_recorded: self.ring.recorded(),
             trace_events_dropped: self.trace_events_dropped(),
             queue_high_watermarks: Vec::new(),
         }
     }
-
-    /// Per-class end-to-end percentile summaries, sorted by class —
-    /// what [`crate::ServeReport`] embeds.
-    pub fn class_latency(&self) -> Vec<ClassLatencySummary> {
-        let mut rows: Vec<ClassLatencySummary> = self
-            .classes
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(class, t)| {
-                let s = t.stages[Stage::EndToEnd.index()].snapshot();
-                ClassLatencySummary {
-                    class: *class,
-                    jobs: s.count(),
-                    p50_s: s.quantile_s(0.50),
-                    p90_s: s.quantile_s(0.90),
-                    p99_s: s.quantile_s(0.99),
-                    p999_s: s.quantile_s(0.999),
-                    max_s: s.max_ns() as f64 * 1e-9,
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.class);
-        rows
-    }
-
-    /// Per-priority end-to-end percentile summaries, one row per
-    /// [`Priority`] in service order (rows for unused priorities report
-    /// zero jobs) — what [`crate::ServeReport`] embeds next to the
-    /// per-class rows.
-    pub fn priority_latency(&self) -> Vec<PriorityLatencySummary> {
-        Priority::ALL
-            .iter()
-            .map(|&priority| {
-                let s = self.priority_e2e[priority.index()].snapshot();
-                PriorityLatencySummary {
-                    priority,
-                    jobs: s.count(),
-                    p50_s: s.quantile_s(0.50),
-                    p90_s: s.quantile_s(0.90),
-                    p99_s: s.quantile_s(0.99),
-                    p999_s: s.quantile_s(0.999),
-                    max_s: s.max_ns() as f64 * 1e-9,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Per-priority end-to-end latency percentiles, embedded in
-/// [`crate::ServeReport`] alongside the per-class rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PriorityLatencySummary {
-    /// The scheduling priority.
-    pub priority: Priority,
-    /// Jobs of this priority with a recorded end-to-end latency.
-    pub jobs: u64,
-    /// Median end-to-end latency, seconds.
-    pub p50_s: f64,
-    /// 90th percentile, seconds.
-    pub p90_s: f64,
-    /// 99th percentile, seconds.
-    pub p99_s: f64,
-    /// 99.9th percentile, seconds.
-    pub p999_s: f64,
-    /// Worst observed, seconds (exact).
-    pub max_s: f64,
-}
-
-/// Per-class end-to-end latency percentiles, embedded in
-/// [`crate::ServeReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassLatencySummary {
-    /// The workload class.
-    pub class: WorkloadClass,
-    /// Jobs of this class with a recorded end-to-end latency.
-    pub jobs: u64,
-    /// Median end-to-end latency, seconds.
-    pub p50_s: f64,
-    /// 90th percentile, seconds.
-    pub p90_s: f64,
-    /// 99th percentile, seconds.
-    pub p99_s: f64,
-    /// 99.9th percentile, seconds.
-    pub p999_s: f64,
-    /// Worst observed, seconds (exact).
-    pub max_s: f64,
 }
 
 /// One class's stage histograms inside a [`TelemetrySnapshot`].
@@ -762,9 +667,9 @@ impl ClassSnapshot {
 }
 
 /// A consistent point-in-time export of the whole telemetry hub:
-/// per-class per-stage histograms, stage totals, drop counters, and
-/// queue high-watermarks. Serializable to JSON
-/// ([`TelemetrySnapshot::to_json`]); the span timeline exports
+/// per-class per-stage histograms, per-priority end-to-end histograms,
+/// stage totals, drop counters, and queue high-watermarks. Serializable
+/// to JSON ([`TelemetrySnapshot::to_json`]); the span timeline exports
 /// separately through [`crate::trace::chrome_trace_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -772,13 +677,18 @@ pub struct TelemetrySnapshot {
     pub uptime_s: f64,
     /// Per-class histograms, sorted by class.
     pub classes: Vec<ClassSnapshot>,
-    /// End-to-end latencies recorded (== completed + failed once the
-    /// engine is quiescent; the seqlock witness behind
-    /// [`crate::DftService::report`]).
+    /// End-to-end histograms indexed by [`Priority::index`].
+    priorities: [HistogramSnapshot; 3],
+    /// End-to-end latencies recorded, one per terminal ticket: once the
+    /// engine is quiescent this equals `completed + failed + cancelled
+    /// + deadline_dropped` of its [`crate::ServeReport`].
     pub e2e_count: u64,
     /// Span events accepted into the trace ring over the engine's life.
     pub trace_events_recorded: u64,
-    /// Span events evicted unread because the ring was full.
+    /// Span events the collector queue evicted unread (slow
+    /// [`crate::TraceCollector`] consumer) or discarded when the last
+    /// collector detached; zero on unwatched engines, which buffer
+    /// nothing.
     pub trace_events_dropped: u64,
     /// Highest depth each queue shard ever reached (index = shard).
     pub queue_high_watermarks: Vec<usize>,
@@ -799,15 +709,19 @@ impl TelemetrySnapshot {
         total
     }
 
+    /// The end-to-end histogram of every job submitted at `priority`.
+    pub fn priority(&self, priority: Priority) -> &HistogramSnapshot {
+        &self.priorities[priority.index()]
+    }
+
     /// Total jobs with an end-to-end record, summed over classes.
     pub fn jobs_recorded(&self) -> u64 {
         self.stage_total(Stage::EndToEnd).count()
     }
 
     /// Rolls another engine's snapshot into `self` — the
-    /// federation-wide telemetry view. Unlike the percentile rows in a
-    /// merged [`crate::ServeReport`] (which can only take conservative
-    /// maxima), this merges the **underlying histograms** bucket-wise
+    /// federation-wide telemetry view. Every histogram (class × stage,
+    /// class × target, priority) merges bucket-wise
     /// ([`HistogramSnapshot::merge`]), so quantiles of the result are
     /// true federated quantiles. Uptime takes the max (replicas run
     /// concurrently), counters sum, and queue high-watermarks
@@ -829,6 +743,9 @@ impl TelemetrySnapshot {
             }
         }
         self.classes.sort_by_key(|c| c.class);
+        for (a, b) in self.priorities.iter_mut().zip(&other.priorities) {
+            a.merge(b);
+        }
         self.e2e_count += other.e2e_count;
         self.trace_events_recorded += other.trace_events_recorded;
         self.trace_events_dropped += other.trace_events_dropped;
@@ -879,7 +796,15 @@ impl TelemetrySnapshot {
             }
             out.push_str("}}");
         }
-        out.push_str("]}");
+        out.push_str("], \"priorities\": {");
+        for (pi, priority) in Priority::ALL.iter().enumerate() {
+            if pi > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!("\"{}\": ", priority.label()));
+            self.priority(*priority).json_into(&mut out);
+        }
+        out.push_str("}}");
         out
     }
 }
@@ -977,24 +902,95 @@ mod tests {
         t.record(md, Stage::QueueWait, Duration::from_micros(3));
         t.record_end_to_end(md, Priority::Bulk, Duration::from_micros(9));
         t.record_end_to_end(scf, Priority::Interactive, Duration::from_micros(2));
-        assert_eq!(t.e2e_count(), 2);
         let snap = t.snapshot();
+        assert_eq!(snap.e2e_count, 2);
         assert_eq!(snap.classes.len(), 2);
         // Sorted by class: GroundState orders before MdSegment.
         assert_eq!(snap.classes[0].class, scf);
         assert_eq!(snap.class(&md).unwrap().stage(Stage::QueueWait).count(), 1);
         assert_eq!(snap.stage_total(Stage::EndToEnd).count(), 2);
         assert_eq!(snap.jobs_recorded(), 2);
-        let rows = t.class_latency();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.jobs == 1 && r.p50_s > 0.0));
-        let prio = t.priority_latency();
-        assert_eq!(prio.len(), 3, "one row per priority, always");
-        assert_eq!(prio[0].priority, Priority::Interactive);
-        assert_eq!(prio[0].jobs, 1);
-        assert_eq!(prio[1].jobs, 0, "standard unused");
-        assert_eq!(prio[2].jobs, 1);
-        assert!(prio[2].p99_s >= prio[0].p99_s);
+        assert!(snap.classes.iter().all(
+            |c| c.stage(Stage::EndToEnd).count() == 1 && c.stage(Stage::EndToEnd).p50_ns() > 0
+        ));
+        let interactive = snap.priority(Priority::Interactive);
+        assert_eq!(interactive.count(), 1);
+        assert!(
+            snap.priority(Priority::Standard).is_empty(),
+            "standard unused"
+        );
+        assert_eq!(snap.priority(Priority::Bulk).count(), 1);
+        assert!(snap.priority(Priority::Bulk).p99_ns() >= interactive.p99_ns());
+    }
+
+    /// Asserts two histograms agree on count, sum, max and the quantile
+    /// at every rank.
+    fn assert_same_histogram(a: &HistogramSnapshot, b: &HistogramSnapshot, what: &str) {
+        assert_eq!(a.count(), b.count(), "{what}: count");
+        assert_eq!(a.sum_ns(), b.sum_ns(), "{what}: sum");
+        assert_eq!(a.max_ns(), b.max_ns(), "{what}: max");
+        for rank in 1..=a.count() {
+            let q = rank as f64 / a.count() as f64;
+            assert_eq!(a.quantile_ns(q), b.quantile_ns(q), "{what}: q = {q}");
+        }
+    }
+
+    #[test]
+    fn absorbed_snapshots_equal_one_hub_recording_both_sets() {
+        let class = |atoms| WorkloadClass {
+            kind: crate::job::JobKind::MdSegment,
+            atoms,
+            iterations: 10,
+        };
+        // Hub a sees classes 16 and 64; hub b sees 64 and 128 (absorb
+        // both merges into an existing class and adopts a new one).
+        // Priorities overlap the same way.
+        let a_set = [
+            (class(16), Priority::Interactive, 1_000u64),
+            (class(64), Priority::Bulk, 70_000),
+            (class(64), Priority::Interactive, 3_500),
+        ];
+        let b_set = [
+            (class(64), Priority::Standard, 12_000u64),
+            (class(128), Priority::Bulk, 900_000),
+            (class(128), Priority::Standard, 45),
+        ];
+        let (a, b, both) = (Telemetry::new(4), Telemetry::new(4), Telemetry::new(4));
+        let record = |t: &Telemetry, (class, priority, us): (WorkloadClass, Priority, u64)| {
+            let recorder = t.class(class);
+            recorder.record(Stage::QueueWait, Duration::from_nanos(us * 7));
+            recorder.record(Stage::Execute, Duration::from_micros(us / 2));
+            recorder.record_target(PlacementTarget::Ndp, Duration::from_micros(us / 2));
+            t.record_end_to_end(class, priority, Duration::from_micros(us));
+        };
+        for sample in a_set {
+            record(&a, sample);
+            record(&both, sample);
+        }
+        for sample in b_set {
+            record(&b, sample);
+            record(&both, sample);
+        }
+        let mut merged = a.snapshot();
+        merged.absorb(&b.snapshot());
+        let whole = both.snapshot();
+        assert_eq!(merged.e2e_count, whole.e2e_count);
+        let classes = |s: &TelemetrySnapshot| s.classes.iter().map(|c| c.class).collect::<Vec<_>>();
+        assert_eq!(classes(&merged), classes(&whole));
+        for (m, w) in merged.classes.iter().zip(&whole.classes) {
+            for stage in Stage::ALL {
+                let what = format!("{} {stage}", m.class);
+                assert_same_histogram(m.stage(stage), w.stage(stage), &what);
+            }
+            for target in PlacementTarget::ALL {
+                let what = format!("{} execute on {target}", m.class);
+                assert_same_histogram(m.target(target), w.target(target), &what);
+            }
+        }
+        for priority in Priority::ALL {
+            let what = format!("priority {priority}");
+            assert_same_histogram(merged.priority(priority), whole.priority(priority), &what);
+        }
     }
 
     #[test]
@@ -1014,6 +1010,8 @@ mod tests {
         assert!(json.contains("\"tda/Si_16x1\""));
         assert!(json.contains("\"queue_wait\""));
         assert!(json.contains("\"execute_by_target\""));
+        assert!(json.contains("\"priorities\": {\"interactive\": {\"count\": 0"));
+        assert!(json.contains("\"standard\": {\"count\": 1"));
         assert!(json.contains("\"queue_high_watermarks\": [4, 7]"));
         assert_eq!(
             json.matches('{').count(),

@@ -707,13 +707,11 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             .map(|hit| (hit.clone(), HitTier::Batch))
             .or_else(|| shared.cache.peek_fetch_tiered(&pending.fingerprint));
         if let Some((hit, tier)) = cached {
-            shared
-                .metrics
-                .on_dedup_complete(pending.enqueued.elapsed().as_secs_f64());
+            shared.metrics.on_dedup_complete();
             // End-to-end lands *before* the fulfill on every path: the
             // moment a waiter resolves, the histogram already counts its
-            // job, so the report's completed/failed-vs-histogram pairing
-            // holds for any caller that waited its tickets out.
+            // job, so a telemetry snapshot taken by any caller that
+            // waited its tickets out covers every one of them.
             telemetry.record_end_to_end(
                 pending.class,
                 pending.priority,
@@ -867,9 +865,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     ));
                 }
                 local.insert(pending.fingerprint, Arc::clone(&outcome));
-                shared
-                    .metrics
-                    .on_executed(pending.enqueued.elapsed().as_secs_f64(), outcome.sample());
+                shared.metrics.on_executed(outcome.sample());
                 // As on the dedup path: count end-to-end and publish the
                 // lane before the fulfill, so resolved waiters are
                 // already in the histogram and their lane is complete.
@@ -1149,16 +1145,9 @@ mod tests {
         // must return to zero even on the last-resort path — and the
         // guard records the end-to-end latency, keeping the histogram
         // paired with the counters.
-        let report = metrics.report(
-            crate::cache::CacheStats::default(),
-            vec![0],
-            0,
-            telemetry.class_latency(),
-            telemetry.priority_latency(),
-            0,
-        );
+        let report = metrics.report(crate::cache::CacheStats::default(), vec![0], 0);
         assert_eq!(report.failed, 1);
-        assert_eq!(telemetry.e2e_count(), 1);
+        assert_eq!(telemetry.snapshot().e2e_count, 1);
         // The lifecycle closes too: the guard's failed fulfill event
         // reaches the stream as a failed Done.
         let stages: Vec<_> = stream.drain().iter().map(|e| e.stage).collect();

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example service_throughput`
 
-use ndft::serve::{DftJob, DftService, ServeConfig, SubmitError};
+use ndft::serve::{DftJob, DftService, ServeConfig, Stage, SubmitError};
 
 fn job_stream() -> Vec<DftJob> {
     DftJob::demo_mix(100)
@@ -60,8 +60,22 @@ fn main() {
         }
     }
 
+    // Every ticket has resolved, so the end-to-end histograms hold all
+    // 100 jobs.
+    let telemetry = svc.telemetry();
     let report = svc.shutdown();
     println!("\n{report}");
+    println!("\n  end-to-end latency by class:");
+    for class in &telemetry.classes {
+        let e2e = class.stage(Stage::EndToEnd);
+        println!(
+            "    {:<14} jobs {:>4}  p50 {:>9.3} ms  p99 {:>9.3} ms",
+            class.class.to_string(),
+            e2e.count(),
+            e2e.p50_ns() as f64 * 1e-6,
+            e2e.p99_ns() as f64 * 1e-6
+        );
+    }
     println!("\n  backpressure retries: {backpressure_retries}");
     assert_eq!(report.completed, 100);
     assert!(report.cache.hit_rate() > 0.0, "stream contains repeats");

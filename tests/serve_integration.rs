@@ -90,10 +90,12 @@ fn mixed_batch_completes_with_correct_payloads() {
             (kind, payload) => panic!("kind {kind} produced mismatched payload {payload:?}"),
         }
     }
+    let e2e = svc.telemetry().stage_total(Stage::EndToEnd);
+    assert_eq!(e2e.count(), jobs.len() as u64);
+    assert!(e2e.mean_ns() > 0.0);
     let report = svc.shutdown();
     assert_eq!(report.completed, jobs.len() as u64);
     assert_eq!(report.failed, 0);
-    assert!(report.mean_latency_s > 0.0);
 }
 
 #[test]
@@ -821,9 +823,10 @@ fn telemetry_reports_per_stage_percentiles_for_mixed_classes() {
     assert_eq!(report.completed, jobs.len() as u64);
 }
 
-/// The seqlock'd report never lets the latency rows and the job
-/// counters disagree: on a quiescent engine the per-class job counts
-/// sum exactly to completed + failed, and cache serves are counted too.
+/// Once every ticket has resolved, the telemetry snapshot's end-to-end
+/// histograms and the report's job counters agree: the per-class and the
+/// per-priority counts each sum exactly to the four terminal counters,
+/// and cache serves are counted too.
 #[test]
 fn report_class_latency_rows_agree_with_job_counters() {
     let svc = DftService::start(ServeConfig {
@@ -842,28 +845,37 @@ fn report_class_latency_rows_agree_with_job_counters() {
     for job in &jobs {
         svc.submit(job.clone()).unwrap().wait().unwrap();
     }
+    let snapshot = svc.telemetry();
     let report = svc.report();
-    let row_jobs: u64 = report.class_latency.iter().map(|r| r.jobs).sum();
+    let class_jobs: u64 = snapshot
+        .classes
+        .iter()
+        .map(|c| c.stage(Stage::EndToEnd).count())
+        .sum();
     assert_eq!(
-        row_jobs,
+        class_jobs,
         report.completed + report.failed + report.cancelled + report.deadline_dropped,
-        "latency rows and job counters must agree"
+        "end-to-end histograms and job counters must agree"
     );
-    // The per-priority rows cover the same jobs, partitioned by QoS
-    // class instead of workload class.
-    let prio_jobs: u64 = report.priority_latency.iter().map(|r| r.jobs).sum();
-    assert_eq!(prio_jobs, row_jobs, "priority rows partition the same jobs");
-    assert_eq!(report.trace_events_dropped, 0, "no subscriber, no drops");
-    for row in &report.class_latency {
-        assert!(row.jobs > 0);
-        assert!(row.p50_s <= row.p90_s + 1e-12);
-        assert!(row.p90_s <= row.p99_s + 1e-12);
-        assert!(row.p99_s <= row.max_s + 1e-12);
+    assert_eq!(snapshot.e2e_count, class_jobs);
+    // The per-priority histograms cover the same jobs, partitioned by
+    // QoS class instead of workload class.
+    let prio_jobs: u64 = Priority::ALL
+        .iter()
+        .map(|&p| snapshot.priority(p).count())
+        .sum();
+    assert_eq!(prio_jobs, class_jobs, "priorities partition the same jobs");
+    assert_eq!(snapshot.trace_events_dropped, 0, "no subscriber, no drops");
+    for class in &snapshot.classes {
+        let e2e = class.stage(Stage::EndToEnd);
+        assert!(e2e.count() > 0);
+        assert!(e2e.p50_ns() <= e2e.p90_ns());
+        assert!(e2e.p90_ns() <= e2e.p99_ns());
+        assert!(e2e.p99_ns() <= e2e.max_ns());
     }
     let final_report = svc.shutdown();
     assert_eq!(final_report.completed, 2 * jobs.len() as u64);
-    let row_jobs: u64 = final_report.class_latency.iter().map(|r| r.jobs).sum();
-    assert_eq!(row_jobs, final_report.completed);
+    assert_eq!(final_report.completed, class_jobs);
 }
 
 /// The Chrome trace export carries one complete span chain per
@@ -1252,15 +1264,15 @@ fn interactive_jobs_overtake_bulk_backlog_under_qos() {
         t.wait().unwrap();
     }
     blocker.wait().unwrap();
+    let snapshot = svc.telemetry();
     let report = svc.shutdown();
     assert_eq!(report.completed, 10);
     assert_eq!(report.failed, 0);
     assert!(report.conservation_holds());
-    // Every class shows up in the per-priority latency rows.
-    let jobs_by_priority: Vec<(Priority, u64)> = report
-        .priority_latency
+    // Every class shows up in the per-priority latency histograms.
+    let jobs_by_priority: Vec<(Priority, u64)> = Priority::ALL
         .iter()
-        .map(|r| (r.priority, r.jobs))
+        .map(|&p| (p, snapshot.priority(p).count()))
         .collect();
     assert_eq!(
         jobs_by_priority,
@@ -1358,6 +1370,7 @@ fn federated_kill_mid_flood_resolves_every_job_exactly_once() {
         t.wait().expect("every flooded job completes");
     }
 
+    let telemetry = fed.telemetry_per_replica();
     let report = fed.shutdown();
     assert_eq!(report.kills, 1);
     assert_eq!(report.live, 3);
@@ -1374,17 +1387,14 @@ fn federated_kill_mid_flood_resolves_every_job_exactly_once() {
         report.replayed
     );
     // Replay preserved the QoS metadata: the interactive jobs died
-    // queued on the victim, yet the survivors' engine reports show all
-    // ten accounted at interactive priority — the replayed submissions
+    // queued on the victim, yet the survivors' telemetry shows all ten
+    // recorded at interactive priority — the replayed submissions
     // carried their priority class across the failover.
-    let survivor_interactive: u64 = report
-        .per_replica
+    let survivor_interactive: u64 = telemetry
         .iter()
         .enumerate()
         .filter(|&(replica, _)| replica != victim)
-        .flat_map(|(_, r)| r.priority_latency.iter())
-        .filter(|row| row.priority == Priority::Interactive)
-        .map(|row| row.jobs)
+        .map(|(_, t)| t.priority(Priority::Interactive).count())
         .sum();
     assert_eq!(
         survivor_interactive, 10,
