@@ -174,8 +174,24 @@ mod tests {
     use crate::fingerprint::Fingerprint;
     use crate::job::JobError;
     use crate::ticket::JobTicket;
-    use std::thread;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A waker that only counts its wakes, so a test can poll by hand
+    /// and resolve tickets one at a time on its own thread.
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl CountingWaker {
+        fn wakes(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
 
     #[test]
     fn block_on_ready_future() {
@@ -187,15 +203,21 @@ mod tests {
         let pairs: Vec<_> = (0..4).map(|i| JobTicket::promise(Fingerprint(i))).collect();
         let futures: Vec<_> = pairs.iter().map(|(t, _)| t.future()).collect();
         let resolvers: Vec<_> = pairs.into_iter().map(|(_, r)| r).collect();
-        let fulfiller = thread::spawn(move || {
-            // Resolve in reverse order; join_all must still report 0..4.
-            for (i, r) in resolvers.into_iter().enumerate().rev() {
-                thread::sleep(Duration::from_millis(2));
-                r.fulfill(Err(JobError::Numerics(format!("{i}"))));
-            }
-        });
-        let results = block_on(join_all(futures));
-        fulfiller.join().unwrap();
+        let counter = Arc::new(CountingWaker::default());
+        let waker = Waker::from(Arc::clone(&counter));
+        let mut cx = Context::from_waker(&waker);
+        let mut joined = join_all(futures);
+        // Resolve in reverse order; join_all must still report 0..4, and
+        // stay pending until the last ticket resolves.
+        for (i, r) in resolvers.into_iter().enumerate().rev() {
+            assert!(Pin::new(&mut joined).poll(&mut cx).is_pending(), "{i}");
+            let wakes = counter.wakes();
+            r.fulfill(Err(JobError::Numerics(format!("{i}"))));
+            assert_eq!(counter.wakes(), wakes + 1, "resolving {i} wakes the join");
+        }
+        let Poll::Ready(results) = Pin::new(&mut joined).poll(&mut cx) else {
+            panic!("join_all still pending after every ticket resolved");
+        };
         assert_eq!(results.len(), 4);
         for (i, result) in results.iter().enumerate() {
             assert_eq!(
@@ -215,12 +237,16 @@ mod tests {
     fn race_yields_first_resolved_with_its_index() {
         let (slow, _keep_pending) = JobTicket::promise(Fingerprint(0));
         let (fast, resolver) = JobTicket::promise(Fingerprint(1));
-        let fulfiller = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(5));
-            resolver.fulfill(Err(JobError::ShutDown));
-        });
-        let (winner, result) = block_on(race(vec![slow.future(), fast.future()]));
-        fulfiller.join().unwrap();
+        let counter = Arc::new(CountingWaker::default());
+        let waker = Waker::from(Arc::clone(&counter));
+        let mut cx = Context::from_waker(&waker);
+        let mut raced = race(vec![slow.future(), fast.future()]);
+        assert!(Pin::new(&mut raced).poll(&mut cx).is_pending());
+        resolver.fulfill(Err(JobError::ShutDown));
+        assert_eq!(counter.wakes(), 1, "the resolution wakes the race");
+        let Poll::Ready((winner, result)) = Pin::new(&mut raced).poll(&mut cx) else {
+            panic!("race still pending after a contestant resolved");
+        };
         assert_eq!(winner, 1);
         assert_eq!(result.unwrap_err(), JobError::ShutDown);
     }

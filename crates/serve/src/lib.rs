@@ -189,7 +189,4 @@ pub use trace::{
     chrome_trace_json, federated_chrome_trace_json, JobStage, ProgressEvent, ProgressStream,
     TraceCollector, TraceEvent, TraceEventKind, TraceId,
 };
-pub use worker::{
-    execute_job, execute_job_fused, execute_payload, execute_payload_fused, FusedContext,
-    JobOutcome,
-};
+pub use worker::{execute_payload, JobOutcome};

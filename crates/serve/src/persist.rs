@@ -998,7 +998,7 @@ fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
 mod tests {
     use super::*;
     use crate::placement::plan_placement;
-    use crate::worker::execute_job;
+    use crate::worker::execute_payload;
     use ndft_core::{run_ndft_with, NdftOptions};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1011,7 +1011,15 @@ mod tests {
         let graph = job.task_graph().unwrap();
         let placement = plan_placement(&graph, PlacementPolicy::CostAware);
         let modeled = run_ndft_with(&graph, NdftOptions::default());
-        execute_job(&job, &placement, &modeled).unwrap()
+        let (payload, wall_numeric) = execute_payload(&job).unwrap();
+        JobOutcome {
+            fingerprint: job.fingerprint(),
+            job,
+            payload,
+            placement,
+            modeled,
+            wall_numeric,
+        }
     }
 
     #[test]

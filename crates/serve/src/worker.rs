@@ -37,7 +37,7 @@ use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
 use crate::placement::{decide_placement, PlacementDecision};
 use crate::service::EngineShared;
-use crate::telemetry::{PlacementTarget, Stage};
+use crate::telemetry::{ClassRecorder, PlacementTarget, Stage};
 use crate::tenant::TenantSlot;
 use crate::ticket::JobTicket;
 use crate::trace::{TraceEvent, TraceEventKind, TraceId};
@@ -122,6 +122,39 @@ impl PendingJob {
             .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
         self.close_trace_chain(&[]);
         self.ticket.fulfill(Err(err));
+    }
+
+    /// The one success protocol, shared by both winning exits (a cache
+    /// or in-batch dedup hit, an executed member): record the
+    /// end-to-end latency, close the lane with a successful fulfill
+    /// event (`cached` for a hit) published together with the exit's
+    /// queued `spans`, resolve the ticket, and record the fulfill stage
+    /// from `fulfill_start`. End-to-end and the lane land *before* the
+    /// fulfill, so the moment a waiter resolves, the histogram already
+    /// counts its job and its whole lifecycle is readable.
+    fn succeed(
+        &self,
+        outcome: Arc<JobOutcome>,
+        cached: bool,
+        fulfill_start: Instant,
+        worker: usize,
+        spans: &mut Vec<TraceEvent>,
+        recorder: &ClassRecorder,
+    ) {
+        self.telemetry
+            .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
+        if self.telemetry.traced() {
+            spans.push(self.event(
+                Some(worker),
+                self.telemetry.ns_at(fulfill_start),
+                fulfill_start.elapsed().as_nanos() as u64,
+                TraceEventKind::TicketFulfill { ok: true, cached },
+            ));
+            self.telemetry.publish_slice(spans);
+            spans.clear();
+        }
+        self.ticket.fulfill(Ok(outcome));
+        recorder.record(Stage::Fulfill, fulfill_start.elapsed());
     }
 
     /// Consumes a cancelled tombstone: the ticket was already resolved
@@ -215,85 +248,22 @@ impl Drop for PendingJob {
     }
 }
 
-/// Runs the job's actual numerics, timing the kernel work.
+/// Runs the job's actual numerics, timing the kernel work — operand
+/// setup included, exactly as the engine times a solo member.
 ///
 /// # Errors
 ///
 /// [`JobError::InvalidSystem`] for bad atom counts or out-of-bounds
 /// parameters, [`JobError::Numerics`] when a solver fails.
 pub fn execute_payload(job: &DftJob) -> Result<(JobPayload, Duration), JobError> {
-    execute_payload_seeded(job, None)
-}
-
-/// [`execute_payload`] with an optional warm input from a workflow
-/// parent. The seed is consulted only when
-/// [`DftJob::accepts_warm_seed`] approves the pairing (exactly-matching
-/// SCF options), so passing an unrelated outcome is harmless — the job
-/// just runs cold. Seeded and cold executions of the same job are
-/// bit-identical by construction.
-///
-/// # Errors
-///
-/// As [`execute_payload`].
-pub fn execute_payload_seeded(
-    job: &DftJob,
-    warm: Option<&JobOutcome>,
-) -> Result<(JobPayload, Duration), JobError> {
-    job.validate()?;
-    let system = job.system().expect("validated above");
     let start = Instant::now();
-    let payload = match job {
-        DftJob::GroundState { .. } => {
-            let opts = job.scf_options().expect("ground-state job");
-            let gs = run_scf(&system, &opts).map_err(|e| JobError::Numerics(format!("{e:?}")))?;
-            JobPayload::GroundState(gs)
-        }
-        DftJob::MdSegment { .. } => {
-            let opts = job.md_options().expect("md job");
-            JobPayload::Md(run_md(&system, &opts))
-        }
-        DftJob::Spectrum {
-            full_casida: false, ..
-        } => JobPayload::Tda(
-            run_lr_tddft(&system).map_err(|e| JobError::Numerics(format!("{e:?}")))?,
-        ),
-        DftJob::Spectrum {
-            full_casida: true, ..
-        } => JobPayload::Casida(
-            run_casida(&system).map_err(|e| JobError::Numerics(format!("{e:?}")))?,
-        ),
-        DftJob::BandStructure {
-            segments,
-            n_bands,
-            scissor_ev,
-            ..
-        } => {
-            let path = si_path(*segments);
-            JobPayload::Bands(band_structure(&path, *n_bands, *scissor_ev))
-        }
-        DftJob::ScfSelfConsistent {
-            occupied,
-            cycles,
-            alpha,
-            ..
-        } => {
-            let opts = job.scf_options().expect("self-consistent job");
-            let initial = warm_seed_for(job, warm).cloned();
-            let sc =
-                run_scf_selfconsistent_seeded(&system, &opts, *occupied, *cycles, *alpha, initial)
-                    .map_err(|e| JobError::Numerics(format!("{e:?}")))?;
-            JobPayload::SelfConsistent(sc)
-        }
-    };
+    let payload = Operands::build(job)?.run(job, None)?;
     Ok((payload, start.elapsed()))
 }
 
 /// The ground state a warm outcome contributes to `job`, if the pairing
 /// is result-preserving.
-pub(crate) fn warm_seed_for<'a>(
-    job: &DftJob,
-    warm: Option<&'a JobOutcome>,
-) -> Option<&'a GroundState> {
+fn warm_seed_for<'a>(job: &DftJob, warm: Option<&'a JobOutcome>) -> Option<&'a GroundState> {
     let outcome = warm?;
     if !job.accepts_warm_seed(&outcome.job) {
         return None;
@@ -304,63 +274,38 @@ pub(crate) fn warm_seed_for<'a>(
     }
 }
 
-/// Executes one job under an already-made placement decision, producing
-/// the full outcome record (used by workers and by single-shot callers
-/// that bypass the service).
-///
-/// # Errors
-///
-/// Propagates [`execute_payload`] failures.
-pub fn execute_job(
-    job: &DftJob,
-    placement: &PlacementDecision,
-    modeled: &RunReport,
-) -> Result<JobOutcome, JobError> {
-    execute_job_seeded(job, placement, modeled, None)
+/// A solver failure as the error its ticket resolves with.
+fn numerics_error(e: impl std::fmt::Debug) -> JobError {
+    JobError::Numerics(format!("{e:?}"))
 }
 
-/// [`execute_job`] with an optional warm input (see
-/// [`execute_payload_seeded`]).
-///
-/// # Errors
-///
-/// Propagates [`execute_payload`] failures.
-pub fn execute_job_seeded(
-    job: &DftJob,
-    placement: &PlacementDecision,
-    modeled: &RunReport,
-    warm: Option<&JobOutcome>,
-) -> Result<JobOutcome, JobError> {
-    let (payload, wall_numeric) = execute_payload_seeded(job, warm)?;
-    Ok(JobOutcome {
-        job: job.clone(),
-        fingerprint: job.fingerprint(),
-        payload,
-        placement: placement.clone(),
-        modeled: modeled.clone(),
-        wall_numeric,
-    })
+/// A job's system plus the setup its solver would otherwise build for
+/// itself. A solo member builds its own; a fused batch builds one at
+/// its first executing member and runs every later member against it.
+/// Sharing covers only operand *construction* — each member's kernels
+/// still run their own arithmetic start to finish — which is what keeps
+/// fused payloads bit-identical to solo ones.
+struct Operands {
+    system: SiliconSystem,
+    shared: Shared,
 }
 
-/// The heavy setup one fused batch member builds and every later member
-/// reuses. Sharing covers only operand *construction* — each member's
-/// kernels still run their own arithmetic start to finish — which is
-/// what keeps fused payloads bit-identical to solo execution.
-enum FusedOperand {
-    /// One Kohn–Sham Hamiltonian serving every ground-state member. Its
-    /// construction (dominated by the pseudopotential projector tables)
-    /// depends only on the geometry and the potential shape — pinned
-    /// here by bit pattern, so a member with a different shape falls
-    /// back to its own solo setup instead of a wrong shared one.
-    ScfHamiltonian {
+/// The kind-specific operand of [`Operands`].
+enum Shared {
+    /// The Kohn–Sham Hamiltonian of a ground state. Its construction
+    /// (dominated by the pseudopotential projector tables) depends only
+    /// on the geometry and the potential shape — pinned here by bit
+    /// pattern, so a member with a different shape solves on its own
+    /// instead of on a wrong shared one.
+    Hamiltonian {
         // Boxed: the Hamiltonian is ~300 bytes of tables and would
         // otherwise dominate every variant of this enum.
         h: Box<KsHamiltonian>,
         depth_bits: u64,
         sigma_bits: u64,
     },
-    /// One O(n²) neighbour scan serving every MD member.
-    MdBonds(Vec<(usize, usize)>),
+    /// The O(n²) neighbour scan of an MD segment.
+    Bonds(Vec<(usize, usize)>),
     /// Kinds with nothing shareable beyond the system: band paths and
     /// spectra rebuild everything per run anyway, and self-consistent
     /// SCF *mutates* its Hamiltonian, so sharing one would change
@@ -368,144 +313,86 @@ enum FusedOperand {
     None,
 }
 
-/// Per-batch shared state of the fused cross-job execution path: the
-/// batch's system built once, plus the kind-specific shared operand
-/// (one Kohn–Sham Hamiltonian for ground states, one bond list for MD).
-/// Built lazily by the worker at the first member that actually
-/// executes (a batch fully served from cache pays nothing).
-pub struct FusedContext {
-    system: SiliconSystem,
-    operand: FusedOperand,
-}
-
-impl FusedContext {
-    /// Builds the shared system and operand for a batch of `job`'s
-    /// workload class.
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::InvalidSystem`] when the job's system is invalid.
-    pub fn build(job: &DftJob) -> Result<FusedContext, JobError> {
+impl Operands {
+    /// Validates `job` and builds its system and shared operand.
+    fn build(job: &DftJob) -> Result<Operands, JobError> {
         job.validate()?;
         let system = job.system().expect("validated above");
-        let operand = match job {
+        let shared = match job {
             DftJob::GroundState { .. } => {
                 let opts = job.scf_options().expect("ground-state job");
-                FusedOperand::ScfHamiltonian {
+                Shared::Hamiltonian {
                     h: Box::new(KsHamiltonian::new(&system, &opts)),
                     depth_bits: opts.potential_depth_ev.to_bits(),
                     sigma_bits: opts.potential_sigma.to_bits(),
                 }
             }
-            DftJob::MdSegment { .. } => FusedOperand::MdBonds(bond_list(&system)),
-            _ => FusedOperand::None,
+            DftJob::MdSegment { .. } => Shared::Bonds(bond_list(&system)),
+            _ => Shared::None,
         };
-        Ok(FusedContext { system, operand })
+        Ok(Operands { system, shared })
     }
-}
 
-/// [`execute_payload_seeded`] through a batch's [`FusedContext`]: the
-/// shared system and operand replace the per-job setup, and the
-/// member's own kernels run unchanged — the payload is bit-identical
-/// to a solo execution of the same job. A member whose options don't
-/// match the shared operand (impossible within one workload class, but
-/// cheap to defend) runs its solo setup instead.
-///
-/// # Errors
-///
-/// As [`execute_payload`].
-pub fn execute_payload_fused(
-    job: &DftJob,
-    warm: Option<&JobOutcome>,
-    ctx: &FusedContext,
-) -> Result<(JobPayload, Duration), JobError> {
-    job.validate()?;
-    let system = &ctx.system;
-    let start = Instant::now();
-    let payload = match job {
-        DftJob::GroundState { .. } => {
-            let opts = job.scf_options().expect("ground-state job");
-            let gs = match &ctx.operand {
-                FusedOperand::ScfHamiltonian {
-                    h,
-                    depth_bits,
-                    sigma_bits,
-                } if opts.potential_depth_ev.to_bits() == *depth_bits
-                    && opts.potential_sigma.to_bits() == *sigma_bits =>
-                {
-                    run_scf_in(system, &opts, h)
-                }
-                _ => run_scf(system, &opts),
+    /// Runs `job`'s own solver on these operands: the one place job
+    /// kinds meet the `ndft_dft` drivers. `job` shares the workload
+    /// class the operands were built for (every batch member does).
+    /// `warm` is a workflow parent's outcome, consulted only when
+    /// [`DftJob::accepts_warm_seed`] approves the pairing, so seeded and
+    /// cold runs are bit-identical and an unrelated outcome is harmless.
+    fn run(&self, job: &DftJob, warm: Option<&JobOutcome>) -> Result<JobPayload, JobError> {
+        let system = &self.system;
+        Ok(match job {
+            DftJob::GroundState { .. } => {
+                let opts = job.scf_options().expect("ground-state job");
+                let gs = match &self.shared {
+                    Shared::Hamiltonian {
+                        h,
+                        depth_bits,
+                        sigma_bits,
+                    } if opts.potential_depth_ev.to_bits() == *depth_bits
+                        && opts.potential_sigma.to_bits() == *sigma_bits =>
+                    {
+                        run_scf_in(system, &opts, h)
+                    }
+                    _ => run_scf(system, &opts),
+                };
+                JobPayload::GroundState(gs.map_err(numerics_error)?)
             }
-            .map_err(|e| JobError::Numerics(format!("{e:?}")))?;
-            JobPayload::GroundState(gs)
-        }
-        DftJob::MdSegment { .. } => {
-            let opts = job.md_options().expect("md job");
-            let traj = match &ctx.operand {
-                FusedOperand::MdBonds(bonds) => run_md_prepared(system, &opts, bonds),
-                _ => run_md(system, &opts),
-            };
-            JobPayload::Md(traj)
-        }
-        DftJob::Spectrum {
-            full_casida: false, ..
-        } => {
-            JobPayload::Tda(run_lr_tddft(system).map_err(|e| JobError::Numerics(format!("{e:?}")))?)
-        }
-        DftJob::Spectrum {
-            full_casida: true, ..
-        } => JobPayload::Casida(
-            run_casida(system).map_err(|e| JobError::Numerics(format!("{e:?}")))?,
-        ),
-        DftJob::BandStructure {
-            segments,
-            n_bands,
-            scissor_ev,
-            ..
-        } => {
-            let path = si_path(*segments);
-            JobPayload::Bands(band_structure(&path, *n_bands, *scissor_ev))
-        }
-        DftJob::ScfSelfConsistent {
-            occupied,
-            cycles,
-            alpha,
-            ..
-        } => {
-            let opts = job.scf_options().expect("self-consistent job");
-            let initial = warm_seed_for(job, warm).cloned();
-            let sc =
-                run_scf_selfconsistent_seeded(system, &opts, *occupied, *cycles, *alpha, initial)
-                    .map_err(|e| JobError::Numerics(format!("{e:?}")))?;
-            JobPayload::SelfConsistent(sc)
-        }
-    };
-    Ok((payload, start.elapsed()))
-}
-
-/// [`execute_job_seeded`] through a batch's [`FusedContext`] (see
-/// [`execute_payload_fused`]).
-///
-/// # Errors
-///
-/// Propagates [`execute_payload`] failures.
-pub fn execute_job_fused(
-    job: &DftJob,
-    placement: &PlacementDecision,
-    modeled: &RunReport,
-    warm: Option<&JobOutcome>,
-    ctx: &FusedContext,
-) -> Result<JobOutcome, JobError> {
-    let (payload, wall_numeric) = execute_payload_fused(job, warm, ctx)?;
-    Ok(JobOutcome {
-        job: job.clone(),
-        fingerprint: job.fingerprint(),
-        payload,
-        placement: placement.clone(),
-        modeled: modeled.clone(),
-        wall_numeric,
-    })
+            DftJob::MdSegment { .. } => {
+                let opts = job.md_options().expect("md job");
+                JobPayload::Md(match &self.shared {
+                    Shared::Bonds(bonds) => run_md_prepared(system, &opts, bonds),
+                    _ => run_md(system, &opts),
+                })
+            }
+            DftJob::Spectrum {
+                full_casida: false, ..
+            } => JobPayload::Tda(run_lr_tddft(system).map_err(numerics_error)?),
+            DftJob::Spectrum {
+                full_casida: true, ..
+            } => JobPayload::Casida(run_casida(system).map_err(numerics_error)?),
+            DftJob::BandStructure {
+                segments,
+                n_bands,
+                scissor_ev,
+                ..
+            } => JobPayload::Bands(band_structure(&si_path(*segments), *n_bands, *scissor_ev)),
+            DftJob::ScfSelfConsistent {
+                occupied,
+                cycles,
+                alpha,
+                ..
+            } => {
+                let opts = job.scf_options().expect("self-consistent job");
+                let initial = warm_seed_for(job, warm).cloned();
+                let sc = run_scf_selfconsistent_seeded(
+                    system, &opts, *occupied, *cycles, *alpha, initial,
+                )
+                .map_err(numerics_error)?;
+                JobPayload::SelfConsistent(sc)
+            }
+        })
+    }
 }
 
 impl JobOutcome {
@@ -638,18 +525,18 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // One reusable buffer batches each lock point's events into a
     // single ring acquisition — the traced engine's lock traffic stays
     // per job, not per event.
-    let mut span_buf: Vec<TraceEvent> = Vec::new();
+    let mut spans: Vec<TraceEvent> = Vec::new();
     if telemetry.traced() {
         let batch_ns = telemetry.ns_at(batch_start);
         for pending in &batch.entries {
             let start_ns = telemetry.ns_at(pending.enqueued);
-            span_buf.push(pending.event(
+            spans.push(pending.event(
                 Some(worker),
                 start_ns,
                 batch_ns.saturating_sub(start_ns),
                 TraceEventKind::QueueWait,
             ));
-            span_buf.push(pending.event(
+            spans.push(pending.event(
                 Some(worker),
                 batch_ns,
                 0,
@@ -659,8 +546,8 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 },
             ));
         }
-        telemetry.publish_slice(&span_buf);
-        span_buf.clear();
+        telemetry.publish_slice(&spans);
+        spans.clear();
     }
 
     // The planner consultation and modeled engine run are shared by the
@@ -680,10 +567,11 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // Fused cross-job execution engages only for real batches (≥ 2
     // members) with the knob on — a singleton gains nothing from
     // amortization and would pay a second planning pass for it. The
-    // context is built lazily at the first member that executes, and
-    // the fused/solo modeled-time gap feeds `fused_amortized_s`.
+    // batch's one `Operands` is built lazily at the first member that
+    // executes, and the fused/solo modeled-time gap feeds
+    // `fused_amortized_s`.
     let fuse = shared.config.fused_execution && batch_jobs >= 2;
-    let mut fused_ctx: Option<FusedContext> = None;
+    let mut fused_ops: Option<Operands> = None;
     let mut fused_saving_s = 0.0f64;
 
     // Identical fingerprints inside the batch execute once; later entries
@@ -708,33 +596,16 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             .or_else(|| shared.cache.peek_fetch_tiered(&pending.fingerprint));
         if let Some((hit, tier)) = cached {
             shared.metrics.on_dedup_complete();
-            // End-to-end lands *before* the fulfill on every path: the
-            // moment a waiter resolves, the histogram already counts its
-            // job, so a telemetry snapshot taken by any caller that
-            // waited its tickets out covers every one of them.
-            telemetry.record_end_to_end(
-                pending.class,
-                pending.priority,
-                pending.enqueued.elapsed(),
-            );
             let fulfill_start = Instant::now();
-            // The lane (its closing fulfill event included) is published
-            // before fulfillment on every path, so a waiter that just
-            // resolved can already read its whole lifecycle.
             if telemetry.traced() {
-                let now_ns = telemetry.ns_at(fulfill_start);
-                let event = |dur_ns, kind| pending.event(Some(worker), now_ns, dur_ns, kind);
-                let fulfill = TraceEventKind::TicketFulfill {
-                    ok: true,
-                    cached: true,
-                };
-                span_buf.push(event(0, TraceEventKind::CacheHit { tier }));
-                span_buf.push(event(fulfill_start.elapsed().as_nanos() as u64, fulfill));
-                telemetry.publish_slice(&span_buf);
-                span_buf.clear();
+                spans.push(pending.event(
+                    Some(worker),
+                    telemetry.ns_at(fulfill_start),
+                    0,
+                    TraceEventKind::CacheHit { tier },
+                ));
             }
-            pending.ticket.fulfill(Ok(hit));
-            recorder.record(Stage::Fulfill, fulfill_start.elapsed());
+            pending.succeed(hit, true, fulfill_start, worker, &mut spans, &recorder);
             continue;
         }
         // A panicking planner or solver must not take the worker thread
@@ -820,13 +691,24 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             if warm_seed_for(&pending.job, warm).is_some() {
                 shared.metrics.on_warm_inject();
             }
-            if fuse && fused_ctx.is_none() {
-                fused_ctx = Some(FusedContext::build(&pending.job)?);
+            if fuse && fused_ops.is_none() {
+                fused_ops = Some(Operands::build(&pending.job)?);
             }
-            match fused_ctx.as_ref() {
-                Some(ctx) => execute_job_fused(&pending.job, placement, modeled, warm, ctx),
-                None => execute_job_seeded(&pending.job, placement, modeled, warm),
-            }
+            // A solo member's wall time covers its own operand setup; a
+            // fused member's does not (the batch paid for it once).
+            let start = Instant::now();
+            let payload = match &fused_ops {
+                Some(ops) => ops.run(&pending.job, warm),
+                None => Operands::build(&pending.job)?.run(&pending.job, warm),
+            }?;
+            Ok(JobOutcome {
+                job: pending.job.clone(),
+                fingerprint: pending.fingerprint,
+                payload,
+                placement: placement.clone(),
+                modeled: modeled.clone(),
+                wall_numeric: start.elapsed(),
+            })
         }));
         match result {
             Ok(Ok(outcome)) => {
@@ -837,7 +719,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 recorder.record_target(target, outcome.wall_numeric);
                 if telemetry.traced() {
                     let wall_ns = outcome.wall_numeric.as_nanos().min(u64::MAX as u128) as u64;
-                    span_buf.push(pending.event(
+                    spans.push(pending.event(
                         Some(worker),
                         telemetry.now_ns().saturating_sub(wall_ns),
                         wall_ns,
@@ -857,7 +739,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     outcome.placement.modeled_cost_s(outcome.modeled.iterations),
                 );
                 if telemetry.traced() {
-                    span_buf.push(pending.event(
+                    spans.push(pending.event(
                         Some(worker),
                         telemetry.now_ns(),
                         0,
@@ -866,29 +748,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 }
                 local.insert(pending.fingerprint, Arc::clone(&outcome));
                 shared.metrics.on_executed(outcome.sample());
-                // As on the dedup path: count end-to-end and publish the
-                // lane before the fulfill, so resolved waiters are
-                // already in the histogram and their lane is complete.
-                telemetry.record_end_to_end(
-                    pending.class,
-                    pending.priority,
-                    pending.enqueued.elapsed(),
-                );
-                if telemetry.traced() {
-                    span_buf.push(pending.event(
-                        Some(worker),
-                        telemetry.ns_at(fulfill_start),
-                        fulfill_start.elapsed().as_nanos() as u64,
-                        TraceEventKind::TicketFulfill {
-                            ok: true,
-                            cached: false,
-                        },
-                    ));
-                    telemetry.publish_slice(&span_buf);
-                    span_buf.clear();
-                }
-                pending.ticket.fulfill(Ok(outcome));
-                recorder.record(Stage::Fulfill, fulfill_start.elapsed());
+                pending.succeed(outcome, false, fulfill_start, worker, &mut spans, &recorder);
             }
             Ok(Err(e)) => {
                 pending.fail(e);
@@ -1018,12 +878,21 @@ mod tests {
             alpha: 0.5,
         };
         let graph = parent.task_graph().unwrap();
-        let placement = plan_placement(&graph, PlacementPolicy::CostAware);
-        let modeled = run_ndft_with(&graph, NdftOptions::default());
-        let parent_outcome = execute_job(&parent, &placement, &modeled).unwrap();
+        let (payload, wall_numeric) = execute_payload(&parent).unwrap();
+        let parent_outcome = JobOutcome {
+            job: parent.clone(),
+            fingerprint: parent.fingerprint(),
+            payload,
+            placement: plan_placement(&graph, PlacementPolicy::CostAware),
+            modeled: run_ndft_with(&graph, NdftOptions::default()),
+            wall_numeric,
+        };
         assert!(warm_seed_for(&child, Some(&parent_outcome)).is_some());
         let (cold, _) = execute_payload(&child).unwrap();
-        let (warm, _) = execute_payload_seeded(&child, Some(&parent_outcome)).unwrap();
+        let warm = Operands::build(&child)
+            .unwrap()
+            .run(&child, Some(&parent_outcome))
+            .unwrap();
         assert_eq!(cold, warm);
         // A non-matching seed is ignored, not misapplied.
         let mismatched = DftJob::ScfSelfConsistent {
@@ -1048,9 +917,9 @@ mod tests {
                 max_iterations: 3,
             })
             .collect();
-        let ctx = FusedContext::build(&gs_jobs[0]).unwrap();
+        let ops = Operands::build(&gs_jobs[0]).unwrap();
         for job in &gs_jobs {
-            let (fused, _) = execute_payload_fused(job, None, &ctx).unwrap();
+            let fused = ops.run(job, None).unwrap();
             let (solo, _) = execute_payload(job).unwrap();
             assert_eq!(fused, solo, "{job}");
         }
@@ -1063,9 +932,9 @@ mod tests {
                 seed,
             })
             .collect();
-        let ctx = FusedContext::build(&md_jobs[0]).unwrap();
+        let ops = Operands::build(&md_jobs[0]).unwrap();
         for job in &md_jobs {
-            let (fused, _) = execute_payload_fused(job, None, &ctx).unwrap();
+            let fused = ops.run(job, None).unwrap();
             let (solo, _) = execute_payload(job).unwrap();
             assert_eq!(fused, solo, "{job}");
         }
@@ -1076,6 +945,16 @@ mod tests {
                 atoms: 16,
                 full_casida: false,
             },
+            DftJob::Spectrum {
+                atoms: 16,
+                full_casida: true,
+            },
+            DftJob::BandStructure {
+                atoms: 8,
+                segments: 2,
+                n_bands: 6,
+                scissor_ev: 0.7,
+            },
             DftJob::ScfSelfConsistent {
                 atoms: 16,
                 bands: 4,
@@ -1085,8 +964,7 @@ mod tests {
                 alpha: 0.5,
             },
         ] {
-            let ctx = FusedContext::build(&job).unwrap();
-            let (fused, _) = execute_payload_fused(&job, None, &ctx).unwrap();
+            let fused = Operands::build(&job).unwrap().run(&job, None).unwrap();
             let (solo, _) = execute_payload(&job).unwrap();
             assert_eq!(fused, solo, "{job}");
         }
@@ -1094,14 +972,19 @@ mod tests {
 
     #[test]
     fn execute_job_carries_placement_context() {
+        // The worker assembles each executed member's outcome from the
+        // batch's plan, so the engine is the place to check it.
         let job = DftJob::Spectrum {
             atoms: 16,
             full_casida: false,
         };
-        let graph = job.task_graph().unwrap();
-        let placement = plan_placement(&graph, PlacementPolicy::CostAware);
-        let modeled = run_ndft_with(&graph, NdftOptions::default());
-        let outcome = execute_job(&job, &placement, &modeled).unwrap();
+        let svc = crate::DftService::start(crate::ServeConfig {
+            workers: 1,
+            policy: PlacementPolicy::CostAware,
+            ..crate::ServeConfig::default()
+        });
+        let outcome = svc.submit_blocking(job.clone()).unwrap().wait().unwrap();
+        svc.shutdown();
         assert_eq!(outcome.fingerprint, job.fingerprint());
         assert_eq!(outcome.placement.policy, PlacementPolicy::CostAware);
         assert!(outcome.modeled.total() > 0.0);

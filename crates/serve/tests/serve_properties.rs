@@ -1209,12 +1209,14 @@ proptest! {
 }
 
 /// One job drawn from a compact code for the fused-execution
-/// differential: a mix of fusable kinds (ground states sharing a
-/// Hamiltonian, MD segments sharing a bond list) and kinds with no
-/// shareable operand, with repeats so the dedup/cache paths engage too.
+/// differential: all six job kinds — the fusable ones (ground states
+/// sharing a Hamiltonian, MD segments sharing a bond list) and those
+/// with no shareable operand (band paths, Si_8 TDA and Casida spectra,
+/// self-consistent SCF) — with repeats so the dedup/cache paths engage
+/// too.
 fn fused_mix_job(code: u64) -> DftJob {
-    let variant = code / 4;
-    match code % 4 {
+    let variant = code / 6;
+    match code % 6 {
         0 => DftJob::GroundState {
             atoms: 8,
             bands: 2 + (variant % 4) as usize,
@@ -1231,6 +1233,14 @@ fn fused_mix_job(code: u64) -> DftJob {
             segments: 2,
             n_bands: 4 + (variant % 3) as usize,
             scissor_ev: 0.7,
+        },
+        3 => DftJob::Spectrum {
+            atoms: 8,
+            full_casida: false,
+        },
+        4 => DftJob::Spectrum {
+            atoms: 8,
+            full_casida: true,
         },
         _ => DftJob::ScfSelfConsistent {
             atoms: 16,
@@ -1253,7 +1263,7 @@ proptest! {
     /// fusion shares setup, never arithmetic.
     #[test]
     fn fused_execution_preserves_payloads_and_conservation(
-        codes in prop::collection::vec(0u64..16, 2..10),
+        codes in prop::collection::vec(0u64..24, 2..10),
         workers in 1usize..3,
     ) {
         let run = |fused: bool| {
