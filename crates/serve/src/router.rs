@@ -645,6 +645,19 @@ mod tests {
             let home = ring.primary(fp(k * 7919 + 13)).expect("non-empty ring");
             assert!(ring.contains(home));
         }
+        // The exact mapping is part of the contract: a revived replica
+        // reopens its per-replica WAL, which stays warm only if its keys
+        // still route home.
+        let homes: Vec<usize> = (0..32u128)
+            .map(|k| ring.primary(fp(k * 7919 + 13)).unwrap())
+            .collect();
+        assert_eq!(
+            homes,
+            [
+                2, 2, 3, 2, 1, 1, 0, 2, 3, 0, 3, 0, 2, 2, 1, 0, 2, 2, 3, 0, 1, 0, 3, 3, 2, 3, 1, 3,
+                3, 3, 1, 0
+            ]
+        );
     }
 
     #[test]
