@@ -1,6 +1,7 @@
 //! Serving-layer study: placement policies, a live stream, and the nine
-//! CI-gated A/B sweeps over the `ndft-serve` engine. `serve_study --help`
-//! describes every part, the statistic each gate reads and its bound.
+//! CI gates (A/B sweeps and one-engine checks) over the `ndft-serve`
+//! engine. `serve_study --help` describes every part, the statistic each
+//! gate reads and its bound.
 
 use ndft_bench::print_header;
 use ndft_dft::{build_task_graph, SiliconSystem};
@@ -18,8 +19,8 @@ use std::time::{Duration, Instant};
 /// Jobs in the fixed smoke mix.
 const MIX_JOBS: usize = 100;
 /// Jobs in the contention mix (one workload class, distinct seeds) —
-/// sized so one run takes a few hundred ms of wall clock, big enough
-/// that runner jitter cannot dominate the throughput gate.
+/// sized so one run takes a few hundred ms of wall clock, long enough
+/// that the four workers' batches overlap many times.
 const CONTENTION_JOBS: usize = 256;
 /// Paired rounds per A/B sweep (absorbs scheduler noise).
 const REPEATS: usize = 3;
@@ -34,13 +35,6 @@ const WALL_REPEATS: usize = 5;
 /// regression (a lost steal path, a serialized hot lock) costs far
 /// more.
 const GATE_TOLERANCE: f64 = 0.05;
-/// Tolerance for the contention gate. Load-aware placement changes only
-/// *modeled* placement, so its real-wall cost is one extra planner
-/// consultation per contended batch — a genuine regression (e.g. a lock
-/// on the ClusterView hot path) costs integer factors, while the sweep's
-/// sub-second wall time makes small percentages pure scheduler noise.
-/// Wider than the shard gate on purpose.
-const CONTENTION_GATE_TOLERANCE: f64 = 0.15;
 /// Jobs in the multiplex mix (one `ClientSession`, one drainer thread).
 const MULTIPLEX_JOBS: usize = 10_000;
 /// Distinct fingerprints in the multiplex mix; the rest are cache
@@ -105,11 +99,13 @@ const QOS_INTERACTIVE_JOBS: u64 = 8;
 /// hundred, long enough that queue position dominates interactive
 /// latency.
 const QOS_BULK_STEPS: usize = 10_000;
-/// Gate #6: in the best paired round, interactive p99 with QoS lanes on
-/// must be at most this fraction of the FIFO engine's. The structural
-/// effect is ~10x (lane 0 jumps a ~60-deep backlog to wait out only the
-/// in-flight batch), so 0.7 leaves wide headroom for runner jitter
-/// while still catching a broken lane order outright.
+/// Gate #6: interactive p99 must be at most this fraction of bulk p99
+/// in the same run. Lane 0 jumps a ~60-deep backlog to wait out only
+/// the in-flight batch, so the ratio reads 1e-3 to 0.1 with working
+/// lanes; a FIFO dispatch (every job in one lane) reads ~1.0, because
+/// the interactive trickle queues behind the whole flood. 0.7 leaves
+/// wide headroom for runner jitter while catching a broken lane order
+/// outright.
 const QOS_GATE_RATIO: f64 = 0.7;
 
 /// Jobs per leg in the federated sweep's uniform and skewed mixes.
@@ -196,18 +192,15 @@ const FUSED_GATE_RATIO: f64 = 1.15;
 /// The leg row most gates compare.
 const THROUGHPUT: &str = "throughput_jobs_per_s";
 
-// The statistic each gate reads. Gates #1–#3 compare each leg's best
-// round; the rest take an existence witness — one paired round where
+// The statistic each A/B gate reads. Gates #1 and #3 compare each leg's
+// best round; the rest take an existence witness — one paired round where
 // the effect shows is direct evidence for it, while a real regression
 // pins every round's ratio on the wrong side of the bound. The
 // estimator tests below pin each choice: best-round max is never below
-// the ratio of bests, so moving #1–#3 to it would loosen them.
+// the ratio of bests, so moving #1 and #3 to it would loosen them.
 const SHARD_STAT: Stat = Stat::RatioOfBests(THROUGHPUT);
-const CONTENTION_STAT: Stat = Stat::RatioOfBests(THROUGHPUT);
 const MULTIPLEX_STAT: Stat = Stat::RatioOfBests(THROUGHPUT);
 const TELEMETRY_STAT: Stat = Stat::MaxRound(THROUGHPUT);
-/// Lower interactive p99 is better, so the witness is the lowest ratio.
-const QOS_STAT: Stat = Stat::MinRound("interactive_p99_s");
 const FED_STAT: Stat = Stat::MaxRound(THROUGHPUT);
 const DAG_STAT: Stat = Stat::MaxRound(THROUGHPUT);
 /// Modeled throughput is the inverse of makespan, so this pair runs the
@@ -323,14 +316,12 @@ enum Stat {
     RatioOfBests(&'static str),
     /// The paired round with the highest ratio.
     MaxRound(&'static str),
-    /// The paired round with the lowest ratio.
-    MinRound(&'static str),
 }
 
 impl Stat {
     fn row(self) -> &'static str {
         match self {
-            Stat::RatioOfBests(row) | Stat::MaxRound(row) | Stat::MinRound(row) => row,
+            Stat::RatioOfBests(row) | Stat::MaxRound(row) => row,
         }
     }
 
@@ -344,7 +335,6 @@ impl fmt::Display for Stat {
         match self {
             Stat::RatioOfBests(row) => write!(f, "ratio of bests of {row}"),
             Stat::MaxRound(row) => write!(f, "max round of {row}"),
-            Stat::MinRound(row) => write!(f, "min round of {row}"),
         }
     }
 }
@@ -367,8 +357,6 @@ fn paired(repeats: usize, stat: Stat, mut run: impl FnMut(bool) -> Leg) -> Pair 
         let a = run(false);
         (a, run(true))
     });
-    let by_ratio =
-        |x: &(Leg, Leg), y: &(Leg, Leg)| stat.ratio(&x.0, &x.1).total_cmp(&stat.ratio(&y.0, &y.1));
     let (a, b) = match stat {
         Stat::RatioOfBests(row) => {
             let (a_legs, b_legs): (Vec<Leg>, Vec<Leg>) = rounds.unzip();
@@ -379,8 +367,9 @@ fn paired(repeats: usize, stat: Stat, mut run: impl FnMut(bool) -> Leg) -> Pair 
             };
             (best(a_legs), best(b_legs))
         }
-        Stat::MaxRound(_) => rounds.max_by(by_ratio).expect("at least one round"),
-        Stat::MinRound(_) => rounds.min_by(by_ratio).expect("at least one round"),
+        Stat::MaxRound(_) => rounds
+            .max_by(|x, y| stat.ratio(&x.0, &x.1).total_cmp(&stat.ratio(&y.0, &y.1)))
+            .expect("at least one round"),
     };
     Pair {
         ratio: stat.ratio(&a, &b),
@@ -625,19 +614,18 @@ fn contention_mix() -> Vec<DftJob> {
         .collect()
 }
 
-/// One contention-sweep leg, load-aware or load-blind.
-fn contention_leg(load_aware: bool) -> Leg {
+/// The contention run: four workers planning concurrent batches of the
+/// contention mix against the shared cluster view.
+fn contention_leg() -> Leg {
     let config = ServeConfig {
         workers: 4,
         shards: 4,
         queue_capacity: 64,
         max_batch: 8,
-        load_aware,
         ..ServeConfig::default()
     };
     let (wall_s, r) = run_jobs(&config, contention_mix());
-    Leg::new(["contention_load_blind", "contention_load_aware"][load_aware as usize])
-        .row("load_aware", load_aware)
+    Leg::new("contention")
         .row("workers", config.workers)
         .timed(wall_s, CONTENTION_JOBS)
         .row("planner_calls", r.planner_calls)
@@ -909,12 +897,12 @@ fn telemetry_leg(traced: bool) -> Leg {
     }
 }
 
-/// One QoS-sweep leg. The whole bulk flood is submitted first, then the
+/// The QoS run. The whole bulk flood is submitted first, then the
 /// interactive trickle lands behind it — the adversarial ordering for a
-/// FIFO engine, and exactly the case priority lanes exist for. Both
-/// legs run every job to completion (the shutdown drain finishes the
-/// flood), so the A/B also witnesses that no class starves.
-fn qos_leg(qos: bool) -> Leg {
+/// FIFO engine, and exactly the case priority lanes exist for. Every
+/// job runs to completion (the shutdown drain finishes the flood), so
+/// the run also witnesses that no class starves.
+fn qos_leg() -> Leg {
     let total = QOS_BULK_JOBS + QOS_INTERACTIVE_JOBS;
     let config = ServeConfig {
         workers: 2,
@@ -925,7 +913,6 @@ fn qos_leg(qos: bool) -> Leg {
         // Small batches keep dispatch decisions frequent, so lane
         // selection (not batch residency) dominates interactive wait.
         max_batch: 2,
-        qos,
         ..ServeConfig::default()
     };
     let mut snapshot = None;
@@ -953,20 +940,16 @@ fn qos_leg(qos: bool) -> Leg {
         snapshot = Some(svc.telemetry());
     });
     let snapshot = snapshot.expect("snapshot taken after the drain");
-    // Zero starved jobs: the flood's tail drained to completion in both
-    // legs, nothing was cancelled, dropped, or denied...
-    assert_eq!(r.completed, total, "a job starved (qos={qos})");
+    // Zero starved jobs: the flood's tail drained to completion, nothing
+    // was cancelled, dropped, or denied...
+    assert_eq!(r.completed, total, "a job starved");
     assert_eq!(r.failed, 0);
     // ...and the terminal accounting balances exactly.
-    assert!(
-        r.conservation_holds(),
-        "QOS GATE FAILED: conservation (qos={qos})"
-    );
+    assert!(r.conservation_holds(), "QOS GATE FAILED: conservation");
     // The p99 end-to-end latency one priority class saw (0.0 when the
     // class ran no jobs).
     let p99 = |p| snapshot.priority(p).quantile_s(0.99);
-    Leg::new(["qos_off", "qos_on"][qos as usize])
-        .row("qos", qos)
+    Leg::new("qos")
         .row("workers", config.workers)
         .row("wall_s", wall_s)
         .row("completed", r.completed)
@@ -1075,7 +1058,6 @@ fn failover_leg() -> Leg {
         replicas: 4,
         engine: fed_engine_template(1),
         fault_plan: FaultPlan::new().kill_at(FED_KILL_TICK, victim),
-        ..FederationConfig::default()
     });
     let homed = |steps: usize, seed0: u64| -> DftJob {
         (seed0..)
@@ -1379,7 +1361,6 @@ one b/a ratio with one statistic; the reported ratio is always the ratio
 of the two legs printed beside it.
     ratio of bests   each leg's best-throughput round
     max round        the paired round with the highest ratio
-    min round        the paired round with the lowest ratio
 A best round is an existence witness: one round that shows the effect
 is evidence for it, while a real regression puts every round on the
 wrong side of the bound. The max round never reads below the ratio of
@@ -1390,9 +1371,9 @@ PARTS (in order; the gates assert after both files are written):
     2  live stream   40 demo-mix jobs, 4 workers; prints the ServeReport
     3  shard         gate #1: 100-job demo mix, shards=1 vs shards=4;
                      ratio of bests of 5, sharded throughput >= 0.95x
-    4  contention    gate #2: 256 same-class MD jobs, load-blind vs
-                     load-aware; ratio of bests of 3, >= 0.85x, and a
-                     load-aware plan saw a concurrent reservation
+    4  contention    gate #2: 256 same-class MD jobs on 4 workers, one
+                     run; some plan saw a concurrent batch's
+                     reservation (plans_contended > 0)
     5  multiplex     gate #3: 10 000 jobs, per-ticket wait pool vs one
                      ClientSession stream drain; ratio of bests of 5,
                      stream throughput >= 0.90x
@@ -1407,8 +1388,8 @@ PARTS (in order; the gates assert after both files are written):
                      its unwatched leg none; its per-class per-stage
                      percentiles are printed and kept in the JSON point
     8  qos           gate #6: 8 interactive jobs behind a 64-job bulk
-                     flood, lanes off (FIFO) vs on; min round of 3,
-                     interactive p99 <= 0.7x; no job starves and the
+                     flood, one run; interactive p99 <= 0.7x bulk p99
+                     in the same run; no job starves and the
                      conservation invariant holds
     9  federated     gate #7: 160-job mix, one 4-worker engine vs 4
                      replicas x 1 worker; max round of 3, ring
@@ -1467,7 +1448,7 @@ fn main() {
     // --- Parts 3–11: the gated sweeps. ---
     println!("\nrunning the gated sweeps (see --help)...\n");
     let shard = paired(WALL_REPEATS, SHARD_STAT, shard_leg);
-    let contention = paired(REPEATS, CONTENTION_STAT, contention_leg);
+    let contention = contention_leg();
     let multiplex = paired(WALL_REPEATS, MULTIPLEX_STAT, multiplex_leg);
     let cache = [
         cache_leg(CachePolicy::Fifo, false),
@@ -1476,7 +1457,8 @@ fn main() {
     ];
     let [cache_fifo, cache_cw, cache_cw_disk] = &cache;
     let telemetry = paired(TELEMETRY_REPEATS, TELEMETRY_STAT, telemetry_leg);
-    let qos = paired(REPEATS, QOS_STAT, qos_leg);
+    let qos = qos_leg();
+    let qos_ratio = qos.num("interactive_p99_s") / qos.num("bulk_p99_s").max(1e-12);
     let fed = paired(REPEATS, FED_STAT, |ring| fed_leg(false, ring));
     let fed_skew = paired(REPEATS, FED_STAT, |ring| fed_leg(true, ring));
     let failover = failover_leg();
@@ -1507,12 +1489,8 @@ fn main() {
         Sweep::of("shard sweep (gate #1)", &shard, "sharded_over_single_queue")
             .param("jobs", MIX_JOBS)
             .param("repeats", WALL_REPEATS),
-        Sweep::of(
-            "contention sweep (gate #2)",
-            &contention,
-            "load_aware_over_load_blind",
-        )
-        .param("contention_jobs", CONTENTION_JOBS),
+        Sweep::new("contention (gate #2): one run", vec![&contention])
+            .param("contention_jobs", CONTENTION_JOBS),
         multiplex_sweep,
         Sweep::new(
             "cache sweep (gate #4): one run per config",
@@ -1530,13 +1508,10 @@ fn main() {
             "traced_over_unwatched",
         )
         .param("telemetry_jobs", TELEMETRY_JOBS),
-        Sweep::of(
-            "qos sweep (gate #6)",
-            &qos,
-            "qos_interactive_p99_on_over_off",
-        )
-        .param("qos_bulk_jobs", QOS_BULK_JOBS)
-        .param("qos_interactive_jobs", QOS_INTERACTIVE_JOBS),
+        Sweep::new("qos (gate #6): one run", vec![&qos])
+            .param("qos_bulk_jobs", QOS_BULK_JOBS)
+            .param("qos_interactive_jobs", QOS_INTERACTIVE_JOBS)
+            .ratio("qos_interactive_over_bulk_p99", qos_ratio),
         Sweep::of("federated sweep (gate #7)", &fed, "fed4_over_single")
             .param("fed_jobs", FED_JOBS),
         Sweep::new(skew_title, vec![&fed_skew.a, &fed_skew.b]),
@@ -1581,12 +1556,15 @@ fn main() {
     println!("\nwrote {json_path} and {}", md_path.display());
 
     gate(&shard, 1.0 - GATE_TOLERANCE..);
-    gate(&contention, 1.0 - CONTENTION_GATE_TOLERANCE..);
+    // Gate #2: four workers' batches overlap, so some plan must see
+    // another batch's reservation. The one-worker engine test in
+    // `serve_integration` is the other half: with no overlap, none
+    // does.
     assert!(
-        contention.b.num("plans_contended") > 0.0,
+        contention.num("plans_contended") > 0.0,
         "CONTENTION GATE FAILED: no plan ever saw a concurrent reservation \
          ({} planner calls) — the ClusterView is not being consulted",
-        contention.b.num("planner_calls")
+        contention.num("planner_calls")
     );
     gate(&multiplex, 1.0 - MULTIPLEX_GATE_TOLERANCE..);
     // Gate #4a: the whole point of cost-weighted eviction — at the end
@@ -1636,10 +1614,16 @@ fn main() {
         telemetry.a.num("trace_events")
     );
     // Gate #6: priority lanes must actually buy interactive latency —
-    // behind a bulk flood, the interactive tail with QoS on must be a
-    // fraction of the FIFO engine's. (Starvation-freedom and the
-    // conservation invariant are asserted inside every qos leg.)
-    gate(&qos, ..=QOS_GATE_RATIO);
+    // behind a bulk flood, the interactive tail must be a fraction of
+    // the bulk tail it jumped. (Starvation-freedom and the conservation
+    // invariant are asserted inside the qos leg.)
+    assert!(
+        qos_ratio <= QOS_GATE_RATIO,
+        "QOS GATE FAILED: interactive p99 {:.6}s / bulk p99 {:.6}s = {qos_ratio:.3}, \
+         above {QOS_GATE_RATIO}",
+        qos.num("interactive_p99_s"),
+        qos.num("bulk_p99_s")
+    );
     // Gate #7a: federation overhead. On a uniform mix with the same
     // total worker count, the 4-replica ring must hold ≥ 90% of the
     // single engine's throughput — routing and replay bookkeeping must
@@ -1727,10 +1711,8 @@ mod tests {
     fn each_gate_reads_its_statistic() {
         let gates = [
             (SHARD_STAT, 1.0),
-            (CONTENTION_STAT, 1.0),
             (MULTIPLEX_STAT, 1.0),
             (TELEMETRY_STAT, 1.5),
-            (QOS_STAT, 11.0 / 12.0),
             (FED_STAT, 1.5),
             (DAG_STAT, 1.5),
             (FUSED_MODELED_STAT, 1.5),
@@ -1752,14 +1734,13 @@ mod tests {
         for (a, b) in sequences {
             let bests = run(Stat::RatioOfBests(THROUGHPUT), a, b).ratio;
             let max = run(Stat::MaxRound(THROUGHPUT), a, b).ratio;
-            let min = run(Stat::MinRound(THROUGHPUT), a, b).ratio;
-            assert!(max >= bests && max >= min, "{a:?} {b:?}");
+            assert!(max >= bests, "{a:?} {b:?}");
         }
     }
 
     #[test]
     fn reported_ratio_matches_its_legs() {
-        let stats = [Stat::RatioOfBests, Stat::MaxRound, Stat::MinRound].map(|s| s(THROUGHPUT));
+        let stats = [Stat::RatioOfBests, Stat::MaxRound].map(|s| s(THROUGHPUT));
         for stat in stats {
             let pair = run(stat, A, B);
             let sweep = Sweep::of("", &pair, "b_over_a");

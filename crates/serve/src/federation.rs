@@ -14,11 +14,8 @@
 //!   ([`crate::router`]). Content addressing makes the home-replica
 //!   mapping *useful*: a fingerprint always lands where its result was
 //!   cached, so each replica's memory and WAL tiers stay warm for
-//!   exactly its share of the key space. Among the first
-//!   [`FederationConfig::ring_candidates`] ring candidates the router
-//!   breaks ties toward the least-loaded replica (live
-//!   [`crate::ClusterView`] pressure + queue depth) when the home is
-//!   overloaded past [`FederationConfig::spill_factor`].
+//!   exactly its share of the key space. Every submission goes to
+//!   its home replica: cache locality always wins over balance.
 //! * **The routing log** — every accepted queued submission is
 //!   recorded in a [`RoutingLog`] with its full [`JobRequest`], so the
 //!   federation knows, at any instant, which un-resolved jobs live on
@@ -68,26 +65,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 use std::task::{Wake, Waker};
 
-/// Federation configuration: the ring shape, the spill policy, the
-/// engine template every replica starts from, and the fault schedule.
+/// Federation configuration: the replica count, the engine template
+/// every replica starts from, and the fault schedule.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// Engine replicas to start (slots are numbered `0..replicas`).
     pub replicas: usize,
-    /// Virtual nodes per replica on the [`HashRing`]. More vnodes ⇒
-    /// better balance; ≥ 64 keeps the max/mean key share within ~1.35
-    /// at 4 replicas (property-tested).
-    pub vnodes: usize,
-    /// Ring candidates considered per submission: the home replica plus
-    /// `ring_candidates - 1` clockwise successors the spill policy may
-    /// divert to. `1` disables spill entirely.
-    pub ring_candidates: usize,
-    /// Load-spill threshold: divert from the home replica to the
-    /// least-loaded other candidate only when
-    /// `home_pressure > spill_factor × alt_pressure + 1.0`. Non-finite
-    /// (the default) means strict home affinity — cache locality wins
-    /// unconditionally. Lower values trade locality for balance.
-    pub spill_factor: f64,
     /// Per-replica engine template. `cache_dir`, when set, is treated
     /// as a **shared root**: replica `i` actually opens
     /// `<cache_dir>/replica-<i>` ([`replica_cache_dir`]), preserving
@@ -102,14 +85,17 @@ impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             replicas: 2,
-            vnodes: 64,
-            ring_candidates: 2,
-            spill_factor: f64::INFINITY,
             engine: ServeConfig::default(),
             fault_plan: FaultPlan::new(),
         }
     }
 }
+
+/// Virtual nodes per replica on the [`HashRing`]: enough to keep the
+/// max/mean key share within ~1.35 at 4 replicas (property-tested).
+/// Changing it remaps keys, which turns every revived replica's WAL
+/// cold.
+const VNODES: usize = 64;
 
 /// Client-level terminal counters, bumped exactly once per submission
 /// by whichever path resolves its client ticket.
@@ -258,7 +244,7 @@ impl FederatedService {
     /// `cache_dir`, …).
     pub fn start(config: FederationConfig) -> Self {
         assert!(config.replicas > 0, "need at least one replica");
-        let mut ring = HashRing::new(config.vnodes);
+        let mut ring = HashRing::new(VNODES);
         let slots = (0..config.replicas)
             .map(|replica| {
                 ring.add_replica(replica);
@@ -523,7 +509,7 @@ impl FedCore {
         self.log.maybe_compact();
         let state = self.state.read().unwrap();
         let fingerprint = request.job.fingerprint();
-        let Some(replica) = pick_replica(&state, &self.config, fingerprint) else {
+        let Some(replica) = state.ring.primary(fingerprint) else {
             return Err(SubmitError::Closed);
         };
         let engine = state.slots[replica]
@@ -635,7 +621,7 @@ impl FedCore {
             request,
             client,
         } = item;
-        let Some(target) = pick_replica(state, &self.config, client.fingerprint()) else {
+        let Some(target) = state.ring.primary(client.fingerprint()) else {
             // Last replica died: the federation-wide ShutDown is real.
             if client.fulfill_first(Err(JobError::ShutDown)) {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -889,47 +875,6 @@ fn replica_config(template: &ServeConfig, replica: usize) -> ServeConfig {
         .cache_dir
         .map(|root| replica_cache_dir(root, replica));
     config
-}
-
-/// Routing decision for one fingerprint: the home replica, unless the
-/// spill policy diverts to a less-loaded ring candidate. `None` when
-/// the ring is empty.
-fn pick_replica(
-    state: &FederationState,
-    config: &FederationConfig,
-    fingerprint: Fingerprint,
-) -> Option<usize> {
-    let candidates = state
-        .ring
-        .candidates(fingerprint, config.ring_candidates.max(1));
-    let home = *candidates.first()?;
-    // Non-finite spill factor ⇒ strict home affinity (and no NaN from
-    // `INFINITY * 0.0` below).
-    if !config.spill_factor.is_finite() || candidates.len() < 2 {
-        return Some(home);
-    }
-    let pressure = |replica: usize| -> f64 {
-        let engine = state.slots[replica]
-            .engine
-            .as_ref()
-            .expect("ring members are live");
-        let snap = engine.cluster_snapshot();
-        engine.queue_depth() as f64 + snap.cpu_reserved_s + snap.ndp_reserved_s
-    };
-    let home_pressure = pressure(home);
-    let alt = candidates[1..]
-        .iter()
-        .copied()
-        .min_by(|&a, &b| pressure(a).total_cmp(&pressure(b)))?;
-    let alt_pressure = pressure(alt);
-    // The +1.0 margin keeps an idle federation strictly home-affine:
-    // spilling requires the home to be meaningfully busier, never a
-    // 0-vs-0 tie.
-    if home_pressure > config.spill_factor * alt_pressure + 1.0 {
-        Some(alt)
-    } else {
-        Some(home)
-    }
 }
 
 /// Federation-wide aggregate: client-level counters (exactly-once per

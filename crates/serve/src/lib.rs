@@ -47,8 +47,7 @@
 //!   `ndft_sched::TargetLoad`) so concurrent batches spread across
 //!   CPU and NDP instead of piling onto the same modeled stacks, and
 //!   each batch's footprint is held as an RAII [`Reservation`] released
-//!   on every exit path. `ServeConfig { load_aware: false, .. }`
-//!   reproduces the old load-blind engine.
+//!   on every exit path.
 //! * **Two-tier result caching** — a content-addressed [`ResultCache`]
 //!   serves repeated submissions without re-running the numerics. The
 //!   bounded memory tier evicts by [`CachePolicy`]: **cost-weighted**
@@ -86,7 +85,6 @@
 //!   at dispatch by dropping expired entries — and an optional
 //!   per-[`TenantId`] in-flight quota ([`ServeConfig::tenant_quota`])
 //!   keeps one tenant from monopolizing the engine.
-//!   `ServeConfig { qos: false, .. }` reproduces the FIFO engine.
 //! * **Federated serving** — a [`FederatedService`] fronts N engine
 //!   replicas behind the same submission API: fingerprints
 //!   consistent-hash onto a virtual-node [`HashRing`] ([`router`]) so

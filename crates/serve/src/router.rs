@@ -106,11 +106,6 @@ impl HashRing {
         }
     }
 
-    /// Virtual nodes placed per replica.
-    pub fn vnodes_per_replica(&self) -> usize {
-        self.vnodes
-    }
-
     /// Live replicas, ascending.
     pub fn replicas(&self) -> &[usize] {
         &self.replicas
@@ -152,30 +147,12 @@ impl HashRing {
     /// clockwise after the fingerprint's position (`None` on an empty
     /// ring).
     pub fn primary(&self, fingerprint: Fingerprint) -> Option<usize> {
-        self.candidates(fingerprint, 1).first().copied()
-    }
-
-    /// The first `k` *distinct* replicas clockwise from the
-    /// fingerprint's position, home first — the candidate set the
-    /// router's least-loaded tie-break chooses from. Shorter than `k`
-    /// when fewer replicas are live.
-    pub fn candidates(&self, fingerprint: Fingerprint, k: usize) -> Vec<usize> {
-        if self.points.is_empty() || k == 0 {
-            return Vec::new();
+        if self.points.is_empty() {
+            return None;
         }
         let pos = key_position(fingerprint);
-        let start = self.points.partition_point(|&(p, _, _)| p < pos);
-        let mut out = Vec::with_capacity(k.min(self.replicas.len()));
-        for i in 0..self.points.len() {
-            let (_, replica, _) = self.points[(start + i) % self.points.len()];
-            if !out.contains(&replica) {
-                out.push(replica);
-                if out.len() == k || out.len() == self.replicas.len() {
-                    break;
-                }
-            }
-        }
-        out
+        let at = self.points.partition_point(|&(p, _, _)| p < pos);
+        Some(self.points[at % self.points.len()].1)
     }
 
     /// Keys per replica for a sample of fingerprints (missing replicas
@@ -692,24 +669,6 @@ mod tests {
             } else {
                 assert_ne!(after, 2, "key still routed to the removed replica");
             }
-        }
-    }
-
-    #[test]
-    fn candidates_are_distinct_and_lead_with_primary() {
-        let mut ring = HashRing::new(64);
-        for r in 0..4 {
-            ring.add_replica(r);
-        }
-        for k in 0..256u128 {
-            let key = fp(k * 31337 + 3);
-            let cands = ring.candidates(key, 3);
-            assert_eq!(cands.len(), 3);
-            assert_eq!(cands[0], ring.primary(key).unwrap());
-            let mut dedup = cands.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), cands.len(), "duplicate candidate");
         }
     }
 

@@ -9,7 +9,7 @@ use crate::cache::{CachePolicy, CacheStats, ResultCache};
 use crate::client::{ClientSession, CompletionStream};
 use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{WorkflowRegistry, WorkflowSpec, WorkflowTicket};
-use crate::job::{DftJob, JobRequest, Priority};
+use crate::job::{DftJob, JobRequest};
 use crate::metrics::{Metrics, ServeReport};
 use crate::placement::{decide_placement, PlacementPolicy};
 use crate::queue::{ShardedQueue, SubmitError};
@@ -39,12 +39,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Planner the workers consult per batch.
     pub policy: PlacementPolicy,
-    /// Consult the global [`ClusterView`] when planning, so concurrent
-    /// batches spread across CPU/NDP targets instead of piling onto the
-    /// stacks an isolated plan would pick. `false` reproduces the old
-    /// load-blind engine (each batch plans as if it had the machine to
-    /// itself) — the A/B knob the `serve_study` contention sweep flips.
-    pub load_aware: bool,
     /// Result-cache capacity, in entries (memory tier).
     pub cache_capacity: usize,
     /// Memory-tier eviction policy. [`CachePolicy::CostWeighted`]
@@ -70,14 +64,6 @@ pub struct ServeConfig {
     /// [`ServeReport::progress_events_dropped`]); publishing never
     /// blocks a worker. Must be positive.
     pub trace_capacity: usize,
-    /// Quality-of-service dispatch: when `true` (the default) each
-    /// shard serves its [`Priority`] lanes highest-first with an aging
-    /// escape hatch, so interactive jobs overtake queued bulk work.
-    /// `false` routes every push to the standard lane — exactly the
-    /// pre-QoS FIFO engine — while per-priority latency histograms
-    /// still record each job's declared priority (the A/B knob the
-    /// `serve_study` QoS sweep flips).
-    pub qos: bool,
     /// Fair-share admission: `Some(n)` caps each [`crate::TenantId`]
     /// at `n` in-flight jobs — submissions over the cap fail with
     /// [`SubmitError::QuotaExceeded`] instead of queueing. `None`
@@ -101,12 +87,10 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
             policy: PlacementPolicy::CostAware,
-            load_aware: true,
             cache_capacity: 256,
             cache_policy: CachePolicy::CostWeighted,
             cache_dir: None,
             trace_capacity: 65_536,
-            qos: true,
             tenant_quota: None,
             fused_execution: true,
         }
@@ -394,14 +378,7 @@ impl EngineShared {
         // a single planner consultation.
         let shard_key = class.shard_key();
         let shard = self.queue.shard_for(shard_key);
-        // QoS off routes everything through the standard lane — the
-        // exact pre-QoS FIFO — while the job keeps its declared
-        // priority for the latency histograms.
-        let lane = if self.config.qos {
-            priority.index()
-        } else {
-            Priority::Standard.index()
-        };
+        let lane = priority.index();
         let pending = PendingJob {
             job,
             fingerprint,
@@ -480,9 +457,7 @@ impl EngineShared {
             return 0.0;
         };
         let snap = self.cluster.snapshot();
-        let idle = ClusterSnapshot::idle();
-        let view = if self.config.load_aware { &snap } else { &idle };
-        let decision = decide_placement(&graph, self.config.policy, view, 1);
+        let decision = decide_placement(&graph, self.config.policy, &snap, 1);
         let run_s = decision.modeled_cost_s(job.modeled_iterations());
         let backlog_s = snap.cpu_reserved_s + snap.ndp_reserved_s + self.queue.len() as f64 * run_s;
         backlog_s / self.config.workers.max(1) as f64 + run_s
@@ -691,7 +666,7 @@ impl Drop for DftService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobPayload;
+    use crate::job::{JobPayload, Priority};
     use std::time::Duration;
 
     fn md(atoms: usize, seed: u64) -> DftJob {

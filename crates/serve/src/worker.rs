@@ -15,9 +15,8 @@
 //! to the persistent tier when one is configured — and fulfill the
 //! submitters' tickets.
 //!
-//! The planner consultation is **utilization-aware** (unless
-//! [`crate::ServeConfig::load_aware`] is off): before planning, the
-//! worker snapshots the shared [`crate::ClusterView`] — the modeled
+//! The planner consultation is **utilization-aware**: before planning,
+//! the worker snapshots the shared [`crate::ClusterView`] — the modeled
 //! busy time concurrent batches have reserved per target — and plans
 //! under that bias, so simultaneous batches spread across CPU and NDP
 //! instead of piling onto the stacks an isolated plan would pick. The
@@ -31,7 +30,7 @@
 
 use crate::batch::{form_batches_from, Batch, BatchOrigin};
 use crate::cache::HitTier;
-use crate::cluster::{ClusterSnapshot, Reservation};
+use crate::cluster::Reservation;
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
@@ -613,15 +612,10 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if planned.is_none() {
                 let plan_start = Instant::now();
-                // Consult the global utilization view (when load-aware):
-                // targets that concurrent batches have reserved look
-                // slower, so simultaneous batches spread instead of
-                // stacking.
-                let snapshot = if shared.config.load_aware {
-                    shared.cluster.snapshot()
-                } else {
-                    ClusterSnapshot::idle()
-                };
+                // Consult the global utilization view: targets that
+                // concurrent batches have reserved look slower, so
+                // simultaneous batches spread instead of stacking.
+                let snapshot = shared.cluster.snapshot();
                 let solo = decide_placement(&graph, shared.config.policy, &snapshot, 1);
                 let (decision, modeled) = if fuse {
                     // Plan the amortized per-member view: the fused task

@@ -291,7 +291,6 @@ fn concurrent_batches_plan_under_contention_and_release_reservations() {
         shards: 4,
         max_batch: 2, // many small concurrent batches
         queue_capacity: 64,
-        load_aware: true,
         ..ServeConfig::default()
     });
     // Steps sized so each batch's execution dwarfs its planning: at any
@@ -337,12 +336,13 @@ fn concurrent_batches_plan_under_contention_and_release_reservations() {
 }
 
 #[test]
-fn load_blind_engine_reports_zero_contention() {
-    // load_aware: false reproduces the old engine: every plan is made
-    // against an idle machine, so no contention is ever observed.
+fn one_worker_engine_reports_zero_contention() {
+    // The engine half of the contention differential (the planner half
+    // is `placement::tests::idle_cluster_reproduces_load_blind_decision`):
+    // with one worker a reservation lives only as long as its batch, so
+    // every plan sees an idle machine and no contention is observed.
     let svc = DftService::start(ServeConfig {
-        workers: 4,
-        load_aware: false,
+        workers: 1,
         ..ServeConfig::default()
     });
     let tickets: Vec<_> = (0..16)
@@ -1204,10 +1204,10 @@ fn tenant_quota_bounds_in_flight_jobs_per_tenant() {
     assert!(report.conservation_holds());
 }
 
-/// Interactive work overtakes a queued bulk backlog: with QoS on, an
-/// interactive job submitted behind a wall of bulk MD jobs is served
-/// before the backlog drains; with QoS off the same submission order is
-/// strict FIFO. Also proves the bulk lane is never starved.
+/// Interactive work overtakes a queued bulk backlog: an interactive
+/// job submitted behind a wall of bulk MD jobs is served before the
+/// backlog drains. Also proves the bulk lane is never
+/// starved.
 #[test]
 fn interactive_jobs_overtake_bulk_backlog_under_qos() {
     let svc = DftService::start(ServeConfig {
