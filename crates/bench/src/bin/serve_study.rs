@@ -46,7 +46,7 @@ const MULTIPLEX_WAITERS: usize = 4;
 /// Tolerance for the multiplex gate: both paths run the same submission
 /// loop and numerics, so the delta under test is pure completion-drain
 /// overhead — small, and easily swamped by runner jitter. A real
-/// regression (e.g. a lock convoy on the forwarder path) costs far more.
+/// regression (e.g. a lock convoy on the completion-hook path) costs far more.
 const MULTIPLEX_GATE_TOLERANCE: f64 = 0.10;
 /// Memory-tier capacity for the cache-policy sweep — small enough that
 /// the cheap-segment flood overflows it every round.
@@ -117,7 +117,7 @@ const FED_HOT: u64 = 8;
 /// must hold at least this fraction of a single 4-worker engine's
 /// throughput. Routing adds one fingerprint hash and a read-locked ring
 /// walk per submission — a real regression (a write-locked router, a
-/// convoyed routing log, forwarder overhead per completion) costs far
+/// convoyed routing log, completion-hook overhead per completion) costs far
 /// more than the 10% this leaves for runner jitter.
 const FED_GATE_RATIO: f64 = 0.9;
 /// Submission tick at which the failover leg's seeded fault plan kills
@@ -703,7 +703,7 @@ fn run_multiplex_stream(svc: &DftService) {
 /// waiter threads that block in per-ticket `wait`. Structurally
 /// symmetric with the stream path (submission overlaps completion
 /// handling in both), so the A/B isolates the completion mechanism:
-/// forwarder-pushed channel vs ticket hand-off + parked `wait`.
+/// hook-pushed channel vs ticket hand-off + parked `wait`.
 fn run_multiplex_waitpool(svc: &DftService) {
     let (tx, rx) = std::sync::mpsc::channel::<JobTicket>();
     let rx = Mutex::new(rx);

@@ -8,13 +8,17 @@
 //! thread per [`crate::JobTicket::wait`].
 //!
 //! The mechanism is the ticket state machine itself: `submit` registers
-//! a completion forwarder as a [`Waker`] on the job's ticket
-//! ([`crate::JobTicket`]'s `on_done` registration). When a worker
-//! fulfills the ticket — or instantly, for a cache-served submission —
-//! the forwarder fires exactly once on the fulfilling thread, reads the
-//! result, and sends a [`SessionCompletion`] into the session channel.
-//! No polling, no extra threads, provably no lost completions (the
-//! registration shares the ticket's lost-wakeup-free lock discipline).
+//! a completion hook on the job's ticket ([`crate::JobTicket`]'s
+//! `on_done` closure). When a worker fulfills the ticket, the hook runs
+//! exactly once on the fulfilling thread with the result and sends a
+//! [`SessionCompletion`] into the session channel; a cache-served
+//! submission skips the ticket and is sent on the spot. No polling, no
+//! extra threads, provably no lost completions (the registration shares
+//! the ticket's lost-wakeup-free lock discipline).
+//!
+//! A session submits through a `dag::Backend` — one engine or a
+//! federation — which is the same handle workflow releases use, so both
+//! front doors share one admission path.
 //!
 //! Sessions are `Sync`: any number of frontend threads may submit
 //! through one `&ClientSession` concurrently (the 4×2 500-job
@@ -23,20 +27,22 @@
 //! [`crate::TicketFuture`] for any still-in-flight id; combine futures
 //! with [`crate::exec::join_all`] / [`crate::exec::race`].
 
-use crate::dag::{WorkflowError, WorkflowSpec, WorkflowTicket};
+use crate::dag::{self, Backend, WorkflowError, WorkflowSpec, WorkflowTicket};
+#[cfg(doc)]
 use crate::federation::FederatedService;
 use crate::fingerprint::Fingerprint;
 use crate::job::{JobError, JobRequest};
 use crate::queue::SubmitError;
-use crate::service::{DftService, Issued};
+#[cfg(doc)]
+use crate::service::DftService;
+use crate::service::Issued;
 use crate::ticket::{JobTicket, TicketFuture};
 use crate::worker::JobOutcome;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, Weak};
-
-use std::task::{Wake, Waker};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Session-scoped identifier of one submitted job.
@@ -65,69 +71,15 @@ pub struct SessionCompletion {
     pub result: Result<Arc<JobOutcome>, JobError>,
 }
 
-/// State shared by the session handle and its completion forwarders.
+/// State shared by the session handle and its completion hooks.
 struct SessionShared {
     /// Tickets of jobs submitted but not yet completed; pruned by the
-    /// forwarder the moment a job finishes, so the map is bounded by
-    /// the number of jobs *in flight*, not submitted.
+    /// completion hook the moment a job finishes, so the map is bounded
+    /// by the number of jobs *in flight*, not submitted.
     inflight_tickets: Mutex<HashMap<JobId, JobTicket>>,
     next_id: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
-}
-
-/// The per-job completion hook, registered as a [`Waker`] on the job's
-/// ticket. Fulfillment wakes each registered waker exactly once, so the
-/// forwarder sends exactly one [`SessionCompletion`].
-struct CompletionForwarder {
-    id: JobId,
-    ticket: JobTicket,
-    tx: Sender<SessionCompletion>,
-    session: Weak<SessionShared>,
-}
-
-impl Wake for CompletionForwarder {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let result = self
-            .ticket
-            .try_result()
-            .expect("completion waker fires only after fulfillment");
-        if let Some(shared) = self.session.upgrade() {
-            shared.inflight_tickets.lock().unwrap().remove(&self.id);
-            shared.completed.fetch_add(1, Ordering::AcqRel);
-        }
-        // A dropped CompletionStream just discards completions; the
-        // session keeps working for callers that use futures instead.
-        let _ = self.tx.send(SessionCompletion {
-            id: self.id,
-            fingerprint: self.ticket.fingerprint(),
-            result,
-        });
-    }
-}
-
-/// What a session submits through: a single engine or a federated
-/// router. Both expose the same `issue` admission shape, so the whole
-/// forwarder machinery is backend-agnostic.
-pub(crate) enum SessionBackend<'a> {
-    /// One in-process engine ([`DftService::session`]).
-    Engine(&'a DftService),
-    /// A consistent-hash federation of engines
-    /// ([`FederatedService::session`]).
-    Federation(&'a FederatedService),
-}
-
-impl SessionBackend<'_> {
-    fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
-        match self {
-            SessionBackend::Engine(svc) => svc.issue(request, blocking),
-            SessionBackend::Federation(fed) => fed.issue(request, blocking),
-        }
-    }
 }
 
 /// A multiplexing client handle over one [`DftService`] — or one
@@ -141,23 +93,17 @@ impl SessionBackend<'_> {
 /// replayed onto a surviving replica, and its completion arrives on
 /// this stream exactly once either way.
 pub struct ClientSession<'a> {
-    backend: SessionBackend<'a>,
+    backend: Backend,
     shared: Arc<SessionShared>,
-    /// Completion channel; used directly for instantly-resolved tickets
-    /// and cloned into each forwarder for in-flight ones.
+    /// Completion channel; used directly for cache-served submissions
+    /// and cloned into each completion hook for in-flight ones.
     tx: Sender<SessionCompletion>,
+    /// The borrow of the façade the session was opened on.
+    _facade: PhantomData<&'a ()>,
 }
 
-impl<'a> ClientSession<'a> {
-    pub(crate) fn new(service: &'a DftService) -> (Self, CompletionStream) {
-        ClientSession::over(SessionBackend::Engine(service))
-    }
-
-    pub(crate) fn federated(fed: &'a FederatedService) -> (Self, CompletionStream) {
-        ClientSession::over(SessionBackend::Federation(fed))
-    }
-
-    fn over(backend: SessionBackend<'a>) -> (Self, CompletionStream) {
+impl ClientSession<'_> {
+    pub(crate) fn new(backend: Backend) -> (Self, CompletionStream) {
         let (tx, rx) = std::sync::mpsc::channel();
         let session = ClientSession {
             backend,
@@ -168,6 +114,7 @@ impl<'a> ClientSession<'a> {
                 completed: AtomicU64::new(0),
             }),
             tx,
+            _facade: PhantomData,
         };
         (session, CompletionStream { rx })
     }
@@ -183,7 +130,7 @@ impl<'a> ClientSession<'a> {
     /// [`SubmitError::QueueFull`], [`SubmitError::AdmissionDenied`],
     /// [`SubmitError::QuotaExceeded`], [`SubmitError::Closed`].
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobId, SubmitError> {
-        self.attach(self.backend.issue(request.into(), false)?)
+        self.attach(self.backend.issue_with(request.into(), false, None)?)
     }
 
     /// Like [`ClientSession::submit`] but blocks for queue space instead
@@ -194,7 +141,7 @@ impl<'a> ClientSession<'a> {
     /// [`SubmitError::InvalidJob`], [`SubmitError::AdmissionDenied`],
     /// [`SubmitError::QuotaExceeded`], or [`SubmitError::Closed`].
     pub fn submit_blocking(&self, request: impl Into<JobRequest>) -> Result<JobId, SubmitError> {
-        self.attach(self.backend.issue(request.into(), true)?)
+        self.attach(self.backend.issue_with(request.into(), true, None)?)
     }
 
     /// Submits a dependency graph of jobs
@@ -206,10 +153,10 @@ impl<'a> ClientSession<'a> {
     ///
     /// Node completions obey the graph: a child's
     /// [`SessionCompletion`] never precedes all of its parents' on the
-    /// stream. (Internally the session attaches forwarders in
+    /// stream. (Internally the session attaches completion hooks in
     /// topological order — computed *before* submission consumes the
     /// spec — so the guarantee holds even when every node was already
-    /// cache-served by the time the forwarders attach.) Cancelling a
+    /// cache-served by the time the hooks attach.) Cancelling a
     /// node id orphans its unreleased descendants, each of which still
     /// delivers exactly one completion
     /// ([`JobError::DependencyFailed`]).
@@ -224,10 +171,7 @@ impl<'a> ClientSession<'a> {
         spec: WorkflowSpec,
     ) -> Result<(WorkflowTicket, Vec<JobId>), WorkflowError> {
         let order = spec.topological_order()?;
-        let workflow = match &self.backend {
-            SessionBackend::Engine(svc) => svc.submit_workflow(spec)?,
-            SessionBackend::Federation(fed) => fed.submit_workflow(spec)?,
-        };
+        let workflow = dag::submit(self.backend.clone(), spec)?;
         let mut ids = vec![JobId(u64::MAX); workflow.len()];
         for node in order {
             ids[node] = self.attach_ticket(workflow.tickets()[node].clone());
@@ -242,17 +186,17 @@ impl<'a> ClientSession<'a> {
     /// `false` when the job already finished (or the id is unknown) —
     /// its completion was, or will be, delivered normally.
     pub fn cancel(&self, id: JobId) -> bool {
-        // Clone the ticket out of the lock first: cancelling fires the
-        // completion forwarder on this thread, and the forwarder takes
-        // the same lock to prune its entry.
+        // Clone the ticket out of the lock first: cancelling runs the
+        // completion hook on this thread, and the hook takes the same
+        // lock to prune its entry.
         let ticket = self.ticket(id);
         ticket.is_some_and(|t| t.cancel())
     }
 
     /// Wires a submission into the session: allocate an id and either
     /// deliver the completion on the spot (cache serve — no ticket, no
-    /// forwarder, just a channel send) or track the ticket in flight and
-    /// register the completion forwarder on it.
+    /// hook, just a channel send) or track the ticket in flight and
+    /// register the completion hook on it.
     fn attach(&self, issued: Issued) -> Result<JobId, SubmitError> {
         let id = JobId(self.shared.next_id.fetch_add(1, Ordering::Relaxed));
         self.shared.submitted.fetch_add(1, Ordering::AcqRel);
@@ -263,7 +207,7 @@ impl<'a> ClientSession<'a> {
                 ..
             } => {
                 // The job was never in flight: deliver directly, skipping
-                // the ticket map and forwarder machinery entirely.
+                // the ticket map and the completion hook entirely.
                 self.shared.completed.fetch_add(1, Ordering::AcqRel);
                 let _ = self.tx.send(SessionCompletion {
                     id,
@@ -279,7 +223,7 @@ impl<'a> ClientSession<'a> {
     }
 
     /// Wires an already-created ticket (a workflow node's) into the
-    /// session: allocates an id and registers the completion forwarder.
+    /// session: allocates an id and registers the completion hook.
     /// Already-resolved tickets deliver their completion synchronously,
     /// on this thread, before this returns — which is why workflow
     /// attach order is completion order for cache-served graphs.
@@ -291,21 +235,30 @@ impl<'a> ClientSession<'a> {
     }
 
     fn track(&self, id: JobId, ticket: JobTicket) {
-        // Insert before registering: a ticket resolving mid-attach fires
-        // the forwarder on this very thread, and the prune must find its
+        // Insert before registering: a ticket resolving mid-attach runs
+        // the hook on this very thread, and the prune must find its
         // entry.
         self.shared
             .inflight_tickets
             .lock()
             .unwrap()
             .insert(id, ticket.clone());
-        let forwarder = Arc::new(CompletionForwarder {
-            id,
-            ticket: ticket.clone(),
-            tx: self.tx.clone(),
-            session: Arc::downgrade(&self.shared),
+        let fingerprint = ticket.fingerprint();
+        let tx = self.tx.clone();
+        let session = Arc::downgrade(&self.shared);
+        ticket.on_done(move |result| {
+            if let Some(shared) = session.upgrade() {
+                shared.inflight_tickets.lock().unwrap().remove(&id);
+                shared.completed.fetch_add(1, Ordering::AcqRel);
+            }
+            // A dropped CompletionStream just discards completions; the
+            // session keeps working for callers that use futures instead.
+            let _ = tx.send(SessionCompletion {
+                id,
+                fingerprint,
+                result: result.clone(),
+            });
         });
-        ticket.on_done(Waker::from(forwarder));
     }
 
     /// The ticket behind an id, while the job is still in flight.
@@ -332,7 +285,7 @@ impl<'a> ClientSession<'a> {
         self.shared.submitted.load(Ordering::Acquire)
     }
 
-    /// Jobs whose completions have been forwarded so far.
+    /// Jobs whose completions have been delivered so far.
     pub fn completed(&self) -> u64 {
         self.shared.completed.load(Ordering::Acquire)
     }
@@ -344,16 +297,6 @@ impl<'a> ClientSession<'a> {
     pub fn in_flight(&self) -> u64 {
         self.submitted().saturating_sub(self.completed())
     }
-
-    /// The engine this session multiplexes over, when the backend is a
-    /// single engine; `None` for a federated session (use
-    /// [`FederatedService`]'s own observability surface there).
-    pub fn engine(&self) -> Option<&'a DftService> {
-        match self.backend {
-            SessionBackend::Engine(svc) => Some(svc),
-            SessionBackend::Federation(_) => None,
-        }
-    }
 }
 
 impl Drop for ClientSession<'_> {
@@ -361,9 +304,8 @@ impl Drop for ClientSession<'_> {
         // A session owns its in-flight jobs: dropping it cancels every
         // one still queued (an already-executing job finishes, but its
         // result is discarded). Tickets are cloned out of the lock
-        // first — each cancel fires the completion forwarder on this
-        // very thread, and the forwarder re-takes the lock to prune
-        // its entry.
+        // first — each cancel runs the completion hook on this very
+        // thread, and the hook re-takes the lock to prune its entry.
         let tickets: Vec<JobTicket> = self
             .shared
             .inflight_tickets
@@ -392,8 +334,8 @@ impl std::fmt::Debug for ClientSession<'_> {
 ///
 /// Single-consumer (the receiving half of the session channel). The
 /// stream ends (`None`) once the session **and** every pending
-/// forwarder are gone — i.e. after the session is dropped and all its
-/// jobs resolved. While the session lives, [`CompletionStream::next`]
+/// completion hook are gone — i.e. after the session is dropped and all
+/// its jobs resolved. While the session lives, [`CompletionStream::next`]
 /// blocks until a job finishes; drain exactly as many completions as
 /// you submitted, or use the timeout/non-blocking variants.
 #[derive(Debug)]

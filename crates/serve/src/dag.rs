@@ -15,9 +15,9 @@
 //!    engine state is created, so a rejected spec leaks nothing.
 //! 3. **Release.** Accepted nodes are held by a `WorkflowRuntime`
 //!    *outside* the queue shards; a node enters the normal submission
-//!    path the moment its last parent fulfills. Readiness rides the
-//!    ticket-waker registry ([`crate::JobTicket`]'s `on_done`): each
-//!    released node's engine ticket carries a `NodeForwarder` waker,
+//!    path the moment its last parent fulfills. Readiness rides a
+//!    completion hook ([`crate::JobTicket`]'s `on_done` closure): each
+//!    released node's engine ticket carries one that settles the node,
 //!    so no polling thread exists anywhere. A parent served from the
 //!    result cache settles synchronously and releases its children
 //!    instantly.
@@ -52,7 +52,7 @@
 //!
 //! # Deadlock discipline
 //!
-//! Releases triggered from a completion waker run on the fulfilling
+//! Releases triggered from a completion hook run on the fulfilling
 //! thread. Two hazards are designed out:
 //!
 //! - **Engine backend**: a releasing thread may *be* the engine's only
@@ -67,7 +67,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::task::{Wake, Waker};
 use std::time::Instant;
 
 use crate::exec::{self, JoinAll};
@@ -206,7 +205,7 @@ impl WorkflowSpec {
 
     /// [`WorkflowSpec::validate`], returning a topological order of the
     /// node indices on success. The session layer attaches completion
-    /// forwarders in this order so already-settled nodes still deliver
+    /// hooks in this order so already-settled nodes still deliver
     /// parents-before-children.
     pub(crate) fn topological_order(&self) -> Result<Vec<usize>, WorkflowError> {
         let n = self.nodes.len();
@@ -270,10 +269,12 @@ fn dedup_adjacency(n: usize, edges: &[(usize, usize)]) -> (Vec<Vec<usize>>, Vec<
     (children, indegree)
 }
 
-/// Where released nodes are submitted: a single engine's admission path
-/// or the federation router. Owned (`Arc`) because release runs on
-/// completion wakers and spawned retry threads, which demand `'static`
-/// handles.
+/// The front door a session or a workflow submits through: one engine
+/// or the federation router. The one place that chooses between
+/// [`EngineShared::issue_with`] and [`FedCore::issue_with`]. Owned
+/// (`Arc`) because releases run in completion hooks and spawned retry
+/// threads, which demand `'static` handles.
+#[derive(Clone)]
 pub(crate) enum Backend {
     /// Submit into one engine's sharded queue.
     Engine(Arc<EngineShared>),
@@ -289,7 +290,7 @@ impl Backend {
         }
     }
 
-    fn issue_with(
+    pub(crate) fn issue_with(
         &self,
         request: JobRequest,
         blocking: bool,
@@ -302,7 +303,7 @@ impl Backend {
     }
 
     /// Whether releases must hop to a fresh thread unconditionally.
-    /// True for the federation: its completion wakers can run under the
+    /// True for the federation: its completion hooks can run under the
     /// federation state lock (replica kill/shutdown joins workers while
     /// holding it), and routing a release re-enters that lock.
     fn detached_release(&self) -> bool {
@@ -389,8 +390,8 @@ impl Backend {
 
 /// A pending workflow node's lifecycle position. Transitions happen
 /// under the runtime mutex and only ever move forward, which is the
-/// exactly-once guarantee: every settlement path (forwarder, orphan
-/// cascade, shutdown sweep, pre-release cancel) checks the phase before
+/// exactly-once guarantee: every settlement path (completion hook,
+/// orphan cascade, shutdown sweep, pre-release cancel) checks the phase before
 /// acting and the first to move it wins.
 enum NodePhase {
     /// Held by the coordinator; parents outstanding.
@@ -420,7 +421,7 @@ struct NodeState {
 }
 
 /// Tracks live workflow runtimes for the shutdown sweep. Holds weak
-/// references: a workflow whose ticket and in-flight forwarders are all
+/// references: a workflow whose ticket and in-flight hooks are all
 /// gone needs no sweeping, and the registry must not keep it alive.
 pub(crate) struct WorkflowRegistry {
     next_id: AtomicU64,
@@ -464,8 +465,8 @@ impl WorkflowRegistry {
 
 /// Live state of one submitted workflow: the nodes the coordinator
 /// still holds, plus the backend released nodes are submitted into.
-/// Kept alive by the [`WorkflowTicket`] and by in-flight
-/// [`NodeForwarder`]s; the registry only holds it weakly.
+/// Kept alive by the [`WorkflowTicket`] and by the completion hooks of
+/// in-flight nodes; the registry only holds it weakly.
 pub(crate) struct WorkflowRuntime {
     id: u64,
     backend: Backend,
@@ -528,56 +529,43 @@ impl WorkflowRuntime {
     }
 
     /// Hooks a successfully released node up to its engine-side ticket.
+    /// A cache-served release is an already-fulfilled ticket, whose hook
+    /// settles the node on this thread before `wire` returns.
     fn wire(self: &Arc<Self>, idx: usize, class: WorkloadClass, issued: Issued) {
         self.backend.on_released();
         let (ticket, submitted_at) = {
             let nodes = self.nodes.lock().unwrap();
             (nodes[idx].ticket.clone(), nodes[idx].submitted_at)
         };
-        match issued {
-            Issued::Cached {
-                fingerprint,
-                trace,
-                outcome,
-            } => {
-                self.backend
-                    .note_release(self.id, idx, fingerprint, class, trace, submitted_at);
-                // Parent-before-child ordering: the node's own ticket
-                // fulfills before settle can release any dependent.
-                ticket.fulfill(Ok(Arc::clone(&outcome)));
-                self.settle(idx, Ok(outcome));
-            }
-            Issued::Queued(engine_ticket) => {
-                self.backend.note_release(
-                    self.id,
-                    idx,
-                    engine_ticket.fingerprint(),
-                    class,
-                    engine_ticket.trace_id(),
-                    submitted_at,
-                );
-                // Cancelling the node ticket now tombstones the
-                // engine-side job; the engine ticket's `Cancelled`
-                // resolution flows back through the forwarder and
-                // orphans the node's descendants.
-                let propagate = engine_ticket.clone();
-                ticket.set_cancel_hook(Box::new(move || {
-                    let _ = propagate.cancel();
-                }));
-                let forwarder = Arc::new(NodeForwarder {
-                    runtime: Arc::clone(self),
-                    node: idx,
-                    engine_ticket: engine_ticket.clone(),
-                });
-                engine_ticket.on_done(Waker::from(forwarder));
-                // A cancel that raced the release window (after the
-                // pre-release hook was consumed, before the propagation
-                // hook landed) would otherwise strand a live engine job
-                // under a cancelled node ticket.
-                if matches!(ticket.try_result(), Some(Err(JobError::Cancelled))) {
-                    let _ = engine_ticket.cancel();
-                }
-            }
+        let engine_ticket = issued.into_ticket();
+        self.backend.note_release(
+            self.id,
+            idx,
+            engine_ticket.fingerprint(),
+            class,
+            engine_ticket.trace_id(),
+            submitted_at,
+        );
+        // Cancelling the node ticket now tombstones the engine-side job;
+        // the engine ticket's `Cancelled` resolution flows back through
+        // the completion hook and orphans the node's descendants.
+        let propagate = engine_ticket.clone();
+        ticket.set_cancel_hook(Box::new(move || {
+            let _ = propagate.cancel();
+        }));
+        // Parent-before-child ordering: the node's own ticket fulfills
+        // before settle can release any dependent.
+        let (runtime, node_ticket) = (Arc::clone(self), ticket.clone());
+        engine_ticket.on_done(move |result| {
+            node_ticket.fulfill(result.clone());
+            runtime.settle(idx, result.clone());
+        });
+        // A cancel that raced the release window (after the pre-release
+        // hook was consumed, before the propagation hook landed) would
+        // otherwise strand a live engine job under a cancelled node
+        // ticket.
+        if matches!(ticket.try_result(), Some(Err(JobError::Cancelled))) {
+            let _ = engine_ticket.cancel();
         }
     }
 
@@ -724,39 +712,10 @@ impl WorkflowRuntime {
     }
 }
 
-/// Waker bridging a released node's engine ticket back into the
-/// workflow: fulfills the node's public ticket first (so observers see
-/// the parent complete before any child releases), then settles the
-/// node, releasing ready children or orphaning descendants.
-struct NodeForwarder {
-    runtime: Arc<WorkflowRuntime>,
-    node: usize,
-    engine_ticket: JobTicket,
-}
-
-impl Wake for NodeForwarder {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let result = self
-            .engine_ticket
-            .try_result()
-            .expect("completion waker fires only on resolution");
-        let ticket = {
-            let nodes = self.runtime.nodes.lock().unwrap();
-            nodes[self.node].ticket.clone()
-        };
-        ticket.fulfill(result.clone());
-        self.runtime.settle(self.node, result);
-    }
-}
-
 /// Handle to a submitted workflow: one [`JobTicket`] per node (spec
 /// order) plus whole-graph completion views. Holding it keeps the
 /// workflow runtime alive; dropping it is safe — in-flight nodes finish
-/// (their forwarders hold the runtime), and unreleased nodes are
+/// (their completion hooks hold the runtime), and unreleased nodes are
 /// orphaned by the engine's shutdown sweep.
 pub struct WorkflowTicket {
     id: u64,

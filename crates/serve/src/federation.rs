@@ -44,12 +44,13 @@
 //! Two locks exist: the federation's replica/ring state (`RwLock`) and
 //! the routing log's entry map (`Mutex`). The ordering discipline is
 //! **state → log**, never the reverse — and crucially, the completion
-//! path (forwarders and cancel hooks, which run on worker and client
-//! threads) takes only the log lock, so a worker can never deadlock
-//! against a concurrent kill holding the state lock.
+//! path (the engine tickets' completion hooks and the client tickets'
+//! cancel hooks, which run on worker and client threads) takes only the
+//! log lock, so a worker can never deadlock against a concurrent kill
+//! holding the state lock.
 
 use crate::client::{ClientSession, CompletionStream};
-use crate::dag::{self, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
+use crate::dag::{self, Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobRequest};
 use crate::metrics::ServeReport;
@@ -63,7 +64,6 @@ use crate::trace::TraceCollector;
 use crate::worker::JobOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
-use std::task::{Wake, Waker};
 
 /// Federation configuration: the replica count, the engine template
 /// every replica starts from, and the fault schedule.
@@ -141,8 +141,8 @@ impl FedCounters {
     }
 
     /// Bumps the terminal counter matching `result`. Called only by the
-    /// path that won the client ticket's resolution race, so each
-    /// submission lands in exactly one terminal.
+    /// path that won the client ticket's resolution race (see
+    /// [`settle`]), so each submission lands in exactly one terminal.
     fn count_terminal(&self, result: &Result<Arc<JobOutcome>, JobError>) {
         let counter = match result {
             Ok(_) => &self.completed,
@@ -175,7 +175,7 @@ struct FederationState {
 /// the [module docs](self) for the routing, failover, and exactly-once
 /// story. A thin handle over the `Arc`'d `FedCore`: the workflow
 /// coordinator ([`crate::dag`]) holds the core with `'static` ownership
-/// so dependency releases can route from completion wakers and spawned
+/// so dependency releases can route from completion hooks and spawned
 /// threads, while this façade keeps the public lifecycle (its drop
 /// still tears the federation down).
 pub struct FederatedService {
@@ -193,45 +193,34 @@ pub(crate) struct FedCore {
     config: FederationConfig,
 }
 
-/// The engine→client completion bridge, registered as a [`Waker`] on
-/// each queued submission's engine-side ticket. When the engine ticket
-/// resolves, the forwarder hands the result to the client ticket —
-/// unless the resolution is the dead-replica shutdown sweep of an entry
-/// queued for replay, which it absorbs (the replayed attempt re-attaches
-/// a fresh forwarder). Only the forwarder that *wins* the client
-/// ticket's resolution counts the terminal and prunes the log entry.
-struct ReplayForwarder {
+/// Settles a client ticket: the call that wins its resolution counts
+/// the terminal and prunes the log entry. A loser changes nothing — a
+/// cancel hook (which keeps the entry as a tombstone) or a shutdown
+/// sweep already resolved the client and did its own accounting.
+fn settle(
+    log: &RoutingLog,
+    counters: &FedCounters,
     route: u64,
-    client: JobTicket,
-    engine: JobTicket,
-    log: Arc<RoutingLog>,
-    counters: Arc<FedCounters>,
+    client: &JobTicket,
+    result: Result<Arc<JobOutcome>, JobError>,
+) {
+    if client.fulfill_first(result.clone()) {
+        counters.count_terminal(&result);
+        log.prune(route);
+    }
 }
 
-impl Wake for ReplayForwarder {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
+/// Merges snapshots bucket-wise ([`TelemetrySnapshot::absorb`]); `None`
+/// for no snapshots. The telemetry twin of [`ServeReport::merged`].
+fn merged_telemetry<'a>(
+    snaps: impl IntoIterator<Item = &'a TelemetrySnapshot>,
+) -> Option<TelemetrySnapshot> {
+    let mut snaps = snaps.into_iter();
+    let mut total = snaps.next()?.clone();
+    for snap in snaps {
+        total.absorb(snap);
     }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let result = self
-            .engine
-            .try_result()
-            .expect("forwarder fires only after fulfillment");
-        if matches!(result, Err(JobError::ShutDown)) && self.log.is_replaying(self.route) {
-            // The dead replica's sweep failing a job already flagged for
-            // replay: swallow it — the client's result comes from the
-            // replayed attempt on a surviving replica.
-            return;
-        }
-        if self.client.fulfill_first(result.clone()) {
-            self.counters.count_terminal(&result);
-            self.log.prune(self.route);
-        }
-        // Lost the race: a cancel hook (which keeps the entry as a
-        // tombstone) or the federation shutdown sweep already resolved
-        // the client and did its own accounting.
-    }
+    Some(total)
 }
 
 impl FederatedService {
@@ -291,7 +280,7 @@ impl FederatedService {
         &self,
         spec: WorkflowSpec,
     ) -> Result<WorkflowTicket, crate::WorkflowError> {
-        dag::submit(dag::Backend::Federation(Arc::clone(&self.core)), spec)
+        dag::submit(Backend::Federation(Arc::clone(&self.core)), spec)
     }
 
     /// Routed, non-blocking submission. The returned ticket is the
@@ -305,7 +294,8 @@ impl FederatedService {
     /// Exactly [`DftService::submit`]'s errors, raised by the chosen
     /// replica; plus [`SubmitError::Closed`] when no replica is live.
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobTicket, SubmitError> {
-        self.core.submit_inner(request.into(), false)
+        let issued = self.core.issue_with(request.into(), false, None)?;
+        Ok(issued.into_ticket())
     }
 
     /// Like [`FederatedService::submit`] but blocks for queue space on
@@ -319,13 +309,8 @@ impl FederatedService {
         &self,
         request: impl Into<JobRequest>,
     ) -> Result<JobTicket, SubmitError> {
-        self.core.submit_inner(request.into(), true)
-    }
-
-    /// Raw admission for the session layer (the routed twin of
-    /// [`DftService::issue`]).
-    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
-        self.core.issue_with(request, blocking, None)
+        let issued = self.core.issue_with(request.into(), true, None)?;
+        Ok(issued.into_ticket())
     }
 
     /// Abruptly kills a replica and replays its un-resolved jobs onto
@@ -337,7 +322,7 @@ impl FederatedService {
     ///
     /// 1. Remove the replica from the ring (no new routes land on it).
     /// 2. Flag its live log entries as replaying
-    ///    (`RoutingLog::mark_replaying`) so forwarders absorb the
+    ///    (`RoutingLog::mark_replaying`) so completion hooks absorb the
     ///    sweep's `ShutDown`s instead of delivering them.
     /// 3. [`DftService::kill`] — queued jobs fail fast; in-flight jobs
     ///    finish and deliver normally.
@@ -365,7 +350,7 @@ impl FederatedService {
     /// paired with its finish-order [`CompletionStream`] — the same API
     /// shape as [`DftService::session`], plus transparent failover.
     pub fn session(&self) -> (ClientSession<'_>, CompletionStream) {
-        ClientSession::federated(self)
+        ClientSession::new(Backend::Federation(Arc::clone(&self.core)))
     }
 
     /// Closes every live replica's submission queue: new submissions
@@ -375,7 +360,8 @@ impl FederatedService {
     }
 
     /// Gracefully shuts down every live replica (queues drain fully, so
-    /// every in-flight client ticket resolves through its forwarder),
+    /// every in-flight client ticket resolves through its engine
+    /// ticket's completion hook),
     /// orphans coordinator-held workflow nodes, sweeps any stragglers
     /// in the routing log, and returns the final federation-wide report
     /// — on which [`FederationReport::conservation_holds`] is
@@ -475,22 +461,11 @@ impl FederatedService {
 }
 
 impl FedCore {
-    fn submit_inner(&self, request: JobRequest, blocking: bool) -> Result<JobTicket, SubmitError> {
-        match self.issue_with(request, blocking, None)? {
-            Issued::Cached {
-                fingerprint,
-                trace,
-                outcome,
-            } => Ok(JobTicket::ready(fingerprint, trace, outcome)),
-            Issued::Queued(ticket) => Ok(ticket),
-        }
-    }
-
-    /// The shared admission path (the session layer and the workflow
-    /// coordinator call it raw, like [`DftService::issue`]): tick the
-    /// fault plan, compact the routing log, route, submit to the chosen
-    /// replica, and — for queued jobs — wire up the client ticket, the
-    /// routing-log entry, the cancel hook, and the replay forwarder,
+    /// The federation's one admission path (sessions and workflow
+    /// releases reach it through [`Backend`]): tick the fault plan,
+    /// compact the routing log, route, submit to the chosen replica, and
+    /// — for queued jobs — wire up the client ticket, the routing-log
+    /// entry, the cancel hook, and the engine ticket's completion hook,
     /// all under the state read guard so a concurrent kill cannot slip
     /// between acceptance and recording.
     ///
@@ -516,56 +491,46 @@ impl FedCore {
             .engine
             .as_ref()
             .expect("ring members are live");
-        match engine.issue_with(request.clone(), blocking, warm)? {
-            Issued::Cached {
-                fingerprint,
-                trace,
-                outcome,
-            } => {
-                // Cache serves are terminal at admission: count both
-                // ends here, no log entry needed.
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                self.counters.routed[replica].fetch_add(1, Ordering::Relaxed);
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(Issued::Cached {
-                    fingerprint,
-                    trace,
-                    outcome,
-                })
-            }
-            Issued::Queued(engine_ticket) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                self.counters.routed[replica].fetch_add(1, Ordering::Relaxed);
-                let client = JobTicket::pending(fingerprint, engine_ticket.trace_id());
-                let route =
-                    self.log
-                        .record(request, replica, client.clone(), engine_ticket.clone());
-                // The cancel hook is the tombstone writer: it runs iff a
-                // cancel wins the client ticket, before any waiter
-                // observes the cancellation (satellite fix: replay can
-                // never resurrect a cancelled job). It takes only the
-                // log lock — see the module lock-order note.
-                let log = Arc::clone(&self.log);
-                let counters = Arc::clone(&self.counters);
-                client.set_cancel_hook(Box::new(move || {
-                    counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    log.cancel_route(route);
-                }));
-                self.attach_forwarder(route, &client, &engine_ticket);
-                Ok(Issued::Queued(client))
-            }
-        }
+        let issued = engine.shared.issue_with(request.clone(), blocking, warm)?;
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.routed[replica].fetch_add(1, Ordering::Relaxed);
+        let Issued::Queued(engine_ticket) = issued else {
+            // Cache serves are terminal at admission: no log entry.
+            self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            return Ok(issued);
+        };
+        let client = JobTicket::pending(fingerprint, engine_ticket.trace_id());
+        let route = self
+            .log
+            .record(request, replica, client.clone(), engine_ticket.clone());
+        // The cancel hook is the tombstone writer: it runs iff a cancel
+        // wins the client ticket, before any waiter observes the
+        // cancellation, so replay can never resurrect a cancelled job.
+        // It takes only the log lock — see the module lock-order note.
+        let log = Arc::clone(&self.log);
+        let counters = Arc::clone(&self.counters);
+        client.set_cancel_hook(Box::new(move || {
+            counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            log.cancel_route(route);
+        }));
+        self.forward(route, &client, &engine_ticket);
+        Ok(Issued::Queued(client))
     }
 
-    fn attach_forwarder(&self, route: u64, client: &JobTicket, engine: &JobTicket) {
-        let forwarder = Arc::new(ReplayForwarder {
-            route,
-            client: client.clone(),
-            engine: engine.clone(),
-            log: Arc::clone(&self.log),
-            counters: Arc::clone(&self.counters),
+    /// Registers the engine→client completion hook on an engine ticket:
+    /// it settles the client with the engine's result — unless that
+    /// result is the dead-replica sweep's `ShutDown` for an entry
+    /// queued for replay, which it absorbs (the replayed attempt
+    /// registers a fresh hook).
+    fn forward(&self, route: u64, client: &JobTicket, engine: &JobTicket) {
+        let (log, counters) = (Arc::clone(&self.log), Arc::clone(&self.counters));
+        let client = client.clone();
+        engine.on_done(move |result| {
+            if matches!(result, Err(JobError::ShutDown)) && log.is_replaying(route) {
+                return;
+            }
+            settle(&log, &counters, route, &client, result.clone());
         });
-        engine.on_done(Waker::from(forwarder));
     }
 
     /// Fires every [`FaultPlan`] action due at this submission tick.
@@ -593,7 +558,7 @@ impl FedCore {
     /// The kill sequence (documented on
     /// [`FederatedService::kill_replica`]), under the state write lock.
     /// Unfinished **workflow nodes** on the victim replay like any
-    /// logged job: the coordinator's forwarder watches the client
+    /// logged job: the coordinator's completion hook watches the client
     /// ticket, which outlives the replica, so dependency state (held
     /// children, remaining-parent counts) rides through the failover
     /// untouched.
@@ -621,13 +586,10 @@ impl FedCore {
             request,
             client,
         } = item;
+        let settle_with = |result| settle(&self.log, &self.counters, route, &client, result);
         let Some(target) = state.ring.primary(client.fingerprint()) else {
             // Last replica died: the federation-wide ShutDown is real.
-            if client.fulfill_first(Err(JobError::ShutDown)) {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            self.log.prune(route);
-            return;
+            return settle_with(Err(JobError::ShutDown));
         };
         let engine = state.slots[target]
             .engine
@@ -636,48 +598,23 @@ impl FedCore {
         // Blocking push: replays must not be lost to transient
         // backpressure on the surviving replicas. Workers drain without
         // ever taking the federation state lock, so this converges.
-        match engine.issue(request, true) {
-            Ok(Issued::Queued(engine_ticket)) => {
+        match engine.shared.issue_with(request, true, None) {
+            Ok(issued) => {
                 self.counters.routed[target].fetch_add(1, Ordering::Relaxed);
+                // A survivor cache hit is an already-fulfilled ticket,
+                // whose hook settles the client on the spot.
+                let engine_ticket = issued.into_ticket();
                 self.log.reroute(route, target, engine_ticket.clone());
                 // The original cancel hook still guards this entry (it
                 // reads the engine ticket through the log at cancel
                 // time, so it sees the rerouted one).
-                self.attach_forwarder(route, &client, &engine_ticket);
+                self.forward(route, &client, &engine_ticket);
             }
-            Ok(Issued::Cached {
-                fingerprint,
-                trace,
-                outcome,
-            }) => {
-                // The survivor had the result cached — the replay is
-                // terminal on the spot.
-                self.counters.routed[target].fetch_add(1, Ordering::Relaxed);
-                self.log.reroute(
-                    route,
-                    target,
-                    JobTicket::ready(fingerprint, trace, outcome.clone()),
-                );
-                if client.fulfill_first(Ok(outcome)) {
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                self.log.prune(route);
-            }
+            // The job's deadline cannot survive the failover.
             Err(SubmitError::AdmissionDenied { .. }) => {
-                // The job's deadline cannot survive the failover.
-                if client.fulfill_first(Err(JobError::DeadlineExceeded)) {
-                    self.counters
-                        .deadline_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                self.log.prune(route);
+                settle_with(Err(JobError::DeadlineExceeded))
             }
-            Err(_) => {
-                if client.fulfill_first(Err(JobError::ShutDown)) {
-                    self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                }
-                self.log.prune(route);
-            }
+            Err(_) => settle_with(Err(JobError::ShutDown)),
         }
     }
 
@@ -716,20 +653,29 @@ impl FedCore {
                 }
             }
         }
-        // Replica drains resolved every routed engine ticket, which
-        // settled (or orphan-cascaded) every *released* workflow node;
-        // the sweep now orphans nodes the coordinator still holds,
-        // exactly once each, closing the extended invariant's books.
-        self.workflows.sweep();
-        // Graceful drains resolve every engine ticket, so the only
-        // entries left are cancellation tombstones (client already
-        // resolved — fulfilling again loses, counting nothing twice).
-        for (_route, client) in self.log.drain_all() {
-            if client.fulfill_first(Err(JobError::ShutDown)) {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.sweep_stragglers();
         self.report()
+    }
+
+    /// The shared teardown tail, once every engine is gone. Replica
+    /// drains resolved every routed engine ticket, which settled (or
+    /// orphan-cascaded) every *released* workflow node; the workflow
+    /// sweep now orphans nodes the coordinator still holds, exactly once
+    /// each. Then any client still in the log fails with `ShutDown`
+    /// (after a graceful drain only cancellation tombstones remain —
+    /// their clients already resolved, so settling again counts
+    /// nothing twice).
+    fn sweep_stragglers(&self) {
+        self.workflows.sweep();
+        for (route, client) in self.log.drain_all() {
+            settle(
+                &self.log,
+                &self.counters,
+                route,
+                &client,
+                Err(JobError::ShutDown),
+            );
+        }
     }
 
     fn report(&self) -> FederationReport {
@@ -772,14 +718,8 @@ impl FedCore {
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {
-        let mut merged: Option<TelemetrySnapshot> = None;
-        for snap in self.telemetry_per_replica() {
-            match &mut merged {
-                Some(total) => total.absorb(&snap),
-                None => merged = Some(snap),
-            }
-        }
-        merged.expect("federation has at least one replica")
+        merged_telemetry(&self.telemetry_per_replica())
+            .expect("federation has at least one replica")
     }
 
     fn telemetry_per_replica(&self) -> Vec<TelemetrySnapshot> {
@@ -788,15 +728,9 @@ impl FedCore {
             .slots
             .iter()
             .map(|slot| {
-                let mut merged: Option<TelemetrySnapshot> = None;
                 let live = slot.engine.as_ref().map(|e| e.telemetry());
-                for snap in slot.dead_telemetry.iter().chain(live.as_ref()) {
-                    match &mut merged {
-                        Some(total) => total.absorb(snap),
-                        None => merged = Some(snap.clone()),
-                    }
-                }
-                merged.expect("every slot has at least one incarnation")
+                merged_telemetry(slot.dead_telemetry.iter().chain(live.as_ref()))
+                    .expect("every slot has at least one incarnation")
             })
             .collect()
     }
@@ -848,12 +782,7 @@ impl FedCore {
                 slot.engine.take();
             }
         }
-        self.workflows.sweep();
-        for (_route, client) in self.log.drain_all() {
-            if client.fulfill_first(Err(JobError::ShutDown)) {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.sweep_stragglers();
     }
 }
 

@@ -103,7 +103,7 @@
 //!   each other), validation rejects cycles and dangling edges before
 //!   any state is created, and a coordinator holds each node *outside*
 //!   the queue shards until its last parent fulfills — release rides
-//!   the ticket-waker registry, so there is no polling thread, and a
+//!   a ticket completion hook, so there is no polling thread, and a
 //!   parent's outcome is injected into compatible children as a warm
 //!   input ([`DftJob::accepts_warm_seed`]). Submit via
 //!   [`DftService::submit_workflow`] (or the federated twin) and watch

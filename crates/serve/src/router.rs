@@ -275,7 +275,7 @@ pub(crate) struct RouteEntry {
     /// Tombstone: the client cancelled; replay must skip this entry.
     pub(crate) cancelled: bool,
     /// The home replica died and the entry awaits re-routing; the
-    /// forwarder must not deliver the dead engine's `ShutDown`.
+    /// completion hook must not deliver the dead engine's `ShutDown`.
     pub(crate) replaying: bool,
 }
 
@@ -448,7 +448,7 @@ impl RoutingLog {
     }
 
     /// True while the entry awaits re-routing after its replica died —
-    /// the forwarder's signal to swallow the dead engine's `ShutDown`.
+    /// the completion hook's signal to swallow the dead engine's `ShutDown`.
     pub(crate) fn is_replaying(&self, route: u64) -> bool {
         self.entries
             .lock()
@@ -474,7 +474,7 @@ impl RoutingLog {
     }
 
     /// Phase 2 of a kill, after the engine has fully stopped (every
-    /// engine ticket resolved, every forwarder fired): lifts the
+    /// engine ticket resolved, every completion hook ran): lifts the
     /// replayable entries homed on `replica` out for resubmission.
     /// Tombstoned entries are removed and counted instead of returned —
     /// a cancelled job is never resurrected — and entries whose client

@@ -8,7 +8,7 @@
 use crate::cache::{CachePolicy, CacheStats, ResultCache};
 use crate::client::{ClientSession, CompletionStream};
 use crate::cluster::{ClusterSnapshot, ClusterView};
-use crate::dag::{WorkflowRegistry, WorkflowSpec, WorkflowTicket};
+use crate::dag::{Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobRequest};
 use crate::metrics::{Metrics, ServeReport};
 use crate::placement::{decide_placement, PlacementPolicy};
@@ -98,8 +98,9 @@ impl Default for ServeConfig {
 }
 
 /// What a submission turned into: a cache hit served on the spot, or a
-/// queued job travelling to the workers. The public API always wraps
-/// this in a [`JobTicket`]; [`ClientSession`] consumes it raw.
+/// queued job travelling to the workers. The public API wraps this in a
+/// [`JobTicket`] ([`Issued::into_ticket`]); [`ClientSession`] consumes
+/// it raw, so a cache hit goes straight into its completion channel.
 pub(crate) enum Issued {
     /// Served from the result cache at submission time.
     Cached {
@@ -114,13 +115,27 @@ pub(crate) enum Issued {
     Queued(JobTicket),
 }
 
+impl Issued {
+    /// The ticket view: a cache hit becomes an already-fulfilled ticket.
+    pub(crate) fn into_ticket(self) -> JobTicket {
+        match self {
+            Issued::Cached {
+                fingerprint,
+                trace,
+                outcome,
+            } => JobTicket::ready(fingerprint, trace, outcome),
+            Issued::Queued(ticket) => ticket,
+        }
+    }
+}
+
 /// State shared between the façade and the worker pool.
 ///
-/// The admission path ([`EngineShared::issue`]) lives here rather than
-/// on [`DftService`] so owned `Arc<EngineShared>` handles — the
-/// workflow coordinator's [`crate::dag`] release path, which must be
-/// `'static` to ride the ticket-waker registry — can submit without
-/// borrowing the façade.
+/// The admission path ([`EngineShared::issue_with`]) lives here rather
+/// than on [`DftService`] so owned `Arc<EngineShared>` handles — the
+/// [`crate::dag::Backend`] that sessions and workflow releases submit
+/// through, which must be `'static` to ride ticket completion hooks —
+/// can submit without borrowing the façade.
 pub(crate) struct EngineShared {
     pub(crate) queue: ShardedQueue<PendingJob>,
     pub(crate) cache: ResultCache<Arc<JobOutcome>>,
@@ -134,7 +149,7 @@ pub(crate) struct EngineShared {
 
 /// A running DFT-as-a-Service engine.
 pub struct DftService {
-    shared: Arc<EngineShared>,
+    pub(crate) shared: Arc<EngineShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -203,7 +218,8 @@ impl DftService {
     /// when the tenant is at its in-flight quota, and
     /// [`SubmitError::Closed`] after shutdown began.
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobTicket, SubmitError> {
-        self.submit_inner(request.into(), false)
+        let issued = self.shared.issue_with(request.into(), false, None)?;
+        Ok(issued.into_ticket())
     }
 
     /// Like [`DftService::submit`] but blocks for queue space instead of
@@ -217,46 +233,15 @@ impl DftService {
         &self,
         request: impl Into<JobRequest>,
     ) -> Result<JobTicket, SubmitError> {
-        self.submit_inner(request.into(), true)
-    }
-
-    fn submit_inner(&self, request: JobRequest, blocking: bool) -> Result<JobTicket, SubmitError> {
-        match self.issue(request, blocking)? {
-            Issued::Cached {
-                fingerprint,
-                trace,
-                outcome,
-            } => Ok(JobTicket::ready(fingerprint, trace, outcome)),
-            Issued::Queued(ticket) => Ok(ticket),
-        }
-    }
-
-    /// The shared admission path. [`ClientSession`] calls it directly: a
-    /// cache hit hands back the outcome itself instead of wrapping it in
-    /// an already-fulfilled ticket, so the session forwards it straight
-    /// into its completion channel — no ticket allocation and two fewer
-    /// lock round-trips per warm submission.
-    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
-        self.shared.issue(request, blocking)
-    }
-
-    /// [`DftService::issue`] with an optional warm input from a
-    /// workflow parent — the hop the federation's release path takes
-    /// so a parent outcome reaches the executing replica.
-    pub(crate) fn issue_with(
-        &self,
-        request: JobRequest,
-        blocking: bool,
-        warm: Option<Arc<JobOutcome>>,
-    ) -> Result<Issued, SubmitError> {
-        self.shared.issue_with(request, blocking, warm)
+        let issued = self.shared.issue_with(request.into(), true, None)?;
+        Ok(issued.into_ticket())
     }
 
     /// Submits a dependency graph of jobs. Nodes with no parents enter
     /// the normal submit path immediately; every other node is held by
     /// the workflow coordinator and released the moment its last parent
-    /// fulfills — riding the ticket-waker registry, so readiness costs
-    /// no polling thread. A parent's output is injected into each child
+    /// fulfills — riding a ticket completion hook, so readiness costs no
+    /// polling thread. A parent's output is injected into each child
     /// that [`DftJob::accepts_warm_seed`]s it, and a parent served from
     /// the result cache releases its children instantly. A failed
     /// parent (or engine shutdown) fails every unreleased descendant
@@ -272,19 +257,18 @@ impl DftService {
         &self,
         spec: WorkflowSpec,
     ) -> Result<WorkflowTicket, crate::dag::WorkflowError> {
-        crate::dag::submit(crate::dag::Backend::Engine(Arc::clone(&self.shared)), spec)
+        crate::dag::submit(Backend::Engine(Arc::clone(&self.shared)), spec)
     }
 }
 
 impl EngineShared {
-    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
-        self.issue_with(request, blocking, None)
-    }
-
-    /// [`EngineShared::issue`] with an optional warm input from a
-    /// workflow parent, carried on the [`PendingJob`] into execution.
-    /// Never part of the fingerprint: seeding is result-preserving, so
-    /// cache identity is untouched.
+    /// The engine's one admission path: validate, serve from the
+    /// result cache, or check the deadline and tenant quota and
+    /// enqueue. `blocking` waits for queue space instead of failing
+    /// with [`SubmitError::QueueFull`]. `warm` is an optional input
+    /// from a workflow parent, carried on the [`PendingJob`] into
+    /// execution; it is never part of the fingerprint (seeding is
+    /// result-preserving, so cache identity is untouched).
     pub(crate) fn issue_with(
         &self,
         request: JobRequest,
@@ -470,7 +454,7 @@ impl DftService {
     /// finish order. Any number of sessions can coexist; each sees only
     /// its own submissions.
     pub fn session(&self) -> (ClientSession<'_>, CompletionStream) {
-        ClientSession::new(self)
+        ClientSession::new(Backend::Engine(Arc::clone(&self.shared)))
     }
 
     /// Subscribes to the engine's per-job lifecycle events (`Queued` →
@@ -797,7 +781,7 @@ mod tests {
             .queue
             .try_push_at(class.shard_key(), Priority::Standard.index(), pending)
             .is_ok());
-        // Keep the books paired with the push, exactly as issue() does.
+        // Keep the books paired with the push, exactly as issue_with() does.
         svc.shared.metrics.on_submit();
         assert_eq!(ticket.wait().unwrap_err(), JobError::DeadlineExceeded);
         blocker.wait().unwrap();

@@ -14,7 +14,9 @@
 //!   ([`IntoFuture`]).
 //!
 //! All three styles are views over one state machine: a mutex-guarded
-//! result slot plus a registry of [`Waker`]s. The lost-wakeup argument
+//! result slot plus a registry of [`Waker`]s and completion hooks (the
+//! crate-private `on_done` closures sessions, workflows and the
+//! federation chain tickets with). The lost-wakeup argument
 //! is a single lock: `poll` checks the slot and registers its waker
 //! under the same mutex acquisition, and fulfillment writes
 //! the slot and drains the registry under that mutex — so a waker
@@ -36,15 +38,21 @@ use std::time::Duration;
 
 type JobResult = Result<Arc<JobOutcome>, JobError>;
 
-/// Result slot + waker registry; every completion style is a view of
+/// A completion hook: runs once, with the result the ticket resolved to.
+type DoneHook = Box<dyn FnOnce(&JobResult) + Send>;
+
+/// Result slot + waker and hook registry; every completion style is a view of
 /// this one state machine.
 struct TicketState {
     /// `None` while pending; written exactly once by `fulfill`.
     result: Option<JobResult>,
-    /// Wakers registered by in-flight futures and session forwarders,
-    /// keyed so a re-polled future *updates* its entry instead of
-    /// duplicating it, and a dropped future can remove its own.
+    /// Wakers registered by in-flight futures, keyed so a re-polled
+    /// future *updates* its entry instead of duplicating it, and a
+    /// dropped future can remove its own.
     wakers: Vec<(u64, Waker)>,
+    /// Completion hooks registered through [`JobTicket::on_done`];
+    /// never replaced or deregistered.
+    hooks: Vec<DoneHook>,
     /// Allocator for waker-registry keys; key allocation is serialized
     /// by the state lock, like every other registry access.
     next_waker_key: u64,
@@ -90,6 +98,7 @@ impl JobTicket {
                 state: Mutex::new(TicketState {
                     result: None,
                     wakers: Vec::new(),
+                    hooks: Vec::new(),
                     next_waker_key: 0,
                     cancel_hook: None,
                 }),
@@ -135,13 +144,13 @@ impl JobTicket {
         self.trace
     }
 
-    /// Delivers the result and wakes every waiter — condvar sleepers and
-    /// registered future wakers alike. First fulfillment wins; later
-    /// calls are ignored (a ticket resolves exactly once), so each
-    /// registered waker is woken **exactly once** over the ticket's
-    /// lifetime. Wakers run outside the state lock: a waker that
-    /// immediately re-polls (or forwards into a session channel) can
-    /// never deadlock against the registry.
+    /// Delivers the result and wakes every waiter — condvar sleepers,
+    /// registered future wakers and completion hooks alike. First
+    /// fulfillment wins; later calls are ignored (a ticket resolves
+    /// exactly once), so each registered waker and hook fires **exactly
+    /// once** over the ticket's lifetime. Both run outside the state
+    /// lock: a waker that immediately re-polls (or a hook that sends
+    /// into a session channel) can never deadlock against the registry.
     pub(crate) fn fulfill(&self, result: JobResult) {
         let _ = self.fulfill_first(result);
     }
@@ -154,26 +163,33 @@ impl JobTicket {
         self.resolve(result, false)
     }
 
-    /// The single pending→done transition. Takes the waker registry
-    /// *and* the cancel hook under the state lock; the hook runs (on
-    /// the cancellation path) or drops (any other resolution) before
-    /// the wakers fire, so a cancel's side effects — e.g. tombstoning a
-    /// federated routing log — are visible to every woken observer.
-    /// Both run outside the lock: neither can deadlock back into the
-    /// registry.
+    /// The single pending→done transition. Takes the waker registry,
+    /// the completion hooks *and* the cancel hook under the state lock;
+    /// the cancel hook runs (on the cancellation path) or drops (any
+    /// other resolution) before the completion hooks and wakers fire, so
+    /// a cancel's side effects — e.g. tombstoning a federated routing
+    /// log — are visible to every woken observer. All of them run
+    /// outside the lock: none can deadlock back into the registry.
     fn resolve(&self, result: JobResult, is_cancel: bool) -> bool {
-        let (wakers, hook) = {
+        let (wakers, hooks, cancel_hook) = {
             let mut st = self.inner.state.lock().unwrap();
             if st.result.is_some() {
                 return false;
             }
-            st.result = Some(result);
+            st.result = Some(result.clone());
             self.inner.done.notify_all();
-            (std::mem::take(&mut st.wakers), st.cancel_hook.take())
+            (
+                std::mem::take(&mut st.wakers),
+                std::mem::take(&mut st.hooks),
+                st.cancel_hook.take(),
+            )
         };
-        match hook {
+        match cancel_hook {
             Some(hook) if is_cancel => hook(),
             other => drop(other),
+        }
+        for hook in hooks {
+            hook(&result);
         }
         for (_, waker) in wakers {
             waker.wake();
@@ -209,21 +225,21 @@ impl JobTicket {
         self.resolve(Err(JobError::Cancelled), true)
     }
 
-    /// Registers an external completion waker: woken exactly once when
-    /// the ticket resolves — immediately (on this thread) if it already
-    /// has. The session completion path rides on this; unlike a
-    /// [`TicketFuture`] registration the entry is never replaced or
+    /// Registers a completion hook: it runs exactly once, with the
+    /// result the ticket resolved to, outside the state lock and after
+    /// any winning cancel hook — immediately (on this thread) if the
+    /// ticket has already resolved. Sessions, workflow releases and
+    /// federation replays chain tickets through this; unlike a
+    /// [`TicketFuture`] registration the hook is never replaced or
     /// deregistered.
-    pub(crate) fn on_done(&self, waker: Waker) {
+    pub(crate) fn on_done(&self, hook: impl FnOnce(&JobResult) + Send + 'static) {
         let mut st = self.inner.state.lock().unwrap();
-        if st.result.is_some() {
-            drop(st);
-            waker.wake();
+        let Some(result) = st.result.clone() else {
+            st.hooks.push(Box::new(hook));
             return;
-        }
-        let key = st.next_waker_key;
-        st.next_waker_key += 1;
-        st.wakers.push((key, waker));
+        };
+        drop(st);
+        hook(&result);
     }
 
     /// True once a result (or error) is available.
@@ -444,6 +460,15 @@ mod tests {
         }
     }
 
+    /// A completion hook that counts its runs.
+    fn counting_hook() -> (Arc<AtomicUsize>, impl FnOnce(&JobResult) + Send + 'static) {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook_fired = Arc::clone(&fired);
+        (fired, move |_: &JobResult| {
+            hook_fired.fetch_add(1, AtomicOrdering::SeqCst);
+        })
+    }
+
     #[test]
     fn wait_blocks_until_fulfilled() {
         let t = JobTicket::pending(fp(), TraceId::DETACHED);
@@ -479,7 +504,11 @@ mod tests {
         let fulfiller = {
             let t = t.clone();
             thread::spawn(move || {
-                thread::sleep(Duration::from_millis(10));
+                // Fulfill only once the future has parked its waker, so
+                // the test always covers the parked-then-woken path.
+                while t.registered_wakers() != 1 {
+                    thread::yield_now();
+                }
                 t.fulfill(Err(JobError::ShutDown));
             })
         };
@@ -528,9 +557,19 @@ mod tests {
     fn on_done_fires_immediately_for_ready_tickets() {
         let t = JobTicket::pending(fp(), TraceId::DETACHED);
         t.fulfill(Err(JobError::ShutDown));
-        let counting = CountingWaker::new();
-        t.on_done(Waker::from(Arc::clone(&counting)));
-        assert_eq!(counting.count(), 1);
+        let (fired, hook) = counting_hook();
+        t.on_done(hook);
+        assert_eq!(fired.load(AtomicOrdering::SeqCst), 1);
+        // The hook receives the result the ticket resolved to.
+        let seen = Arc::new(Mutex::new(None));
+        let hook_seen = Arc::clone(&seen);
+        t.on_done(move |result| *hook_seen.lock().unwrap() = Some(result.clone()));
+        let seen = seen
+            .lock()
+            .unwrap()
+            .take()
+            .expect("hook ran on registration");
+        assert_eq!(seen.unwrap_err(), JobError::ShutDown);
     }
 
     #[test]
@@ -552,11 +591,11 @@ mod tests {
     #[test]
     fn cancel_wins_only_while_pending_and_wakes_once() {
         let t = JobTicket::pending(fp(), TraceId::DETACHED);
-        let counting = CountingWaker::new();
-        t.on_done(Waker::from(Arc::clone(&counting)));
+        let (fired, hook) = counting_hook();
+        t.on_done(hook);
         assert!(t.cancel(), "pending ticket cancels");
         assert_eq!(t.wait().unwrap_err(), JobError::Cancelled);
-        assert_eq!(counting.count(), 1);
+        assert_eq!(fired.load(AtomicOrdering::SeqCst), 1);
         assert!(!t.cancel(), "second cancel loses");
         t.fulfill(Err(JobError::ShutDown));
         assert_eq!(
@@ -564,7 +603,7 @@ mod tests {
             JobError::Cancelled,
             "cancellation outcome stands against a late fulfill"
         );
-        assert_eq!(counting.count(), 1, "no waker fires twice");
+        assert_eq!(fired.load(AtomicOrdering::SeqCst), 1, "no hook fires twice");
     }
 
     #[test]
@@ -621,8 +660,9 @@ mod tests {
 
     #[test]
     fn cancel_hook_side_effects_precede_waker_delivery() {
-        // The federation's tombstone ordering: when the hook fires, its
-        // effect must be observable from every waker the cancel wakes.
+        // The federation's tombstone ordering: when the cancel hook
+        // fires, its effect must be observable from every completion
+        // hook and every waker the cancel wakes.
         let t = JobTicket::pending(fp(), TraceId::DETACHED);
         let order = Arc::new(Mutex::new(Vec::new()));
         struct OrderWaker {
@@ -633,15 +673,53 @@ mod tests {
                 self.order.lock().unwrap().push("waker");
             }
         }
-        t.on_done(Waker::from(Arc::new(OrderWaker {
+        let waker = Waker::from(Arc::new(OrderWaker {
             order: Arc::clone(&order),
-        })));
+        }));
+        let mut fut = t.future();
+        assert!(Pin::new(&mut fut)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        let done_order = Arc::clone(&order);
+        t.on_done(move |_| done_order.lock().unwrap().push("done"));
         let hook_order = Arc::clone(&order);
         t.set_cancel_hook(Box::new(move || {
             hook_order.lock().unwrap().push("hook");
         }));
         assert!(t.cancel());
-        assert_eq!(*order.lock().unwrap(), vec!["hook", "waker"]);
+        assert_eq!(*order.lock().unwrap(), vec!["hook", "done", "waker"]);
+    }
+
+    #[test]
+    fn racing_fulfill_and_cancel_fire_the_hook_once_with_the_waited_result() {
+        for _ in 0..100 {
+            let t = JobTicket::pending(fp(), TraceId::DETACHED);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let hook_seen = Arc::clone(&seen);
+            t.on_done(move |result| hook_seen.lock().unwrap().push(result.clone()));
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let fulfiller = {
+                let (t, start) = (t.clone(), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    t.fulfill(Err(JobError::Numerics("finished".into())));
+                })
+            };
+            let canceller = {
+                let t = t.clone();
+                thread::spawn(move || {
+                    start.wait();
+                    t.cancel()
+                })
+            };
+            fulfiller.join().unwrap();
+            let cancel_won = canceller.join().unwrap();
+            let waited = t.wait().unwrap_err();
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), 1, "the hook fires exactly once");
+            assert_eq!(seen[0].clone().unwrap_err(), waited);
+            assert_eq!(cancel_won, waited == JobError::Cancelled);
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! session while the main thread drains completions in finish order
 //! from the session's `CompletionStream` — the whole run uses at most
 //! `workers + frontend_threads` OS threads. No thread ever parks in
-//! `JobTicket::wait`; the completion forwarders ride the ticket state
-//! machine's waker registry, so fulfillment *pushes* results to the
-//! drainer instead of threads polling for them.
+//! `JobTicket::wait`; the session's completion hooks ride the ticket
+//! state machine, so fulfillment *pushes* results to the drainer
+//! instead of threads polling for them.
 //!
 //! The tail of the demo shows the other two layers of the async API:
 //! ticket futures driven by the built-in `block_on`/`join_all`
