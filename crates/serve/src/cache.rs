@@ -301,8 +301,8 @@ impl<V: Clone> ResultCache<V> {
     }
 
     /// Looks up a result in the memory tier, counting the outcome.
-    /// (With a disk tier attached, use [`ResultCache::fetch`] so a
-    /// memory miss can fall through and promote.)
+    /// (With a disk tier attached, use [`ResultCache::fetch_tiered`] so
+    /// a memory miss can fall through and promote.)
     pub fn get(&self, key: &Fingerprint) -> Option<V> {
         let inner = self.inner.read().unwrap();
         match inner.map.get(key) {
@@ -461,14 +461,8 @@ impl<V: Clone + PersistValue> ResultCache<V> {
     /// Two-tier lookup: memory first (a hit counts as `hits`), then
     /// the disk index (a hit decodes, **promotes into memory at the
     /// stored cost**, and counts as `disk_hits`); only a miss in both
-    /// counts as a miss. Without a disk tier this is exactly
-    /// [`ResultCache::get`].
-    pub fn fetch(&self, key: &Fingerprint) -> Option<V> {
-        self.fetch_tiered(key).map(|(v, _)| v)
-    }
-
-    /// [`ResultCache::fetch`] that also reports which tier served the
-    /// hit (feeds trace span events).
+    /// counts as a miss. Reports which tier served the hit (feeds trace
+    /// span events). Without a disk tier this is [`ResultCache::get`].
     pub fn fetch_tiered(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
         {
             let inner = self.inner.read().unwrap();
@@ -488,12 +482,7 @@ impl<V: Clone + PersistValue> ResultCache<V> {
     /// Two-tier peek: like [`ResultCache::peek`] but a memory miss
     /// falls through to disk (promoting on a hit, counted as a disk
     /// hit — the promotion does real decode work worth surfacing, even
-    /// on the uncounted worker recheck path).
-    pub fn peek_fetch(&self, key: &Fingerprint) -> Option<V> {
-        self.peek_fetch_tiered(key).map(|(v, _)| v)
-    }
-
-    /// [`ResultCache::peek_fetch`] that also reports the serving tier.
+    /// on the uncounted worker recheck path). Reports the serving tier.
     pub fn peek_fetch_tiered(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
         if let Some(v) = self.peek(key) {
             return Some((v, HitTier::Memory));

@@ -73,6 +73,7 @@ use crate::exec::{self, JoinAll};
 use crate::federation::FedCore;
 use crate::fingerprint::Fingerprint;
 use crate::job::{JobError, JobRequest, WorkloadClass};
+use crate::metrics::Ledger;
 use crate::queue::SubmitError;
 use crate::service::{EngineShared, Issued};
 use crate::telemetry::Stage;
@@ -310,24 +311,12 @@ impl Backend {
         matches!(self, Backend::Federation(_))
     }
 
-    fn on_workflow(&self) {
+    /// The books workflow accounting lands in: the engine's, or the
+    /// federation's client-level ledger.
+    fn ledger(&self) -> &Ledger {
         match self {
-            Backend::Engine(e) => e.metrics.on_workflow(),
-            Backend::Federation(f) => f.on_workflow(),
-        }
-    }
-
-    fn on_released(&self) {
-        match self {
-            Backend::Engine(e) => e.metrics.on_workflow_released(),
-            Backend::Federation(f) => f.on_workflow_released(),
-        }
-    }
-
-    fn on_orphaned(&self) {
-        match self {
-            Backend::Engine(e) => e.metrics.on_orphaned(),
-            Backend::Federation(f) => f.on_orphaned(),
+            Backend::Engine(e) => &e.metrics.ledger,
+            Backend::Federation(f) => f.ledger(),
         }
     }
 
@@ -393,6 +382,7 @@ impl Backend {
 /// exactly-once guarantee: every settlement path (completion hook,
 /// orphan cascade, shutdown sweep, pre-release cancel) checks the phase before
 /// acting and the first to move it wins.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum NodePhase {
     /// Held by the coordinator; parents outstanding.
     Pending,
@@ -532,7 +522,7 @@ impl WorkflowRuntime {
     /// A cache-served release is an already-fulfilled ticket, whose hook
     /// settles the node on this thread before `wire` returns.
     fn wire(self: &Arc<Self>, idx: usize, class: WorkloadClass, issued: Issued) {
-        self.backend.on_released();
+        self.backend.ledger().released();
         let (ticket, submitted_at) = {
             let nodes = self.nodes.lock().unwrap();
             (nodes[idx].ticket.clone(), nodes[idx].submitted_at)
@@ -579,15 +569,7 @@ impl WorkflowRuntime {
             SubmitError::AdmissionDenied { .. } => JobError::DeadlineExceeded,
             other => JobError::DependencyFailed(format!("release submission failed: {other}")),
         };
-        let (ticket, fingerprint, class) = {
-            let nodes = self.nodes.lock().unwrap();
-            let node = &nodes[idx];
-            (node.ticket.clone(), node.ticket.fingerprint(), node.class)
-        };
-        self.backend.on_orphaned();
-        self.backend.note_orphan(self.id, idx, fingerprint, class);
-        ticket.fulfill(Err(err.clone()));
-        self.settle(idx, Err(err));
+        self.orphan_subtree(idx, NodePhase::Released, err);
     }
 
     /// The single settlement point: records node `idx`'s terminal
@@ -628,86 +610,75 @@ impl WorkflowRuntime {
                 }
             }
             Err(err) => {
-                {
+                let children = {
                     let mut nodes = self.nodes.lock().unwrap();
                     nodes[idx].phase = NodePhase::Settled;
                     nodes[idx].request = None;
                     nodes[idx].warm = None;
-                }
-                self.orphan_descendants(idx, &err);
+                    nodes[idx].children.clone()
+                };
+                self.orphan_descendants(idx, &err, children);
             }
         }
     }
 
-    /// Orphans every still-pending descendant of `root`: marks it
-    /// settled, counts it (`submitted` and `orphaned` together — the
-    /// one place a job joins the books without entering a queue), and
-    /// resolves its ticket with [`JobError::DependencyFailed`].
-    fn orphan_descendants(self: &Arc<Self>, root: usize, err: &JobError) {
-        let orphans = {
-            let mut nodes = self.nodes.lock().unwrap();
-            let mut queue: VecDeque<usize> = nodes[root].children.clone().into();
-            let mut out = Vec::new();
-            while let Some(c) = queue.pop_front() {
-                let node = &mut nodes[c];
-                if !matches!(node.phase, NodePhase::Pending) {
-                    continue;
-                }
-                node.phase = NodePhase::Settled;
-                node.request = None;
-                node.warm = None;
-                out.push((c, node.ticket.clone(), node.class));
-                queue.extend(node.children.iter().copied());
-            }
-            out
-        };
-        for (c, ticket, class) in orphans {
-            self.backend.on_orphaned();
-            self.backend
-                .note_orphan(self.id, c, ticket.fingerprint(), class);
-            ticket.fulfill(Err(JobError::DependencyFailed(format!(
-                "upstream node {root} failed: {err}"
-            ))));
-        }
-    }
-
-    /// Orphans one still-pending node directly (shutdown sweep, or a
-    /// user cancel before release), then cascades to its descendants.
-    fn orphan_unreleased(self: &Arc<Self>, idx: usize, err: JobError) {
-        let (ticket, fingerprint, class) = {
+    /// The one orphan path. If node `idx` is still in phase `from`,
+    /// settles it: mark it `Settled`, drop its request and warm input,
+    /// count it in the ledger (`submitted` and `orphaned` together — the
+    /// one way a job joins the books without entering a queue), note
+    /// the orphan, and resolve its ticket with `err` (a no-op when the
+    /// node's own cancel got there first). Returns the node's children
+    /// for the caller to cascade to — after the fulfill, so parents
+    /// resolve first — or `None` when the phase guard says another path
+    /// already settled it.
+    fn orphan(&self, idx: usize, from: NodePhase, err: JobError) -> Option<Vec<usize>> {
+        let (ticket, class, children) = {
             let mut nodes = self.nodes.lock().unwrap();
             let node = &mut nodes[idx];
-            if !matches!(node.phase, NodePhase::Pending) {
-                return;
+            if node.phase != from {
+                return None;
             }
             node.phase = NodePhase::Settled;
             node.request = None;
             node.warm = None;
-            (node.ticket.clone(), node.ticket.fingerprint(), node.class)
+            (node.ticket.clone(), node.class, node.children.clone())
         };
-        self.backend.on_orphaned();
-        self.backend.note_orphan(self.id, idx, fingerprint, class);
-        // No-op when the node's own cancel triggered this (the ticket
-        // already resolved `Cancelled`); resolves it under a sweep.
-        ticket.fulfill(Err(err.clone()));
-        self.orphan_descendants(idx, &err);
+        self.backend.ledger().orphan();
+        self.backend
+            .note_orphan(self.id, idx, ticket.fingerprint(), class);
+        ticket.fulfill(Err(err));
+        Some(children)
+    }
+
+    /// Orphans node `idx` (if still in phase `from`) with `err`, then
+    /// cascades to its descendants: a shutdown sweep, a user cancel
+    /// before release, or a rejected release.
+    fn orphan_subtree(&self, idx: usize, from: NodePhase, err: JobError) {
+        if let Some(children) = self.orphan(idx, from, err.clone()) {
+            self.orphan_descendants(idx, &err, children);
+        }
+    }
+
+    /// Orphans every still-pending node reachable from `root`'s
+    /// `children`, breadth first, each with
+    /// [`JobError::DependencyFailed`] naming `root` and `err`.
+    fn orphan_descendants(&self, root: usize, err: &JobError, children: Vec<usize>) {
+        let err = JobError::DependencyFailed(format!("upstream node {root} failed: {err}"));
+        let mut queue: VecDeque<usize> = children.into();
+        while let Some(c) = queue.pop_front() {
+            if let Some(grandchildren) = self.orphan(c, NodePhase::Pending, err.clone()) {
+                queue.extend(grandchildren);
+            }
+        }
     }
 
     /// Shutdown sweep entry: every coordinator-held node dies with
     /// [`JobError::ShutDown`] (its descendants with the dependency
     /// error), exactly once each via the phase guards.
-    fn orphan_all_pending(self: &Arc<Self>) {
-        let pending: Vec<usize> = {
-            let nodes = self.nodes.lock().unwrap();
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.phase, NodePhase::Pending))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        for idx in pending {
-            self.orphan_unreleased(idx, JobError::ShutDown);
+    fn orphan_all_pending(&self) {
+        let nodes = self.nodes.lock().unwrap().len();
+        for idx in 0..nodes {
+            self.orphan_subtree(idx, NodePhase::Pending, JobError::ShutDown);
         }
     }
 }
@@ -794,7 +765,7 @@ pub(crate) fn submit(
     let n = spec.nodes.len();
     let (mut children, indegree) = dedup_adjacency(n, &spec.edges);
     let id = backend.registry().next_id();
-    backend.on_workflow();
+    backend.ledger().workflow();
     let submitted_at = Instant::now();
     let nodes: Vec<NodeState> = spec
         .nodes
@@ -824,7 +795,7 @@ pub(crate) fn submit(
         let weak = Arc::downgrade(&runtime);
         ticket.set_cancel_hook(Box::new(move || {
             if let Some(runtime) = weak.upgrade() {
-                runtime.orphan_unreleased(i, JobError::Cancelled);
+                runtime.orphan_subtree(i, NodePhase::Pending, JobError::Cancelled);
             }
         }));
     }

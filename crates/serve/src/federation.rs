@@ -53,7 +53,7 @@ use crate::client::{ClientSession, CompletionStream};
 use crate::dag::{self, Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobRequest};
-use crate::metrics::ServeReport;
+use crate::metrics::{Ledger, ServeReport};
 use crate::persist::replica_cache_dir;
 use crate::queue::SubmitError;
 use crate::router::{FaultEvent, FaultPlan, HashRing, ReplayItem, RouteInfo, RoutingLog};
@@ -97,61 +97,19 @@ impl Default for FederationConfig {
 /// cold.
 const VNODES: usize = 64;
 
-/// Client-level terminal counters, bumped exactly once per submission
-/// by whichever path resolves its client ticket.
+/// Client-level counters. The ledger counts each submission's terminal
+/// exactly once, by whichever path resolves its client ticket.
 struct FedCounters {
     /// Submission attempts (accepted or not) — the [`FaultPlan`] tick.
     attempts: AtomicU64,
-    /// Accepted submissions (queued or served from cache).
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_dropped: AtomicU64,
     kills: AtomicU64,
     revives: AtomicU64,
-    /// Workflow nodes that died before reaching any replica (upstream
-    /// failure, shutdown sweep, or pre-release cancel). Paired with a
-    /// `submitted` bump — the one way into the books without routing.
-    orphaned: AtomicU64,
-    /// Workflow DAGs accepted by [`FederatedService::submit_workflow`].
-    workflows: AtomicU64,
-    /// Workflow nodes released into the routed submission path.
-    workflow_released: AtomicU64,
     /// Accepted submissions routed to each replica slot.
     routed: Vec<AtomicU64>,
-}
-
-impl FedCounters {
-    fn new(replicas: usize) -> Self {
-        FedCounters {
-            attempts: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_dropped: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
-            revives: AtomicU64::new(0),
-            orphaned: AtomicU64::new(0),
-            workflows: AtomicU64::new(0),
-            workflow_released: AtomicU64::new(0),
-            routed: (0..replicas).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Bumps the terminal counter matching `result`. Called only by the
-    /// path that won the client ticket's resolution race (see
-    /// [`settle`]), so each submission lands in exactly one terminal.
-    fn count_terminal(&self, result: &Result<Arc<JobOutcome>, JobError>) {
-        let counter = match result {
-            Ok(_) => &self.completed,
-            Err(JobError::Cancelled) => &self.cancelled,
-            Err(JobError::DeadlineExceeded) => &self.deadline_dropped,
-            Err(_) => &self.failed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+    /// The client-level books: accepted submissions (queued or served
+    /// from cache, plus orphaned workflow nodes that never reached a
+    /// replica), their terminals, and the workflow views.
+    ledger: Ledger,
 }
 
 /// One replica slot: the live engine (if any) plus the final reports of
@@ -205,7 +163,7 @@ fn settle(
     result: Result<Arc<JobOutcome>, JobError>,
 ) {
     if client.fulfill_first(result.clone()) {
-        counters.count_terminal(&result);
+        counters.ledger.terminal(result.as_ref().map(|_| ()));
         log.prune(route);
     }
 }
@@ -249,7 +207,13 @@ impl FederatedService {
             core: Arc::new(FedCore {
                 state: RwLock::new(FederationState { slots, ring }),
                 log: Arc::new(RoutingLog::new()),
-                counters: Arc::new(FedCounters::new(config.replicas)),
+                counters: Arc::new(FedCounters {
+                    attempts: AtomicU64::new(0),
+                    kills: AtomicU64::new(0),
+                    revives: AtomicU64::new(0),
+                    routed: (0..config.replicas).map(|_| AtomicU64::new(0)).collect(),
+                    ledger: Ledger::default(),
+                }),
                 fault_plan: Mutex::new(config.fault_plan.clone()),
                 workflows: WorkflowRegistry::new(),
                 config,
@@ -492,11 +456,11 @@ impl FedCore {
             .as_ref()
             .expect("ring members are live");
         let issued = engine.shared.issue_with(request.clone(), blocking, warm)?;
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.ledger.admit();
         self.counters.routed[replica].fetch_add(1, Ordering::Relaxed);
         let Issued::Queued(engine_ticket) = issued else {
             // Cache serves are terminal at admission: no log entry.
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            self.counters.ledger.terminal(Ok(()));
             return Ok(issued);
         };
         let client = JobTicket::pending(fingerprint, engine_ticket.trace_id());
@@ -510,7 +474,7 @@ impl FedCore {
         let log = Arc::clone(&self.log);
         let counters = Arc::clone(&self.counters);
         client.set_cancel_hook(Box::new(move || {
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            counters.ledger.terminal(Err(&JobError::Cancelled));
             log.cancel_route(route);
         }));
         self.forward(route, &client, &engine_ticket);
@@ -691,19 +655,20 @@ impl FedCore {
             .collect();
         let engines =
             ServeReport::merged(per_replica.iter()).expect("federation has at least one replica");
+        let books = self.counters.ledger.books();
         FederationReport {
             replicas: state.slots.len(),
             live: state.ring.replica_count(),
             kills: self.counters.kills.load(Ordering::Relaxed),
             revives: self.counters.revives.load(Ordering::Relaxed),
-            submitted: self.counters.submitted.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            failed: self.counters.failed.load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled.load(Ordering::Relaxed),
-            deadline_dropped: self.counters.deadline_dropped.load(Ordering::Relaxed),
-            orphaned: self.counters.orphaned.load(Ordering::Relaxed),
-            workflows: self.counters.workflows.load(Ordering::Relaxed),
-            workflow_released: self.counters.workflow_released.load(Ordering::Relaxed),
+            submitted: books.submitted,
+            completed: books.completed,
+            failed: books.failed,
+            cancelled: books.cancelled,
+            deadline_dropped: books.deadline_dropped,
+            orphaned: books.orphaned,
+            workflows: books.workflows,
+            workflow_released: books.workflow_released,
             replayed: self.log.replayed_total(),
             tombstoned_replays: self.log.tombstoned_replays(),
             routed: self
@@ -750,27 +715,9 @@ impl FedCore {
         &self.workflows
     }
 
-    /// A workflow DAG was accepted.
-    pub(crate) fn on_workflow(&self) {
-        self.counters.workflows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A workflow node entered the routed submission path (it also runs
-    /// the normal `submitted`/`routed` accounting in
-    /// [`FedCore::issue_with`] — this is the workflow-shaped view, not
-    /// a terminal).
-    pub(crate) fn on_workflow_released(&self) {
-        self.counters
-            .workflow_released
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A workflow node died before reaching any replica. Bumps
-    /// `submitted` and `orphaned` together so the client-level
-    /// conservation invariant closes over coordinator-held nodes.
-    pub(crate) fn on_orphaned(&self) {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.orphaned.fetch_add(1, Ordering::Relaxed);
+    /// The client-level ledger workflow accounting lands in.
+    pub(crate) fn ledger(&self) -> &Ledger {
+        &self.counters.ledger
     }
 
     /// Teardown on façade drop: kill engines, orphan held workflow

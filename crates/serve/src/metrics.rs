@@ -9,6 +9,7 @@
 
 use crate::batch::BatchOrigin;
 use crate::cache::CacheStats;
+use crate::job::JobError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -42,15 +43,107 @@ pub struct ExecutionSample {
     pub modeled_cpu_pinned_s: f64,
 }
 
-/// Live counters for one engine instance.
-pub struct Metrics {
-    started: Instant,
+/// The conservation books: accepted submissions, the five terminals
+/// they settle into, and the workflow-shaped views. Each engine's
+/// [`Metrics`] holds one and the federation holds one for its client
+/// tickets, so both levels classify terminals by the one rule in
+/// [`Ledger::terminal`] and both close `submitted == completed + failed
+/// + cancelled + deadline_dropped + orphaned` once drained.
+#[derive(Default)]
+pub(crate) struct Ledger {
     submitted: AtomicU64,
-    rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     cancelled: AtomicU64,
     deadline_dropped: AtomicU64,
+    orphaned: AtomicU64,
+    workflows: AtomicU64,
+    workflow_released: AtomicU64,
+}
+
+/// A point-in-time read of a [`Ledger`], field for field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Books {
+    pub(crate) submitted: u64,
+    pub(crate) completed: u64,
+    pub(crate) failed: u64,
+    pub(crate) cancelled: u64,
+    pub(crate) deadline_dropped: u64,
+    pub(crate) orphaned: u64,
+    pub(crate) workflows: u64,
+    pub(crate) workflow_released: u64,
+}
+
+impl Ledger {
+    /// Counts an accepted submission (queued or served from cache).
+    pub(crate) fn admit(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one settled submission in the terminal its result names:
+    /// `Ok` → completed, [`JobError::Cancelled`] → cancelled,
+    /// [`JobError::DeadlineExceeded`] → deadline_dropped, any other
+    /// error → failed. The only place an error picks a counter.
+    pub(crate) fn terminal(&self, result: Result<(), &JobError>) {
+        let counter = match result {
+            Ok(()) => &self.completed,
+            Err(JobError::Cancelled) => &self.cancelled,
+            Err(JobError::DeadlineExceeded) => &self.deadline_dropped,
+            Err(_) => &self.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a workflow node orphaned before release. Orphans never
+    /// enter a queue, so this is the one place they join `submitted`;
+    /// bumping both keeps the invariant exact at every instant.
+    pub(crate) fn orphan(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.orphaned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts an accepted workflow graph (its nodes count as they go).
+    pub(crate) fn workflow(&self) {
+        self.workflows.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a workflow node released into the submit path (which
+    /// admits it as usual: a view, not a terminal).
+    pub(crate) fn released(&self) {
+        self.workflow_released.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Submissions not yet settled: `submitted` minus the five
+    /// terminals. A drained front door reads zero. Saturating, because
+    /// relaxed counters can show a terminal before its admission.
+    pub(crate) fn outstanding(&self) -> u64 {
+        let b = self.books();
+        b.submitted
+            .saturating_sub(b.completed + b.failed + b.cancelled + b.deadline_dropped + b.orphaned)
+    }
+
+    /// Reads every counter.
+    pub(crate) fn books(&self) -> Books {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Books {
+            submitted: read(&self.submitted),
+            completed: read(&self.completed),
+            failed: read(&self.failed),
+            cancelled: read(&self.cancelled),
+            deadline_dropped: read(&self.deadline_dropped),
+            orphaned: read(&self.orphaned),
+            workflows: read(&self.workflows),
+            workflow_released: read(&self.workflow_released),
+        }
+    }
+}
+
+/// Live counters for one engine instance.
+pub struct Metrics {
+    started: Instant,
+    /// The engine's conservation books.
+    pub(crate) ledger: Ledger,
+    rejected: AtomicU64,
     admission_denied: AtomicU64,
     served_from_cache: AtomicU64,
     batches: AtomicU64,
@@ -62,9 +155,6 @@ pub struct Metrics {
     stolen_batches: AtomicU64,
     plans_contended: AtomicU64,
     plans_shifted: AtomicU64,
-    workflows: AtomicU64,
-    workflow_released: AtomicU64,
-    orphaned: AtomicU64,
     warm_injected: AtomicU64,
     fused_jobs: AtomicU64,
     fused_batches: AtomicU64,
@@ -79,12 +169,8 @@ impl Metrics {
     pub fn new(shards: usize, workers: usize) -> Self {
         Metrics {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
+            ledger: Ledger::default(),
             rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_dropped: AtomicU64::new(0),
             admission_denied: AtomicU64::new(0),
             served_from_cache: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -96,9 +182,6 @@ impl Metrics {
             stolen_batches: AtomicU64::new(0),
             plans_contended: AtomicU64::new(0),
             plans_shifted: AtomicU64::new(0),
-            workflows: AtomicU64::new(0),
-            workflow_released: AtomicU64::new(0),
-            orphaned: AtomicU64::new(0),
             warm_injected: AtomicU64::new(0),
             fused_jobs: AtomicU64::new(0),
             fused_batches: AtomicU64::new(0),
@@ -125,11 +208,6 @@ impl Metrics {
         }
     }
 
-    /// Counts an accepted (queued) submission.
-    pub fn on_submit(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts a backpressure rejection.
     pub fn on_reject(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -138,9 +216,8 @@ impl Metrics {
     /// Counts a submission answered directly from the result cache
     /// (never queued).
     pub fn on_serve_from_cache(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.served_from_cache.fetch_add(1, Ordering::Relaxed);
+        self.ledger.admit();
+        self.on_dedup_complete();
     }
 
     /// Records one planner consultation's view of the cluster:
@@ -178,7 +255,7 @@ impl Metrics {
 
     /// Records a job the worker actually executed.
     pub fn on_executed(&self, sample: ExecutionSample) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.terminal(Ok(()));
         let mut a = self.accum.lock().unwrap();
         a.wall_numeric_s += sample.wall_numeric_s;
         a.modeled_cpu_busy_s += sample.modeled_cpu_busy_s;
@@ -189,25 +266,8 @@ impl Metrics {
 
     /// Records a queued job completed by cache/dedup inside a worker.
     pub fn on_dedup_complete(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.terminal(Ok(()));
         self.served_from_cache.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one failed job.
-    pub fn on_fail(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one queued job whose ticket was cancelled before a
-    /// worker executed it (the tombstone sweep).
-    pub fn on_cancel(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one queued job dropped because its deadline expired
-    /// before a worker reached it.
-    pub fn on_deadline_drop(&self) {
-        self.deadline_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a submission refused by admission control — either a
@@ -220,32 +280,6 @@ impl Metrics {
     /// Records a worker thread that died by panic (seen at join time).
     pub fn on_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an accepted workflow submission (the graph, not its
-    /// nodes; nodes count individually as they release or orphan).
-    pub fn on_workflow(&self) {
-        self.workflows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a workflow node released into the submit path after its
-    /// last parent fulfilled. The release itself also runs the normal
-    /// submission accounting ([`Metrics::on_submit`] or a cache serve),
-    /// so this is a workflow-shaped view, not a fifth terminal.
-    pub fn on_workflow_released(&self) {
-        self.workflow_released.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a workflow node orphaned before release — a parent failed
-    /// or the engine shut down while the node still waited on
-    /// dependencies. Orphans never enter the queue, so this is the one
-    /// place they join `submitted`; pairing both increments here keeps
-    /// the extended conservation invariant (`submitted == completed +
-    /// failed + cancelled + deadline_dropped + orphaned`) exact at
-    /// every instant.
-    pub fn on_orphaned(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.orphaned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts an executed job that consumed a warm input injected from
@@ -276,24 +310,6 @@ impl Metrics {
             .sum()
     }
 
-    /// Live in-flight ticket gauge: submissions whose tickets are not
-    /// yet fulfilled (submitted minus the five terminal counters:
-    /// completed, failed, cancelled, deadline-dropped, orphaned).
-    /// Cache-served submissions count as instantly fulfilled, and
-    /// orphaned workflow nodes join `submitted` only at orphan time, so
-    /// a drained engine reads zero. Saturating: concurrent counter
-    /// updates can transiently observe completions before their
-    /// submissions.
-    pub fn tickets_outstanding(&self) -> u64 {
-        let submitted = self.submitted.load(Ordering::Relaxed);
-        let fulfilled = self.completed.load(Ordering::Relaxed)
-            + self.failed.load(Ordering::Relaxed)
-            + self.cancelled.load(Ordering::Relaxed)
-            + self.deadline_dropped.load(Ordering::Relaxed)
-            + self.orphaned.load(Ordering::Relaxed);
-        submitted.saturating_sub(fulfilled)
-    }
-
     /// Snapshot folded together with cache counters, the queue's live
     /// per-shard depths and the progress-stream queue's drop counter.
     pub fn report(
@@ -303,9 +319,10 @@ impl Metrics {
         progress_events_dropped: u64,
     ) -> ServeReport {
         let a = *self.accum.lock().unwrap();
+        let books = self.ledger.books();
         ServeReport {
             uptime_s: self.started.elapsed().as_secs_f64(),
-            tickets_outstanding: self.tickets_outstanding(),
+            tickets_outstanding: self.ledger.outstanding(),
             progress_events_dropped,
             steals: self.steals.load(Ordering::Relaxed),
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
@@ -325,21 +342,21 @@ impl Metrics {
                 .iter()
                 .map(|w| w.load(Ordering::Relaxed))
                 .collect(),
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: books.submitted,
             rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            deadline_dropped: self.deadline_dropped.load(Ordering::Relaxed),
+            completed: books.completed,
+            failed: books.failed,
+            cancelled: books.cancelled,
+            deadline_dropped: books.deadline_dropped,
             admission_denied: self.admission_denied.load(Ordering::Relaxed),
             served_from_cache: self.served_from_cache.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             planner_calls: self.planner_calls.load(Ordering::Relaxed),
             plans_reused: self.plans_reused.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            workflows: self.workflows.load(Ordering::Relaxed),
-            workflow_released: self.workflow_released.load(Ordering::Relaxed),
-            orphaned: self.orphaned.load(Ordering::Relaxed),
+            workflows: books.workflows,
+            workflow_released: books.workflow_released,
+            orphaned: books.orphaned,
             warm_injected: self.warm_injected.load(Ordering::Relaxed),
             fused_jobs: self.fused_jobs.load(Ordering::Relaxed),
             fused_batches: self.fused_batches.load(Ordering::Relaxed),
@@ -414,8 +431,8 @@ pub struct ServeReport {
     /// Jobs that rode an existing batch plan instead of re-planning.
     pub plans_reused: u64,
     /// Tickets issued but not yet fulfilled at snapshot time
-    /// (submitted − completed − failed; cache serves count as instantly
-    /// fulfilled). The in-flight gauge async frontends watch.
+    /// (submitted minus the five terminals; cache serves count as
+    /// instantly fulfilled). The in-flight gauge async frontends watch.
     pub tickets_outstanding: u64,
     /// Lifecycle events the event ring's bounded drop-oldest stream
     /// queue evicted unread (slow [`crate::ProgressStream`] consumer;
@@ -759,7 +776,7 @@ mod tests {
     #[test]
     fn cache_serves_count_as_completions() {
         let m = Metrics::new(2, 2);
-        m.on_submit();
+        m.ledger.admit();
         m.on_executed(sample(1.0, 3.0, 4.2, 6.0));
         m.on_serve_from_cache();
         let r = m.report(CacheStats::default(), vec![0, 0], 0);
@@ -855,14 +872,14 @@ mod tests {
     fn qos_terminals_settle_the_conservation_invariant() {
         let m = Metrics::new(1, 1);
         for _ in 0..4 {
-            m.on_submit();
+            m.ledger.admit();
         }
         m.on_executed(ExecutionSample::default());
-        m.on_fail();
-        m.on_cancel();
-        m.on_deadline_drop();
+        m.ledger.terminal(Err(&JobError::Numerics("boom".into())));
+        m.ledger.terminal(Err(&JobError::Cancelled));
+        m.ledger.terminal(Err(&JobError::DeadlineExceeded));
         m.on_admission_denied(); // refused pre-queue: not part of submitted
-        assert_eq!(m.tickets_outstanding(), 0);
+        assert_eq!(m.ledger.outstanding(), 0);
         let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.cancelled, 1);
         assert_eq!(r.deadline_dropped, 1);
@@ -876,17 +893,17 @@ mod tests {
     #[test]
     fn orphaned_nodes_are_a_fifth_terminal() {
         let m = Metrics::new(1, 1);
-        m.on_workflow();
+        m.ledger.workflow();
         // Two nodes released and completed, one orphaned before release.
-        m.on_submit();
-        m.on_workflow_released();
+        m.ledger.admit();
+        m.ledger.released();
         m.on_executed(ExecutionSample::default());
-        m.on_submit();
-        m.on_workflow_released();
+        m.ledger.admit();
+        m.ledger.released();
         m.on_warm_inject();
         m.on_executed(ExecutionSample::default());
-        m.on_orphaned();
-        assert_eq!(m.tickets_outstanding(), 0);
+        m.ledger.orphan();
+        assert_eq!(m.ledger.outstanding(), 0);
         let r = m.report(CacheStats::default(), vec![0], 0);
         assert_eq!(r.submitted, 3);
         assert_eq!(r.orphaned, 1);
@@ -902,6 +919,41 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("workflows"));
         assert!(text.contains("orphaned"));
+    }
+
+    #[test]
+    fn ledger_terminal_files_each_result_in_its_documented_counter() {
+        type Counter = fn(&mut Books) -> &mut u64;
+        let cases: [(Result<(), &JobError>, Counter); 7] = [
+            (Ok(()), |b| &mut b.completed),
+            (Err(&JobError::InvalidSystem("odd".into())), |b| {
+                &mut b.failed
+            }),
+            (Err(&JobError::Numerics("nan".into())), |b| &mut b.failed),
+            (Err(&JobError::ShutDown), |b| &mut b.failed),
+            (Err(&JobError::Cancelled), |b| &mut b.cancelled),
+            (Err(&JobError::DeadlineExceeded), |b| {
+                &mut b.deadline_dropped
+            }),
+            (Err(&JobError::DependencyFailed("up".into())), |b| {
+                &mut b.failed
+            }),
+        ];
+        let ledger = Ledger::default();
+        for (result, counter) in cases {
+            ledger.admit();
+            assert_eq!(ledger.outstanding(), 1);
+            let mut want = ledger.books();
+            *counter(&mut want) += 1;
+            ledger.terminal(result);
+            // Exactly the documented counter moved; nothing else did.
+            assert_eq!(ledger.books(), want, "{result:?}");
+            assert_eq!(ledger.outstanding(), 0);
+        }
+        let b = ledger.books();
+        assert_eq!((b.completed, b.failed, b.cancelled), (1, 4, 1));
+        assert_eq!((b.deadline_dropped, b.orphaned, b.submitted), (1, 0, 7));
+        assert_eq!((b.workflows, b.workflow_released), (0, 0));
     }
 
     #[test]
@@ -930,7 +982,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let m = Metrics::new(2, 2);
-        m.on_submit();
+        m.ledger.admit();
         m.on_executed(sample(0.5, 1.5, 2.1, 3.0));
         let text = m.report(CacheStats::default(), vec![0, 0], 0).to_string();
         assert!(text.contains("ndft-serve report"));

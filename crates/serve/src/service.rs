@@ -9,7 +9,7 @@ use crate::cache::{CachePolicy, CacheStats, ResultCache};
 use crate::client::{ClientSession, CompletionStream};
 use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
-use crate::job::{DftJob, JobRequest};
+use crate::job::{DftJob, JobError, JobRequest};
 use crate::metrics::{Metrics, ServeReport};
 use crate::placement::{decide_placement, PlacementPolicy};
 use crate::queue::{ShardedQueue, SubmitError};
@@ -399,7 +399,7 @@ impl EngineShared {
         };
         match pushed {
             Ok(()) => {
-                self.metrics.on_submit();
+                self.metrics.ledger.admit();
                 Ok(Issued::Queued(ticket))
             }
             Err((pending, e)) => {
@@ -420,7 +420,7 @@ impl EngineShared {
                     self.telemetry
                         .publish(pending.event(None, now_ns, 0, fulfill));
                 }
-                pending.ticket.fulfill(Err(crate::job::JobError::ShutDown));
+                pending.ticket.fulfill(Err(JobError::ShutDown));
                 drop(pending);
                 Err(e)
             }
@@ -468,7 +468,7 @@ impl DftService {
     /// Live in-flight ticket gauge: submissions not yet fulfilled
     /// (cache serves count as instantly fulfilled).
     pub fn tickets_outstanding(&self) -> u64 {
-        self.shared.metrics.tickets_outstanding()
+        self.shared.metrics.ledger.outstanding()
     }
 
     /// Jobs currently queued across all shards (not yet picked up by a
@@ -582,18 +582,12 @@ impl DftService {
     /// replays onto the surviving ring.
     pub fn kill(mut self) -> ServeReport {
         self.shared.queue.close();
-        // Same sweep protocol as shutdown_in_place, but run *before*
-        // joining, so the backlog dies instead of draining. Workers
-        // racing the sweep may still pop a few jobs; those execute and
-        // count as completed — the exactly-once ticket layer makes both
-        // outcomes equivalent to a caller.
-        for pending in self.shared.queue.drain_all() {
-            if pending.ticket.is_done() {
-                pending.consume_cancelled();
-            } else {
-                pending.fail(crate::job::JobError::ShutDown);
-            }
-        }
+        // The shutdown sweep, run *before* joining, so the backlog dies
+        // instead of draining. Workers racing the sweep may still pop a
+        // few jobs; those execute and count as completed — the
+        // exactly-once ticket layer makes both outcomes equivalent to a
+        // caller.
+        self.sweep_queue();
         self.shutdown_in_place();
         self.report()
     }
@@ -607,35 +601,33 @@ impl DftService {
         }
         // Workers fulfill every ticket they dequeue (panics included) and
         // only exit once the closed queue is empty, so leftovers exist
-        // only if a worker thread died outright. Sweep every shard and
-        // fail them explicitly rather than leaving waiters hanging. The
-        // shared failure protocol records the counters, the end-to-end
-        // latency, and the closing fulfill event.
-        // Cancelled tombstones (ticket already resolved) take the
-        // cancellation exit instead, so they count once as cancelled
-        // rather than as shutdown failures.
-        for pending in self.shared.queue.drain_all() {
-            if pending.ticket.is_done() {
-                pending.consume_cancelled();
-            } else {
-                pending.fail(crate::job::JobError::ShutDown);
-            }
-        }
-        // (Entries failed above drop with their tickets already done, so
-        // the PendingJob Drop guard publishes nothing extra.)
-        // Workflow sweep: released nodes were handled above (their
-        // engine tickets live in the queue), but nodes still *held* by
-        // the coordinator — waiting on parents that will now never
-        // fulfill — have no queue entry to sweep. Orphan them here,
-        // exactly once per node (the coordinator's per-node phase flag
-        // makes a racing parent-failure cascade and this sweep
-        // idempotent), so every workflow ticket resolves and the
-        // extended conservation invariant closes its books.
+        // only if a worker thread died outright. Sweep them explicitly
+        // rather than leaving waiters hanging.
+        self.sweep_queue();
+        // Workflow sweep: nodes still *held* by the coordinator have no
+        // queue entry, so orphan them here, exactly once each (the
+        // per-node phase guard makes a racing cascade and this sweep
+        // idempotent), and every workflow ticket resolves.
         self.shared.workflows.sweep();
         // Close the event ring last: buffered events still drain, then
         // blocked progress streams observe end-of-stream instead of
         // parking forever on a dead engine.
         self.shared.telemetry.ring().close();
+    }
+
+    /// Settles every still-queued entry through [`PendingJob::fail`]:
+    /// a cancelled tombstone (its ticket already resolved) counts once
+    /// as cancelled, anything else fails with
+    /// [`JobError::ShutDown`]. Swept entries drop with their
+    /// tickets done, so the `PendingJob` Drop guard adds nothing.
+    fn sweep_queue(&self) {
+        for pending in self.shared.queue.drain_all() {
+            pending.fail(if pending.ticket.is_done() {
+                JobError::Cancelled
+            } else {
+                JobError::ShutDown
+            });
+        }
     }
 }
 
@@ -739,8 +731,6 @@ mod tests {
     /// directly to exercise the worker-side path deterministically.
     #[test]
     fn workers_drop_deadline_expired_queued_jobs() {
-        use crate::job::JobError;
-
         let svc = DftService::start(ServeConfig {
             workers: 1,
             shards: 1,
@@ -782,7 +772,7 @@ mod tests {
             .try_push_at(class.shard_key(), Priority::Standard.index(), pending)
             .is_ok());
         // Keep the books paired with the push, exactly as issue_with() does.
-        svc.shared.metrics.on_submit();
+        svc.shared.metrics.ledger.admit();
         assert_eq!(ticket.wait().unwrap_err(), JobError::DeadlineExceeded);
         blocker.wait().unwrap();
         let report = svc.shutdown();

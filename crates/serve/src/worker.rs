@@ -98,8 +98,8 @@ pub(crate) struct PendingJob {
     /// result-preserving seeding ([`DftJob::accepts_warm_seed`]);
     /// never part of the fingerprint, so caching stays content-pure.
     pub(crate) warm: Option<Arc<JobOutcome>>,
-    /// Metrics handle, so the guard's failure also lands in the
-    /// counters (else `tickets_outstanding` would read > 0 forever).
+    /// Metrics handle, so every exit — the Drop guard's failure
+    /// included — settles the job in the engine's ledger.
     pub(crate) metrics: Arc<crate::metrics::Metrics>,
     /// Telemetry handle, so every exit path — the Drop guard included —
     /// records an end-to-end latency and closes the job's lane in the
@@ -108,18 +108,25 @@ pub(crate) struct PendingJob {
 }
 
 impl PendingJob {
-    /// The one failure protocol, shared by every losing exit path (a
-    /// solver error, a panic, the shutdown sweep, the Drop guard):
-    /// count the failure, record the end-to-end latency (keeping the
-    /// histogram totals paired with `completed + failed`), close the
-    /// lane with a failed fulfill event, and resolve the ticket — in
-    /// that order, so by the time a waiter observes the error the whole
-    /// story is already told.
+    /// The one exit for a job that did not complete, shared by every
+    /// losing path (a cancelled tombstone, an expired deadline, a solver
+    /// error, a panic, the queue sweep, the Drop guard): count `err`
+    /// through [`crate::metrics::Ledger::terminal`], record the
+    /// end-to-end latency (keeping the histogram totals paired with the
+    /// terminals), close the lane with the error's marker (`Cancelled`,
+    /// `DeadlineDrop`, or none) and a failed fulfill event, and resolve
+    /// the ticket — in that order, so by the time a waiter observes the
+    /// error the whole story is already told. A tombstone's fulfill is
+    /// a no-op: its cancel already resolved the ticket.
     pub(crate) fn fail(&self, err: JobError) {
-        self.metrics.on_fail();
+        self.metrics.ledger.terminal(Err(&err));
         self.telemetry
             .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.close_trace_chain(&[]);
+        self.close_trace_chain(match err {
+            JobError::Cancelled => Some(TraceEventKind::Cancelled),
+            JobError::DeadlineExceeded => Some(TraceEventKind::DeadlineDrop),
+            _ => None,
+        });
         self.ticket.fulfill(Err(err));
     }
 
@@ -156,36 +163,9 @@ impl PendingJob {
         recorder.record(Stage::Fulfill, fulfill_start.elapsed());
     }
 
-    /// Consumes a cancelled tombstone: the ticket was already resolved
-    /// with [`JobError::Cancelled`] by [`JobTicket::cancel`], so this
-    /// exit only settles the books — count the cancellation, record the
-    /// end-to-end latency (keeping the histogram paired with the four
-    /// terminal counters), and close the lane with a cancellation
-    /// marker and a failed fulfill event. Called by whoever dequeues the
-    /// entry: a worker's batch loop or the shutdown sweep.
-    pub(crate) fn consume_cancelled(&self) {
-        self.metrics.on_cancel();
-        self.telemetry
-            .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.close_trace_chain(&[TraceEventKind::Cancelled]);
-    }
-
     /// Whether this entry's queued-life budget has run out.
     pub(crate) fn deadline_expired(&self) -> bool {
         self.deadline.is_some_and(|d| self.enqueued.elapsed() > d)
-    }
-
-    /// Drops a queued job whose deadline expired before a worker
-    /// reached it: count the drop, record the end-to-end latency, close
-    /// the lane with a deadline-drop marker and a failed fulfill event,
-    /// and resolve the ticket with [`JobError::DeadlineExceeded`] —
-    /// fulfill last, as everywhere.
-    pub(crate) fn drop_deadline(&self) {
-        self.metrics.on_deadline_drop();
-        self.telemetry
-            .record_end_to_end(self.class, self.priority, self.enqueued.elapsed());
-        self.close_trace_chain(&[TraceEventKind::DeadlineDrop]);
-        self.ticket.fulfill(Err(JobError::DeadlineExceeded));
     }
 
     /// An event on this job's trace lane (`seq` is assigned at publish).
@@ -208,17 +188,16 @@ impl PendingJob {
         }
     }
 
-    /// Publishes `markers` (instant events) followed by the failed
+    /// Publishes `marker` (an instant event) followed by the failed
     /// fulfill event that ends every trace chain — one ring acquisition
     /// for the lot, nothing when untraced.
-    fn close_trace_chain(&self, markers: &[TraceEventKind]) {
+    fn close_trace_chain(&self, marker: Option<TraceEventKind>) {
         if !self.telemetry.traced() {
             return;
         }
         let now_ns = self.telemetry.now_ns();
-        let events: Vec<TraceEvent> = markers
-            .iter()
-            .cloned()
+        let events: Vec<TraceEvent> = marker
+            .into_iter()
             .chain(std::iter::once(TraceEventKind::TicketFulfill {
                 ok: false,
                 cached: false,
@@ -582,11 +561,11 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         // and a deadline-expired member each settle their books and
         // free the slot without executing.
         if pending.ticket.is_done() {
-            pending.consume_cancelled();
+            pending.fail(JobError::Cancelled);
             continue;
         }
         if pending.deadline_expired() {
-            pending.drop_deadline();
+            pending.fail(JobError::DeadlineExceeded);
             continue;
         }
         let cached = local

@@ -1452,6 +1452,52 @@ fn federated_cancel_tombstones_the_routing_entry_against_replay() {
     assert!(report.conservation_holds());
 }
 
+/// The federation's client tickets and its engines keep their books by
+/// one rule: on a one-replica federation, a completed job and a job
+/// cancelled while queued land in the same terminals at both levels,
+/// and both levels conserve.
+#[test]
+fn federated_client_and_engine_books_classify_terminals_alike() {
+    let fed = FederatedService::start(fed_config(1));
+    // A long blocker wedges the single worker, so the victim is still
+    // queued when the cancel lands.
+    let blocker = fed
+        .submit_blocking(homed_md(&fed, 0, 300_000, 1 << 52))
+        .unwrap();
+    while fed.replica_queue_depth(0) != Some(0) {
+        std::thread::yield_now();
+    }
+    let done = fed.submit_blocking(homed_md(&fed, 0, 20, 1 << 53)).unwrap();
+    let doomed = fed.submit_blocking(homed_md(&fed, 0, 20, 1 << 54)).unwrap();
+    assert!(doomed.cancel(), "cancel wins while the job is queued");
+    assert!(matches!(doomed.wait(), Err(JobError::Cancelled)));
+    done.wait().unwrap();
+    blocker.wait().unwrap();
+
+    let report = fed.shutdown();
+    let engine = &report.engines;
+    let client_books = (
+        report.submitted,
+        report.completed,
+        report.failed,
+        report.cancelled,
+        report.deadline_dropped,
+        report.orphaned,
+    );
+    let engine_books = (
+        engine.submitted,
+        engine.completed,
+        engine.failed,
+        engine.cancelled,
+        engine.deadline_dropped,
+        engine.orphaned,
+    );
+    assert_eq!(client_books, (3, 2, 0, 1, 0, 0));
+    assert_eq!(client_books, engine_books, "one rule at both levels");
+    assert!(report.conservation_holds(), "client-level conservation");
+    assert!(engine.conservation_holds(), "engine-level conservation");
+}
+
 /// A revived replica rejoins the ring with its disk tier warm: it
 /// reopens the same per-replica cache directory, so results it
 /// persisted before dying are served from disk — not re-executed —
