@@ -272,6 +272,63 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every field of a calibration as raw `f64` bits, profiles in
+    /// declaration order (stream, strided, random, idle latency), then
+    /// the two NoC figures.
+    fn bits(c: &Calibration) -> [u64; 18] {
+        let mut out = [0u64; 18];
+        let profiles = [c.cpu_baseline, c.ndp_stack, c.ndp_aggregate, c.host_to_stack];
+        for (i, p) in profiles.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&[
+                p.stream_bw.to_bits(),
+                p.strided_bw.to_bits(),
+                p.random_bw.to_bits(),
+                p.idle_latency.to_bits(),
+            ]);
+        }
+        out[16] = c.noc_link_bw.to_bits();
+        out[17] = c.noc_hop_latency.to_bits();
+        out
+    }
+
+    /// Pins the calibration every process measures (`calib::measured()`
+    /// in `ndft-core`) bit for bit, so a faster replay cannot shift a
+    /// modeled number unseen.
+    #[test]
+    fn paper_calibration_bits_are_pinned() {
+        let c = Calibration::measure(
+            &SystemConfig::paper_table3(),
+            &CpuBaselineConfig::paper_baseline(),
+            7,
+        );
+        let want: [u64; 18] = [
+            // cpu_baseline
+            0x4240fb5271d7fe93,
+            0x41ff877595fc40cd,
+            0x41f0973f12034a77,
+            0x3e601b2b29a4692b,
+            // ndp_stack
+            0x4238e07406e2f0ed,
+            0x41f10401ff9260a2,
+            0x41ef5d8c7a2ec8df,
+            0x3e601b2b29a4692b,
+            // ndp_aggregate
+            0x4278e07406e2f0ed,
+            0x42310401ff9260a2,
+            0x422f5d8c7a2ec8df,
+            0x3e601b2b29a4692b,
+            // host_to_stack
+            0x422dcd6500000000,
+            0x421dcd6500000000,
+            0x421dcd6500000000,
+            0x3e7d87247702c0d0,
+            // noc_link_bw, noc_hop_latency
+            0x421dcd5f697e1c38,
+            0x3e19c511dc3a41df,
+        ];
+        assert_eq!(bits(&c), want, "{c:?}");
+    }
+
     #[test]
     fn profile_pattern_lookup() {
         let c = cal();
