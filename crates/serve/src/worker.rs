@@ -66,8 +66,18 @@ pub struct JobOutcome {
     pub payload: JobPayload,
     /// The placement the batch's planner consultation chose.
     pub placement: PlacementDecision,
-    /// Modeled NDFT engine run of the job's task graph (stage breakdown
-    /// on the paper's Table III machine).
+    /// Modeled NDFT engine run of the job's task graph (of the fused
+    /// graph for a fused batch) on the paper's Table III machine: the
+    /// stage breakdown from `ndft_core::run_ndft_with`.
+    ///
+    /// That run re-plans on its own, under `PlanRequest::default()` (no
+    /// load, one member), on a machine that charges the shared-block
+    /// gather. `placement` was decided with the batch's `members` and the
+    /// cluster's load, on a machine whose `pseudo_gather_time` is 0. The
+    /// two placements can therefore disagree for fused or loaded
+    /// batches; `placement` is the one the engine acted on. The engine
+    /// reads only `.iterations` from this report (to scale
+    /// `placement`'s cost for the cache).
     pub modeled: RunReport,
     /// Wall-clock the numeric kernels took on this host.
     pub wall_numeric: Duration,

@@ -14,7 +14,6 @@
 
 use crate::config::DramTimings;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A single memory request presented to the DRAM model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,6 +120,7 @@ pub struct Decoded {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
+    /// The open row, named by its slot (see `AddressMap::locate`).
     open_row: Option<u64>,
     /// Earliest cycle the bank can accept its next column command (tCCD
     /// pipelining: one CAS per burst slot, not one per CAS latency).
@@ -138,9 +138,114 @@ const SCHED_WINDOW: usize = 32;
 struct Channel {
     banks: Vec<Bank>,
     bus_free_at: u64,
-    queue: VecDeque<(u64, MemRequest)>, // (seq, request)
     /// Cycle of the next all-bank refresh.
     next_refresh: u64,
+}
+
+/// One request waiting in a channel's controller queue: 16 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queued {
+    arrival: u64,
+    /// Bank and row as one slot (see `AddressMap::locate`).
+    slot: u64,
+}
+
+/// The address map: channel-interleaved at burst granularity, then
+/// column, bank, row (an open-page-friendly mapping).
+#[derive(Debug, Clone, Copy)]
+struct AddressMap {
+    burst_bytes: u64,
+    channels: u64,
+    cols_per_row: u64,
+    banks: u64,
+    /// The same map as shifts and masks, when all four sizes are powers
+    /// of two (every preset geometry).
+    pow2: Option<Pow2Map>,
+}
+
+/// Base-2 logarithms of an [`AddressMap`]'s sizes.
+#[derive(Debug, Clone, Copy)]
+struct Pow2Map {
+    burst_shift: u32,
+    channel_bits: u32,
+    col_bits: u32,
+    bank_bits: u32,
+}
+
+impl AddressMap {
+    fn new(burst_bytes: usize, channels: usize, cols_per_row: usize, banks: usize) -> Self {
+        let log2 = |n: usize| n.is_power_of_two().then(|| n.trailing_zeros());
+        let pow2 = match (
+            log2(burst_bytes),
+            log2(channels),
+            log2(cols_per_row),
+            log2(banks),
+        ) {
+            (Some(burst_shift), Some(channel_bits), Some(col_bits), Some(bank_bits)) => {
+                Some(Pow2Map {
+                    burst_shift,
+                    channel_bits,
+                    col_bits,
+                    bank_bits,
+                })
+            }
+            _ => None,
+        };
+        AddressMap {
+            burst_bytes: burst_bytes as u64,
+            channels: channels as u64,
+            cols_per_row: cols_per_row as u64,
+            banks: banks as u64,
+            pow2,
+        }
+    }
+
+    /// An address's channel and its slot `row × banks + bank`: the
+    /// address with burst offset, channel and column stripped. Within a
+    /// channel a slot names one row of one bank.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        match self.pow2 {
+            Some(p) => {
+                let block = addr >> p.burst_shift;
+                let channel = block & ((1u64 << p.channel_bits) - 1);
+                (channel as usize, (block >> p.channel_bits) >> p.col_bits)
+            }
+            None => {
+                let block = addr / self.burst_bytes;
+                let slot = block / self.channels / self.cols_per_row;
+                ((block % self.channels) as usize, slot)
+            }
+        }
+    }
+
+    /// The bank a slot belongs to.
+    fn bank_of(&self, slot: u64) -> usize {
+        match self.pow2 {
+            Some(p) => (slot & ((1u64 << p.bank_bits) - 1)) as usize,
+            None => (slot % self.banks) as usize,
+        }
+    }
+
+    /// The row a slot names within its bank.
+    fn row_of(&self, slot: u64) -> u64 {
+        match self.pow2 {
+            Some(p) => slot >> p.bank_bits,
+            None => slot / self.banks,
+        }
+    }
+
+    /// The map as [`DramModel::decode`] computed it before the shift
+    /// form: division alone. Tests check both forms against it.
+    #[cfg(test)]
+    fn decode_div(&self, addr: u64) -> Decoded {
+        let block = addr / self.burst_bytes;
+        let channel = (block % self.channels) as usize;
+        let rest = block / self.channels;
+        let rest2 = rest / self.cols_per_row;
+        let bank = (rest2 % self.banks) as usize;
+        let row = rest2 / self.banks;
+        Decoded { channel, bank, row }
+    }
 }
 
 /// The DRAM device + controller model.
@@ -163,12 +268,15 @@ struct Channel {
 pub struct DramModel {
     timings: DramTimings,
     n_channels: usize,
-    banks_per_channel: usize,
-    row_bytes: usize,
+    map: AddressMap,
     channels: Vec<Channel>,
-    seq: u64,
     sched: SchedPolicy,
     row_policy: RowPolicy,
+    /// Per-batch scratch, kept between calls so its capacity is reused:
+    /// every request of the batch, decoded, grouped by channel.
+    queued: Vec<Queued>,
+    /// Per-batch scratch: where each channel's group in `queued` ends.
+    ends: Vec<usize>,
 }
 
 impl DramModel {
@@ -193,19 +301,23 @@ impl DramModel {
             .map(|_| Channel {
                 banks: vec![Bank::default(); banks_per_channel],
                 bus_free_at: 0,
-                queue: VecDeque::new(),
                 next_refresh: timings.t_refi,
             })
             .collect();
         DramModel {
             timings,
             n_channels,
-            banks_per_channel,
-            row_bytes,
+            map: AddressMap::new(
+                timings.burst_bytes,
+                n_channels,
+                row_bytes / timings.burst_bytes,
+                banks_per_channel,
+            ),
             channels,
-            seq: 0,
             sched: SchedPolicy::default(),
             row_policy: RowPolicy::default(),
+            queued: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -245,61 +357,234 @@ impl DramModel {
     }
 
     /// Decodes an address: channel-interleaved at burst granularity, then
-    /// column, bank, row (an open-page-friendly mapping).
+    /// column, bank, row (an open-page-friendly mapping). Shifts and masks
+    /// when burst size, channel count, columns per row and bank count are
+    /// all powers of two, division otherwise; both give the same result.
     pub fn decode(&self, addr: u64) -> Decoded {
-        let block = addr / self.timings.burst_bytes as u64;
-        let channel = (block % self.n_channels as u64) as usize;
-        let rest = block / self.n_channels as u64;
-        let cols_per_row = (self.row_bytes / self.timings.burst_bytes) as u64;
-        let rest2 = rest / cols_per_row;
-        let bank = (rest2 % self.banks_per_channel as u64) as usize;
-        let row = rest2 / self.banks_per_channel as u64;
-        Decoded { channel, bank, row }
+        let (channel, slot) = self.map.locate(addr);
+        Decoded {
+            channel,
+            bank: self.map.bank_of(slot),
+            row: self.map.row_of(slot),
+        }
     }
 
-    /// Resets all bank and bus state (open rows, timestamps, queues).
+    /// Resets all bank and bus state (open rows, timestamps, refresh).
     pub fn reset(&mut self) {
         for ch in &mut self.channels {
             for b in &mut ch.banks {
                 *b = Bank::default();
             }
             ch.bus_free_at = 0;
-            ch.queue.clear();
             ch.next_refresh = self.timings.t_refi;
         }
-        self.seq = 0;
     }
 
     /// Services a batch of requests to completion and returns aggregate
-    /// statistics. Requests are distributed to their channels and each
-    /// channel is scheduled FR-FCFS (ready row-hits first, then oldest).
+    /// statistics. Each channel is scheduled independently, from cycle 0
+    /// of the batch, on top of the bank, bus and refresh state that
+    /// earlier batches left (see [`DramModel::reset`]).
+    ///
+    /// Each request is decoded once into a compact per-channel queue (a
+    /// counting pass sizes the queues; the storage is reused across
+    /// calls). A channel's queue holds its requests in arrival order, ties
+    /// in input order; a batch whose arrivals never decrease is in that
+    /// order already and is not sorted. The channel then issues one
+    /// request at a time: under FR-FCFS the first arrived row hit among
+    /// the first 32 pending requests, else the oldest pending one; under
+    /// FCFS always the oldest.
     pub fn service_batch(&mut self, requests: &[MemRequest]) -> DramStats {
-        let mut stats = DramStats::default();
-        // Partition into per-channel queues, preserving arrival order.
-        let mut per_channel: Vec<Vec<(u64, MemRequest, Decoded)>> =
-            (0..self.n_channels).map(|_| Vec::new()).collect();
-        for req in requests {
-            let d = self.decode(req.addr);
-            per_channel[d.channel].push((self.seq, *req, d));
-            self.seq += 1;
+        self.service(requests.iter().copied())
+    }
+
+    /// [`DramModel::service_batch`] over requests that are generated
+    /// rather than stored; the iterator is walked twice.
+    pub(crate) fn service<I>(&mut self, requests: I) -> DramStats
+    where
+        I: Iterator<Item = MemRequest> + Clone,
+    {
+        let mut queued = std::mem::take(&mut self.queued);
+        let mut ends = std::mem::take(&mut self.ends);
+        // Count each channel's requests, turn the counts into each
+        // queue's first index, then fill the queues in input order; each
+        // `ends[c]` finishes one past the last entry of queue `c`.
+        ends.clear();
+        ends.resize(self.n_channels, 0);
+        let mut ordered = true;
+        let mut prev_arrival = 0;
+        for req in requests.clone() {
+            ends[self.map.locate(req.addr).0] += 1;
+            ordered &= prev_arrival <= req.arrival;
+            prev_arrival = req.arrival;
         }
+        let mut total = 0;
+        for e in &mut ends {
+            let count = *e;
+            *e = total;
+            total += count;
+        }
+        queued.clear();
+        queued.resize(total, Queued::default());
+        for req in requests {
+            let (channel, slot) = self.map.locate(req.addr);
+            queued[ends[channel]] = Queued {
+                arrival: req.arrival,
+                slot,
+            };
+            ends[channel] += 1;
+        }
+        let mut stats = DramStats::default();
+        let mut start = 0;
+        for (ci, &end) in ends.iter().enumerate() {
+            let queue = &mut queued[start..end];
+            start = end;
+            if !ordered {
+                queue.sort_by_key(|q| q.arrival);
+            }
+            self.service_channel(ci, queue, &mut stats);
+        }
+        queued.clear();
+        self.queued = queued;
+        self.ends = ends;
+        stats
+    }
+
+    /// Issues one channel's queued requests, in arrival order, to
+    /// completion and adds their outcomes to `stats`.
+    fn service_channel(&mut self, ci: usize, queue: &mut [Queued], stats: &mut DramStats) {
         let t = self.timings;
+        let (sched, row_policy) = (self.sched, self.row_policy);
+        let map = self.map;
+        let ch = &mut self.channels[ci];
+        let mut now: u64 = 0;
+        for head in 0..queue.len() {
+            // The requests still pending, oldest first.
+            let pending = &mut queue[head..];
+            // Advance to the head's arrival if the queue ran dry.
+            now = now.max(pending[0].arrival);
+            // All-bank refresh: blocks the channel for tRFC, closes every
+            // row.
+            if t.t_refi > 0 && now >= ch.next_refresh {
+                let refresh_end = ch.next_refresh + t.t_rfc;
+                for bank in &mut ch.banks {
+                    bank.open_row = None;
+                    bank.cas_ready = bank.cas_ready.max(refresh_end);
+                }
+                ch.bus_free_at = ch.bus_free_at.max(refresh_end);
+                ch.next_refresh += t.t_refi;
+                now = now.max(refresh_end);
+            }
+            // FR-FCFS: prefer the oldest *arrived* request that hits an
+            // open row, searching a bounded controller window. FCFS
+            // always takes the head.
+            let pick = match sched {
+                SchedPolicy::Fcfs => 0,
+                SchedPolicy::FrFcfs => pending[..pending.len().min(SCHED_WINDOW)]
+                    .iter()
+                    .position(|q| {
+                        q.arrival <= now && ch.banks[map.bank_of(q.slot)].open_row == Some(q.slot)
+                    })
+                    .unwrap_or(0),
+            };
+            let req = pending[pick];
+            // The requests ahead of the pick move back one slot, so
+            // `queue[head + 1..]` is what stays pending, still in order.
+            pending.copy_within(..pick, 1);
+            let bank = &mut ch.banks[map.bank_of(req.slot)];
+            let at = now.max(req.arrival);
+            let (outcome, cas_issue) = match bank.open_row {
+                Some(r) if r == req.slot => (RowOutcome::Hit, at.max(bank.cas_ready)),
+                Some(_) => {
+                    // Precharge may not start before tRAS expires.
+                    let pre_start = at.max(bank.activated_at + t.t_ras).max(bank.cas_ready);
+                    let act_at = pre_start + t.t_rp;
+                    bank.activated_at = act_at;
+                    (RowOutcome::Conflict, act_at + t.t_rcd)
+                }
+                None => {
+                    let act_at = at.max(bank.cas_ready);
+                    bank.activated_at = act_at;
+                    (RowOutcome::Closed, act_at + t.t_rcd)
+                }
+            };
+            match row_policy {
+                RowPolicy::OpenPage => {
+                    bank.open_row = Some(req.slot);
+                    // Column commands pipeline at burst (tCCD) granularity.
+                    bank.cas_ready = cas_issue + t.t_burst;
+                }
+                RowPolicy::ClosedPage => {
+                    // Auto-precharge: the bank closes after the access;
+                    // the next activate must wait for tRAS and the
+                    // precharge itself.
+                    bank.open_row = None;
+                    let pre_done =
+                        (cas_issue + t.t_burst).max(bank.activated_at + t.t_ras) + t.t_rp;
+                    bank.cas_ready = pre_done;
+                }
+            }
+            let data_ready = cas_issue + t.t_cas;
+            let data_start = data_ready.max(ch.bus_free_at);
+            let done = data_start + t.t_burst;
+            ch.bus_free_at = done;
+            now = now.max(cas_issue);
+            stats.requests += 1;
+            stats.bytes += t.burst_bytes as u64;
+            stats.total_latency_cycles += done - req.arrival;
+            stats.makespan_cycles = stats.makespan_cycles.max(done);
+            match outcome {
+                RowOutcome::Hit => stats.row_hits += 1,
+                RowOutcome::Closed => stats.row_closed += 1,
+                RowOutcome::Conflict => stats.row_conflicts += 1,
+            }
+        }
+    }
+
+    /// Latency in cycles of a single request issued to an idle device.
+    pub fn idle_latency(&mut self) -> u64 {
+        self.reset();
+        let stats = self.service_batch(&[MemRequest {
+            addr: 0,
+            is_write: false,
+            arrival: 0,
+        }]);
+        self.reset();
+        stats.total_latency_cycles
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// The replay as it was before requests were grouped into compact
+    /// per-channel arrays: per-channel `Vec`s of `(seq, request, decoded)`
+    /// sorted by `(arrival, seq)`, a `VecDeque` of pending requests, and
+    /// the division address map. [`DramModel::service_batch`] must match
+    /// it exactly.
+    fn reference_service_batch(model: &mut DramModel, requests: &[MemRequest]) -> DramStats {
+        let mut stats = DramStats::default();
+        let mut per_channel: Vec<Vec<(u64, MemRequest, Decoded)>> =
+            (0..model.n_channels).map(|_| Vec::new()).collect();
+        for (seq, req) in requests.iter().enumerate() {
+            let d = model.map.decode_div(req.addr);
+            per_channel[d.channel].push((seq as u64, *req, d));
+        }
+        let t = model.timings;
         for (ci, mut reqs) in per_channel.into_iter().enumerate() {
             if reqs.is_empty() {
                 continue;
             }
             reqs.sort_by_key(|(seq, r, _)| (r.arrival, *seq));
-            let ch = &mut self.channels[ci];
+            let ch = &mut model.channels[ci];
             let mut pending: VecDeque<(u64, MemRequest, Decoded)> = reqs.into();
             let mut now: u64 = 0;
             while !pending.is_empty() {
-                // Advance to the head's arrival if the queue ran dry.
                 let head_arrival = pending.front().map(|(_, r, _)| r.arrival).unwrap();
                 if now < head_arrival {
                     now = head_arrival;
                 }
-                // All-bank refresh: blocks the channel for tRFC, closes
-                // every row.
                 if t.t_refi > 0 && now >= ch.next_refresh {
                     let refresh_end = ch.next_refresh + t.t_rfc;
                     for bank in &mut ch.banks {
@@ -310,10 +595,7 @@ impl DramModel {
                     ch.next_refresh += t.t_refi;
                     now = now.max(refresh_end);
                 }
-                // FR-FCFS: prefer the oldest *arrived* request that hits an
-                // open row, searching a bounded controller window. FCFS
-                // always takes the head.
-                let pick = match self.sched {
+                let pick = match model.sched {
                     SchedPolicy::Fcfs => 0,
                     SchedPolicy::FrFcfs => {
                         let window = SCHED_WINDOW.min(pending.len());
@@ -331,7 +613,6 @@ impl DramModel {
                 let (outcome, cas_issue) = match bank.open_row {
                     Some(r) if r == d.row => (RowOutcome::Hit, at.max(bank.cas_ready)),
                     Some(_) => {
-                        // Precharge may not start before tRAS expires.
                         let pre_start = at.max(bank.activated_at + t.t_ras).max(bank.cas_ready);
                         let act_at = pre_start + t.t_rp;
                         bank.activated_at = act_at;
@@ -343,16 +624,12 @@ impl DramModel {
                         (RowOutcome::Closed, act_at + t.t_rcd)
                     }
                 };
-                match self.row_policy {
+                match model.row_policy {
                     RowPolicy::OpenPage => {
                         bank.open_row = Some(d.row);
-                        // Column commands pipeline at burst (tCCD) granularity.
                         bank.cas_ready = cas_issue + t.t_burst;
                     }
                     RowPolicy::ClosedPage => {
-                        // Auto-precharge: the bank closes after the access;
-                        // the next activate must wait for tRAS and the
-                        // precharge itself.
                         bank.open_row = None;
                         let pre_done =
                             (cas_issue + t.t_burst).max(bank.activated_at + t.t_ras) + t.t_rp;
@@ -378,22 +655,128 @@ impl DramModel {
         stats
     }
 
-    /// Latency in cycles of a single request issued to an idle device.
-    pub fn idle_latency(&mut self) -> u64 {
-        self.reset();
-        let stats = self.service_batch(&[MemRequest {
-            addr: 0,
-            is_write: false,
-            arrival: 0,
-        }]);
-        self.reset();
-        stats.total_latency_cycles
-    }
-}
+    /// Deterministic 64-bit generator for the differential batches.
+    struct Lcg(u64);
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+    }
+
+    /// How a differential batch's arrivals are laid out.
+    #[derive(Debug, Clone, Copy)]
+    enum Arrivals {
+        /// All at cycle 0 (calibration's open-loop streams).
+        Zero,
+        /// Non-decreasing, as `Trace::push` records a timed stream.
+        Rising,
+        /// Arbitrary order, so each channel's group needs sorting.
+        Shuffled,
+    }
+
+    /// A batch mixing short sequential runs (row hits), a few hot rows
+    /// (conflicts) and scattered addresses, with the given arrivals.
+    fn mixed_batch(rng: &mut Lcg, n: usize, arrivals: Arrivals) -> Vec<MemRequest> {
+        let mut addr = 0;
+        let mut clock = 0;
+        (0..n)
+            .map(|_| {
+                addr = match rng.next() % 4 {
+                    0 | 1 => addr + 32,
+                    2 => (rng.next() % 8) * 65_536 + (rng.next() % 64) * 32,
+                    _ => rng.next() % (1 << 30),
+                };
+                let arrival = match arrivals {
+                    Arrivals::Zero => 0,
+                    Arrivals::Rising => {
+                        clock += rng.next() % 6;
+                        clock
+                    }
+                    Arrivals::Shuffled => rng.next() % 20_000,
+                };
+                MemRequest {
+                    addr,
+                    is_write: rng.next().is_multiple_of(3),
+                    arrival,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs the same batches through the replay and the reference on two
+    /// copies of one model, back to back without a reset, and asserts
+    /// equal statistics after every batch.
+    fn assert_matches_reference(model: DramModel, seed: u64) {
+        let mut fast = model.clone();
+        let mut slow = model;
+        let mut rng = Lcg(seed);
+        let batches = [
+            (Arrivals::Zero, 3000),
+            (Arrivals::Rising, 2000),
+            (Arrivals::Shuffled, 2000),
+            (Arrivals::Zero, 0),
+            (Arrivals::Shuffled, 1),
+            (Arrivals::Rising, 700),
+        ];
+        for (arrivals, n) in batches {
+            let batch = mixed_batch(&mut rng, n, arrivals);
+            let got = fast.service_batch(&batch);
+            let want = reference_service_batch(&mut slow, &batch);
+            assert_eq!(got, want, "{arrivals:?} batch of {n}");
+            assert_eq!(got.requests, n as u64);
+        }
+    }
+
+    #[test]
+    fn replay_matches_reference_on_every_policy_and_geometry() {
+        let mut no_refresh = DramTimings::hbm2();
+        no_refresh.t_refi = 0;
+        let geometries = [
+            (DramTimings::hbm2(), 8, 16, 2048),
+            (DramTimings::ddr4(), 8, 16, 8192),
+            (no_refresh, 8, 16, 2048),
+            // Nothing a power of two but the burst: the division map.
+            (DramTimings::hbm2(), 3, 5, 96),
+            (DramTimings::ddr4(), 6, 12, 64 * 24),
+        ];
+        let mut seed = 1;
+        for (t, channels, banks, row_bytes) in geometries {
+            for sched in [SchedPolicy::FrFcfs, SchedPolicy::Fcfs] {
+                for row in [RowPolicy::OpenPage, RowPolicy::ClosedPage] {
+                    let model = DramModel::with_policies(t, channels, banks, row_bytes, sched, row);
+                    assert_eq!(
+                        model.map.pow2.is_some(),
+                        channels == 8,
+                        "{channels}×{banks}×{row_bytes}"
+                    );
+                    assert_matches_reference(model, seed);
+                    seed += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shift_decode_equals_division_decode() {
+        let presets = [
+            DramModel::new(DramTimings::hbm2(), 8, 16, 2048),
+            DramModel::new(DramTimings::ddr4(), 8, 16, 8192),
+        ];
+        let mut rng = Lcg(99);
+        for d in presets {
+            assert!(d.map.pow2.is_some());
+            for _ in 0..10_000 {
+                let addr = rng.next() << (rng.next() % 12);
+                assert_eq!(d.decode(addr), d.map.decode_div(addr), "{addr:#x}");
+            }
+            assert_eq!(d.decode(u64::MAX), d.map.decode_div(u64::MAX));
+        }
+    }
 
     fn hbm() -> DramModel {
         DramModel::new(DramTimings::hbm2(), 8, 16, 2048)

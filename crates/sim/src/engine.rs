@@ -84,24 +84,28 @@ impl Calibration {
     /// assert!(cal.ndp_aggregate.stream_bw > 5.0 * cal.host_to_stack.stream_bw);
     /// ```
     pub fn measure(sys: &SystemConfig, base: &CpuBaselineConfig, seed: u64) -> Calibration {
-        // --- CPU baseline: all DDR4 channels. ---
-        let mut ddr = DramModel::new(
-            base.timings,
-            base.channels,
-            base.banks_per_channel,
-            base.row_bytes,
-        );
-        let cpu_baseline = measure_profile(&mut ddr, base.timings.clock_hz, seed);
-
-        // --- One HBM2 stack. ---
+        // --- CPU baseline (all DDR4 channels) and one HBM2 stack: two
+        // independent models, measured concurrently.
         let mem = &sys.memory;
-        let mut stack = DramModel::new(
-            mem.timings,
-            mem.channels_per_stack,
-            mem.banks_per_channel,
-            mem.row_bytes,
-        );
-        let ndp_stack = measure_profile(&mut stack, mem.timings.clock_hz, seed + 1);
+        let (cpu_baseline, ndp_stack) = std::thread::scope(|s| {
+            let ddr = s.spawn(|| {
+                let mut ddr = DramModel::new(
+                    base.timings,
+                    base.channels,
+                    base.banks_per_channel,
+                    base.row_bytes,
+                );
+                measure_profile(&mut ddr, base.timings.clock_hz, seed)
+            });
+            let mut stack = DramModel::new(
+                mem.timings,
+                mem.channels_per_stack,
+                mem.banks_per_channel,
+                mem.row_bytes,
+            );
+            let ndp_stack = measure_profile(&mut stack, mem.timings.clock_hz, seed + 1);
+            (ddr.join().expect("DDR calibration thread"), ndp_stack)
+        });
 
         // --- Aggregate: stacks operate on disjoint local partitions, so
         // bandwidth scales with the stack count (latency does not).
@@ -193,15 +197,11 @@ fn measure_profile(dram: &mut DramModel, clock_hz: f64, seed: u64) -> BandwidthP
 
 fn run(dram: &mut DramModel, addrs: &[u64], clock_hz: f64) -> f64 {
     dram.reset();
-    let reqs: Vec<MemRequest> = addrs
-        .iter()
-        .map(|&addr| MemRequest {
-            addr,
-            is_write: false,
-            arrival: 0,
-        })
-        .collect();
-    let stats = dram.service_batch(&reqs);
+    let stats = dram.service(addrs.iter().map(|&addr| MemRequest {
+        addr,
+        is_write: false,
+        arrival: 0,
+    }));
     stats.bandwidth(clock_hz)
 }
 
@@ -277,7 +277,12 @@ mod tests {
     /// the two NoC figures.
     fn bits(c: &Calibration) -> [u64; 18] {
         let mut out = [0u64; 18];
-        let profiles = [c.cpu_baseline, c.ndp_stack, c.ndp_aggregate, c.host_to_stack];
+        let profiles = [
+            c.cpu_baseline,
+            c.ndp_stack,
+            c.ndp_aggregate,
+            c.host_to_stack,
+        ];
         for (i, p) in profiles.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&[
                 p.stream_bw.to_bits(),
