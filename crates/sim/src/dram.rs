@@ -234,8 +234,8 @@ impl AddressMap {
         }
     }
 
-    /// The map as [`DramModel::decode`] computed it before the shift
-    /// form: division alone. Tests check both forms against it.
+    /// The map by division alone, field by field: the reference the
+    /// tests hold [`DramModel::decode`] and the replay to.
     #[cfg(test)]
     fn decode_div(&self, addr: u64) -> Decoded {
         let block = addr / self.burst_bytes;

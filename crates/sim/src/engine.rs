@@ -66,7 +66,13 @@ pub struct Calibration {
 impl Calibration {
     /// Runs all measurements for the given platform configurations.
     ///
-    /// Deterministic for a given `seed`.
+    /// The CPU baseline's DDR system and one HBM2 stack are two
+    /// independent DRAM models, each replaying its own stream, strided
+    /// and random request streams; they run concurrently, the DDR one on
+    /// a scoped thread and the stack on the calling thread. The other
+    /// profiles are derived from the stack's, and the NoC figures come
+    /// from the mesh model. Every number is measured in-process, and the
+    /// result is bit-for-bit deterministic for a given `seed`.
     ///
     /// # Examples
     ///
@@ -84,8 +90,8 @@ impl Calibration {
     /// assert!(cal.ndp_aggregate.stream_bw > 5.0 * cal.host_to_stack.stream_bw);
     /// ```
     pub fn measure(sys: &SystemConfig, base: &CpuBaselineConfig, seed: u64) -> Calibration {
-        // --- CPU baseline (all DDR4 channels) and one HBM2 stack: two
-        // independent models, measured concurrently.
+        // --- CPU baseline (all DDR4 channels) and one HBM2 stack,
+        // concurrently. ---
         let mem = &sys.memory;
         let (cpu_baseline, ndp_stack) = std::thread::scope(|s| {
             let ddr = s.spawn(|| {
