@@ -369,6 +369,143 @@ mod tests {
         assert!((four.total() - 4.0 * one.total()).abs() < 1e-9 * one.total());
     }
 
+    /// The NDFT run as it was written before planning and reporting
+    /// became separate steps: one body that charges the gather, plans
+    /// under `PlanRequest::default()` and times the plan. Kept verbatim
+    /// as the differential reference for the engine's entry points.
+    fn reference_run_ndft(
+        graph: &TaskGraph,
+        sys: &ndft_sim::SystemConfig,
+        cal: &ndft_sim::Calibration,
+        opts: NdftOptions,
+    ) -> RunReport {
+        struct Timer {
+            machine: CpuNdpMachine,
+            cost: CostModel,
+        }
+        impl StageTimer for Timer {
+            fn stage_time(&self, stage: &KernelDescriptor, target: Target) -> f64 {
+                let side = match target {
+                    Target::Cpu => Side::Host,
+                    Target::Ndp => Side::Ndp,
+                };
+                self.machine.time_on(stage, side).total()
+            }
+            fn cost_model(&self) -> &CostModel {
+                &self.cost
+            }
+        }
+        let mut machine = CpuNdpMachine::new(sys, cal, ModelConstants::paper_default());
+        machine.pseudo_gather_time = if opts.shared_blocks {
+            simulate_block_gather(
+                sys,
+                graph.system.atoms(),
+                atom_block_bytes(),
+                opts.comm_scheme,
+            )
+            .makespan
+        } else {
+            0.0
+        };
+        let timer = Timer {
+            machine: machine.clone(),
+            cost: CostModel::paper_default(),
+        };
+        let plan: Plan = plan(&graph.stages, &timer, &PlanRequest::default());
+        let mut stages = Vec::with_capacity(graph.stages.len());
+        for (stage, &target) in graph.stages.iter().zip(&plan.placement) {
+            let side = match target {
+                Target::Cpu => Side::Host,
+                Target::Ndp => Side::Ndp,
+            };
+            stages.push(StageReport {
+                name: stage.name.clone(),
+                kind: stage.kind,
+                target: Some(target),
+                time: machine.time_on(stage, side),
+            });
+        }
+        let cost = CostModel::paper_default();
+        let mut sched_overhead = plan.sched_overhead;
+        if let (Some(&first), Some(&last)) = (plan.placement.first(), plan.placement.last()) {
+            if first != last {
+                let wrap_bytes = graph
+                    .stages
+                    .last()
+                    .map(|s| s.cost.bytes_written)
+                    .unwrap_or(0)
+                    .min(graph.stages.first().map(|s| s.cost.bytes_read).unwrap_or(0));
+                sched_overhead += cost.boundary(wrap_bytes);
+            }
+            if first == Target::Ndp {
+                let sys = &graph.system;
+                let orbital_bytes = ((sys.valence_window() + sys.conduction_window())
+                    * sys.grid().len()) as u64
+                    * 16;
+                sched_overhead += cost.dt(orbital_bytes);
+            }
+        }
+        RunReport {
+            machine: "NDFT".to_string(),
+            system: graph.system.label(),
+            iterations: graph.iterations,
+            stages,
+            sched_overhead,
+        }
+    }
+
+    /// Every ablation of [`NdftOptions`]: shared/replicated blocks ×
+    /// hierarchical/flat gather.
+    fn ablations() -> Vec<NdftOptions> {
+        let mut all = Vec::new();
+        for shared_blocks in [true, false] {
+            for comm_scheme in [CommScheme::Hierarchical, CommScheme::Flat] {
+                all.push(NdftOptions {
+                    shared_blocks,
+                    comm_scheme,
+                });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn ndft_runs_match_the_reference_body_bit_for_bit() {
+        // `{:?}` prints every f64 in its shortest round-tripping form
+        // (sign of zero included), so equal strings mean equal bits.
+        let (sys, cal) = (calib::system_config(), calib::measured());
+        for atoms in [8usize, 16, 32, 64, 128, 256, 512, 1024] {
+            for iterations in [1usize, 3] {
+                let g = build_task_graph(&SiliconSystem::new(atoms).unwrap(), iterations);
+                for opts in ablations() {
+                    let want = format!("{:?}", reference_run_ndft(&g, sys, cal, opts));
+                    assert_eq!(format!("{:?}", run_ndft_with(&g, opts)), want, "{opts:?}");
+                    if opts == NdftOptions::default() {
+                        assert_eq!(format!("{:?}", run_ndft(&g)), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn design_space_runs_match_the_reference_body_bit_for_bit() {
+        // A non-Table-III machine with its own calibration, as a
+        // design-space sweep builds it.
+        let sys = crate::design_space::config_with_stacks(8);
+        let cal = ndft_sim::Calibration::measure(&sys, calib::baseline_config(), 7);
+        for atoms in [8usize, 64, 1024] {
+            let g = build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1);
+            for opts in ablations() {
+                assert_eq!(
+                    format!("{:?}", run_ndft_custom(&g, &sys, &cal, opts)),
+                    format!("{:?}", reference_run_ndft(&g, &sys, &cal, opts)),
+                    "Si_{atoms} {opts:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn by_kind_sums_to_total_minus_overhead() {
         let r = run_ndft(&graph(256));
