@@ -9,8 +9,9 @@
 //! is interpolated.
 
 use crate::calib;
-use crate::engine::{run_cpu_baseline, run_ndft_custom, NdftOptions, RunReport};
+use crate::engine::{run_cpu_baseline, MeasuredTimer, NdftOptions, RunReport};
 use ndft_dft::{build_task_graph, SiliconSystem};
+use ndft_sched::{plan, PlanRequest};
 use ndft_sim::{Calibration, SystemConfig};
 use serde::{Deserialize, Serialize};
 
@@ -65,7 +66,9 @@ fn evaluate(
 ) -> DesignPoint {
     let cal = Calibration::measure(cfg, calib::baseline_config(), 7);
     let graph = build_task_graph(system, 1);
-    let ndft = run_ndft_custom(&graph, cfg, &cal, NdftOptions::default());
+    let machine = MeasuredTimer::new(cfg, &cal, system.atoms(), NdftOptions::default());
+    let plan = plan(&graph.stages, &machine, &PlanRequest::default());
+    let ndft = machine.report(&graph, &plan);
     DesignPoint {
         label,
         value,

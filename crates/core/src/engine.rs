@@ -150,29 +150,96 @@ fn run_machine(graph: &TaskGraph, machine: &dyn Machine) -> RunReport {
     }
 }
 
-/// Adapter: the hybrid machine exposed to the cost-aware planner.
+/// The CPU-NDP machine the NDFT engine plans on (a [`StageTimer`]) and
+/// times plans on ([`MeasuredTimer::report`]): one configuration and
+/// calibration, charging one system size's §IV-B/C shared-block gather.
 pub struct MeasuredTimer {
     machine: CpuNdpMachine,
     cost: CostModel,
 }
 
 impl MeasuredTimer {
-    /// Builds the planner-facing timer from the measured hybrid machine.
-    pub fn new(machine: CpuNdpMachine) -> Self {
+    /// Builds the machine for `atoms` atoms, simulating the gather: shared
+    /// blocks are gathered across stacks through the arbiters once per
+    /// iteration; the replicated ablation skips it (at catastrophic
+    /// footprint cost).
+    pub fn new(
+        sys: &ndft_sim::SystemConfig,
+        cal: &ndft_sim::Calibration,
+        atoms: usize,
+        opts: NdftOptions,
+    ) -> Self {
+        let mut machine = CpuNdpMachine::new(sys, cal, ModelConstants::paper_default());
+        if opts.shared_blocks {
+            machine.pseudo_gather_time =
+                simulate_block_gather(sys, atoms, atom_block_bytes(), opts.comm_scheme).makespan;
+        }
         MeasuredTimer {
             machine,
             cost: CostModel::paper_default(),
         }
     }
+
+    /// The modeled run of `plan`, a placement of `graph`'s stages made on
+    /// this machine: every stage timed on its planned side, plus the
+    /// plan's Eq. 1 overhead and two per-iteration terms the chain plan
+    /// leaves out.
+    pub fn report(&self, graph: &TaskGraph, plan: &Plan) -> RunReport {
+        debug_assert_eq!(plan.placement.len(), graph.stages.len());
+        let stages = graph
+            .stages
+            .iter()
+            .zip(&plan.placement)
+            .map(|(stage, &target)| StageReport {
+                name: stage.name.clone(),
+                kind: stage.kind,
+                target: Some(target),
+                time: self.machine.time_on(stage, side_of(target)),
+            })
+            .collect();
+        // Eq. 1 overhead beyond the mid-pipeline crossings: the iterative
+        // pipeline also wraps around (last stage feeds the next
+        // iteration's first), and the windowed orbitals are staged to the
+        // first stage's side every iteration.
+        let mut sched_overhead = plan.sched_overhead;
+        if let (Some(&first), Some(&last)) = (plan.placement.first(), plan.placement.last()) {
+            if first != last {
+                let wrap_bytes = graph
+                    .stages
+                    .last()
+                    .map(|s| s.cost.bytes_written)
+                    .unwrap_or(0)
+                    .min(graph.stages.first().map(|s| s.cost.bytes_read).unwrap_or(0));
+                sched_overhead += self.cost.boundary(wrap_bytes);
+            }
+            if first == Target::Ndp {
+                let sys = &graph.system;
+                let orbital_bytes = ((sys.valence_window() + sys.conduction_window())
+                    * sys.grid().len()) as u64
+                    * 16;
+                sched_overhead += self.cost.dt(orbital_bytes);
+            }
+        }
+        RunReport {
+            machine: "NDFT".to_string(),
+            system: graph.system.label(),
+            iterations: graph.iterations,
+            stages,
+            sched_overhead,
+        }
+    }
+}
+
+fn side_of(target: Target) -> Side {
+    match target {
+        Target::Cpu => Side::Host,
+        Target::Ndp => Side::Ndp,
+    }
 }
 
 impl StageTimer for MeasuredTimer {
     fn stage_time(&self, stage: &KernelDescriptor, target: Target) -> f64 {
-        let side = match target {
-            Target::Cpu => Side::Host,
-            Target::Ndp => Side::Ndp,
-        };
-        self.machine.time_on(stage, side).total()
+        self.machine.time_on(stage, side_of(target)).total()
     }
 
     fn cost_model(&self) -> &CostModel {
@@ -187,83 +254,19 @@ pub fn run_ndft(graph: &TaskGraph) -> RunReport {
 }
 
 /// NDFT run with explicit ablation options on the paper's Table III
-/// machine.
+/// machine: the cost-aware plan (the §IV-A mechanism) under
+/// `PlanRequest::default()`, then its report.
 pub fn run_ndft_with(graph: &TaskGraph, opts: NdftOptions) -> RunReport {
-    run_ndft_custom(graph, calib::system_config(), calib::measured(), opts)
-}
-
-/// NDFT run on an arbitrary CPU-NDP configuration with its own measured
-/// calibration — the entry point for design-space sweeps.
-pub fn run_ndft_custom(
-    graph: &TaskGraph,
-    sys: &ndft_sim::SystemConfig,
-    cal: &ndft_sim::Calibration,
-    opts: NdftOptions,
-) -> RunReport {
-    let mut machine = CpuNdpMachine::new(sys, cal, ModelConstants::paper_default());
-    // Pseudopotential distribution: shared blocks are gathered across
-    // stacks through the arbiters once per iteration; the replicated
-    // ablation skips the gather (at catastrophic footprint cost).
-    machine.pseudo_gather_time = if opts.shared_blocks {
-        let report = simulate_block_gather(
-            sys,
-            graph.system.atoms(),
-            atom_block_bytes(),
-            opts.comm_scheme,
-        );
-        report.makespan
-    } else {
-        0.0
-    };
-
-    // Cost-aware placement (the §IV-A mechanism).
-    let timer = MeasuredTimer::new(machine.clone());
-    let plan: Plan = plan(&graph.stages, &timer, &PlanRequest::default());
-
-    // Time each stage on its planned side and attribute boundary costs.
-    let mut stages = Vec::with_capacity(graph.stages.len());
-    for (stage, &target) in graph.stages.iter().zip(&plan.placement) {
-        let side = match target {
-            Target::Cpu => Side::Host,
-            Target::Ndp => Side::Ndp,
-        };
-        stages.push(StageReport {
-            name: stage.name.clone(),
-            kind: stage.kind,
-            target: Some(target),
-            time: machine.time_on(stage, side),
-        });
-    }
-    // Eq. 1 overhead beyond the mid-pipeline crossings: the iterative
-    // pipeline also wraps around (last stage feeds the next iteration's
-    // first), and the windowed orbitals are staged to the first stage's
-    // side every iteration.
-    let cost = CostModel::paper_default();
-    let mut sched_overhead = plan.sched_overhead;
-    if let (Some(&first), Some(&last)) = (plan.placement.first(), plan.placement.last()) {
-        if first != last {
-            let wrap_bytes = graph
-                .stages
-                .last()
-                .map(|s| s.cost.bytes_written)
-                .unwrap_or(0)
-                .min(graph.stages.first().map(|s| s.cost.bytes_read).unwrap_or(0));
-            sched_overhead += cost.boundary(wrap_bytes);
-        }
-        if first == Target::Ndp {
-            let sys = &graph.system;
-            let orbital_bytes =
-                ((sys.valence_window() + sys.conduction_window()) * sys.grid().len()) as u64 * 16;
-            sched_overhead += cost.dt(orbital_bytes);
-        }
-    }
-    RunReport {
-        machine: "NDFT".to_string(),
-        system: graph.system.label(),
-        iterations: graph.iterations,
-        stages,
-        sched_overhead,
-    }
+    let machine = MeasuredTimer::new(
+        calib::system_config(),
+        calib::measured(),
+        graph.system.atoms(),
+        opts,
+    );
+    machine.report(
+        graph,
+        &plan(&graph.stages, &machine, &PlanRequest::default()),
+    )
 }
 
 #[cfg(test)]
@@ -497,8 +500,10 @@ mod tests {
         for atoms in [8usize, 64, 1024] {
             let g = build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1);
             for opts in ablations() {
+                let machine = MeasuredTimer::new(&sys, &cal, atoms, opts);
+                let plan = plan(&g.stages, &machine, &PlanRequest::default());
                 assert_eq!(
-                    format!("{:?}", run_ndft_custom(&g, &sys, &cal, opts)),
+                    format!("{:?}", machine.report(&g, &plan)),
                     format!("{:?}", reference_run_ndft(&g, &sys, &cal, opts)),
                     "Si_{atoms} {opts:?}"
                 );

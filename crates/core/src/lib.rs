@@ -37,8 +37,8 @@ pub use energy::{
     EnergyReport,
 };
 pub use engine::{
-    run_cpu_baseline, run_gpu_baseline, run_gpu_with_policy, run_ndft, run_ndft_custom,
-    run_ndft_with, MeasuredTimer, NdftOptions, RunReport, StageReport,
+    run_cpu_baseline, run_gpu_baseline, run_gpu_with_policy, run_ndft, run_ndft_with,
+    MeasuredTimer, NdftOptions, RunReport, StageReport,
 };
 pub use experiments::{
     ablations, fig4, fig7, fig8, other_discussion, table1, Ablations, Fig7Panel, Fig8Row,

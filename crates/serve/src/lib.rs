@@ -37,10 +37,10 @@
 //!   span per fused batch. `fused_execution: false` reproduces the
 //!   per-job engine exactly.
 //! * **Planner-driven placement** — each batch consults the `ndft_sched`
-//!   planners ([`PlacementPolicy`]) over the measured CPU-NDP machine
-//!   ([`ndft_core::MeasuredTimer`]) to pick CPU-vs-NDP placement per
-//!   pipeline stage; the [`PlacementDecision`] keeps both pinned
-//!   baselines so service-level speedup is always checkable.
+//!   planners ([`PlacementPolicy`]) over the measured, gather-charging
+//!   CPU-NDP machine ([`ndft_core::MeasuredTimer`]) that also times the
+//!   plan; the [`PlacementDecision`] keeps both pinned baselines so
+//!   service-level speedup is always checkable.
 //! * **Utilization-aware cross-job placement** — workers share a
 //!   [`ClusterView`] of the modeled busy time in-flight batches have
 //!   reserved per target; planning consults it (as the request's

@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := b"NDFTWAL1"                      (8 bytes, format version)
+//! header := b"NDFTWAL2"                      (8 bytes, format version)
 //! record := marker   u32  = 0x4352444E ("NDRC", little-endian)
 //!           fp       u128                    (Fingerprint::to_le_bytes)
 //!           cost     f64                     (modeled compute cost, bits)
@@ -88,9 +88,10 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
 }
 
 /// File-format magic + version. Bump the trailing digit on any codec
-/// change: an old file then fails the header check and is reset rather
-/// than misdecoded.
-const HEADER: &[u8; 8] = b"NDFTWAL1";
+/// change or change in what a field means (2: placements are planned on
+/// the gather-charging machine): an old file then fails the header check
+/// and is reset rather than misdecoded or misread.
+const HEADER: &[u8; 8] = b"NDFTWAL2";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
 /// truncates from there — it does not skip ahead looking for the next
@@ -997,9 +998,8 @@ fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::plan_placement;
+    use crate::placement::plan_batch;
     use crate::worker::execute_payload;
-    use ndft_core::{run_ndft_with, NdftOptions};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ndft-persist-{tag}-{}", std::process::id()));
@@ -1009,8 +1009,12 @@ mod tests {
 
     fn outcome_for(job: DftJob) -> JobOutcome {
         let graph = job.task_graph().unwrap();
-        let placement = plan_placement(&graph, PlacementPolicy::CostAware);
-        let modeled = run_ndft_with(&graph, NdftOptions::default());
+        let (placement, modeled, _) = plan_batch(
+            &graph,
+            PlacementPolicy::CostAware,
+            &crate::ClusterSnapshot::idle(),
+            1,
+        );
         let (payload, wall_numeric) = execute_payload(&job).unwrap();
         JobOutcome {
             fingerprint: job.fingerprint(),

@@ -1,9 +1,10 @@
 //! Planner-driven placement.
 //!
-//! Before executing a batch, a worker consults the `ndft_sched` planner
-//! ([`ndft_sched::plan`]) over the measured CPU-NDP machine model
-//! ([`MeasuredTimer`] over [`CpuNdpMachine`]) to pick a CPU-vs-NDP
-//! placement per pipeline stage. The decision also carries both pinned
+//! Before executing a batch, a worker builds one gather-charging machine
+//! ([`MeasuredTimer`]), consults the `ndft_sched` planner
+//! ([`ndft_sched::plan`]) on it to pick a CPU-vs-NDP placement per
+//! pipeline stage, and times that very plan on it
+//! ([`MeasuredTimer::report`]). The decision also carries both pinned
 //! baselines, so callers can verify the planner never loses to a
 //! CPU-only run — the service-level analogue of the paper's §IV-A
 //! guarantee.
@@ -22,9 +23,9 @@
 //! [`plan_placement`] is the load-blind, one-member decision.
 
 use crate::cluster::ClusterSnapshot;
-use ndft_core::{calib, CpuNdpMachine, MeasuredTimer, ModelConstants};
-use ndft_dft::TaskGraph;
-use ndft_sched::{plan, Plan, PlanRequest, StageTimer, Target, TargetLoad};
+use ndft_core::{calib, MeasuredTimer, NdftOptions, RunReport};
+use ndft_dft::{build_task_graph_fused, TaskGraph};
+use ndft_sched::{plan, Plan, PlanRequest, Target, TargetLoad};
 use serde::{Deserialize, Serialize};
 
 pub use ndft_sched::PlacementPolicy;
@@ -73,15 +74,6 @@ impl PlacementDecision {
         self.modeled_time() * iterations.max(1) as f64
     }
 
-    /// Speedup of the plan over the CPU-pinned baseline (>1 = faster).
-    pub fn speedup_vs_cpu(&self) -> f64 {
-        if self.modeled_time() == 0.0 {
-            1.0
-        } else {
-            self.cpu_pinned_time / self.modeled_time()
-        }
-    }
-
     /// Stages placed on the NDP side.
     pub fn ndp_stage_count(&self) -> usize {
         self.plan
@@ -95,31 +87,40 @@ impl PlacementDecision {
 /// Consults the planner selected by `policy` for one task graph on an
 /// idle cluster (load-blind, one member).
 pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDecision {
-    decide_placement(graph, policy, &ClusterSnapshot::idle(), 1)
+    plan_batch(graph, policy, &ClusterSnapshot::idle(), 1).0
 }
 
-/// Consults the planner for one task graph: `policy` decides the
-/// placement of a `members`-way batch under the load `cluster` holds.
-/// A fused batch passes its `build_task_graph_fused` graph, so stage
-/// times also reflect the shared-operand traffic; reported times are
-/// per member.
-pub(crate) fn decide_placement(
+/// Plans one batch of `members` jobs sharing `graph`'s shape: one
+/// machine (the paper's Table III system with its measured calibration,
+/// charging the shared-block gather of `graph`'s system), one decision
+/// by `policy` under the load `cluster` holds, and the modeled run of
+/// that same plan. A batch of ≥ 2 plans its fused graph, which charges
+/// shared operand traffic once across the batch and prices boundaries
+/// at their per-member share; reported times are per member, and the
+/// third value is the per-member modeled seconds fusion saves against
+/// the idle solo plan on the same machine (0 for one member).
+pub(crate) fn plan_batch(
     graph: &TaskGraph,
     policy: PlacementPolicy,
     cluster: &ClusterSnapshot,
     members: usize,
-) -> PlacementDecision {
-    // The paper's Table III system with its measured calibration.
-    let timer = MeasuredTimer::new(CpuNdpMachine::new(
+) -> (PlacementDecision, RunReport, f64) {
+    // The fused graph is built before the machine: built after the gather
+    // simulation, it doubled md_flood's per-batch planning time with two
+    // or more workers on a 2-vCPU host (contended glibc malloc arenas).
+    let fused =
+        (members > 1).then(|| build_task_graph_fused(&graph.system, graph.iterations, members));
+    let batch = fused.as_ref().unwrap_or(graph);
+    let machine = MeasuredTimer::new(
         calib::system_config(),
         calib::measured(),
-        ModelConstants::paper_default(),
-    ));
-    let stages = &graph.stages;
+        graph.system.atoms(),
+        NdftOptions::default(),
+    );
     let plan_under = |policy, load| {
         plan(
-            stages,
-            &timer,
+            &batch.stages,
+            &machine,
             &PlanRequest {
                 policy,
                 load,
@@ -135,41 +136,56 @@ pub(crate) fn decide_placement(
     // the job size.
     let reference_s = cpu_pinned_time.min(ndp_pinned_time);
     let load = TargetLoad::new(cluster.cpu_reserved_s, cluster.ndp_reserved_s, reference_s);
-    let plan = plan_under(policy, load);
+    let chosen = plan_under(policy, load);
     // A shift is observable only against the idle-machine plan; skip the
     // second consultation when the bias was inert. (Otherwise the re-plan
     // is one extra O(n) DP per *batch* — noise next to the numerics —
     // and Exhaustive is a validation-only policy.)
     let shifted =
-        !load.is_idle() && plan.placement != plan_under(policy, TargetLoad::NONE).placement;
-    let (mut cpu_busy, mut ndp_busy) = (0.0, 0.0);
-    for (stage, &target) in stages.iter().zip(&plan.placement) {
-        let t = timer.stage_time(stage, target);
-        match target {
-            Target::Cpu => cpu_busy += t,
-            Target::Ndp => ndp_busy += t,
-        }
-    }
-    PlacementDecision {
+        !load.is_idle() && chosen.placement != plan_under(policy, TargetLoad::NONE).placement;
+    let saving_s = fused.as_ref().map_or(0.0, |_| {
+        let solo = PlanRequest {
+            policy,
+            ..PlanRequest::default()
+        };
+        let solo_s = plan(&graph.stages, &machine, &solo).total_time();
+        (solo_s - chosen.total_time()).max(0.0)
+    });
+    let modeled = machine.report(batch, &chosen);
+    let busy = |target| {
+        let on = modeled.stages.iter().filter(|s| s.target == Some(target));
+        on.fold(0.0, |acc, s| acc + s.time.total())
+    };
+    let decision = PlacementDecision {
         policy,
-        plan,
+        plan: chosen,
         cpu_pinned_time,
         ndp_pinned_time,
-        cpu_busy,
-        ndp_busy,
+        cpu_busy: busy(Target::Cpu),
+        ndp_busy: busy(Target::Ndp),
         cpu_load_s: cluster.cpu_reserved_s.max(0.0),
         ndp_load_s: cluster.ndp_reserved_s.max(0.0),
         shifted,
-    }
+    };
+    (decision, modeled, saving_s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndft_dft::{build_task_graph, build_task_graph_fused, SiliconSystem};
+    use ndft_dft::{build_task_graph, SiliconSystem};
 
     fn graph(atoms: usize) -> TaskGraph {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1)
+    }
+
+    fn decide(
+        g: &TaskGraph,
+        policy: PlacementPolicy,
+        cluster: &ClusterSnapshot,
+        members: usize,
+    ) -> PlacementDecision {
+        plan_batch(g, policy, cluster, members).0
     }
 
     fn snapshot(cpu: f64, ndp: f64) -> ClusterSnapshot {
@@ -256,12 +272,12 @@ mod tests {
             assert_eq!(blind.ndp_load_s, 0.0);
             for members in [0usize, 1] {
                 for cluster in [ClusterSnapshot::idle(), snapshot(0.0, 0.0)] {
-                    let d = decide_placement(&g, policy, &cluster, members);
+                    let d = decide(&g, policy, &cluster, members);
                     assert_eq!(d, blind, "{policy:?} {cluster:?} members {members}");
                 }
                 assert_eq!(
-                    decide_placement(&g, policy, &busy, members),
-                    decide_placement(&g, policy, &busy, 1),
+                    decide(&g, policy, &busy, members),
+                    decide(&g, policy, &busy, 1),
                     "{policy:?} busy members {members}"
                 );
             }
@@ -276,11 +292,11 @@ mod tests {
         let busy = snapshot(0.5, 2.0);
         for policy in PlacementPolicy::all() {
             let plain = plan_placement(&g, policy);
-            let plain_busy = decide_placement(&g, policy, &busy, 1);
+            let plain_busy = decide(&g, policy, &busy, 1);
             for members in [0usize, 1] {
-                let d = decide_placement(&g, policy, &ClusterSnapshot::idle(), members);
+                let d = decide(&g, policy, &ClusterSnapshot::idle(), members);
                 assert_eq!(d, plain, "{policy:?} members {members}");
-                let d = decide_placement(&g, policy, &busy, members);
+                let d = decide(&g, policy, &busy, members);
                 assert_eq!(d, plain_busy, "{policy:?} busy members {members}");
             }
         }
@@ -294,10 +310,14 @@ mod tests {
         // Concurrent batches hold many batch-equivalents of NDP busy
         // time; the loaded plan must evacuate (records the load + shift).
         let heavy = snapshot(0.0, 1e4 * blind.cpu_pinned_time);
-        let loaded = decide_placement(&g, PlacementPolicy::CostAware, &heavy, 1);
+        let (loaded, modeled, _) = plan_batch(&g, PlacementPolicy::CostAware, &heavy, 1);
         assert!(loaded.ndp_stage_count() < blind.ndp_stage_count());
         assert!(loaded.shifted);
         assert_eq!(loaded.ndp_load_s, heavy.ndp_reserved_s);
+        // The modeled run times the shifted plan, not an idle re-plan.
+        let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
+        let planned: Vec<_> = loaded.plan.placement.iter().map(|&t| Some(t)).collect();
+        assert_eq!(ran, planned);
         // Reported costs stay idle-machine numbers: the shifted plan
         // cannot look better than the idle optimum on those terms.
         assert!(loaded.modeled_time() >= blind.modeled_time() - 1e-12);
@@ -308,7 +328,7 @@ mod tests {
         let g = graph(64);
         let heavy = snapshot(1e6, 1e6);
         for policy in [PlacementPolicy::CpuPinned, PlacementPolicy::NdpPinned] {
-            let d = decide_placement(&g, policy, &heavy, 1);
+            let d = decide(&g, policy, &heavy, 1);
             assert!(!d.shifted, "{policy:?} shifted under load");
             assert_eq!(d.plan.placement, plan_placement(&g, policy).plan.placement);
         }
@@ -316,16 +336,21 @@ mod tests {
 
     #[test]
     fn fused_placement_amortization_never_hurts() {
-        let sys = SiliconSystem::new(64).unwrap();
-        let solo = plan_placement(&build_task_graph(&sys, 1), PlacementPolicy::CostAware);
+        let g = graph(64);
+        let solo = plan_placement(&g, PlacementPolicy::CostAware);
         let mut last = solo.modeled_time();
         for members in [2usize, 4, 16] {
-            let fg = build_task_graph_fused(&sys, 1, members);
-            let fused = decide_placement(
-                &fg,
-                PlacementPolicy::CostAware,
-                &ClusterSnapshot::idle(),
-                members,
+            let idle = ClusterSnapshot::idle();
+            let (fused, modeled, saving_s) =
+                plan_batch(&g, PlacementPolicy::CostAware, &idle, members);
+            // The batch reports the plan it decided, and banks the gap
+            // to the solo plan as its saving.
+            let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
+            let planned: Vec<_> = fused.plan.placement.iter().map(|&t| Some(t)).collect();
+            assert_eq!(ran, planned);
+            assert_eq!(
+                saving_s,
+                (solo.modeled_time() - fused.modeled_time()).max(0.0)
             );
             // Cheaper boundaries + amortized shared reads: per-member
             // modeled time is non-increasing in the batch width.
@@ -344,7 +369,8 @@ mod tests {
     #[test]
     fn large_systems_favor_hybrid_placement() {
         let d = plan_placement(&graph(1024), PlacementPolicy::CostAware);
-        assert!(d.speedup_vs_cpu() > 1.2, "speedup {}", d.speedup_vs_cpu());
+        let speedup = d.cpu_pinned_time / d.modeled_time();
+        assert!(speedup > 1.2, "speedup {speedup}");
         let n = d.ndp_stage_count();
         assert!(
             n > 0 && n < d.plan.placement.len(),

@@ -5,10 +5,11 @@
 //! home shard is empty it turns thief: it steals the largest batchable
 //! run from the most-loaded victim shard, so even stolen work usually
 //! shares one workload class. Dequeued chunks are grouped into
-//! per-class batches, the planner is consulted **once per batch**, then
-//! every member job runs: the real numerics through the `ndft_dft`
-//! drivers, and the modeled CPU/NDP timing through
-//! `ndft_core::run_ndft_with`. Completed outcomes land in the shared
+//! per-class batches, and each batch is planned **once**
+//! (`placement::plan_batch`): one gather-charging machine, one
+//! placement decision, and the modeled CPU/NDP timing of that same plan.
+//! Then every member job runs the real numerics through the `ndft_dft`
+//! drivers. Completed outcomes land in the shared
 //! content-addressed cache — stored with the plan's **modeled compute
 //! cost** ([`crate::PlacementDecision::modeled_cost_s`]), which is
 //! what the cost-weighted eviction policy weighs, and written through
@@ -34,17 +35,16 @@ use crate::cluster::Reservation;
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
-use crate::placement::{decide_placement, PlacementDecision};
+use crate::placement::{plan_batch, PlacementDecision};
 use crate::service::EngineShared;
 use crate::telemetry::{ClassRecorder, PlacementTarget, Stage};
 use crate::tenant::TenantSlot;
 use crate::ticket::JobTicket;
 use crate::trace::{TraceEvent, TraceEventKind, TraceId};
-use ndft_core::{run_ndft_with, NdftOptions, RunReport};
+use ndft_core::RunReport;
 use ndft_dft::{
-    band_structure, bond_list, build_task_graph_fused, run_casida, run_lr_tddft, run_md,
-    run_md_prepared, run_scf, run_scf_in, run_scf_selfconsistent_seeded, si_path, GroundState,
-    KsHamiltonian, SiliconSystem,
+    band_structure, bond_list, run_casida, run_lr_tddft, run_md, run_md_prepared, run_scf,
+    run_scf_in, run_scf_selfconsistent_seeded, si_path, GroundState, KsHamiltonian, SiliconSystem,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,18 +66,15 @@ pub struct JobOutcome {
     pub payload: JobPayload,
     /// The placement the batch's planner consultation chose.
     pub placement: PlacementDecision,
-    /// Modeled NDFT engine run of the job's task graph (of the fused
-    /// graph for a fused batch) on the paper's Table III machine: the
-    /// stage breakdown from `ndft_core::run_ndft_with`.
+    /// Modeled NDFT engine run of `placement.plan` on the paper's Table
+    /// III machine, the one that charges the shared-block gather: the
+    /// stage breakdown of the job's task graph (of the fused graph for a
+    /// fused batch) from `ndft_core::MeasuredTimer::report`.
     ///
-    /// That run re-plans on its own, under `PlanRequest::default()` (no
-    /// load, one member), on a machine that charges the shared-block
-    /// gather. `placement` was decided with the batch's `members` and the
-    /// cluster's load, on a machine whose `pseudo_gather_time` is 0. The
-    /// two placements can therefore disagree for fused or loaded
-    /// batches; `placement` is the one the engine acted on. The engine
-    /// reads only `.iterations` from this report (to scale
-    /// `placement`'s cost for the cache).
+    /// Both fields come from one plan, so the stage targets here equal
+    /// `placement.plan.placement`, stage for stage. The engine reads
+    /// only `.iterations` from this report (to scale `placement`'s cost
+    /// for the cache).
     pub modeled: RunReport,
     /// Wall-clock the numeric kernels took on this host.
     pub wall_numeric: Duration,
@@ -538,9 +535,10 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         spans.clear();
     }
 
-    // The planner consultation and modeled engine run are shared by the
-    // whole class (every member has the same task-graph shape) and made
-    // lazily: a batch fully served by cache/dedup pays for neither —
+    // The batch's one plan — its placement decision and the modeled run
+    // of that same plan, on one gather-charging machine — is shared by
+    // the whole class (every member has the same task-graph shape) and
+    // made lazily: a batch fully served by cache/dedup pays for neither
     // and reserves nothing on the cluster view.
     let mut planned: Option<(PlacementDecision, RunReport)> = None;
     // Held for the rest of the batch; Drop releases it on every exit
@@ -554,10 +552,9 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     let mut executions = 0u64;
     // Fused cross-job execution engages only for real batches (≥ 2
     // members) with the knob on — a singleton gains nothing from
-    // amortization and would pay a second planning pass for it. The
-    // batch's one `Operands` is built lazily at the first member that
-    // executes, and the fused/solo modeled-time gap feeds
-    // `fused_amortized_s`.
+    // amortization. The batch's one `Operands` is built lazily at the
+    // first member that executes, and the fused/solo modeled-time gap
+    // feeds `fused_amortized_s`.
     let fuse = shared.config.fused_execution && batch_jobs >= 2;
     let mut fused_ops: Option<Operands> = None;
     let mut fused_saving_s = 0.0f64;
@@ -605,26 +602,10 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // concurrent batches have reserved look slower, so
                 // simultaneous batches spread instead of stacking.
                 let snapshot = shared.cluster.snapshot();
-                let solo = decide_placement(&graph, shared.config.policy, &snapshot, 1);
-                let (decision, modeled) = if fuse {
-                    // Plan the amortized per-member view: the fused task
-                    // graph charges shared operand traffic once across
-                    // the batch, and the fusion-aware planner spreads
-                    // boundary/transfer costs over the members — so
-                    // placement can prefer larger NDP batches when the
-                    // amortization beats the queue delay the solo plan
-                    // saw.
-                    let fused_graph =
-                        build_task_graph_fused(&graph.system, graph.iterations, batch_jobs);
-                    let fused =
-                        decide_placement(&fused_graph, shared.config.policy, &snapshot, batch_jobs);
-                    fused_saving_s = (solo.modeled_time() - fused.modeled_time()).max(0.0);
-                    let modeled = run_ndft_with(&fused_graph, NdftOptions::default());
-                    (fused, modeled)
-                } else {
-                    let modeled = run_ndft_with(&graph, NdftOptions::default());
-                    (solo, modeled)
-                };
+                let members = if fuse { batch_jobs } else { 1 };
+                let (decision, modeled, saving_s) =
+                    plan_batch(&graph, shared.config.policy, &snapshot, members);
+                fused_saving_s = saving_s;
                 // Metrics, telemetry, and reservation only after every
                 // fallible step above: if planning or the modeled run
                 // panics, the next member's retry must not find a
@@ -796,7 +777,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::{plan_placement, PlacementPolicy};
+    use crate::placement::PlacementPolicy;
 
     #[test]
     fn execute_payload_runs_all_kinds() {
@@ -861,13 +842,19 @@ mod tests {
             alpha: 0.5,
         };
         let graph = parent.task_graph().unwrap();
+        let (placement, modeled, _) = plan_batch(
+            &graph,
+            PlacementPolicy::CostAware,
+            &crate::ClusterSnapshot::idle(),
+            1,
+        );
         let (payload, wall_numeric) = execute_payload(&parent).unwrap();
         let parent_outcome = JobOutcome {
             job: parent.clone(),
             fingerprint: parent.fingerprint(),
             payload,
-            placement: plan_placement(&graph, PlacementPolicy::CostAware),
-            modeled: run_ndft_with(&graph, NdftOptions::default()),
+            placement,
+            modeled,
             wall_numeric,
         };
         assert!(warm_seed_for(&child, Some(&parent_outcome)).is_some());
@@ -971,6 +958,16 @@ mod tests {
         assert_eq!(outcome.fingerprint, job.fingerprint());
         assert_eq!(outcome.placement.policy, PlacementPolicy::CostAware);
         assert!(outcome.modeled.total() > 0.0);
+        // The modeled run times the very plan the engine acted on.
+        let ran: Vec<_> = outcome.modeled.stages.iter().map(|s| s.target).collect();
+        let planned: Vec<_> = outcome
+            .placement
+            .plan
+            .placement
+            .iter()
+            .map(|&t| Some(t))
+            .collect();
+        assert_eq!(ran, planned);
         match outcome.payload {
             JobPayload::Tda(ref s) => assert!(s.optical_gap() > 0.0),
             ref other => panic!("unexpected payload {other:?}"),

@@ -1281,6 +1281,12 @@ proptest! {
             let mut payloads = std::collections::HashMap::new();
             for t in &tickets {
                 let outcome = t.wait().expect("every job completes");
+                // One plan per batch: the modeled run times exactly the
+                // placement the engine acted on, fused or loaded.
+                let ran: Vec<_> = outcome.modeled.stages.iter().map(|s| s.target).collect();
+                let planned: Vec<_> =
+                    outcome.placement.plan.placement.iter().map(|&t| Some(t)).collect();
+                assert_eq!(ran, planned, "{}", outcome.job);
                 payloads.insert(outcome.fingerprint, outcome.payload.clone());
             }
             (payloads, svc.shutdown())

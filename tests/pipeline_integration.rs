@@ -43,12 +43,12 @@ fn descriptor_face_splitting_cost_matches_formula() {
 #[test]
 fn measured_planner_matches_exhaustive_on_real_pipeline() {
     let graph = build_task_graph(&SiliconSystem::small(), 1);
-    let machine = ndft::core::CpuNdpMachine::new(
+    let timer = MeasuredTimer::new(
         &SystemConfig::paper_table3(),
         ndft::core::calib::measured(),
-        ndft::core::ModelConstants::paper_default(),
+        graph.system.atoms(),
+        NdftOptions::default(),
     );
-    let timer = MeasuredTimer::new(machine);
     let dp = plan(&graph.stages, &timer, &PlanRequest::default());
     let ex = plan(
         &graph.stages,

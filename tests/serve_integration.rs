@@ -4,6 +4,7 @@
 //! the async client surface: ticket futures, the multiplexing
 //! `ClientSession`, and per-job progress streams.
 
+use ndft::sched::{Target, TargetLoad};
 use ndft::serve::{
     block_on, chrome_trace_json, join_all, race, CachePolicy, DftJob, DftService, FaultPlan,
     FederatedService, FederationConfig, JobError, JobKind, JobPayload, JobRequest, JobStage,
@@ -140,13 +141,35 @@ fn planner_placement_never_loses_to_cpu_pinned_baseline() {
         .collect();
     for ticket in &tickets {
         let outcome = ticket.wait().unwrap();
-        let placed = outcome.placement.modeled_time();
-        let pinned = outcome.placement.cpu_pinned_time;
+        // The §IV-A guarantee holds on the machine the planner saw: idle,
+        // or dilated by the load concurrent batches had reserved. A
+        // shifted plan trades idle-machine seconds for less contention,
+        // so under load it can cost more than CPU-pinned on an idle
+        // machine, but never more on the loaded one.
+        let d = &outcome.placement;
+        let reference_s = d.cpu_pinned_time.min(d.ndp_pinned_time);
+        let load = TargetLoad::new(d.cpu_load_s, d.ndp_load_s, reference_s);
+        let (cpu, ndp) = (load.dilation(Target::Cpu), load.dilation(Target::Ndp));
+        let placed = d.cpu_busy * cpu + d.ndp_busy * ndp + d.plan.sched_overhead;
+        let pinned = d.cpu_pinned_time * cpu;
         assert!(
-            placed <= pinned + 1e-12,
-            "{}: planner {placed} vs cpu-pinned {pinned}",
+            placed <= pinned * (1.0 + 1e-9),
+            "{}: planner {placed} vs cpu-pinned {pinned} under {load:?}",
             outcome.job
         );
+        let ndp_pinned = d.ndp_pinned_time * ndp;
+        assert!(
+            placed <= ndp_pinned * (1.0 + 1e-9),
+            "{}: planner {placed} vs ndp-pinned {ndp_pinned} under {load:?}",
+            outcome.job
+        );
+        if load.is_idle() {
+            assert!(
+                d.modeled_time() <= d.cpu_pinned_time + 1e-12,
+                "{}",
+                outcome.job
+            );
+        }
     }
     let report = svc.shutdown();
     assert!(
