@@ -153,6 +153,7 @@ fn run_machine(graph: &TaskGraph, machine: &dyn Machine) -> RunReport {
 /// The CPU-NDP machine the NDFT engine plans on (a [`StageTimer`]) and
 /// times plans on ([`MeasuredTimer::report`]): one configuration and
 /// calibration, charging one system size's §IV-B/C shared-block gather.
+#[derive(Clone)]
 pub struct MeasuredTimer {
     machine: CpuNdpMachine,
     cost: CostModel,
@@ -180,6 +181,16 @@ impl MeasuredTimer {
         }
     }
 
+    /// This machine as each member of a `members`-way fused batch sees
+    /// it: the batch gathers the shared blocks once per iteration, so a
+    /// member's pseudopotential stage carries `1/members` of the gather
+    /// (as `build_task_graph_fused` charges the shared tables).
+    pub fn fused(&self, members: usize) -> Self {
+        let mut fused = self.clone();
+        fused.machine.pseudo_gather_time /= members.max(1) as f64;
+        fused
+    }
+
     /// The modeled run of `plan`, a placement of `graph`'s stages made on
     /// this machine: every stage timed on its planned side, plus the
     /// plan's Eq. 1 overhead and two per-iteration terms the chain plan
@@ -204,20 +215,14 @@ impl MeasuredTimer {
         let mut sched_overhead = plan.sched_overhead;
         if let (Some(&first), Some(&last)) = (plan.placement.first(), plan.placement.last()) {
             if first != last {
-                let wrap_bytes = graph
-                    .stages
-                    .last()
-                    .map(|s| s.cost.bytes_written)
-                    .unwrap_or(0)
-                    .min(graph.stages.first().map(|s| s.cost.bytes_read).unwrap_or(0));
+                let (head, tail) = (&graph.stages[0], &graph.stages[graph.stages.len() - 1]);
+                let wrap_bytes = tail.cost.bytes_written.min(head.cost.bytes_read);
                 sched_overhead += self.cost.boundary(wrap_bytes);
             }
             if first == Target::Ndp {
                 let sys = &graph.system;
-                let orbital_bytes = ((sys.valence_window() + sys.conduction_window())
-                    * sys.grid().len()) as u64
-                    * 16;
-                sched_overhead += self.cost.dt(orbital_bytes);
+                let orbitals = sys.valence_window() + sys.conduction_window();
+                sched_overhead += self.cost.dt((orbitals * sys.grid().len()) as u64 * 16);
             }
         }
         RunReport {
@@ -257,16 +262,10 @@ pub fn run_ndft(graph: &TaskGraph) -> RunReport {
 /// machine: the cost-aware plan (the §IV-A mechanism) under
 /// `PlanRequest::default()`, then its report.
 pub fn run_ndft_with(graph: &TaskGraph, opts: NdftOptions) -> RunReport {
-    let machine = MeasuredTimer::new(
-        calib::system_config(),
-        calib::measured(),
-        graph.system.atoms(),
-        opts,
-    );
-    machine.report(
-        graph,
-        &plan(&graph.stages, &machine, &PlanRequest::default()),
-    )
+    let (sys, cal) = (calib::system_config(), calib::measured());
+    let machine = MeasuredTimer::new(sys, cal, graph.system.atoms(), opts);
+    let plan = plan(&graph.stages, &machine, &PlanRequest::default());
+    machine.report(graph, &plan)
 }
 
 #[cfg(test)]
@@ -507,6 +506,39 @@ mod tests {
                     format!("{:?}", reference_run_ndft(&g, &sys, &cal, opts)),
                     "Si_{atoms} {opts:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_machine_charges_one_gather_per_batch() {
+        let g = graph(256);
+        let solo = MeasuredTimer::new(
+            calib::system_config(),
+            calib::measured(),
+            256,
+            NdftOptions::default(),
+        );
+        let gather = solo.machine.pseudo_gather_time;
+        assert!(gather > 0.0);
+        for members in [0usize, 1, 2, 4, 16] {
+            let fused = solo.fused(members);
+            // K members together carry the one gather the batch runs.
+            let share = fused.machine.pseudo_gather_time * members.max(1) as f64;
+            assert!(
+                (share - gather).abs() <= 1e-12 * gather,
+                "members {members}"
+            );
+            // Nothing else moves: the host side and every other stage.
+            for stage in &g.stages {
+                let (s, f) = (
+                    |t| solo.stage_time(stage, t),
+                    |t| fused.stage_time(stage, t),
+                );
+                assert_eq!(s(Target::Cpu), f(Target::Cpu));
+                if stage.kind != KernelKind::PseudoUpdate {
+                    assert_eq!(s(Target::Ndp), f(Target::Ndp), "{}", stage.name);
+                }
             }
         }
     }

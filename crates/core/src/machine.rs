@@ -236,14 +236,14 @@ pub struct CpuNdpMachine {
     topology: ProcessTopology,
     consts: ModelConstants,
     /// Extra communication time charged to the pseudopotential stage for
-    /// the shared-block gather (set only by [`crate::MeasuredTimer::new`]).
+    /// the shared-block gather (set only by [`crate::MeasuredTimer`]).
     pub(crate) pseudo_gather_time: f64,
 }
 
 impl CpuNdpMachine {
-    /// Builds the hybrid machine, without the shared-block gather, from
-    /// the Table III config and measured calibration.
-    pub fn new(sys: &SystemConfig, cal: &Calibration, consts: ModelConstants) -> Self {
+    /// Builds the hybrid machine from the Table III config and measured
+    /// calibration; only [`crate::MeasuredTimer`] adds the gather.
+    pub(crate) fn new(sys: &SystemConfig, cal: &Calibration, consts: ModelConstants) -> Self {
         CpuNdpMachine {
             host_peak: sys.cpu_peak_flops(),
             host_cores: sys.cpu.cores,

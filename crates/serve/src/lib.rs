@@ -28,9 +28,9 @@
 //!   Hamiltonian serves every ground-state member, one neighbour scan
 //!   every MD member, and the batch is placed under the amortized
 //!   per-member view (an `ndft_sched::PlanRequest` with `members` set,
-//!   over the fused task graph), where shared operand DRAM traffic and
-//!   boundary transfer latency are charged once per batch instead of
-//!   once per job. Per-job results stay
+//!   over the fused task graph), where shared operand DRAM traffic,
+//!   the shared-block gather and boundary transfer latency are charged
+//!   once per batch instead of once per job. Per-job results stay
 //!   **bit-identical** to solo execution — fusion shares only setup.
 //!   [`ServeReport`] carries the `fused_jobs` / `fused_batches` /
 //!   `fused_amortized_s` trio, and traced engines get one `FusedExec`

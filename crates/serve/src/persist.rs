@@ -87,10 +87,10 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
     root.as_ref().join(format!("replica-{replica}"))
 }
 
-/// File-format magic + version. Bump the trailing digit on any codec
-/// change or change in what a field means (2: placements are planned on
-/// the gather-charging machine): an old file then fails the header check
-/// and is reset rather than misdecoded or misread.
+/// File-format magic + version. Bump the trailing digit when the codec
+/// or what a field means changes (2: placements are planned on the
+/// gather-charging machine): an old file then fails the header check and
+/// is reset rather than misdecoded or misread.
 const HEADER: &[u8; 8] = b"NDFTWAL2";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
@@ -1014,6 +1014,7 @@ mod tests {
             PlacementPolicy::CostAware,
             &crate::ClusterSnapshot::idle(),
             1,
+            crate::placement::fresh_machine,
         );
         let (payload, wall_numeric) = execute_payload(&job).unwrap();
         JobOutcome {

@@ -1,13 +1,14 @@
 //! Planner-driven placement.
 //!
-//! Before executing a batch, a worker builds one gather-charging machine
-//! ([`MeasuredTimer`]), consults the `ndft_sched` planner
-//! ([`ndft_sched::plan`]) on it to pick a CPU-vs-NDP placement per
-//! pipeline stage, and times that very plan on it
+//! Before executing a batch, a worker has the `ndft_sched` planner
+//! ([`ndft_sched::plan`]) pick a CPU-vs-NDP placement per pipeline stage
+//! on the gather-charging machine of the batch's system size
+//! ([`MeasuredTimer`]), and times that very plan on it
 //! ([`MeasuredTimer::report`]). The decision also carries both pinned
-//! baselines, so callers can verify the planner never loses to a
-//! CPU-only run — the service-level analogue of the paper's §IV-A
-//! guarantee.
+//! baselines, so callers can verify the service-level analogue of the
+//! paper's §IV-A guarantee: planned on an idle cluster, the placement
+//! never loses to a CPU-only or an NDP-only run; planned under load, it
+//! never loses on the load-dilated terms the planner weighed.
 //!
 //! Placement is **utilization-aware**: the engine hands the planner a
 //! [`ClusterSnapshot`] of what concurrent batches have already reserved
@@ -17,9 +18,9 @@
 //! very workload*. The planner then sees contended targets as
 //! proportionally slower and spreads simultaneous batches across CPU
 //! and NDP. The reported plan costs stay unbiased (idle-machine
-//! numbers), so the pinned-baseline comparisons remain meaningful at
-//! any load. A fused batch of `k` members is planned with
-//! `members = k`, so boundaries are priced at their per-member share.
+//! numbers), so a shifted plan may cost more of them than a pinned
+//! baseline: it trades idle-machine seconds for less contention. A
+//! fused batch of `k` members is planned with `members = k`.
 //! [`plan_placement`] is the load-blind, one-member decision.
 
 use crate::cluster::ClusterSnapshot;
@@ -27,6 +28,8 @@ use ndft_core::{calib, MeasuredTimer, NdftOptions, RunReport};
 use ndft_dft::{build_task_graph_fused, TaskGraph};
 use ndft_sched::{plan, Plan, PlanRequest, Target, TargetLoad};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 pub use ndft_sched::PlacementPolicy;
 
@@ -87,40 +90,51 @@ impl PlacementDecision {
 /// Consults the planner selected by `policy` for one task graph on an
 /// idle cluster (load-blind, one member).
 pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDecision {
-    plan_batch(graph, policy, &ClusterSnapshot::idle(), 1).0
+    plan_batch(graph, policy, &ClusterSnapshot::idle(), 1, fresh_machine).0
 }
 
-/// Plans one batch of `members` jobs sharing `graph`'s shape: one
-/// machine (the paper's Table III system with its measured calibration,
-/// charging the shared-block gather of `graph`'s system), one decision
+/// The gather-charging machine for Si_`atoms` (Table III system, its
+/// measured calibration, default options), simulating the gather anew.
+pub(crate) fn fresh_machine(atoms: usize) -> MeasuredTimer {
+    let (sys, cal) = (calib::system_config(), calib::measured());
+    MeasuredTimer::new(sys, cal, atoms, NdftOptions::default())
+}
+
+/// [`fresh_machine`], built once per size and kept (its inputs are fixed
+/// for the process). Admission plans on it; workers on a fresh one.
+pub(crate) fn kept_machine(atoms: usize) -> MeasuredTimer {
+    static MACHINES: OnceLock<Mutex<HashMap<usize, MeasuredTimer>>> = OnceLock::new();
+    let mut memo = MACHINES.get_or_init(Mutex::default).lock().unwrap();
+    memo.entry(atoms)
+        .or_insert_with(|| fresh_machine(atoms))
+        .clone()
+}
+
+/// Plans one batch of `members` jobs sharing `graph`'s shape on
+/// `machine_for(atoms)`, its size's gather-charging machine: one decision
 /// by `policy` under the load `cluster` holds, and the modeled run of
-/// that same plan. A batch of ≥ 2 plans its fused graph, which charges
-/// shared operand traffic once across the batch and prices boundaries
-/// at their per-member share; reported times are per member, and the
-/// third value is the per-member modeled seconds fusion saves against
-/// the idle solo plan on the same machine (0 for one member).
+/// that same plan. A batch of ≥ 2 plans its fused graph on
+/// [`MeasuredTimer::fused`], charging shared operands and the gather
+/// once across the batch; times are per member, and the third value is
+/// the per-member saving against the idle solo plan (0 for one member).
 pub(crate) fn plan_batch(
     graph: &TaskGraph,
     policy: PlacementPolicy,
     cluster: &ClusterSnapshot,
     members: usize,
+    machine_for: fn(usize) -> MeasuredTimer,
 ) -> (PlacementDecision, RunReport, f64) {
-    // The fused graph is built before the machine: built after the gather
-    // simulation, it doubled md_flood's per-batch planning time with two
-    // or more workers on a 2-vCPU host (contended glibc malloc arenas).
-    let fused =
+    // The fused graph is built first: built after the gather simulation,
+    // it halved md_flood's throughput on 2 vCPUs (contended malloc arenas).
+    let fused_graph =
         (members > 1).then(|| build_task_graph_fused(&graph.system, graph.iterations, members));
-    let batch = fused.as_ref().unwrap_or(graph);
-    let machine = MeasuredTimer::new(
-        calib::system_config(),
-        calib::measured(),
-        graph.system.atoms(),
-        NdftOptions::default(),
-    );
+    let solo = machine_for(graph.system.atoms());
+    let fused = fused_graph.map(|g| (g, solo.fused(members)));
+    let (batch, machine) = fused.as_ref().map_or((graph, &solo), |(g, m)| (g, m));
     let plan_under = |policy, load| {
         plan(
             &batch.stages,
-            &machine,
+            machine,
             &PlanRequest {
                 policy,
                 load,
@@ -144,11 +158,11 @@ pub(crate) fn plan_batch(
     let shifted =
         !load.is_idle() && chosen.placement != plan_under(policy, TargetLoad::NONE).placement;
     let saving_s = fused.as_ref().map_or(0.0, |_| {
-        let solo = PlanRequest {
+        let request = PlanRequest {
             policy,
             ..PlanRequest::default()
         };
-        let solo_s = plan(&graph.stages, &machine, &solo).total_time();
+        let solo_s = plan(&graph.stages, &solo, &request).total_time();
         (solo_s - chosen.total_time()).max(0.0)
     });
     let modeled = machine.report(batch, &chosen);
@@ -171,21 +185,21 @@ pub(crate) fn plan_batch(
 }
 
 #[cfg(test)]
+/// Asserts the one-plan invariant: `modeled` runs every stage where
+/// `decision` placed it.
+pub(crate) fn assert_one_plan(decision: &PlacementDecision, modeled: &RunReport) {
+    let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
+    let planned: Vec<_> = decision.plan.placement.iter().map(|&t| Some(t)).collect();
+    assert_eq!(ran, planned);
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ndft_dft::{build_task_graph, SiliconSystem};
 
     fn graph(atoms: usize) -> TaskGraph {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1)
-    }
-
-    fn decide(
-        g: &TaskGraph,
-        policy: PlacementPolicy,
-        cluster: &ClusterSnapshot,
-        members: usize,
-    ) -> PlacementDecision {
-        plan_batch(g, policy, cluster, members).0
     }
 
     fn snapshot(cpu: f64, ndp: f64) -> ClusterSnapshot {
@@ -272,12 +286,12 @@ mod tests {
             assert_eq!(blind.ndp_load_s, 0.0);
             for members in [0usize, 1] {
                 for cluster in [ClusterSnapshot::idle(), snapshot(0.0, 0.0)] {
-                    let d = decide(&g, policy, &cluster, members);
+                    let d = plan_batch(&g, policy, &cluster, members, fresh_machine).0;
                     assert_eq!(d, blind, "{policy:?} {cluster:?} members {members}");
                 }
                 assert_eq!(
-                    decide(&g, policy, &busy, members),
-                    decide(&g, policy, &busy, 1),
+                    plan_batch(&g, policy, &busy, members, fresh_machine).0,
+                    plan_batch(&g, policy, &busy, 1, fresh_machine).0,
                     "{policy:?} busy members {members}"
                 );
             }
@@ -292,11 +306,11 @@ mod tests {
         let busy = snapshot(0.5, 2.0);
         for policy in PlacementPolicy::all() {
             let plain = plan_placement(&g, policy);
-            let plain_busy = decide(&g, policy, &busy, 1);
+            let plain_busy = plan_batch(&g, policy, &busy, 1, fresh_machine).0;
             for members in [0usize, 1] {
-                let d = decide(&g, policy, &ClusterSnapshot::idle(), members);
+                let d = plan_batch(&g, policy, &ClusterSnapshot::idle(), members, fresh_machine).0;
                 assert_eq!(d, plain, "{policy:?} members {members}");
-                let d = decide(&g, policy, &busy, members);
+                let d = plan_batch(&g, policy, &busy, members, fresh_machine).0;
                 assert_eq!(d, plain_busy, "{policy:?} busy members {members}");
             }
         }
@@ -310,17 +324,38 @@ mod tests {
         // Concurrent batches hold many batch-equivalents of NDP busy
         // time; the loaded plan must evacuate (records the load + shift).
         let heavy = snapshot(0.0, 1e4 * blind.cpu_pinned_time);
-        let (loaded, modeled, _) = plan_batch(&g, PlacementPolicy::CostAware, &heavy, 1);
+        let (loaded, modeled, _) =
+            plan_batch(&g, PlacementPolicy::CostAware, &heavy, 1, fresh_machine);
         assert!(loaded.ndp_stage_count() < blind.ndp_stage_count());
         assert!(loaded.shifted);
         assert_eq!(loaded.ndp_load_s, heavy.ndp_reserved_s);
         // The modeled run times the shifted plan, not an idle re-plan.
-        let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
-        let planned: Vec<_> = loaded.plan.placement.iter().map(|&t| Some(t)).collect();
-        assert_eq!(ran, planned);
+        assert_one_plan(&loaded, &modeled);
         // Reported costs stay idle-machine numbers: the shifted plan
         // cannot look better than the idle optimum on those terms.
         assert!(loaded.modeled_time() >= blind.modeled_time() - 1e-12);
+    }
+
+    #[test]
+    fn kept_machine_plans_as_a_fresh_one() {
+        // Admission plans on the kept machine, workers on fresh ones: the
+        // two decide and report alike, bit for bit, call after call.
+        let busy = snapshot(0.5, 2.0);
+        for atoms in [8usize, 64, 256] {
+            let g = graph(atoms);
+            for members in [1usize, 4] {
+                let policy = PlacementPolicy::CostAware;
+                let fresh = plan_batch(&g, policy, &busy, members, fresh_machine);
+                for _ in 0..2 {
+                    let kept = plan_batch(&g, policy, &busy, members, kept_machine);
+                    assert_eq!(
+                        format!("{kept:?}"),
+                        format!("{fresh:?}"),
+                        "Si_{atoms} x{members}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -328,7 +363,7 @@ mod tests {
         let g = graph(64);
         let heavy = snapshot(1e6, 1e6);
         for policy in [PlacementPolicy::CpuPinned, PlacementPolicy::NdpPinned] {
-            let d = decide(&g, policy, &heavy, 1);
+            let d = plan_batch(&g, policy, &heavy, 1, fresh_machine).0;
             assert!(!d.shifted, "{policy:?} shifted under load");
             assert_eq!(d.plan.placement, plan_placement(&g, policy).plan.placement);
         }
@@ -341,13 +376,16 @@ mod tests {
         let mut last = solo.modeled_time();
         for members in [2usize, 4, 16] {
             let idle = ClusterSnapshot::idle();
-            let (fused, modeled, saving_s) =
-                plan_batch(&g, PlacementPolicy::CostAware, &idle, members);
+            let (fused, modeled, saving_s) = plan_batch(
+                &g,
+                PlacementPolicy::CostAware,
+                &idle,
+                members,
+                fresh_machine,
+            );
             // The batch reports the plan it decided, and banks the gap
             // to the solo plan as its saving.
-            let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
-            let planned: Vec<_> = fused.plan.placement.iter().map(|&t| Some(t)).collect();
-            assert_eq!(ran, planned);
+            assert_one_plan(&fused, &modeled);
             assert_eq!(
                 saving_s,
                 (solo.modeled_time() - fused.modeled_time()).max(0.0)

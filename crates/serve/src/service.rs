@@ -11,7 +11,7 @@ use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobError, JobRequest};
 use crate::metrics::{Metrics, ServeReport};
-use crate::placement::{plan_batch, PlacementPolicy};
+use crate::placement::{kept_machine, plan_batch, PlacementPolicy};
 use crate::queue::{ShardedQueue, SubmitError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::tenant::TenantTable;
@@ -441,7 +441,7 @@ impl EngineShared {
             return 0.0;
         };
         let snap = self.cluster.snapshot();
-        let (decision, _, _) = plan_batch(&graph, self.config.policy, &snap, 1);
+        let (decision, _, _) = plan_batch(&graph, self.config.policy, &snap, 1, kept_machine);
         let run_s = decision.modeled_cost_s(job.modeled_iterations());
         let backlog_s = snap.cpu_reserved_s + snap.ndp_reserved_s + self.queue.len() as f64 * run_s;
         backlog_s / self.config.workers.max(1) as f64 + run_s

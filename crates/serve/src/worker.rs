@@ -35,7 +35,7 @@ use crate::cluster::Reservation;
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
-use crate::placement::{plan_batch, PlacementDecision};
+use crate::placement::{fresh_machine, plan_batch, PlacementDecision};
 use crate::service::EngineShared;
 use crate::telemetry::{ClassRecorder, PlacementTarget, Stage};
 use crate::tenant::TenantSlot;
@@ -68,8 +68,8 @@ pub struct JobOutcome {
     pub placement: PlacementDecision,
     /// Modeled NDFT engine run of `placement.plan` on the paper's Table
     /// III machine, the one that charges the shared-block gather: the
-    /// stage breakdown of the job's task graph (of the fused graph for a
-    /// fused batch) from `ndft_core::MeasuredTimer::report`.
+    /// stage breakdown of the job's task graph (for a fused batch, of the
+    /// fused graph on `MeasuredTimer::fused`) from `MeasuredTimer::report`.
     ///
     /// Both fields come from one plan, so the stage targets here equal
     /// `placement.plan.placement`, stage for stage. The engine reads
@@ -535,12 +535,12 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         spans.clear();
     }
 
-    // The batch's one plan — its placement decision and the modeled run
-    // of that same plan, on one gather-charging machine — is shared by
-    // the whole class (every member has the same task-graph shape) and
-    // made lazily: a batch fully served by cache/dedup pays for neither
-    // and reserves nothing on the cluster view.
-    let mut planned: Option<(PlacementDecision, RunReport)> = None;
+    // The batch's one plan — its placement decision, the modeled run of
+    // that same plan and the fused saving — is shared by the whole class
+    // (every member has the same task-graph shape) and made lazily: a
+    // batch fully served by cache/dedup pays for none of it and reserves
+    // nothing on the cluster view.
+    let mut planned: Option<(PlacementDecision, RunReport, f64)> = None;
     // Held for the rest of the batch; Drop releases it on every exit
     // path (including a panic unwinding through the catch below), so
     // the cluster view always returns to zero when the engine drains.
@@ -553,11 +553,9 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // Fused cross-job execution engages only for real batches (≥ 2
     // members) with the knob on — a singleton gains nothing from
     // amortization. The batch's one `Operands` is built lazily at the
-    // first member that executes, and the fused/solo modeled-time gap
-    // feeds `fused_amortized_s`.
+    // first member that executes.
     let fuse = shared.config.fused_execution && batch_jobs >= 2;
     let mut fused_ops: Option<Operands> = None;
-    let mut fused_saving_s = 0.0f64;
 
     // Identical fingerprints inside the batch execute once; later entries
     // share the Arc'd outcome, as do cross-batch repeats via the cache.
@@ -603,9 +601,13 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // simultaneous batches spread instead of stacking.
                 let snapshot = shared.cluster.snapshot();
                 let members = if fuse { batch_jobs } else { 1 };
-                let (decision, modeled, saving_s) =
-                    plan_batch(&graph, shared.config.policy, &snapshot, members);
-                fused_saving_s = saving_s;
+                let (decision, modeled, saving_s) = plan_batch(
+                    &graph,
+                    shared.config.policy,
+                    &snapshot,
+                    members,
+                    fresh_machine,
+                );
                 // Metrics, telemetry, and reservation only after every
                 // fallible step above: if planning or the modeled run
                 // panics, the next member's retry must not find a
@@ -628,16 +630,17 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     .metrics
                     .on_plan(decision.cpu_load_s, decision.ndp_load_s, decision.shifted);
                 // Reserve the whole batch's modeled footprint (per-job
-                // busy × members — pessimistic for members the cache
-                // later serves, released wholesale when the batch ends).
+                // busy × members, one gather for a fused batch —
+                // pessimistic for members the cache later serves,
+                // released wholesale when the batch ends).
                 reservation = Some(shared.cluster.reserve(
                     shard,
                     decision.cpu_busy * batch_jobs as f64,
                     decision.ndp_busy * batch_jobs as f64,
                 ));
-                planned = Some((decision, modeled));
+                planned = Some((decision, modeled, saving_s));
             }
-            let (placement, modeled) = planned.as_ref().expect("just planned");
+            let (placement, modeled, _) = planned.as_ref().expect("just planned");
             // The job is now committed to this batch's placement and
             // about to run; riders share the decision of the member that
             // planned it.
@@ -731,9 +734,10 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // (per-member solo-vs-fused gap × executed members), plus one
     // FusedExec span on the leader's lane covering the member loop.
     if fuse && executions > 0 {
+        let saving_s = planned.as_ref().map_or(0.0, |(_, _, saving_s)| *saving_s);
         shared
             .metrics
-            .on_fused(executions, executions as f64 * fused_saving_s);
+            .on_fused(executions, executions as f64 * saving_s);
         if let Some(leader) = leader.filter(|_| telemetry.traced()) {
             telemetry.publish(TraceEvent {
                 start_ns: telemetry.ns_at(batch_start),
@@ -847,6 +851,7 @@ mod tests {
             PlacementPolicy::CostAware,
             &crate::ClusterSnapshot::idle(),
             1,
+            crate::placement::fresh_machine,
         );
         let (payload, wall_numeric) = execute_payload(&parent).unwrap();
         let parent_outcome = JobOutcome {
@@ -959,15 +964,7 @@ mod tests {
         assert_eq!(outcome.placement.policy, PlacementPolicy::CostAware);
         assert!(outcome.modeled.total() > 0.0);
         // The modeled run times the very plan the engine acted on.
-        let ran: Vec<_> = outcome.modeled.stages.iter().map(|s| s.target).collect();
-        let planned: Vec<_> = outcome
-            .placement
-            .plan
-            .placement
-            .iter()
-            .map(|&t| Some(t))
-            .collect();
-        assert_eq!(ran, planned);
+        crate::placement::assert_one_plan(&outcome.placement, &outcome.modeled);
         match outcome.payload {
             JobPayload::Tda(ref s) => assert!(s.optical_gap() > 0.0),
             ref other => panic!("unexpected payload {other:?}"),

@@ -131,54 +131,60 @@ fn repeated_submission_hits_the_cache() {
 
 #[test]
 fn planner_placement_never_loses_to_cpu_pinned_baseline() {
-    let svc = DftService::start(ServeConfig {
-        policy: PlacementPolicy::CostAware,
-        ..ServeConfig::default()
-    });
-    let tickets: Vec<_> = mixed_batch()
-        .into_iter()
-        .map(|j| svc.submit_blocking(j).unwrap())
-        .collect();
-    for ticket in &tickets {
-        let outcome = ticket.wait().unwrap();
-        // The §IV-A guarantee holds on the machine the planner saw: idle,
-        // or dilated by the load concurrent batches had reserved. A
-        // shifted plan trades idle-machine seconds for less contention,
-        // so under load it can cost more than CPU-pinned on an idle
-        // machine, but never more on the loaded one.
-        let d = &outcome.placement;
-        let reference_s = d.cpu_pinned_time.min(d.ndp_pinned_time);
-        let load = TargetLoad::new(d.cpu_load_s, d.ndp_load_s, reference_s);
-        let (cpu, ndp) = (load.dilation(Target::Cpu), load.dilation(Target::Ndp));
-        let placed = d.cpu_busy * cpu + d.ndp_busy * ndp + d.plan.sched_overhead;
-        let pinned = d.cpu_pinned_time * cpu;
-        assert!(
-            placed <= pinned * (1.0 + 1e-9),
-            "{}: planner {placed} vs cpu-pinned {pinned} under {load:?}",
-            outcome.job
-        );
-        let ndp_pinned = d.ndp_pinned_time * ndp;
-        assert!(
-            placed <= ndp_pinned * (1.0 + 1e-9),
-            "{}: planner {placed} vs ndp-pinned {ndp_pinned} under {load:?}",
-            outcome.job
-        );
-        if load.is_idle() {
-            assert!(
-                d.modeled_time() <= d.cpu_pinned_time + 1e-12,
-                "{}",
-                outcome.job
-            );
+    // One worker plans every batch on an idle cluster (it releases a
+    // batch's reservation before planning the next), so every outcome
+    // of that engine must match or beat both pinned baselines outright.
+    // With the default pool, concurrent batches bias the plans, and the
+    // §IV-A guarantee holds on the machine the planner saw: busy seconds
+    // dilated by the recorded load never exceed a pinned baseline
+    // dilated alike. A shifted plan trades idle-machine seconds for less
+    // contention, so it can cost more than CPU-pinned on an idle machine.
+    for workers in [1, ServeConfig::default().workers] {
+        let svc = DftService::start(ServeConfig {
+            policy: PlacementPolicy::CostAware,
+            workers,
+            ..ServeConfig::default()
+        });
+        let tickets: Vec<_> = mixed_batch()
+            .into_iter()
+            .map(|j| svc.submit_blocking(j).unwrap())
+            .collect();
+        for ticket in &tickets {
+            let outcome = ticket.wait().unwrap();
+            let d = &outcome.placement;
+            let reference_s = d.cpu_pinned_time.min(d.ndp_pinned_time);
+            let load = TargetLoad::new(d.cpu_load_s, d.ndp_load_s, reference_s);
+            if workers == 1 || load.is_idle() {
+                assert!(load.is_idle(), "{}: one worker saw {load:?}", outcome.job);
+                let placed = d.modeled_time();
+                for pinned in [d.cpu_pinned_time, d.ndp_pinned_time] {
+                    assert!(
+                        placed <= pinned + 1e-12,
+                        "{}: planner {placed} vs pinned {pinned}",
+                        outcome.job
+                    );
+                }
+                continue;
+            }
+            let (cpu, ndp) = (load.dilation(Target::Cpu), load.dilation(Target::Ndp));
+            let placed = d.cpu_busy * cpu + d.ndp_busy * ndp + d.plan.sched_overhead;
+            for pinned in [d.cpu_pinned_time * cpu, d.ndp_pinned_time * ndp] {
+                assert!(
+                    placed <= pinned * (1.0 + 1e-9),
+                    "{}: planner {placed} vs pinned {pinned} under {load:?}",
+                    outcome.job
+                );
+            }
         }
+        let report = svc.shutdown();
+        assert!(
+            report.modeled_speedup_vs_cpu() >= 1.0,
+            "{workers} workers: aggregate speedup {}",
+            report.modeled_speedup_vs_cpu()
+        );
+        assert!(report.modeled_ndp_busy_s > 0.0, "NDP side never used");
+        assert!(report.planner_calls > 0);
     }
-    let report = svc.shutdown();
-    assert!(
-        report.modeled_speedup_vs_cpu() >= 1.0,
-        "aggregate speedup {}",
-        report.modeled_speedup_vs_cpu()
-    );
-    assert!(report.modeled_ndp_busy_s > 0.0, "NDP side never used");
-    assert!(report.planner_calls > 0);
 }
 
 #[test]
