@@ -232,4 +232,90 @@ mod tests {
         assert_eq!(mesh.inter_stack_bytes, ring.inter_stack_bytes);
         assert_eq!(mesh.messages, ring.messages);
     }
+
+    #[test]
+    fn gather_makespan_bits_are_pinned() {
+        // Makespans on every scheme × topology, pinned bit for bit: the
+        // gather's modeled time feeds the machine models' calibration,
+        // so a NoC change must not move it in the last place.
+        let pinned: [(CommScheme, Topology, [u64; 5]); 6] = [
+            (
+                CommScheme::Hierarchical,
+                Topology::Mesh,
+                [
+                    0x0000000000000000,
+                    0x3f1354a424c0874d,
+                    0x3f2c326e44dfb692,
+                    0x3f585eb6f82cd57f,
+                    0x3f86b1136f03d508,
+                ],
+            ),
+            (
+                CommScheme::Hierarchical,
+                Topology::Torus,
+                [
+                    0x0000000000000000,
+                    0x3f09c624bcf8c44c,
+                    0x3f275de1ffdc3b21,
+                    0x3f5776f111ea5208,
+                    0x3f82d3fab5e09980,
+                ],
+            ),
+            (
+                CommScheme::Hierarchical,
+                Topology::Ring,
+                [
+                    0x0000000000000000,
+                    0x3f09c7266fab5e93,
+                    0x3f3afc430fa7c661,
+                    0x3f66aad259b22b94,
+                    0x3f9187b43ee16739,
+                ],
+            ),
+            (
+                CommScheme::Flat,
+                Topology::Mesh,
+                [
+                    0x0000000000000000,
+                    0x3f4353e83d1e4c24,
+                    0x3f58abf58925fb5f,
+                    0x3f87fd2eea4e3cfa,
+                    0x3fbb0d4bc7428e09,
+                ],
+            ),
+            (
+                CommScheme::Flat,
+                Topology::Torus,
+                [
+                    0x0000000000000000,
+                    0x3f39c5343852122d,
+                    0x3f55a7414cfc5d08,
+                    0x3f870486cd642168,
+                    0x3fb5e916d61688bf,
+                ],
+            ),
+            (
+                CommScheme::Flat,
+                Topology::Ring,
+                [
+                    0x0000000000000000,
+                    0x3f39c5546ea86576,
+                    0x3f6aa1360154faea,
+                    0x3f9693af1ee6f5ee,
+                    0x3fc1b1ed07aac439,
+                ],
+            ),
+        ];
+        for (scheme, topology, bits) in pinned {
+            for (blocks, want) in [0usize, 1, 7, 64, 256].into_iter().zip(bits) {
+                let r = simulate_block_gather_on(&cfg(), blocks, 3 << 16, scheme, topology);
+                assert_eq!(
+                    r.makespan.to_bits(),
+                    want,
+                    "{scheme:?} {topology:?} {blocks} blocks: {}",
+                    r.makespan
+                );
+            }
+        }
+    }
 }

@@ -275,9 +275,196 @@ impl MeshNoc {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use std::collections::HashMap;
 
     fn mesh() -> MeshNoc {
         MeshNoc::new(SystemConfig::paper_table3().mesh)
+    }
+
+    /// The NoC as it was before the dense link table: a `HashMap` of
+    /// directed links and a freshly built route `Vec` per transfer.
+    /// [`MeshNoc`] must match it exactly, transfer for transfer.
+    struct ReferenceNoc {
+        cfg: MeshConfig,
+        topology: Topology,
+        link_free: HashMap<(usize, usize), u64>,
+        stats: NocStats,
+    }
+
+    impl ReferenceNoc {
+        fn new(cfg: MeshConfig, topology: Topology) -> Self {
+            ReferenceNoc {
+                cfg,
+                topology,
+                link_free: HashMap::new(),
+                stats: NocStats::default(),
+            }
+        }
+
+        fn reset(&mut self) {
+            self.link_free.clear();
+            self.stats = NocStats::default();
+        }
+
+        fn route(&self, from: usize, to: usize) -> Vec<usize> {
+            let stacks = self.cfg.stacks();
+            assert!(from < stacks && to < stacks, "stack id out of range");
+            match self.topology {
+                Topology::Mesh => self.route_mesh(from, to),
+                Topology::Torus => self.route_torus(from, to),
+                Topology::Ring => self.route_ring(from, to),
+            }
+        }
+
+        fn route_mesh(&self, from: usize, to: usize) -> Vec<usize> {
+            let w = self.cfg.width;
+            let (mut x, mut y) = (from % w, from / w);
+            let (tx, ty) = (to % w, to / w);
+            let mut path = vec![from];
+            while x != tx {
+                x = if x < tx { x + 1 } else { x - 1 };
+                path.push(y * w + x);
+            }
+            while y != ty {
+                y = if y < ty { y + 1 } else { y - 1 };
+                path.push(y * w + x);
+            }
+            path
+        }
+
+        fn route_torus(&self, from: usize, to: usize) -> Vec<usize> {
+            let w = self.cfg.width;
+            let h = self.cfg.height;
+            let (mut x, mut y) = (from % w, from / w);
+            let (tx, ty) = (to % w, to / w);
+            let mut path = vec![from];
+            let step_to = |cur: usize, target: usize, n: usize| -> isize {
+                let fwd = (target + n - cur) % n;
+                let back = (cur + n - target) % n;
+                if fwd == 0 {
+                    0
+                } else if fwd <= back {
+                    1
+                } else {
+                    -1
+                }
+            };
+            while x != tx {
+                let d = step_to(x, tx, w);
+                x = ((x as isize + d).rem_euclid(w as isize)) as usize;
+                path.push(y * w + x);
+            }
+            while y != ty {
+                let d = step_to(y, ty, h);
+                y = ((y as isize + d).rem_euclid(h as isize)) as usize;
+                path.push(y * w + x);
+            }
+            path
+        }
+
+        fn route_ring(&self, from: usize, to: usize) -> Vec<usize> {
+            let n = self.cfg.stacks();
+            let fwd = (to + n - from) % n;
+            let back = (from + n - to) % n;
+            let step: isize = if fwd == 0 {
+                0
+            } else if fwd <= back {
+                1
+            } else {
+                -1
+            };
+            let mut path = vec![from];
+            let mut cur = from as isize;
+            while cur as usize != to {
+                cur = (cur + step).rem_euclid(n as isize);
+                path.push(cur as usize);
+            }
+            path
+        }
+
+        fn transfer(&mut self, from: usize, to: usize, bytes: u64, start: u64) -> Transfer {
+            let path = self.route(from, to);
+            let hops = (path.len() - 1) as u64;
+            let ser = bytes.div_ceil(self.cfg.link_bytes_per_cycle as u64);
+            let mut head = start;
+            let mut done = start;
+            for pair in path.windows(2) {
+                let free = self.link_free.entry((pair[0], pair[1])).or_insert(0);
+                let begin = head.max(*free);
+                *free = begin + ser;
+                head = begin + self.cfg.hop_latency;
+                done = begin + self.cfg.hop_latency + ser;
+            }
+            self.stats.messages += 1;
+            self.stats.bytes += bytes;
+            self.stats.hops += hops;
+            self.stats.total_latency += done - start;
+            Transfer { start, done, hops }
+        }
+    }
+
+    /// The paper's 4×4 mesh plus shapes that exercise the routing edge
+    /// cases: odd widths, a single column, and a 2×2 whose forward and
+    /// backward directions tie on every wrap.
+    fn shapes() -> Vec<MeshConfig> {
+        let paper = SystemConfig::paper_table3().mesh;
+        let shaped = |width, height| MeshConfig {
+            width,
+            height,
+            ..paper
+        };
+        vec![
+            paper,
+            shaped(3, 5),
+            shaped(1, 7),
+            shaped(7, 1),
+            shaped(2, 2),
+        ]
+    }
+
+    #[test]
+    fn table_routing_matches_the_reference_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (i, cfg) in shapes().into_iter().enumerate() {
+            for topo in [Topology::Mesh, Topology::Torus, Topology::Ring] {
+                let mut noc = MeshNoc::with_topology(cfg, topo);
+                let mut reference = ReferenceNoc::new(cfg, topo);
+                let n = cfg.stacks();
+                for from in 0..n {
+                    for to in 0..n {
+                        assert_eq!(noc.route(from, to), reference.route(from, to));
+                    }
+                }
+                let mut rng = StdRng::seed_from_u64(0x40c + i as u64);
+                let mut clock = 0u64;
+                for step in 0..5_000 {
+                    if step == 2_500 {
+                        noc.reset();
+                        reference.reset();
+                    }
+                    let from = rng.gen_range(0..n);
+                    let to = rng.gen_range(0..n);
+                    let bytes = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => rng.gen_range(1..64u64),
+                        _ => rng.gen_range(64..(1u64 << 18)),
+                    };
+                    // Mostly rising injection times with occasional
+                    // back-dated ones, so links are both idle and busy.
+                    clock += rng.gen_range(0..40u64);
+                    let start = if rng.gen_range(0..8u32) == 0 {
+                        clock / 2
+                    } else {
+                        clock
+                    };
+                    let got = noc.transfer(from, to, bytes, start);
+                    let want = reference.transfer(from, to, bytes, start);
+                    assert_eq!(got, want, "{cfg:?} {topo:?} step {step}");
+                    assert_eq!(noc.stats(), reference.stats, "{topo:?} step {step}");
+                }
+            }
+        }
     }
 
     #[test]
