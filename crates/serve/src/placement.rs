@@ -124,12 +124,11 @@ pub(crate) fn plan_batch(
     members: usize,
     machine_for: fn(usize) -> MeasuredTimer,
 ) -> (PlacementDecision, RunReport, f64) {
-    // The fused graph is built first: built after the gather simulation,
-    // it halved md_flood's throughput on 2 vCPUs (contended malloc arenas).
-    let fused_graph =
-        (members > 1).then(|| build_task_graph_fused(&graph.system, graph.iterations, members));
     let solo = machine_for(graph.system.atoms());
-    let fused = fused_graph.map(|g| (g, solo.fused(members)));
+    let fused = (members > 1).then(|| {
+        let g = build_task_graph_fused(&graph.system, graph.iterations, members);
+        (g, solo.fused(members))
+    });
     let (batch, machine) = fused.as_ref().map_or((graph, &solo), |(g, m)| (g, m));
     let plan_under = |policy, load| {
         plan(

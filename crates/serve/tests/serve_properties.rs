@@ -76,9 +76,10 @@
 //! failover leans on to keep surviving caches warm.
 
 use ndft_serve::{
-    block_on, CachePolicy, ClusterView, DftJob, DftService, DiskTier, Fingerprint, HashRing,
-    JobError, JobTicket, LatencyHistogram, NodeId, Reservation, ResultCache, ServeConfig,
-    ShardedQueue, TicketFuture, TicketResolver, TraceEvent, TraceEventKind, WorkflowSpec,
+    block_on, plan_placement, CachePolicy, ClusterView, DftJob, DftService, DiskTier, Fingerprint,
+    HashRing, JobError, JobTicket, LatencyHistogram, NodeId, PlacementPolicy, Reservation,
+    ResultCache, ServeConfig, ShardedQueue, TicketFuture, TicketResolver, TraceEvent,
+    TraceEventKind, WorkflowSpec,
 };
 use proptest::prelude::*;
 use std::future::Future;
@@ -1316,4 +1317,100 @@ proptest! {
         prop_assert_eq!(solo_report.fused_jobs, 0);
         prop_assert_eq!(solo_report.fused_amortized_s, 0.0);
     }
+}
+
+/// The one-plan invariant on batches that plan away from the default
+/// request, fused and under load. A long Si_256 MD segment holds an
+/// NDP-heavy reservation on one worker while the other, once free of a
+/// shorter one, plans a queued flood of Si_16 segments: fused,
+/// those move their first stage onto the NDP side, and under the long
+/// segment's load they shift work back, so a report re-planned under
+/// `PlanRequest::default()` (one member, no load), whether of the job or
+/// of the fused batch, cannot match the placement the batch decided.
+/// The test checks both preconditions before it trusts the agreement it
+/// asserts.
+#[test]
+fn loaded_fused_batches_report_the_plan_they_decided() {
+    let svc = DftService::start(ServeConfig {
+        workers: 2,
+        shards: 1,
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    });
+    // Each blocker goes in only once the one before it holds its
+    // reservation, so each lands on a worker of its own.
+    let hold = |job: DftJob, batches: u64| {
+        let ticket = svc.submit_blocking(job).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while svc.cluster_snapshot().inflight_batches() < batches {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "blocker never planned"
+            );
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        ticket
+    };
+    let long = hold(
+        DftJob::MdSegment {
+            atoms: 256,
+            steps: 40_000,
+            temperature_k: 300.0,
+            seed: 0,
+        },
+        1,
+    );
+    let short = hold(
+        DftJob::MdSegment {
+            atoms: 256,
+            steps: 5_000,
+            temperature_k: 300.0,
+            seed: 1,
+        },
+        2,
+    );
+    let flood: Vec<DftJob> = (0..24)
+        .map(|seed| DftJob::MdSegment {
+            atoms: 16,
+            steps: 3,
+            temperature_k: 300.0,
+            seed,
+        })
+        .collect();
+    let tickets: Vec<_> = flood
+        .iter()
+        .map(|job| svc.submit_blocking(job.clone()).unwrap())
+        .collect();
+    let solo = plan_placement(&flood[0].task_graph().unwrap(), PlacementPolicy::CostAware)
+        .plan
+        .placement;
+    let (mut fused_apart, mut shifted) = (0, 0);
+    for t in &tickets {
+        let outcome = t.wait().expect("every job completes");
+        let ran: Vec<_> = outcome.modeled.stages.iter().map(|s| s.target).collect();
+        let planned: Vec<_> = outcome
+            .placement
+            .plan
+            .placement
+            .iter()
+            .map(|&t| Some(t))
+            .collect();
+        assert_eq!(ran, planned, "{}", outcome.job);
+        fused_apart += usize::from(outcome.placement.plan.placement != solo);
+        shifted += usize::from(outcome.placement.shifted);
+    }
+    for blocker in [long, short] {
+        blocker.wait().expect("the blockers complete");
+    }
+    let report = svc.shutdown();
+    assert!(report.fused_batches > 0, "no batch fused: {report}");
+    assert!(
+        fused_apart > 0,
+        "every batch planned the solo placement {solo:?}"
+    );
+    assert!(
+        shifted > 0,
+        "no batch shifted under the blocker's load: {report}"
+    );
+    assert!(report.conservation_holds(), "{report}");
 }

@@ -4,10 +4,16 @@
 //! XY-routed; each directed link serializes payloads at
 //! `link_bytes_per_cycle` and adds `hop_latency` cycles of router/link
 //! delay per hop. Link occupancy is tracked so concurrent flows contend.
+//!
+//! Routing is table-driven. With `n` stacks, a `next_hop` table of `n²`
+//! entries, filled once per topology, holds at `at * n + to` the next
+//! stack on the route from `at` to `to`. The link table is a dense
+//! `n²` array of next-free cycles, holding the link from `a` to its
+//! neighbour `b` at `a * n + b`. A transfer walks its route hop by hop
+//! through `next_hop`, so it neither allocates nor hashes.
 
 use crate::config::MeshConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Interconnect topology connecting the stacks.
 ///
@@ -74,8 +80,12 @@ pub struct NocStats {
 pub struct MeshNoc {
     cfg: MeshConfig,
     topology: Topology,
-    /// Next-free cycle per directed link (from, to).
-    link_free: HashMap<(usize, usize), u64>,
+    /// Next-free cycle per directed link, indexed `from * stacks + to`
+    /// (only neighbours' entries are ever touched).
+    link_free: Vec<u64>,
+    /// Next stack on the route from `at` to `to`, indexed
+    /// `at * stacks + to` (`at` itself when `at == to`).
+    next_hop: Vec<usize>,
     stats: NocStats,
 }
 
@@ -87,10 +97,15 @@ impl MeshNoc {
 
     /// Creates an idle interconnect with an explicit topology.
     pub fn with_topology(cfg: MeshConfig, topology: Topology) -> Self {
+        let stacks = cfg.stacks();
+        let next_hop = (0..stacks * stacks)
+            .map(|i| next_hop(cfg, topology, i / stacks, i % stacks))
+            .collect();
         MeshNoc {
             cfg,
             topology,
-            link_free: HashMap::new(),
+            link_free: vec![0; stacks * stacks],
+            next_hop,
             stats: NocStats::default(),
         }
     }
@@ -112,7 +127,7 @@ impl MeshNoc {
 
     /// Clears link occupancy and statistics.
     pub fn reset(&mut self) {
-        self.link_free.clear();
+        self.link_free.fill(0);
         self.stats = NocStats::default();
     }
 
@@ -124,78 +139,12 @@ impl MeshNoc {
     ///
     /// Panics if either stack id is out of range.
     pub fn route(&self, from: usize, to: usize) -> Vec<usize> {
-        let stacks = self.cfg.stacks();
-        assert!(from < stacks && to < stacks, "stack id out of range");
-        match self.topology {
-            Topology::Mesh => self.route_mesh(from, to),
-            Topology::Torus => self.route_torus(from, to),
-            Topology::Ring => self.route_ring(from, to),
-        }
-    }
-
-    fn route_mesh(&self, from: usize, to: usize) -> Vec<usize> {
-        let w = self.cfg.width;
-        let (mut x, mut y) = (from % w, from / w);
-        let (tx, ty) = (to % w, to / w);
+        let stacks = self.check(from, to);
         let mut path = vec![from];
-        while x != tx {
-            x = if x < tx { x + 1 } else { x - 1 };
-            path.push(y * w + x);
-        }
-        while y != ty {
-            y = if y < ty { y + 1 } else { y - 1 };
-            path.push(y * w + x);
-        }
-        path
-    }
-
-    fn route_torus(&self, from: usize, to: usize) -> Vec<usize> {
-        let w = self.cfg.width;
-        let h = self.cfg.height;
-        let (mut x, mut y) = (from % w, from / w);
-        let (tx, ty) = (to % w, to / w);
-        let mut path = vec![from];
-        // Shortest direction along x with wrap.
-        let step_to = |cur: usize, target: usize, n: usize| -> isize {
-            let fwd = (target + n - cur) % n;
-            let back = (cur + n - target) % n;
-            if fwd == 0 {
-                0
-            } else if fwd <= back {
-                1
-            } else {
-                -1
-            }
-        };
-        while x != tx {
-            let d = step_to(x, tx, w);
-            x = ((x as isize + d).rem_euclid(w as isize)) as usize;
-            path.push(y * w + x);
-        }
-        while y != ty {
-            let d = step_to(y, ty, h);
-            y = ((y as isize + d).rem_euclid(h as isize)) as usize;
-            path.push(y * w + x);
-        }
-        path
-    }
-
-    fn route_ring(&self, from: usize, to: usize) -> Vec<usize> {
-        let n = self.cfg.stacks();
-        let fwd = (to + n - from) % n;
-        let back = (from + n - to) % n;
-        let step: isize = if fwd == 0 {
-            0
-        } else if fwd <= back {
-            1
-        } else {
-            -1
-        };
-        let mut path = vec![from];
-        let mut cur = from as isize;
-        while cur as usize != to {
-            cur = (cur + step).rem_euclid(n as isize);
-            path.push(cur as usize);
+        let mut at = from;
+        while at != to {
+            at = self.next_hop[at * stacks + to];
+            path.push(at);
         }
         path
     }
@@ -215,27 +164,37 @@ impl MeshNoc {
     ///
     /// Panics if either stack id is out of range.
     pub fn transfer(&mut self, from: usize, to: usize, bytes: u64, start: u64) -> Transfer {
-        let path = self.route(from, to);
-        let hops = (path.len() - 1) as u64;
+        let stacks = self.check(from, to);
         let ser = bytes.div_ceil(self.cfg.link_bytes_per_cycle as u64);
         // Head-flit arrival time at the current hop.
         let mut head = start;
         let mut done = start;
-        for pair in path.windows(2) {
-            let link = (pair[0], pair[1]);
-            let free = self.link_free.entry(link).or_insert(0);
+        let mut hops = 0;
+        let mut at = from;
+        while at != to {
+            let next = self.next_hop[at * stacks + to];
+            let free = &mut self.link_free[at * stacks + next];
             // The body occupies the link for `ser` cycles from when the
             // head wins arbitration.
             let begin = head.max(*free);
             *free = begin + ser;
             head = begin + self.cfg.hop_latency;
             done = begin + self.cfg.hop_latency + ser;
+            hops += 1;
+            at = next;
         }
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         self.stats.hops += hops;
         self.stats.total_latency += done - start;
         Transfer { start, done, hops }
+    }
+
+    /// The stack count, after checking both ids are in range.
+    fn check(&self, from: usize, to: usize) -> usize {
+        let stacks = self.cfg.stacks();
+        assert!(from < stacks && to < stacks, "stack id out of range");
+        stacks
     }
 
     /// Broadcast from one stack to all others (naive unicast fan-out, the
@@ -268,6 +227,39 @@ impl MeshNoc {
             return f64::INFINITY;
         }
         bytes as f64 / ((t.done - t.start) as f64 / self.cfg.clock_hz)
+    }
+}
+
+/// The stack after `at` on the route to `to` (`at` itself when they are
+/// equal): XY for mesh, shortest direction per dimension for torus, the
+/// shortest arc for ring. Forward wins a tie. Each step depends only on
+/// where the message is and where it goes, so following it from `from`
+/// traces the whole route.
+fn next_hop(cfg: MeshConfig, topology: Topology, at: usize, to: usize) -> usize {
+    let w = cfg.width;
+    let (x, y) = (at % w, at / w);
+    let (tx, ty) = (to % w, to / w);
+    match topology {
+        Topology::Mesh if x != tx => y * w + if x < tx { x + 1 } else { x - 1 },
+        Topology::Mesh if y != ty => (if y < ty { y + 1 } else { y - 1 }) * w + x,
+        Topology::Torus if x != tx => y * w + wrap_step(x, tx, w),
+        Topology::Torus if y != ty => wrap_step(y, ty, cfg.height) * w + x,
+        Topology::Ring => wrap_step(at, to, cfg.stacks()),
+        Topology::Mesh | Topology::Torus => at,
+    }
+}
+
+/// One step from `cur` toward `target` on a cycle of `n`, the shorter
+/// way round (forward on a tie).
+fn wrap_step(cur: usize, target: usize, n: usize) -> usize {
+    let fwd = (target + n - cur) % n;
+    let back = (cur + n - target) % n;
+    if fwd == 0 {
+        cur
+    } else if fwd <= back {
+        (cur + 1) % n
+    } else {
+        (cur + n - 1) % n
     }
 }
 

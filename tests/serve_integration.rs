@@ -243,10 +243,14 @@ fn shard_skew_triggers_stealing_and_no_worker_starves() {
         queue_capacity: 64,
         ..ServeConfig::default()
     });
+    // Steps sized so the stream outlasts a busy host's scheduling
+    // latency: every worker gets a CPU slice while work remains, so a
+    // worker that never dispatches was starved by the engine, not by
+    // the OS scheduler.
     let jobs: Vec<_> = (0..48)
         .map(|seed| DftJob::MdSegment {
             atoms: 64,
-            steps: 40,
+            steps: 400,
             temperature_k: 300.0,
             seed, // distinct fingerprints, one shared class
         })
