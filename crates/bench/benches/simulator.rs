@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndft_sim::{
-    Cache, CacheConfig, Calibration, CpuBaselineConfig, DramModel, DramTimings, Hierarchy,
-    MemRequest, MeshNoc, SystemConfig,
+    Cache, CacheConfig, Calibration, DramModel, DramTimings, Hierarchy, MemRequest, MeshNoc,
+    SystemConfig,
 };
 use std::hint::black_box;
 
@@ -106,13 +106,7 @@ fn bench_calibration(c: &mut Criterion) {
     let mut group = c.benchmark_group("calibration");
     group.sample_size(10);
     group.bench_function("full_platform_measure", |b| {
-        b.iter(|| {
-            black_box(Calibration::measure(
-                &SystemConfig::paper_table3(),
-                &CpuBaselineConfig::paper_baseline(),
-                7,
-            ))
-        })
+        b.iter(|| black_box(Calibration::measure_paper_table3()))
     });
     group.finish();
 }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release -p ndft-bench --bin core_model`
 
 use ndft_sim::timing::{CoreModel, KernelTrace, MemPort};
-use ndft_sim::{AccessPattern, Calibration, CpuBaselineConfig, SystemConfig};
+use ndft_sim::{AccessPattern, Calibration, SystemConfig};
 
 struct Mix {
     name: &'static str,
@@ -21,7 +21,7 @@ struct Mix {
 fn main() {
     ndft_bench::print_header("Core timing model: where the cycles go per kernel class");
     let sys = SystemConfig::paper_table3();
-    let cal = Calibration::measure(&sys, &CpuBaselineConfig::paper_baseline(), 7);
+    let cal = Calibration::PAPER_TABLE3;
 
     // Fill latencies and per-core bandwidth shares from the measured
     // calibration: the host core reaches the stacks over the off-chip

@@ -64,54 +64,122 @@ pub struct Calibration {
 }
 
 impl Calibration {
+    /// The paper's Table III calibration, recorded: bit for bit what
+    /// [`Calibration::measure_paper_table3`] returns, i.e.
+    /// [`Calibration::measure`] of [`SystemConfig::paper_table3`] and
+    /// [`CpuBaselineConfig::paper_baseline`] with seed 7.
+    ///
+    /// Every engine process runs on this calibration, so it starts without
+    /// replaying the ~98k DRAM requests that measure it. The test
+    /// `engine::tests::paper_calibration_bits_are_pinned` re-measures it
+    /// and fails, printing the new bits, when a change to the DRAM or NoC
+    /// model moves any of them; such a change re-records them here.
+    pub const PAPER_TABLE3: Calibration = Calibration::from_bits([
+        // cpu_baseline
+        0x4240fb5271d7fe93,
+        0x41ff877595fc40cd,
+        0x41f0973f12034a77,
+        0x3e601b2b29a4692b,
+        // ndp_stack
+        0x4238e07406e2f0ed,
+        0x41f10401ff9260a2,
+        0x41ef5d8c7a2ec8df,
+        0x3e601b2b29a4692b,
+        // ndp_aggregate
+        0x4278e07406e2f0ed,
+        0x42310401ff9260a2,
+        0x422f5d8c7a2ec8df,
+        0x3e601b2b29a4692b,
+        // host_to_stack
+        0x422dcd6500000000,
+        0x421dcd6500000000,
+        0x421dcd6500000000,
+        0x3e7d87247702c0d0,
+        // noc_link_bw, noc_hop_latency
+        0x421dcd5f697e1c38,
+        0x3e19c511dc3a41df,
+    ]);
+
+    /// Measures the inputs [`Calibration::PAPER_TABLE3`] records: the
+    /// paper's Table III system and CPU baseline, seed 7.
+    pub fn measure_paper_table3() -> Calibration {
+        Calibration::measure(
+            &SystemConfig::paper_table3(),
+            &CpuBaselineConfig::paper_baseline(),
+            7,
+        )
+    }
+
+    /// A calibration from raw `f64` bits: each profile in declaration
+    /// order (stream, strided, random, idle latency), then the two NoC
+    /// figures.
+    const fn from_bits(b: [u64; 18]) -> Calibration {
+        const fn profile(b: &[u64; 18], at: usize) -> BandwidthProfile {
+            BandwidthProfile {
+                stream_bw: f64::from_bits(b[at]),
+                strided_bw: f64::from_bits(b[at + 1]),
+                random_bw: f64::from_bits(b[at + 2]),
+                idle_latency: f64::from_bits(b[at + 3]),
+            }
+        }
+        Calibration {
+            cpu_baseline: profile(&b, 0),
+            ndp_stack: profile(&b, 4),
+            ndp_aggregate: profile(&b, 8),
+            host_to_stack: profile(&b, 12),
+            noc_link_bw: f64::from_bits(b[16]),
+            noc_hop_latency: f64::from_bits(b[17]),
+        }
+    }
+
     /// Runs all measurements for the given platform configurations.
     ///
     /// The CPU baseline's DDR system and one HBM2 stack are two
     /// independent DRAM models, each replaying its own stream, strided
-    /// and random request streams; they run concurrently, the DDR one on
-    /// a scoped thread and the stack on the calling thread. The other
-    /// profiles are derived from the stack's, and the NoC figures come
-    /// from the mesh model. Every number is measured in-process, and the
-    /// result is bit-for-bit deterministic for a given `seed`.
+    /// and random request streams. The other profiles are derived from
+    /// the stack's, and the NoC figures come from the mesh model. Every
+    /// number is measured in-process, and the result is bit-for-bit
+    /// deterministic for a given `seed`. The paper's machine is already
+    /// recorded as [`Calibration::PAPER_TABLE3`]; this is the API for
+    /// every other configuration.
     ///
     /// # Examples
     ///
     /// ```
     /// use ndft_sim::{Calibration, CpuBaselineConfig, SystemConfig};
     ///
-    /// let cal = Calibration::measure(
-    ///     &SystemConfig::paper_table3(),
-    ///     &CpuBaselineConfig::paper_baseline(),
-    ///     7,
-    /// );
+    /// // Table III with half the stacks: each stack measures the same,
+    /// // the aggregate halves.
+    /// let mut sys = SystemConfig::paper_table3();
+    /// sys.ndp.stacks /= 2;
+    /// let cal = Calibration::measure(&sys, &CpuBaselineConfig::paper_baseline(), 7);
+    /// let paper = Calibration::PAPER_TABLE3;
+    /// assert_eq!(cal.ndp_stack, paper.ndp_stack);
+    /// assert_eq!(2.0 * cal.ndp_aggregate.stream_bw, paper.ndp_aggregate.stream_bw);
     /// // The entire premise of NDP: aggregate in-stack bandwidth dwarfs
     /// // both the DDR system and the host link.
     /// assert!(cal.ndp_aggregate.stream_bw > 5.0 * cal.cpu_baseline.stream_bw);
     /// assert!(cal.ndp_aggregate.stream_bw > 5.0 * cal.host_to_stack.stream_bw);
     /// ```
     pub fn measure(sys: &SystemConfig, base: &CpuBaselineConfig, seed: u64) -> Calibration {
-        // --- CPU baseline (all DDR4 channels) and one HBM2 stack,
-        // concurrently. ---
+        // --- CPU baseline: all DDR4 channels. ---
+        let mut ddr = DramModel::new(
+            base.timings,
+            base.channels,
+            base.banks_per_channel,
+            base.row_bytes,
+        );
+        let cpu_baseline = measure_profile(&mut ddr, base.timings.clock_hz, seed);
+
+        // --- One HBM2 stack. ---
         let mem = &sys.memory;
-        let (cpu_baseline, ndp_stack) = std::thread::scope(|s| {
-            let ddr = s.spawn(|| {
-                let mut ddr = DramModel::new(
-                    base.timings,
-                    base.channels,
-                    base.banks_per_channel,
-                    base.row_bytes,
-                );
-                measure_profile(&mut ddr, base.timings.clock_hz, seed)
-            });
-            let mut stack = DramModel::new(
-                mem.timings,
-                mem.channels_per_stack,
-                mem.banks_per_channel,
-                mem.row_bytes,
-            );
-            let ndp_stack = measure_profile(&mut stack, mem.timings.clock_hz, seed + 1);
-            (ddr.join().expect("DDR calibration thread"), ndp_stack)
-        });
+        let mut stack = DramModel::new(
+            mem.timings,
+            mem.channels_per_stack,
+            mem.banks_per_channel,
+            mem.row_bytes,
+        );
+        let ndp_stack = measure_profile(&mut stack, mem.timings.clock_hz, seed + 1);
 
         // --- Aggregate: stacks operate on disjoint local partitions, so
         // bandwidth scales with the stack count (latency does not).
@@ -278,9 +346,7 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Every field of a calibration as raw `f64` bits, profiles in
-    /// declaration order (stream, strided, random, idle latency), then
-    /// the two NoC figures.
+    /// The inverse of `Calibration::from_bits`.
     fn bits(c: &Calibration) -> [u64; 18] {
         let mut out = [0u64; 18];
         let profiles = [
@@ -302,42 +368,41 @@ mod tests {
         out
     }
 
-    /// Pins the calibration every process measures (`calib::measured()`
-    /// in `ndft-core`) bit for bit, so a faster replay cannot shift a
-    /// modeled number unseen.
+    /// `bits` as the body of `Calibration::PAPER_TABLE3`'s
+    /// `from_bits([...])`, ready to paste.
+    fn paste_ready(b: &[u64; 18]) -> String {
+        let groups = [
+            "cpu_baseline",
+            "ndp_stack",
+            "ndp_aggregate",
+            "host_to_stack",
+            "noc_link_bw, noc_hop_latency",
+        ];
+        let mut out = String::from("[\n");
+        for (i, v) in b.iter().enumerate() {
+            if i % 4 == 0 {
+                out += &format!("        // {}\n", groups[i / 4]);
+            }
+            out += &format!("        {v:#018x},\n");
+        }
+        out + "    ]"
+    }
+
+    /// Differential oracle for the recorded paper calibration that every
+    /// engine process runs on (`calib::measured()` in `ndft-core`):
+    /// re-measuring its inputs must give `Calibration::PAPER_TABLE3` bit
+    /// for bit, so a change to the DRAM or NoC model that moves a
+    /// modeled number cannot pass unseen. On a deliberate model change,
+    /// paste the printed array into `PAPER_TABLE3`.
     #[test]
     fn paper_calibration_bits_are_pinned() {
-        let c = Calibration::measure(
-            &SystemConfig::paper_table3(),
-            &CpuBaselineConfig::paper_baseline(),
-            7,
+        let measured = bits(&Calibration::measure_paper_table3());
+        assert!(
+            measured == bits(&Calibration::PAPER_TABLE3),
+            "the measured paper calibration moved; if the model change is \
+             deliberate, re-record Calibration::PAPER_TABLE3 as\n{}",
+            paste_ready(&measured)
         );
-        let want: [u64; 18] = [
-            // cpu_baseline
-            0x4240fb5271d7fe93,
-            0x41ff877595fc40cd,
-            0x41f0973f12034a77,
-            0x3e601b2b29a4692b,
-            // ndp_stack
-            0x4238e07406e2f0ed,
-            0x41f10401ff9260a2,
-            0x41ef5d8c7a2ec8df,
-            0x3e601b2b29a4692b,
-            // ndp_aggregate
-            0x4278e07406e2f0ed,
-            0x42310401ff9260a2,
-            0x422f5d8c7a2ec8df,
-            0x3e601b2b29a4692b,
-            // host_to_stack
-            0x422dcd6500000000,
-            0x421dcd6500000000,
-            0x421dcd6500000000,
-            0x3e7d87247702c0d0,
-            // noc_link_bw, noc_hop_latency
-            0x421dcd5f697e1c38,
-            0x3e19c511dc3a41df,
-        ];
-        assert_eq!(bits(&c), want, "{c:?}");
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! * [`pattern`] — synthetic address streams (stream / strided / random).
 //! * [`engine`] — replay harness producing the measured [`Calibration`]
 //!   (effective bandwidth per memory system per pattern) consumed by the
-//!   machine models in `ndft-core`.
+//!   machine models in `ndft-core`. The paper's Table III machine is
+//!   recorded as [`Calibration::PAPER_TABLE3`], which the crate's tests
+//!   re-measure bit for bit; [`Calibration::measure`] measures any other
+//!   configuration.
 //!
 //! ## Example
 //!
 //! ```
-//! use ndft_sim::{Calibration, CpuBaselineConfig, SystemConfig};
+//! use ndft_sim::Calibration;
 //!
-//! let sys = SystemConfig::paper_table3();
-//! let cal = Calibration::measure(&sys, &CpuBaselineConfig::paper_baseline(), 7);
+//! let cal = Calibration::PAPER_TABLE3;
 //! // Near-data premise: in-stack streaming dwarfs what the host link offers.
 //! assert!(cal.ndp_aggregate.stream_bw > 10.0 * cal.host_to_stack.stream_bw);
 //! ```

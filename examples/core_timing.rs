@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example core_timing`
 
 use ndft::sim::timing::{CoreModel, CoreTimingConfig, KernelTrace, MemPort};
-use ndft::sim::{AccessPattern, Calibration, CpuBaselineConfig, SystemConfig};
+use ndft::sim::{AccessPattern, Calibration, SystemConfig};
 
 fn show(label: &str, r: &ndft::sim::CoreReport, clock_hz: f64) {
     println!(
@@ -23,7 +23,7 @@ fn show(label: &str, r: &ndft::sim::CoreReport, clock_hz: f64) {
 
 fn main() {
     let sys = SystemConfig::paper_table3();
-    let cal = Calibration::measure(&sys, &CpuBaselineConfig::paper_baseline(), 7);
+    let cal = Calibration::PAPER_TABLE3;
     let cpu_port = MemPort {
         fill_latency_s: cal.host_to_stack.idle_latency,
         bandwidth_bps: cal.host_to_stack.stream_bw / sys.cpu.cores as f64,

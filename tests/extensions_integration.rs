@@ -11,8 +11,8 @@ use ndft::sched::{plan, PlanRequest, StaticCodeAnalyzer};
 use ndft::shmem::coherence::simulate_update_cycle;
 use ndft::sim::timing::{CoreModel, KernelTrace, MemPort};
 use ndft::sim::{
-    AccessPattern, Calibration, CpuBaselineConfig, DramModel, DramTimings, MemRequest, RowPolicy,
-    SchedPolicy, SystemConfig,
+    AccessPattern, Calibration, DramModel, DramTimings, MemRequest, RowPolicy, SchedPolicy,
+    SystemConfig,
 };
 
 #[test]
@@ -51,7 +51,7 @@ fn core_model_agrees_with_calibration_on_streaming_bandwidth() {
     // fraction of its configured bandwidth share — tying the per-core
     // model to the DRAM-level calibration.
     let sys = SystemConfig::paper_table3();
-    let cal = Calibration::measure(&sys, &CpuBaselineConfig::paper_baseline(), 7);
+    let cal = Calibration::PAPER_TABLE3;
     let cores_per_stack = (sys.ndp.units_per_stack * sys.ndp.cores_per_unit) as f64;
     let share = cal.ndp_stack.stream_bw / cores_per_stack;
     let port = MemPort {
