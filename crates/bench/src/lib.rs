@@ -1,7 +1,7 @@
 //! # ndft-bench
 //!
 //! Benchmark harnesses regenerating every table and figure of the NDFT
-//! paper, plus Criterion microbenchmarks of the substrate.
+//! paper, plus the serving-policy study.
 //!
 //! Binaries (one per experiment — run with `cargo run -p ndft-bench --bin <name>`):
 //!
@@ -13,18 +13,13 @@
 //! | `fig7_breakdown`   | Fig. 7 execution-time comparison (a: small, b: large) |
 //! | `fig8_scaling`     | Fig. 8 scalability sweep |
 //! | `ablations`        | granularity / comm-scheme / GPU-staging ablations |
-//! | `energy_comparison`| energy model over the Fig. 7 runs |
-//! | `design_space`     | stack-count & host-link sweeps |
 //! | `ablation_dram`    | controller policies + DDR5/HBM3 generations |
 //! | `core_model`       | per-core cycle breakdown per kernel class |
 //! | `solver_study`     | Davidson vs SYEVD; full Casida vs TDA |
-//! | `scheduler_study`  | energy/EDP objectives; online vs static |
 //! | `timing_crosscheck`| analytic layer vs cycle-level core model |
-//! | `repro_all`        | everything above → `results/*.csv` + summary |
+//! | `repro_all`        | Fig. 4, 7, 8, Table I, §VI-A → `results/*.csv` + summary |
 //! | `validate`         | numeric oracle suite |
-//!
-//! Criterion benches (`cargo bench -p ndft-bench`): `numerics`,
-//! `simulator`, `pipeline`, `extensions`.
+//! | `serve_study`      | serving-policy sweep and CI gates → `BENCH_serve.json` |
 
 /// Shared header printed by every harness binary.
 pub fn print_header(what: &str) {

@@ -491,10 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn design_space_runs_match_the_reference_body_bit_for_bit() {
-        // A non-Table-III machine with its own calibration, as a
-        // design-space sweep builds it.
-        let sys = crate::design_space::config_with_stacks(8);
+    fn eight_stack_runs_match_the_reference_body_bit_for_bit() {
+        // A non-Table-III machine with its own calibration: Table III with
+        // 8 stacks on a 2×4 mesh, capacity scaled per stack.
+        let mut sys = ndft_sim::SystemConfig::paper_table3();
+        let per_stack_capacity = sys.memory.capacity_bytes / sys.ndp.stacks;
+        sys.ndp.stacks = 8;
+        sys.mesh.width = 2;
+        sys.mesh.height = 4;
+        sys.memory.capacity_bytes = per_stack_capacity * 8;
         let cal = ndft_sim::Calibration::measure(&sys, calib::baseline_config(), 7);
         for atoms in [8usize, 64, 1024] {
             let g = build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1);

@@ -19,8 +19,6 @@
 
 pub mod calib;
 pub mod crosscheck;
-pub mod design_space;
-pub mod energy;
 pub mod engine;
 pub mod experiments;
 pub mod machine;
@@ -28,14 +26,6 @@ pub mod report;
 
 pub use calib::ModelConstants;
 pub use crosscheck::{crosscheck, trace_for, CrosscheckRow};
-pub use design_space::{
-    config_with_host_link, config_with_stacks, render_sweep, sweep_host_link, sweep_stacks,
-    DesignPoint,
-};
-pub use energy::{
-    energy_comparison, energy_cpu_baseline, energy_gpu_baseline, energy_ndft, EnergyComparison,
-    EnergyReport,
-};
 pub use engine::{
     run_cpu_baseline, run_gpu_baseline, run_gpu_with_policy, run_ndft, run_ndft_with,
     MeasuredTimer, NdftOptions, RunReport, StageReport,

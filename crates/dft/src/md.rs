@@ -3,13 +3,13 @@
 //! The paper's workload is a single-geometry LR-TDDFT calculation, but
 //! its shared-block design really earns its keep in *ab-initio MD*,
 //! where atoms move every step and the pseudopotential blocks tied to
-//! them must be rebuilt and re-broadcast — the write traffic that
-//! [`crate::pseudo`] and `ndft-shmem`'s coherence protocol price. This
-//! module supplies that driver: velocity-Verlet dynamics on a
-//! Keating-like harmonic bond model of the diamond lattice, reporting
+//! them must be rebuilt and re-broadcast — write traffic on blocks that
+//! the LR-TDDFT pipeline treats as immutable (see `ndft-shmem`'s crate
+//! docs). This module supplies that driver: velocity-Verlet dynamics on
+//! a Keating-like harmonic bond model of the diamond lattice, reporting
 //! per-step *pseudopotential rebuild fractions* (atoms displaced past a
-//! projector-grid threshold), which plug directly into
-//! `ndft_shmem::coherence::simulate_update_cycle` as write intensity.
+//! projector-grid threshold), the share of [`crate::pseudo`] blocks each
+//! step would rewrite.
 //!
 //! Units: eV, Å, fs (so masses carry eV·fs²/Å²).
 //!
@@ -115,8 +115,8 @@ pub struct MdTrajectory {
 }
 
 impl MdTrajectory {
-    /// Mean per-step rebuild fraction — the write intensity the
-    /// coherence protocol sees.
+    /// Mean per-step rebuild fraction — the share of pseudopotential
+    /// blocks a step rewrites.
     pub fn mean_rebuild_fraction(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;

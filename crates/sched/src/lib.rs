@@ -34,18 +34,14 @@
 //! assert!(hybrid.total_time() < cpu_only.total_time());
 //! ```
 
-pub mod anneal;
 pub mod cost;
-pub mod dynamic;
 pub mod granularity;
 pub mod overlap;
 pub mod planner;
 pub mod roofline;
 pub mod sca;
 
-pub use anneal::{plan_anneal, AnnealOptions, AnnealOutcome, Objective, PowerModel};
 pub use cost::{CostModel, TargetLoad};
-pub use dynamic::{simulate_online, DynamicOptions, DynamicReport};
 pub use granularity::{granularity_study, split_stages, Granularity, GranularityReport};
 pub use overlap::{analyze_overlap, OverlapAnalysis};
 pub use planner::{plan, PlacementPolicy, Plan, PlanRequest, StageTimer};

@@ -12,6 +12,17 @@
 //!   arbiters; quantifies the hierarchical scheme's traffic filtering.
 //! * [`footprint`] — the Table I memory-footprint reproduction.
 //!
+//! ## Cached blocks and immutability
+//!
+//! The hierarchical scheme of §IV-C caches remote blocks in the local
+//! stack's shared memory after the first fetch, and every later read on
+//! that stack is served locally ([`SharedBlockStore::mark_cached`]).
+//! That is safe while the pseudopotential data is immutable, which it is
+//! for the LR-TDDFT pipeline the paper evaluates. Atom movement in
+//! ab-initio MD rewrites the blocks themselves between steps; the paper
+//! leaves the protocol that would invalidate stale copies implicit, and
+//! this crate models none.
+//!
 //! ## Example
 //!
 //! ```
@@ -32,16 +43,11 @@
 pub mod alltoall;
 pub mod api;
 pub mod arbiter;
-pub mod coherence;
 pub mod footprint;
 pub mod shared_block;
 
 pub use alltoall::{simulate_alltoall, AlltoallReport};
 pub use api::{CommScheme, NdftRuntime, OpResult, RuntimeStats, UnitId};
 pub use arbiter::{simulate_block_gather, simulate_block_gather_on, GatherReport};
-pub use coherence::{
-    simulate_update_cycle, CoherenceController, CoherenceError, CoherenceStats, ReadOutcome,
-    UpdateCycleReport,
-};
 pub use footprint::{footprint_row, table1_rows, FootprintRow, Platform};
 pub use shared_block::{BlockMeta, BlockResidence, SharedBl, SharedBlockStore, ShmemError};

@@ -89,81 +89,3 @@ proptest! {
         prop_assert!(large.latency >= small.latency);
     }
 }
-
-// --- Coherence-protocol invariants. ---
-
-mod coherence_props {
-    use ndft_shmem::coherence::CoherenceController;
-    use ndft_shmem::SharedBl;
-    use proptest::prelude::*;
-
-    /// A random schedule of reads and (acquire, release) write pairs.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Read { stack: usize },
-        Write { stack: usize },
-    }
-
-    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        prop::collection::vec(
-            prop_oneof![
-                (0usize..8).prop_map(|stack| Op::Read { stack }),
-                (0usize..8).prop_map(|stack| Op::Write { stack }),
-            ],
-            1..200,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn protocol_invariants_hold_under_random_schedules(ops in arb_ops()) {
-            let mut cc = CoherenceController::new(8);
-            let bl = SharedBl(7);
-            cc.register(bl, 0).unwrap();
-            let mut reads = 0u64;
-            let mut version = 0u64;
-            for op in &ops {
-                match *op {
-                    Op::Read { stack } => {
-                        let out = cc.read(bl, stack).unwrap();
-                        reads += 1;
-                        // A read always observes the current version.
-                        prop_assert_eq!(out.version, version);
-                        // Immediately after a read, the reader's copy is valid.
-                        prop_assert!(!cc.read(bl, stack).unwrap().fetched);
-                        reads += 1;
-                    }
-                    Op::Write { stack } => {
-                        cc.acquire_write(bl, stack).unwrap();
-                        cc.release_write(bl, stack).unwrap();
-                        version += 1;
-                        // After a commit only the writer holds a valid copy.
-                        prop_assert_eq!(cc.valid_copies(bl).unwrap(), 1);
-                    }
-                }
-                // Version is monotone and matches our shadow counter.
-                prop_assert_eq!(cc.version(bl).unwrap(), version);
-            }
-            let stats = cc.stats();
-            prop_assert_eq!(stats.read_hits + stats.read_fetches, reads);
-            prop_assert_eq!(stats.writes, version);
-        }
-
-        #[test]
-        fn valid_copies_grow_only_by_reads(
-            readers in prop::collection::vec(0usize..8, 0..32)
-        ) {
-            let mut cc = CoherenceController::new(8);
-            let bl = SharedBl(1);
-            cc.register(bl, 3).unwrap();
-            let mut seen = std::collections::HashSet::from([3usize]);
-            for &stack in &readers {
-                let _ = cc.read(bl, stack).unwrap();
-                seen.insert(stack);
-                prop_assert_eq!(cc.valid_copies(bl).unwrap(), seen.len());
-            }
-        }
-    }
-}

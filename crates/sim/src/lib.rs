@@ -33,7 +33,6 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
-pub mod energy;
 pub mod engine;
 pub mod noc;
 pub mod pattern;
@@ -47,7 +46,6 @@ pub use config::{
     MeshConfig, NdpConfig, SpmConfig, SystemConfig,
 };
 pub use dram::{DramModel, DramStats, MemRequest, RowOutcome, RowPolicy, SchedPolicy};
-pub use energy::EnergyModel;
 pub use engine::{BandwidthProfile, Calibration};
 pub use noc::{MeshNoc, NocStats, Topology, Transfer};
 pub use pattern::AccessPattern;

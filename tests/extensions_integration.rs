@@ -1,14 +1,10 @@
-//! Integration tests spanning the extension modules: the iterative
-//! eigensolver on real response Hamiltonians, Casida-vs-TDA ordering,
-//! the core timing model against the calibration, coherence traffic
-//! economics, and the scheduler extensions against the DP planner.
+//! Integration tests spanning the oracle and ablation modules: the
+//! iterative eigensolver on real response Hamiltonians, Casida-vs-TDA
+//! ordering, the core timing model against the calibration, and the DRAM
+//! controller-policy and memory-generation ablations.
 
 use ndft::dft::casida::{run_casida, solve_tda_iterative};
-use ndft::dft::{build_task_graph, SiliconSystem};
-use ndft::sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
-use ndft::sched::dynamic::{simulate_online, DynamicOptions};
-use ndft::sched::{plan, PlanRequest, StaticCodeAnalyzer};
-use ndft::shmem::coherence::simulate_update_cycle;
+use ndft::dft::SiliconSystem;
 use ndft::sim::timing::{CoreModel, KernelTrace, MemPort};
 use ndft::sim::{
     AccessPattern, Calibration, DramModel, DramTimings, MemRequest, RowPolicy, SchedPolicy,
@@ -69,46 +65,6 @@ fn core_model_agrees_with_calibration_on_streaming_bandwidth() {
         "achieved {achieved:.3e} vs share {share:.3e}"
     );
     assert!(achieved <= share * 1.05, "cannot beat the configured share");
-}
-
-#[test]
-fn coherence_saving_decreases_with_write_intensity() {
-    let mut last = f64::INFINITY;
-    for write_fraction in [0.0, 0.1, 0.5, 1.0] {
-        let report = simulate_update_cycle(16, 128, 8, write_fraction);
-        let saving = report.traffic_saving();
-        assert!(
-            saving <= last + 1e-9,
-            "saving should fall with write intensity: {saving} after {last}"
-        );
-        last = saving;
-    }
-}
-
-#[test]
-fn annealer_and_online_scheduler_are_consistent_with_dp() {
-    let sca = StaticCodeAnalyzer::paper_default();
-    let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
-    let dp = plan(&stages, &sca, &PlanRequest::default());
-    // Annealed time plan = DP plan.
-    let sa = plan_anneal(
-        &stages,
-        &sca,
-        &PowerModel::paper_default(),
-        Objective::Time,
-        &AnnealOptions::default(),
-    );
-    assert!((sa.plan.total_time() - dp.total_time()).abs() <= 1e-9 * dp.total_time());
-    // Online scheduler with an exact SCA reproduces the static plan.
-    let opts = DynamicOptions {
-        mispredict_sigma: 0.0,
-        noise_sigma: 0.0,
-        explore_epsilon: 0.0,
-        ..DynamicOptions::default()
-    };
-    let r = simulate_online(&stages, &sca, &opts);
-    assert_eq!(r.final_placement, dp.placement);
-    assert_eq!(r.migrations, 0);
 }
 
 #[test]
