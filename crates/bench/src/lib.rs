@@ -13,7 +13,6 @@
 //! | `fig7_breakdown`   | Fig. 7 execution-time comparison (a: small, b: large) |
 //! | `fig8_scaling`     | Fig. 8 scalability sweep |
 //! | `ablations`        | granularity / comm-scheme / GPU-staging ablations |
-//! | `ablation_dram`    | controller policies + DDR5/HBM3 generations |
 //! | `core_model`       | per-core cycle breakdown per kernel class |
 //! | `solver_study`     | Davidson vs SYEVD; full Casida vs TDA |
 //! | `timing_crosscheck`| analytic layer vs cycle-level core model |

@@ -45,11 +45,6 @@ impl ProcessTopology {
     pub fn paper_ndp() -> Self {
         ProcessTopology::new(16, 16)
     }
-
-    /// The paper's CPU-NDP host side: 8 cores, one domain.
-    pub fn paper_cpu_host() -> Self {
-        ProcessTopology::new(1, 8)
-    }
 }
 
 /// Decomposition of an all-to-all exchange.

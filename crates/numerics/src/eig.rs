@@ -11,7 +11,6 @@
 //! solver; the `9n³` FLOP estimate in [`crate::counters::syevd_cost`]
 //! matches this implementation's asymptotics.
 
-use crate::counters::{syevd_cost, KernelCost};
 use crate::matrix::{CMat, Mat};
 use crate::Complex64;
 use std::error::Error;
@@ -190,11 +189,6 @@ pub fn heevd(h: &CMat) -> Result<HermEigen, EigError> {
         values,
         vectors: vmat,
     })
-}
-
-/// Analytic cost of [`syevd`] for order `n` (see [`syevd_cost`]).
-pub fn syevd_cost_for(n: usize) -> KernelCost {
-    syevd_cost(n)
 }
 
 /// Householder reduction of a symmetric matrix to tridiagonal form

@@ -46,13 +46,6 @@ pub fn axpy(alpha: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     }
 }
 
-/// `x ← α·x`.
-pub fn scal(alpha: Complex64, x: &mut [Complex64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
 /// Normalizes `x` to unit 2-norm and returns the original norm.
 ///
 /// Leaves `x` untouched and returns 0.0 when its norm underflows.

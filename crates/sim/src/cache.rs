@@ -1,8 +1,7 @@
 //! Set-associative cache model with LRU replacement.
 //!
-//! Write-back, write-allocate, inclusive-enough for bandwidth studies:
-//! the hierarchy runner feeds an address stream through L1→L2→L3 and
-//! emits the resulting DRAM request stream plus per-level hit statistics.
+//! Write-back, write-allocate, inclusive-enough for bandwidth studies.
+//! [`crate::timing::CoreModel`] walks its own stack of these caches.
 
 use crate::config::CacheConfig;
 
@@ -190,96 +189,6 @@ impl Cache {
     }
 }
 
-/// A three-level cache hierarchy feeding a memory request stream.
-#[derive(Debug, Clone)]
-pub struct Hierarchy {
-    /// L1 data cache.
-    pub l1: Cache,
-    /// Unified L2.
-    pub l2: Cache,
-    /// Shared L3 (last level).
-    pub l3: Cache,
-}
-
-/// Result of pushing one address through the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyAccess {
-    /// Core cycles spent locating the data (sum of hit latencies walked).
-    pub latency: u64,
-    /// True when the access had to go to DRAM.
-    pub dram_fill: bool,
-    /// Dirty line pushed out of the LLC, if any (a DRAM write).
-    pub dram_writeback: Option<u64>,
-}
-
-impl Hierarchy {
-    /// Builds a hierarchy from three geometries.
-    pub fn new(l1: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
-        Hierarchy {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-            l3: Cache::new(l3),
-        }
-    }
-
-    /// Resets all levels.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-    }
-
-    /// Presents one demand access and walks it down the levels.
-    ///
-    /// Victim writebacks are propagated into the next level down; a dirty
-    /// LLC victim surfaces as `dram_writeback`.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> HierarchyAccess {
-        let mut latency = self.l1.cfg.hit_latency;
-        match self.l1.access(addr, is_write) {
-            CacheOutcome::Hit => {
-                return HierarchyAccess {
-                    latency,
-                    dram_fill: false,
-                    dram_writeback: None,
-                }
-            }
-            CacheOutcome::Miss { writeback } => {
-                if let Some(wb) = writeback {
-                    let _ = self.l2.access(wb, true);
-                }
-            }
-        }
-        latency += self.l2.cfg.hit_latency;
-        match self.l2.access(addr, false) {
-            CacheOutcome::Hit => {
-                return HierarchyAccess {
-                    latency,
-                    dram_fill: false,
-                    dram_writeback: None,
-                }
-            }
-            CacheOutcome::Miss { writeback } => {
-                if let Some(wb) = writeback {
-                    let _ = self.l3.access(wb, true);
-                }
-            }
-        }
-        latency += self.l3.cfg.hit_latency;
-        match self.l3.access(addr, false) {
-            CacheOutcome::Hit => HierarchyAccess {
-                latency,
-                dram_fill: false,
-                dram_writeback: None,
-            },
-            CacheOutcome::Miss { writeback } => HierarchyAccess {
-                latency,
-                dram_fill: true,
-                dram_writeback: writeback,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,53 +275,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hierarchy_filters_dram_traffic_for_small_working_set() {
-        let mut h = Hierarchy::new(
-            CacheConfig {
-                size_bytes: KIB,
-                ways: 2,
-                line_bytes: 64,
-                hit_latency: 4,
-            },
-            CacheConfig {
-                size_bytes: 8 * KIB,
-                ways: 4,
-                line_bytes: 64,
-                hit_latency: 12,
-            },
-            CacheConfig {
-                size_bytes: 64 * KIB,
-                ways: 8,
-                line_bytes: 64,
-                hit_latency: 30,
-            },
-        );
-        let mut dram = 0;
-        for rep in 0..4 {
-            for i in 0..32u64 {
-                let acc = h.access(i * 64, false);
-                if acc.dram_fill {
-                    dram += 1;
-                }
-                let _ = rep;
-            }
-        }
-        // 32 lines fit in L2: DRAM only sees the 32 cold fills.
-        assert_eq!(dram, 32);
-    }
-
-    #[test]
-    fn hierarchy_latency_accumulates_down_levels() {
-        let mut h = Hierarchy::new(small(), small(), small());
-        let first = h.access(0, false);
-        assert!(first.dram_fill);
-        assert_eq!(first.latency, 12); // 4 + 4 + 4
-        let second = h.access(0, false);
-        assert!(!second.dram_fill);
-        assert_eq!(second.latency, 4);
     }
 
     #[test]

@@ -176,53 +176,9 @@ impl DramTimings {
         }
     }
 
-    /// DDR5-4800-class timings: two independent 32-bit subchannels per
-    /// DIMM behave like one 64-bit channel at twice the clock; 64 B per
-    /// 4-cycle burst @ 2400 MHz DDR ⇒ 38.4 GB/s per channel pin
-    /// bandwidth. Same-bank refresh folded into an all-bank equivalent.
-    pub fn ddr5() -> Self {
-        DramTimings {
-            clock_hz: 2.4e9,
-            t_cas: 40,
-            t_rcd: 39,
-            t_rp: 39,
-            t_ras: 76,
-            t_burst: 4,
-            burst_bytes: 64,
-            t_refi: 9_360,
-            t_rfc: 700,
-        }
-    }
-
-    /// HBM3-class timings: 6.4 Gb/s/pin on a 64-bit pseudo-channel pair
-    /// modeled as one 128-bit channel @ 1600 MHz DDR, 32 B per 2-cycle
-    /// burst ⇒ 25.6 GB/s per channel pin bandwidth.
-    pub fn hbm3() -> Self {
-        DramTimings {
-            clock_hz: 1.6e9,
-            t_cas: 22,
-            t_rcd: 22,
-            t_rp: 22,
-            t_ras: 52,
-            t_burst: 2,
-            burst_bytes: 32,
-            t_refi: 6_240,
-            t_rfc: 416,
-        }
-    }
-
     /// Pin (peak) bandwidth of one channel in bytes/second.
     pub fn channel_peak_bw(&self) -> f64 {
         self.burst_bytes as f64 / (self.t_burst as f64 / self.clock_hz)
-    }
-
-    /// Fraction of time lost to refresh (`tRFC / tREFI`).
-    pub fn refresh_overhead(&self) -> f64 {
-        if self.t_refi == 0 {
-            0.0
-        } else {
-            self.t_rfc as f64 / self.t_refi as f64
-        }
     }
 }
 
@@ -490,24 +446,6 @@ mod tests {
         let t = DramTimings::hbm2();
         // 32 B per 2 cycles @ 1 GHz = 16 GB/s.
         assert!((t.channel_peak_bw() - 16.0e9).abs() / 16.0e9 < 1e-12);
-    }
-
-    #[test]
-    fn next_generation_presets_raise_pin_bandwidth() {
-        // DDR5-4800: 64 B / 4 cycles @ 2.4 GHz = 38.4 GB/s.
-        let ddr5 = DramTimings::ddr5();
-        assert!((ddr5.channel_peak_bw() - 38.4e9).abs() / 38.4e9 < 1e-12);
-        assert!(ddr5.channel_peak_bw() > 1.9 * DramTimings::ddr4().channel_peak_bw());
-        // HBM3: 32 B / 2 cycles @ 1.6 GHz = 25.6 GB/s.
-        let hbm3 = DramTimings::hbm3();
-        assert!((hbm3.channel_peak_bw() - 25.6e9).abs() / 25.6e9 < 1e-12);
-        assert!(hbm3.channel_peak_bw() > 1.5 * DramTimings::hbm2().channel_peak_bw());
-        // Latency in *seconds* stays flat across generations even as the
-        // cycle counts grow with the clock.
-        for t in [ddr5, hbm3] {
-            let secs = (t.t_rcd + t.t_cas) as f64 / t.clock_hz;
-            assert!(secs > 10e-9 && secs < 50e-9, "{secs}");
-        }
     }
 
     #[test]

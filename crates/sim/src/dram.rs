@@ -1,8 +1,10 @@
 //! DRAM timing model (the Ramulator-level substrate).
 //!
 //! Models each channel as a set of banks with open-row state plus a shared
-//! data bus, serviced by an FR-FCFS scheduler (row hits first, then oldest).
-//! Timing is expressed in memory-clock cycles using the presets in
+//! data bus. The modeled controller is the paper's Table III one: FR-FCFS
+//! scheduling (row hits first, then oldest) with an open-page row policy
+//! (a row stays open until a conflict or a refresh closes it). Timing is
+//! expressed in memory-clock cycles using the HBM2 and DDR4 presets in
 //! [`crate::config::DramTimings`].
 //!
 //! The model tracks, per request: row-buffer outcome (hit / closed /
@@ -28,38 +30,13 @@ pub struct MemRequest {
 
 /// Row-buffer outcome of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowOutcome {
+enum RowOutcome {
     /// The addressed row was already open.
     Hit,
     /// The bank was idle; an activate was needed.
     Closed,
     /// Another row was open; precharge + activate were needed.
     Conflict,
-}
-
-/// Memory-controller request scheduling policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// First-ready, first-come-first-served: the controller scans its
-    /// queue window for the oldest arrived row hit (the Ramulator
-    /// default, and the paper's implicit assumption).
-    #[default]
-    FrFcfs,
-    /// Strictly oldest-first, ignoring row-buffer state. The classic
-    /// ablation baseline: cheap to build, poor at locality extraction.
-    Fcfs,
-}
-
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowPolicy {
-    /// Leave the row open after a column access, betting on locality.
-    #[default]
-    OpenPage,
-    /// Auto-precharge after every column access, betting against it.
-    /// Conflicts disappear (every access activates a closed bank) at the
-    /// price of losing all row hits.
-    ClosedPage,
 }
 
 /// Aggregate statistics from servicing a request batch.
@@ -88,14 +65,6 @@ impl DramStats {
             return 0.0;
         }
         self.bytes as f64 / (self.makespan_cycles as f64 / clock_hz)
-    }
-
-    /// Mean request latency in seconds.
-    pub fn avg_latency(&self, clock_hz: f64) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        (self.total_latency_cycles as f64 / self.requests as f64) / clock_hz
     }
 
     /// Fraction of requests that hit the row buffer.
@@ -270,8 +239,6 @@ pub struct DramModel {
     n_channels: usize,
     map: AddressMap,
     channels: Vec<Channel>,
-    sched: SchedPolicy,
-    row_policy: RowPolicy,
     /// Per-batch scratch, kept between calls so its capacity is reused:
     /// every request of the batch, decoded, grouped by channel.
     queued: Vec<Queued>,
@@ -314,36 +281,9 @@ impl DramModel {
                 banks_per_channel,
             ),
             channels,
-            sched: SchedPolicy::default(),
-            row_policy: RowPolicy::default(),
             queued: Vec::new(),
             ends: Vec::new(),
         }
-    }
-
-    /// Same geometry, explicit controller policies (for ablations).
-    pub fn with_policies(
-        timings: DramTimings,
-        n_channels: usize,
-        banks_per_channel: usize,
-        row_bytes: usize,
-        sched: SchedPolicy,
-        row_policy: RowPolicy,
-    ) -> Self {
-        let mut model = DramModel::new(timings, n_channels, banks_per_channel, row_bytes);
-        model.sched = sched;
-        model.row_policy = row_policy;
-        model
-    }
-
-    /// The scheduling policy in effect.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched
-    }
-
-    /// The row-buffer policy in effect.
-    pub fn row_policy(&self) -> RowPolicy {
-        self.row_policy
     }
 
     /// Number of channels.
@@ -390,9 +330,8 @@ impl DramModel {
     /// calls). A channel's queue holds its requests in arrival order, ties
     /// in input order; a batch whose arrivals never decrease is in that
     /// order already and is not sorted. The channel then issues one
-    /// request at a time: under FR-FCFS the first arrived row hit among
-    /// the first 32 pending requests, else the oldest pending one; under
-    /// FCFS always the oldest.
+    /// request at a time: the first arrived row hit among the first 32
+    /// pending requests, else the oldest pending one.
     pub fn service_batch(&mut self, requests: &[MemRequest]) -> DramStats {
         self.service(requests.iter().copied())
     }
@@ -453,7 +392,6 @@ impl DramModel {
     /// completion and adds their outcomes to `stats`.
     fn service_channel(&mut self, ci: usize, queue: &mut [Queued], stats: &mut DramStats) {
         let t = self.timings;
-        let (sched, row_policy) = (self.sched, self.row_policy);
         let map = self.map;
         let ch = &mut self.channels[ci];
         let mut now: u64 = 0;
@@ -475,17 +413,13 @@ impl DramModel {
                 now = now.max(refresh_end);
             }
             // FR-FCFS: prefer the oldest *arrived* request that hits an
-            // open row, searching a bounded controller window. FCFS
-            // always takes the head.
-            let pick = match sched {
-                SchedPolicy::Fcfs => 0,
-                SchedPolicy::FrFcfs => pending[..pending.len().min(SCHED_WINDOW)]
-                    .iter()
-                    .position(|q| {
-                        q.arrival <= now && ch.banks[map.bank_of(q.slot)].open_row == Some(q.slot)
-                    })
-                    .unwrap_or(0),
-            };
+            // open row, searching a bounded controller window.
+            let pick = pending[..pending.len().min(SCHED_WINDOW)]
+                .iter()
+                .position(|q| {
+                    q.arrival <= now && ch.banks[map.bank_of(q.slot)].open_row == Some(q.slot)
+                })
+                .unwrap_or(0);
             let req = pending[pick];
             // The requests ahead of the pick move back one slot, so
             // `queue[head + 1..]` is what stays pending, still in order.
@@ -507,22 +441,10 @@ impl DramModel {
                     (RowOutcome::Closed, act_at + t.t_rcd)
                 }
             };
-            match row_policy {
-                RowPolicy::OpenPage => {
-                    bank.open_row = Some(req.slot);
-                    // Column commands pipeline at burst (tCCD) granularity.
-                    bank.cas_ready = cas_issue + t.t_burst;
-                }
-                RowPolicy::ClosedPage => {
-                    // Auto-precharge: the bank closes after the access;
-                    // the next activate must wait for tRAS and the
-                    // precharge itself.
-                    bank.open_row = None;
-                    let pre_done =
-                        (cas_issue + t.t_burst).max(bank.activated_at + t.t_ras) + t.t_rp;
-                    bank.cas_ready = pre_done;
-                }
-            }
+            // Open page: the row stays open for later hits. Column
+            // commands pipeline at burst (tCCD) granularity.
+            bank.open_row = Some(req.slot);
+            bank.cas_ready = cas_issue + t.t_burst;
             let data_ready = cas_issue + t.t_cas;
             let data_start = data_ready.max(ch.bus_free_at);
             let done = data_start + t.t_burst;
@@ -595,18 +517,13 @@ mod tests {
                     ch.next_refresh += t.t_refi;
                     now = now.max(refresh_end);
                 }
-                let pick = match model.sched {
-                    SchedPolicy::Fcfs => 0,
-                    SchedPolicy::FrFcfs => {
-                        let window = SCHED_WINDOW.min(pending.len());
-                        (0..window)
-                            .find(|&i| {
-                                let (_, r, d) = &pending[i];
-                                r.arrival <= now && ch.banks[d.bank].open_row == Some(d.row)
-                            })
-                            .unwrap_or(0)
-                    }
-                };
+                let window = SCHED_WINDOW.min(pending.len());
+                let pick = (0..window)
+                    .find(|&i| {
+                        let (_, r, d) = &pending[i];
+                        r.arrival <= now && ch.banks[d.bank].open_row == Some(d.row)
+                    })
+                    .unwrap_or(0);
                 let (_, req, d) = pending.remove(pick).expect("pick is in range");
                 let bank = &mut ch.banks[d.bank];
                 let at = now.max(req.arrival);
@@ -624,18 +541,8 @@ mod tests {
                         (RowOutcome::Closed, act_at + t.t_rcd)
                     }
                 };
-                match model.row_policy {
-                    RowPolicy::OpenPage => {
-                        bank.open_row = Some(d.row);
-                        bank.cas_ready = cas_issue + t.t_burst;
-                    }
-                    RowPolicy::ClosedPage => {
-                        bank.open_row = None;
-                        let pre_done =
-                            (cas_issue + t.t_burst).max(bank.activated_at + t.t_ras) + t.t_rp;
-                        bank.cas_ready = pre_done;
-                    }
-                }
+                bank.open_row = Some(d.row);
+                bank.cas_ready = cas_issue + t.t_burst;
                 let data_ready = cas_issue + t.t_cas;
                 let data_start = data_ready.max(ch.bus_free_at);
                 let done = data_start + t.t_burst;
@@ -673,7 +580,7 @@ mod tests {
     enum Arrivals {
         /// All at cycle 0 (calibration's open-loop streams).
         Zero,
-        /// Non-decreasing, as `Trace::push` records a timed stream.
+        /// Non-decreasing, as a timed request stream arrives.
         Rising,
         /// Arbitrary order, so each channel's group needs sorting.
         Shuffled,
@@ -733,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_reference_on_every_policy_and_geometry() {
+    fn replay_matches_reference_on_every_geometry() {
         let mut no_refresh = DramTimings::hbm2();
         no_refresh.t_refi = 0;
         let geometries = [
@@ -744,20 +651,14 @@ mod tests {
             (DramTimings::hbm2(), 3, 5, 96),
             (DramTimings::ddr4(), 6, 12, 64 * 24),
         ];
-        let mut seed = 1;
-        for (t, channels, banks, row_bytes) in geometries {
-            for sched in [SchedPolicy::FrFcfs, SchedPolicy::Fcfs] {
-                for row in [RowPolicy::OpenPage, RowPolicy::ClosedPage] {
-                    let model = DramModel::with_policies(t, channels, banks, row_bytes, sched, row);
-                    assert_eq!(
-                        model.map.pow2.is_some(),
-                        channels == 8,
-                        "{channels}×{banks}×{row_bytes}"
-                    );
-                    assert_matches_reference(model, seed);
-                    seed += 1;
-                }
-            }
+        for (seed, (t, channels, banks, row_bytes)) in (1..).zip(geometries) {
+            let model = DramModel::new(t, channels, banks, row_bytes);
+            assert_eq!(
+                model.map.pow2.is_some(),
+                channels == 8,
+                "{channels}×{banks}×{row_bytes}"
+            );
+            assert_matches_reference(model, seed);
         }
     }
 
@@ -951,8 +852,8 @@ mod tests {
         assert_eq!(d.idle_latency(), t.t_rcd + t.t_cas + t.t_burst);
     }
 
-    /// Two interleaved row streams in one bank: FR-FCFS reorders to batch
-    /// row hits, FCFS ping-pongs between the rows.
+    /// Two interleaved row streams in one bank, alternating request by
+    /// request.
     fn interleaved_rows(n: usize) -> Vec<MemRequest> {
         (0..n as u64)
             .map(|i| {
@@ -967,65 +868,27 @@ mod tests {
             .collect()
     }
 
+    /// FR-FCFS reorders the ping-pong into row-hit runs: it keeps picking
+    /// hits to the open row until the other row's skipped requests fill
+    /// its 32-entry window, so the 512 requests need 16 activates (one to
+    /// the idle bank, 15 conflicts) where oldest-first issue would need
+    /// one per request. The counts and the makespan are the controller's
+    /// exact output.
     #[test]
-    fn frfcfs_beats_fcfs_on_interleaved_rows() {
-        let t = DramTimings::hbm2();
-        let reqs = interleaved_rows(512);
-        let mut fr =
-            DramModel::with_policies(t, 1, 1, 2048, SchedPolicy::FrFcfs, RowPolicy::OpenPage);
-        let mut fc =
-            DramModel::with_policies(t, 1, 1, 2048, SchedPolicy::Fcfs, RowPolicy::OpenPage);
-        let fr_stats = fr.service_batch(&reqs);
-        let fc_stats = fc.service_batch(&reqs);
-        assert!(
-            fr_stats.row_hits > fc_stats.row_hits,
-            "{fr_stats:?} vs {fc_stats:?}"
+    fn frfcfs_batches_row_hits_on_interleaved_rows() {
+        let mut d = DramModel::new(DramTimings::hbm2(), 1, 1, 2048);
+        let stats = d.service_batch(&interleaved_rows(512));
+        assert_eq!(
+            stats,
+            DramStats {
+                requests: 512,
+                row_hits: 496,
+                row_closed: 1,
+                row_conflicts: 15,
+                bytes: 512 * 32,
+                makespan_cycles: 1523,
+                total_latency_cycles: 390_624,
+            }
         );
-        assert!(
-            fr_stats.makespan_cycles < fc_stats.makespan_cycles,
-            "FR-FCFS {} vs FCFS {}",
-            fr_stats.makespan_cycles,
-            fc_stats.makespan_cycles
-        );
-    }
-
-    #[test]
-    fn closed_page_eliminates_conflicts_but_loses_hits() {
-        let t = DramTimings::hbm2();
-        let reqs = interleaved_rows(256);
-        let mut open =
-            DramModel::with_policies(t, 1, 1, 2048, SchedPolicy::Fcfs, RowPolicy::OpenPage);
-        let mut closed =
-            DramModel::with_policies(t, 1, 1, 2048, SchedPolicy::Fcfs, RowPolicy::ClosedPage);
-        let open_stats = open.service_batch(&reqs);
-        let closed_stats = closed.service_batch(&reqs);
-        assert_eq!(closed_stats.row_hits, 0);
-        assert_eq!(closed_stats.row_conflicts, 0);
-        assert!(open_stats.row_conflicts > 0);
-        // Ping-pong FCFS traffic: closed page avoids the explicit
-        // precharge on the critical path, finishing no slower.
-        assert!(closed_stats.makespan_cycles <= open_stats.makespan_cycles);
-    }
-
-    #[test]
-    fn closed_page_hurts_streaming() {
-        let t = DramTimings::hbm2();
-        let reqs = stream_requests(4096, 32);
-        let mut open = DramModel::new(t, 8, 16, 2048);
-        let mut closed =
-            DramModel::with_policies(t, 8, 16, 2048, SchedPolicy::FrFcfs, RowPolicy::ClosedPage);
-        let bw_open = open.service_batch(&reqs).bandwidth(t.clock_hz);
-        let bw_closed = closed.service_batch(&reqs).bandwidth(t.clock_hz);
-        assert!(
-            bw_open > 1.5 * bw_closed,
-            "open {bw_open:.3e} vs closed {bw_closed:.3e}"
-        );
-    }
-
-    #[test]
-    fn default_policies_are_frfcfs_open_page() {
-        let d = hbm();
-        assert_eq!(d.sched_policy(), SchedPolicy::FrFcfs);
-        assert_eq!(d.row_policy(), RowPolicy::OpenPage);
     }
 }

@@ -7,9 +7,12 @@
 //!
 //! * [`config`] — structural parameters; [`SystemConfig::paper_table3`]
 //!   reproduces the paper's Table III machine.
-//! * [`dram`] — bank/row/bus DRAM timing model with FR-FCFS scheduling and
-//!   HBM2/DDR4 presets.
-//! * [`cache`] — set-associative LRU caches and a three-level hierarchy.
+//! * [`dram`] — bank/row/bus DRAM timing model of the Table III
+//!   controller (FR-FCFS scheduling, open page) with HBM2/DDR4 presets.
+//! * [`cache`] — one set-associative LRU cache level; [`timing`]'s core
+//!   model stacks these into each core's data-cache levels.
+//! * [`timing`] — trace-driven per-core timing model (issue width, MSHRs,
+//!   out-of-order window, prefetcher) that cross-checks the calibration.
 //! * [`noc`] — the 4×4 stack mesh with XY routing and link contention.
 //! * [`spm`] — logic-layer scratchpads with explicit allocation.
 //! * [`pattern`] — synthetic address streams (stream / strided / random).
@@ -38,17 +41,15 @@ pub mod noc;
 pub mod pattern;
 pub mod spm;
 pub mod timing;
-pub mod trace;
 
-pub use cache::{Cache, CacheOutcome, CacheStats, Hierarchy, HierarchyAccess};
+pub use cache::{Cache, CacheOutcome, CacheStats};
 pub use config::{
     CacheConfig, CpuBaselineConfig, CpuConfig, DramTimings, HostLinkConfig, MemoryConfig,
     MeshConfig, NdpConfig, SpmConfig, SystemConfig,
 };
-pub use dram::{DramModel, DramStats, MemRequest, RowOutcome, RowPolicy, SchedPolicy};
+pub use dram::{DramModel, DramStats, MemRequest};
 pub use engine::{BandwidthProfile, Calibration};
 pub use noc::{MeshNoc, NocStats, Topology, Transfer};
 pub use pattern::AccessPattern;
 pub use spm::{Scratchpad, SpmError, SpmHandle};
 pub use timing::{CoreModel, CoreReport, CoreTimingConfig, KernelTrace, MemPort, MicroOp};
-pub use trace::Trace;

@@ -109,11 +109,6 @@ impl Scratchpad {
         self.peak_used
     }
 
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> usize {
-        self.capacity - self.used()
-    }
-
     /// Access latency in cycles.
     pub fn access_latency(&self) -> u64 {
         self.access_latency

@@ -1,14 +1,16 @@
-//! Trace-driven what-if: replay identical memory traffic against
-//! different memory systems — the experiment style zsim/Ramulator users
-//! run daily, on our substrate.
+//! Memory what-if: replay identical memory traffic against different
+//! memory systems — the experiment style zsim/Ramulator users run daily,
+//! on our substrate.
 //!
-//! Records one trace per access pattern, then replays it against the
-//! CPU baseline's DDR4 channels, one HBM2 stack, and an HBM2 stack with
-//! refresh disabled, printing achieved bandwidth and row-buffer behaviour.
+//! Generates one request stream per access pattern, then replays it
+//! against the CPU baseline's DDR4 channels, one HBM2 stack, and an HBM2
+//! stack with refresh disabled, printing achieved bandwidth and
+//! row-buffer behaviour.
 //!
 //! Run with: `cargo run --release --example memory_whatif`
 
-use ndft::sim::{AccessPattern, CpuBaselineConfig, DramModel, SystemConfig, Trace};
+use ndft::sim::pattern::generate;
+use ndft::sim::{AccessPattern, CpuBaselineConfig, DramModel, MemRequest, SystemConfig};
 
 fn main() {
     let sys = SystemConfig::paper_table3();
@@ -76,8 +78,16 @@ fn main() {
         ];
         for (label, dram, clock) in systems.iter_mut() {
             let burst = dram.burst_bytes();
-            let trace = Trace::from_pattern(pattern, TOTAL_BYTES / burst, burst, 42);
-            let stats = trace.replay(dram);
+            // Open-loop saturation traffic: every request arrives at 0.
+            let requests: Vec<MemRequest> = generate(pattern, TOTAL_BYTES / burst, 0, burst, 42)
+                .into_iter()
+                .map(|addr| MemRequest {
+                    addr,
+                    is_write: false,
+                    arrival: 0,
+                })
+                .collect();
+            let stats = dram.service_batch(&requests);
             println!(
                 "{:<14} {:<22} {:>9.1} GB/s {:>9.1}% {:>10}",
                 name,

@@ -1,15 +1,11 @@
-//! Integration tests spanning the oracle and ablation modules: the
-//! iterative eigensolver on real response Hamiltonians, Casida-vs-TDA
-//! ordering, the core timing model against the calibration, and the DRAM
-//! controller-policy and memory-generation ablations.
+//! Integration tests spanning the oracle modules: the iterative
+//! eigensolver on real response Hamiltonians, Casida-vs-TDA ordering, and
+//! the core timing model against the calibration.
 
 use ndft::dft::casida::{run_casida, solve_tda_iterative};
 use ndft::dft::SiliconSystem;
 use ndft::sim::timing::{CoreModel, KernelTrace, MemPort};
-use ndft::sim::{
-    AccessPattern, Calibration, DramModel, DramTimings, MemRequest, RowPolicy, SchedPolicy,
-    SystemConfig,
-};
+use ndft::sim::{AccessPattern, Calibration, SystemConfig};
 
 #[test]
 fn casida_bounds_tda_across_small_systems() {
@@ -65,47 +61,4 @@ fn core_model_agrees_with_calibration_on_streaming_bandwidth() {
         "achieved {achieved:.3e} vs share {share:.3e}"
     );
     assert!(achieved <= share * 1.05, "cannot beat the configured share");
-}
-
-#[test]
-fn controller_policy_ordering_holds_on_stream_traffic() {
-    // Table III's controller (FR-FCFS + open page) must dominate the
-    // ablation variants on the streaming traffic LR-TDDFT generates.
-    let t = DramTimings::hbm2();
-    let reqs: Vec<MemRequest> = (0..16_384u64)
-        .map(|i| MemRequest {
-            addr: i * 32,
-            is_write: false,
-            arrival: 0,
-        })
-        .collect();
-    let bw = |sched, row| {
-        let mut d = DramModel::with_policies(t, 8, 16, 2048, sched, row);
-        d.service_batch(&reqs).bandwidth(t.clock_hz)
-    };
-    let paper = bw(SchedPolicy::FrFcfs, RowPolicy::OpenPage);
-    let closed = bw(SchedPolicy::FrFcfs, RowPolicy::ClosedPage);
-    assert!(
-        paper > 1.5 * closed,
-        "open {paper:.3e} vs closed {closed:.3e}"
-    );
-}
-
-#[test]
-fn next_gen_memory_lifts_both_sides_of_the_comparison() {
-    // HBM3 > HBM2 for the stacks, DDR5 > DDR4 for the baseline — the
-    // design-space direction the ablation harness reports.
-    let stream = |timings: DramTimings, channels: usize, row_bytes: usize| {
-        let mut d = DramModel::new(timings, channels, 16, row_bytes);
-        let reqs: Vec<MemRequest> = (0..16_384u64)
-            .map(|i| MemRequest {
-                addr: i * timings.burst_bytes as u64,
-                is_write: false,
-                arrival: 0,
-            })
-            .collect();
-        d.service_batch(&reqs).bandwidth(timings.clock_hz)
-    };
-    assert!(stream(DramTimings::hbm3(), 8, 2048) > 1.3 * stream(DramTimings::hbm2(), 8, 2048));
-    assert!(stream(DramTimings::ddr5(), 8, 8192) > 1.5 * stream(DramTimings::ddr4(), 8, 8192));
 }
