@@ -120,13 +120,7 @@ pub fn run_gpu_baseline(graph: &TaskGraph) -> RunReport {
 
 /// GPU run with an explicit all-to-all policy (for the ablation).
 pub fn run_gpu_with_policy(graph: &TaskGraph, policy: GpuAlltoallPolicy) -> RunReport {
-    let peak_ws = graph
-        .stages
-        .iter()
-        .map(|s| s.working_set)
-        .max()
-        .unwrap_or(0);
-    let machine = GpuBaselineMachine::new(ModelConstants::paper_default(), policy, peak_ws);
+    let machine = GpuBaselineMachine::new(ModelConstants::paper_default(), policy);
     run_machine(graph, &machine)
 }
 

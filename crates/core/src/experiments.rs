@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// Iterations per run (the evaluation times one response build; relative
 /// numbers are iteration-invariant).
-pub const ITERATIONS: usize = 1;
+const ITERATIONS: usize = 1;
 
 /// All three platforms on one physical system (one panel of Fig. 7).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

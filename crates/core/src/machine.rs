@@ -134,25 +134,12 @@ pub enum GpuAlltoallPolicy {
 pub struct GpuBaselineMachine {
     consts: ModelConstants,
     policy: GpuAlltoallPolicy,
-    /// Largest stage working set of the pipeline being run (decides
-    /// device-memory residency).
-    pipeline_peak_ws: u64,
 }
 
 impl GpuBaselineMachine {
-    /// Builds the model for a pipeline whose largest stage working set is
-    /// `pipeline_peak_ws` bytes.
-    pub fn new(consts: ModelConstants, policy: GpuAlltoallPolicy, pipeline_peak_ws: u64) -> Self {
-        GpuBaselineMachine {
-            consts,
-            policy,
-            pipeline_peak_ws,
-        }
-    }
-
-    /// Fraction of the pipeline's working set resident in device memory.
-    pub fn resident_fraction(&self) -> f64 {
-        (self.consts.gpu_device_memory as f64 / self.pipeline_peak_ws.max(1) as f64).min(1.0)
+    /// Builds the model with the given all-to-all policy.
+    pub fn new(consts: ModelConstants, policy: GpuAlltoallPolicy) -> Self {
+        GpuBaselineMachine { consts, policy }
     }
 
     fn hbm_profile(&self) -> BandwidthProfile {
@@ -381,12 +368,10 @@ mod tests {
         let staged = GpuBaselineMachine::new(
             ModelConstants::paper_default(),
             GpuAlltoallPolicy::HostStaged,
-            1 << 30,
         );
         let direct = GpuBaselineMachine::new(
             ModelConstants::paper_default(),
             GpuAlltoallPolicy::DeviceDirect,
-            1 << 30,
         );
         let ts = staged.time_stage(&a2a).total();
         let td = direct.time_stage(&a2a).total();
@@ -402,9 +387,7 @@ mod tests {
         let gpu = GpuBaselineMachine::new(
             ModelConstants::paper_default(),
             GpuAlltoallPolicy::HostStaged,
-            fft.working_set,
         );
-        assert!(gpu.resident_fraction() < 0.6);
         let spilled = gpu.time_stage(&fft);
         assert!(
             spilled.transfer > 0.0,
@@ -441,7 +424,6 @@ mod tests {
         let gpu = GpuBaselineMachine::new(
             ModelConstants::paper_default(),
             GpuAlltoallPolicy::HostStaged,
-            1,
         );
         assert_eq!(gpu.name(), "GPU");
     }

@@ -10,7 +10,7 @@ pub const HBAR2_OVER_2M: f64 = 3.81;
 
 /// `|G|²` for every FFT bin of a grid with box lengths `(lx, ly, lz)`,
 /// in Å⁻², FFT frequency order.
-pub fn g2_table(grid: GridDims, lx: f64, ly: f64, lz: f64) -> Vec<f64> {
+fn g2_table(grid: GridDims, lx: f64, ly: f64, lz: f64) -> Vec<f64> {
     let freq = |i: usize, n: usize, l: f64| {
         let k = if i <= n / 2 {
             i as f64

@@ -40,11 +40,6 @@ impl ProcessTopology {
     pub fn total(&self) -> usize {
         self.domains * self.processes_per_domain
     }
-
-    /// The paper's NDP topology: 16 stacks × 16 cores.
-    pub fn paper_ndp() -> Self {
-        ProcessTopology::new(16, 16)
-    }
 }
 
 /// Decomposition of an all-to-all exchange.
@@ -79,7 +74,7 @@ impl CommVolume {
 /// ```
 /// use ndft_dft::dist::{alltoall_volume, ProcessTopology};
 ///
-/// let v = alltoall_volume(1_000_000, ProcessTopology::paper_ndp());
+/// let v = alltoall_volume(1_000_000, ProcessTopology::new(16, 16));
 /// // 16 stacks: 15/16 of partners are remote ⇒ ~94% of traffic crosses.
 /// assert!(v.remote_fraction() > 0.9);
 /// ```
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn paper_ndp_is_mostly_remote() {
-        let v = alltoall_volume(1 << 30, ProcessTopology::paper_ndp());
+        let v = alltoall_volume(1 << 30, ProcessTopology::new(16, 16));
         // intra pairs = 16·16·15 = 3840 of 256·255 = 65280 → ~5.9% intra.
         assert!((v.remote_fraction() - 0.9412).abs() < 1e-3);
     }

@@ -27,7 +27,7 @@ pub const COULOMB_EV_A: f64 = 14.3996;
 pub const MODEL_GAP_EV: f64 = 1.1;
 /// Adiabatic-LDA-style contact exchange-correlation kernel (attractive),
 /// dimensionless relative to the Hartree kernel scale.
-pub const FXC_CONTACT: f64 = -0.20;
+const FXC_CONTACT: f64 = -0.20;
 
 /// Result of one LR-TDDFT calculation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

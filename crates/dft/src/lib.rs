@@ -50,14 +50,13 @@ pub use driver::{
 pub use kpoints::{band_structure, monkhorst_pack, si_path, BandPathPoint, BandStructure, KPoint};
 pub use md::{bond_list, run_md, run_md_prepared, MdOptions, MdSample, MdTrajectory};
 pub use pseudo::{
-    apply_nonlocal, atom_block_bytes, build_pseudos, domain_atom_fraction, footprint_bytes,
-    PseudoLayout, Pseudopotential,
+    apply_nonlocal, atom_block_bytes, build_pseudos, footprint_bytes, PseudoLayout, Pseudopotential,
 };
 pub use scf::{
-    charge_density, hartree_potential, run_scf, run_scf_in, run_scf_selfconsistent,
-    run_scf_selfconsistent_seeded, GroundState, KsHamiltonian, ScfOptions, SelfConsistentResult,
+    hartree_potential, run_scf, run_scf_in, run_scf_selfconsistent, run_scf_selfconsistent_seeded,
+    GroundState, KsHamiltonian, ScfOptions, SelfConsistentResult,
 };
-pub use spectra::{model_oscillator_spectrum, oscillator_spectrum, OscillatorSpectrum};
+pub use spectra::{model_oscillator_spectrum, OscillatorSpectrum};
 pub use system::{SiliconSystem, SystemError};
 pub use workload::{
     build_task_graph, build_task_graph_fused, KernelDescriptor, KernelKind, TaskGraph,

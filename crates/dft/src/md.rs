@@ -33,17 +33,17 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Silicon atomic mass in eV·fs²/Å² (28.0855 u × 103.64).
-pub const SI_MASS: f64 = 2910.9;
+const SI_MASS: f64 = 2910.9;
 /// Boltzmann constant in eV/K.
-pub const K_B: f64 = 8.617_333e-5;
+const K_B: f64 = 8.617_333e-5;
 /// Harmonic bond-stretch constant, eV/Å² (Keating-α-class for silicon).
-pub const BOND_K: f64 = 8.0;
+const BOND_K: f64 = 8.0;
 /// Equilibrium Si–Si bond length in the diamond lattice, Å
 /// (`a·√3/4` for the supercell's lattice constant, so the starting
 /// geometry is exactly the potential minimum).
-pub const BOND_LENGTH: f64 = crate::system::SI_LATTICE_A * 0.433_012_701_892_219_3;
+const BOND_LENGTH: f64 = crate::system::SI_LATTICE_A * 0.433_012_701_892_219_3;
 /// Neighbor-search cutoff, Å (between first and second neighbor shells).
-pub const BOND_CUTOFF: f64 = 2.8;
+const BOND_CUTOFF: f64 = 2.8;
 
 /// Integration and thermostat parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

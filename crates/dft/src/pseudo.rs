@@ -34,7 +34,7 @@ pub const SPHERE_PTS: usize = 24_590;
 /// Per-process constant pseudopotential overhead: species radial tables,
 /// dense local-potential arrays and application workspace (≈ 133 MiB,
 /// Table I CPU-column calibration).
-pub const PER_PROCESS_CONST_BYTES: u64 = 139_950_000;
+const PER_PROCESS_CONST_BYTES: u64 = 139_950_000;
 
 /// Bytes of one atom's projector block: `N_PROJ × SPHERE_PTS` f64
 /// coefficients plus a u32 grid-index per sphere point.
@@ -245,7 +245,7 @@ pub enum PseudoLayout {
 /// Fraction of all atoms whose projector sphere intersects one domain of
 /// a `dx × dy` in-plane partition of the supercell, with halo `r` (Å).
 /// Clamped to 1.
-pub fn domain_atom_fraction(system: &SiliconSystem, dx: usize, dy: usize, r: f64) -> f64 {
+fn domain_atom_fraction(system: &SiliconSystem, dx: usize, dy: usize, r: f64) -> f64 {
     let (lx, ly, _lz) = system.lengths();
     let fx = ((lx / dx as f64 + 2.0 * r) / lx).min(1.0);
     let fy = ((ly / dy as f64 + 2.0 * r) / ly).min(1.0);

@@ -272,7 +272,7 @@ impl KsHamiltonian {
 /// # Panics
 ///
 /// Panics if shapes disagree.
-pub fn charge_density(orbitals: &CMat, occupations: &[f64], dv: f64) -> Vec<f64> {
+fn charge_density(orbitals: &CMat, occupations: &[f64], dv: f64) -> Vec<f64> {
     assert_eq!(
         orbitals.rows(),
         occupations.len(),

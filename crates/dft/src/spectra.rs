@@ -22,15 +22,6 @@ pub struct OscillatorSpectrum {
 }
 
 impl OscillatorSpectrum {
-    /// Index and energy of the brightest excitation.
-    pub fn brightest(&self) -> Option<(usize, f64)> {
-        self.strengths
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite strengths"))
-            .map(|(i, _)| (i, self.energies_ev[i]))
-    }
-
     /// Lorentzian-broadened absorption spectrum on `points` energies in
     /// `[e_min, e_max]` with half-width `gamma` (eV).
     ///
@@ -91,7 +82,7 @@ fn periodic_position(system: &SiliconSystem, axis: usize) -> Vec<f64> {
 /// # Errors
 ///
 /// Propagates [`EigError`] from the diagonalization.
-pub fn oscillator_spectrum(
+fn oscillator_spectrum(
     system: &SiliconSystem,
     valence: &CMat,
     conduction: &CMat,
@@ -174,14 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn brightest_points_at_a_real_excitation() {
-        let s = spectrum();
-        let (idx, energy) = s.brightest().expect("non-empty spectrum");
-        assert!(idx < s.energies_ev.len());
-        assert!((energy - s.energies_ev[idx]).abs() < 1e-12);
-    }
-
-    #[test]
     fn broadened_spectrum_integrates_to_total_strength() {
         let s = spectrum();
         let grid = s.broadened(0.0, 20.0, 4000, 0.05);
@@ -198,7 +181,10 @@ mod tests {
     #[test]
     fn broadened_peaks_near_bright_lines() {
         let s = spectrum();
-        let (_, bright_e) = s.brightest().unwrap();
+        let bright = (0..s.strengths.len())
+            .max_by(|&a, &b| s.strengths[a].total_cmp(&s.strengths[b]))
+            .unwrap();
+        let bright_e = s.energies_ev[bright];
         let grid = s.broadened(bright_e - 1.0, bright_e + 1.0, 401, 0.02);
         let peak = grid
             .iter()

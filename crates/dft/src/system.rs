@@ -14,13 +14,13 @@ use ndft_numerics::GridDims;
 /// Silicon lattice constant in Ångström.
 pub const SI_LATTICE_A: f64 = 5.43;
 /// Valence electrons per silicon atom.
-pub const SI_VALENCE_ELECTRONS: usize = 4;
+const SI_VALENCE_ELECTRONS: usize = 4;
 /// Real-space grid points per conventional-cell edge (≈ 0.27 Å spacing,
 /// a typical 25–30 Ry density-grid resolution).
-pub const GRID_PER_CELL: usize = 20;
+const GRID_PER_CELL: usize = 20;
 
 /// The eight-atom diamond basis, in units of the lattice constant.
-pub const DIAMOND_BASIS: [[f64; 3]; 8] = [
+const DIAMOND_BASIS: [[f64; 3]; 8] = [
     [0.00, 0.00, 0.00],
     [0.00, 0.50, 0.50],
     [0.50, 0.00, 0.50],
@@ -138,8 +138,8 @@ impl SiliconSystem {
         a * b * c
     }
 
-    /// Real-space FFT grid ([`GRID_PER_CELL`] points per cell edge —
-    /// always 2/3/5-smooth because 20 = 2²·5).
+    /// Real-space FFT grid (20 points per cell edge — always
+    /// 2/3/5-smooth because 20 = 2²·5).
     pub fn grid(&self) -> GridDims {
         GridDims::new(
             self.cells.0 * GRID_PER_CELL,

@@ -152,11 +152,10 @@ pub fn build_task_graph(system: &SiliconSystem, iterations: usize) -> TaskGraph 
 /// traffic at `1/K` share (ceiling division — never undercounting):
 ///
 /// * the pseudopotential **projector tables** (the dominant shared
-///   operand — geometry-only, identical for every member; cf.
-///   `gemm_cost_*_batched` in `ndft-numerics`), and
+///   operand — geometry-only, identical for every member), and
 /// * the FFT **plan/twiddle tables** re-read per grid when each member
 ///   transforms alone but resident across a [`Fft3Plan::forward_batch`]
-///   style plan-reuse sweep (cf. `Fft3Plan::fused_cost`).
+///   style plan-reuse sweep (cf. [`Fft3Plan::shared_table_bytes`]).
 ///
 /// Per-member operands (orbitals, transition densities, the GEMM's `P`
 /// and `fP`, the eigenproblem) are **not** amortized — fusion saves
@@ -165,6 +164,7 @@ pub fn build_task_graph(system: &SiliconSystem, iterations: usize) -> TaskGraph 
 /// [`build_task_graph`] exactly.
 ///
 /// [`Fft3Plan::forward_batch`]: ndft_numerics::Fft3Plan::forward_batch
+/// [`Fft3Plan::shared_table_bytes`]: ndft_numerics::Fft3Plan::shared_table_bytes
 pub fn build_task_graph_fused(
     system: &SiliconSystem,
     iterations: usize,
@@ -232,7 +232,7 @@ pub fn build_task_graph_fused(
     let plan = ndft_numerics::Fft3Plan::new(grid);
     let fft_one = plan.cost();
     // Plan/twiddle tables stay resident across a fused plan-reuse sweep;
-    // solo members re-read them per grid (cf. `Fft3Plan::fused_cost`).
+    // solo members re-read them per grid (cf. `Fft3Plan::shared_table_bytes`).
     let fft_read = fft_one.bytes_read.min(6 * nr * C64_BYTES);
     let fft_read_fused =
         fft_read.saturating_sub(plan.shared_table_bytes() * (members - 1) / members);

@@ -105,7 +105,7 @@ impl Sum for KernelCost {
 }
 
 /// Size of one `f64` in bytes.
-pub const F64_BYTES: u64 = 8;
+const F64_BYTES: u64 = 8;
 /// Size of one `Complex64` in bytes (interleaved re/im doubles).
 pub const C64_BYTES: u64 = 16;
 
@@ -126,38 +126,6 @@ pub fn gemm_cost_c64(m: usize, n: usize, k: usize) -> KernelCost {
         flops: 8 * m * n * k,
         bytes_read: C64_BYTES * (m * k + k * n),
         bytes_written: C64_BYTES * m * n,
-    }
-}
-
-/// Cost of a batched real GEMM multiplying one shared `m×k` left matrix
-/// against `batch` right matrices of shape `k×n` (see
-/// [`gemm_f64_batched`](crate::gemm_f64_batched)).
-///
-/// The shared operand's DRAM traffic is charged **once** for the whole
-/// batch: `bytes_read = 8·(m·k + batch·k·n)` instead of
-/// `batch·8·(m·k + k·n)`. FLOPs and writes scale with `batch` — fusion
-/// saves traffic, never arithmetic. At `batch = 1` this equals
-/// [`gemm_cost_f64`] exactly.
-pub fn gemm_cost_f64_batched(m: usize, n: usize, k: usize, batch: usize) -> KernelCost {
-    let (m, n, k) = (m as u64, n as u64, k as u64);
-    let batch = batch.max(1) as u64;
-    KernelCost {
-        flops: batch * 2 * m * n * k,
-        bytes_read: F64_BYTES * (m * k + batch * k * n),
-        bytes_written: F64_BYTES * batch * m * n,
-    }
-}
-
-/// Cost of a batched complex GEMM with one shared left matrix; the complex
-/// analogue of [`gemm_cost_f64_batched`]. Equals [`gemm_cost_c64`] at
-/// `batch = 1`.
-pub fn gemm_cost_c64_batched(m: usize, n: usize, k: usize, batch: usize) -> KernelCost {
-    let (m, n, k) = (m as u64, n as u64, k as u64);
-    let batch = batch.max(1) as u64;
-    KernelCost {
-        flops: batch * 8 * m * n * k,
-        bytes_read: C64_BYTES * (m * k + batch * k * n),
-        bytes_written: C64_BYTES * batch * m * n,
     }
 }
 
@@ -184,7 +152,7 @@ pub fn syevd_cost(n: usize) -> KernelCost {
 
 /// Matrix order beyond which the two-stage blocked SYEVD stops re-streaming
 /// the trailing submatrix (traffic saturates at `O(n²·512)` bytes).
-pub const SYEVD_BLOCK_CROSSOVER: u64 = 512;
+const SYEVD_BLOCK_CROSSOVER: u64 = 512;
 
 /// Cost of the face-splitting product producing `rows` rows of length `len`
 /// (one complex multiply per output element, streaming both inputs).
@@ -242,26 +210,6 @@ mod tests {
         let c = gemm_cost_c64(16, 16, 16);
         assert_eq!(c.flops, 4 * r.flops);
         assert_eq!(c.bytes_read, 2 * r.bytes_read);
-    }
-
-    #[test]
-    fn batched_gemm_cost_amortizes_only_the_shared_operand() {
-        for &(m, n, k) in &[(8, 6, 4), (64, 64, 64), (3, 1, 7)] {
-            assert_eq!(gemm_cost_f64_batched(m, n, k, 1), gemm_cost_f64(m, n, k));
-            assert_eq!(gemm_cost_c64_batched(m, n, k, 1), gemm_cost_c64(m, n, k));
-            for batch in [2usize, 5, 16] {
-                let fused = gemm_cost_f64_batched(m, n, k, batch);
-                let solo = gemm_cost_f64(m, n, k) * batch as u64;
-                assert_eq!(fused.flops, solo.flops);
-                assert_eq!(fused.bytes_written, solo.bytes_written);
-                // Exactly (batch-1) re-reads of A are saved, nothing else.
-                let saved = solo.bytes_read - fused.bytes_read;
-                assert_eq!(
-                    saved,
-                    (batch as u64 - 1) * F64_BYTES * (m as u64 * k as u64)
-                );
-            }
-        }
     }
 
     #[test]

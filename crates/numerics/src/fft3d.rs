@@ -244,22 +244,6 @@ impl Fft3Plan {
         let GridDims { nx, ny, nz } = self.dims;
         C64_BYTES * (nx + ny + nz) as u64
     }
-
-    /// Analytic cost of transforming `count` grids on one plan: FLOPs and
-    /// writes are exactly `count ×` one transform, while the plan's twiddle
-    /// tables ([`shared_table_bytes`](Self::shared_table_bytes)) are charged
-    /// once for the whole batch. Equals `count × cost()` minus the saved
-    /// table re-reads, and [`cost`](Self::cost) exactly at `count = 1`.
-    pub fn fused_cost(&self, count: usize) -> KernelCost {
-        let k = count.max(1) as u64;
-        let one = self.cost();
-        let saved = self.shared_table_bytes().min(one.bytes_read) * (k - 1);
-        KernelCost {
-            flops: one.flops * k,
-            bytes_read: one.bytes_read * k - saved,
-            bytes_written: one.bytes_written * k,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -515,23 +499,6 @@ mod tests {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn fused_cost_amortizes_tables_only() {
-        let plan = Fft3Plan::new(GridDims::new(8, 4, 4));
-        let one = plan.cost();
-        assert_eq!(plan.fused_cost(1), one);
-        for k in [2u64, 7, 16] {
-            let fused = plan.fused_cost(k as usize);
-            let solo = one * k;
-            assert_eq!(fused.flops, solo.flops);
-            assert_eq!(fused.bytes_written, solo.bytes_written);
-            assert_eq!(
-                solo.bytes_read - fused.bytes_read,
-                (k - 1) * plan.shared_table_bytes()
-            );
         }
     }
 

@@ -1,13 +1,11 @@
 //! General matrix multiplication (GEMM) over `f64` and complex matrices.
 //!
-//! The blocked kernels tile the operands to keep panels resident in cache —
-//! the same structure a production DGEMM/ZGEMM uses, minus the
-//! architecture-specific microkernels. Naive reference implementations are
-//! kept for testing.
+//! The blocked real kernel tiles the operands to keep panels resident in
+//! cache — the same structure a production DGEMM uses, minus the
+//! architecture-specific microkernels. The complex adjoint kernel streams
+//! rank-1 updates for LR-TDDFT's `P† · f(P)`. Naive reference
+//! implementations are kept as test oracles.
 
-use crate::counters::{
-    gemm_cost_c64, gemm_cost_c64_batched, gemm_cost_f64, gemm_cost_f64_batched, KernelCost,
-};
 use crate::matrix::{CMat, Mat};
 
 /// Cache-blocking tile edge (elements). 64×64 `f64` tiles are 32 KiB — the
@@ -61,132 +59,6 @@ pub fn gemm_f64(a: &Mat, b: &Mat) -> Mat {
     c
 }
 
-/// Computes `C = A · B` for complex matrices with cache blocking.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn gemm_c64(a: &CMat, b: &CMat) -> CMat {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = CMat::zeros(m, n);
-    let cs = c.as_mut_slice();
-    let asl = a.as_slice();
-    let bsl = b.as_slice();
-    for ii in (0..m).step_by(BLOCK) {
-        let i_end = (ii + BLOCK).min(m);
-        for kk in (0..k).step_by(BLOCK) {
-            let k_end = (kk + BLOCK).min(k);
-            for jj in (0..n).step_by(BLOCK) {
-                let j_end = (jj + BLOCK).min(n);
-                for i in ii..i_end {
-                    for p in kk..k_end {
-                        let aip = asl[i * k + p];
-                        let brow = &bsl[p * n + jj..p * n + j_end];
-                        let crow = &mut cs[i * n + jj..i * n + j_end];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv = aip.mul_add(*bv, *cv);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
-/// Batched multi-RHS real GEMM: one shared left matrix against `K` right
-/// matrices, `C_k = A · B_k`.
-///
-/// The member loop sits *inside* the `(ii, kk)` block loops so each `A` panel
-/// is streamed from memory once per block step and reused across all `K`
-/// members — the fused-traffic pattern [`gemm_cost_f64_batched`] models. Per
-/// member, the `(ii, kk, jj, i, p, j)` visit order is exactly that of
-/// [`gemm_f64`], so every output is **bit-identical** to the corresponding
-/// solo call (including NaN payload and denormal bits).
-///
-/// # Panics
-///
-/// Panics if any `b.rows() != a.cols()`.
-pub fn gemm_f64_batched(a: &Mat, bs: &[Mat]) -> Vec<Mat> {
-    let (m, k) = (a.rows(), a.cols());
-    for b in bs {
-        assert_eq!(k, b.rows(), "GEMM inner dimension mismatch");
-    }
-    let mut out: Vec<Mat> = bs.iter().map(|b| Mat::zeros(m, b.cols())).collect();
-    let asl = a.as_slice();
-    for ii in (0..m).step_by(BLOCK) {
-        let i_end = (ii + BLOCK).min(m);
-        for kk in (0..k).step_by(BLOCK) {
-            let k_end = (kk + BLOCK).min(k);
-            for (b, c) in bs.iter().zip(out.iter_mut()) {
-                let n = b.cols();
-                let bsl = b.as_slice();
-                let cs = c.as_mut_slice();
-                for jj in (0..n).step_by(BLOCK) {
-                    let j_end = (jj + BLOCK).min(n);
-                    for i in ii..i_end {
-                        for p in kk..k_end {
-                            let aip = asl[i * k + p];
-                            if aip == 0.0 {
-                                continue;
-                            }
-                            let brow = &bsl[p * n + jj..p * n + j_end];
-                            let crow = &mut cs[i * n + jj..i * n + j_end];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += aip * *bv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Batched multi-RHS complex GEMM: `C_k = A · B_k` with one shared `A`.
-///
-/// Same blocking and bit-exactness contract as [`gemm_f64_batched`]; the
-/// per-element accumulation order matches [`gemm_c64`] exactly.
-///
-/// # Panics
-///
-/// Panics if any `b.rows() != a.cols()`.
-pub fn gemm_c64_batched(a: &CMat, bs: &[CMat]) -> Vec<CMat> {
-    let (m, k) = (a.rows(), a.cols());
-    for b in bs {
-        assert_eq!(k, b.rows(), "GEMM inner dimension mismatch");
-    }
-    let mut out: Vec<CMat> = bs.iter().map(|b| CMat::zeros(m, b.cols())).collect();
-    let asl = a.as_slice();
-    for ii in (0..m).step_by(BLOCK) {
-        let i_end = (ii + BLOCK).min(m);
-        for kk in (0..k).step_by(BLOCK) {
-            let k_end = (kk + BLOCK).min(k);
-            for (b, c) in bs.iter().zip(out.iter_mut()) {
-                let n = b.cols();
-                let bsl = b.as_slice();
-                let cs = c.as_mut_slice();
-                for jj in (0..n).step_by(BLOCK) {
-                    let j_end = (jj + BLOCK).min(n);
-                    for i in ii..i_end {
-                        for p in kk..k_end {
-                            let aip = asl[i * k + p];
-                            let brow = &bsl[p * n + jj..p * n + j_end];
-                            let crow = &mut cs[i * n + jj..i * n + j_end];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv = aip.mul_add(*bv, *cv);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Computes `C = A† · B` (adjoint of A times B) without materializing `A†`.
 ///
 /// This is the contraction shape LR-TDDFT uses to assemble the response
@@ -234,28 +106,6 @@ pub fn gemm_c64_naive(a: &CMat, b: &CMat) -> CMat {
     })
 }
 
-/// Analytic cost of [`gemm_f64`] for the given shapes.
-pub fn gemm_f64_cost(a: &Mat, b: &Mat) -> KernelCost {
-    gemm_cost_f64(a.rows(), b.cols(), a.cols())
-}
-
-/// Analytic cost of [`gemm_c64`] for the given shapes.
-pub fn gemm_c64_cost(a: &CMat, b: &CMat) -> KernelCost {
-    gemm_cost_c64(a.rows(), b.cols(), a.cols())
-}
-
-/// Analytic cost of [`gemm_f64_batched`] for a uniform-shape batch.
-pub fn gemm_f64_batched_cost(a: &Mat, bs: &[Mat]) -> KernelCost {
-    let n = bs.first().map_or(0, Mat::cols);
-    gemm_cost_f64_batched(a.rows(), n, a.cols(), bs.len())
-}
-
-/// Analytic cost of [`gemm_c64_batched`] for a uniform-shape batch.
-pub fn gemm_c64_batched_cost(a: &CMat, bs: &[CMat]) -> KernelCost {
-    let n = bs.first().map_or(0, CMat::cols);
-    gemm_cost_c64_batched(a.rows(), n, a.cols(), bs.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,23 +145,6 @@ mod tests {
                 .iter()
                 .zip(slow.as_slice())
                 .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "({m},{k},{n}) err={err}");
-        }
-    }
-
-    #[test]
-    fn blocked_matches_naive_c64() {
-        for &(m, k, n) in &[(2, 3, 4), (16, 16, 16), (65, 33, 67)] {
-            let a = rand_cmat(m, k, 3);
-            let b = rand_cmat(k, n, 5);
-            let fast = gemm_c64(&a, &b);
-            let slow = gemm_c64_naive(&a, &b);
-            let err: f64 = fast
-                .as_slice()
-                .iter()
-                .zip(slow.as_slice())
-                .map(|(x, y)| (*x - *y).abs())
                 .fold(0.0, f64::max);
             assert!(err < 1e-10, "({m},{k},{n}) err={err}");
         }
@@ -367,12 +200,5 @@ mod tests {
         let a = Mat::zeros(2, 3);
         let b = Mat::zeros(2, 3);
         let _ = gemm_f64(&a, &b);
-    }
-
-    #[test]
-    fn cost_helpers_match_counter_formulas() {
-        let a = Mat::zeros(8, 4);
-        let b = Mat::zeros(4, 6);
-        assert_eq!(gemm_f64_cost(&a, &b).flops, 2 * 8 * 6 * 4);
     }
 }

@@ -9,11 +9,8 @@
 //! streamed), which the workload layer turns into the descriptors that
 //! drive the CPU–NDP scheduling study.
 //!
-//! Batched multi-RHS variants ([`gemm_f64_batched`]/[`gemm_c64_batched`]
-//! and [`Fft3Plan::forward_batch`]) execute `K` operand sets against one
-//! shared operand with **bit-identical** per-member results; their fused
-//! [`KernelCost`] variants charge the shared operand's DRAM traffic once,
-//! which is what makes cross-job fusion pay on the NDP side.
+//! [`Fft3Plan::forward_batch`] transforms `K` stacked grids on one plan
+//! with **bit-identical** per-grid results.
 //!
 //! ## Example
 //!
@@ -43,17 +40,12 @@ pub mod vecops;
 
 pub use complex::Complex64;
 pub use counters::{
-    face_splitting_cost, gemm_cost_c64, gemm_cost_c64_batched, gemm_cost_f64,
-    gemm_cost_f64_batched, syevd_cost, KernelCost, C64_BYTES, F64_BYTES,
+    face_splitting_cost, gemm_cost_c64, gemm_cost_f64, syevd_cost, KernelCost, C64_BYTES,
 };
 pub use davidson::{davidson, DavidsonError, DavidsonOptions, DavidsonResult, SymOperator};
 pub use eig::{heevd, syevd, EigError, Eigen, HermEigen};
 pub use facesplit::{face_splitting, face_splitting_cost_for, face_splitting_row};
 pub use fft::{dft_naive, FftPlan};
 pub use fft3d::{Fft3Plan, GridDims};
-pub use gemm::{
-    gemm_adjoint_c64, gemm_c64, gemm_c64_batched, gemm_c64_batched_cost, gemm_c64_cost,
-    gemm_c64_naive, gemm_f64, gemm_f64_batched, gemm_f64_batched_cost, gemm_f64_cost,
-    gemm_f64_naive,
-};
+pub use gemm::{gemm_adjoint_c64, gemm_c64_naive, gemm_f64, gemm_f64_naive};
 pub use matrix::{CMat, Mat};

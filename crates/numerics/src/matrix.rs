@@ -129,11 +129,6 @@ impl Mat {
         (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute deviation from symmetry, `max |a_ij - a_ji|`.
     ///
     /// # Panics
@@ -308,18 +303,6 @@ impl CMat {
         }
         worst
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Splits into real and imaginary parts `(Re(A), Im(A))`.
-    pub fn split_re_im(&self) -> (Mat, Mat) {
-        let re = Mat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].re);
-        let im = Mat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].im);
-        (re, im)
-    }
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -401,23 +384,5 @@ mod tests {
         let h = CMat::from_fn(3, 3, |i, j| (h[(i, j)] + h[(j, i)].conj()).scale(0.5));
         assert!(h.hermitian_deviation() < 1e-15);
         assert_eq!(h.adjoint(), h);
-    }
-
-    #[test]
-    fn split_re_im_round_trip() {
-        let a = CMat::from_fn(2, 2, |i, j| Complex64::new(i as f64, j as f64));
-        let (re, im) = a.split_re_im();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(re[(i, j)], a[(i, j)].re);
-                assert_eq!(im[(i, j)], a[(i, j)].im);
-            }
-        }
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let a = Mat::from_vec(2, 2, vec![3.0, 4.0, 0.0, 0.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-14);
     }
 }

@@ -60,33 +60,6 @@ pub fn normalize(x: &mut [Complex64]) -> f64 {
     n
 }
 
-/// Element-wise (Hadamard) product `out_i = a_i · b_i`.
-///
-/// # Panics
-///
-/// Panics if lengths disagree.
-pub fn hadamard(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-    assert_eq!(a.len(), b.len(), "hadamard length mismatch");
-    assert_eq!(a.len(), out.len(), "hadamard output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = *x * *y;
-    }
-}
-
-/// Multiplies each element by a real diagonal weight: `x_i ← w_i · x_i`.
-///
-/// This is how reciprocal-space kernels (Coulomb `4π/G²`, XC) are applied.
-///
-/// # Panics
-///
-/// Panics if lengths disagree.
-pub fn apply_real_diagonal(weights: &[f64], x: &mut [Complex64]) {
-    assert_eq!(weights.len(), x.len(), "diagonal length mismatch");
-    for (xi, w) in x.iter_mut().zip(weights) {
-        *xi = xi.scale(*w);
-    }
-}
-
 /// Modified Gram-Schmidt orthonormalization of `rows` vectors stored
 /// contiguously (`rows × len`, row-major). Returns the number of vectors
 /// that survived (rank); dependent rows are zeroed.
@@ -157,25 +130,6 @@ mod tests {
         let mut v = vec![Complex64::ZERO; 4];
         assert_eq!(normalize(&mut v), 0.0);
         assert!(v.iter().all(|z| *z == Complex64::ZERO));
-    }
-
-    #[test]
-    fn hadamard_matches_manual() {
-        let a = [Complex64::new(1.0, 1.0)];
-        let b = [Complex64::new(1.0, -1.0)];
-        let mut out = [Complex64::ZERO];
-        hadamard(&a, &b, &mut out);
-        assert_eq!(out[0], Complex64::from_real(2.0));
-    }
-
-    #[test]
-    fn diagonal_application() {
-        let w = [2.0, 0.0, -1.0];
-        let mut x = [Complex64::ONE, Complex64::ONE, Complex64::I];
-        apply_real_diagonal(&w, &mut x);
-        assert_eq!(x[0], Complex64::from_real(2.0));
-        assert_eq!(x[1], Complex64::ZERO);
-        assert_eq!(x[2], Complex64::new(0.0, -1.0));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl CostModel {
     /// latency once. `fused_dt(b, 1) == dt(b)` exactly, and
     /// `fused_dt(b, k) ≤ k · dt(b)` — fusion amortizes latency, never
     /// payload bytes.
-    pub fn fused_dt(&self, bytes: u64, members: usize) -> f64 {
+    fn fused_dt(&self, bytes: u64, members: usize) -> f64 {
         let k = members.max(1) as f64;
         self.transfer_latency + k * bytes as f64 / self.transfer_bandwidth
     }
@@ -173,7 +173,7 @@ impl TargetLoad {
     }
 
     /// Reserved busy seconds on `target`.
-    pub fn reserved(&self, target: Target) -> f64 {
+    fn reserved(&self, target: Target) -> f64 {
         match target {
             Target::Cpu => self.cpu_reserved_s,
             Target::Ndp => self.ndp_reserved_s,
@@ -182,7 +182,7 @@ impl TargetLoad {
 
     /// Dimensionless pressure on `target`: reserved batch-equivalents
     /// (`reserved / reference`, 0 when idle).
-    pub fn pressure(&self, target: Target) -> f64 {
+    fn pressure(&self, target: Target) -> f64 {
         if self.reference_s <= 0.0 {
             0.0
         } else {

@@ -17,7 +17,6 @@
 //! is a *compile-time* design choice, while the cross-job load bias is
 //! a *serve-time* input; conflating them would double-count contention.
 
-use crate::cost::CostModel;
 use crate::planner::{plan, Plan, PlanRequest, StageTimer};
 use ndft_dft::KernelDescriptor;
 use serde::{Deserialize, Serialize};
@@ -35,7 +34,7 @@ pub enum Granularity {
 
 impl Granularity {
     /// Segments each kernel is split into at this granularity.
-    pub fn segments_per_kernel(&self) -> usize {
+    fn segments_per_kernel(&self) -> usize {
         match self {
             Granularity::Function => 1,
             Granularity::BasicBlock => 32,
@@ -146,17 +145,6 @@ pub fn granularity_study(
         .collect()
 }
 
-/// Convenience: the cost model's view of how much pure dispatch overhead
-/// a granularity adds for a stage count.
-pub fn dispatch_overhead(cost: &CostModel, stages: usize, granularity: Granularity) -> f64 {
-    let segs = stages * granularity.segments_per_kernel();
-    if granularity == Granularity::Function {
-        0.0
-    } else {
-        segs as f64 * cost.context_switch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,13 +184,6 @@ mod tests {
         assert_eq!(reports[0].segments, n);
         assert_eq!(reports[1].segments, n * 32);
         assert_eq!(reports[2].segments, n * 1024);
-    }
-
-    #[test]
-    fn dispatch_overhead_is_zero_for_functions() {
-        let cm = CostModel::paper_default();
-        assert_eq!(dispatch_overhead(&cm, 8, Granularity::Function), 0.0);
-        assert!(dispatch_overhead(&cm, 8, Granularity::Instruction) > 0.1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct OverlapAnalysis {
 impl OverlapAnalysis {
     /// Total time for `iterations` with overlap (pipeline fill pays one
     /// full serial iteration).
-    pub fn total_overlapped(&self, iterations: usize) -> f64 {
+    fn total_overlapped(&self, iterations: usize) -> f64 {
         if iterations == 0 {
             return 0.0;
         }
@@ -41,7 +41,7 @@ impl OverlapAnalysis {
     }
 
     /// Total time for `iterations` without overlap.
-    pub fn total_serial(&self, iterations: usize) -> f64 {
+    fn total_serial(&self, iterations: usize) -> f64 {
         iterations as f64 * self.serial_per_iteration
     }
 

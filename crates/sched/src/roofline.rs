@@ -49,7 +49,7 @@ impl Roofline {
     }
 
     /// Attainable FLOP/s at a given arithmetic intensity.
-    pub fn attainable(&self, ai: f64) -> f64 {
+    fn attainable(&self, ai: f64) -> f64 {
         (ai * self.peak_bandwidth).min(self.peak_flops)
     }
 
@@ -79,7 +79,7 @@ pub struct RooflinePoint {
 }
 
 /// Kernels plotted in the paper's Fig. 4.
-pub const FIG4_KERNELS: [KernelKind; 4] = [
+const FIG4_KERNELS: [KernelKind; 4] = [
     KernelKind::Fft,
     KernelKind::FaceSplitting,
     KernelKind::Gemm,

@@ -295,11 +295,6 @@ impl<V: Clone> ResultCache<V> {
         self.policy
     }
 
-    /// True when a persistent tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// Looks up a result in the memory tier, counting the outcome.
     /// (With a disk tier attached, use [`ResultCache::fetch_tiered`] so
     /// a memory miss can fall through and promote.)

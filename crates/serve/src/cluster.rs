@@ -160,16 +160,6 @@ pub struct Reservation<'a> {
 }
 
 impl Reservation<'_> {
-    /// The reservation's CPU share, seconds (as reserved, post-clamp).
-    pub fn cpu_busy_s(&self) -> f64 {
-        self.cpu_ns as f64 * 1e-9
-    }
-
-    /// The reservation's NDP share, seconds (as reserved, post-clamp).
-    pub fn ndp_busy_s(&self) -> f64 {
-        self.ndp_ns as f64 * 1e-9
-    }
-
     /// When the reservation was granted (telemetry records the hold
     /// span from here to release).
     pub fn granted_at(&self) -> std::time::Instant {
@@ -235,10 +225,11 @@ mod tests {
     fn pathological_inputs_clamp_to_zero() {
         let view = ClusterView::new(1);
         {
-            let r = view.reserve(9, -1.0, f64::NAN); // out-of-range shard clamps too
-            assert_eq!(r.cpu_busy_s(), 0.0);
-            assert_eq!(r.ndp_busy_s(), 0.0);
-            assert_eq!(view.snapshot().shard_inflight, vec![1]);
+            let _r = view.reserve(9, -1.0, f64::NAN); // out-of-range shard clamps too
+            let snap = view.snapshot();
+            assert_eq!(snap.cpu_reserved_s, 0.0);
+            assert_eq!(snap.ndp_reserved_s, 0.0);
+            assert_eq!(snap.shard_inflight, vec![1]);
         }
         assert!(view.is_idle());
     }

@@ -60,7 +60,6 @@ use crate::router::{FaultEvent, FaultPlan, HashRing, ReplayItem, RouteInfo, Rout
 use crate::service::{DftService, Issued, ServeConfig};
 use crate::telemetry::TelemetrySnapshot;
 use crate::ticket::JobTicket;
-use crate::trace::TraceCollector;
 use crate::worker::JobOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
@@ -359,30 +358,16 @@ impl FederatedService {
         self.core.telemetry_per_replica()
     }
 
-    /// Attaches a [`TraceCollector`] to every **live** replica,
-    /// replica-tagged. Render the drains with
-    /// [`crate::federated_chrome_trace_json`] to get one process lane
-    /// per replica. (A killed replica's collector dies with it; attach
-    /// before injecting faults to capture a failover timeline.)
-    pub fn trace(&self) -> Vec<(usize, TraceCollector)> {
-        self.core.trace()
-    }
-
-    /// The home replica the ring currently assigns `fingerprint`
-    /// (`None` when no replica is live). Probe-friendly: tests and
-    /// benches use it to construct jobs that home on a chosen victim.
-    pub fn home_replica(&self, fingerprint: Fingerprint) -> Option<usize> {
-        self.core.state.read().unwrap().ring.primary(fingerprint)
-    }
-
-    /// [`FederatedService::home_replica`] for a job value.
+    /// The home replica the ring currently assigns `job` (`None` when no
+    /// replica is live). Probe-friendly: tests and benches use it to
+    /// construct jobs that home on a chosen victim.
     pub fn home_of(&self, job: &DftJob) -> Option<usize> {
-        self.home_replica(job.fingerprint())
-    }
-
-    /// Replica indices currently on the ring, ascending.
-    pub fn live_replicas(&self) -> Vec<usize> {
-        self.core.state.read().unwrap().ring.replicas().to_vec()
+        self.core
+            .state
+            .read()
+            .unwrap()
+            .ring
+            .primary(job.fingerprint())
     }
 
     /// True when the slot has a live engine.
@@ -700,16 +685,6 @@ impl FedCore {
             .collect()
     }
 
-    fn trace(&self) -> Vec<(usize, TraceCollector)> {
-        let state = self.state.read().unwrap();
-        state
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.engine.as_ref().map(|e| (i, e.trace())))
-            .collect()
-    }
-
     /// The workflow registry the coordinator registers runtimes in.
     pub(crate) fn workflows(&self) -> &WorkflowRegistry {
         &self.workflows
@@ -898,7 +873,7 @@ mod tests {
         fed.submit_blocking(md(64, 1)).unwrap().wait().unwrap();
         assert!(fed.kill_replica(0).is_some());
         assert!(fed.kill_replica(0).is_none(), "double kill is a no-op");
-        assert_eq!(fed.live_replicas(), vec![1]);
+        assert!(!fed.is_live(0) && fed.is_live(1));
         // Everything now routes to the survivor.
         for i in 0..6 {
             fed.submit_blocking(md(64, 100 + i))

@@ -184,7 +184,7 @@ pub use telemetry::{
 };
 pub use ticket::{JobTicket, TicketFuture, TicketResolver};
 pub use trace::{
-    chrome_trace_json, federated_chrome_trace_json, JobStage, ProgressEvent, ProgressStream,
-    TraceCollector, TraceEvent, TraceEventKind, TraceId,
+    chrome_trace_json, JobStage, ProgressEvent, ProgressStream, TraceCollector, TraceEvent,
+    TraceEventKind, TraceId,
 };
 pub use worker::{execute_payload, JobOutcome};

@@ -506,7 +506,7 @@ impl ServeReport {
     }
 
     /// Fraction of modeled busy time on the CPU side (0 when idle).
-    pub fn cpu_utilization(&self) -> f64 {
+    fn cpu_utilization(&self) -> f64 {
         let total = self.modeled_cpu_busy_s + self.modeled_ndp_busy_s;
         if total == 0.0 {
             0.0
@@ -516,7 +516,7 @@ impl ServeReport {
     }
 
     /// Fraction of modeled busy time on the NDP side.
-    pub fn ndp_utilization(&self) -> f64 {
+    fn ndp_utilization(&self) -> f64 {
         let total = self.modeled_cpu_busy_s + self.modeled_ndp_busy_s;
         if total == 0.0 {
             0.0
@@ -528,7 +528,7 @@ impl ServeReport {
     /// Fraction of lifetime dispatches each shard contributed (sums to 1
     /// when anything ran; all zeros when idle). The serving-side
     /// utilization view the cross-job placement layer consumes.
-    pub fn shard_occupancy(&self) -> Vec<f64> {
+    fn shard_occupancy(&self) -> Vec<f64> {
         let total: u64 = self.shard_dispatched.iter().sum();
         self.shard_dispatched
             .iter()
@@ -543,7 +543,7 @@ impl ServeReport {
     }
 
     /// Fraction of dispatched jobs that travelled via a steal.
-    pub fn steal_fraction(&self) -> f64 {
+    fn steal_fraction(&self) -> f64 {
         let total: u64 = self.shard_dispatched.iter().sum();
         if total == 0 {
             0.0
@@ -559,7 +559,7 @@ impl ServeReport {
 
     /// Fraction of planner consultations the utilization bias shifted
     /// (0 when nothing was planned).
-    pub fn shift_fraction(&self) -> f64 {
+    fn shift_fraction(&self) -> f64 {
         if self.planner_calls == 0 {
             0.0
         } else {

@@ -28,7 +28,7 @@ use crate::job::TenantId;
 pub const PRIORITY_LANES: usize = 3;
 
 /// Lane index `try_push`/`push` route to (the standard-priority lane).
-pub const DEFAULT_LANE: usize = 1;
+const DEFAULT_LANE: usize = 1;
 
 /// How many times a nonempty lane may be passed over by lane selection
 /// before it is served unconditionally. Bounds the service gap of any
@@ -179,7 +179,7 @@ impl<T> Shard<T> {
 /// Producers route by a caller-supplied shard key (the engine hashes the
 /// [`crate::WorkloadClass`], so one class — hence one planner
 /// consultation — lands on one shard) and by priority lane (the `_at`
-/// entry points; the plain ones use [`DEFAULT_LANE`]). Consumers own a
+/// entry points; the plain ones use `DEFAULT_LANE`). Consumers own a
 /// home shard, drain it in batches with [`ShardedQueue::try_pop_home`],
 /// and fall back to [`ShardedQueue::try_steal`]: pick the most-loaded
 /// victim shard and take its largest same-key run, so a stolen chunk is
@@ -306,7 +306,7 @@ impl<T> ShardedQueue<T> {
         true
     }
 
-    /// Non-blocking keyed push to the [`DEFAULT_LANE`]; the
+    /// Non-blocking keyed push to the `DEFAULT_LANE`; the
     /// backpressure-aware entry point.
     ///
     /// # Errors
@@ -354,7 +354,7 @@ impl<T> ShardedQueue<T> {
         Ok(())
     }
 
-    /// Blocking keyed push to the [`DEFAULT_LANE`]: waits for space on
+    /// Blocking keyed push to the `DEFAULT_LANE`: waits for space on
     /// the target shard.
     ///
     /// # Errors

@@ -34,7 +34,7 @@
 //!
 //! The log is **self-compacting**: resolved cancellation tombstones and
 //! the replay-fingerprint history are both bounded
-//! ([`TOMBSTONE_CAP`] / [`REPLAY_HISTORY_CAP`]), with
+//! (`TOMBSTONE_CAP` / `REPLAY_HISTORY_CAP`), with
 //! [`RoutingLog::compact`] run amortized from the submission path —
 //! a long-lived federation's memory footprint tracks its *in-flight*
 //! work, not its lifetime cancel/failover history. Totals survive
@@ -104,11 +104,6 @@ impl HashRing {
             vnodes: vnodes.max(1),
             replicas: Vec::new(),
         }
-    }
-
-    /// Live replicas, ascending.
-    pub fn replicas(&self) -> &[usize] {
-        &self.replicas
     }
 
     /// Number of live replicas.
@@ -319,7 +314,7 @@ pub struct RoutingLog {
     next_route: AtomicU64,
     /// Fingerprints re-routed after a replica death, in replay order
     /// (bounded: compaction keeps the most recent
-    /// [`REPLAY_HISTORY_CAP`]).
+    /// `REPLAY_HISTORY_CAP`).
     replayed: Mutex<Vec<Fingerprint>>,
     /// Total replays ever performed — survives history compaction.
     replayed_total: AtomicU64,
@@ -332,11 +327,11 @@ pub struct RoutingLog {
 
 /// Most recent replay-history fingerprints [`RoutingLog::compact`]
 /// retains.
-pub const REPLAY_HISTORY_CAP: usize = 1024;
+const REPLAY_HISTORY_CAP: usize = 1024;
 
 /// Resolved cancellation tombstones [`RoutingLog::compact`] retains
 /// (newest first by route id).
-pub const TOMBSTONE_CAP: usize = 1024;
+const TOMBSTONE_CAP: usize = 1024;
 
 /// Submissions between amortized compaction passes.
 const COMPACT_INTERVAL: u64 = 64;
@@ -368,9 +363,9 @@ impl RoutingLog {
     }
 
     /// Bounds the log's retained history: trims the replay-fingerprint
-    /// list to its newest [`REPLAY_HISTORY_CAP`] entries and drops the
+    /// list to its newest `REPLAY_HISTORY_CAP` entries and drops the
     /// oldest **resolved** cancellation tombstones beyond
-    /// [`TOMBSTONE_CAP`]. Live (unresolved, un-cancelled) entries are
+    /// `TOMBSTONE_CAP`. Live (unresolved, un-cancelled) entries are
     /// never touched — they are the replay manifest. Dropping an old
     /// tombstone is safe: its client ticket already resolved
     /// `Cancelled`, and an entry absent from the log can never be
@@ -547,7 +542,7 @@ impl RoutingLog {
     /// Fingerprints replayed onto a surviving replica so far, in replay
     /// order (the failover bench's "which jobs were replayed" key).
     /// Bounded: [`RoutingLog::compact`] keeps only the newest
-    /// [`REPLAY_HISTORY_CAP`]; use [`RoutingLog::replayed_total`] for
+    /// `REPLAY_HISTORY_CAP`; use [`RoutingLog::replayed_total`] for
     /// the lifetime count.
     pub fn replayed(&self) -> Vec<Fingerprint> {
         self.replayed.lock().unwrap().clone()

@@ -5,7 +5,7 @@
 //! [`DftService::shutdown`] drains the queue, joins the workers, and
 //! returns the final [`ServeReport`].
 
-use crate::cache::{CachePolicy, CacheStats, ResultCache};
+use crate::cache::{CachePolicy, ResultCache};
 use crate::client::{ClientSession, CompletionStream};
 use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
@@ -480,11 +480,6 @@ impl DftService {
     /// Live per-shard queue depths (index = shard).
     pub fn shard_depths(&self) -> Vec<usize> {
         self.shared.queue.shard_depths()
-    }
-
-    /// Result-cache counter snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
     }
 
     /// Live view of what concurrent batches have reserved per target.

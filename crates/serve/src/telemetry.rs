@@ -21,10 +21,10 @@
 //!   never below the true order statistic and never more than 12.5%
 //!   above it (`tests/serve_properties.rs` proves the bound under
 //!   random streams).
-//! * The bucket count is fixed at compile time ([`BUCKETS`] = 320,
+//! * The bucket count is fixed at compile time (`BUCKETS` = 320,
 //!   covering up to ~73 minutes before clamping into the last bucket),
 //!   so memory is constant regardless of how many values are recorded.
-//! * Recording is **wait-free**: a thread picks one of [`SHARDS`]
+//! * Recording is **wait-free**: a thread picks one of `SHARDS`
 //!   atomic bucket banks by a thread-local index and does three
 //!   relaxed `fetch_add`s plus a `fetch_max` — no locks, no allocation,
 //!   no contention between workers on different banks.
@@ -83,7 +83,7 @@ pub enum Stage {
 }
 
 /// Number of [`Stage`] variants (array dimension for per-stage banks).
-pub const STAGE_COUNT: usize = 7;
+const STAGE_COUNT: usize = 7;
 
 impl Stage {
     /// Every stage, in reporting order.
@@ -143,7 +143,7 @@ pub enum PlacementTarget {
 }
 
 /// Number of [`PlacementTarget`] variants.
-pub const TARGET_COUNT: usize = 3;
+const TARGET_COUNT: usize = 3;
 
 impl PlacementTarget {
     /// Every target, in reporting order.
@@ -200,11 +200,11 @@ const SUBS_PER_OCTAVE: usize = 1 << SUB_BITS;
 /// this engine produces).
 const MAX_EXPONENT: u32 = 41;
 /// Total buckets: 16 exact + 8 per octave for exponents 4..=41.
-pub const BUCKETS: usize = LINEAR_CUTOFF as usize + (MAX_EXPONENT as usize - 3) * SUBS_PER_OCTAVE;
+const BUCKETS: usize = LINEAR_CUTOFF as usize + (MAX_EXPONENT as usize - 3) * SUBS_PER_OCTAVE;
 /// Independent atomic bucket banks; recording threads spread across
 /// them by a thread-local index so concurrent workers rarely share a
 /// cache line, and snapshots merge all banks.
-pub const SHARDS: usize = 8;
+const SHARDS: usize = 8;
 
 /// The bucket a nanosecond value lands in.
 fn bucket_index(v: u64) -> usize {
@@ -272,7 +272,7 @@ fn my_bank() -> usize {
 
 /// A lock-free, thread-sharded, log-bucketed latency histogram.
 ///
-/// Constant memory ([`BUCKETS`] buckets × [`SHARDS`] banks), wait-free
+/// Constant memory (`BUCKETS` buckets × `SHARDS` banks), wait-free
 /// recording, mergeable snapshots, and quantile estimates whose
 /// relative error is bounded by the sub-bucket width (≤ 1/8 above the
 /// exact range). See the [module docs](self) for the bucketing scheme.

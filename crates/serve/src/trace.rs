@@ -732,43 +732,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push_str(",\n");
         }
-        render_event(&mut out, e, 1);
+        render_event(&mut out, e);
     }
     out.push_str("\n]\n");
     out
 }
 
-/// [`chrome_trace_json`] for a federation: each replica's events render
-/// under their own `pid` (the replica index), with a `process_name`
-/// metadata record naming the lane `replica-N` — so the viewer draws
-/// one process group per replica and each job's trace id is still its
-/// `tid` within the group. Feed it the drains of
-/// [`crate::FederatedService::trace`].
-pub fn federated_chrome_trace_json(replicas: &[(usize, Vec<TraceEvent>)]) -> String {
-    let total: usize = replicas.iter().map(|(_, evs)| evs.len()).sum();
-    let mut out = String::with_capacity(total * 160 + replicas.len() * 120 + 2);
-    out.push_str("[\n");
-    let mut first = true;
-    for (replica, events) in replicas {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {replica}, \"tid\": 0, \
-             \"args\": {{\"name\": \"replica-{replica}\"}}}}"
-        ));
-        for e in events {
-            out.push_str(",\n");
-            render_event(&mut out, e, *replica);
-        }
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Renders one event as a Chrome trace-event JSON object under `pid`.
-fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
+/// Renders one event as a Chrome trace-event JSON object.
+fn render_event(out: &mut String, e: &TraceEvent) {
     let ts_us = e.start_ns as f64 / 1000.0;
     {
         let mut args = format!(
@@ -816,7 +787,7 @@ fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
         if e.kind.is_instant() {
             out.push_str(&format!(
                 "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"ts\": {ts_us:.3}, \"pid\": {pid}, \"tid\": {}, \"args\": {{{args}}}}}",
+                 \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{{args}}}}}",
                 e.kind.name(),
                 e.class,
                 e.trace.0,
@@ -824,7 +795,7 @@ fn render_event(out: &mut String, e: &TraceEvent, pid: usize) {
         } else {
             out.push_str(&format!(
                 "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {ts_us:.3}, \
-                 \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {}, \"args\": {{{args}}}}}",
+                 \"dur\": {:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{{args}}}}}",
                 e.kind.name(),
                 e.class,
                 e.dur_ns as f64 / 1000.0,

@@ -1,12 +1,13 @@
 //! The NDFT shared-memory programming interface (paper Table II).
 //!
-//! Implements the six primitives — `NDFT_Alloc_Shared`, `NDFT_Read`,
-//! `NDFT_Write`, `NDFT_Read_Remote`, `NDFT_Write_Remote`,
-//! `NDFT_Broadcast` — against the [`SharedBlockStore`] and the mesh NoC,
-//! with per-operation latency accounting. Remote operations route through
-//! the per-stack communication arbiter; under the hierarchical scheme the
-//! arbiter caches fetched blocks in local shared memory so repeated reads
-//! from the same stack are served locally (the paper's traffic "filter").
+//! Implements `NDFT_Alloc_Shared`, `NDFT_Read` (whose remote leg is
+//! `NDFT_Read_Remote`), `NDFT_Write` and `NDFT_Broadcast` against the
+//! [`SharedBlockStore`] and the mesh NoC, with per-operation latency
+//! accounting. `NDFT_Write_Remote` has no caller in the reproduction and
+//! is not modelled. Remote operations route through the per-stack
+//! communication arbiter; under the hierarchical scheme the arbiter
+//! caches fetched blocks in local shared memory so repeated reads from
+//! the same stack are served locally (the paper's traffic "filter").
 
 use crate::shared_block::{BlockResidence, SharedBl, SharedBlockStore, ShmemError};
 use ndft_sim::config::SystemConfig;
@@ -163,8 +164,7 @@ impl NdftRuntime {
     /// # Errors
     ///
     /// [`ShmemError::UnknownBlock`] for a dead handle; [`ShmemError::BadStack`]
-    /// when the writer is not in the home stack (use
-    /// [`Self::write_remote`]).
+    /// when the writer is not in the home stack.
     pub fn write(&mut self, unit: UnitId, bl: SharedBl, len: u64) -> Result<OpResult, ShmemError> {
         let meta = self.store.meta(bl)?;
         if meta.home_stack != unit.stack {
@@ -180,8 +180,8 @@ impl NdftRuntime {
     }
 
     /// `NDFT_Read`: reads from a block. If the block (or a cached copy)
-    /// is local, the read is served in-stack; otherwise the call behaves
-    /// like [`Self::read_remote`].
+    /// is local, the read is served in-stack; otherwise it is fetched
+    /// from the home stack (`NDFT_Read_Remote`).
     ///
     /// # Errors
     ///
@@ -212,7 +212,7 @@ impl NdftRuntime {
     /// # Errors
     ///
     /// [`ShmemError::UnknownBlock`] for a dead handle.
-    pub fn read_remote(
+    fn read_remote(
         &mut self,
         unit: UnitId,
         bl: SharedBl,
@@ -240,36 +240,6 @@ impl NdftRuntime {
         if self.scheme == CommScheme::Hierarchical {
             self.store.mark_cached(bl, unit.stack)?;
         }
-        self.stats.remote_ops += 1;
-        self.stats.inter_stack_bytes += len + REQUEST_MSG_BYTES;
-        Ok(OpResult {
-            latency: noc_latency + local,
-            remote: true,
-        })
-    }
-
-    /// `NDFT_Write_Remote`: pushes `len` bytes into a block homed on
-    /// another stack.
-    ///
-    /// # Errors
-    ///
-    /// [`ShmemError::UnknownBlock`] for a dead handle.
-    pub fn write_remote(
-        &mut self,
-        unit: UnitId,
-        bl: SharedBl,
-        len: u64,
-    ) -> Result<OpResult, ShmemError> {
-        let home = self.store.meta(bl)?.home_stack;
-        if home == unit.stack {
-            return self.write(unit, bl, len);
-        }
-        let push = self
-            .noc
-            .transfer(unit.stack, home, len + REQUEST_MSG_BYTES, self.clock);
-        self.clock = push.done;
-        let noc_latency = (push.done - push.start) as f64 / self.cfg.mesh.clock_hz;
-        let local = self.local_access_latency(bl, len)?;
         self.stats.remote_ops += 1;
         self.stats.inter_stack_bytes += len + REQUEST_MSG_BYTES;
         Ok(OpResult {
@@ -392,7 +362,6 @@ mod tests {
         let bl = r.alloc_shared(64, 0).unwrap();
         assert!(r.write(UnitId { stack: 0, unit: 1 }, bl, 64).is_ok());
         assert!(r.write(UnitId { stack: 1, unit: 0 }, bl, 64).is_err());
-        assert!(r.write_remote(UnitId { stack: 1, unit: 0 }, bl, 64).is_ok());
     }
 
     #[test]

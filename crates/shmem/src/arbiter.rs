@@ -31,16 +31,6 @@ pub struct GatherReport {
     pub makespan: f64,
 }
 
-impl GatherReport {
-    /// Inter-stack traffic reduction of `self` relative to `other`.
-    pub fn traffic_reduction_vs(&self, other: &GatherReport) -> f64 {
-        if other.inter_stack_bytes == 0 {
-            return 0.0;
-        }
-        1.0 - self.inter_stack_bytes as f64 / other.inter_stack_bytes as f64
-    }
-}
-
 /// Simulates the pseudopotential gather phase: `blocks` shared blocks of
 /// `block_bytes` each, homed round-robin across stacks; every NDP unit of
 /// every stack needs every block.
@@ -59,7 +49,7 @@ impl GatherReport {
 /// let hier = simulate_block_gather(&cfg, 64, 1 << 20, CommScheme::Hierarchical);
 /// let flat = simulate_block_gather(&cfg, 64, 1 << 20, CommScheme::Flat);
 /// // The arbiter filters ~8× of the mesh traffic (8 units per stack).
-/// assert!(hier.traffic_reduction_vs(&flat) > 0.8);
+/// assert_eq!(flat.inter_stack_bytes, 8 * hier.inter_stack_bytes);
 /// ```
 pub fn simulate_block_gather(
     cfg: &SystemConfig,
@@ -175,8 +165,6 @@ mod tests {
         let h = simulate_block_gather(&cfg(), 16, 1000, CommScheme::Hierarchical);
         let f = simulate_block_gather(&cfg(), 16, 1000, CommScheme::Flat);
         assert_eq!(f.inter_stack_bytes, 8 * h.inter_stack_bytes);
-        assert!(f.traffic_reduction_vs(&h) < 0.0, "flat is worse");
-        assert!((h.traffic_reduction_vs(&f) - 0.875).abs() < 0.01);
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl FootprintRow {
 }
 
 /// System memory capacity of both evaluation platforms (64 GB).
-pub const SYSTEM_MEMORY_BYTES: u64 = 64 * 1024 * 1024 * 1024;
+const SYSTEM_MEMORY_BYTES: u64 = 64 * 1024 * 1024 * 1024;
 
 /// Computes one footprint row.
 pub fn footprint_row(system: &SiliconSystem, platform: Platform) -> FootprintRow {

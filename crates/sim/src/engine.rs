@@ -35,17 +35,6 @@ pub struct BandwidthProfile {
     pub idle_latency: f64,
 }
 
-impl BandwidthProfile {
-    /// Effective bandwidth for a given pattern.
-    pub fn for_pattern(&self, pattern: AccessPattern) -> f64 {
-        match pattern {
-            AccessPattern::Stream => self.stream_bw,
-            AccessPattern::Strided { .. } => self.strided_bw,
-            AccessPattern::Random { .. } => self.random_bw,
-        }
-    }
-}
-
 /// The full measured calibration of the evaluation platforms.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
@@ -402,21 +391,6 @@ mod tests {
             "the measured paper calibration moved; if the model change is \
              deliberate, re-record Calibration::PAPER_TABLE3 as\n{}",
             paste_ready(&measured)
-        );
-    }
-
-    #[test]
-    fn profile_pattern_lookup() {
-        let c = cal();
-        let p = c.ndp_stack;
-        assert_eq!(p.for_pattern(AccessPattern::Stream), p.stream_bw);
-        assert_eq!(
-            p.for_pattern(AccessPattern::Strided { stride_bytes: 4096 }),
-            p.strided_bw
-        );
-        assert_eq!(
-            p.for_pattern(AccessPattern::Random { range_bytes: 1 }),
-            p.random_bw
         );
     }
 }

@@ -30,17 +30,6 @@ pub enum AccessPattern {
     },
 }
 
-impl AccessPattern {
-    /// Short human-readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AccessPattern::Stream => "stream",
-            AccessPattern::Strided { .. } => "strided",
-            AccessPattern::Random { .. } => "random",
-        }
-    }
-}
-
 /// Generates `count` byte addresses following the pattern, starting at
 /// `base`. Addresses are *access* addresses; the memory model coalesces
 /// them to line/burst granularity.
@@ -140,15 +129,5 @@ mod tests {
         let addrs: Vec<u64> = (0..4).map(|i| i * 4096).collect();
         let lines = coalesce_to_lines(&addrs, 64);
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(AccessPattern::Stream.label(), "stream");
-        assert_eq!(
-            AccessPattern::Strided { stride_bytes: 64 }.label(),
-            "strided"
-        );
-        assert_eq!(AccessPattern::Random { range_bytes: 1 }.label(), "random");
     }
 }

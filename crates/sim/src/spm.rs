@@ -70,7 +70,6 @@ pub struct Scratchpad {
     access_latency: u64,
     /// Live allocations keyed by offset.
     live: BTreeMap<usize, usize>,
-    peak_used: usize,
     reads: u64,
     writes: u64,
 }
@@ -83,7 +82,6 @@ impl Scratchpad {
             capacity,
             access_latency,
             live: BTreeMap::new(),
-            peak_used: 0,
             reads: 0,
             writes: 0,
         }
@@ -104,11 +102,6 @@ impl Scratchpad {
         self.live.values().sum()
     }
 
-    /// High-water mark of [`Self::used`].
-    pub fn peak_used(&self) -> usize {
-        self.peak_used
-    }
-
     /// Access latency in cycles.
     pub fn access_latency(&self) -> u64 {
         self.access_latency
@@ -125,7 +118,7 @@ impl Scratchpad {
     }
 
     /// Largest contiguous free fragment.
-    pub fn largest_free_fragment(&self) -> usize {
+    fn largest_free_fragment(&self) -> usize {
         let mut cursor = 0usize;
         let mut largest = 0usize;
         for (&off, &len) in &self.live {
@@ -158,7 +151,6 @@ impl Scratchpad {
             });
         }
         self.live.insert(cursor, len);
-        self.peak_used = self.peak_used.max(self.used());
         Ok(SpmHandle {
             offset: cursor,
             len,
@@ -215,7 +207,6 @@ mod tests {
         assert_eq!(spm.used(), 200);
         spm.free(b).unwrap();
         assert_eq!(spm.used(), 0);
-        assert_eq!(spm.peak_used(), 300);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! let fast = ooo.run(&trace);
 //! let slow = inorder.run(&trace);
 //! // The OOO window hides miss latency that the in-order core eats.
-//! assert!(fast.cycles_per_miss() < slow.cycles_per_miss());
+//! assert!(fast.mem_stall_fraction() < slow.mem_stall_fraction());
 //! ```
 
 use crate::cache::{Cache, CacheStats};
@@ -50,10 +50,10 @@ use crate::pattern::{generate, AccessPattern};
 /// Reorder-buffer depth used for the host CPU's out-of-order cores.
 /// Table III says "4-way superscalar"; the window is the standard
 /// Haswell/Skylake-class depth zsim would model for such a core.
-pub const CPU_ROB_WINDOW: usize = 192;
+const CPU_ROB_WINDOW: usize = 192;
 
 /// Next-line prefetch degree of the NDP cores' L1 stream prefetcher.
-pub const NDP_PREFETCH_DEGREE: usize = 4;
+const NDP_PREFETCH_DEGREE: usize = 4;
 
 /// Capacity of the prefetch buffer in lines.
 const PREFETCH_BUFFER_LINES: usize = 64;
@@ -214,16 +214,6 @@ impl CoreReport {
     /// Wall-clock seconds at the given core clock.
     pub fn seconds(&self, clock_hz: f64) -> f64 {
         self.cycles / clock_hz
-    }
-
-    /// Average cycles per DRAM fill — the latency the core actually
-    /// *exposed* per miss after overlap (∞-free when there were no fills).
-    pub fn cycles_per_miss(&self) -> f64 {
-        if self.dram_fills == 0 {
-            0.0
-        } else {
-            self.cycles / self.dram_fills as f64
-        }
     }
 
     /// Fraction of time stalled on memory.
