@@ -809,6 +809,105 @@ mod tests {
         );
     }
 
+    /// One job per variant (both `Spectrum` flavours), with `-0.0`, `0.0`
+    /// and a NaN payload in each float-carrying variant.
+    fn pinned_jobs() -> Vec<DftJob> {
+        let md = |temperature_k| DftJob::MdSegment {
+            atoms: 64,
+            steps: 10,
+            temperature_k,
+            seed: u64::MAX,
+        };
+        let bands = |scissor_ev| DftJob::BandStructure {
+            atoms: 8,
+            segments: 3,
+            n_bands: 8,
+            scissor_ev,
+        };
+        let self_consistent = |alpha| DftJob::ScfSelfConsistent {
+            atoms: 8,
+            bands: 4,
+            max_iterations: 4,
+            occupied: 2,
+            cycles: 2,
+            alpha,
+        };
+        let floats = [-0.0, 0.0, f64::from_bits(0x7FF8_0000_0000_1234)];
+        let mut jobs = vec![
+            DftJob::GroundState {
+                atoms: 8,
+                bands: 4,
+                max_iterations: 6,
+            },
+            DftJob::Spectrum {
+                atoms: 16,
+                full_casida: false,
+            },
+            DftJob::Spectrum {
+                atoms: 16,
+                full_casida: true,
+            },
+        ];
+        jobs.extend(floats.map(md));
+        jobs.extend(floats.map(bands));
+        jobs.extend(floats.map(self_consistent));
+        jobs
+    }
+
+    /// A fingerprint is the key of every WAL record and the ring
+    /// position a federation routes the job to, so its value must never
+    /// move. A failure here is a bug to fix, not a value to re-record.
+    #[test]
+    fn fingerprints_are_pinned() {
+        const PINNED: [u128; 12] = [
+            0x928638905e022d68ba4efa858b2b63ee,
+            0x33ce36bac37abea8985b4593eef79176,
+            0x3bf7fe726c006da0b7560c9cf9e6db97,
+            0x544ba94e89f9d41e204c5e18ad26f605,
+            0x6cd4bbbbbf5ae26ac7b4ed91323b0e85,
+            0xdf7bd3972c98c6e548435c15e34adb8a,
+            0xd0fa03b10dee2cd49fe38d13621ff7a2,
+            0xd0f9ffb10dee26089fe30d13621f1e22,
+            0x4c005f2ef658447bf98299375aecf0a5,
+            0x013e6bb67f7e5d2462461aa68451cb68,
+            0x013e67b67f7e565862459aa68450f1e8,
+            0xce90b5ea2a8d468b2379d7a98710e3d3,
+        ];
+        let got: Vec<u128> = pinned_jobs().iter().map(|j| j.fingerprint().0).collect();
+        assert_eq!(got, PINNED);
+    }
+
+    /// Shard keys route a class's jobs to one queue shard; moving them
+    /// reshuffles every queue. A failure here is a bug, not a re-record.
+    #[test]
+    fn shard_keys_are_pinned() {
+        const PINNED: [u64; 6] = [
+            0xd8461fbe33eaaed4,
+            0x1153c2d54370af2f,
+            0xdac17f6e17aa4706,
+            0x9f8a894b6e1d2f59,
+            0xadece85784c00470,
+            0xd53fc44e0c4bb88b,
+        ];
+        let kinds = [
+            JobKind::GroundState,
+            JobKind::MdSegment,
+            JobKind::TdaSpectrum,
+            JobKind::CasidaSpectrum,
+            JobKind::BandStructure,
+            JobKind::ScfSelfConsistent,
+        ];
+        let key = |kind| {
+            WorkloadClass {
+                kind,
+                atoms: 64,
+                iterations: 10,
+            }
+            .shard_key()
+        };
+        assert_eq!(kinds.map(key), PINNED);
+    }
+
     #[test]
     fn job_request_builder_defaults_and_overrides() {
         let job = DftJob::Spectrum {
