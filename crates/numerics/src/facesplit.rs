@@ -10,7 +10,6 @@
 
 use crate::counters::{face_splitting_cost, KernelCost};
 use crate::matrix::CMat;
-use crate::Complex64;
 
 /// Computes the full face-splitting product `P[(v·nc + c), r] = ψ_v*(r)·ψ_c(r)`.
 ///
@@ -54,28 +53,6 @@ pub fn face_splitting(valence: &CMat, conduction: &CMat) -> CMat {
     p
 }
 
-/// Computes one row of the face-splitting product into a caller-provided
-/// buffer, for streaming consumers that never materialize the full `P`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn face_splitting_row(
-    valence_row: &[Complex64],
-    conduction_row: &[Complex64],
-    out: &mut [Complex64],
-) {
-    assert_eq!(
-        valence_row.len(),
-        conduction_row.len(),
-        "row length mismatch"
-    );
-    assert_eq!(valence_row.len(), out.len(), "output length mismatch");
-    for ((o, a), b) in out.iter_mut().zip(valence_row).zip(conduction_row) {
-        *o = a.conj() * *b;
-    }
-}
-
 /// Analytic cost of [`face_splitting`] for the given operand shapes.
 pub fn face_splitting_cost_for(valence: &CMat, conduction: &CMat) -> KernelCost {
     face_splitting_cost(valence.rows() * conduction.rows(), valence.cols())
@@ -84,6 +61,7 @@ pub fn face_splitting_cost_for(valence: &CMat, conduction: &CMat) -> KernelCost 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Complex64;
 
     fn cmat(rows: usize, cols: usize, seed: u64) -> CMat {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -112,20 +90,6 @@ mod tests {
                     let expect = v[(vi, r)].conj() * c[(ci, r)];
                     assert_eq!(p[(vi * 4 + ci, r)], expect);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn row_api_matches_full_product() {
-        let v = cmat(2, 9, 5);
-        let c = cmat(2, 9, 6);
-        let p = face_splitting(&v, &c);
-        let mut row = vec![Complex64::ZERO; 9];
-        for vi in 0..2 {
-            for ci in 0..2 {
-                face_splitting_row(v.row(vi), c.row(ci), &mut row);
-                assert_eq!(&row[..], p.row(vi * 2 + ci));
             }
         }
     }

@@ -44,7 +44,7 @@ pub use counters::{
 };
 pub use davidson::{davidson, DavidsonError, DavidsonOptions, DavidsonResult, SymOperator};
 pub use eig::{heevd, syevd, EigError, Eigen, HermEigen};
-pub use facesplit::{face_splitting, face_splitting_cost_for, face_splitting_row};
+pub use facesplit::{face_splitting, face_splitting_cost_for};
 pub use fft::{dft_naive, FftPlan};
 pub use fft3d::{Fft3Plan, GridDims};
 pub use gemm::{gemm_adjoint_c64, gemm_c64_naive, gemm_f64, gemm_f64_naive};

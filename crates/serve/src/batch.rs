@@ -45,22 +45,19 @@ impl<P> Batch<P> {
         self.entries.len()
     }
 
-    /// True when the batch is empty (never produced by [`form_batches`]).
+    /// True when the batch is empty (never produced by
+    /// [`form_batches_from`]).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }
 
-/// Groups drained jobs into per-class batches tagged [`BatchOrigin::Home`].
+/// Groups drained jobs into per-class batches tagged `origin` — workers
+/// use [`BatchOrigin::Home`] for their own shard's jobs and
+/// [`BatchOrigin::Stolen`] for runs taken from a victim shard.
 ///
 /// `class_of` maps a pending entry to its workload class (usually
 /// [`crate::DftJob::workload_class`]).
-pub fn form_batches<P>(pending: Vec<P>, class_of: impl Fn(&P) -> WorkloadClass) -> Vec<Batch<P>> {
-    form_batches_from(BatchOrigin::Home, pending, class_of)
-}
-
-/// [`form_batches`] with an explicit origin tag — workers use
-/// [`BatchOrigin::Stolen`] for runs taken from a victim shard.
 pub fn form_batches_from<P>(
     origin: BatchOrigin,
     pending: Vec<P>,
@@ -110,7 +107,7 @@ mod tests {
     #[test]
     fn groups_by_class_preserving_order() {
         let jobs = vec![scf(8), md(64, 1), scf(8), md(64, 2), scf(16)];
-        let batches = form_batches(jobs, DftJob::workload_class);
+        let batches = form_batches_from(BatchOrigin::Home, jobs, DftJob::workload_class);
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[0].len(), 2, "both Si_8 SCF jobs batched");
         assert_eq!(batches[1].len(), 2, "MD seeds differ but class matches");
@@ -154,7 +151,7 @@ mod tests {
                     md(if class == 0 { 64 } else { 128 }, seed)
                 })
                 .collect();
-            let batches = form_batches(jobs, DftJob::workload_class);
+            let batches = form_batches_from(BatchOrigin::Home, jobs, DftJob::workload_class);
             assert_eq!(batches.len(), 2);
             for batch in &batches {
                 let seeds: Vec<u64> = batch
@@ -177,14 +174,18 @@ mod tests {
 
     #[test]
     fn empty_input_forms_no_batches() {
-        let batches = form_batches(Vec::<DftJob>::new(), DftJob::workload_class);
+        let batches = form_batches_from(
+            BatchOrigin::Home,
+            Vec::<DftJob>::new(),
+            DftJob::workload_class,
+        );
         assert!(batches.is_empty());
     }
 
     #[test]
     fn no_batch_is_empty() {
         let jobs = vec![scf(8); 5];
-        let batches = form_batches(jobs, DftJob::workload_class);
+        let batches = form_batches_from(BatchOrigin::Home, jobs, DftJob::workload_class);
         assert_eq!(batches.len(), 1);
         assert!(batches.iter().all(|b| !b.is_empty()));
     }

@@ -49,7 +49,7 @@
 //!
 //! ## The refresh-in-place corner case
 //!
-//! `insert` on a fingerprint that is already resident does **not**
+//! `store` on a fingerprint that is already resident does **not**
 //! allocate a new slot, but the two policies treat the old slot
 //! differently, and the difference is deliberate:
 //!
@@ -63,8 +63,14 @@
 //!   priority index is updated in place (old key out, new key in);
 //!   capacity is unaffected.
 //!
-//! Plain `get` hits never touch the score — lookups take only the read
-//! lock, and the fast path stays contention-free.
+//! Memory hits never touch the score — lookups take only the read lock,
+//! and the fast path stays contention-free.
+//!
+//! Every lookup runs memory first, then the disk tier:
+//! [`ResultCache::fetch_tiered`] counts the outcome and names the
+//! serving [`HitTier`], [`ResultCache::get`] drops the tier, and
+//! [`ResultCache::peek`] counts only a disk promotion.
+//! [`ResultCache::store`] is the one write path.
 //!
 //! # Tier 2: optional persistent disk (write-ahead log)
 //!
@@ -72,7 +78,7 @@
 //! encoded value to an append-only file under the configured directory
 //! (see [`crate::persist`] for the format), keyed by the same
 //! fingerprint. The lifecycle is **score → evict → spill → promote**:
-//! values are written through on insert (the spill happens *ahead* of
+//! values are written through on store (the spill happens *ahead* of
 //! any eviction, so a memory eviction never loses data), a memory miss
 //! falls through to the disk index, and a disk hit decodes the record
 //! and **promotes** it back into the memory tier at its stored cost.
@@ -157,6 +163,18 @@ impl CacheStats {
         self.bytes_persisted += other.bytes_persisted;
         self.cost_retained_s += other.cost_retained_s;
     }
+
+    /// Served lookups (either tier) over total lookups (0 when never
+    /// queried). With the disk tier off this is exactly the seed
+    /// engine's memory hit rate.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.disk_hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            (self.hits + self.disk_hits) as f64 / total as f64
+        }
+    }
 }
 
 /// Which lookup path served a result without executing it — carried on
@@ -181,20 +199,6 @@ impl HitTier {
             HitTier::Memory => "memory",
             HitTier::Disk => "disk",
             HitTier::Batch => "batch",
-        }
-    }
-}
-
-impl CacheStats {
-    /// Served lookups (either tier) over total lookups (0 when never
-    /// queried). With the disk tier off this is exactly the seed
-    /// engine's memory hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.disk_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hits + self.disk_hits) as f64 / total as f64
         }
     }
 }
@@ -237,10 +241,9 @@ struct CacheMap<V> {
 /// Thread-safe bounded two-tier cache keyed by fingerprint.
 ///
 /// See the [module docs](self) for the eviction policies and the disk
-/// tier lifecycle. Lookup fast paths (`get`, `peek`) take only the
-/// read lock; `insert` and disk promotion take the write lock; the
-/// disk tier has its own internal lock touched only off the memory-hit
-/// path.
+/// tier lifecycle. Memory hits take only the read lock; `store` and
+/// disk promotion take the write lock; the disk tier has its own
+/// internal lock touched only off the memory-hit path.
 pub struct ResultCache<V> {
     inner: RwLock<CacheMap<V>>,
     capacity: usize,
@@ -262,7 +265,7 @@ fn clean_cost(cost: f64) -> f64 {
     }
 }
 
-impl<V: Clone> ResultCache<V> {
+impl<V: Clone + PersistValue> ResultCache<V> {
     /// Memory-only cache holding at most `capacity` results, evicting
     /// by `policy`.
     ///
@@ -290,53 +293,93 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// The eviction policy this cache runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
+    /// Two-tier cache: bounded memory evicting by `policy`, plus a
+    /// persistent write-ahead tier under `dir` (created if missing; an
+    /// existing log is scanned so prior sessions' results are warm).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from creating the directory or opening
+    /// the log file. Corrupt log *content* is never an error — the
+    /// scan keeps the valid prefix (see [`crate::persist`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero capacity.
+    pub fn with_disk(capacity: usize, policy: CachePolicy, dir: &Path) -> std::io::Result<Self> {
+        let mut cache = ResultCache::new(capacity, policy);
+        cache.disk = Some(DiskTier::open(dir)?);
+        Ok(cache)
     }
 
-    /// Looks up a result in the memory tier, counting the outcome.
-    /// (With a disk tier attached, use [`ResultCache::fetch_tiered`] so
-    /// a memory miss can fall through and promote.)
+    /// Two-tier lookup: memory first (a hit counts as `hits`), then
+    /// the disk index (a hit decodes, **promotes into memory at the
+    /// stored cost**, and counts as `disk_hits`); only a miss in both
+    /// counts as a miss. Reports which tier served the hit (feeds trace
+    /// span events).
+    pub fn fetch_tiered(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
+        self.lookup(key, true)
+    }
+
+    /// [`ResultCache::fetch_tiered`] without the tier.
     pub fn get(&self, key: &Fingerprint) -> Option<V> {
-        let inner = self.inner.read().unwrap();
-        match inner.map.get(key) {
-            Some(e) => {
+        self.fetch_tiered(key).map(|(value, _)| value)
+    }
+
+    /// Two-tier lookup that leaves `hits` and `misses` alone (used by
+    /// workers rechecking after dequeue). A disk promotion still counts
+    /// as a disk hit: it does real decode work worth surfacing.
+    pub fn peek(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
+        self.lookup(key, false)
+    }
+
+    fn lookup(&self, key: &Fingerprint, counted: bool) -> Option<(V, HitTier)> {
+        if let Some(e) = self.inner.read().unwrap().map.get(key) {
+            if counted {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.value.clone())
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            return Some((e.value.clone(), HitTier::Memory));
         }
+        if let Some(value) = self.promote(key) {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((value, HitTier::Disk));
+        }
+        if counted {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        None
     }
 
-    /// Peeks the memory tier without counting (used by workers
-    /// rechecking after dequeue).
-    pub fn peek(&self, key: &Fingerprint) -> Option<V> {
-        self.inner
-            .read()
-            .unwrap()
-            .map
-            .get(key)
-            .map(|e| e.value.clone())
+    /// Stores a result carrying the modeled compute cost (seconds) of
+    /// the job that produced it. With a disk tier attached the value is
+    /// first appended to the write-ahead log (the "spill" happens here,
+    /// ahead of any eviction, so evicting from memory never loses a
+    /// persisted result); then the memory tier takes it, evicting per
+    /// policy when at capacity. Storing an existing key refreshes the
+    /// value and cost without growing; see the [module docs](self) for
+    /// how each policy treats the refreshed entry's age.
+    pub fn store(&self, key: Fingerprint, value: V, cost: f64) {
+        if let Some(disk) = &self.disk {
+            let mut enc = Enc::new();
+            value.encode(&mut enc);
+            disk.append(key, clean_cost(cost), &enc.into_bytes());
+        }
+        self.insert(key, value, cost);
     }
 
-    /// Inserts a costless result (`cost = 0`): under `Fifo` this is
-    /// exactly the seed engine's insert; under `CostWeighted` the
-    /// entry scores `clock + 0` and is the next victim. Prefer
-    /// [`ResultCache::insert_costed`] whenever a modeled cost exists.
-    pub fn insert(&self, key: Fingerprint, value: V) {
-        self.insert_costed(key, value, 0.0);
+    /// Decodes `key`'s record from the disk tier (if any) and inserts
+    /// it into the memory tier at its stored cost.
+    fn promote(&self, key: &Fingerprint) -> Option<V> {
+        let disk = self.disk.as_ref()?;
+        let (bytes, cost) = disk.get(key)?;
+        let mut dec = Dec::new(&bytes);
+        let value = V::decode(&mut dec)?;
+        self.insert(*key, value.clone(), cost);
+        Some(value)
     }
 
-    /// Inserts a result carrying the modeled compute cost (seconds)
-    /// of the job that produced it, evicting per policy when at
-    /// capacity. Re-inserting an existing key refreshes the value and
-    /// cost without growing; see the [module docs](self) for how each
-    /// policy treats the refreshed entry's age.
-    pub fn insert_costed(&self, key: Fingerprint, value: V, cost: f64) {
+    /// The memory-tier half of [`ResultCache::store`].
+    fn insert(&self, key: Fingerprint, value: V, cost: f64) {
         let cost = clean_cost(cost);
         let mut inner = self.inner.write().unwrap();
         inner.seq += 1;
@@ -433,90 +476,19 @@ impl<V: Clone> ResultCache<V> {
     }
 }
 
-impl<V: Clone + PersistValue> ResultCache<V> {
-    /// Two-tier cache: bounded memory evicting by `policy`, plus a
-    /// persistent write-ahead tier under `dir` (created if missing; an
-    /// existing log is scanned so prior sessions' results are warm).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating the directory or opening
-    /// the log file. Corrupt log *content* is never an error — the
-    /// scan keeps the valid prefix (see [`crate::persist`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero capacity.
-    pub fn with_disk(capacity: usize, policy: CachePolicy, dir: &Path) -> std::io::Result<Self> {
-        let mut cache = ResultCache::new(capacity, policy);
-        cache.disk = Some(DiskTier::open(dir)?);
-        Ok(cache)
-    }
-
-    /// Two-tier lookup: memory first (a hit counts as `hits`), then
-    /// the disk index (a hit decodes, **promotes into memory at the
-    /// stored cost**, and counts as `disk_hits`); only a miss in both
-    /// counts as a miss. Reports which tier served the hit (feeds trace
-    /// span events). Without a disk tier this is [`ResultCache::get`].
-    pub fn fetch_tiered(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
-        {
-            let inner = self.inner.read().unwrap();
-            if let Some(e) = inner.map.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some((e.value.clone(), HitTier::Memory));
-            }
-        }
-        if let Some(v) = self.promote(key) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((v, HitTier::Disk));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Two-tier peek: like [`ResultCache::peek`] but a memory miss
-    /// falls through to disk (promoting on a hit, counted as a disk
-    /// hit — the promotion does real decode work worth surfacing, even
-    /// on the uncounted worker recheck path). Reports the serving tier.
-    pub fn peek_fetch_tiered(&self, key: &Fingerprint) -> Option<(V, HitTier)> {
-        if let Some(v) = self.peek(key) {
-            return Some((v, HitTier::Memory));
-        }
-        let v = self.promote(key);
-        if v.is_some() {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        v.map(|v| (v, HitTier::Disk))
-    }
-
-    /// Write-through insert: the memory tier per policy, plus an
-    /// append to the write-ahead log when a disk tier is attached (the
-    /// "spill" happens here, ahead of any eviction, so evicting from
-    /// memory never loses a persisted result).
-    pub fn store(&self, key: Fingerprint, value: V, cost: f64) {
-        if let Some(disk) = &self.disk {
-            let mut enc = Enc::new();
-            value.encode(&mut enc);
-            disk.append(key, clean_cost(cost), &enc.into_bytes());
-        }
-        self.insert_costed(key, value, cost);
-    }
-
-    /// Decodes `key`'s record from the disk tier (if any) and inserts
-    /// it into the memory tier at its stored cost.
-    fn promote(&self, key: &Fingerprint) -> Option<V> {
-        let disk = self.disk.as_ref()?;
-        let (bytes, cost) = disk.get(key)?;
-        let mut dec = Dec::new(&bytes);
-        let value = V::decode(&mut dec)?;
-        self.insert_costed(*key, value.clone(), cost);
-        Some(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PersistValue for u32 {
+        fn encode(&self, enc: &mut Enc) {
+            enc.u32(*self);
+        }
+
+        fn decode(dec: &mut Dec<'_>) -> Option<Self> {
+            dec.u32()
+        }
+    }
 
     fn fp(n: u128) -> Fingerprint {
         Fingerprint(n)
@@ -534,7 +506,7 @@ mod tests {
     fn hit_and_miss_counting() {
         let c = fifo(4);
         assert_eq!(c.get(&fp(1)), None);
-        c.insert(fp(1), 10);
+        c.store(fp(1), 10, 0.0);
         assert_eq!(c.get(&fp(1)), Some(10));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -544,41 +516,41 @@ mod tests {
     #[test]
     fn fifo_eviction_respects_capacity() {
         let c = fifo(2);
-        c.insert(fp(1), 1);
-        c.insert(fp(2), 2);
-        c.insert(fp(3), 3);
+        c.store(fp(1), 1, 0.0);
+        c.store(fp(2), 2, 0.0);
+        c.store(fp(3), 3, 0.0);
         assert_eq!(c.len(), 2);
         assert_eq!(c.peek(&fp(1)), None, "oldest entry evicted");
-        assert_eq!(c.peek(&fp(3)), Some(3));
+        assert_eq!(c.peek(&fp(3)), Some((3, HitTier::Memory)));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinsert_refreshes_without_eviction() {
         let c = fifo(2);
-        c.insert(fp(1), 1);
-        c.insert(fp(2), 2);
-        c.insert(fp(1), 11);
+        c.store(fp(1), 1, 0.0);
+        c.store(fp(2), 2, 0.0);
+        c.store(fp(1), 11, 0.0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(&fp(1)), Some(11));
+        assert_eq!(c.peek(&fp(1)), Some((11, HitTier::Memory)));
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn fifo_refresh_keeps_original_slot() {
         let c = fifo(2);
-        c.insert(fp(1), 1);
-        c.insert(fp(2), 2);
-        c.insert(fp(1), 11); // refresh does NOT move 1 to the back
-        c.insert(fp(3), 3);
+        c.store(fp(1), 1, 0.0);
+        c.store(fp(2), 2, 0.0);
+        c.store(fp(1), 11, 0.0); // refresh does NOT move 1 to the back
+        c.store(fp(3), 3, 0.0);
         assert_eq!(c.peek(&fp(1)), None, "refreshed key still evicts first");
-        assert_eq!(c.peek(&fp(2)), Some(2));
+        assert_eq!(c.peek(&fp(2)), Some((2, HitTier::Memory)));
     }
 
     #[test]
     fn peek_does_not_count() {
         let c = fifo(2);
-        c.insert(fp(7), 7);
+        c.store(fp(7), 7, 0.0);
         let _ = c.peek(&fp(7));
         let _ = c.peek(&fp(8));
         let s = c.stats();
@@ -589,13 +561,21 @@ mod tests {
     fn cost_weighted_keeps_expensive_entry_through_cheap_flood() {
         // The module docs' worked example, mechanized.
         let c = weighted(2);
-        c.insert_costed(fp(100), 0, 100.0); // the Casida solve
+        c.store(fp(100), 0, 100.0); // the Casida solve
         for i in 0..50u128 {
-            c.insert_costed(fp(i), i as u32, 1.0); // cheap MD flood
+            c.store(fp(i), i as u32, 1.0); // cheap MD flood
         }
         assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(&fp(100)), Some(0), "expensive entry survives");
-        assert_eq!(c.peek(&fp(49)), Some(49), "newest cheap entry resident");
+        assert_eq!(
+            c.peek(&fp(100)),
+            Some((0, HitTier::Memory)),
+            "expensive entry survives"
+        );
+        assert_eq!(
+            c.peek(&fp(49)),
+            Some((49, HitTier::Memory)),
+            "newest cheap entry resident"
+        );
         let s = c.stats();
         assert_eq!(s.evictions, 49);
         assert!((s.cost_retained_s - 101.0).abs() < 1e-12);
@@ -605,9 +585,9 @@ mod tests {
     fn cost_weighted_entries_are_not_immortal() {
         // The clock advances past any finite cost eventually.
         let c = weighted(2);
-        c.insert_costed(fp(1000), 0, 10.0);
+        c.store(fp(1000), 0, 10.0);
         for i in 0..100u128 {
-            c.insert_costed(fp(i), 0, 1.0);
+            c.store(fp(i), 0, 1.0);
         }
         assert_eq!(
             c.peek(&fp(1000)),
@@ -619,39 +599,43 @@ mod tests {
     #[test]
     fn cost_weighted_refresh_restarts_retention() {
         let c = weighted(2);
-        c.insert_costed(fp(9), 0, 3.0);
+        c.store(fp(9), 0, 3.0);
         for i in 0..2u128 {
-            c.insert_costed(fp(i), 0, 1.0);
+            c.store(fp(i), 0, 1.0);
         }
         // fp(9) has aged; a refresh re-keys it at the current clock.
-        c.insert_costed(fp(9), 1, 3.0);
+        c.store(fp(9), 1, 3.0);
         for i in 10..12u128 {
-            c.insert_costed(fp(i), 0, 1.0);
+            c.store(fp(i), 0, 1.0);
         }
-        assert_eq!(c.peek(&fp(9)), Some(1), "refreshed score kept it alive");
+        assert_eq!(
+            c.peek(&fp(9)),
+            Some((1, HitTier::Memory)),
+            "refreshed score kept it alive"
+        );
     }
 
     #[test]
     fn equal_costs_degrade_to_fifo_order() {
         let c = weighted(2);
-        c.insert_costed(fp(1), 1, 2.0);
-        c.insert_costed(fp(2), 2, 2.0);
-        c.insert_costed(fp(3), 3, 2.0);
+        c.store(fp(1), 1, 2.0);
+        c.store(fp(2), 2, 2.0);
+        c.store(fp(3), 3, 2.0);
         assert_eq!(c.peek(&fp(1)), None, "oldest of the equal-score cohort");
-        assert_eq!(c.peek(&fp(2)), Some(2));
-        assert_eq!(c.peek(&fp(3)), Some(3));
+        assert_eq!(c.peek(&fp(2)), Some((2, HitTier::Memory)));
+        assert_eq!(c.peek(&fp(3)), Some((3, HitTier::Memory)));
     }
 
     #[test]
     fn cost_retained_tracks_residents_exactly() {
         let c = weighted(3);
-        c.insert_costed(fp(1), 1, 5.0);
-        c.insert_costed(fp(2), 2, 7.0);
+        c.store(fp(1), 1, 5.0);
+        c.store(fp(2), 2, 7.0);
         assert!((c.cost_retained_s() - 12.0).abs() < 1e-12);
-        c.insert_costed(fp(2), 2, 9.0); // refresh updates cost
+        c.store(fp(2), 2, 9.0); // refresh updates cost
         assert!((c.cost_retained_s() - 14.0).abs() < 1e-12);
-        c.insert_costed(fp(3), 3, 1.0);
-        c.insert_costed(fp(4), 4, 1.0); // evicts the min-score entry
+        c.store(fp(3), 3, 1.0);
+        c.store(fp(4), 4, 1.0); // evicts the min-score entry
         let total: f64 = [1u128, 2, 3, 4]
             .iter()
             .filter(|&&k| c.peek(&fp(k)).is_some())
@@ -667,9 +651,9 @@ mod tests {
     #[test]
     fn nonfinite_and_negative_costs_are_clamped() {
         let c = weighted(2);
-        c.insert_costed(fp(1), 1, f64::NAN);
-        c.insert_costed(fp(2), 2, -4.0);
-        c.insert_costed(fp(3), 3, f64::INFINITY);
+        c.store(fp(1), 1, f64::NAN);
+        c.store(fp(2), 2, -4.0);
+        c.store(fp(3), 3, f64::INFINITY);
         assert_eq!(c.len(), 2);
         assert!((c.cost_retained_s() - 0.0).abs() < 1e-12);
     }

@@ -1,9 +1,12 @@
 //! Content addressing for jobs and results.
 //!
 //! A [`Fingerprint`] is a 128-bit digest of a job's canonical parameter
-//! encoding, computed with two independently-keyed FNV-1a streams. Equal
-//! jobs always collide (that is the point); unequal jobs collide with
-//! probability ~2⁻¹²⁸, negligible at any service scale.
+//! encoding — literally the bytes the write-ahead log stores for the job
+//! (`PersistValue for DftJob` in [`crate::persist`]: one little-endian
+//! `u64` word per variant tag and parameter) — computed with two
+//! independently-keyed FNV-1a streams. Equal jobs always collide (that
+//! is the point); unequal jobs collide with probability ~2⁻¹²⁸,
+//! negligible at any service scale.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -42,15 +45,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Incremental fingerprint builder.
 #[derive(Debug, Clone)]
-pub struct Hasher {
+pub(crate) struct Hasher {
     lo: u64,
     hi: u64,
 }
 
 impl Hasher {
     /// Fresh hasher with the two lanes offset differently.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Hasher {
             lo: FNV_OFFSET,
             hi: FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15,
@@ -58,12 +60,12 @@ impl Hasher {
     }
 
     /// Feeds one 64-bit word, little-endian, into both lanes.
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
     /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
             // The hi lane sees bytes bit-rotated so the lanes decorrelate.
@@ -72,9 +74,16 @@ impl Hasher {
     }
 
     /// Final digest.
-    pub fn finish(&self) -> Fingerprint {
+    pub(crate) fn finish(&self) -> Fingerprint {
         Fingerprint(((self.hi as u128) << 64) | self.lo as u128)
     }
+}
+
+/// Digest of one byte string.
+pub(crate) fn digest(bytes: &[u8]) -> Fingerprint {
+    let mut h = Hasher::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

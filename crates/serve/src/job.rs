@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-use crate::fingerprint::{Fingerprint, Hasher};
+use crate::fingerprint::{digest, Fingerprint};
+use crate::persist::{Enc, PersistValue};
 
 /// Kind of calculation a job requests.
 ///
@@ -254,68 +255,15 @@ impl DftJob {
         Ok(build_task_graph(&self.system()?, self.modeled_iterations()))
     }
 
-    /// Content-addressed identity: equal jobs hash equal, any parameter
-    /// change (including the MD seed) changes the fingerprint.
+    /// Content-addressed identity: the digest of the job's WAL encoding
+    /// (its [`PersistValue`] bytes), so equal jobs hash equal and any
+    /// parameter change (including the MD seed or a float's bit
+    /// pattern) changes the fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut h = Hasher::new();
-        match *self {
-            DftJob::GroundState {
-                atoms,
-                bands,
-                max_iterations,
-            } => {
-                h.write_u64(0x01);
-                h.write_u64(atoms as u64);
-                h.write_u64(bands as u64);
-                h.write_u64(max_iterations as u64);
-            }
-            DftJob::MdSegment {
-                atoms,
-                steps,
-                temperature_k,
-                seed,
-            } => {
-                h.write_u64(0x02);
-                h.write_u64(atoms as u64);
-                h.write_u64(steps as u64);
-                h.write_u64(temperature_k.to_bits());
-                h.write_u64(seed);
-            }
-            DftJob::Spectrum { atoms, full_casida } => {
-                h.write_u64(0x03);
-                h.write_u64(atoms as u64);
-                h.write_u64(full_casida as u64);
-            }
-            DftJob::BandStructure {
-                atoms,
-                segments,
-                n_bands,
-                scissor_ev,
-            } => {
-                h.write_u64(0x04);
-                h.write_u64(atoms as u64);
-                h.write_u64(segments as u64);
-                h.write_u64(n_bands as u64);
-                h.write_u64(scissor_ev.to_bits());
-            }
-            DftJob::ScfSelfConsistent {
-                atoms,
-                bands,
-                max_iterations,
-                occupied,
-                cycles,
-                alpha,
-            } => {
-                h.write_u64(0x05);
-                h.write_u64(atoms as u64);
-                h.write_u64(bands as u64);
-                h.write_u64(max_iterations as u64);
-                h.write_u64(occupied as u64);
-                h.write_u64(cycles as u64);
-                h.write_u64(alpha.to_bits());
-            }
-        }
-        h.finish()
+        // Seven words: the tag plus `ScfSelfConsistent`'s six fields.
+        let mut enc = Enc::with_capacity(7 * 8);
+        self.encode(&mut enc);
+        digest(&enc.into_bytes())
     }
 
     /// Coarse batching key: jobs in the same class share a task-graph
@@ -477,18 +425,12 @@ impl WorkloadClass {
     /// wave of same-class jobs lands on one queue shard and one planner
     /// consultation still covers the whole run.
     pub fn shard_key(&self) -> u64 {
-        let mut h = Hasher::new();
-        h.write_u64(match self.kind {
-            JobKind::GroundState => 0x11,
-            JobKind::MdSegment => 0x12,
-            JobKind::TdaSpectrum => 0x13,
-            JobKind::CasidaSpectrum => 0x14,
-            JobKind::BandStructure => 0x15,
-            JobKind::ScfSelfConsistent => 0x16,
-        });
-        h.write_u64(self.atoms as u64);
-        h.write_u64(self.iterations as u64);
-        let Fingerprint(d) = h.finish();
+        // Kind words run 0x11 (`GroundState`) ..= 0x16 in declaration order.
+        let mut enc = Enc::with_capacity(3 * 8);
+        enc.u64(0x11 + self.kind as u64);
+        enc.count(self.atoms);
+        enc.count(self.iterations);
+        let Fingerprint(d) = digest(&enc.into_bytes());
         (d >> 64) as u64 ^ d as u64
     }
 }

@@ -161,14 +161,14 @@ pub mod ticket;
 pub mod trace;
 pub mod worker;
 
-pub use batch::{form_batches, form_batches_from, Batch, BatchOrigin};
+pub use batch::{form_batches_from, Batch, BatchOrigin};
 pub use cache::{CachePolicy, CacheStats, HitTier, ResultCache};
 pub use client::{ClientSession, CompletionStream, JobId, SessionCompletion};
 pub use cluster::{ClusterSnapshot, ClusterView, Reservation};
 pub use dag::{NodeId, WorkflowError, WorkflowSpec, WorkflowTicket};
 pub use exec::{block_on, join_all, race, JoinAll, Race};
 pub use federation::{FederatedService, FederationConfig, FederationReport};
-pub use fingerprint::{Fingerprint, Hasher};
+pub use fingerprint::Fingerprint;
 pub use job::{
     DftJob, JobError, JobKind, JobPayload, JobRequest, Priority, TenantId, WorkloadClass,
 };

@@ -14,7 +14,8 @@
 //!   implement to be spillable; implemented here for
 //!   `Arc<JobOutcome>` (the engine's value type), covering the full
 //!   outcome record: job, payload, placement decision, modeled run,
-//!   and wall time.
+//!   and wall time. The job's encoding doubles as its identity:
+//!   [`DftJob::fingerprint`] is the digest of exactly those bytes.
 //! * [`DiskTier`] — an append-only write-ahead file
 //!   (`<cache_dir>/results.wal`) plus an in-memory index from
 //!   [`Fingerprint`] to record location, rebuilt by scanning at open.
@@ -23,13 +24,18 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := b"NDFTWAL2"                      (8 bytes, format version)
+//! header := b"NDFTWAL3"                      (8 bytes, format version)
 //! record := marker   u32  = 0x4352444E ("NDRC", little-endian)
 //!           fp       u128                    (Fingerprint::to_le_bytes)
 //!           cost     f64                     (modeled compute cost, bits)
 //!           len      u32                     (payload byte count)
 //!           payload  [u8; len]               (PersistValue encoding)
 //!           check    u64                     (FNV-1a over fp‖cost‖payload)
+//! outcome payload := job payload placement modeled wall
+//! job    := tag u64 (1..=5, the DftJob variant) then one u64 word per
+//!           parameter in declaration order: counts as u64, floats as
+//!           raw bits, `full_casida` as 0/1 — the bytes the
+//!           fingerprint hashes, so `fp` is the digest of `job`
 //! ```
 //!
 //! Appends are atomic at record granularity in the WAL sense: a crash
@@ -89,9 +95,10 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
 
 /// File-format magic + version. Bump the trailing digit when the codec
 /// or what a field means changes (2: placements are planned on the
-/// gather-charging machine): an old file then fails the header check and
-/// is reset rather than misdecoded or misread.
-const HEADER: &[u8; 8] = b"NDFTWAL2";
+/// gather-charging machine; 3: the job is the fingerprint's `u64` words
+/// and outcomes no longer repeat the fingerprint): an old file then
+/// fails the header check and is reset rather than misdecoded or misread.
+const HEADER: &[u8; 8] = b"NDFTWAL3";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
 /// truncates from there — it does not skip ahead looking for the next
@@ -114,6 +121,13 @@ impl Enc {
     /// Fresh empty encoder.
     pub fn new() -> Self {
         Enc::default()
+    }
+
+    /// Empty encoder with room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Consumes the encoder, returning the encoded bytes.
@@ -140,11 +154,6 @@ impl Enc {
     /// regardless of host width, so files move between machines).
     pub fn count(&mut self, v: usize) {
         self.u64(v as u64);
-    }
-
-    /// Writes a `u128`, little-endian.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an `f64` as its raw IEEE-754 bit pattern — the encoding
@@ -221,33 +230,33 @@ impl<'a> Dec<'a> {
             .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Option<u128> {
-        self.take(16)
-            .map(|s| u128::from_le_bytes(s.try_into().unwrap()))
-    }
-
     /// Reads a count written by [`Enc::count`], refusing values that
     /// could not possibly fit in the remaining bytes assuming at least
     /// `elem_bytes` per element — the guard that keeps a corrupt
     /// length field from triggering a huge allocation.
     pub fn count(&mut self, elem_bytes: usize) -> Option<usize> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).ok()?;
+        let n = self.usize()?;
         if n.checked_mul(elem_bytes.max(1))? > self.remaining() {
             return None;
         }
         Some(n)
     }
 
-    /// Reads an `f64` from its raw bit pattern (bit-exact).
-    pub fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
+    /// Reads a `usize` written by [`Enc::count`] as a plain value (no
+    /// bound against the remaining bytes; use [`Dec::count`] for
+    /// lengths).
+    pub(crate) fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
     }
 
     /// Reads a `bool` (any nonzero byte is `true`).
     pub fn boolean(&mut self) -> Option<bool> {
         self.u8().map(|b| b != 0)
+    }
+
+    /// Reads an `f64` from its raw bit pattern (bit-exact).
+    pub fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -298,6 +307,10 @@ fn decode_target(dec: &mut Dec<'_>) -> Option<Target> {
     }
 }
 
+/// The job encoding is also the job's identity: [`DftJob::fingerprint`]
+/// hashes exactly these bytes. Every field is one little-endian `u64`
+/// word, and decode rejects a non-canonical word (tag outside 1..=5,
+/// `full_casida` outside {0, 1}), so one job has one byte string.
 impl PersistValue for DftJob {
     fn encode(&self, enc: &mut Enc) {
         match *self {
@@ -306,7 +319,7 @@ impl PersistValue for DftJob {
                 bands,
                 max_iterations,
             } => {
-                enc.u8(1);
+                enc.u64(1);
                 enc.count(atoms);
                 enc.count(bands);
                 enc.count(max_iterations);
@@ -317,16 +330,16 @@ impl PersistValue for DftJob {
                 temperature_k,
                 seed,
             } => {
-                enc.u8(2);
+                enc.u64(2);
                 enc.count(atoms);
                 enc.count(steps);
                 enc.f64(temperature_k);
                 enc.u64(seed);
             }
             DftJob::Spectrum { atoms, full_casida } => {
-                enc.u8(3);
+                enc.u64(3);
                 enc.count(atoms);
-                enc.boolean(full_casida);
+                enc.u64(full_casida as u64);
             }
             DftJob::BandStructure {
                 atoms,
@@ -334,7 +347,7 @@ impl PersistValue for DftJob {
                 n_bands,
                 scissor_ev,
             } => {
-                enc.u8(4);
+                enc.u64(4);
                 enc.count(atoms);
                 enc.count(segments);
                 enc.count(n_bands);
@@ -348,7 +361,7 @@ impl PersistValue for DftJob {
                 cycles,
                 alpha,
             } => {
-                enc.u8(5);
+                enc.u64(5);
                 enc.count(atoms);
                 enc.count(bands);
                 enc.count(max_iterations);
@@ -360,34 +373,38 @@ impl PersistValue for DftJob {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Option<Self> {
-        match dec.u8()? {
+        match dec.u64()? {
             1 => Some(DftJob::GroundState {
-                atoms: usize::try_from(dec.u64()?).ok()?,
-                bands: usize::try_from(dec.u64()?).ok()?,
-                max_iterations: usize::try_from(dec.u64()?).ok()?,
+                atoms: dec.usize()?,
+                bands: dec.usize()?,
+                max_iterations: dec.usize()?,
             }),
             2 => Some(DftJob::MdSegment {
-                atoms: usize::try_from(dec.u64()?).ok()?,
-                steps: usize::try_from(dec.u64()?).ok()?,
+                atoms: dec.usize()?,
+                steps: dec.usize()?,
                 temperature_k: dec.f64()?,
                 seed: dec.u64()?,
             }),
             3 => Some(DftJob::Spectrum {
-                atoms: usize::try_from(dec.u64()?).ok()?,
-                full_casida: dec.boolean()?,
+                atoms: dec.usize()?,
+                full_casida: match dec.u64()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
             }),
             4 => Some(DftJob::BandStructure {
-                atoms: usize::try_from(dec.u64()?).ok()?,
-                segments: usize::try_from(dec.u64()?).ok()?,
-                n_bands: usize::try_from(dec.u64()?).ok()?,
+                atoms: dec.usize()?,
+                segments: dec.usize()?,
+                n_bands: dec.usize()?,
                 scissor_ev: dec.f64()?,
             }),
             5 => Some(DftJob::ScfSelfConsistent {
-                atoms: usize::try_from(dec.u64()?).ok()?,
-                bands: usize::try_from(dec.u64()?).ok()?,
-                max_iterations: usize::try_from(dec.u64()?).ok()?,
-                occupied: usize::try_from(dec.u64()?).ok()?,
-                cycles: usize::try_from(dec.u64()?).ok()?,
+                atoms: dec.usize()?,
+                bands: dec.usize()?,
+                max_iterations: dec.usize()?,
+                occupied: dec.usize()?,
+                cycles: dec.usize()?,
                 alpha: dec.f64()?,
             }),
             _ => None,
@@ -428,7 +445,7 @@ fn decode_ground_state(dec: &mut Dec<'_>) -> Option<GroundState> {
         energies_ev,
         orbitals: CMat::from_vec(rows, cols, data),
         residuals: dec.f64s()?,
-        iterations: usize::try_from(dec.u64()?).ok()?,
+        iterations: dec.usize()?,
     })
 }
 
@@ -504,20 +521,20 @@ impl PersistValue for JobPayload {
                     .collect::<Option<Vec<_>>>()?;
                 Some(JobPayload::Md(MdTrajectory {
                     samples,
-                    atoms: usize::try_from(dec.u64()?).ok()?,
+                    atoms: dec.usize()?,
                     final_mean_displacement: dec.f64()?,
                     total_rebuilds: dec.u64()?,
                 }))
             }
             3 => Some(JobPayload::Tda(Spectrum {
                 energies_ev: dec.f64s()?,
-                hamiltonian_dim: usize::try_from(dec.u64()?).ok()?,
+                hamiltonian_dim: dec.usize()?,
                 hermiticity_error: dec.f64()?,
             })),
             4 => Some(JobPayload::Casida(CasidaResult {
                 energies_ev: dec.f64s()?,
                 tda_energies_ev: dec.f64s()?,
-                dim: usize::try_from(dec.u64()?).ok()?,
+                dim: dec.usize()?,
             })),
             5 => {
                 // Each path point carries at least 4 f64s plus a length byte.
@@ -536,7 +553,7 @@ impl PersistValue for JobPayload {
                 Some(JobPayload::Bands(BandStructure {
                     path,
                     energies,
-                    occupied: usize::try_from(dec.u64()?).ok()?,
+                    occupied: dec.usize()?,
                 }))
             }
             6 => Some(JobPayload::SelfConsistent(SelfConsistentResult {
@@ -632,7 +649,7 @@ impl PersistValue for RunReport {
     fn decode(dec: &mut Dec<'_>) -> Option<Self> {
         let machine = dec.str()?;
         let system = dec.str()?;
-        let iterations = usize::try_from(dec.u64()?).ok()?;
+        let iterations = dec.usize()?;
         let n = dec.count(8)?;
         let stages = (0..n)
             .map(|_| {
@@ -694,10 +711,11 @@ fn kernel_kind_from_tag(tag: u8) -> Option<ndft_dft::KernelKind> {
     })
 }
 
+/// The outcome's fingerprint is not stored: it is the digest of the
+/// job's encoding, so decode re-derives it from the job.
 impl PersistValue for JobOutcome {
     fn encode(&self, enc: &mut Enc) {
         self.job.encode(enc);
-        enc.u128(self.fingerprint.0);
         self.payload.encode(enc);
         self.placement.encode(enc);
         self.modeled.encode(enc);
@@ -707,7 +725,6 @@ impl PersistValue for JobOutcome {
 
     fn decode(dec: &mut Dec<'_>) -> Option<Self> {
         let job = DftJob::decode(dec)?;
-        let fingerprint = Fingerprint(dec.u128()?);
         let payload = JobPayload::decode(dec)?;
         let placement = PlacementDecision::decode(dec)?;
         let modeled = RunReport::decode(dec)?;
@@ -717,8 +734,8 @@ impl PersistValue for JobOutcome {
             return None;
         }
         Some(JobOutcome {
+            fingerprint: job.fingerprint(),
             job,
-            fingerprint,
             payload,
             placement,
             modeled,
@@ -998,8 +1015,10 @@ fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::digest;
     use crate::placement::plan_batch;
     use crate::worker::execute_payload;
+    use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ndft-persist-{tag}-{}", std::process::id()));
@@ -1131,6 +1150,86 @@ mod tests {
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Canonical job bytes: a tag in 1..=5, then that variant's
+    /// parameter words over their whole domain (float bit patterns
+    /// included), with the `Spectrum` flag word reduced to 0 or 1.
+    fn canonical_job_bytes(tag: u64, mut words: Vec<u64>) -> Vec<u8> {
+        let arity = [3, 4, 2, 4, 6][tag as usize - 1];
+        if tag == 3 {
+            words[1] &= 1;
+        }
+        let mut enc = Enc::new();
+        enc.u64(tag);
+        words[..arity].iter().for_each(|&w| enc.u64(w));
+        enc.into_bytes()
+    }
+
+    fn decode_job(bytes: &[u8]) -> Option<DftJob> {
+        let mut dec = Dec::new(bytes);
+        let job = DftJob::decode(&mut dec)?;
+        assert_eq!(dec.remaining(), 0, "decode consumed everything");
+        Some(job)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The job encoding is canonical and is what the fingerprint
+        /// hashes. Re-encoding a decoded job reproduces its bytes, so
+        /// `decode(encode(j))` is `j` bit for bit (which `PartialEq`
+        /// cannot state for a NaN), and a word outside its domain
+        /// decodes to nothing.
+        #[test]
+        fn job_encoding_is_canonical_and_is_what_the_fingerprint_hashes(
+            tag in 1u64..6,
+            words in prop::collection::vec(any::<u64>(), 6),
+        ) {
+            let bytes = canonical_job_bytes(tag, words);
+            let job = decode_job(&bytes).expect("canonical bytes decode");
+            let mut enc = Enc::new();
+            job.encode(&mut enc);
+            prop_assert_eq!(&enc.into_bytes(), &bytes);
+            prop_assert_eq!(job.fingerprint(), digest(&bytes));
+
+            let mut bad_tag = bytes.clone();
+            bad_tag[..8].copy_from_slice(&6u64.to_le_bytes());
+            prop_assert!(decode_job(&bad_tag).is_none());
+            if tag == 3 {
+                let mut bad_flag = bytes.clone();
+                bad_flag[16..].copy_from_slice(&2u64.to_le_bytes());
+                prop_assert!(decode_job(&bad_flag).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn previous_wal_version_is_reset() {
+        let dir = tmp_dir("v2");
+        let path = {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.append(Fingerprint(5), 1.0, b"an NDFTWAL2 outcome");
+            tier.path().to_path_buf()
+        };
+        // The record stays well-formed; only the version says its
+        // payload is in the previous codec, so it must never be decoded.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..HEADER.len()].copy_from_slice(b"NDFTWAL2");
+        std::fs::write(&path, bytes).unwrap();
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(
+            (tier.len(), tier.bytes_persisted()),
+            (0, HEADER.len() as u64)
+        );
+        assert!(tier.get(&Fingerprint(5)).is_none());
+        tier.append(Fingerprint(6), 1.0, b"usable again");
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.len(), 1);
+        assert!(tier.get(&Fingerprint(5)).is_none());
+        assert_eq!(tier.get(&Fingerprint(6)).unwrap().0, b"usable again");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

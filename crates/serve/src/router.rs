@@ -49,7 +49,7 @@
 //! `serve_study`'s failover leg) replays the exact same schedule on
 //! every run.
 
-use crate::fingerprint::{Fingerprint, Hasher};
+use crate::fingerprint::{digest, Fingerprint, Hasher};
 use crate::job::{JobRequest, Priority, TenantId};
 use crate::ticket::JobTicket;
 use std::collections::HashMap;
@@ -77,9 +77,7 @@ fn ring_point(replica: usize, vnode: usize) -> u64 {
 
 /// A fingerprint's position on the circle.
 fn key_position(fingerprint: Fingerprint) -> u64 {
-    let mut h = Hasher::new();
-    h.write_bytes(&fingerprint.to_le_bytes());
-    mix64(h.finish().0 as u64)
+    mix64(digest(&fingerprint.to_le_bytes()).0 as u64)
 }
 
 /// Consistent-hash ring over replica indices, with virtual nodes for

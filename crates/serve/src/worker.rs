@@ -576,7 +576,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         let cached = local
             .get(&pending.fingerprint)
             .map(|hit| (hit.clone(), HitTier::Batch))
-            .or_else(|| shared.cache.peek_fetch_tiered(&pending.fingerprint));
+            .or_else(|| shared.cache.peek(&pending.fingerprint));
         if let Some((hit, tier)) = cached {
             shared.metrics.on_dedup_complete();
             let fulfill_start = Instant::now();

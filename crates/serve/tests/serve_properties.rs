@@ -76,10 +76,10 @@
 //! failover leans on to keep surviving caches warm.
 
 use ndft_serve::{
-    block_on, plan_placement, CachePolicy, ClusterView, DftJob, DftService, DiskTier, Fingerprint,
-    HashRing, JobError, JobTicket, LatencyHistogram, NodeId, PlacementPolicy, Reservation,
-    ResultCache, ServeConfig, ShardedQueue, TicketFuture, TicketResolver, TraceEvent,
-    TraceEventKind, WorkflowSpec,
+    block_on, plan_placement, CachePolicy, ClusterView, Dec, DftJob, DftService, DiskTier, Enc,
+    Fingerprint, HashRing, JobError, JobTicket, LatencyHistogram, NodeId, PersistValue,
+    PlacementPolicy, Reservation, ResultCache, ServeConfig, ShardedQueue, TicketFuture,
+    TicketResolver, TraceEvent, TraceEventKind, WorkflowSpec,
 };
 use proptest::prelude::*;
 use std::future::Future;
@@ -431,9 +431,23 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// A cache value for the property tests: an index, encoded as one word.
+#[derive(Clone)]
+struct Slot(usize);
+
+impl PersistValue for Slot {
+    fn encode(&self, enc: &mut Enc) {
+        enc.count(self.0);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Option<Self> {
+        dec.u64().map(|v| Slot(v as usize))
+    }
+}
+
 /// Σ cost over the keys a cache actually holds, via `peek` (which
 /// never touches counters or scores).
-fn resident_cost(cache: &ResultCache<usize>, costs: &[f64]) -> f64 {
+fn resident_cost(cache: &ResultCache<Slot>, costs: &[f64]) -> f64 {
     (0..costs.len())
         .filter(|&k| cache.peek(&Fingerprint(k as u128)).is_some())
         .map(|k| costs[k])
@@ -466,15 +480,15 @@ proptest! {
         capacity in 1usize..8,
         ops in proptest::collection::vec((0u8..4, 0.0f64..100.0), 1..250),
     ) {
-        let fifo: ResultCache<usize> = ResultCache::new(capacity, CachePolicy::Fifo);
-        let weighted: ResultCache<usize> = ResultCache::new(capacity, CachePolicy::CostWeighted);
+        let fifo: ResultCache<Slot> = ResultCache::new(capacity, CachePolicy::Fifo);
+        let weighted: ResultCache<Slot> = ResultCache::new(capacity, CachePolicy::CostWeighted);
         let mut costs: Vec<f64> = Vec::new();
         for (op, x) in ops {
             if op < 3 {
                 // Inserts outnumber lookups: eviction churn is the point.
                 let key = Fingerprint(costs.len() as u128);
-                fifo.insert_costed(key, costs.len(), x);
-                weighted.insert_costed(key, costs.len(), x);
+                fifo.store(key, Slot(costs.len()), x);
+                weighted.store(key, Slot(costs.len()), x);
                 costs.push(x);
             } else if !costs.is_empty() {
                 let key = Fingerprint((x as usize % costs.len()) as u128);

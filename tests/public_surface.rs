@@ -13,13 +13,13 @@ use std::path::Path;
 /// `(crate directory, ceiling)`: the most public-item lines each crate may
 /// declare.
 const CEILINGS: [(&str, usize); 7] = [
-    ("numerics", 115),
+    ("numerics", 114),
     ("dft", 117),
     ("sim", 118),
     ("shmem", 49),
     ("sched", 56),
     ("core", 74),
-    ("serve", 392),
+    ("serve", 380),
 ];
 
 const ITEM_KEYWORDS: [&str; 8] = [
