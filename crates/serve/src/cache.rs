@@ -84,7 +84,9 @@
 //! and **promotes** it back into the memory tier at its stored cost.
 //! The tier survives engine restarts: a new cache opened on the same
 //! directory rebuilds the index by scanning the log, which is how warm
-//! results outlive the process that computed them.
+//! results outlive the process that computed them. The scan decodes each
+//! record, and one that is not exactly one value's encoding ends the
+//! log there, as a failed checksum does.
 //!
 //! [`CacheStats`] counts each tier separately (`hits` vs `disk_hits`,
 //! plus `bytes_persisted` and the resident `cost_retained_s` the bench
@@ -265,6 +267,13 @@ fn clean_cost(cost: f64) -> f64 {
     }
 }
 
+/// The one value `bytes` encodes, exactly: `None` when it does not
+/// decode or leaves bytes over.
+fn decode_exact<V: PersistValue>(bytes: &[u8]) -> Option<V> {
+    let mut dec = Dec::new(bytes);
+    V::decode(&mut dec).filter(|_| dec.remaining() == 0)
+}
+
 impl<V: Clone + PersistValue> ResultCache<V> {
     /// Memory-only cache holding at most `capacity` results, evicting
     /// by `policy`.
@@ -308,7 +317,9 @@ impl<V: Clone + PersistValue> ResultCache<V> {
     /// Panics on zero capacity.
     pub fn with_disk(capacity: usize, policy: CachePolicy, dir: &Path) -> std::io::Result<Self> {
         let mut cache = ResultCache::new(capacity, policy);
-        cache.disk = Some(DiskTier::open(dir)?);
+        cache.disk = Some(DiskTier::open_checked(dir, |bytes| {
+            decode_exact::<V>(bytes).is_some()
+        })?);
         Ok(cache)
     }
 
@@ -372,8 +383,7 @@ impl<V: Clone + PersistValue> ResultCache<V> {
     fn promote(&self, key: &Fingerprint) -> Option<V> {
         let disk = self.disk.as_ref()?;
         let (bytes, cost) = disk.get(key)?;
-        let mut dec = Dec::new(&bytes);
-        let value = V::decode(&mut dec)?;
+        let value = decode_exact::<V>(&bytes)?;
         self.insert(*key, value.clone(), cost);
         Some(value)
     }

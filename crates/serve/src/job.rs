@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-use crate::fingerprint::{digest, Fingerprint};
+use crate::fingerprint::Fingerprint;
 use crate::persist::{Enc, PersistValue};
 
 /// Kind of calculation a job requests.
@@ -260,10 +260,7 @@ impl DftJob {
     /// parameter change (including the MD seed or a float's bit
     /// pattern) changes the fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        // Seven words: the tag plus `ScfSelfConsistent`'s six fields.
-        let mut enc = Enc::with_capacity(7 * 8);
-        self.encode(&mut enc);
-        digest(&enc.into_bytes())
+        Enc::digest_with(|enc| self.encode(enc))
     }
 
     /// Coarse batching key: jobs in the same class share a task-graph
@@ -426,11 +423,11 @@ impl WorkloadClass {
     /// consultation still covers the whole run.
     pub fn shard_key(&self) -> u64 {
         // Kind words run 0x11 (`GroundState`) ..= 0x16 in declaration order.
-        let mut enc = Enc::with_capacity(3 * 8);
-        enc.u64(0x11 + self.kind as u64);
-        enc.count(self.atoms);
-        enc.count(self.iterations);
-        let Fingerprint(d) = digest(&enc.into_bytes());
+        let Fingerprint(d) = Enc::digest_with(|enc| {
+            enc.u64(0x11 + self.kind as u64);
+            enc.count(self.atoms);
+            enc.count(self.iterations);
+        });
         (d >> 64) as u64 ^ d as u64
     }
 }

@@ -38,8 +38,9 @@
 //!   per-job engine exactly.
 //! * **Planner-driven placement** — each batch consults the `ndft_sched`
 //!   planners ([`PlacementPolicy`]) over the measured, gather-charging
-//!   CPU-NDP machine ([`ndft_core::MeasuredTimer`]) that also times the
-//!   plan; the [`PlacementDecision`] keeps both pinned baselines so
+//!   CPU-NDP machine ([`ndft_core::MeasuredTimer`], built once per
+//!   system size and kept) that also times the plan; the
+//!   [`PlacementDecision`] keeps both pinned baselines so
 //!   service-level speedup is always checkable.
 //! * **Utilization-aware cross-job placement** — workers share a
 //!   [`ClusterView`] of the modeled busy time in-flight batches have

@@ -40,11 +40,13 @@
 //!
 //! Appends are atomic at record granularity in the WAL sense: a crash
 //! mid-append leaves a truncated tail, and the open-time scan stops at
-//! the first malformed or checksum-failing record and **truncates the
-//! file back to the last good boundary** — corruption costs the tail
-//! of the cache, never a panic and never a poisoned index. A later
-//! record for the same fingerprint shadows an earlier one (last write
-//! wins), so refreshing an entry never needs in-place rewrites.
+//! the first malformed or checksum-failing record (for a cache's log,
+//! also at the first whose payload does not decode: a bool byte other
+//! than 0 or 1, say) and **truncates the file back to the last good
+//! boundary** — corruption costs the tail of the cache, never a panic
+//! and never a poisoned index. A later record for the same fingerprint
+//! shadows an earlier one (last write wins), so refreshing an entry
+//! never needs in-place rewrites.
 //!
 //! Reads verify the record checksum again (the file may have been
 //! damaged after open); a failing record is dropped from the index and
@@ -61,7 +63,7 @@
 //! instances is the supported restart story; give concurrent engines
 //! distinct directories.
 
-use crate::fingerprint::{Fingerprint, Hasher};
+use crate::fingerprint::{digest, Fingerprint, Hasher};
 use crate::job::{DftJob, JobPayload};
 use crate::placement::{PlacementDecision, PlacementPolicy};
 use crate::worker::JobOutcome;
@@ -114,7 +116,22 @@ const WAL_FILE: &str = "results.wal";
 /// Append-only binary encoder (little-endian throughout).
 #[derive(Debug, Default)]
 pub struct Enc {
-    buf: Vec<u8>,
+    sink: Sink,
+}
+
+/// Where an [`Enc`] puts what it writes.
+#[derive(Debug)]
+enum Sink {
+    /// Kept, for [`Enc::into_bytes`].
+    Bytes(Vec<u8>),
+    /// Hashed as written and never kept ([`Enc::digest_with`]).
+    Digest(Hasher),
+}
+
+impl Default for Sink {
+    fn default() -> Self {
+        Sink::Bytes(Vec::new())
+    }
 }
 
 impl Enc {
@@ -123,31 +140,48 @@ impl Enc {
         Enc::default()
     }
 
-    /// Empty encoder with room for `bytes` bytes.
-    pub(crate) fn with_capacity(bytes: usize) -> Self {
-        Enc {
-            buf: Vec::with_capacity(bytes),
+    /// The digest of what `write` encodes, streamed into the hasher as
+    /// it is written: the same fingerprint as hashing
+    /// [`Enc::into_bytes`], without a buffer.
+    pub(crate) fn digest_with(write: impl FnOnce(&mut Enc)) -> Fingerprint {
+        let mut enc = Enc {
+            sink: Sink::Digest(Hasher::new()),
+        };
+        write(&mut enc);
+        match enc.sink {
+            Sink::Digest(hasher) => hasher.finish(),
+            Sink::Bytes(bytes) => digest(&bytes),
         }
     }
 
     /// Consumes the encoder, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Bytes(bytes) => bytes,
+            Sink::Digest(_) => unreachable!("a digesting encoder never leaves `digest_with`"),
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Bytes(buf) => buf.extend_from_slice(bytes),
+            Sink::Digest(hasher) => hasher.write_bytes(bytes),
+        }
     }
 
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Writes a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a `usize` count as `u64` (the encoding is 64-bit
@@ -170,7 +204,7 @@ impl Enc {
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.count(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Writes a length-prefixed `f64` slice.
@@ -249,9 +283,14 @@ impl<'a> Dec<'a> {
         usize::try_from(self.u64()?).ok()
     }
 
-    /// Reads a `bool` (any nonzero byte is `true`).
+    /// Reads a `bool` written by [`Enc::boolean`]: 0 or 1, anything
+    /// else is malformed.
     pub fn boolean(&mut self) -> Option<bool> {
-        self.u8().map(|b| b != 0)
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 
     /// Reads an `f64` from its raw bit pattern (bit-exact).
@@ -807,9 +846,10 @@ impl DiskTier {
     /// * missing or empty file → write a fresh header;
     /// * unrecognized header (foreign file, older format version) →
     ///   reset the file (it is a cache — regenerable by definition);
-    /// * malformed / checksum-failing / truncated record → stop the
-    ///   scan and truncate back to the last good record boundary, so
-    ///   subsequent appends never interleave with garbage.
+    /// * malformed / checksum-failing / truncated record (or, for a
+    ///   result cache's log, one whose payload does not decode) → stop
+    ///   the scan and truncate back to the last good record
+    ///   boundary, so subsequent appends never interleave with garbage.
     ///
     /// No content ever makes this function panic.
     ///
@@ -819,6 +859,13 @@ impl DiskTier {
     /// created or the file cannot be opened/read — misconfiguration,
     /// as opposed to corruption, is surfaced to the caller.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
+        DiskTier::open_checked(dir, |_| true)
+    }
+
+    /// [`DiskTier::open`] for a log of typed values: a record whose
+    /// checksum holds but whose payload `valid` refuses is malformed
+    /// too, so the scan truncates the file there as well.
+    pub(crate) fn open_checked(dir: &Path, valid: impl Fn(&[u8]) -> bool) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(WAL_FILE);
         let mut file = OpenOptions::new()
@@ -828,7 +875,7 @@ impl DiskTier {
             .truncate(false)
             .open(&path)?;
         let file_len = file.metadata()?.len();
-        let (index, good_len) = scan(&mut file, file_len)?;
+        let (index, good_len) = scan(&mut file, file_len, &valid)?;
         let good_len = match good_len {
             Some(len) => len,
             None => {
@@ -935,13 +982,14 @@ impl DiskTier {
 /// offset of the last good record boundary, or `None` when the header
 /// itself is unusable (caller resets the file).
 ///
-/// The scan stops at the first malformed, out-of-bounds, or
-/// checksum-failing record; everything after that offset is treated
-/// as lost (the caller truncates it away). I/O errors propagate —
+/// The scan stops at the first malformed, out-of-bounds,
+/// checksum-failing or `valid`-refused record; everything after that
+/// offset is treated as lost (the caller truncates it away). I/O errors propagate —
 /// unlike corruption, a failing disk is the caller's problem.
 fn scan(
     file: &mut File,
     file_len: u64,
+    valid: &dyn Fn(&[u8]) -> bool,
 ) -> std::io::Result<(HashMap<Fingerprint, RecordLoc>, Option<u64>)> {
     let mut index = HashMap::new();
     if file_len < HEADER.len() as u64 {
@@ -981,7 +1029,7 @@ fn scan(
             break;
         }
         let check = u64::from_le_bytes(check_bytes);
-        if record_check(fp, cost, &payload) != check {
+        if record_check(fp, cost, &payload) != check || !valid(&payload) {
             break;
         }
         index.insert(
@@ -1015,7 +1063,6 @@ fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::digest;
     use crate::placement::plan_batch;
     use crate::worker::execute_payload;
     use proptest::prelude::*;
@@ -1033,7 +1080,6 @@ mod tests {
             PlacementPolicy::CostAware,
             &crate::ClusterSnapshot::idle(),
             1,
-            crate::placement::fresh_machine,
         );
         let (payload, wall_numeric) = execute_payload(&job).unwrap();
         JobOutcome {
@@ -1203,6 +1249,56 @@ mod tests {
                 prop_assert!(decode_job(&bad_flag).is_none());
             }
         }
+    }
+
+    #[test]
+    fn non_canonical_bool_is_corruption_on_open() {
+        // A record whose checksum holds but whose `shifted` byte is 2 is
+        // malformed: opening the cache truncates the log there, so the
+        // record is never served, while the one before it is.
+        let dir = tmp_dir("bool");
+        let md = |seed| DftJob::MdSegment {
+            atoms: 8,
+            steps: 2,
+            temperature_k: 300.0,
+            seed,
+        };
+        let (good, bad) = (outcome_for(md(1)), outcome_for(md(2)));
+        let encode = |value: &dyn Fn(&mut Enc)| {
+            let mut enc = Enc::new();
+            value(&mut enc);
+            enc.into_bytes()
+        };
+        // `shifted` is the last byte of the placement decision.
+        let shifted_at = encode(&|enc| {
+            bad.job.encode(enc);
+            bad.payload.encode(enc);
+            bad.placement.encode(enc);
+        })
+        .len()
+            - 1;
+        let mut bytes = encode(&|enc| bad.encode(enc));
+        assert_eq!(bytes[shifted_at], 0, "an idle plan never shifts");
+        bytes[shifted_at] = 2;
+        let (path, kept) = {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.append(good.fingerprint, 1.0, &encode(&|enc| good.encode(enc)));
+            let kept = tier.bytes_persisted();
+            tier.append(bad.fingerprint, 1.0, &bytes);
+            (tier.path().to_path_buf(), kept)
+        };
+        let cache = crate::ResultCache::<Arc<JobOutcome>>::with_disk(
+            4,
+            crate::CachePolicy::CostWeighted,
+            &dir,
+        )
+        .unwrap();
+        assert!(cache.get(&bad.fingerprint).is_none());
+        assert_eq!(cache.get(&good.fingerprint).as_deref(), Some(&good));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), kept);
+        assert_eq!(cache.stats().disk_len, 1);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

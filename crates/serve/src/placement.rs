@@ -4,7 +4,12 @@
 //! ([`ndft_sched::plan`]) pick a CPU-vs-NDP placement per pipeline stage
 //! on the gather-charging machine of the batch's system size
 //! ([`MeasuredTimer`]), and times that very plan on it
-//! ([`MeasuredTimer::report`]). The decision also carries both pinned
+//! ([`MeasuredTimer::report`]). That machine is built once per system
+//! size and kept for the life of the process: its inputs (the Table III
+//! system, the recorded calibration, default options) are fixed, so the
+//! shared-block gather it charges is simulated once per size, and
+//! workers, deadline admission and [`plan_placement`] all plan on the
+//! same one. The decision also carries both pinned
 //! baselines, so callers can verify the service-level analogue of the
 //! paper's §IV-A guarantee: planned on an idle cluster, the placement
 //! never loses to a CPU-only or an NDP-only run; planned under load, it
@@ -90,28 +95,45 @@ impl PlacementDecision {
 /// Consults the planner selected by `policy` for one task graph on an
 /// idle cluster (load-blind, one member).
 pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDecision {
-    plan_batch(graph, policy, &ClusterSnapshot::idle(), 1, fresh_machine).0
+    plan_batch(graph, policy, &ClusterSnapshot::idle(), 1).0
 }
 
-/// The gather-charging machine for Si_`atoms` (Table III system, its
-/// measured calibration, default options), simulating the gather anew.
-pub(crate) fn fresh_machine(atoms: usize) -> MeasuredTimer {
-    let (sys, cal) = (calib::system_config(), calib::measured());
-    MeasuredTimer::new(sys, cal, atoms, NdftOptions::default())
+/// Gather-charging machines keyed by atom count, each built on first
+/// use: the Table III system, its measured calibration and default
+/// options, so one machine per size serves every later call.
+#[derive(Default)]
+struct Machines(Mutex<HashMap<usize, MeasuredTimer>>);
+
+impl Machines {
+    fn get(&self, atoms: usize) -> MeasuredTimer {
+        // Only a panicking machine build could poison the lock, and
+        // that build panics for every caller alike.
+        let mut memo = self.0.lock().expect("a machine build panicked");
+        memo.entry(atoms)
+            .or_insert_with(|| {
+                let (sys, cal) = (calib::system_config(), calib::measured());
+                MeasuredTimer::new(sys, cal, atoms, NdftOptions::default())
+            })
+            .clone()
+    }
 }
 
-/// [`fresh_machine`], built once per size and kept (its inputs are fixed
-/// for the process). Admission plans on it; workers on a fresh one.
+/// The machine for Si_`atoms`, kept for the process: the one machine
+/// source of `ndft-serve`, so the gather is simulated once per size.
 pub(crate) fn kept_machine(atoms: usize) -> MeasuredTimer {
-    static MACHINES: OnceLock<Mutex<HashMap<usize, MeasuredTimer>>> = OnceLock::new();
-    let mut memo = MACHINES.get_or_init(Mutex::default).lock().unwrap();
-    memo.entry(atoms)
-        .or_insert_with(|| fresh_machine(atoms))
-        .clone()
+    static MACHINES: OnceLock<Machines> = OnceLock::new();
+    MACHINES.get_or_init(Machines::default).get(atoms)
 }
 
-/// Plans one batch of `members` jobs sharing `graph`'s shape on
-/// `machine_for(atoms)`, its size's gather-charging machine: one decision
+/// The machine for Si_`atoms` built anew, simulating the gather again:
+/// the reference [`kept_machine`] is compared against.
+#[cfg(test)]
+pub(crate) fn fresh_machine(atoms: usize) -> MeasuredTimer {
+    Machines::default().get(atoms)
+}
+
+/// Plans one batch of `members` jobs sharing `graph`'s shape on its
+/// size's kept gather-charging machine ([`kept_machine`]): one decision
 /// by `policy` under the load `cluster` holds, and the modeled run of
 /// that same plan. A batch of ≥ 2 plans its fused graph on
 /// [`MeasuredTimer::fused`], charging shared operands and the gather
@@ -122,14 +144,24 @@ pub(crate) fn plan_batch(
     policy: PlacementPolicy,
     cluster: &ClusterSnapshot,
     members: usize,
-    machine_for: fn(usize) -> MeasuredTimer,
 ) -> (PlacementDecision, RunReport, f64) {
-    let solo = machine_for(graph.system.atoms());
+    let solo = kept_machine(graph.system.atoms());
+    plan_batch_on(&solo, graph, policy, cluster, members)
+}
+
+/// [`plan_batch`] on `solo`, the solo machine of `graph`'s size.
+pub(crate) fn plan_batch_on(
+    solo: &MeasuredTimer,
+    graph: &TaskGraph,
+    policy: PlacementPolicy,
+    cluster: &ClusterSnapshot,
+    members: usize,
+) -> (PlacementDecision, RunReport, f64) {
     let fused = (members > 1).then(|| {
         let g = build_task_graph_fused(&graph.system, graph.iterations, members);
         (g, solo.fused(members))
     });
-    let (batch, machine) = fused.as_ref().map_or((graph, &solo), |(g, m)| (g, m));
+    let (batch, machine) = fused.as_ref().map_or((graph, solo), |(g, m)| (g, m));
     let plan_under = |policy, load| {
         plan(
             &batch.stages,
@@ -161,7 +193,7 @@ pub(crate) fn plan_batch(
             policy,
             ..PlanRequest::default()
         };
-        let solo_s = plan(&graph.stages, &solo, &request).total_time();
+        let solo_s = plan(&graph.stages, solo, &request).total_time();
         (solo_s - chosen.total_time()).max(0.0)
     });
     let modeled = machine.report(batch, &chosen);
@@ -190,6 +222,23 @@ pub(crate) fn assert_one_plan(decision: &PlacementDecision, modeled: &RunReport)
     let ran: Vec<_> = modeled.stages.iter().map(|s| s.target).collect();
     let planned: Vec<_> = decision.plan.placement.iter().map(|&t| Some(t)).collect();
     assert_eq!(ran, planned);
+}
+
+#[cfg(test)]
+/// Every bit of a planned batch: the WAL encoding of its decision and
+/// report (every float as its raw bits, every string and tag in full)
+/// and the saving's bits.
+pub(crate) fn plan_bits(
+    decision: &PlacementDecision,
+    modeled: &RunReport,
+    saving_s: f64,
+) -> Vec<u8> {
+    use crate::persist::{Enc, PersistValue};
+    let mut enc = Enc::new();
+    decision.encode(&mut enc);
+    modeled.encode(&mut enc);
+    enc.f64(saving_s);
+    enc.into_bytes()
 }
 
 #[cfg(test)]
@@ -285,12 +334,12 @@ mod tests {
             assert_eq!(blind.ndp_load_s, 0.0);
             for members in [0usize, 1] {
                 for cluster in [ClusterSnapshot::idle(), snapshot(0.0, 0.0)] {
-                    let d = plan_batch(&g, policy, &cluster, members, fresh_machine).0;
+                    let d = plan_batch(&g, policy, &cluster, members).0;
                     assert_eq!(d, blind, "{policy:?} {cluster:?} members {members}");
                 }
                 assert_eq!(
-                    plan_batch(&g, policy, &busy, members, fresh_machine).0,
-                    plan_batch(&g, policy, &busy, 1, fresh_machine).0,
+                    plan_batch(&g, policy, &busy, members).0,
+                    plan_batch(&g, policy, &busy, 1).0,
                     "{policy:?} busy members {members}"
                 );
             }
@@ -305,11 +354,11 @@ mod tests {
         let busy = snapshot(0.5, 2.0);
         for policy in PlacementPolicy::all() {
             let plain = plan_placement(&g, policy);
-            let plain_busy = plan_batch(&g, policy, &busy, 1, fresh_machine).0;
+            let plain_busy = plan_batch(&g, policy, &busy, 1).0;
             for members in [0usize, 1] {
-                let d = plan_batch(&g, policy, &ClusterSnapshot::idle(), members, fresh_machine).0;
+                let d = plan_batch(&g, policy, &ClusterSnapshot::idle(), members).0;
                 assert_eq!(d, plain, "{policy:?} members {members}");
-                let d = plan_batch(&g, policy, &busy, members, fresh_machine).0;
+                let d = plan_batch(&g, policy, &busy, members).0;
                 assert_eq!(d, plain_busy, "{policy:?} busy members {members}");
             }
         }
@@ -323,8 +372,7 @@ mod tests {
         // Concurrent batches hold many batch-equivalents of NDP busy
         // time; the loaded plan must evacuate (records the load + shift).
         let heavy = snapshot(0.0, 1e4 * blind.cpu_pinned_time);
-        let (loaded, modeled, _) =
-            plan_batch(&g, PlacementPolicy::CostAware, &heavy, 1, fresh_machine);
+        let (loaded, modeled, _) = plan_batch(&g, PlacementPolicy::CostAware, &heavy, 1);
         assert!(loaded.ndp_stage_count() < blind.ndp_stage_count());
         assert!(loaded.shifted);
         assert_eq!(loaded.ndp_load_s, heavy.ndp_reserved_s);
@@ -337,24 +385,59 @@ mod tests {
 
     #[test]
     fn kept_machine_plans_as_a_fresh_one() {
-        // Admission plans on the kept machine, workers on fresh ones: the
-        // two decide and report alike, bit for bit, call after call.
+        // Every batch plans on its size's kept machine; one built anew
+        // is the reference. The two decide and report alike, bit for
+        // bit, for every policy, size, fused width up to `serve_study`'s
+        // ceiling and load, call after call.
+        const SIZES: [usize; 6] = [8, 16, 64, 128, 256, 1024];
         let busy = snapshot(0.5, 2.0);
-        for atoms in [8usize, 64, 256] {
-            let g = graph(atoms);
-            for members in [1usize, 4] {
-                let policy = PlacementPolicy::CostAware;
-                let fresh = plan_batch(&g, policy, &busy, members, fresh_machine);
-                for _ in 0..2 {
-                    let kept = plan_batch(&g, policy, &busy, members, kept_machine);
-                    assert_eq!(
-                        format!("{kept:?}"),
-                        format!("{fresh:?}"),
-                        "Si_{atoms} x{members}"
-                    );
+        let mut reference = Vec::new();
+        for atoms in SIZES {
+            let (g, fresh) = (graph(atoms), fresh_machine(atoms));
+            for policy in PlacementPolicy::all() {
+                for members in 1..=16 {
+                    for cluster in [ClusterSnapshot::idle(), busy.clone()] {
+                        let (d, m, saving) = plan_batch_on(&fresh, &g, policy, &cluster, members);
+                        let want = plan_bits(&d, &m, saving);
+                        for _ in 0..2 {
+                            let (d, m, saving) = plan_batch(&g, policy, &cluster, members);
+                            assert!(
+                                plan_bits(&d, &m, saving) == want,
+                                "Si_{atoms} {policy:?} x{members} {cluster:?}"
+                            );
+                        }
+                        reference.push(want);
+                    }
                 }
             }
         }
+        // Four threads filling one cold memo at once each get the
+        // machine a lone build makes, whichever of them built it.
+        let cold = Machines::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut want = reference.iter();
+                    for atoms in SIZES {
+                        let (g, machine) = (graph(atoms), cold.get(atoms));
+                        for policy in PlacementPolicy::all() {
+                            for members in 1..=16 {
+                                for cluster in [ClusterSnapshot::idle(), busy.clone()] {
+                                    let (d, m, saving) =
+                                        plan_batch_on(&machine, &g, policy, &cluster, members);
+                                    assert!(
+                                        Some(&plan_bits(&d, &m, saving)) == want.next(),
+                                        "cold Si_{atoms} {policy:?} x{members} {cluster:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -362,7 +445,7 @@ mod tests {
         let g = graph(64);
         let heavy = snapshot(1e6, 1e6);
         for policy in [PlacementPolicy::CpuPinned, PlacementPolicy::NdpPinned] {
-            let d = plan_batch(&g, policy, &heavy, 1, fresh_machine).0;
+            let d = plan_batch(&g, policy, &heavy, 1).0;
             assert!(!d.shifted, "{policy:?} shifted under load");
             assert_eq!(d.plan.placement, plan_placement(&g, policy).plan.placement);
         }
@@ -375,13 +458,8 @@ mod tests {
         let mut last = solo.modeled_time();
         for members in [2usize, 4, 16] {
             let idle = ClusterSnapshot::idle();
-            let (fused, modeled, saving_s) = plan_batch(
-                &g,
-                PlacementPolicy::CostAware,
-                &idle,
-                members,
-                fresh_machine,
-            );
+            let (fused, modeled, saving_s) =
+                plan_batch(&g, PlacementPolicy::CostAware, &idle, members);
             // The batch reports the plan it decided, and banks the gap
             // to the solo plan as its saving.
             assert_one_plan(&fused, &modeled);

@@ -11,7 +11,7 @@ use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{Backend, WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobError, JobRequest};
 use crate::metrics::{Metrics, ServeReport};
-use crate::placement::{kept_machine, plan_batch, PlacementPolicy};
+use crate::placement::{plan_batch, PlacementPolicy};
 use crate::queue::{ShardedQueue, SubmitError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::tenant::TenantTable;
@@ -441,7 +441,7 @@ impl EngineShared {
             return 0.0;
         };
         let snap = self.cluster.snapshot();
-        let (decision, _, _) = plan_batch(&graph, self.config.policy, &snap, 1, kept_machine);
+        let (decision, _, _) = plan_batch(&graph, self.config.policy, &snap, 1);
         let run_s = decision.modeled_cost_s(job.modeled_iterations());
         let backlog_s = snap.cpu_reserved_s + snap.ndp_reserved_s + self.queue.len() as f64 * run_s;
         backlog_s / self.config.workers.max(1) as f64 + run_s
@@ -714,6 +714,66 @@ mod tests {
         let mut svc = DftService::start_default();
         svc.shutdown_in_place();
         assert!(matches!(svc.submit(md(64, 0)), Err(SubmitError::Closed)));
+    }
+
+    /// Every batch plans on its size's kept machine: served outcomes
+    /// carry, bit for bit, the plan and report a freshly built machine
+    /// gives for the same batch width and load.
+    #[test]
+    fn served_plans_match_a_fresh_machine() {
+        use crate::placement::{fresh_machine, plan_batch_on, plan_bits};
+        let svc = DftService::start(ServeConfig {
+            workers: 1,
+            shards: 1,
+            ..ServeConfig::default()
+        });
+        // Load that every plan sees, held for the whole test.
+        let load = svc.shared.cluster.reserve(0, 0.5, 2.0);
+        // Wedge the worker until the flood is queued, so the flood
+        // forms one fused batch.
+        let blocker = svc
+            .submit(DftJob::MdSegment {
+                atoms: 64,
+                steps: 50_000,
+                temperature_k: 300.0,
+                seed: 0,
+            })
+            .unwrap();
+        let wedged_by = Instant::now() + Duration::from_secs(10);
+        while svc.cluster_snapshot().inflight_batches() < 2 {
+            assert!(Instant::now() < wedged_by, "the blocker never planned");
+            std::thread::yield_now();
+        }
+        let flood: Vec<_> = (1..=4)
+            .map(|seed| svc.submit(md(16, seed)).unwrap())
+            .collect();
+        let mut served: Vec<_> = flood.iter().map(|t| (t.wait().unwrap(), 4)).collect();
+        served.push((blocker.wait().unwrap(), 1));
+        drop(load);
+        let report = svc.shutdown();
+        assert_eq!(
+            (report.fused_batches, report.fused_jobs),
+            (1, 4),
+            "{report}"
+        );
+        let load = ClusterSnapshot {
+            cpu_reserved_s: 0.5,
+            ndp_reserved_s: 2.0,
+            shard_inflight: Vec::new(),
+        };
+        for (outcome, members) in served {
+            let placement = &outcome.placement;
+            assert_eq!((placement.cpu_load_s, placement.ndp_load_s), (0.5, 2.0));
+            let fresh = fresh_machine(outcome.job.atoms());
+            let graph = outcome.job.task_graph().unwrap();
+            let (decision, modeled, _) =
+                plan_batch_on(&fresh, &graph, PlacementPolicy::CostAware, &load, members);
+            assert!(
+                plan_bits(placement, &outcome.modeled, 0.0) == plan_bits(&decision, &modeled, 0.0),
+                "{} x{members}",
+                outcome.job
+            );
+        }
     }
 
     /// A queued entry whose deadline has already passed is dropped by

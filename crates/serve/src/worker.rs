@@ -6,8 +6,9 @@
 //! run from the most-loaded victim shard, so even stolen work usually
 //! shares one workload class. Dequeued chunks are grouped into
 //! per-class batches, and each batch is planned **once**
-//! (`placement::plan_batch`): one gather-charging machine, one
-//! placement decision, and the modeled CPU/NDP timing of that same plan.
+//! (`placement::plan_batch`): on the gather-charging machine kept for
+//! its system size, one placement decision and the modeled CPU/NDP
+//! timing of that same plan.
 //! Then every member job runs the real numerics through the `ndft_dft`
 //! drivers. Completed outcomes land in the shared
 //! content-addressed cache — stored with the plan's **modeled compute
@@ -35,7 +36,7 @@ use crate::cluster::Reservation;
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
-use crate::placement::{fresh_machine, plan_batch, PlacementDecision};
+use crate::placement::{plan_batch, PlacementDecision};
 use crate::service::EngineShared;
 use crate::telemetry::{ClassRecorder, PlacementTarget, Stage};
 use crate::tenant::TenantSlot;
@@ -601,13 +602,8 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 // simultaneous batches spread instead of stacking.
                 let snapshot = shared.cluster.snapshot();
                 let members = if fuse { batch_jobs } else { 1 };
-                let (decision, modeled, saving_s) = plan_batch(
-                    &graph,
-                    shared.config.policy,
-                    &snapshot,
-                    members,
-                    fresh_machine,
-                );
+                let (decision, modeled, saving_s) =
+                    plan_batch(&graph, shared.config.policy, &snapshot, members);
                 // Metrics, telemetry, and reservation only after every
                 // fallible step above: if planning or the modeled run
                 // panics, the next member's retry must not find a
@@ -851,7 +847,6 @@ mod tests {
             PlacementPolicy::CostAware,
             &crate::ClusterSnapshot::idle(),
             1,
-            crate::placement::fresh_machine,
         );
         let (payload, wall_numeric) = execute_payload(&parent).unwrap();
         let parent_outcome = JobOutcome {
