@@ -290,26 +290,11 @@ fn charge_density(orbitals: &CMat, occupations: &[f64], dv: f64) -> Vec<f64> {
     rho
 }
 
-/// Hartree potential from a charge density via the FFT Poisson solve:
+/// Hartree potential from a charge density via the FFT Poisson solve,
+/// on a prebuilt plan and `|G|²` table of the density's grid:
 /// `V_H(G) = 4π e² ρ(G) / G²` (the G = 0 component is dropped — the
 /// jellium convention for charged-neutral periodic cells). Units: eV
 /// with ρ in e/Å³.
-///
-/// # Panics
-///
-/// Panics if `rho.len()` does not match the system grid.
-pub fn hartree_potential(system: &SiliconSystem, rho: &[f64]) -> Vec<f64> {
-    let grid = system.grid();
-    assert_eq!(
-        rho.len(),
-        grid.len(),
-        "density must live on the system grid"
-    );
-    hartree_in(&Fft3Plan::new(grid), &system_g2(system), rho)
-}
-
-/// [`hartree_potential`] on a prebuilt plan and `|G|²` table of the
-/// density's grid.
 fn hartree_in(plan: &Fft3Plan, g2: &[f64], rho: &[f64]) -> Vec<f64> {
     let mut buf: Vec<Complex64> = rho.iter().map(|&x| Complex64::from_real(x)).collect();
     plan.forward(&mut buf);
@@ -1129,7 +1114,7 @@ mod tests {
         // convention drops: V_H ≡ 0.
         let sys = SiliconSystem::new(16).unwrap();
         let rho = vec![0.05f64; sys.grid().len()];
-        let vh = hartree_potential(&sys, &rho);
+        let vh = hartree_in(&Fft3Plan::new(sys.grid()), &system_g2(&sys), &rho);
         let worst = vh.iter().map(|x| x.abs()).fold(0.0f64, f64::max);
         assert!(
             worst < 1e-10,
@@ -1146,7 +1131,7 @@ mod tests {
         let mut rho = vec![0.0f64; grid.len()];
         let center = grid.index(10, 10, 20);
         rho[center] = 1.0;
-        let vh = hartree_potential(&sys, &rho);
+        let vh = hartree_in(&Fft3Plan::new(sys.grid()), &system_g2(&sys), &rho);
         assert!(vh[center] > 0.0, "V_H at the lump should be repulsive");
     }
 

@@ -27,7 +27,11 @@
 //!    warm input; the worker then starts the child from the parent's
 //!    converged state instead of from scratch. Warm starts are
 //!    numerically exact (bit-identical to the cold path), so cached and
-//!    warm results interchange freely.
+//!    warm results interchange freely. A child without a warm input
+//!    looks its bootstrap ground state up in the result cache instead, so on one engine the handoff mostly spares a
+//!    lookup. It still matters on a federation, where a child may run
+//!    on a replica whose cache never saw the parent, and after the
+//!    parent's outcome was evicted.
 //!
 //! # Settlement and accounting
 //!

@@ -231,9 +231,10 @@ impl FederatedService {
     /// nodes replay with their dependency state intact, because the
     /// coordinator watches the *client* ticket, which survives the
     /// failover). Parent outcomes warm-seed compatible children on
-    /// their **first** routed attempt; a replayed node re-executes cold
-    /// on the survivor, which is result-identical (warm starts are
-    /// bit-exact).
+    /// their **first** routed attempt; a replayed node re-executes on
+    /// the survivor without the handoff (a self-consistent one takes
+    /// its bootstrap from the survivor's cache or solves it), which is
+    /// result-identical (warm starts are bit-exact).
     ///
     /// # Errors
     ///
@@ -420,8 +421,9 @@ impl FedCore {
     ///
     /// `warm` is a workflow parent's outcome, handed to the routed
     /// replica's admission for injection. It rides only this first
-    /// attempt: a replayed job re-executes cold on the survivor, which
-    /// is result-identical (warm starts are bit-exact) — the
+    /// attempt: a replayed job re-executes on the survivor without it,
+    /// resolving its bootstrap through the survivor's cache, which is
+    /// result-identical (warm starts are bit-exact) — the
     /// [`ReplayItem`] deliberately carries no outcome payload.
     pub(crate) fn issue_with(
         &self,

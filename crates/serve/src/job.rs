@@ -106,7 +106,11 @@ pub enum DftJob {
         /// fingerprint).
         scissor_ev: f64,
     },
-    /// Density-mixing self-consistent SCF on Si_`atoms`.
+    /// Density-mixing self-consistent SCF on Si_`atoms`. Its first
+    /// inner solve is its *bootstrap*: the [`DftJob::GroundState`] with
+    /// the same `atoms`, `bands` and `max_iterations`. A worker takes
+    /// that ground state from a workflow parent or the result cache
+    /// when one is there, and otherwise solves and caches it itself.
     ScfSelfConsistent {
         /// Atom count (multiple of 8).
         atoms: usize,
@@ -296,32 +300,40 @@ impl DftJob {
         }
     }
 
+    /// The job whose completed outcome is this one's first inner solve:
+    /// the [`DftJob::GroundState`] with a [`DftJob::ScfSelfConsistent`]
+    /// job's `atoms`, `bands` and `max_iterations`, and `None` for every
+    /// other kind. A self-consistent job starts from that ground state
+    /// (see [`ndft_dft::run_scf_selfconsistent_seeded`]), so the worker
+    /// looks it up in the result cache under the bootstrap's own
+    /// fingerprint before solving it.
+    pub(crate) fn bootstrap(&self) -> Option<DftJob> {
+        match *self {
+            DftJob::ScfSelfConsistent {
+                atoms,
+                bands,
+                max_iterations,
+                ..
+            } => Some(DftJob::GroundState {
+                atoms,
+                bands,
+                max_iterations,
+            }),
+            _ => None,
+        }
+    }
+
     /// Whether a parent's completed job can warm-start this one without
-    /// changing its result.
-    ///
-    /// True only for a [`DftJob::ScfSelfConsistent`] child whose system
-    /// and SCF options exactly match a [`DftJob::GroundState`] parent:
-    /// that parent's converged state *is* the child's first inner solve
-    /// (see [`ndft_dft::run_scf_selfconsistent_seeded`]), so injecting
-    /// it skips redundant work bit-identically — which is what keeps
+    /// changing its result: exactly when this is a
+    /// [`DftJob::ScfSelfConsistent`] job and `parent` is its bootstrap,
+    /// the [`DftJob::GroundState`] with the same `atoms`, `bands` and
+    /// `max_iterations`. That parent's converged state *is* the child's
+    /// first inner solve (see
+    /// [`ndft_dft::run_scf_selfconsistent_seeded`]), so injecting it
+    /// skips redundant work bit-identically — which is what keeps
     /// content-addressed caching sound for seeded executions.
     pub fn accepts_warm_seed(&self, parent: &DftJob) -> bool {
-        match (self, parent) {
-            (
-                DftJob::ScfSelfConsistent {
-                    atoms,
-                    bands,
-                    max_iterations,
-                    ..
-                },
-                DftJob::GroundState {
-                    atoms: p_atoms,
-                    bands: p_bands,
-                    max_iterations: p_max,
-                },
-            ) => atoms == p_atoms && bands == p_bands && max_iterations == p_max,
-            _ => false,
-        }
+        self.bootstrap().as_ref() == Some(parent)
     }
 
     /// The canonical demo/benchmark stream: `n` mixed jobs — repeated
@@ -983,6 +995,8 @@ mod tests {
             bands: 4,
             max_iterations: 4,
         };
+        assert_eq!(child.bootstrap(), Some(parent.clone()));
+        assert_eq!(parent.bootstrap(), None);
         assert!(child.accepts_warm_seed(&parent));
         let other_bands = DftJob::GroundState {
             atoms: 16,

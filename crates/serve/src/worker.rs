@@ -10,7 +10,9 @@
 //! its system size, one placement decision and the modeled CPU/NDP
 //! timing of that same plan.
 //! Then every member job runs the real numerics through the `ndft_dft`
-//! drivers. Completed outcomes land in the shared
+//! drivers; a self-consistent member first resolves its bootstrap
+//! ground state (`resolve_bootstrap`: its warm input, else the result
+//! cache, else a cold solve that it stores for the next job). Completed outcomes land in the shared
 //! content-addressed cache — stored with the plan's **modeled compute
 //! cost** ([`crate::PlacementDecision::modeled_cost_s`]), which is
 //! what the cost-weighted eviction policy weighs, and written through
@@ -32,7 +34,7 @@
 
 use crate::batch::{form_batches_from, Batch, BatchOrigin};
 use crate::cache::HitTier;
-use crate::cluster::Reservation;
+use crate::cluster::{ClusterSnapshot, Reservation};
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
@@ -102,9 +104,11 @@ pub(crate) struct PendingJob {
     pub(crate) ticket: JobTicket,
     pub(crate) enqueued: Instant,
     /// A workflow parent's completed outcome, injected at DAG release
-    /// as a warm input. Only consulted when the job kind supports
-    /// result-preserving seeding ([`DftJob::accepts_warm_seed`]);
-    /// never part of the fingerprint, so caching stays content-pure.
+    /// (on a federation, on the node's first routed attempt) as a warm
+    /// input. Only consulted when it is the job's bootstrap
+    /// ([`DftJob::accepts_warm_seed`]); without it a worker resolves the
+    /// bootstrap through the result cache instead. Never part of the
+    /// fingerprint, so caching stays content-pure.
     pub(crate) warm: Option<Arc<JobOutcome>>,
     /// Metrics handle, so every exit — the Drop guard's failure
     /// included — settles the job in the engine's ledger.
@@ -247,6 +251,57 @@ pub fn execute_payload(job: &DftJob) -> Result<(JobPayload, Duration), JobError>
     Ok((payload, start.elapsed()))
 }
 
+/// The completed bootstrap `pending` starts from
+/// ([`DftJob::bootstrap`]), taken from the first of three sources: the
+/// warm input a workflow or federation handoff attached, the result
+/// cache under the bootstrap's own fingerprint (memory, then disk), or
+/// a cold solve. The cold solve is planned as a one-member batch on
+/// `snapshot` and stored under its own fingerprint at its own modeled
+/// cost, so a later job of that shape — self-consistent, or a submitted
+/// `GroundState` — is served from it. Two workers that miss the same
+/// bootstrap at once both solve it; the solves are bit-identical, so
+/// the second store changes nothing. `None` for a kind with no
+/// bootstrap.
+fn resolve_bootstrap(
+    shared: &EngineShared,
+    pending: &PendingJob,
+    snapshot: &ClusterSnapshot,
+) -> Result<Option<Arc<JobOutcome>>, JobError> {
+    let Some(bootstrap) = pending.job.bootstrap() else {
+        return Ok(None);
+    };
+    if let Some(warm) = pending
+        .warm
+        .as_ref()
+        .filter(|warm| pending.job.accepts_warm_seed(&warm.job))
+    {
+        return Ok(Some(Arc::clone(warm)));
+    }
+    let fingerprint = bootstrap.fingerprint();
+    if let Some((hit, _)) = shared.cache.peek(&fingerprint) {
+        return Ok(Some(hit));
+    }
+    let graph = bootstrap
+        .task_graph()
+        .map_err(|e| JobError::InvalidSystem(e.to_string()))?;
+    let (placement, modeled, _) = plan_batch(&graph, shared.config.policy, snapshot, 1);
+    let (payload, wall_numeric) = execute_payload(&bootstrap)?;
+    let outcome = Arc::new(JobOutcome {
+        job: bootstrap,
+        fingerprint,
+        payload,
+        placement,
+        modeled,
+        wall_numeric,
+    });
+    shared.cache.store(
+        fingerprint,
+        Arc::clone(&outcome),
+        outcome.placement.modeled_cost_s(outcome.modeled.iterations),
+    );
+    Ok(Some(outcome))
+}
+
 /// The ground state a warm outcome contributes to `job`, if the pairing
 /// is result-preserving.
 fn warm_seed_for<'a>(job: &DftJob, warm: Option<&'a JobOutcome>) -> Option<&'a GroundState> {
@@ -295,7 +350,9 @@ enum Shared {
     /// Kinds with nothing shareable beyond the system: band paths and
     /// spectra rebuild everything per run anyway, and self-consistent
     /// SCF *mutates* its Hamiltonian, so sharing one would change
-    /// results.
+    /// results. What a self-consistent job does share is its bootstrap
+    /// ground state, which each member resolves through the result
+    /// cache before it runs.
     None,
 }
 
@@ -322,9 +379,10 @@ impl Operands {
     /// Runs `job`'s own solver on these operands: the one place job
     /// kinds meet the `ndft_dft` drivers. `job` shares the workload
     /// class the operands were built for (every batch member does).
-    /// `warm` is a workflow parent's outcome, consulted only when
-    /// [`DftJob::accepts_warm_seed`] approves the pairing, so seeded and
-    /// cold runs are bit-identical and an unrelated outcome is harmless.
+    /// `warm` is the job's resolved bootstrap (a workflow parent or a
+    /// cached outcome), consulted only when [`DftJob::accepts_warm_seed`]
+    /// approves the pairing, so seeded and cold runs are bit-identical
+    /// and an unrelated outcome is harmless.
     fn run(&self, job: &DftJob, warm: Option<&JobOutcome>) -> Result<JobPayload, JobError> {
         let system = &self.system;
         Ok(match job {
@@ -542,6 +600,9 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
     // batch fully served by cache/dedup pays for none of it and reserves
     // nothing on the cluster view.
     let mut planned: Option<(PlacementDecision, RunReport, f64)> = None;
+    // The cluster view that plan read; a member whose bootstrap misses
+    // the cache plans that solve on it too.
+    let mut seen: Option<ClusterSnapshot> = None;
     // Held for the rest of the batch; Drop releases it on every exit
     // path (including a panic unwinding through the catch below), so
     // the cluster view always returns to zero when the engine drains.
@@ -625,6 +686,7 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                 shared
                     .metrics
                     .on_plan(decision.cpu_load_s, decision.ndp_load_s, decision.shifted);
+                seen = Some(snapshot);
                 // Reserve the whole batch's modeled footprint (per-job
                 // busy × members, one gather for a fused batch —
                 // pessimistic for members the cache later serves,
@@ -650,16 +712,19 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     },
                 ));
             }
-            let warm = pending.warm.as_deref();
-            if warm_seed_for(&pending.job, warm).is_some() {
-                shared.metrics.on_warm_inject();
-            }
             if fuse && fused_ops.is_none() {
                 fused_ops = Some(Operands::build(&pending.job)?);
             }
             // A solo member's wall time covers its own operand setup; a
-            // fused member's does not (the batch paid for it once).
+            // fused member's does not (the batch paid for it once). Both
+            // cover the bootstrap solve a cache miss runs.
             let start = Instant::now();
+            let snapshot = seen.as_ref().expect("planned above");
+            let warm = resolve_bootstrap(shared, &pending, snapshot)?;
+            let warm = warm.as_deref();
+            if warm_seed_for(&pending.job, warm).is_some() {
+                shared.metrics.on_warm_inject();
+            }
             let payload = match &fused_ops {
                 Some(ops) => ops.run(&pending.job, warm),
                 None => Operands::build(&pending.job)?.run(&pending.job, warm),
@@ -1027,5 +1092,142 @@ mod tests {
             Err(JobError::InvalidSystem(_)) => {}
             other => panic!("expected InvalidSystem, got {other:?}"),
         }
+    }
+
+    /// Self-consistent Si_8 job of bootstrap shape `(8, bands, 2)`;
+    /// `alpha` tells jobs of one shape apart.
+    fn sc(bands: usize, alpha: f64) -> DftJob {
+        DftJob::ScfSelfConsistent {
+            atoms: 8,
+            bands,
+            max_iterations: 2,
+            occupied: 2,
+            cycles: 2,
+            alpha,
+        }
+    }
+
+    /// Every bit of a payload: its WAL encoding.
+    fn payload_bits(payload: &JobPayload) -> Vec<u8> {
+        use crate::persist::{Enc, PersistValue};
+        let mut enc = Enc::new();
+        payload.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Asserts `outcome` carries, bit for bit, the payload a cold
+    /// [`execute_payload`] of its job produces.
+    fn assert_recomputes(outcome: &JobOutcome) {
+        let (cold, _) = execute_payload(&outcome.job).unwrap();
+        assert!(
+            payload_bits(&outcome.payload) == payload_bits(&cold),
+            "{}",
+            outcome.job
+        );
+    }
+
+    fn engine(
+        policy: crate::CachePolicy,
+        cache_dir: Option<&std::path::Path>,
+    ) -> crate::DftService {
+        crate::DftService::start(crate::ServeConfig {
+            workers: 1,
+            shards: 1,
+            cache_policy: policy,
+            cache_dir: cache_dir.map(std::path::Path::to_path_buf),
+            ..crate::ServeConfig::default()
+        })
+    }
+
+    fn run(svc: &crate::DftService, job: DftJob) -> Arc<JobOutcome> {
+        svc.submit(job).unwrap().wait().unwrap()
+    }
+
+    /// The outcome cached under `job`'s bootstrap fingerprint.
+    fn cached_bootstrap(svc: &crate::DftService, job: &DftJob) -> Option<Arc<JobOutcome>> {
+        let bootstrap = job.bootstrap().expect("a self-consistent job");
+        svc.shared
+            .cache
+            .peek(&bootstrap.fingerprint())
+            .map(|(hit, _)| hit)
+    }
+
+    /// Memoized ≡ recomputed: a served self-consistent outcome equals a
+    /// cold execution bit for bit whether its bootstrap was absent (and
+    /// solved and stored by the job), left by an earlier job's miss, or
+    /// left by a `GroundState` submission — under either cache policy.
+    /// A stored bootstrap is served to a later submission of it as it
+    /// was planned: one member on the snapshot its job's batch read.
+    #[test]
+    fn self_consistent_outcomes_match_cold_whatever_serves_the_bootstrap() {
+        use crate::placement::{assert_one_plan, plan_bits};
+        for policy in [crate::CachePolicy::CostWeighted, crate::CachePolicy::Fifo] {
+            let svc = engine(policy, None);
+            assert!(cached_bootstrap(&svc, &sc(2, 0.3)).is_none());
+            assert_recomputes(&run(&svc, sc(2, 0.3)));
+            let stored = cached_bootstrap(&svc, &sc(2, 0.3)).expect("a miss stores its bootstrap");
+            // The next job of the shape is seeded with that outcome
+            // rather than a new solve of it.
+            assert_recomputes(&run(&svc, sc(2, 0.5)));
+            let after = cached_bootstrap(&svc, &sc(2, 0.5)).unwrap();
+            assert!(Arc::ptr_eq(&stored, &after), "{policy:?}");
+            // Submitting the bootstrap itself is served at admission.
+            let bootstrap = sc(2, 0.3).bootstrap().unwrap();
+            let issued = svc
+                .shared
+                .issue_with(bootstrap.clone().into(), false, None)
+                .unwrap();
+            let crate::service::Issued::Cached { outcome, .. } = issued else {
+                panic!("{policy:?}: the bootstrap was not served from the cache");
+            };
+            assert!(Arc::ptr_eq(&outcome, &stored));
+            assert_recomputes(&outcome);
+            assert_one_plan(&outcome.placement, &outcome.modeled);
+            let graph = bootstrap.task_graph().unwrap();
+            let (decision, modeled, _) = plan_batch(
+                &graph,
+                svc.shared.config.policy,
+                &crate::ClusterSnapshot::idle(),
+                1,
+            );
+            assert!(
+                plan_bits(&outcome.placement, &outcome.modeled, 0.0)
+                    == plan_bits(&decision, &modeled, 0.0),
+                "{policy:?}"
+            );
+            // A bootstrap a `GroundState` submission left seeds the job.
+            let submitted = run(&svc, sc(3, 0.4).bootstrap().unwrap());
+            assert_recomputes(&run(&svc, sc(3, 0.4)));
+            let after = cached_bootstrap(&svc, &sc(3, 0.4)).unwrap();
+            assert!(Arc::ptr_eq(&submitted, &after), "{policy:?}");
+            let report = svc.shutdown();
+            assert_eq!(report.warm_injected, 3, "{policy:?}");
+            assert_eq!((report.completed, report.served_from_cache), (5, 1));
+            assert!(report.conservation_holds(), "{policy:?}");
+        }
+    }
+
+    /// A bootstrap one engine stored is promoted from the disk tier by
+    /// the next engine on the same `cache_dir`, not solved again, and
+    /// the job it seeds still matches a cold execution bit for bit.
+    #[test]
+    fn a_bootstrap_promoted_from_disk_matches_cold() {
+        let dir = std::env::temp_dir().join(format!("ndft-bootstrap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = engine(crate::CachePolicy::CostWeighted, Some(&dir));
+        assert_recomputes(&run(&first, sc(2, 0.3)));
+        let stored = cached_bootstrap(&first, &sc(2, 0.3)).unwrap();
+        first.shutdown();
+        let second = engine(crate::CachePolicy::CostWeighted, Some(&dir));
+        assert_recomputes(&run(&second, sc(2, 0.5)));
+        // Every field, the solve's wall time included: a second solve
+        // would have stored a different outcome.
+        let promoted = cached_bootstrap(&second, &sc(2, 0.5)).unwrap();
+        assert_eq!(*promoted, *stored, "the bootstrap was solved again");
+        let report = second.shutdown();
+        assert_eq!(report.cache.disk_hits, 1);
+        assert_eq!(report.warm_injected, 1);
+        assert!(report.conservation_holds());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
