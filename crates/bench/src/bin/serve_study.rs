@@ -126,28 +126,32 @@ const FED_GATE_RATIO: f64 = 0.9;
 /// 2..=61; tick 1 is the wedge blocker).
 const FED_KILL_TICK: u64 = 30;
 
-/// Concurrent SCF fan-out workflows in the DAG sweep.
-const DAG_WORKFLOWS: usize = 2;
+/// Concurrent SCF fan-out workflows in the DAG sweep. Four make each
+/// leg 0.3–0.6 s on 2 vCPUs, long enough that one scheduling hiccup
+/// does not decide gate #8's ratio. More lower the ratio instead (ten
+/// read 1.23–1.44x): the pipelined leg's same-class refinements queue
+/// behind one another, while the cold leg stays evenly spread over its
+/// threads.
+const DAG_WORKFLOWS: usize = 4;
 /// `ScfSelfConsistent` refinements fanning out of each workflow's
 /// `GroundState` seed (a k-point sweep over mixing factors).
 const DAG_FANOUT: usize = 3;
 /// Jobs per DAG leg: every workflow's seed plus its refinements.
 const DAG_JOBS: usize = DAG_WORKFLOWS * (1 + DAG_FANOUT);
-/// SCF iteration budget of workflow `w`'s seed (and, because the warm
-/// pairing demands it, of each of its refinements' bootstrap) —
+/// SCF iteration budget of workflow `w`'s seed (and, because
+/// `DftJob::bootstrap` pairs them, of each of its refinements) —
 /// offset per workflow so no two workflows share a fingerprint and no
 /// job is served whole from cache.
 const DAG_SCF_ITERS: usize = 12;
 /// Gate #8: in the best paired round, pipelined `submit_workflow`
 /// throughput must be at least this multiple of the cold baseline's
 /// (the same jobs through `execute_payload` on as many threads, with
-/// no engine). Every refinement the engine runs starts from its
-/// workflow's ground state — handed over by the coordinator, or found
-/// in the result cache — and skips its own SCF bootstrap, which the
-/// cold baseline redoes per refinement (14 solves cold against 8
-/// seeded, so at most ~1.75x). It read 1.2–1.8x on 2 vCPUs, so 1.2
-/// catches an engine that quietly re-executes the bootstrap outright
-/// while leaving room for runner jitter.
+/// no engine). Every refinement the engine runs finds its workflow's
+/// ground state in the result cache and skips its own SCF bootstrap,
+/// which the cold baseline redoes per refinement (7 solves cold
+/// against 4 seeded per workflow, so at most ~1.75x). It read 1.4–1.8x
+/// on 2 vCPUs, so 1.2 catches an engine that quietly re-executes the
+/// bootstrap outright while leaving room for runner jitter.
 const DAG_GATE_RATIO: f64 = 1.2;
 
 /// MD segments in the fused **amortization flood** (one `MdSegment`
@@ -1156,8 +1160,8 @@ fn dag_seed_job(w: usize) -> DftJob {
 }
 
 /// Refinement `k` of workflow `w`'s sweep: same system/bands/iteration
-/// budget as the seed (the warm pairing demands it — see
-/// `accepts_warm_seed`), distinct mixing factor per branch so the
+/// budget as the seed (so the seed is its bootstrap — see
+/// `DftJob::bootstrap`), distinct mixing factor per branch so the
 /// fan-out shares no fingerprints either.
 fn dag_sweep_job(w: usize, k: usize) -> DftJob {
     DftJob::ScfSelfConsistent {
@@ -1180,8 +1184,8 @@ fn dag_jobs() -> Vec<DftJob> {
 
 /// Pipelined leg: every sweep goes in as one `WorkflowSpec` up front;
 /// the coordinator releases each refinement the moment its seed
-/// fulfills and hands it the seed's ground state as a warm input, so
-/// no refinement ever runs its own SCF bootstrap.
+/// fulfills, by which time the seed's ground state is in the result
+/// cache, so no refinement ever runs its own SCF bootstrap.
 fn run_dag_pipelined(svc: &DftService) {
     let workflows: Vec<_> = (0..DAG_WORKFLOWS)
         .map(|w| {
@@ -1203,10 +1207,9 @@ fn run_dag_pipelined(svc: &DftService) {
 
 /// Level-synchronous leg: the client orchestrates the same graph
 /// itself — submit every seed, wait for all of them, then submit every
-/// refinement. The client hands nothing over, but on one engine each
-/// refinement still finds its seed's ground state in the result cache
-/// and starts from it; what this leg adds over the pipelined one is
-/// the barrier between the levels.
+/// refinement. Each refinement finds its seed's ground state in the
+/// result cache as in the pipelined leg; what this leg adds is the
+/// barrier between the levels.
 fn run_dag_level_synchronous(svc: &DftService) {
     let jobs = dag_jobs();
     let (seeds, sweeps) = jobs.split_at(DAG_WORKFLOWS);
@@ -1222,7 +1225,7 @@ fn run_dag_level_synchronous(svc: &DftService) {
 }
 
 /// Cold leg: the same jobs through `execute_payload` on `workers`
-/// threads, with no engine, cache or handoff — every refinement solves
+/// threads, with no engine or cache — every refinement solves
 /// its own bootstrap.
 fn run_dag_cold(workers: usize) -> f64 {
     let jobs = dag_jobs();
@@ -1470,13 +1473,14 @@ PARTS (in order; the gates assert after both files are written):
                      reported ungated; a seeded mid-flood kill of one
                      replica must replay a job and resolve every ticket
                      exactly once
-   10  dag           gate #8: 2 SCF fan-out workflows (8 jobs), cold
-                     execute_payload on 4 threads vs WorkflowSpecs with
-                     warm injection; max round of 3, pipelined
+   10  dag           gate #8: 4 SCF fan-out workflows (16 jobs), cold
+                     execute_payload on 4 threads vs WorkflowSpecs
+                     whose refinements find their seed's ground state
+                     in the result cache; max round of 3, pipelined
                      throughput >= 1.2x. A client-side level-synchronous
                      leg runs in each round and is reported against the
-                     cold leg, ungated; in both engine legs every
-                     refinement starts from its seed's ground state
+                     cold leg, ungated; in both engine legs the cache
+                     serves every refinement's bootstrap
    11  fused         gate #9: per-job vs fused execution, 1 worker. Si_8
                      amortization flood: max round of 3 of per-job over
                      fused modeled makespan (the modeled throughput
@@ -1728,12 +1732,12 @@ fn main() {
         "FAILOVER GATE FAILED: conservation violated across the kill"
     );
     // Gate #8: reusing the seed's ground state must actually pay for
-    // itself. Every refinement the engine runs starts from its seed's
-    // ground state — the coordinator's warm input, or the result cache —
-    // and skips its SCF bootstrap; the cold baseline redoes that
-    // bootstrap per refinement. An engine that re-executes the bootstrap
-    // anyway collapses the gap. (Both engine legs also assert that all
-    // six refinements were seeded.)
+    // itself. Every refinement the engine runs finds its seed's ground
+    // state in the result cache and skips its SCF bootstrap; the cold
+    // baseline redoes that bootstrap per refinement. An engine that
+    // re-executes the bootstrap anyway collapses the gap. (Both engine
+    // legs also assert that the cache served every refinement's
+    // bootstrap.)
     gate(&dag, DAG_GATE_RATIO..);
     // Gate #9a: the fused machine model must actually amortize. On the
     // Si_8 amortization flood, charging the shared projector tables

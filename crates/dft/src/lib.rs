@@ -53,8 +53,8 @@ pub use pseudo::{
     apply_nonlocal, atom_block_bytes, build_pseudos, footprint_bytes, PseudoLayout, Pseudopotential,
 };
 pub use scf::{
-    run_scf, run_scf_in, run_scf_selfconsistent, run_scf_selfconsistent_seeded, GroundState,
-    KsHamiltonian, ScfOptions, SelfConsistentResult,
+    run_scf, run_scf_in, run_scf_selfconsistent, GroundState, KsHamiltonian, ScfOptions,
+    SelfConsistentResult,
 };
 pub use spectra::{model_oscillator_spectrum, OscillatorSpectrum};
 pub use system::{SiliconSystem, SystemError};

@@ -58,6 +58,7 @@ use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
 use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::f64::consts::TAU;
 
 /// Converged (or best-effort) ground state.
@@ -334,33 +335,14 @@ pub struct SelfConsistentResult {
 /// `cycles` outer iterations with mixing factor `alpha` (0 < α ≤ 1);
 /// the lowest `occupied` bands carry occupation 2 (spin-paired).
 ///
-/// # Errors
-///
-/// Propagates [`EigError`] from the inner solver.
-///
-/// # Panics
-///
-/// Panics if `occupied > opts.bands` or `alpha` is not in (0, 1].
-pub fn run_scf_selfconsistent(
-    system: &SiliconSystem,
-    opts: &ScfOptions,
-    occupied: usize,
-    cycles: usize,
-    alpha: f64,
-) -> Result<SelfConsistentResult, EigError> {
-    run_scf_selfconsistent_seeded(system, opts, occupied, cycles, alpha, None)
-}
-
-/// [`run_scf_selfconsistent`] with an optional warm start.
-///
-/// When `initial` is `Some`, it replaces the first bare-Hamiltonian
-/// [`run_scf_in`] solve — the cycle loop starts directly from the given
-/// ground state. Seeding with the ground state that `run_scf(system,
-/// opts)` produces (same system, same options) is bit-identical to the
-/// unseeded path, because that solve *is* the first step: the bare
-/// Hamiltonian depends only on `(system, opts)`. This is what lets a
-/// workflow inject a parent's converged ground state into a
-/// self-consistent child without perturbing content-addressed caching.
+/// `seed`, when given, replaces that first bare-Hamiltonian solve: the
+/// first input density is read from the borrowed ground state, which is
+/// cloned only when `cycles` is 0 (it is then the result). Seeding with
+/// the ground state that `run_scf(system, opts)` produces (same system,
+/// same options) is bit-identical to the unseeded path, because that
+/// solve *is* the first step: the bare Hamiltonian depends only on
+/// `(system, opts)`. This is what lets a caller reuse a cached ground
+/// state without perturbing content-addressed caching.
 ///
 /// # Errors
 ///
@@ -371,13 +353,13 @@ pub fn run_scf_selfconsistent(
 /// Panics if `occupied > opts.bands`, `alpha` is not in (0, 1], or the
 /// seed's orbital matrix does not have `opts.bands` rows on the system
 /// grid.
-pub fn run_scf_selfconsistent_seeded(
+pub fn run_scf_selfconsistent(
     system: &SiliconSystem,
     opts: &ScfOptions,
     occupied: usize,
     cycles: usize,
     alpha: f64,
-    initial: Option<GroundState>,
+    seed: Option<&GroundState>,
 ) -> Result<SelfConsistentResult, EigError> {
     assert!(
         occupied <= opts.bands,
@@ -399,7 +381,7 @@ pub fn run_scf_selfconsistent_seeded(
     let order = lowest_g_indices(&h.g2, opts.bands);
     let bare_vloc = h.vloc.clone();
     let mut residuals = Vec::with_capacity(cycles);
-    let mut gs = match initial {
+    let mut gs = match seed {
         Some(seed) => {
             assert_eq!(
                 seed.orbitals.rows(),
@@ -411,9 +393,9 @@ pub fn run_scf_selfconsistent_seeded(
                 nr,
                 "seed orbitals must live on the system grid"
             );
-            seed
+            Cow::Borrowed(seed)
         }
-        None => solve_bands(opts, &h, &order)?,
+        None => Cow::Owned(solve_bands(opts, &h, &order)?),
     };
     // The bare ground state's density is the first input density.
     let mut rho = charge_density(&gs.orbitals, &occupations, dv);
@@ -422,7 +404,7 @@ pub fn run_scf_selfconsistent_seeded(
         for ((v, b), htr) in h.vloc.iter_mut().zip(&bare_vloc).zip(&vh) {
             *v = *b + *htr;
         }
-        gs = solve_bands(opts, &h, &order)?;
+        gs = Cow::Owned(solve_bands(opts, &h, &order)?);
         let rho_out = charge_density(&gs.orbitals, &occupations, dv);
         let norm_in: f64 = rho.iter().map(|x| x.abs()).sum::<f64>().max(1e-30);
         let diff: f64 = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum();
@@ -432,7 +414,7 @@ pub fn run_scf_selfconsistent_seeded(
         }
     }
     Ok(SelfConsistentResult {
-        ground_state: gs,
+        ground_state: gs.into_owned(),
         density_residuals: residuals,
         density: rho,
     })
@@ -883,7 +865,8 @@ mod tests {
     fn self_consistent_sweep_shapes_match_pinned_values() {
         for &(atoms, bands, energies, density_residuals) in &SELF_CONSISTENT_PIN {
             let sys = SiliconSystem::new(atoms).unwrap();
-            let r = run_scf_selfconsistent(&sys, &small_opts(bands, 2), bands, 2, 0.5).unwrap();
+            let r =
+                run_scf_selfconsistent(&sys, &small_opts(bands, 2), bands, 2, 0.5, None).unwrap();
             let case = format!("Si_{atoms}, {bands} bands");
             for (got, expect) in [
                 (&r.ground_state.energies_ev, energies),
@@ -1138,7 +1121,7 @@ mod tests {
     #[test]
     fn self_consistency_converges_density() {
         let sys = SiliconSystem::new(16).unwrap();
-        let r = run_scf_selfconsistent(&sys, &small_opts(4, 2), 4, 3, 0.5).unwrap();
+        let r = run_scf_selfconsistent(&sys, &small_opts(4, 2), 4, 3, 0.5, None).unwrap();
         assert_eq!(r.density_residuals.len(), 3);
         // Mixing starts from the bare ground state's density, so every
         // cycle's change is small and shrinks.
@@ -1164,8 +1147,9 @@ mod tests {
         {
             let sys = SiliconSystem::new(atoms).unwrap();
             let dv = sys.volume() / sys.grid().len() as f64;
-            let r = run_scf_selfconsistent(&sys, &small_opts(bands, 2), occupied, cycles, alpha)
-                .unwrap();
+            let r =
+                run_scf_selfconsistent(&sys, &small_opts(bands, 2), occupied, cycles, alpha, None)
+                    .unwrap();
             let electrons: f64 = r.density.iter().sum::<f64>() * dv;
             let expect = 2.0 * occupied as f64;
             assert!(
@@ -1183,10 +1167,13 @@ mod tests {
         // same residual history — because that solve IS the first step.
         let sys = SiliconSystem::new(16).unwrap();
         let opts = small_opts(4, 2);
-        let cold = run_scf_selfconsistent(&sys, &opts, 4, 3, 0.5).unwrap();
+        let cold = run_scf_selfconsistent(&sys, &opts, 4, 3, 0.5, None).unwrap();
         let seed = run_scf(&sys, &opts).unwrap();
-        let warm = run_scf_selfconsistent_seeded(&sys, &opts, 4, 3, 0.5, Some(seed)).unwrap();
+        let warm = run_scf_selfconsistent(&sys, &opts, 4, 3, 0.5, Some(&seed)).unwrap();
         assert_eq!(cold, warm);
+        // With no cycles the borrowed seed is the result.
+        let warm = run_scf_selfconsistent(&sys, &opts, 4, 0, 0.5, Some(&seed)).unwrap();
+        assert_eq!(warm.ground_state, seed);
     }
 
     #[test]
@@ -1194,7 +1181,7 @@ mod tests {
     fn seed_with_wrong_band_count_is_rejected() {
         let sys = SiliconSystem::new(16).unwrap();
         let seed = run_scf(&sys, &small_opts(3, 2)).unwrap();
-        let _ = run_scf_selfconsistent_seeded(&sys, &small_opts(4, 2), 4, 2, 0.5, Some(seed));
+        let _ = run_scf_selfconsistent(&sys, &small_opts(4, 2), 4, 2, 0.5, Some(&seed));
     }
 
     /// A seeded random unit vector (xorshift64).

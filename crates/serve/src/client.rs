@@ -130,7 +130,7 @@ impl ClientSession<'_> {
     /// [`SubmitError::QueueFull`], [`SubmitError::AdmissionDenied`],
     /// [`SubmitError::QuotaExceeded`], [`SubmitError::Closed`].
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobId, SubmitError> {
-        self.attach(self.backend.issue_with(request.into(), false, None)?)
+        self.attach(self.backend.issue(request.into(), false)?)
     }
 
     /// Like [`ClientSession::submit`] but blocks for queue space instead
@@ -141,7 +141,7 @@ impl ClientSession<'_> {
     /// [`SubmitError::InvalidJob`], [`SubmitError::AdmissionDenied`],
     /// [`SubmitError::QuotaExceeded`], or [`SubmitError::Closed`].
     pub fn submit_blocking(&self, request: impl Into<JobRequest>) -> Result<JobId, SubmitError> {
-        self.attach(self.backend.issue_with(request.into(), true, None)?)
+        self.attach(self.backend.issue(request.into(), true)?)
     }
 
     /// Submits a dependency graph of jobs

@@ -1,9 +1,8 @@
 //! Workflow DAGs: dependency-aware pipeline serving.
 //!
 //! A workflow is a directed acyclic graph of [`crate::JobRequest`]s in
-//! which an edge `parent → child` declares that the parent's output
-//! flows into the child. The lifecycle is **spec → validate → release
-//! → inject**:
+//! which an edge `parent → child` declares that the child runs after
+//! the parent. The lifecycle is **spec → validate → release**:
 //!
 //! 1. **Spec.** [`WorkflowSpec`] is a plain builder: [`WorkflowSpec::add_node`]
 //!    mints a [`NodeId`], [`WorkflowSpec::add_edge`] declares a
@@ -21,17 +20,15 @@
 //!    so no polling thread exists anywhere. A parent served from the
 //!    result cache settles synchronously and releases its children
 //!    instantly.
-//! 4. **Inject.** When a parent's outcome can seed a child (see
-//!    [`crate::DftJob::accepts_warm_seed`]), the outcome is attached to
-//!    the child's pending slot and travels with it into the queue as a
-//!    warm input; the worker then starts the child from the parent's
-//!    converged state instead of from scratch. Warm starts are
-//!    numerically exact (bit-identical to the cold path), so cached and
-//!    warm results interchange freely. A child without a warm input
-//!    looks its bootstrap ground state up in the result cache instead, so on one engine the handoff mostly spares a
-//!    lookup. It still matters on a federation, where a child may run
-//!    on a replica whose cache never saw the parent, and after the
-//!    parent's outcome was evicted.
+//!
+//! An edge moves no data. A worker stores a parent's outcome in the
+//! result cache before its ticket fulfills, so a child whose bootstrap
+//! the parent is (a self-consistent job after its `GroundState`)
+//! finds it there and starts from the parent's converged state instead
+//! of from scratch — the same lookup any self-consistent job makes.
+//! Seeded starts are bit-identical to cold ones, so a child that finds
+//! nothing (its federation replica never saw the parent, or the entry
+//! was evicted) only solves the bootstrap again.
 //!
 //! # Settlement and accounting
 //!
@@ -183,10 +180,10 @@ impl WorkflowSpec {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Declares that `parent`'s output flows into `child`: the child is
-    /// held back until the parent fulfills, and a compatible parent
-    /// outcome is injected into the child as a warm input. Duplicate
-    /// edges are tolerated (deduplicated at submission).
+    /// Declares that `child` depends on `parent`: the child is held
+    /// back until the parent fulfills (and then finds the parent's
+    /// outcome in the result cache). Duplicate edges are tolerated
+    /// (deduplicated at submission).
     pub fn add_edge(&mut self, parent: NodeId, child: NodeId) {
         self.edges.push((parent.0, child.0));
     }
@@ -276,7 +273,7 @@ fn dedup_adjacency(n: usize, edges: &[(usize, usize)]) -> (Vec<Vec<usize>>, Vec<
 
 /// The front door a session or a workflow submits through: one engine
 /// or the federation router. The one place that chooses between
-/// [`EngineShared::issue_with`] and [`FedCore::issue_with`]. Owned
+/// [`EngineShared::issue`] and [`FedCore::issue`]. Owned
 /// (`Arc`) because releases run in completion hooks and spawned retry
 /// threads, which demand `'static` handles.
 #[derive(Clone)]
@@ -295,15 +292,10 @@ impl Backend {
         }
     }
 
-    pub(crate) fn issue_with(
-        &self,
-        request: JobRequest,
-        blocking: bool,
-        warm: Option<Arc<JobOutcome>>,
-    ) -> Result<Issued, SubmitError> {
+    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
         match self {
-            Backend::Engine(e) => e.issue_with(request, blocking, warm),
-            Backend::Federation(f) => f.issue_with(request, blocking, warm),
+            Backend::Engine(e) => e.issue(request, blocking),
+            Backend::Federation(f) => f.issue(request, blocking),
         }
     }
 
@@ -406,8 +398,6 @@ struct NodeState {
     children: Vec<usize>,
     /// Parents not yet settled `Ok`; release fires at zero.
     remaining_parents: usize,
-    /// Warm input injected by the most recent compatible parent.
-    warm: Option<Arc<JobOutcome>>,
     phase: NodePhase,
     class: WorkloadClass,
     /// When the workflow was submitted — the `DagWait` span origin.
@@ -472,7 +462,7 @@ impl WorkflowRuntime {
     /// No-op unless the node is still `Pending` (a shutdown sweep or
     /// orphan cascade may have settled it first).
     fn release(self: &Arc<Self>, idx: usize) {
-        let (request, warm, class) = {
+        let (request, class) = {
             let mut nodes = self.nodes.lock().unwrap();
             let node = &mut nodes[idx];
             if !matches!(node.phase, NodePhase::Pending) {
@@ -482,13 +472,13 @@ impl WorkflowRuntime {
             let Some(request) = node.request.take() else {
                 return;
             };
-            (request, node.warm.take(), node.class)
+            (request, node.class)
         };
         if self.backend.detached_release() {
             let runtime = Arc::clone(self);
-            std::thread::spawn(move || runtime.release_submit(idx, request, warm, class, true));
+            std::thread::spawn(move || runtime.release_submit(idx, request, class, true));
         } else {
-            self.release_submit(idx, request, warm, class, false);
+            self.release_submit(idx, request, class, false);
         }
     }
 
@@ -500,23 +490,17 @@ impl WorkflowRuntime {
         self: &Arc<Self>,
         idx: usize,
         request: JobRequest,
-        warm: Option<Arc<JobOutcome>>,
         class: WorkloadClass,
         blocking: bool,
     ) {
-        match self
-            .backend
-            .issue_with(request.clone(), blocking, warm.clone())
-        {
+        match self.backend.issue(request.clone(), blocking) {
             Ok(issued) => self.wire(idx, class, issued),
             Err(SubmitError::QueueFull) => {
                 let runtime = Arc::clone(self);
-                std::thread::spawn(
-                    move || match runtime.backend.issue_with(request, true, warm) {
-                        Ok(issued) => runtime.wire(idx, class, issued),
-                        Err(e) => runtime.release_rejected(idx, e),
-                    },
-                );
+                std::thread::spawn(move || match runtime.backend.issue(request, true) {
+                    Ok(issued) => runtime.wire(idx, class, issued),
+                    Err(e) => runtime.release_rejected(idx, e),
+                });
             }
             Err(e) => self.release_rejected(idx, e),
         }
@@ -552,7 +536,7 @@ impl WorkflowRuntime {
         let (runtime, node_ticket) = (Arc::clone(self), ticket.clone());
         engine_ticket.on_done(move |result| {
             node_ticket.fulfill(result.clone());
-            runtime.settle(idx, result.clone());
+            runtime.settle(idx, result.as_ref().err());
         });
         // A cancel that raced the release window (after the pre-release
         // hook was consumed, before the propagation hook landed) would
@@ -577,57 +561,41 @@ impl WorkflowRuntime {
     }
 
     /// The single settlement point: records node `idx`'s terminal
-    /// result, then either releases newly-ready children (`Ok`) or
-    /// orphans every still-pending descendant (`Err`). The phase guard
-    /// makes a second settlement attempt a no-op.
-    fn settle(self: &Arc<Self>, idx: usize, result: Result<Arc<JobOutcome>, JobError>) {
-        match result {
-            Ok(outcome) => {
-                let to_release = {
-                    let mut nodes = self.nodes.lock().unwrap();
-                    nodes[idx].phase = NodePhase::Settled;
-                    nodes[idx].request = None;
-                    nodes[idx].warm = None;
-                    let children = nodes[idx].children.clone();
-                    let mut ready = Vec::new();
-                    for c in children {
-                        let child = &mut nodes[c];
-                        if !matches!(child.phase, NodePhase::Pending) {
-                            continue;
-                        }
-                        child.remaining_parents -= 1;
-                        if let Some(req) = &child.request {
-                            if req.job.accepts_warm_seed(&outcome.job) {
-                                child.warm = Some(Arc::clone(&outcome));
-                            }
-                        }
-                        if child.remaining_parents == 0 {
-                            ready.push(c);
-                        }
+    /// result, then either releases newly-ready children (no `error`) or
+    /// orphans every still-pending descendant. The phase guard makes a
+    /// second settlement attempt a no-op.
+    fn settle(self: &Arc<Self>, idx: usize, error: Option<&JobError>) {
+        let children = {
+            let mut nodes = self.nodes.lock().unwrap();
+            nodes[idx].phase = NodePhase::Settled;
+            nodes[idx].request = None;
+            let mut children = nodes[idx].children.clone();
+            if error.is_none() {
+                children.retain(|&c| {
+                    let child = &mut nodes[c];
+                    if !matches!(child.phase, NodePhase::Pending) {
+                        return false;
                     }
-                    ready
-                };
-                // Lock dropped: releases may settle synchronously
-                // (cache hits) and recurse back into this method.
-                for c in to_release {
+                    child.remaining_parents -= 1;
+                    child.remaining_parents == 0
+                });
+            }
+            children
+        };
+        // Lock dropped: releases may settle synchronously (cache hits)
+        // and recurse back into this method.
+        match error {
+            None => {
+                for c in children {
                     self.release(c);
                 }
             }
-            Err(err) => {
-                let children = {
-                    let mut nodes = self.nodes.lock().unwrap();
-                    nodes[idx].phase = NodePhase::Settled;
-                    nodes[idx].request = None;
-                    nodes[idx].warm = None;
-                    nodes[idx].children.clone()
-                };
-                self.orphan_descendants(idx, &err, children);
-            }
+            Some(err) => self.orphan_descendants(idx, err, children),
         }
     }
 
     /// The one orphan path. If node `idx` is still in phase `from`,
-    /// settles it: mark it `Settled`, drop its request and warm input,
+    /// settles it: mark it `Settled`, drop its request,
     /// count it in the ledger (`submitted` and `orphaned` together — the
     /// one way a job joins the books without entering a queue), note
     /// the orphan, and resolve its ticket with `err` (a no-op when the
@@ -644,7 +612,6 @@ impl WorkflowRuntime {
             }
             node.phase = NodePhase::Settled;
             node.request = None;
-            node.warm = None;
             (node.ticket.clone(), node.class, node.children.clone())
         };
         self.backend.ledger().orphan();
@@ -780,7 +747,6 @@ pub(crate) fn submit(
             ticket: JobTicket::pending(request.job.fingerprint(), TraceId::DETACHED),
             children: std::mem::take(&mut children[i]),
             remaining_parents: indegree[i],
-            warm: None,
             phase: NodePhase::Pending,
             submitted_at,
             request: Some(request),

@@ -230,11 +230,11 @@ impl FederatedService {
     /// replay-on-failover — a killed replica's unfinished workflow
     /// nodes replay with their dependency state intact, because the
     /// coordinator watches the *client* ticket, which survives the
-    /// failover). Parent outcomes warm-seed compatible children on
-    /// their **first** routed attempt; a replayed node re-executes on
-    /// the survivor without the handoff (a self-consistent one takes
-    /// its bootstrap from the survivor's cache or solves it), which is
-    /// result-identical (warm starts are bit-exact).
+    /// failover). Edges only order the nodes: a self-consistent child
+    /// takes its bootstrap ground state from its home replica's result
+    /// cache, as a replayed node takes it from the survivor's. When the
+    /// parent ran on another replica, the child solves the bootstrap
+    /// cold, which is result-identical (seeded runs are bit-exact).
     ///
     /// # Errors
     ///
@@ -258,7 +258,7 @@ impl FederatedService {
     /// Exactly [`DftService::submit`]'s errors, raised by the chosen
     /// replica; plus [`SubmitError::Closed`] when no replica is live.
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobTicket, SubmitError> {
-        let issued = self.core.issue_with(request.into(), false, None)?;
+        let issued = self.core.issue(request.into(), false)?;
         Ok(issued.into_ticket())
     }
 
@@ -273,7 +273,7 @@ impl FederatedService {
         &self,
         request: impl Into<JobRequest>,
     ) -> Result<JobTicket, SubmitError> {
-        let issued = self.core.issue_with(request.into(), true, None)?;
+        let issued = self.core.issue(request.into(), true)?;
         Ok(issued.into_ticket())
     }
 
@@ -417,20 +417,10 @@ impl FedCore {
     /// — for queued jobs — wire up the client ticket, the routing-log
     /// entry, the cancel hook, and the engine ticket's completion hook,
     /// all under the state read guard so a concurrent kill cannot slip
-    /// between acceptance and recording.
-    ///
-    /// `warm` is a workflow parent's outcome, handed to the routed
-    /// replica's admission for injection. It rides only this first
-    /// attempt: a replayed job re-executes on the survivor without it,
-    /// resolving its bootstrap through the survivor's cache, which is
-    /// result-identical (warm starts are bit-exact) — the
-    /// [`ReplayItem`] deliberately carries no outcome payload.
-    pub(crate) fn issue_with(
-        &self,
-        request: JobRequest,
-        blocking: bool,
-        warm: Option<Arc<JobOutcome>>,
-    ) -> Result<Issued, SubmitError> {
+    /// between acceptance and recording. A replayed job is re-admitted
+    /// from its [`ReplayItem`] alone: like a first attempt, it finds
+    /// everything it may reuse in its replica's result cache.
+    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
         self.tick_faults();
         self.log.maybe_compact();
         let state = self.state.read().unwrap();
@@ -442,7 +432,7 @@ impl FedCore {
             .engine
             .as_ref()
             .expect("ring members are live");
-        let issued = engine.shared.issue_with(request.clone(), blocking, warm)?;
+        let issued = engine.shared.issue(request.clone(), blocking)?;
         self.counters.ledger.admit();
         self.counters.routed[replica].fetch_add(1, Ordering::Relaxed);
         let Issued::Queued(engine_ticket) = issued else {
@@ -549,7 +539,7 @@ impl FedCore {
         // Blocking push: replays must not be lost to transient
         // backpressure on the surviving replicas. Workers drain without
         // ever taking the federation state lock, so this converges.
-        match engine.shared.issue_with(request, true, None) {
+        match engine.shared.issue(request, true) {
             Ok(issued) => {
                 self.counters.routed[target].fetch_add(1, Ordering::Relaxed);
                 // A survivor cache hit is an already-fulfilled ticket,

@@ -109,8 +109,9 @@ pub enum DftJob {
     /// Density-mixing self-consistent SCF on Si_`atoms`. Its first
     /// inner solve is its *bootstrap*: the [`DftJob::GroundState`] with
     /// the same `atoms`, `bands` and `max_iterations`. A worker takes
-    /// that ground state from a workflow parent or the result cache
-    /// when one is there, and otherwise solves and caches it itself.
+    /// that ground state from the result cache when it is there (left
+    /// by a workflow parent, a submission or an earlier job), and
+    /// otherwise solves and caches it itself.
     ScfSelfConsistent {
         /// Atom count (multiple of 8).
         atoms: usize,
@@ -303,10 +304,12 @@ impl DftJob {
     /// The job whose completed outcome is this one's first inner solve:
     /// the [`DftJob::GroundState`] with a [`DftJob::ScfSelfConsistent`]
     /// job's `atoms`, `bands` and `max_iterations`, and `None` for every
-    /// other kind. A self-consistent job starts from that ground state
-    /// (see [`ndft_dft::run_scf_selfconsistent_seeded`]), so the worker
-    /// looks it up in the result cache under the bootstrap's own
-    /// fingerprint before solving it.
+    /// other kind. That ground state *is* a self-consistent job's first
+    /// inner solve (see [`ndft_dft::run_scf_selfconsistent`]'s `seed`),
+    /// so the worker looks it up in the result cache under the
+    /// bootstrap's own fingerprint before solving it, and a seeded run
+    /// is bit-identical to a cold one. This is the one definition of
+    /// which outcome may seed which job.
     pub(crate) fn bootstrap(&self) -> Option<DftJob> {
         match *self {
             DftJob::ScfSelfConsistent {
@@ -321,19 +324,6 @@ impl DftJob {
             }),
             _ => None,
         }
-    }
-
-    /// Whether a parent's completed job can warm-start this one without
-    /// changing its result: exactly when this is a
-    /// [`DftJob::ScfSelfConsistent`] job and `parent` is its bootstrap,
-    /// the [`DftJob::GroundState`] with the same `atoms`, `bands` and
-    /// `max_iterations`. That parent's converged state *is* the child's
-    /// first inner solve (see
-    /// [`ndft_dft::run_scf_selfconsistent_seeded`]), so injecting it
-    /// skips redundant work bit-identically — which is what keeps
-    /// content-addressed caching sound for seeded executions.
-    pub fn accepts_warm_seed(&self, parent: &DftJob) -> bool {
-        self.bootstrap().as_ref() == Some(parent)
     }
 
     /// The canonical demo/benchmark stream: `n` mixed jobs — repeated
@@ -996,22 +986,20 @@ mod tests {
             max_iterations: 4,
         };
         assert_eq!(child.bootstrap(), Some(parent.clone()));
-        assert_eq!(parent.bootstrap(), None);
-        assert!(child.accepts_warm_seed(&parent));
         let other_bands = DftJob::GroundState {
             atoms: 16,
             bands: 5,
             max_iterations: 4,
         };
-        assert!(!child.accepts_warm_seed(&other_bands));
+        assert_ne!(child.bootstrap(), Some(other_bands));
+        // Only self-consistent children are seedable at all.
         let md = DftJob::MdSegment {
             atoms: 16,
             steps: 3,
             temperature_k: 300.0,
             seed: 0,
         };
-        assert!(!child.accepts_warm_seed(&md));
-        // Only self-consistent children are seedable at all.
-        assert!(!parent.accepts_warm_seed(&parent));
+        assert_eq!(parent.bootstrap(), None);
+        assert_eq!(md.bootstrap(), None);
     }
 }

@@ -98,18 +98,20 @@
 //!   rejoin with their per-replica disk tier
 //!   ([`persist::replica_cache_dir`]) warm.
 //! * **Workflow DAGs** — [`dag`] serves *pipelines*, not just jobs: a
-//!   [`WorkflowSpec`] declares jobs as nodes and data-flow dependencies
+//!   [`WorkflowSpec`] declares jobs as nodes and ordering dependencies
 //!   as edges (band-structure sweeps reducing into one result, MD
 //!   trajectories fanning into per-frame spectra, SCF chains seeding
 //!   each other), validation rejects cycles and dangling edges before
 //!   any state is created, and a coordinator holds each node *outside*
 //!   the queue shards until its last parent fulfills — release rides
-//!   a ticket completion hook, so there is no polling thread, and a
-//!   parent's outcome is injected into compatible children as a warm
-//!   input ([`DftJob::accepts_warm_seed`]). Submit via
-//!   [`DftService::submit_workflow`] (or the federated twin) and watch
-//!   the whole graph through a [`WorkflowTicket`]. Nodes whose upstream
-//!   fails are **orphaned** exactly once, extending conservation to
+//!   a ticket completion hook, so there is no polling thread. Data
+//!   moves through the result cache alone: a parent's outcome is
+//!   stored before its children release, and a self-consistent child
+//!   finds its bootstrap ground state there like any other job.
+//!   Submit via [`DftService::submit_workflow`] (or the federated
+//!   twin) and watch the whole graph through a [`WorkflowTicket`].
+//!   Nodes whose upstream fails are **orphaned** exactly once,
+//!   extending conservation to
 //!   `submitted == completed + failed + cancelled + deadline_dropped +
 //!   orphaned`.
 //! * **Metrics** — throughput, steal counters, per-shard

@@ -282,8 +282,8 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts an executed job that consumed a warm input injected from
-    /// a workflow parent (result-preserving seeding).
+    /// Counts a self-consistent execution whose bootstrap ground state
+    /// the result cache served (result-preserving seeding).
     pub fn on_warm_inject(&self) {
         self.warm_injected.fetch_add(1, Ordering::Relaxed);
     }
@@ -404,8 +404,10 @@ pub struct ServeReport {
     /// Workflow nodes released into the normal submit path after their
     /// last parent fulfilled.
     pub workflow_released: u64,
-    /// Executed jobs that consumed a warm input injected from a
-    /// workflow parent.
+    /// Self-consistent executions whose bootstrap ground state
+    /// ([`crate::DftJob::ScfSelfConsistent`]) the result cache served,
+    /// from memory or disk, instead of a cold solve — whether a
+    /// workflow parent, a submission or an earlier job left it there.
     pub warm_injected: u64,
     /// Jobs executed through the fused cross-job batch path (members of
     /// a same-class batch that shared one operand setup). Per-job

@@ -131,7 +131,7 @@ impl Issued {
 
 /// State shared between the façade and the worker pool.
 ///
-/// The admission path ([`EngineShared::issue_with`]) lives here rather
+/// The admission path ([`EngineShared::issue`]) lives here rather
 /// than on [`DftService`] so owned `Arc<EngineShared>` handles — the
 /// [`crate::dag::Backend`] that sessions and workflow releases submit
 /// through, which must be `'static` to ride ticket completion hooks —
@@ -218,7 +218,7 @@ impl DftService {
     /// when the tenant is at its in-flight quota, and
     /// [`SubmitError::Closed`] after shutdown began.
     pub fn submit(&self, request: impl Into<JobRequest>) -> Result<JobTicket, SubmitError> {
-        let issued = self.shared.issue_with(request.into(), false, None)?;
+        let issued = self.shared.issue(request.into(), false)?;
         Ok(issued.into_ticket())
     }
 
@@ -233,7 +233,7 @@ impl DftService {
         &self,
         request: impl Into<JobRequest>,
     ) -> Result<JobTicket, SubmitError> {
-        let issued = self.shared.issue_with(request.into(), true, None)?;
+        let issued = self.shared.issue(request.into(), true)?;
         Ok(issued.into_ticket())
     }
 
@@ -241,9 +241,10 @@ impl DftService {
     /// the normal submit path immediately; every other node is held by
     /// the workflow coordinator and released the moment its last parent
     /// fulfills — riding a ticket completion hook, so readiness costs no
-    /// polling thread. A parent's output is injected into each child
-    /// that [`DftJob::accepts_warm_seed`]s it, and a parent served from
-    /// the result cache releases its children instantly. A failed
+    /// polling thread. A parent's outcome is stored in the result cache
+    /// before its children release, so a self-consistent child whose
+    /// bootstrap it is starts from it, and a parent served from the
+    /// result cache releases its children instantly. A failed
     /// parent (or engine shutdown) fails every unreleased descendant
     /// exactly once, counted as `orphaned` in the [`ServeReport`].
     ///
@@ -265,16 +266,8 @@ impl EngineShared {
     /// The engine's one admission path: validate, serve from the
     /// result cache, or check the deadline and tenant quota and
     /// enqueue. `blocking` waits for queue space instead of failing
-    /// with [`SubmitError::QueueFull`]. `warm` is an optional input
-    /// from a workflow parent, carried on the [`PendingJob`] into
-    /// execution; it is never part of the fingerprint (seeding is
-    /// result-preserving, so cache identity is untouched).
-    pub(crate) fn issue_with(
-        &self,
-        request: JobRequest,
-        blocking: bool,
-        warm: Option<Arc<JobOutcome>>,
-    ) -> Result<Issued, SubmitError> {
+    /// with [`SubmitError::QueueFull`].
+    pub(crate) fn issue(&self, request: JobRequest, blocking: bool) -> Result<Issued, SubmitError> {
         let JobRequest {
             job,
             priority,
@@ -373,7 +366,6 @@ impl EngineShared {
             _tenant_slot: tenant_slot,
             ticket: ticket.clone(),
             enqueued: admitted,
-            warm,
             metrics: Arc::clone(&self.metrics),
             telemetry: Arc::clone(&self.telemetry),
         };
@@ -817,7 +809,6 @@ mod tests {
             _tenant_slot: None,
             ticket: ticket.clone(),
             enqueued: Instant::now(),
-            warm: None,
             metrics: Arc::clone(&svc.shared.metrics),
             telemetry: Arc::clone(&svc.shared.telemetry),
         };
@@ -826,7 +817,7 @@ mod tests {
             .queue
             .try_push_at(class.shard_key(), Priority::Standard.index(), pending)
             .is_ok());
-        // Keep the books paired with the push, exactly as issue_with() does.
+        // Keep the books paired with the push, exactly as issue() does.
         svc.shared.metrics.ledger.admit();
         assert_eq!(ticket.wait().unwrap_err(), JobError::DeadlineExceeded);
         blocker.wait().unwrap();

@@ -11,12 +11,13 @@
 //! timing of that same plan.
 //! Then every member job runs the real numerics through the `ndft_dft`
 //! drivers; a self-consistent member first resolves its bootstrap
-//! ground state (`resolve_bootstrap`: its warm input, else the result
-//! cache, else a cold solve that it stores for the next job). Completed outcomes land in the shared
-//! content-addressed cache — stored with the plan's **modeled compute
-//! cost** ([`crate::PlacementDecision::modeled_cost_s`]), which is
-//! what the cost-weighted eviction policy weighs, and written through
-//! to the persistent tier when one is configured — and fulfill the
+//! ground state (`resolve_bootstrap`: the result cache, else a cold
+//! solve that it stores for the next job). Completed outcomes land in
+//! the shared content-addressed cache — stored with the plan's
+//! **modeled compute cost**
+//! ([`crate::PlacementDecision::modeled_cost_s`]), which is what the
+//! cost-weighted eviction policy weighs, and written through to the
+//! persistent tier when one is configured — and fulfill the
 //! submitters' tickets.
 //!
 //! The planner consultation is **utilization-aware**: before planning,
@@ -47,7 +48,7 @@ use crate::trace::{TraceEvent, TraceEventKind, TraceId};
 use ndft_core::RunReport;
 use ndft_dft::{
     band_structure, bond_list, run_casida, run_lr_tddft, run_md, run_md_prepared, run_scf,
-    run_scf_in, run_scf_selfconsistent_seeded, si_path, GroundState, KsHamiltonian, SiliconSystem,
+    run_scf_in, run_scf_selfconsistent, si_path, GroundState, KsHamiltonian, SiliconSystem,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -103,13 +104,6 @@ pub(crate) struct PendingJob {
     pub(crate) _tenant_slot: Option<TenantSlot>,
     pub(crate) ticket: JobTicket,
     pub(crate) enqueued: Instant,
-    /// A workflow parent's completed outcome, injected at DAG release
-    /// (on a federation, on the node's first routed attempt) as a warm
-    /// input. Only consulted when it is the job's bootstrap
-    /// ([`DftJob::accepts_warm_seed`]); without it a worker resolves the
-    /// bootstrap through the result cache instead. Never part of the
-    /// fingerprint, so caching stays content-pure.
-    pub(crate) warm: Option<Arc<JobOutcome>>,
     /// Metrics handle, so every exit — the Drop guard's failure
     /// included — settles the job in the engine's ledger.
     pub(crate) metrics: Arc<crate::metrics::Metrics>,
@@ -251,34 +245,29 @@ pub fn execute_payload(job: &DftJob) -> Result<(JobPayload, Duration), JobError>
     Ok((payload, start.elapsed()))
 }
 
-/// The completed bootstrap `pending` starts from
-/// ([`DftJob::bootstrap`]), taken from the first of three sources: the
-/// warm input a workflow or federation handoff attached, the result
-/// cache under the bootstrap's own fingerprint (memory, then disk), or
-/// a cold solve. The cold solve is planned as a one-member batch on
-/// `snapshot` and stored under its own fingerprint at its own modeled
-/// cost, so a later job of that shape — self-consistent, or a submitted
-/// `GroundState` — is served from it. Two workers that miss the same
-/// bootstrap at once both solve it; the solves are bit-identical, so
-/// the second store changes nothing. `None` for a kind with no
-/// bootstrap.
+/// The completed bootstrap `job` starts from ([`DftJob::bootstrap`]):
+/// the result cache's entry under the bootstrap's own fingerprint
+/// (memory, then disk), counted as a seeded execution, or else a cold
+/// solve. A workflow parent's outcome reaches its children this way
+/// too: the parent is stored before its ticket fulfills, and only that
+/// fulfill releases them. The cold solve is planned as a one-member
+/// batch on `snapshot` and stored under its own fingerprint at its own
+/// modeled cost, so a later job of that shape — self-consistent, or a
+/// submitted `GroundState` — is served from it. Two workers that miss
+/// the same bootstrap at once both solve it; the solves are
+/// bit-identical, so the second store changes nothing. `None` for a
+/// kind with no bootstrap.
 fn resolve_bootstrap(
     shared: &EngineShared,
-    pending: &PendingJob,
+    job: &DftJob,
     snapshot: &ClusterSnapshot,
 ) -> Result<Option<Arc<JobOutcome>>, JobError> {
-    let Some(bootstrap) = pending.job.bootstrap() else {
+    let Some(bootstrap) = job.bootstrap() else {
         return Ok(None);
     };
-    if let Some(warm) = pending
-        .warm
-        .as_ref()
-        .filter(|warm| pending.job.accepts_warm_seed(&warm.job))
-    {
-        return Ok(Some(Arc::clone(warm)));
-    }
     let fingerprint = bootstrap.fingerprint();
     if let Some((hit, _)) = shared.cache.peek(&fingerprint) {
+        shared.metrics.on_warm_inject();
         return Ok(Some(hit));
     }
     let graph = bootstrap
@@ -300,19 +289,6 @@ fn resolve_bootstrap(
         outcome.placement.modeled_cost_s(outcome.modeled.iterations),
     );
     Ok(Some(outcome))
-}
-
-/// The ground state a warm outcome contributes to `job`, if the pairing
-/// is result-preserving.
-fn warm_seed_for<'a>(job: &DftJob, warm: Option<&'a JobOutcome>) -> Option<&'a GroundState> {
-    let outcome = warm?;
-    if !job.accepts_warm_seed(&outcome.job) {
-        return None;
-    }
-    match &outcome.payload {
-        JobPayload::GroundState(gs) => Some(gs),
-        _ => None,
-    }
 }
 
 /// A solver failure as the error its ticket resolves with.
@@ -379,11 +355,10 @@ impl Operands {
     /// Runs `job`'s own solver on these operands: the one place job
     /// kinds meet the `ndft_dft` drivers. `job` shares the workload
     /// class the operands were built for (every batch member does).
-    /// `warm` is the job's resolved bootstrap (a workflow parent or a
-    /// cached outcome), consulted only when [`DftJob::accepts_warm_seed`]
-    /// approves the pairing, so seeded and cold runs are bit-identical
-    /// and an unrelated outcome is harmless.
-    fn run(&self, job: &DftJob, warm: Option<&JobOutcome>) -> Result<JobPayload, JobError> {
+    /// `seed` is the ground state of the job's resolved bootstrap
+    /// ([`DftJob::bootstrap`]); only a self-consistent job reads it, and
+    /// its seeded and cold runs are bit-identical.
+    fn run(&self, job: &DftJob, seed: Option<&GroundState>) -> Result<JobPayload, JobError> {
         let system = &self.system;
         Ok(match job {
             DftJob::GroundState { .. } => {
@@ -428,11 +403,8 @@ impl Operands {
                 ..
             } => {
                 let opts = job.scf_options().expect("self-consistent job");
-                let initial = warm_seed_for(job, warm).cloned();
-                let sc = run_scf_selfconsistent_seeded(
-                    system, &opts, *occupied, *cycles, *alpha, initial,
-                )
-                .map_err(numerics_error)?;
+                let sc = run_scf_selfconsistent(system, &opts, *occupied, *cycles, *alpha, seed)
+                    .map_err(numerics_error)?;
                 JobPayload::SelfConsistent(sc)
             }
         })
@@ -720,14 +692,14 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
             // cover the bootstrap solve a cache miss runs.
             let start = Instant::now();
             let snapshot = seen.as_ref().expect("planned above");
-            let warm = resolve_bootstrap(shared, &pending, snapshot)?;
-            let warm = warm.as_deref();
-            if warm_seed_for(&pending.job, warm).is_some() {
-                shared.metrics.on_warm_inject();
-            }
+            let bootstrap = resolve_bootstrap(shared, &pending.job, snapshot)?;
+            let seed = match bootstrap.as_deref().map(|b| &b.payload) {
+                Some(JobPayload::GroundState(gs)) => Some(gs),
+                _ => None,
+            };
             let payload = match &fused_ops {
-                Some(ops) => ops.run(&pending.job, warm),
-                None => Operands::build(&pending.job)?.run(&pending.job, warm),
+                Some(ops) => ops.run(&pending.job, seed),
+                None => Operands::build(&pending.job)?.run(&pending.job, seed),
             }?;
             Ok(JobOutcome {
                 job: pending.job.clone(),
@@ -890,9 +862,9 @@ mod tests {
 
     #[test]
     fn warm_seeded_execution_is_bit_identical_to_cold() {
-        // The workflow injection contract at the worker level: executing
-        // a self-consistent child seeded with its matching ground-state
-        // parent produces exactly the payload a cold run produces.
+        // The seeding contract at the worker level: executing a
+        // self-consistent child seeded with its bootstrap's ground state
+        // produces exactly the payload a cold run produces.
         let parent = DftJob::GroundState {
             atoms: 16,
             bands: 4,
@@ -906,30 +878,18 @@ mod tests {
             cycles: 2,
             alpha: 0.5,
         };
-        let graph = parent.task_graph().unwrap();
-        let (placement, modeled, _) = plan_batch(
-            &graph,
-            PlacementPolicy::CostAware,
-            &crate::ClusterSnapshot::idle(),
-            1,
-        );
-        let (payload, wall_numeric) = execute_payload(&parent).unwrap();
-        let parent_outcome = JobOutcome {
-            job: parent.clone(),
-            fingerprint: parent.fingerprint(),
-            payload,
-            placement,
-            modeled,
-            wall_numeric,
+        let (JobPayload::GroundState(seed), _) = execute_payload(&parent).unwrap() else {
+            panic!("a ground-state payload");
         };
-        assert!(warm_seed_for(&child, Some(&parent_outcome)).is_some());
+        assert_eq!(child.bootstrap(), Some(parent));
         let (cold, _) = execute_payload(&child).unwrap();
         let warm = Operands::build(&child)
             .unwrap()
-            .run(&child, Some(&parent_outcome))
+            .run(&child, Some(&seed))
             .unwrap();
         assert_eq!(cold, warm);
-        // A non-matching seed is ignored, not misapplied.
+        // A job of another shape has another bootstrap, so this seed is
+        // never looked up for it.
         let mismatched = DftJob::ScfSelfConsistent {
             atoms: 16,
             bands: 5,
@@ -938,7 +898,7 @@ mod tests {
             cycles: 2,
             alpha: 0.5,
         };
-        assert!(warm_seed_for(&mismatched, Some(&parent_outcome)).is_none());
+        assert_ne!(mismatched.bootstrap(), child.bootstrap());
     }
 
     #[test]
@@ -1055,7 +1015,6 @@ mod tests {
             job,
             ticket: ticket.clone(),
             enqueued: Instant::now(),
-            warm: None,
             metrics: Arc::clone(&metrics),
             telemetry: Arc::clone(&telemetry),
         };
@@ -1173,10 +1132,7 @@ mod tests {
             assert!(Arc::ptr_eq(&stored, &after), "{policy:?}");
             // Submitting the bootstrap itself is served at admission.
             let bootstrap = sc(2, 0.3).bootstrap().unwrap();
-            let issued = svc
-                .shared
-                .issue_with(bootstrap.clone().into(), false, None)
-                .unwrap();
+            let issued = svc.shared.issue(bootstrap.clone().into(), false).unwrap();
             let crate::service::Issued::Cached { outcome, .. } = issued else {
                 panic!("{policy:?}: the bootstrap was not served from the cache");
             };
@@ -1201,7 +1157,9 @@ mod tests {
             let after = cached_bootstrap(&svc, &sc(3, 0.4)).unwrap();
             assert!(Arc::ptr_eq(&submitted, &after), "{policy:?}");
             let report = svc.shutdown();
-            assert_eq!(report.warm_injected, 3, "{policy:?}");
+            // Two of the three jobs were seeded from the cache; the
+            // first missed and solved its bootstrap cold.
+            assert_eq!(report.warm_injected, 2, "{policy:?}");
             assert_eq!((report.completed, report.served_from_cache), (5, 1));
             assert!(report.conservation_holds(), "{policy:?}");
         }

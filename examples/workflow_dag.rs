@@ -7,8 +7,8 @@
 //!   fanning out into a full-Casida excitation `Spectrum` for its
 //!   snapshot, and
 //! * a **k-point sweep** — a `GroundState` SCF seeding four
-//!   `ScfSelfConsistent` refinements (the seed rides the warm-input
-//!   injection path), all reducing into one `BandStructure`.
+//!   `ScfSelfConsistent` refinements (each finds the seed's ground
+//!   state in the result cache), all reducing into one `BandStructure`.
 //!
 //! The coordinator holds every dependent node *outside* the queue
 //! shards and releases it the instant its last parent fulfills — no
@@ -73,8 +73,8 @@ fn main() {
     }
 
     // K-point sweep: one SCF seeds four self-consistent refinements
-    // (same atoms/bands/iterations, so the parent outcome is injected
-    // as a warm input), and the sweep reduces into one band structure.
+    // (same atoms/bands/iterations, so the parent's cached outcome is
+    // their bootstrap), and the sweep reduces into one band structure.
     let scf = label(
         &mut labels,
         spec.add_node(DftJob::GroundState {

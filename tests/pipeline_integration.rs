@@ -177,7 +177,7 @@ fn self_consistent_scf_feeds_response_pipeline() {
         max_iterations: 2,
         ..Default::default()
     };
-    let sc = ndft::dft::run_scf_selfconsistent(&sys, &opts, nv, 2, 0.5).unwrap();
+    let sc = ndft::dft::run_scf_selfconsistent(&sys, &opts, nv, 2, 0.5, None).unwrap();
     let gs = &sc.ground_state;
     let nr = sys.grid().len();
     let dv = sys.volume() / nr as f64;

@@ -6,10 +6,10 @@
 
 use ndft::sched::{Target, TargetLoad};
 use ndft::serve::{
-    block_on, chrome_trace_json, join_all, race, CachePolicy, DftJob, DftService, FaultPlan,
-    FederatedService, FederationConfig, JobError, JobKind, JobPayload, JobRequest, JobStage,
-    NodeId, PlacementPolicy, PlacementTarget, Priority, ServeConfig, Stage, SubmitError, TenantId,
-    TraceEventKind, WorkflowSpec,
+    block_on, chrome_trace_json, execute_payload, join_all, race, CachePolicy, DftJob, DftService,
+    Enc, FaultPlan, FederatedService, FederationConfig, JobError, JobKind, JobPayload, JobRequest,
+    JobStage, NodeId, PersistValue, PlacementPolicy, PlacementTarget, Priority, ServeConfig, Stage,
+    SubmitError, TenantId, TraceEventKind, WorkflowSpec,
 };
 use std::collections::HashSet;
 use std::time::Duration;
@@ -1736,6 +1736,77 @@ fn federated_workflow_survives_replica_kill_with_dependencies_intact() {
     assert_eq!(report.workflows, 1);
     assert_eq!(report.workflow_released, 3);
     assert_eq!(report.orphaned, 0);
+    assert!(report.conservation_holds(), "federated conservation");
+    assert!(
+        report.engines.conservation_holds(),
+        "engine-level conservation"
+    );
+}
+
+/// Every bit of a payload: its WAL encoding.
+fn payload_bits(payload: &JobPayload) -> Vec<u8> {
+    let mut enc = Enc::new();
+    payload.encode(&mut enc);
+    enc.into_bytes()
+}
+
+/// A `GroundState` → 3 × `ScfSelfConsistent` fan-out on two replicas.
+/// Workflow edges only order the nodes; each refinement resolves its
+/// bootstrap through its home replica's result cache. Two refinements
+/// home with the parent and find its ground state there; the third
+/// homes on the other replica, solves the bootstrap cold and stores
+/// it. Either way every payload equals a cold `execute_payload` of its
+/// job bit for bit, and both sets of books close.
+#[test]
+fn federated_fan_out_matches_cold_on_either_replica() {
+    let fed = FederatedService::start(fed_config(2));
+    let parent = DftJob::GroundState {
+        atoms: 8,
+        bands: 4,
+        max_iterations: 6,
+    };
+    let home = fed.home_of(&parent);
+    let refinements = (0..50).map(|i| DftJob::ScfSelfConsistent {
+        atoms: 8,
+        bands: 4,
+        max_iterations: 6,
+        occupied: 2,
+        cycles: 2,
+        alpha: 0.3 + 0.01 * i as f64,
+    });
+    let mut children: Vec<DftJob> = refinements
+        .clone()
+        .filter(|j| fed.home_of(j) == home)
+        .take(2)
+        .collect();
+    children.extend(refinements.filter(|j| fed.home_of(j) != home).take(1));
+    assert_eq!(children.len(), 3);
+
+    let mut spec = WorkflowSpec::new();
+    let root = spec.add_node(parent);
+    for child in children {
+        let node = spec.add_node(child);
+        spec.add_edge(root, node);
+    }
+    let workflow = fed.submit_workflow(spec).unwrap();
+    for result in workflow.wait_all() {
+        let outcome = result.expect("every node completes");
+        let (cold, _) = execute_payload(&outcome.job).unwrap();
+        assert!(
+            payload_bits(&outcome.payload) == payload_bits(&cold),
+            "{}",
+            outcome.job
+        );
+    }
+
+    let report = fed.shutdown();
+    assert_eq!(report.workflows, 1);
+    assert_eq!(report.workflow_released, 4);
+    assert_eq!(report.orphaned, 0);
+    assert_eq!(
+        report.engines.warm_injected, 2,
+        "only the two refinements homed with the parent find its ground state"
+    );
     assert!(report.conservation_holds(), "federated conservation");
     assert!(
         report.engines.conservation_holds(),
