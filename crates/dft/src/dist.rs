@@ -99,11 +99,6 @@ pub fn alltoall_volume(volume: u64, topo: ProcessTopology) -> CommVolume {
     }
 }
 
-/// Bytes each process contributes to a balanced all-to-all.
-pub fn per_process_send(volume: u64, topo: ProcessTopology) -> u64 {
-    volume.checked_div(topo.total() as u64).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,11 +138,6 @@ mod tests {
             let v = alltoall_volume(999_983, ProcessTopology::new(d, ppd));
             assert_eq!(v.intra_domain + v.inter_domain, v.total);
         }
-    }
-
-    #[test]
-    fn per_process_send_divides() {
-        assert_eq!(per_process_send(1024, ProcessTopology::new(4, 4)), 64);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod system;
 pub mod workload;
 
 pub use casida::{casida_from_parts, run_casida, solve_tda_iterative, CasidaError, CasidaResult};
-pub use dist::{alltoall_volume, per_process_send, CommVolume, ProcessTopology};
+pub use dist::{alltoall_volume, CommVolume, ProcessTopology};
 pub use driver::{
     build_response_hamiltonian, lr_tddft_from_orbitals, model_orbitals, response_parts,
     run_lr_tddft, Spectrum,

@@ -104,20 +104,8 @@ impl Sum for KernelCost {
     }
 }
 
-/// Size of one `f64` in bytes.
-const F64_BYTES: u64 = 8;
 /// Size of one `Complex64` in bytes (interleaved re/im doubles).
 pub const C64_BYTES: u64 = 16;
-
-/// Cost of a real `m×k · k×n` matrix multiplication (read A, B once, write C).
-pub fn gemm_cost_f64(m: usize, n: usize, k: usize) -> KernelCost {
-    let (m, n, k) = (m as u64, n as u64, k as u64);
-    KernelCost {
-        flops: 2 * m * n * k,
-        bytes_read: F64_BYTES * (m * k + k * n),
-        bytes_written: F64_BYTES * m * n,
-    }
-}
 
 /// Cost of a complex `m×k · k×n` matrix multiplication.
 pub fn gemm_cost_c64(m: usize, n: usize, k: usize) -> KernelCost {
@@ -193,8 +181,8 @@ mod tests {
 
     #[test]
     fn arithmetic_intensity_of_gemm_grows_with_n() {
-        let small = gemm_cost_f64(8, 8, 8);
-        let big = gemm_cost_f64(512, 512, 512);
+        let small = gemm_cost_c64(8, 8, 8);
+        let big = gemm_cost_c64(512, 512, 512);
         assert!(big.arithmetic_intensity() > 10.0 * small.arithmetic_intensity());
     }
 
@@ -206,10 +194,10 @@ mod tests {
 
     #[test]
     fn complex_gemm_is_4x_real_flops() {
-        let r = gemm_cost_f64(16, 16, 16);
+        // The real GEMM moves 8-byte words and spends 2·m·n·k flops.
         let c = gemm_cost_c64(16, 16, 16);
-        assert_eq!(c.flops, 4 * r.flops);
-        assert_eq!(c.bytes_read, 2 * r.bytes_read);
+        assert_eq!(c.flops, 4 * (2 * 16 * 16 * 16));
+        assert_eq!(c.bytes_read, 2 * (8 * (16 * 16 + 16 * 16)));
     }
 
     #[test]

@@ -39,9 +39,7 @@ pub mod matrix;
 pub mod vecops;
 
 pub use complex::Complex64;
-pub use counters::{
-    face_splitting_cost, gemm_cost_c64, gemm_cost_f64, syevd_cost, KernelCost, C64_BYTES,
-};
+pub use counters::{face_splitting_cost, gemm_cost_c64, syevd_cost, KernelCost, C64_BYTES};
 pub use davidson::{davidson, DavidsonError, DavidsonOptions, DavidsonResult, SymOperator};
 pub use eig::{heevd, syevd, EigError, Eigen, HermEigen};
 pub use facesplit::{face_splitting, face_splitting_cost_for};

@@ -128,22 +128,6 @@ impl Mat {
         assert_eq!(self.rows, self.cols, "trace of a non-square matrix");
         (0..self.rows).map(|i| self[(i, i)]).sum()
     }
-
-    /// Maximum absolute deviation from symmetry, `max |a_ij - a_ji|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn asymmetry(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "asymmetry of a non-square matrix");
-        let mut worst: f64 = 0.0;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self[(i, j)] - self[(j, i)]).abs());
-            }
-        }
-        worst
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -361,14 +345,6 @@ mod tests {
     fn index_out_of_bounds_panics() {
         let a = Mat::zeros(2, 2);
         let _ = a[(2, 0)];
-    }
-
-    #[test]
-    fn asymmetry_detects_nonsymmetric() {
-        let mut a = Mat::identity(3);
-        assert_eq!(a.asymmetry(), 0.0);
-        a[(0, 1)] = 1.0;
-        assert_eq!(a.asymmetry(), 1.0);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   **bit-exact**).
 //! * [`PersistValue`] — the encode/decode contract a cache value must
 //!   implement to be spillable; implemented here for
-//!   `Arc<JobOutcome>` (the engine's value type), covering the full
-//!   outcome record: job, payload, placement decision, modeled run,
-//!   and wall time. The job's encoding doubles as its identity:
+//!   `Arc<JobOutcome>` (the engine's value type). An outcome record
+//!   keeps the result: job, payload, placement policy and wall time.
+//!   Decode re-plans the placement and modeled run on the job's kept
+//!   machine, so a disk hit reports the idle, one-member plan under the
+//!   policy that stored it. The job's encoding doubles as its identity:
 //!   [`DftJob::fingerprint`] is the digest of exactly those bytes.
 //! * [`DiskTier`] — an append-only write-ahead file
 //!   (`<cache_dir>/results.wal`) plus an in-memory index from
@@ -24,14 +26,16 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := b"NDFTWAL3"                      (8 bytes, format version)
+//! header := b"NDFTWAL4"                      (8 bytes, format version)
 //! record := marker   u32  = 0x4352444E ("NDRC", little-endian)
 //!           fp       u128                    (Fingerprint::to_le_bytes)
 //!           cost     f64                     (modeled compute cost, bits)
 //!           len      u32                     (payload byte count)
 //!           payload  [u8; len]               (PersistValue encoding)
 //!           check    u64                     (FNV-1a over fp‖cost‖payload)
-//! outcome payload := job payload placement modeled wall
+//! outcome payload := job payload policy wall
+//! policy := u8 (index in PlacementPolicy::all(); 5 and up is malformed)
+//! wall   := secs u64, nanos u32 (< 10⁹)
 //! job    := tag u64 (1..=5, the DftJob variant) then one u64 word per
 //!           parameter in declaration order: counts as u64, floats as
 //!           raw bits, `full_casida` as 0/1 — the bytes the
@@ -41,12 +45,19 @@
 //! Appends are atomic at record granularity in the WAL sense: a crash
 //! mid-append leaves a truncated tail, and the open-time scan stops at
 //! the first malformed or checksum-failing record (for a cache's log,
-//! also at the first whose payload does not decode: a bool byte other
-//! than 0 or 1, say) and **truncates the file back to the last good
-//! boundary** — corruption costs the tail of the cache, never a panic
-//! and never a poisoned index. A later record for the same fingerprint
+//! also at the first whose payload does not decode: a policy tag of 5
+//! or more, or a job with no valid system, say) and **truncates the
+//! file back to the last good boundary** — corruption costs the tail of
+//! the cache, never a panic and never a poisoned index. A later record for the same fingerprint
 //! shadows an earlier one (last write wins), so refreshing an entry
 //! never needs in-place rewrites.
+//!
+//! [`DiskTier::append`] writes each record with one `write_all` and
+//! never calls `sync_data`. Every record an `append` returned from
+//! survives a process crash, since the kernel already holds its bytes.
+//! A host crash (power loss, kernel panic) can lose an unsynced tail
+//! of records, and the next open's scan truncates whatever partial
+//! record that leaves.
 //!
 //! Reads verify the record checksum again (the file may have been
 //! damaged after open); a failing record is dropped from the index and
@@ -63,17 +74,16 @@
 //! instances is the supported restart story; give concurrent engines
 //! distinct directories.
 
+use crate::cluster::ClusterSnapshot;
 use crate::fingerprint::{digest, Fingerprint, Hasher};
 use crate::job::{DftJob, JobPayload};
-use crate::placement::{PlacementDecision, PlacementPolicy};
+use crate::placement::{plan_batch, PlacementPolicy};
 use crate::worker::JobOutcome;
-use ndft_core::{RunReport, StageReport, StageTime};
 use ndft_dft::{
     BandPathPoint, BandStructure, CasidaResult, GroundState, MdSample, MdTrajectory,
     SelfConsistentResult, Spectrum,
 };
 use ndft_numerics::{CMat, Complex64};
-use ndft_sched::{Plan, Target};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -98,9 +108,11 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
 /// File-format magic + version. Bump the trailing digit when the codec
 /// or what a field means changes (2: placements are planned on the
 /// gather-charging machine; 3: the job is the fingerprint's `u64` words
-/// and outcomes no longer repeat the fingerprint): an old file then
-/// fails the header check and is reset rather than misdecoded or misread.
-const HEADER: &[u8; 8] = b"NDFTWAL3";
+/// and outcomes no longer repeat the fingerprint; 4: outcomes keep only
+/// the placement policy, and decode re-plans the placement and modeled
+/// run): an old file then fails the header check and is reset rather
+/// than misdecoded or misread.
+const HEADER: &[u8; 8] = b"NDFTWAL4";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
 /// truncates from there — it does not skip ahead looking for the next
@@ -196,11 +208,6 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
-    /// Writes a `bool` as one byte.
-    pub fn boolean(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.count(s.len());
@@ -283,16 +290,6 @@ impl<'a> Dec<'a> {
         usize::try_from(self.u64()?).ok()
     }
 
-    /// Reads a `bool` written by [`Enc::boolean`]: 0 or 1, anything
-    /// else is malformed.
-    pub fn boolean(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
     /// Reads an `f64` from its raw bit pattern (bit-exact).
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
@@ -330,21 +327,6 @@ pub trait PersistValue: Sized {
 // ---------------------------------------------------------------------
 // PersistValue for the engine's value graph
 // ---------------------------------------------------------------------
-
-fn encode_target(enc: &mut Enc, t: Target) {
-    enc.u8(match t {
-        Target::Cpu => 0,
-        Target::Ndp => 1,
-    });
-}
-
-fn decode_target(dec: &mut Dec<'_>) -> Option<Target> {
-    match dec.u8()? {
-        0 => Some(Target::Cpu),
-        1 => Some(Target::Ndp),
-        _ => None,
-    }
-}
 
 /// The job encoding is also the job's identity: [`DftJob::fingerprint`]
 /// hashes exactly these bytes. Every field is one little-endian `u64`
@@ -605,159 +587,22 @@ impl PersistValue for JobPayload {
     }
 }
 
-impl PersistValue for PlacementDecision {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u8(match self.policy {
-            PlacementPolicy::CostAware => 0,
-            PlacementPolicy::Greedy => 1,
-            PlacementPolicy::Exhaustive => 2,
-            PlacementPolicy::CpuPinned => 3,
-            PlacementPolicy::NdpPinned => 4,
-        });
-        enc.count(self.plan.placement.len());
-        for &t in &self.plan.placement {
-            encode_target(enc, t);
-        }
-        enc.f64(self.plan.compute_time);
-        enc.f64(self.plan.sched_overhead);
-        enc.f64(self.cpu_pinned_time);
-        enc.f64(self.ndp_pinned_time);
-        enc.f64(self.cpu_busy);
-        enc.f64(self.ndp_busy);
-        enc.f64(self.cpu_load_s);
-        enc.f64(self.ndp_load_s);
-        enc.boolean(self.shifted);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Option<Self> {
-        let policy = match dec.u8()? {
-            0 => PlacementPolicy::CostAware,
-            1 => PlacementPolicy::Greedy,
-            2 => PlacementPolicy::Exhaustive,
-            3 => PlacementPolicy::CpuPinned,
-            4 => PlacementPolicy::NdpPinned,
-            _ => return None,
-        };
-        let n = dec.count(1)?;
-        let placement = (0..n)
-            .map(|_| decode_target(dec))
-            .collect::<Option<Vec<_>>>()?;
-        Some(PlacementDecision {
-            policy,
-            plan: Plan {
-                placement,
-                compute_time: dec.f64()?,
-                sched_overhead: dec.f64()?,
-            },
-            cpu_pinned_time: dec.f64()?,
-            ndp_pinned_time: dec.f64()?,
-            cpu_busy: dec.f64()?,
-            ndp_busy: dec.f64()?,
-            cpu_load_s: dec.f64()?,
-            ndp_load_s: dec.f64()?,
-            shifted: dec.boolean()?,
-        })
-    }
-}
-
-impl PersistValue for RunReport {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.machine);
-        enc.str(&self.system);
-        enc.count(self.iterations);
-        enc.count(self.stages.len());
-        for s in &self.stages {
-            enc.str(&s.name);
-            enc.u8(kernel_kind_tag(s.kind));
-            match s.target {
-                None => enc.u8(0),
-                Some(t) => {
-                    enc.u8(1);
-                    encode_target(enc, t);
-                }
-            }
-            enc.f64(s.time.compute);
-            enc.f64(s.time.memory);
-            enc.f64(s.time.comm);
-            enc.f64(s.time.transfer);
-            enc.f64(s.time.overhead);
-        }
-        enc.f64(self.sched_overhead);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Option<Self> {
-        let machine = dec.str()?;
-        let system = dec.str()?;
-        let iterations = dec.usize()?;
-        let n = dec.count(8)?;
-        let stages = (0..n)
-            .map(|_| {
-                let name = dec.str()?;
-                let kind = kernel_kind_from_tag(dec.u8()?)?;
-                let target = match dec.u8()? {
-                    0 => None,
-                    1 => Some(decode_target(dec)?),
-                    _ => return None,
-                };
-                Some(StageReport {
-                    name,
-                    kind,
-                    target,
-                    time: StageTime {
-                        compute: dec.f64()?,
-                        memory: dec.f64()?,
-                        comm: dec.f64()?,
-                        transfer: dec.f64()?,
-                        overhead: dec.f64()?,
-                    },
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(RunReport {
-            machine,
-            system,
-            iterations,
-            stages,
-            sched_overhead: dec.f64()?,
-        })
-    }
-}
-
-fn kernel_kind_tag(k: ndft_dft::KernelKind) -> u8 {
-    use ndft_dft::KernelKind::*;
-    match k {
-        FaceSplitting => 0,
-        Fft => 1,
-        ApplyKernel => 2,
-        Alltoall => 3,
-        Gemm => 4,
-        Syevd => 5,
-        PseudoUpdate => 6,
-    }
-}
-
-fn kernel_kind_from_tag(tag: u8) -> Option<ndft_dft::KernelKind> {
-    use ndft_dft::KernelKind::*;
-    Some(match tag {
-        0 => FaceSplitting,
-        1 => Fft,
-        2 => ApplyKernel,
-        3 => Alltoall,
-        4 => Gemm,
-        5 => Syevd,
-        6 => PseudoUpdate,
-        _ => return None,
-    })
-}
-
-/// The outcome's fingerprint is not stored: it is the digest of the
-/// job's encoding, so decode re-derives it from the job.
+/// The record keeps the result: the job, its payload, the placement
+/// policy (its index in [`PlacementPolicy::all`]) and the wall time.
+/// The fingerprint is the digest of the job's encoding, and decode
+/// re-plans the placement and modeled run as the idle, one-member plan
+/// under the stored policy on the job's kept machine. The load and
+/// fusion width the result was first planned under described another
+/// process's cluster, so they are not kept.
 impl PersistValue for JobOutcome {
     fn encode(&self, enc: &mut Enc) {
         self.job.encode(enc);
         self.payload.encode(enc);
-        self.placement.encode(enc);
-        self.modeled.encode(enc);
+        let policy = PlacementPolicy::all()
+            .iter()
+            .position(|&p| p == self.placement.policy)
+            .expect("`all` lists every policy");
+        enc.u8(policy as u8);
         enc.u64(self.wall_numeric.as_secs());
         enc.u32(self.wall_numeric.subsec_nanos());
     }
@@ -765,13 +610,14 @@ impl PersistValue for JobOutcome {
     fn decode(dec: &mut Dec<'_>) -> Option<Self> {
         let job = DftJob::decode(dec)?;
         let payload = JobPayload::decode(dec)?;
-        let placement = PlacementDecision::decode(dec)?;
-        let modeled = RunReport::decode(dec)?;
+        let policy = *PlacementPolicy::all().get(usize::from(dec.u8()?))?;
         let secs = dec.u64()?;
         let nanos = dec.u32()?;
         if nanos >= 1_000_000_000 {
             return None;
         }
+        let graph = job.task_graph().ok()?;
+        let (placement, modeled, _) = plan_batch(&graph, policy, &ClusterSnapshot::idle(), 1);
         Some(JobOutcome {
             fingerprint: job.fingerprint(),
             job,
@@ -1251,12 +1097,20 @@ mod tests {
         }
     }
 
+    fn encode(value: &dyn Fn(&mut Enc)) -> Vec<u8> {
+        let mut enc = Enc::new();
+        value(&mut enc);
+        enc.into_bytes()
+    }
+
     #[test]
-    fn non_canonical_bool_is_corruption_on_open() {
-        // A record whose checksum holds but whose `shifted` byte is 2 is
-        // malformed: opening the cache truncates the log there, so the
-        // record is never served, while the one before it is.
-        let dir = tmp_dir("bool");
+    fn malformed_outcome_is_corruption_on_open() {
+        // A record whose checksum holds but whose outcome does not
+        // decode is malformed: opening the cache truncates the log
+        // there, so the record is never served, while the one before it
+        // is. Two such outcomes: a policy tag past `PlacementPolicy::all`
+        // and a job whose task graph cannot be built (Si_7 is no whole
+        // number of cells), which leaves nothing to re-plan.
         let md = |seed| DftJob::MdSegment {
             atoms: 8,
             steps: 2,
@@ -1264,55 +1118,124 @@ mod tests {
             seed,
         };
         let (good, bad) = (outcome_for(md(1)), outcome_for(md(2)));
-        let encode = |value: &dyn Fn(&mut Enc)| {
-            let mut enc = Enc::new();
-            value(&mut enc);
-            enc.into_bytes()
-        };
-        // `shifted` is the last byte of the placement decision.
-        let shifted_at = encode(&|enc| {
+        let policy_at = encode(&|enc| {
             bad.job.encode(enc);
             bad.payload.encode(enc);
-            bad.placement.encode(enc);
         })
-        .len()
-            - 1;
-        let mut bytes = encode(&|enc| bad.encode(enc));
-        assert_eq!(bytes[shifted_at], 0, "an idle plan never shifts");
-        bytes[shifted_at] = 2;
-        let (path, kept) = {
-            let tier = DiskTier::open(&dir).unwrap();
-            tier.append(good.fingerprint, 1.0, &encode(&|enc| good.encode(enc)));
-            let kept = tier.bytes_persisted();
-            tier.append(bad.fingerprint, 1.0, &bytes);
-            (tier.path().to_path_buf(), kept)
+        .len();
+        let mut bad_policy = encode(&|enc| bad.encode(enc));
+        assert_eq!(bad_policy[policy_at], 0, "stored under CostAware");
+        bad_policy[policy_at] = PlacementPolicy::all().len() as u8;
+        let no_graph = DftJob::GroundState {
+            atoms: 7,
+            bands: 4,
+            max_iterations: 4,
         };
-        let cache = crate::ResultCache::<Arc<JobOutcome>>::with_disk(
-            4,
-            crate::CachePolicy::CostWeighted,
-            &dir,
-        )
-        .unwrap();
-        assert!(cache.get(&bad.fingerprint).is_none());
-        assert_eq!(cache.get(&good.fingerprint).as_deref(), Some(&good));
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), kept);
-        assert_eq!(cache.stats().disk_len, 1);
+        assert!(no_graph.task_graph().is_err());
+        let bad_graph = encode(&|enc| {
+            no_graph.encode(enc);
+            bad.payload.encode(enc);
+            enc.u8(0);
+            enc.u64(0);
+            enc.u32(0);
+        });
+        for (tag, fingerprint, bytes) in [
+            ("policy", bad.fingerprint, bad_policy),
+            ("graph", no_graph.fingerprint(), bad_graph),
+        ] {
+            let dir = tmp_dir(tag);
+            let (path, kept) = {
+                let tier = DiskTier::open(&dir).unwrap();
+                tier.append(good.fingerprint, 1.0, &encode(&|enc| good.encode(enc)));
+                let kept = tier.bytes_persisted();
+                tier.append(fingerprint, 1.0, &bytes);
+                (tier.path().to_path_buf(), kept)
+            };
+            let cache = crate::ResultCache::<Arc<JobOutcome>>::with_disk(
+                4,
+                crate::CachePolicy::CostWeighted,
+                &dir,
+            )
+            .unwrap();
+            assert!(cache.get(&fingerprint).is_none(), "{tag}");
+            assert_eq!(cache.get(&good.fingerprint).as_deref(), Some(&good));
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), kept, "{tag}");
+            assert_eq!(cache.stats().disk_len, 1);
+            drop(cache);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_disk_hit_reports_the_idle_solo_plan_of_its_policy() {
+        // Stored from a fused batch of four under load and a
+        // non-default policy, an outcome comes back off the disk with
+        // its result intact and the plan re-made on an idle cluster
+        // for one member under that policy, at the cost it was stored
+        // with.
+        let dir = tmp_dir("replan");
+        let job = DftJob::MdSegment {
+            atoms: 64,
+            steps: 3,
+            temperature_k: 300.0,
+            seed: 11,
+        };
+        let graph = job.task_graph().unwrap();
+        let policy = PlacementPolicy::Greedy;
+        let busy = ClusterSnapshot {
+            cpu_reserved_s: 0.5,
+            ndp_reserved_s: 2.0,
+            shard_inflight: vec![1],
+        };
+        let (placement, modeled, _) = plan_batch(&graph, policy, &busy, 4);
+        let (payload, wall_numeric) = execute_payload(&job).unwrap();
+        let stored = JobOutcome {
+            fingerprint: job.fingerprint(),
+            job,
+            payload,
+            placement,
+            modeled,
+            wall_numeric,
+        };
+        let cost = stored.placement.modeled_cost_s(stored.modeled.iterations);
+        let open = || {
+            crate::ResultCache::<Arc<JobOutcome>>::with_disk(
+                4,
+                crate::CachePolicy::CostWeighted,
+                &dir,
+            )
+            .unwrap()
+        };
+        open().store(stored.fingerprint, Arc::new(stored.clone()), cost);
+        let cache = open();
+        let hit = cache.get(&stored.fingerprint).expect("served from disk");
+        assert_eq!(cache.stats().disk_hits, 1);
+        assert_eq!(hit.job, stored.job);
+        assert_eq!(hit.fingerprint, stored.fingerprint);
+        assert_eq!(hit.payload, stored.payload);
+        assert_eq!(hit.wall_numeric, stored.wall_numeric);
+        let (idle, idle_modeled, _) = plan_batch(&graph, policy, &ClusterSnapshot::idle(), 1);
+        assert_ne!(stored.placement, idle, "the stored plan saw load");
+        assert_eq!(hit.placement, idle);
+        assert_eq!(hit.modeled, idle_modeled);
+        crate::placement::assert_one_plan(&hit.placement, &hit.modeled);
+        assert_eq!(cache.stats().cost_retained_s, cost);
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn previous_wal_version_is_reset() {
-        let dir = tmp_dir("v2");
+        let dir = tmp_dir("v3");
         let path = {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.append(Fingerprint(5), 1.0, b"an NDFTWAL2 outcome");
+            tier.append(Fingerprint(5), 1.0, b"an NDFTWAL3 outcome");
             tier.path().to_path_buf()
         };
         // The record stays well-formed; only the version says its
         // payload is in the previous codec, so it must never be decoded.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..HEADER.len()].copy_from_slice(b"NDFTWAL2");
+        bytes[..HEADER.len()].copy_from_slice(b"NDFTWAL3");
         std::fs::write(&path, bytes).unwrap();
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(

@@ -225,20 +225,16 @@ pub(crate) fn assert_one_plan(decision: &PlacementDecision, modeled: &RunReport)
 }
 
 #[cfg(test)]
-/// Every bit of a planned batch: the WAL encoding of its decision and
-/// report (every float as its raw bits, every string and tag in full)
-/// and the saving's bits.
+/// Every bit of a planned batch: its decision and report printed with
+/// `{:?}` (an `f64` prints as the shortest string that parses back to
+/// it, so distinct finite bit patterns, `-0.0` included, print apart)
+/// and the saving's raw bits.
 pub(crate) fn plan_bits(
     decision: &PlacementDecision,
     modeled: &RunReport,
     saving_s: f64,
-) -> Vec<u8> {
-    use crate::persist::{Enc, PersistValue};
-    let mut enc = Enc::new();
-    decision.encode(&mut enc);
-    modeled.encode(&mut enc);
-    enc.f64(saving_s);
-    enc.into_bytes()
+) -> String {
+    format!("{decision:?} {modeled:?} {:#x}", saving_s.to_bits())
 }
 
 #[cfg(test)]

@@ -68,12 +68,15 @@ pub struct JobOutcome {
     pub fingerprint: Fingerprint,
     /// The physics result.
     pub payload: JobPayload,
-    /// The placement the batch's planner consultation chose.
+    /// The placement the batch's planner consultation chose. A disk hit
+    /// reports the idle, one-member plan under the policy that stored
+    /// it, re-planned when the record is read (see [`crate::persist`]).
     pub placement: PlacementDecision,
     /// Modeled NDFT engine run of `placement.plan` on the paper's Table
     /// III machine, the one that charges the shared-block gather: the
     /// stage breakdown of the job's task graph (for a fused batch, of the
     /// fused graph on `MeasuredTimer::fused`) from `MeasuredTimer::report`.
+    /// A disk hit reports the run of its re-planned `placement`.
     ///
     /// Both fields come from one plan, so the stage targets here equal
     /// `placement.plan.placement`, stage for stage. The engine reads

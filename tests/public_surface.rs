@@ -13,13 +13,13 @@ use std::path::Path;
 /// `(crate directory, ceiling)`: the most public-item lines each crate may
 /// declare.
 const CEILINGS: [(&str, usize); 7] = [
-    ("numerics", 114),
-    ("dft", 115),
+    ("numerics", 112),
+    ("dft", 114),
     ("sim", 118),
     ("shmem", 49),
     ("sched", 56),
     ("core", 74),
-    ("serve", 379),
+    ("serve", 377),
 ];
 
 const ITEM_KEYWORDS: [&str; 8] = [
