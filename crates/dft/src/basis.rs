@@ -39,6 +39,23 @@ pub fn system_g2(system: &SiliconSystem) -> Vec<f64> {
     g2_table(system.grid(), lx, ly, lz)
 }
 
+/// The bin of `−G` for every bin `G` of a grid, in FFT frequency order:
+/// `(n − i) mod n` along each axis. On an even axis the Nyquist plane
+/// `i = n/2` maps onto itself, as does the plane `i = 0`.
+#[cfg(test)]
+pub(crate) fn minus_g_bins(grid: GridDims) -> Vec<usize> {
+    let neg = |i: usize, n: usize| (n - i) % n;
+    let mut out = Vec::with_capacity(grid.len());
+    for z in 0..grid.nz {
+        for y in 0..grid.ny {
+            for x in 0..grid.nx {
+                out.push(grid.index(neg(x, grid.nx), neg(y, grid.ny), neg(z, grid.nz)));
+            }
+        }
+    }
+    out
+}
+
 /// Grid-bin indices sorted by ascending `|G|²`.
 pub fn sorted_g_indices(g2: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..g2.len()).collect();

@@ -57,7 +57,7 @@ pub const fn atom_block_bytes() -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pseudopotential {
     /// Projector values, one `[β_p(r_j); N_PROJ]` row per sphere point.
-    table: Vec<[f64; N_PROJ]>,
+    pub(crate) table: Vec<[f64; N_PROJ]>,
     /// The same rows scaled by the Kleinman–Bylander strengths `D_p`, as
     /// the scatter reads them.
     scaled: Vec<[f64; N_PROJ]>,

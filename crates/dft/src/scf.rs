@@ -686,7 +686,7 @@ fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::{plane_wave, sorted_g_indices};
+    use crate::basis::{minus_g_bins, plane_wave, sorted_g_indices};
     use std::cell::Cell;
 
     thread_local! {
@@ -703,6 +703,63 @@ mod tests {
             bands,
             max_iterations: iters,
             ..Default::default()
+        }
+    }
+
+    #[test]
+    fn hamiltonian_terms_are_symmetric_under_g_inversion() {
+        // H is real at Γ because every term is: |G|² is the same at G and
+        // −G bit for bit, and V_loc and every projector are real grid
+        // functions, so their transforms satisfy X(−G) = X(G)* bin for
+        // bin. On the even grids the Nyquist planes map onto themselves.
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
+            let grid = sys.grid();
+            let neg = minus_g_bins(grid);
+            let mut self_conjugate = 0;
+            for (g, &m) in neg.iter().enumerate() {
+                assert_eq!(neg[m], g, "Si_{atoms}: −G map is an involution");
+                assert_eq!(h.g2[m].to_bits(), h.g2[g].to_bits(), "Si_{atoms}, bin {g}");
+                self_conjugate += usize::from(m == g);
+            }
+            // G = 0 and the Nyquist frequency on every (even) axis.
+            let fixed = |n: usize| if n.is_multiple_of(2) { 2 } else { 1 };
+            assert_eq!(
+                self_conjugate,
+                fixed(grid.nx) * fixed(grid.ny) * fixed(grid.nz),
+                "Si_{atoms}"
+            );
+            for (y, z) in [(0, 0), (1, 3), (grid.ny / 2, grid.nz - 1)] {
+                let g = grid.index(grid.nx / 2, y, z);
+                let m = grid.index(
+                    grid.nx / 2,
+                    (grid.ny - y) % grid.ny,
+                    (grid.nz - z) % grid.nz,
+                );
+                assert_eq!(neg[g], m, "Si_{atoms}: x Nyquist plane, ({y}, {z})");
+            }
+            let hermitian = |f: &[f64], what: &str| {
+                let mut x: Vec<Complex64> = f.iter().map(|&v| Complex64::from_real(v)).collect();
+                h.plan.forward(&mut x);
+                let scale = vecops::norm(&x);
+                for (g, &m) in neg.iter().enumerate() {
+                    let d = (x[m] - x[g].conj()).abs();
+                    assert!(d <= 1e-12 * scale, "Si_{atoms}, {what}, bin {g}: {d:e}");
+                }
+            };
+            hermitian(&h.vloc, "V_loc");
+            // Each channel over every atom, atoms weighted apart so that no
+            // two spheres can cancel.
+            for p in 0..crate::pseudo::N_PROJ {
+                let mut beta = vec![0.0; grid.len()];
+                for (a, sphere) in h.pseudos.spheres.iter().enumerate() {
+                    for (&idx, row) in sphere.iter().zip(&h.pseudos.table) {
+                        beta[idx as usize] += (1 + a) as f64 * row[p];
+                    }
+                }
+                hermitian(&beta, &format!("projector {p}"));
+            }
         }
     }
 
