@@ -42,7 +42,6 @@ pub fn system_g2(system: &SiliconSystem) -> Vec<f64> {
 /// The bin of `−G` for every bin `G` of a grid, in FFT frequency order:
 /// `(n − i) mod n` along each axis. On an even axis the Nyquist plane
 /// `i = n/2` maps onto itself, as does the plane `i = 0`.
-#[cfg(test)]
 pub(crate) fn minus_g_bins(grid: GridDims) -> Vec<usize> {
     let neg = |i: usize, n: usize| (n - i) % n;
     let mut out = Vec::with_capacity(grid.len());

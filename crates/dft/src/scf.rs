@@ -19,54 +19,76 @@
 //! is an inverse 3-D FFT, the real-space potential step, a forward 3-D
 //! FFT and a diagonal kinetic term — the kernels the paper characterizes.
 //!
+//! The solve runs at Γ, where `H` is real: `V_loc` and the projectors are
+//! real grid functions and `|G|²` is even in `G`. So every band is kept
+//! real in real space, i.e. its coefficients satisfy `c(−G) = c(G)*`, as
+//! in the `gamma_only` path of plane-wave codes:
+//!
+//! - The start vectors are real: the unit vector at `G = 0`, then the cos
+//!   and sin combinations of each ±G pair by ascending `|G|²`, and the cos
+//!   half of the first pair the band count cuts.
+//! - Inner products of such vectors are real, so the Gram–Schmidt
+//!   projections, `H_sub` (real symmetric, solved by `syevd`) and the Ritz
+//!   rotations all use real coefficients, which keep `c(−G) = c(G)*` exact.
+//! - Every application of `H` packs two real bands into one complex grid,
+//!   `ψ_a + iψ_b`: one inverse FFT, one pass of the real potential (the
+//!   projections onto the real `β` carry both bands at once), one forward
+//!   FFT, and `X(G) ± X(−G)*` splits the image into `Hψ_a` and `Hψ_b`.
+//!   An odd last band rides alone.
+//!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to
-//! vectors that are new: the initial plane waves (unit vectors `e_g` in
-//! `G`), then each iteration's surviving residual directions, all of an
-//! iteration's directions as one block (one batched inverse FFT, one pass
-//! of the potential over the block, one batched forward FFT). It keeps
-//! `Hψ` beside every trial vector and rotates it with the same Ritz
-//! coefficients and normalization as `ψ`, as LOBPCG/Davidson codes do;
-//! residuals and band energies come from those carried pairs. The
-//! orbitals return to real space once, at the end, in one batch.
+//! vectors that are new: the start vectors, then each iteration's
+//! surviving residual directions, all of an iteration's directions as one
+//! block (one batched inverse FFT, one pass of the potential over the
+//! block, one batched forward FFT). It keeps `Hψ` beside every trial
+//! vector and rotates it with the same Ritz coefficients and normalization
+//! as `ψ`, as LOBPCG/Davidson codes do; residuals and band energies come
+//! from those carried pairs. The orbitals return to real space once, at
+//! the end, in one batch, two to a grid.
 //!
 //! The solver also skips work whose result it already knows:
 //!
-//! - `F⁻¹e_g` is a plane wave, a product of one phase table per axis, so
-//!   the start vectors' H-images need only the forward FFT.
-//! - While `ψ` is still the unit start, `⟨e_g|x⟩` is the element `x[g]`:
-//!   the Rayleigh quotients, the projection of the new directions `W` onto
-//!   `ψ`, the `ψ` rows of `H_sub` and the `ψ` part of the Ritz rotation
-//!   are element reads and writes at the start bins.
-//! - After a Ritz rotation, `ψ†Hψ` is `diag(ε)` up to rounding, with `ε`
+//! - A start vector is a plane wave or the real or imaginary part of one
+//!   (times `√2`), a product of one phase table per axis, so the start
+//!   vectors' H-images need only the forward FFT.
+//! - While `ψ` is still the start, the product of a start vector with a
+//!   vector `x` reads the element `x[g]` of its bin: the Rayleigh
+//!   quotients, the projection of the new directions `W` onto `ψ`, the `ψ`
+//!   rows of `H_sub` and the `ψ` part of the Ritz rotation are element
+//!   reads and writes at the start bins.
+//! - After a Ritz rotation, `ψᵀHψ` is `diag(ε)` up to rounding, with `ε`
 //!   the Rayleigh quotients the residual step computes anyway.
-//! - `H_sub` is Hermitian: `W†Hψ` is computed once and its adjoint fills
-//!   `ψ†HW`, and `W†HW` needs one triangle.
+//! - `H_sub` is symmetric: `WᵀHψ` is computed once and fills `ψᵀHW` too,
+//!   and `WᵀHW` needs one triangle.
 //! - The last update (at the iteration cap) rotates `ψ` only: its energies
 //!   are the Ritz values, and no later step reads `Hψ`.
 //!
 //! Convergence is checked before the trial space is expanded: when every
 //! residual is below tolerance the solve returns `ψ` as is, with the
 //! residuals of the returned orbitals. Per solve of `nb` bands over `k`
-//! updates, `H` is applied `nb·(k + 1)` times, and the solve runs
-//! `nb·(2k + 2)` 3-D FFTs: one forward FFT per start vector, two per later
-//! application, and one inverse FFT per band at the end. The
-//! preconditioner costs none.
+//! updates that keep every new direction, with `p = ⌈nb/2⌉` packed grids
+//! per block, the potential is applied to `p·(k + 1)` grids and the solve
+//! runs `p·(2k + 2)` 3-D FFTs: one forward FFT per packed start pair, two
+//! per later packed pair, and one inverse FFT per pair of bands at the
+//! end. The preconditioner costs none.
 
-use crate::basis::{local_potential, lowest_g_indices, system_g2, HBAR2_OVER_2M};
+use crate::basis::{local_potential, lowest_g_indices, minus_g_bins, system_g2, HBAR2_OVER_2M};
 use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
-use ndft_numerics::{heevd, vecops, CMat, Complex64, EigError, Fft3Plan};
+use ndft_numerics::{syevd, vecops, CMat, Complex64, EigError, Fft3Plan, Mat};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::f64::consts::TAU;
+use std::cmp::Ordering;
+use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2, TAU};
 
 /// Converged (or best-effort) ground state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroundState {
     /// Band energies in eV, ascending.
     pub energies_ev: Vec<f64>,
-    /// Orbitals, one per row, unit grid 2-norm.
+    /// Orbitals, one per row, unit grid 2-norm. They are real (every
+    /// imaginary part is zero): the solve runs at Γ, where `H` is real.
     pub orbitals: CMat,
     /// Residual 2-norms `‖Hψ − εψ‖` per band. They belong to the
     /// returned orbitals when the solve converged (or ran no update);
@@ -116,6 +138,8 @@ impl Default for ScfOptions {
 pub struct KsHamiltonian {
     plan: Fft3Plan,
     g2: Vec<f64>,
+    /// The bin of `−G` for every bin `G`.
+    neg: Vec<usize>,
     vloc: Vec<f64>,
     pseudos: Pseudopotential,
     dv: f64,
@@ -130,6 +154,7 @@ impl KsHamiltonian {
         KsHamiltonian {
             plan: Fft3Plan::new(grid),
             g2: system_g2(system),
+            neg: minus_g_bins(grid),
             vloc: local_potential(system, opts.potential_depth_ev, opts.potential_sigma),
             pseudos: build_pseudos(system, 1.8),
             dv: system.volume() / nr as f64,
@@ -171,17 +196,25 @@ impl KsHamiltonian {
         vecops::dot(psi, &h).re
     }
 
-    /// `out = H·c` for every row of the plane-wave coefficient block `c`:
-    /// one batched inverse FFT to real space, the potential step over the
-    /// whole block, one batched forward FFT back, and the diagonal
-    /// kinetic term. `phi` (the shape of `c`) is clobbered. The forward
-    /// transform is unnormalized and the inverse carries `1/N`, so this is
-    /// `H` in the unitary basis `c = Fψ/√N` without any further scaling.
+    /// `out = H·c` for every row of the plane-wave coefficient block `c`,
+    /// each row a real band (`c(−G) = c(G)*`): the rows are packed two to a
+    /// grid into `phi` (at least `⌈rows/2⌉` grids, clobbered), taken to
+    /// real space by one batched inverse FFT, through the potential step
+    /// and back by one batched forward FFT, split, and given the diagonal
+    /// kinetic term. The forward transform is unnormalized and the inverse
+    /// carries `1/N`, so this is `H` in the unitary basis `c = Fψ/√N`
+    /// without any further scaling.
     fn apply_block(&self, c: &[Complex64], phi: &mut [Complex64], out: &mut [Complex64]) {
-        phi.copy_from_slice(c);
+        let nr = self.nr;
+        let phi = &mut phi[..(c.len() / nr).div_ceil(2) * nr];
+        for (grid, pair) in phi.chunks_exact_mut(nr).zip(c.chunks(2 * nr)) {
+            let (a, b) = pair.split_at(nr);
+            pack(grid, a, (!b.is_empty()).then_some(b));
+        }
         self.fft(phi, true);
-        self.potential_image(phi, out);
-        for (o_row, c_row) in out.chunks_exact_mut(self.nr).zip(c.chunks_exact(self.nr)) {
+        self.potential_image(phi, &mut out[..phi.len()]);
+        self.split_images(out);
+        for (o_row, c_row) in out.chunks_exact_mut(nr).zip(c.chunks_exact(nr)) {
             for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(&self.g2) {
                 *o += z.scale(HBAR2_OVER_2M * g2);
             }
@@ -196,41 +229,101 @@ impl KsHamiltonian {
         self.fft(out, false);
     }
 
-    /// `out` row `b` = `H·e_g` for the unit coefficient vector at bin
-    /// `g = bins[b]`. `F⁻¹e_g` is a plane wave, the product of one phase
-    /// table per axis, so it is written into `phi` directly and only the
-    /// forward FFT runs; the kinetic term lands on bin `g` alone.
-    fn unit_images(&self, bins: &[usize], phi: &mut [Complex64], out: &mut [Complex64]) {
-        let dims = self.plan.dims();
-        for (row, &g) in phi.chunks_exact_mut(self.nr).zip(bins) {
-            let (gx, gy, gz) = (
-                g % dims.nx,
-                (g / dims.nx) % dims.ny,
-                g / (dims.nx * dims.ny),
-            );
-            let phases = |k: usize, n: usize| -> Vec<Complex64> {
-                (0..n)
-                    .map(|i| Complex64::cis(TAU * ((k * i) % n) as f64 / n as f64))
-                    .collect()
-            };
-            let (tx, ty, tz) = (
-                phases(gx, dims.nx),
-                phases(gy, dims.ny),
-                phases(gz, dims.nz),
-            );
-            let inv_n = 1.0 / self.nr as f64;
-            let lines = tz
-                .iter()
-                .flat_map(|&z| ty.iter().map(move |&y| (z * y).scale(inv_n)));
-            for (line, zy) in row.chunks_exact_mut(dims.nx).zip(lines) {
-                for (v, &x) in line.iter_mut().zip(&tx) {
-                    *v = zy * x;
+    /// Splits the packed images in the first `⌈rows/2⌉` grids of `block`
+    /// into one image per row. Grid `k` holds `X = A + iB`, with `A` and `B`
+    /// the transforms of real functions, and `A(G) = (X(G) + X(−G)*)/2` and
+    /// `B(G) = (X(G) − X(−G)*)/2i` land in rows `2k` and `2k + 1` (an odd
+    /// last row keeps `A` alone). Both satisfy `c(−G) = c(G)*` exactly.
+    fn split_images(&self, block: &mut [Complex64]) {
+        let nr = self.nr;
+        let rows = block.len() / nr;
+        for k in (0..rows.div_ceil(2)).rev() {
+            if k > 0 {
+                block.copy_within(k * nr..(k + 1) * nr, 2 * k * nr);
+            }
+            let (a, rest) = block[2 * k * nr..].split_at_mut(nr);
+            let mut b = rest.get_mut(..nr);
+            for (g, &m) in self.neg.iter().enumerate() {
+                if m < g {
+                    continue;
+                }
+                let (x, y) = (a[g], a[m]);
+                let half = Complex64::new(0.5 * (x.re + y.re), 0.5 * (x.im - y.im));
+                a[m] = half.conj();
+                a[g] = half;
+                if let Some(b) = b.as_deref_mut() {
+                    let half = Complex64::new(0.5 * (x.im + y.im), 0.5 * (y.re - x.re));
+                    b[m] = half.conj();
+                    b[g] = half;
                 }
             }
         }
-        self.potential_image(phi, out);
-        for (row, &g) in out.chunks_exact_mut(self.nr).zip(bins) {
-            row[g] += Complex64::from_real(HBAR2_OVER_2M * self.g2[g]);
+    }
+
+    /// `out` row `b` = `H·s` for the start vector `s = starts[b]`. A start
+    /// vector's real-space form is a plane wave or its real or imaginary
+    /// part, a product of one phase table per axis, so the packed grids are
+    /// written into `phi` directly and only the forward FFT runs; the
+    /// kinetic term lands on the start bins alone. A cos and sin pair
+    /// packs to `√2` times the plane wave of its bin.
+    fn unit_images(&self, starts: &[Start], phi: &mut [Complex64], out: &mut [Complex64]) {
+        let nr = self.nr;
+        let phi = &mut phi[..starts.len().div_ceil(2) * nr];
+        for (grid, pair) in phi.chunks_exact_mut(nr).zip(starts.chunks(2)) {
+            grid.fill(Complex64::ZERO);
+            for (part, &s) in pair.iter().enumerate() {
+                self.write_start(s, grid, part == 1);
+            }
+        }
+        self.potential_image(phi, &mut out[..phi.len()]);
+        self.split_images(out);
+        for (row, s) in out.chunks_exact_mut(nr).zip(starts) {
+            s.add_to(row, HBAR2_OVER_2M * self.g2[s.bin()]);
+        }
+    }
+
+    /// Writes `F⁻¹s` for one start vector `s` into the real part of the
+    /// real-space grid `out`, or into its imaginary part with `imag`: the
+    /// real part of the plane wave `F⁻¹e_g` for a bin that is its own `−G`,
+    /// `√2` times its real or imaginary part for a cos or sin vector.
+    fn write_start(&self, s: Start, out: &mut [Complex64], imag: bool) {
+        let dims = self.plan.dims();
+        let g = s.bin();
+        let (gx, gy, gz) = (
+            g % dims.nx,
+            (g / dims.nx) % dims.ny,
+            g / (dims.nx * dims.ny),
+        );
+        let phases = |k: usize, n: usize| -> Vec<Complex64> {
+            (0..n)
+                .map(|i| Complex64::cis(TAU * ((k * i) % n) as f64 / n as f64))
+                .collect()
+        };
+        let (tx, ty, tz) = (
+            phases(gx, dims.nx),
+            phases(gy, dims.ny),
+            phases(gz, dims.nz),
+        );
+        let scale = match s {
+            Start::Unit(_) => 1.0,
+            Start::Cos(..) | Start::Sin(..) => SQRT_2,
+        } / self.nr as f64;
+        let lines = tz
+            .iter()
+            .flat_map(|&z| ty.iter().map(move |&y| (z * y).scale(scale)));
+        for (line, zy) in out.chunks_exact_mut(dims.nx).zip(lines) {
+            for (v, &x) in line.iter_mut().zip(&tx) {
+                let wave = zy * x;
+                let value = match s {
+                    Start::Sin(..) => wave.im,
+                    Start::Unit(_) | Start::Cos(..) => wave.re,
+                };
+                if imag {
+                    v.im = value;
+                } else {
+                    v.re = value;
+                }
+            }
         }
     }
 
@@ -377,8 +470,10 @@ pub fn run_scf_selfconsistent(
 
     let mut h = KsHamiltonian::new(system, opts);
     // The Hamiltonian already holds this system's plan and |G|² table;
-    // every cycle's solve and Poisson step reuses them.
-    let order = lowest_g_indices(&h.g2, opts.bands);
+    // every cycle's solve and Poisson step reuses them, and every solve
+    // the start vectors and row blocks built here.
+    let starts = start_vectors(&h, opts.bands);
+    let mut blocks = BandBlocks::new(opts.bands, nr);
     let bare_vloc = h.vloc.clone();
     let mut residuals = Vec::with_capacity(cycles);
     let mut gs = match seed {
@@ -395,7 +490,7 @@ pub fn run_scf_selfconsistent(
             );
             Cow::Borrowed(seed)
         }
-        None => Cow::Owned(solve_bands(opts, &h, &order)?),
+        None => Cow::Owned(solve_bands(opts, &h, &starts, &mut blocks)?),
     };
     // The bare ground state's density is the first input density.
     let mut rho = charge_density(&gs.orbitals, &occupations, dv);
@@ -404,7 +499,7 @@ pub fn run_scf_selfconsistent(
         for ((v, b), htr) in h.vloc.iter_mut().zip(&bare_vloc).zip(&vh) {
             *v = *b + *htr;
         }
-        gs = Cow::Owned(solve_bands(opts, &h, &order)?);
+        gs = Cow::Owned(solve_bands(opts, &h, &starts, &mut blocks)?);
         let rho_out = charge_density(&gs.orbitals, &occupations, dv);
         let norm_in: f64 = rho.iter().map(|x| x.abs()).sum::<f64>().max(1e-30);
         let diff: f64 = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum();
@@ -466,39 +561,221 @@ pub fn run_scf_in(
         h.plan.dims(),
         "the Hamiltonian must be built on the system's grid"
     );
-    solve_bands(opts, h, &lowest_g_indices(&h.g2, opts.bands))
+    let mut blocks = BandBlocks::new(opts.bands, h.nr);
+    solve_bands(opts, h, &start_vectors(h, opts.bands), &mut blocks)
 }
 
-/// The band solve behind [`run_scf_in`], started from the plane waves
-/// `order[..opts.bands]` (the lowest-`|G|²` grid bins, ascending).
+/// A real start vector of the band solve, in the unitary plane-wave
+/// basis. With `m` the bin of `−G`:
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Start {
+    /// `e_g` at a bin that is its own `−G` (`G = 0` or a Nyquist bin).
+    Unit(usize),
+    /// `(e_g + e_m)/√2`: `√2·cos(G·r)` in real space.
+    Cos(usize, usize),
+    /// `−i(e_g − e_m)/√2`: `√2·sin(G·r)` in real space.
+    Sin(usize, usize),
+}
+
+impl Start {
+    /// The bin `g` the vector is built on.
+    fn bin(self) -> usize {
+        match self {
+            Start::Unit(g) | Start::Cos(g, _) | Start::Sin(g, _) => g,
+        }
+    }
+
+    /// `⟨s|x⟩` for a vector with `x(−G) = x(G)*`: one element read.
+    fn dot(self, x: &[Complex64]) -> f64 {
+        match self {
+            Start::Unit(g) => x[g].re,
+            Start::Cos(g, _) => SQRT_2 * x[g].re,
+            Start::Sin(g, _) => -SQRT_2 * x[g].im,
+        }
+    }
+
+    /// `x ← x + a·s`.
+    fn add_to(self, x: &mut [Complex64], a: f64) {
+        match self {
+            Start::Unit(g) => x[g].re += a,
+            Start::Cos(g, m) => {
+                x[g].re += a * FRAC_1_SQRT_2;
+                x[m].re += a * FRAC_1_SQRT_2;
+            }
+            Start::Sin(g, m) => {
+                x[g].im -= a * FRAC_1_SQRT_2;
+                x[m].im += a * FRAC_1_SQRT_2;
+            }
+        }
+    }
+
+    /// `x ← x − ⟨s|x⟩·s` for a vector with `x(−G) = x(G)*`, exactly: the
+    /// part of `x` at the bins of `s` that `s` spans is zeroed.
+    fn project_out(self, x: &mut [Complex64]) {
+        match self {
+            Start::Unit(g) => x[g] = Complex64::ZERO,
+            Start::Cos(g, m) => {
+                x[g].re = 0.0;
+                x[m].re = 0.0;
+            }
+            Start::Sin(g, m) => {
+                x[g].im = 0.0;
+                x[m].im = 0.0;
+            }
+        }
+    }
+}
+
+/// The `nb` real start vectors of a band solve. Walking the bins by
+/// ascending `|G|²` (ties by bin index): the unit vector of a bin that is
+/// its own `−G`, and the cos then the sin vector of a ±G pair at its first
+/// member, so the first pair the band count cuts keeps its cos half. A
+/// pair's members tie in `|G|²`, and each bin walked yields a vector for
+/// itself or its pair, so the lowest `nb` bins are enough.
+///
+/// # Panics
+///
+/// Panics if `nb` exceeds the number of grid bins.
+fn start_vectors(h: &KsHamiltonian, nb: usize) -> Vec<Start> {
+    let mut starts = Vec::with_capacity(nb + 1);
+    for g in lowest_g_indices(&h.g2, nb) {
+        let m = h.neg[g];
+        match m.cmp(&g) {
+            Ordering::Equal => starts.push(Start::Unit(g)),
+            Ordering::Greater => starts.extend([Start::Cos(g, m), Start::Sin(g, m)]),
+            Ordering::Less => {}
+        }
+    }
+    assert!(starts.len() >= nb, "more bands than grid bins");
+    starts.truncate(nb);
+    starts
+}
+
+/// Packs two real bands into one grid, `a + i·b`, or copies a lone `a`.
+/// Works alike on coefficients (`F(a + ib) = Fa + i·Fb`) and on real-space
+/// rows.
+fn pack(grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
+    match b {
+        Some(b) => {
+            for ((z, x), y) in grid.iter_mut().zip(a).zip(b) {
+                *z = Complex64::new(x.re - y.im, x.im + y.re);
+            }
+        }
+        None => grid.copy_from_slice(a),
+    }
+}
+
+/// `⟨a|b⟩` for two vectors with `c(−G) = c(G)*`, which is real: the real
+/// part of the Hermitian product, with no imaginary part computed. Four
+/// partial sums keep the adds independent, so they vectorize.
+fn real_dot(a: &[Complex64], b: &[Complex64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    for (x, y) in a.chunks_exact(2).zip(b.chunks_exact(2)) {
+        acc[0] += x[0].re * y[0].re;
+        acc[1] += x[0].im * y[0].im;
+        acc[2] += x[1].re * y[1].re;
+        acc[3] += x[1].im * y[1].im;
+    }
+    let tail: f64 = a
+        .chunks_exact(2)
+        .remainder()
+        .iter()
+        .zip(b.chunks_exact(2).remainder())
+        .map(|(x, y)| x.re * y.re + x.im * y.im)
+        .sum();
+    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
+}
+
+/// `y ← y + α·x` for a real `α`.
+fn real_axpy(alpha: f64, x: &[Complex64], y: &mut [Complex64]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        yi.re += alpha * xi.re;
+        yi.im += alpha * xi.im;
+    }
+}
+
+/// `x_b ← Σ_j c(j, b)·x_j + Σ_j c(n + j, b)·y_j` for every row `x_b` of
+/// `x` (`n` rows of `nr`), in place, over the rows `y_j` of `y`; with
+/// `keep_x` false the old rows of `x` count as zero. The grid is swept in
+/// chunks that every source row is read through once, so a chunk of all
+/// rows stays in cache while the `n` combinations are formed.
+fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], nr: usize) {
+    const CHUNK: usize = 256;
+    let n = x.len() / nr;
+    let mut out = vec![Complex64::ZERO; n * CHUNK];
+    for start in (0..nr).step_by(CHUNK) {
+        let len = CHUNK.min(nr - start);
+        for (b, acc) in out.chunks_exact_mut(CHUNK).enumerate() {
+            let acc = &mut acc[..len];
+            acc.fill(Complex64::ZERO);
+            if keep_x {
+                for j in 0..n {
+                    real_axpy(c[(j, b)], &x[j * nr + start..][..len], acc);
+                }
+            }
+            for j in 0..y.len() / nr {
+                real_axpy(c[(n + j, b)], &y[j * nr + start..][..len], acc);
+            }
+        }
+        for (b, acc) in out.chunks_exact(CHUNK).enumerate() {
+            x[b * nr + start..][..len].copy_from_slice(&acc[..len]);
+        }
+    }
+}
+
+/// The row blocks of a band solve of `nb` bands: the bands ψ and H·ψ, the
+/// new directions W and H·W, and `⌈nb/2⌉` grids for the packed bands of
+/// every H application and of the return to real space. A
+/// self-consistent run allocates them once for all of its solves.
+struct BandBlocks {
+    psi: CMat,
+    hpsi: CMat,
+    w: CMat,
+    hw: CMat,
+    packed: Vec<Complex64>,
+}
+
+impl BandBlocks {
+    fn new(nb: usize, nr: usize) -> Self {
+        BandBlocks {
+            psi: CMat::zeros(nb, nr),
+            hpsi: CMat::zeros(nb, nr),
+            w: CMat::zeros(nb, nr),
+            hw: CMat::zeros(nb, nr),
+            packed: vec![Complex64::ZERO; nb.div_ceil(2) * nr],
+        }
+    }
+}
+
+/// The band solve behind [`run_scf_in`], started from the real vectors
+/// `starts` (one per band, from [`start_vectors`]) in the row blocks
+/// `blocks` (built for as many bands).
 ///
 /// Works on plane-wave coefficients throughout (see the module docs) and
 /// returns real-space orbitals.
 fn solve_bands(
     opts: &ScfOptions,
     h: &KsHamiltonian,
-    order: &[usize],
+    starts: &[Start],
+    blocks: &mut BandBlocks,
 ) -> Result<GroundState, EigError> {
     let nr = h.nr;
     let nb = opts.bands;
-    let bins = &order[..nb];
-    // Row blocks, allocated once per solve: the bands ψ and H·ψ, the new
-    // directions W and H·W, and the two blocks the Ritz rotation writes
-    // (the first also holds the real-space rows of every H application).
-    let mut psi = CMat::zeros(nb, nr);
-    let mut hpsi = CMat::zeros(nb, nr);
-    let mut w = CMat::zeros(nb, nr);
-    let mut hw = CMat::zeros(nb, nr);
-    let mut next = CMat::zeros(nb, nr);
-    let mut hnext = CMat::zeros(nb, nr);
+    let BandBlocks {
+        psi,
+        hpsi,
+        w,
+        hw,
+        packed,
+    } = blocks;
 
-    // Initial guess: the lowest plane waves — unit vectors e_g in G — and
-    // their H-images. Until the first rotation ⟨e_g|x⟩ is the element
-    // x[g], so every product with ψ is an element read.
-    for (b, &g) in bins.iter().enumerate() {
-        psi.row_mut(b)[g] = Complex64::ONE;
+    // Initial guess: the real start vectors and their H-images. Until the
+    // first rotation a product with ψ is an element read (`Start::dot`).
+    psi.as_mut_slice().fill(Complex64::ZERO);
+    for (b, s) in starts.iter().enumerate() {
+        s.add_to(psi.row_mut(b), 1.0);
     }
-    h.unit_images(bins, next.as_mut_slice(), hpsi.as_mut_slice());
+    h.unit_images(starts, packed, hpsi.as_mut_slice());
     let mut unit_start = true;
 
     let mut energies = vec![0.0f64; nb];
@@ -511,9 +788,9 @@ fn solve_bands(
         for b in 0..nb {
             let (p, hp) = (psi.row(b), hpsi.row(b));
             let e = if unit_start {
-                hp[bins[b]].re
+                starts[b].dot(hp)
             } else {
-                vecops::dot(p, hp).re
+                real_dot(p, hp)
             };
             let mut norm_sqr = 0.0;
             for (((d, hz), z), &g2) in w.row_mut(b).iter_mut().zip(hp).zip(p).zip(&h.g2) {
@@ -533,96 +810,82 @@ fn solve_bands(
             break;
         }
         // Trial space: ψ (already orthonormal) plus the surviving new
-        // directions. Projecting e_g out of a direction zeroes its bin g.
+        // directions. Projecting a start vector out of a direction zeroes
+        // part of its bins.
         if unit_start {
             for d in w.as_mut_slice().chunks_exact_mut(nr) {
-                for &g in bins {
-                    d[g] = Complex64::ZERO;
+                for s in starts {
+                    s.project_out(d);
                 }
             }
         }
         let basis = if unit_start { &[][..] } else { psi.as_slice() };
         let nw = orthonormalize_against(basis, w.as_mut_slice(), nr);
+        let (w_new, hw_new) = (&w.as_slice()[..nw * nr], &mut hw.as_mut_slice()[..nw * nr]);
         // H is applied to the new directions only, as one block.
-        h.apply_block(
-            &w.as_slice()[..nw * nr],
-            &mut next.as_mut_slice()[..nw * nr],
-            &mut hw.as_mut_slice()[..nw * nr],
-        );
+        h.apply_block(w_new, packed, hw_new);
         // Rayleigh–Ritz in the trial space, computing only the entries of
-        // the Hermitian H_sub that are not already known: after a Ritz
-        // rotation ψ†Hψ is diag(ε); W†Hψ gives both off-diagonal blocks;
-        // W†HW needs one triangle.
+        // the real symmetric H_sub that are not already known: after a
+        // Ritz rotation ψᵀHψ is diag(ε); WᵀHψ gives both off-diagonal
+        // blocks; WᵀHW needs one triangle.
         let m = nb + nw;
-        let mut hsub = CMat::zeros(m, m);
+        let mut hsub = Mat::zeros(m, m);
         for i in 0..nb {
             for j in 0..nb {
                 hsub[(i, j)] = if unit_start {
-                    hpsi.row(j)[bins[i]]
+                    starts[i].dot(hpsi.row(j))
                 } else if i == j {
-                    Complex64::from_real(energies[i])
+                    energies[i]
                 } else {
-                    Complex64::ZERO
+                    0.0
                 };
             }
         }
         for i in 0..nw {
+            let wi = &w_new[i * nr..(i + 1) * nr];
             for j in 0..nb {
                 let x = if unit_start {
-                    hw.row(i)[bins[j]].conj()
+                    starts[j].dot(&hw_new[i * nr..(i + 1) * nr])
                 } else {
-                    vecops::dot(w.row(i), hpsi.row(j))
+                    real_dot(wi, hpsi.row(j))
                 };
                 hsub[(nb + i, j)] = x;
-                hsub[(j, nb + i)] = x.conj();
+                hsub[(j, nb + i)] = x;
             }
             for j in i..nw {
-                let x = vecops::dot(w.row(i), hw.row(j));
-                hsub[(nb + j, nb + i)] = x.conj();
+                let x = real_dot(wi, &hw_new[j * nr..(j + 1) * nr]);
+                hsub[(nb + j, nb + i)] = x;
                 hsub[(nb + i, nb + j)] = x;
             }
         }
-        let eig = heevd(&hsub)?;
+        let eig = syevd(&hsub)?;
         iterations += 1;
-        // Rotate the lowest nb Ritz vectors, and their H-images with the
-        // same coefficients and normalization. The last update needs no
-        // H-images: its energies are the Ritz values.
+        // Rotate ψ onto the lowest nb Ritz vectors in place, and H·ψ with
+        // the same coefficients and normalization. A start ψ is sparse and
+        // joins by element writes. The last update needs no H-images: its
+        // energies are the Ritz values.
         let last = iterations == opts.max_iterations;
+        rotate_rows(&eig.vectors, psi.as_mut_slice(), !unit_start, w_new, nr);
+        if unit_start {
+            for b in 0..nb {
+                for (j, s) in starts.iter().enumerate() {
+                    s.add_to(psi.row_mut(b), eig.vectors[(j, b)]);
+                }
+            }
+        }
+        if !last {
+            rotate_rows(&eig.vectors, hpsi.as_mut_slice(), true, hw_new, nr);
+        }
         for b in 0..nb {
-            let c = |j: usize| eig.vectors[(j, b)];
-            let v = next.row_mut(b);
-            v.fill(Complex64::ZERO);
-            if unit_start {
-                for (j, &g) in bins.iter().enumerate() {
-                    v[g] = c(j);
-                }
-            } else {
-                for j in 0..nb {
-                    vecops::axpy(c(j), psi.row(j), v);
-                }
-            }
-            for j in 0..nw {
-                vecops::axpy(c(nb + j), w.row(j), v);
-            }
             // A unit coefficient vector over an orthonormal basis: the
             // norm is ≈ 1, never 0.
-            let inv = 1.0 / vecops::normalize(v);
+            let inv = 1.0 / vecops::normalize(psi.row_mut(b));
             if !last {
-                let hv = hnext.row_mut(b);
-                hv.fill(Complex64::ZERO);
-                for j in 0..nb {
-                    vecops::axpy(c(j), hpsi.row(j), hv);
-                }
-                for j in 0..nw {
-                    vecops::axpy(c(nb + j), hw.row(j), hv);
-                }
-                for z in hv.iter_mut() {
+                for z in hpsi.row_mut(b) {
                     *z = z.scale(inv);
                 }
             }
         }
-        std::mem::swap(&mut psi, &mut next);
-        std::mem::swap(&mut hpsi, &mut hnext);
         unit_start = false;
         if last {
             energies.copy_from_slice(&eig.values[..nb]);
@@ -637,16 +900,26 @@ fn solve_bands(
             .partial_cmp(&energies[b])
             .expect("finite energies")
     });
-    // Back to real space in one batch: ψ = √N · F⁻¹c keeps the unit grid
-    // norm.
-    let mut orbitals = w;
-    for (k, &i) in idx.iter().enumerate() {
-        orbitals.row_mut(k).copy_from_slice(psi.row(i));
+    // Back to real space in one batch, two bands to a grid: grid k holds
+    // bands 2k and 2k + 1 as its real and imaginary parts, and
+    // ψ = √N · F⁻¹c keeps the unit grid norm.
+    for (grid, pair) in packed.chunks_exact_mut(nr).zip(idx.chunks(2)) {
+        pack(grid, psi.row(pair[0]), pair.get(1).map(|&j| psi.row(j)));
     }
-    h.fft(orbitals.as_mut_slice(), true);
+    h.fft(packed, true);
     let sqrt_n = (nr as f64).sqrt();
-    for z in orbitals.as_mut_slice() {
-        *z = z.scale(sqrt_n);
+    let mut orbitals = CMat::zeros(nb, nr);
+    for (grid, rows) in packed
+        .chunks_exact(nr)
+        .zip(orbitals.as_mut_slice().chunks_mut(2 * nr))
+    {
+        let (a, b) = rows.split_at_mut(nr);
+        for (i, z) in grid.iter().enumerate() {
+            a[i] = Complex64::from_real(sqrt_n * z.re);
+            if let Some(y) = b.get_mut(i) {
+                *y = Complex64::from_real(sqrt_n * z.im);
+            }
+        }
     }
     Ok(GroundState {
         energies_ev: idx.iter().map(|&i| energies[i]).collect(),
@@ -658,7 +931,8 @@ fn solve_bands(
 
 /// Orthonormalizes the rows of `dirs` (each `len` long) against the
 /// orthonormal rows of `basis` and against each other by modified
-/// Gram–Schmidt, in place. A direction whose remainder falls below
+/// Gram–Schmidt, in place. Every row is a real band (`c(−G) = c(G)*`), so
+/// the projections are real. A direction whose remainder falls below
 /// `1e-12` (the cut of [`vecops::mgs_orthonormalize`]) is dropped; the
 /// survivors are packed to the front in their original order, and their
 /// count is returned.
@@ -678,10 +952,7 @@ fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usiz
         let d = &mut rest[..len];
         for _pass in 0..2 {
             for q in basis.chunks_exact(len).chain(done.chunks_exact(len)) {
-                let proj = vecops::dot(q, d);
-                for (a, b) in d.iter_mut().zip(q) {
-                    *a -= *b * proj;
-                }
+                real_axpy(-real_dot(q, d), q, d);
             }
         }
         if vecops::normalize(d) > 1e-12 {
@@ -775,10 +1046,11 @@ mod tests {
     fn rotated_h_psi_matches_recomputed() {
         // The solver never re-applies H to a Ritz vector: its energies
         // come from H·ψ rotated alongside ψ. They must match a fresh
-        // application, and H must run once per new vector only: per
-        // update, an inverse and a forward FFT of each new direction; at
-        // the start, one forward FFT per plane wave; at the end, one
-        // inverse FFT per band.
+        // application, and H must run once per new vector only, two real
+        // vectors to a grid: per update, an inverse and a forward FFT of
+        // each pair of new directions; at the start, one forward FFT per
+        // pair of start vectors; at the end, one inverse FFT per pair of
+        // bands. An odd count leaves one vector alone in its grid.
         for atoms in [8, 16, 24] {
             let sys = SiliconSystem::new(atoms).unwrap();
             for bands in [2, 3, 4] {
@@ -790,9 +1062,9 @@ mod tests {
                     let applies = APPLY_CALLS.with(Cell::get) - applies;
                     let ffts = FFT_CALLS.with(Cell::get) - ffts;
                     let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
-                    let k = gs.iterations;
-                    assert_eq!(applies, bands * (k + 1), "{case}");
-                    assert_eq!(ffts, bands * (2 * k + 2), "{case}");
+                    let (k, grids) = (gs.iterations, bands.div_ceil(2));
+                    assert_eq!(applies, grids * (k + 1), "{case}");
+                    assert_eq!(ffts, grids * (2 * k + 2), "{case}");
                     for (b, &e) in gs.energies_ev.iter().enumerate() {
                         let fresh = h.expectation(gs.orbitals.row(b));
                         assert!(
@@ -848,15 +1120,16 @@ mod tests {
     fn converged_solve_returns_without_expanding() {
         // Si_8 with 4 bands meets the tolerance after 6 updates: the
         // solve stops there, with no H applications beyond the ones that
-        // produced those orbitals, and reports their own residuals.
+        // produced those orbitals, and reports their own residuals. Its 4
+        // bands fill 2 grids per application.
         let sys = SiliconSystem::new(8).unwrap();
         let opts = small_opts(4, 12);
         let h = KsHamiltonian::new(&sys, &opts);
         let (applies, ffts) = (APPLY_CALLS.with(Cell::get), FFT_CALLS.with(Cell::get));
         let gs = run_scf_in(&sys, &opts, &h).unwrap();
         assert_eq!(gs.iterations, 6);
-        assert_eq!(APPLY_CALLS.with(Cell::get) - applies, 4 * 7);
-        assert_eq!(FFT_CALLS.with(Cell::get) - ffts, 4 * 14);
+        assert_eq!(APPLY_CALLS.with(Cell::get) - applies, 2 * 7);
+        assert_eq!(FFT_CALLS.with(Cell::get) - ffts, 2 * 14);
         assert!(gs.max_residual() < opts.residual_tolerance);
         for (b, (&e, &res)) in gs.energies_ev.iter().zip(&gs.residuals).enumerate() {
             let psi = gs.orbitals.row(b);
@@ -976,79 +1249,168 @@ mod tests {
 
     #[test]
     fn plane_wave_apply_matches_real_space_apply() {
-        // apply_block(c) ≡ F·apply(F⁻¹c) on seeded random coefficients.
+        // apply_block(c) ≡ F·apply(F⁻¹c) on seeded random real bands, a
+        // packed pair and a lone third.
         for (atoms, seed) in [(8, 0xc0ef_0008u64), (16, 0xc0ef_0016), (24, 0xc0ef_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let c = random_unit(h.len(), seed);
-            let mut phi = vec![Complex64::ZERO; h.len()];
-            let mut fast = vec![Complex64::ZERO; h.len()];
-            h.apply_block(&c, &mut phi, &mut fast);
-            let mut psi = c.clone();
-            h.plan.inverse(&mut psi);
-            let mut slow = h.apply(&psi);
-            h.plan.forward(&mut slow);
-            let diff: Vec<Complex64> = fast.iter().zip(&slow).map(|(a, b)| *a - *b).collect();
-            let rel = vecops::norm(&diff) / vecops::norm(&slow);
-            assert!(rel <= 1e-12, "Si_{atoms}: relative difference {rel:e}");
-        }
-    }
-
-    #[test]
-    fn unit_images_match_applied_unit_vectors() {
-        // The plane-wave start never transforms e_g: its real-space form
-        // comes from three per-axis phase tables. The bins cover the
-        // lowest shells and negative frequencies on every axis.
-        for atoms in [8, 16, 24] {
-            let sys = SiliconSystem::new(atoms).unwrap();
-            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
             let nr = h.len();
-            let mut bins = lowest_g_indices(&h.g2, 6);
-            bins.push(nr - 1);
-            bins.push(nr / 2 + 3);
-            let mut phi = vec![Complex64::ZERO; bins.len() * nr];
-            let mut images = vec![Complex64::ZERO; bins.len() * nr];
-            h.unit_images(&bins, &mut phi, &mut images);
-            for (image, &g) in images.chunks_exact(nr).zip(&bins) {
-                let mut e = vec![Complex64::ZERO; nr];
-                e[g] = Complex64::ONE;
-                let mut applied = vec![Complex64::ZERO; nr];
-                h.apply_block(&e, &mut phi[..nr], &mut applied);
-                let diff: Vec<Complex64> =
-                    image.iter().zip(&applied).map(|(a, b)| *a - *b).collect();
-                let rel = vecops::norm(&diff) / vecops::norm(&applied);
+            let c = random_real_bands(&h, 3, seed);
+            let mut phi = vec![Complex64::ZERO; 2 * nr];
+            let mut fast = vec![Complex64::ZERO; 3 * nr];
+            h.apply_block(&c, &mut phi, &mut fast);
+            for (r, (row, got)) in c.chunks_exact(nr).zip(fast.chunks_exact(nr)).enumerate() {
+                let mut psi = row.to_vec();
+                h.plan.inverse(&mut psi);
+                let mut slow = h.apply(&psi);
+                h.plan.forward(&mut slow);
+                let diff: Vec<Complex64> = got.iter().zip(&slow).map(|(a, b)| *a - *b).collect();
+                let rel = vecops::norm(&diff) / vecops::norm(&slow);
                 assert!(
                     rel <= 1e-12,
-                    "Si_{atoms}, bin {g}: relative difference {rel:e}"
+                    "Si_{atoms}, row {r}: relative difference {rel:e}"
                 );
             }
         }
     }
 
     #[test]
-    fn block_apply_matches_per_row_apply_bitwise() {
+    fn unit_images_match_applied_unit_vectors() {
+        // The start never transforms its vectors: their real-space forms
+        // come from three per-axis phase tables. The bins cover the lowest
+        // shells, a Nyquist bin, negative frequencies on every axis, and
+        // both packings: a cos and sin pair of one bin, and vectors of two
+        // bins sharing a grid.
+        for atoms in [8, 16, 24] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
+            let grid = sys.grid();
+            let nr = h.len();
+            let mut starts = start_vectors(&h, 7);
+            let nyquist = grid.index(grid.nx / 2, 0, 0);
+            assert_eq!(h.neg[nyquist], nyquist);
+            starts.push(Start::Unit(nyquist));
+            for g in [nr - 1, nr / 2 + 3] {
+                let m = h.neg[g];
+                starts.extend([
+                    Start::Sin(g.min(m), g.max(m)),
+                    Start::Cos(g.min(m), g.max(m)),
+                ]);
+            }
+            let mut phi = vec![Complex64::ZERO; starts.len().div_ceil(2) * nr];
+            let mut images = vec![Complex64::ZERO; starts.len() * nr];
+            h.unit_images(&starts, &mut phi, &mut images);
+            let mut dense = vec![Complex64::ZERO; starts.len() * nr];
+            for (row, s) in dense.chunks_exact_mut(nr).zip(&starts) {
+                s.add_to(row, 1.0);
+            }
+            let mut applied = vec![Complex64::ZERO; starts.len() * nr];
+            h.apply_block(&dense, &mut phi, &mut applied);
+            for ((image, expect), s) in images
+                .chunks_exact(nr)
+                .zip(applied.chunks_exact(nr))
+                .zip(&starts)
+            {
+                let diff: Vec<Complex64> = image.iter().zip(expect).map(|(a, b)| *a - *b).collect();
+                let rel = vecops::norm(&diff) / vecops::norm(expect);
+                assert!(
+                    rel <= 1e-12,
+                    "Si_{atoms}, {s:?}: relative difference {rel:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_apply_matches_per_pair_apply_bitwise() {
+        // A block is its pairs side by side: each pair of rows (and an odd
+        // last row) gets exactly the arithmetic it gets as a block of its
+        // own.
         for (atoms, seed) in [(8, 0xb10c_0008u64), (16, 0xb10c_0016), (24, 0xb10c_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
             let nr = h.len();
-            for k in 1..=4 {
-                let c: Vec<Complex64> = (0..k)
-                    .flat_map(|r| random_unit(nr, seed + r as u64))
-                    .collect();
-                let mut phi = vec![Complex64::ZERO; k * nr];
+            for k in 1..=5 {
+                let c = random_real_bands(&h, k, seed + k as u64);
+                let mut phi = vec![Complex64::ZERO; k.div_ceil(2) * nr];
                 let mut block = vec![Complex64::ZERO; k * nr];
                 h.apply_block(&c, &mut phi, &mut block);
-                for (r, (row, got)) in c.chunks_exact(nr).zip(block.chunks_exact(nr)).enumerate() {
-                    let mut expect = vec![Complex64::ZERO; nr];
-                    h.apply_block(row, &mut phi[..nr], &mut expect);
+                for (p, (pair, got)) in c.chunks(2 * nr).zip(block.chunks(2 * nr)).enumerate() {
+                    let mut expect = vec![Complex64::ZERO; pair.len()];
+                    h.apply_block(pair, &mut phi, &mut expect);
                     assert!(
                         got.iter()
                             .zip(&expect)
                             .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
                                 && a.im.to_bits() == b.im.to_bits()),
-                        "Si_{atoms}, block of {k}, row {r}"
+                        "Si_{atoms}, block of {k}, pair {p}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `(atoms, bands, cap)` of the `scf_sweep` shapes and a few seeded
+    /// random ones: the returned orbitals are real, so their coefficients
+    /// satisfy c(−G) = c(G)*, and orthonormal.
+    #[test]
+    fn returned_orbitals_are_real_and_orthonormal() {
+        let mut s = 0x7ea1_0b17_u64;
+        let mut draw = |n: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n) as usize
+        };
+        let mut cases: Vec<(usize, usize, usize)> = [8, 16, 24]
+            .into_iter()
+            .flat_map(|atoms| (2..=4).map(move |bands| (atoms, bands, 2)))
+            .collect();
+        for _ in 0..6 {
+            cases.push(([8, 16, 24][draw(3)], 1 + draw(9), draw(9)));
+        }
+        for (atoms, bands, cap) in cases {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let h = KsHamiltonian::new(&sys, &small_opts(bands, cap));
+            let gs = run_scf_in(&sys, &small_opts(bands, cap), &h).unwrap();
+            let sc = run_scf_selfconsistent(&sys, &small_opts(bands, cap), bands, 1, 0.5, None)
+                .unwrap()
+                .ground_state;
+            let case = format!("Si_{atoms}, {bands} bands, cap {cap}");
+            for orbitals in [&gs.orbitals, &sc.orbitals] {
+                assert_eq!(orbitals.rows(), bands, "{case}");
+                assert_orbitals_real_and_orthonormal(&h, orbitals, &case);
+            }
+        }
+    }
+
+    fn assert_orbitals_real_and_orthonormal(h: &KsHamiltonian, orbitals: &CMat, case: &str) {
+        let nb = orbitals.rows();
+        for b in 0..nb {
+            let psi = orbitals.row(b);
+            let norm = vecops::norm(psi);
+            let imag = psi.iter().map(|z| z.im * z.im).sum::<f64>().sqrt();
+            assert!(
+                imag <= 1e-12 * norm,
+                "{case}, band {b}: imaginary part {imag:e}"
+            );
+            let mut c = psi.to_vec();
+            h.plan.forward(&mut c);
+            let scale = 1.0 / (h.len() as f64).sqrt();
+            let worst = h
+                .neg
+                .iter()
+                .enumerate()
+                .map(|(g, &m)| (c[m] - c[g].conj()).abs() * scale)
+                .fold(0.0f64, f64::max);
+            assert!(
+                worst <= 1e-12,
+                "{case}, band {b}: |c(−G) − c(G)*| = {worst:e}"
+            );
+            for j in 0..nb {
+                let d = vecops::dot(orbitals.row(j), psi);
+                let expect = Complex64::from_real(if j == b { 1.0 } else { 0.0 });
+                assert!((d - expect).abs() <= 1e-10, "{case}, ⟨{j}|{b}⟩ = {d:?}");
             }
         }
     }
@@ -1289,6 +1651,23 @@ mod tests {
         let mut v: Vec<Complex64> = (0..len).map(|_| Complex64::new(next(), next())).collect();
         vecops::normalize(&mut v);
         v
+    }
+
+    /// `rows` seeded random real bands in the unitary plane-wave basis:
+    /// random real grids, transformed and scaled by `1/√N`.
+    fn random_real_bands(h: &KsHamiltonian, rows: usize, seed: u64) -> Vec<Complex64> {
+        let nr = h.len();
+        let mut out = Vec::with_capacity(rows * nr);
+        for r in 0..rows {
+            let mut row: Vec<Complex64> = random_unit(nr, seed + r as u64)
+                .into_iter()
+                .map(|z| Complex64::from_real(z.re))
+                .collect();
+            h.plan.forward(&mut row);
+            vecops::normalize(&mut row);
+            out.extend(row);
+        }
+        out
     }
 
     #[test]
