@@ -1216,16 +1216,19 @@ mod tests {
 
     /// `(atoms, bands, energies, density_residuals)` of the perfbench
     /// `scf_sweep` self-consistent shapes (2 iterations, every band
-    /// occupied, 2 cycles at α = 0.5), recorded from the solver that
-    /// applied H to every unit start vector and filled `H_sub` with full
-    /// grid dot products.
+    /// occupied, 2 cycles at α = 0.5). The rows with 3 bands, whose start
+    /// fills whole ±G pairs, were recorded from the complex solver that
+    /// started from plane waves and hold on the real one to 1e-14. The
+    /// rows with 2 bands occupy the cos half of the first ±G pair, a
+    /// standing wave where the complex solver occupied a travelling one,
+    /// and were recorded from the real solver.
     #[rustfmt::skip]
     const SELF_CONSISTENT_PIN: [(usize, usize, &[f64], &[f64]); 5] = [
-        (8, 2, &[-2.5516253217208615, 2.790578189263899], &[0.0340404391952761, 0.013844173364887554]),
+        (8, 2, &[-2.5575814987373424, 3.0080046531808797], &[0.05127939805143593, 0.018598521917288984]),
         (8, 3, &[-2.537436747678707, 2.8164649129996904, 2.8164649129996913], &[0.060467710373029865, 0.020960649371869814]),
-        (16, 2, &[-2.5692602089425747, -1.210431538446786], &[0.010819242422016614, 0.005005478908469113]),
+        (16, 2, &[-2.6130442035557264, -0.8796309484375833], &[0.12717139583557052, 0.03876569726399893]),
         (16, 3, &[-2.5627030803800683, -1.2029274796761755, -1.202927479676143], &[0.016903868410140667, 0.007485444150299357]),
-        (24, 2, &[-2.5739866114958643, -1.9679863035107599], &[0.006719826383875547, 0.0031980768282900357]),
+        (24, 2, &[-2.6346606046577543, -1.7110588876100046], &[0.36756103095583725, 0.012942152301654285]),
     ];
 
     #[test]
