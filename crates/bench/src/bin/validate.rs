@@ -3,7 +3,7 @@
 //! `cargo test` with a single human-readable report.
 
 use ndft_dft::{model_oscillator_spectrum, run_lr_tddft, run_scf, ScfOptions, SiliconSystem};
-use ndft_numerics::{dft_naive, gemm_f64, gemm_f64_naive, syevd, Complex64, FftPlan, Mat};
+use ndft_numerics::{dft_naive, gemm_f64, gemm_f64_naive, syevd, vecops, Complex64, FftPlan, Mat};
 
 struct Check {
     name: &'static str,
@@ -135,11 +135,34 @@ fn main() {
         )
         .expect("SCF runs");
         let ascending = gs.energies_ev.windows(2).all(|w| w[0] <= w[1] + 1e-9);
+        // At Γ the orbitals are real: the imaginary part of each, relative
+        // to its norm, and the largest deviation of the Gram matrix from
+        // the identity.
+        let nb = gs.orbitals.rows();
+        let imaginary = (0..nb)
+            .map(|b| {
+                let psi = gs.orbitals.row(b);
+                let im = psi.iter().map(|z| z.im * z.im).sum::<f64>().sqrt();
+                im / vecops::norm(psi)
+            })
+            .fold(0.0f64, f64::max);
+        let mut gram = 0.0f64;
+        for i in 0..nb {
+            for j in 0..nb {
+                let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                let identity = Complex64::from_real(if i == j { 1.0 } else { 0.0 });
+                gram = gram.max((d - identity).abs());
+            }
+        }
         checks.push(Check {
             name: "SCF Si_16 ground state",
-            pass: ascending && gs.energies_ev[0] < 0.0 && gs.max_residual().is_finite(),
+            pass: ascending
+                && gs.energies_ev[0] < 0.0
+                && gs.max_residual().is_finite()
+                && imaginary <= 1e-12
+                && gram <= 1e-10,
             detail: format!(
-                "E₀ = {:.3} eV, max residual {:.2e}",
+                "E₀ = {:.3} eV, max residual {:.2e}, ‖Im ψ‖/‖ψ‖ {imaginary:.1e}, Gram error {gram:.1e}",
                 gs.energies_ev[0],
                 gs.max_residual()
             ),
