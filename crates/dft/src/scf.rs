@@ -561,8 +561,8 @@ pub fn run_scf_in(
         h.plan.dims(),
         "the Hamiltonian must be built on the system's grid"
     );
-    let mut blocks = BandBlocks::new(opts.bands, h.nr);
-    solve_bands(opts, h, &start_vectors(h, opts.bands), &mut blocks)
+    let starts = start_vectors(h, opts.bands);
+    solve_bands(opts, h, &starts, &mut BandBlocks::new(opts.bands, h.nr))
 }
 
 /// A real start vector of the band solve, in the unitary plane-wave
@@ -953,8 +953,8 @@ fn solve_bands(
 /// Every direction is projected twice ("twice is enough", Giraud et al.
 /// 2005). One pass leaves a remainder about as far from orthogonal as the
 /// rounding of what it cancelled, and on a long solve the new directions
-/// lie nearly inside the span of `ψ`: with one pass the trial basis skews
-/// over the updates until the Ritz values fall below the spectrum.
+/// lie nearly inside the span of `ψ`. A trial basis that skews over the
+/// updates lets the Ritz values fall below the spectrum.
 fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usize) -> usize {
     let mut kept = 0;
     for b in 0..dirs.len() / len {
@@ -1102,10 +1102,9 @@ mod tests {
 
     #[test]
     fn long_solve_keeps_its_bands_orthonormal_and_above_the_spectrum() {
-        // Twelve bands on Si_8 over 60 updates: with one Gram–Schmidt pass
-        // the trial basis skewed until the Gram matrix was off by 1.0 and
-        // the lowest Ritz value sat 1.9 eV below the lowest eigenvalue,
-        // which no orthonormal basis can give.
+        // Twelve bands on Si_8 with a cap of 60 updates once returned a
+        // Gram matrix off by 1.0 and a lowest Ritz value 1.9 eV below the
+        // lowest eigenvalue, which no orthonormal basis can give.
         let sys = SiliconSystem::new(8).unwrap();
         let lowest = run_scf(&sys, &small_opts(4, 12)).unwrap();
         assert!(lowest.max_residual() < 1e-3);
