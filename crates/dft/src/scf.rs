@@ -729,12 +729,12 @@ fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], nr: 
 /// space. A self-consistent run allocates them once for all of its
 /// solves.
 ///
-/// One allocation also keeps the pages resident from job to job: glibc
-/// raises its thresholds for mapping and returning memory to the size of
-/// the largest block freed, so a buffer this size is recycled from the
-/// heap instead of being faulted in afresh. On seeded self-consistent
-/// jobs at the sweep shapes, minor page faults per job fell from 460–1500
-/// to under 100 at four of the five shapes.
+/// One allocation also keeps the pages resident from job to job: when a
+/// mapped block is freed, glibc raises its mmap threshold to that block's
+/// size and its trim threshold to twice that, so the next buffer this
+/// size is recycled from the heap instead of being faulted in afresh. On
+/// seeded self-consistent jobs at the sweep shapes, minor page faults per
+/// job fell from 460–1500 to under 100 at four of the five shapes.
 struct BandBlocks(Vec<Complex64>);
 
 impl BandBlocks {
