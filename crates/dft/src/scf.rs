@@ -1365,9 +1365,9 @@ mod tests {
         }
     }
 
-    /// `(atoms, bands, cap)` of the `scf_sweep` shapes and a few seeded
-    /// random ones: the returned orbitals are real, so their coefficients
-    /// satisfy c(−G) = c(G)*, and orthonormal.
+    /// `(atoms, bands, cap)` of the `scf_sweep` shapes, two starts and a
+    /// few seeded random shapes: the returned orbitals are real, so their
+    /// coefficients satisfy c(−G) = c(G)*, and orthonormal.
     #[test]
     fn returned_orbitals_are_real_and_orthonormal() {
         let mut s = 0x7ea1_0b17_u64;
@@ -1381,6 +1381,8 @@ mod tests {
             .into_iter()
             .flat_map(|atoms| (2..=4).map(move |bands| (atoms, bands, 2)))
             .collect();
+        // A start returned as is (cap 0), with an odd band alone in its grid.
+        cases.extend([(16, 1, 0), (24, 5, 0)]);
         for _ in 0..6 {
             cases.push(([8, 16, 24][draw(3)], 1 + draw(9), draw(9)));
         }
