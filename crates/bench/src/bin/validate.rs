@@ -2,8 +2,11 @@
 //! trusting the substrate, and prints a PASS/FAIL summary. Complements
 //! `cargo test` with a single human-readable report.
 
+use ndft_dft::basis::{sorted_g_indices, system_g2};
 use ndft_dft::{model_oscillator_spectrum, run_lr_tddft, run_scf, ScfOptions, SiliconSystem};
-use ndft_numerics::{dft_naive, gemm_f64, gemm_f64_naive, syevd, vecops, Complex64, FftPlan, Mat};
+use ndft_numerics::{
+    dft_naive, gemm_f64, gemm_f64_naive, syevd, vecops, Complex64, Fft3Plan, FftPlan, Mat,
+};
 
 struct Check {
     name: &'static str,
@@ -154,15 +157,30 @@ fn main() {
                 gram = gram.max((d - identity).abs());
             }
         }
+        // The bands live on the wavefunction sphere, the lowest
+        // `wave_sphere_len` bins by |G|²: the norm of each orbital's
+        // plane waves outside it, relative to the whole.
+        let plan = Fft3Plan::new(sys.grid());
+        let outside_bins = &sorted_g_indices(&system_g2(&sys))[sys.wave_sphere_len()..];
+        let outside = (0..nb)
+            .map(|b| {
+                let mut c = gs.orbitals.row(b).to_vec();
+                plan.forward(&mut c);
+                let out = outside_bins.iter().map(|&g| c[g].norm_sqr()).sum::<f64>();
+                (out / c.iter().map(|z| z.norm_sqr()).sum::<f64>()).sqrt()
+            })
+            .fold(0.0f64, f64::max);
         checks.push(Check {
             name: "SCF Si_16 ground state",
             pass: ascending
                 && gs.energies_ev[0] < 0.0
                 && gs.max_residual().is_finite()
                 && imaginary <= 1e-12
-                && gram <= 1e-10,
+                && gram <= 1e-10
+                && outside <= 1e-12,
             detail: format!(
-                "E₀ = {:.3} eV, max residual {:.2e}, ‖Im ψ‖/‖ψ‖ {imaginary:.1e}, Gram error {gram:.1e}",
+                "E₀ = {:.3} eV, max residual {:.2e}, ‖Im ψ‖/‖ψ‖ {imaginary:.1e}, Gram error {gram:.1e}, \
+                 off-sphere {outside:.1e}",
                 gs.energies_ev[0],
                 gs.max_residual()
             ),

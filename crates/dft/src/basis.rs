@@ -3,7 +3,7 @@
 //! local potential of the silicon lattice.
 
 use crate::system::SiliconSystem;
-use ndft_numerics::{Complex64, GridDims};
+use ndft_numerics::{Complex64, GridDims, StickMap};
 
 /// `ħ²/2mₑ` in eV·Å².
 pub const HBAR2_OVER_2M: f64 = 3.81;
@@ -39,20 +39,23 @@ pub fn system_g2(system: &SiliconSystem) -> Vec<f64> {
     g2_table(system.grid(), lx, ly, lz)
 }
 
-/// The bin of `−G` for every bin `G` of a grid, in FFT frequency order:
+/// The bin of `−G` for the bin `g` of a grid, in FFT frequency order:
 /// `(n − i) mod n` along each axis. On an even axis the Nyquist plane
 /// `i = n/2` maps onto itself, as does the plane `i = 0`.
-pub(crate) fn minus_g_bins(grid: GridDims) -> Vec<usize> {
+fn minus_g(grid: GridDims, g: usize) -> usize {
     let neg = |i: usize, n: usize| (n - i) % n;
-    let mut out = Vec::with_capacity(grid.len());
-    for z in 0..grid.nz {
-        for y in 0..grid.ny {
-            for x in 0..grid.nx {
-                out.push(grid.index(neg(x, grid.nx), neg(y, grid.ny), neg(z, grid.nz)));
-            }
-        }
-    }
-    out
+    let (x, y, z) = (
+        g % grid.nx,
+        (g / grid.nx) % grid.ny,
+        g / (grid.nx * grid.ny),
+    );
+    grid.index(neg(x, grid.nx), neg(y, grid.ny), neg(z, grid.nz))
+}
+
+/// The bin of `−G` for every bin `G` of a grid.
+#[cfg(test)]
+pub(crate) fn minus_g_bins(grid: GridDims) -> Vec<usize> {
+    (0..grid.len()).map(|g| minus_g(grid, g)).collect()
 }
 
 /// Grid-bin indices sorted by ascending `|G|²`.
@@ -62,23 +65,162 @@ pub fn sorted_g_indices(g2: &[f64]) -> Vec<usize> {
     order
 }
 
-/// The `count` grid bins of lowest `|G|²`, ascending, ties broken by bin
-/// index: the first `count` entries of [`sorted_g_indices`] (a stable
-/// sort), found by selection instead of sorting the whole grid.
-pub(crate) fn lowest_g_indices(g2: &[f64], count: usize) -> Vec<usize> {
-    let key = |a: &usize, b: &usize| {
-        g2[*a]
-            .partial_cmp(&g2[*b])
-            .expect("finite |G|²")
-            .then(a.cmp(b))
+/// The bins of a grid's wavefunction sphere `|G| ≤ G_w = π/(2h)`, half the
+/// grid's Nyquist wavenumber `π/h`: the usual density-grid relation, under
+/// which the density's components, which reach `2·G_w`, fit on the grid.
+/// A system's grid has the same spacing `h` along every axis, so with
+/// signed frequencies `k_a` the sphere is `Σ (k_a/n_a)² ≤ 1/16`, tested
+/// here in integers (`16·Σ (k_a·P/n_a)² ≤ P²` with `P = nx·ny·nz`) so that
+/// a bin on the surface is never lost to rounding. The bins come
+/// column by column: every `(kx, ky)` with its run of `kz`.
+pub(crate) fn wave_sphere_bins(grid: GridDims) -> impl Iterator<Item = usize> {
+    let p = grid.len() as i64;
+    let (qx, qy, qz) = (p / grid.nx as i64, p / grid.ny as i64, p / grid.nz as i64);
+    let span = |n: usize| {
+        let r = (n / 4) as i64;
+        -r..=r
     };
-    let mut order: Vec<usize> = (0..g2.len()).collect();
-    if count < order.len() {
-        order.select_nth_unstable_by(count, key);
-        order.truncate(count);
+    let bin = |k: i64, n: usize| k.rem_euclid(n as i64) as usize;
+    span(grid.nx)
+        .flat_map(move |kx| span(grid.ny).map(move |ky| (kx, ky)))
+        .flat_map(move |(kx, ky)| {
+            let rest = p * p - 16 * ((kx * qx).pow(2) + (ky * qy).pow(2));
+            // The largest |kz| with 16·(kz·qz)² ≤ rest, if any.
+            let top = (rest >= 0).then(|| (rest / (16 * qz * qz)).isqrt());
+            top.into_iter().flat_map(move |top| {
+                (-top..=top)
+                    .map(move |kz| grid.index(bin(kx, grid.nx), bin(ky, grid.ny), bin(kz, grid.nz)))
+            })
+        })
+}
+
+/// The plane-wave basis of the band solve: a set of bins closed under
+/// `G → −G`, stored as half of itself. Every band is real, so its
+/// coefficients satisfy `c(−G) = c(G)*`, and one coefficient per ±G pair
+/// carries the band, as in the `gamma_only` path of plane-wave codes:
+///
+/// - a self-conjugate bin (`G = −G`: `G = 0`, or a Nyquist bin) holds a
+///   real value, which counts once in an inner product;
+/// - each ±G pair is stored at its lower bin as the complex `c(G)`, which
+///   counts twice.
+///
+/// So `⟨c|d⟩ = Σ_sc c·d + 2·Σ_pairs Re(c̄·d)` ([`dot`](Self::dot)). The
+/// stored bins are ordered by ascending `(|G|², bin)`.
+pub(crate) struct WaveSphere {
+    /// The stored bin of every coefficient.
+    bins: Vec<usize>,
+    /// The bin of `−G` for every stored bin (itself when self-conjugate).
+    mirrors: Vec<usize>,
+    /// `|G|²` of every stored bin.
+    g2: Vec<f64>,
+    /// The positions of the self-conjugate bins among the stored ones.
+    self_conjugate: Vec<usize>,
+    /// The x-rows and z-slabs the full set (both members of each pair)
+    /// meets: the pruning of the solve's 3-D FFTs.
+    sticks: StickMap,
+}
+
+impl WaveSphere {
+    /// The wavefunction sphere of a grid ([`wave_sphere_bins`]), with the
+    /// grid's `|G|²` table `g2`.
+    pub(crate) fn new(grid: GridDims, g2: &[f64]) -> Self {
+        Self::of_bins(grid, g2, wave_sphere_bins(grid))
     }
-    order.sort_unstable_by(key);
-    order
+
+    /// A sphere that holds every bin of the grid: the full-grid basis the
+    /// production sphere is checked against.
+    #[cfg(test)]
+    pub(crate) fn full(grid: GridDims, g2: &[f64]) -> Self {
+        Self::of_bins(grid, g2, 0..grid.len())
+    }
+
+    /// The half-sphere of a set of bins closed under `G → −G`.
+    fn of_bins(grid: GridDims, g2: &[f64], bins: impl Iterator<Item = usize>) -> Self {
+        let mut pairs: Vec<(usize, usize)> = bins
+            .map(|g| (g, minus_g(grid, g)))
+            .filter(|&(g, m)| g <= m)
+            .collect();
+        pairs.sort_unstable_by(|a, b| {
+            g2[a.0]
+                .partial_cmp(&g2[b.0])
+                .expect("finite |G|²")
+                .then(a.0.cmp(&b.0))
+        });
+        let sticks = StickMap::new(grid, pairs.iter().flat_map(|&(g, m)| [g, m]));
+        WaveSphere {
+            bins: pairs.iter().map(|p| p.0).collect(),
+            mirrors: pairs.iter().map(|p| p.1).collect(),
+            g2: pairs.iter().map(|p| g2[p.0]).collect(),
+            self_conjugate: (0..pairs.len())
+                .filter(|&j| pairs[j].0 == pairs[j].1)
+                .collect(),
+            sticks,
+        }
+    }
+
+    /// Stored coefficients: the length of a band's row.
+    pub(crate) fn len(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// Real dimension of the basis: the bins of the full set, one per
+    /// self-conjugate bin and two per pair. No more bands than this fit.
+    pub(crate) fn dim(&self) -> usize {
+        2 * self.len() - self.self_conjugate.len()
+    }
+
+    /// The stored bin of every coefficient.
+    pub(crate) fn bins(&self) -> &[usize] {
+        &self.bins
+    }
+
+    /// The bin of `−G` for every stored bin.
+    pub(crate) fn mirrors(&self) -> &[usize] {
+        &self.mirrors
+    }
+
+    /// `|G|²` of every stored bin.
+    pub(crate) fn g2(&self) -> &[f64] {
+        &self.g2
+    }
+
+    /// The positions of the self-conjugate bins among the stored ones.
+    pub(crate) fn self_conjugate(&self) -> &[usize] {
+        &self.self_conjugate
+    }
+
+    /// The pruning of the 3-D FFTs of a band scattered over the sphere.
+    pub(crate) fn sticks(&self) -> &StickMap {
+        &self.sticks
+    }
+
+    /// `⟨c|d⟩` of two bands stored on the half-sphere.
+    pub(crate) fn dot(&self, c: &[Complex64], d: &[Complex64]) -> f64 {
+        half_sphere_dot(&self.self_conjugate, c, d)
+    }
+}
+
+/// `⟨c|d⟩ = Σ_sc c·d + 2·Σ_pairs Re(c̄·d)` of two real bands on a
+/// half-sphere whose self-conjugate coefficients sit at the positions
+/// `self_conjugate` (their imaginary parts are zero). Four partial sums
+/// keep the adds independent, so they vectorize.
+pub(crate) fn half_sphere_dot(self_conjugate: &[usize], c: &[Complex64], d: &[Complex64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    for (x, y) in c.chunks_exact(2).zip(d.chunks_exact(2)) {
+        acc[0] += x[0].re * y[0].re;
+        acc[1] += x[0].im * y[0].im;
+        acc[2] += x[1].re * y[1].re;
+        acc[3] += x[1].im * y[1].im;
+    }
+    let tail: f64 = c
+        .chunks_exact(2)
+        .remainder()
+        .iter()
+        .zip(d.chunks_exact(2).remainder())
+        .map(|(x, y)| x.re * y.re + x.im * y.im)
+        .sum();
+    let once: f64 = self_conjugate.iter().map(|&j| c[j].re * d[j].re).sum();
+    2.0 * ((acc[0] + acc[2]) + (acc[1] + acc[3]) + tail) - once
 }
 
 /// Normalized plane wave addressed by a linear FFT-grid frequency index
@@ -235,19 +377,94 @@ mod tests {
     }
 
     #[test]
-    fn lowest_indices_are_the_sorted_prefix() {
-        for atoms in [8, 16, 24] {
-            let g2 = system_g2(&SiliconSystem::new(atoms).unwrap());
-            let order = sorted_g_indices(&g2);
-            for count in (0..=12).chain([57, 200]) {
-                assert_eq!(
-                    lowest_g_indices(&g2, count),
-                    order[..count],
-                    "Si_{atoms}, {count} bins"
-                );
+    fn wave_sphere_is_closed_ordered_and_below_nyquist() {
+        // (atoms, bins of the sphere): G_w = π/(2h) with 20 points per
+        // cell edge is |k| ≤ 5 in steps of 2π/(one cell edge), on every
+        // axis of a cell.
+        for (atoms, len) in [(8, 515), (16, 1_013), (24, 1_527)] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let grid = sys.grid();
+            let g2 = system_g2(&sys);
+            let sphere = WaveSphere::new(grid, &g2);
+            assert_eq!(sys.wave_sphere_len(), len, "Si_{atoms}");
+            assert_eq!(sphere.dim(), len, "Si_{atoms}");
+            // Half the sphere: G = 0 alone, then one bin per ±G pair.
+            assert_eq!(sphere.self_conjugate(), [0], "Si_{atoms}");
+            assert_eq!(sphere.len(), len.div_ceil(2), "Si_{atoms}");
+            assert_eq!(sphere.bins()[0], 0, "Si_{atoms}");
+            let mut all: Vec<usize> = sphere
+                .bins()
+                .iter()
+                .chain(sphere.mirrors())
+                .copied()
+                .collect();
+            all.sort_unstable();
+            all.dedup();
+            let mut expect: Vec<usize> = wave_sphere_bins(grid).collect();
+            expect.sort_unstable();
+            assert_eq!(all, expect, "Si_{atoms}: both members of every pair");
+            let inside = |g: usize| all.binary_search(&g).is_ok();
+            // Closed under G → −G, and bounded by |G|² ≤ G_w².
+            let (lx, ..) = sys.lengths();
+            let h = lx / grid.nx as f64;
+            let gw2 = (std::f64::consts::PI / (2.0 * h)).powi(2);
+            for (g, &g2) in g2.iter().enumerate() {
+                assert_eq!(inside(g), inside(minus_g(grid, g)), "Si_{atoms}, bin {g}");
+                let below = g2 <= gw2 * (1.0 + 1e-12);
+                assert_eq!(inside(g), below, "Si_{atoms}, bin {g}");
             }
-            assert_eq!(lowest_g_indices(&g2, g2.len() + 1), order);
+            // Ordered by |G|² (ties by bin), each pair at its lower bin.
+            for w in sphere.bins().windows(2) {
+                assert!((g2[w[0]], w[0]) < (g2[w[1]], w[1]), "Si_{atoms}: {w:?}");
+            }
+            for (j, (&g, &m)) in sphere.bins().iter().zip(sphere.mirrors()).enumerate() {
+                assert_eq!(m, minus_g(grid, g));
+                assert!(g < m || j == 0, "Si_{atoms}, coefficient {j}");
+                assert_eq!(sphere.g2()[j].to_bits(), g2[g].to_bits());
+            }
+            // No Nyquist plane: every frequency is within a quarter of its
+            // axis.
+            for &g in &all {
+                let (x, y, z) = (
+                    g % grid.nx,
+                    (g / grid.nx) % grid.ny,
+                    g / (grid.nx * grid.ny),
+                );
+                for (i, n) in [(x, grid.nx), (y, grid.ny), (z, grid.nz)] {
+                    assert_ne!(i, n / 2, "Si_{atoms}, bin {g}");
+                    assert!(i.min(n - i) <= n / 4, "Si_{atoms}, bin {g}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn half_sphere_dot_counts_pairs_twice() {
+        // ⟨c|d⟩ over the full set of bins equals c₀d₀ + 2·Σ Re(c̄d) over the
+        // stored half.
+        let sys = SiliconSystem::new(8).unwrap();
+        let grid = sys.grid();
+        let sphere = WaveSphere::new(grid, &system_g2(&sys));
+        let half = |seed: f64| -> Vec<Complex64> {
+            (0..sphere.len())
+                .map(|j| {
+                    let t = seed * (j as f64 + 1.0);
+                    Complex64::new(t.sin(), if j == 0 { 0.0 } else { t.cos() })
+                })
+                .collect()
+        };
+        let full = |c: &[Complex64]| {
+            let mut out = vec![Complex64::ZERO; grid.len()];
+            for ((&g, &m), &z) in sphere.bins().iter().zip(sphere.mirrors()).zip(c) {
+                out[m] = z.conj();
+                out[g] = z;
+            }
+            out
+        };
+        let (c, d) = (half(0.37), half(1.91));
+        let expect = vecops::dot(&full(&c), &full(&d));
+        assert!(expect.im.abs() < 1e-12);
+        assert!((sphere.dot(&c, &d) - expect.re).abs() < 1e-12 * expect.re.abs().max(1.0));
     }
 
     #[test]

@@ -115,15 +115,6 @@ pub struct MdTrajectory {
 }
 
 impl MdTrajectory {
-    /// Mean per-step rebuild fraction — the share of pseudopotential
-    /// blocks a step rewrites.
-    pub fn mean_rebuild_fraction(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.rebuild_fraction).sum::<f64>() / self.samples.len() as f64
-    }
-
     /// Relative drift of the total energy between the first and last
     /// step (0 = perfectly symplectic).
     pub fn energy_drift(&self) -> f64 {
@@ -463,7 +454,6 @@ mod tests {
             },
         );
         assert!(hot.final_mean_displacement > cold.final_mean_displacement);
-        assert!(hot.mean_rebuild_fraction() >= cold.mean_rebuild_fraction());
         assert!(
             hot.total_rebuilds > 0,
             "900 K must cross a 0.05 Å threshold"
@@ -494,7 +484,6 @@ mod tests {
         for s in &traj.samples {
             assert!((0.0..=1.0).contains(&s.rebuild_fraction));
         }
-        assert!(traj.mean_rebuild_fraction() <= 1.0);
     }
 
     #[test]

@@ -11,18 +11,35 @@
 //! expand the trial space with preconditioned residuals, orthonormalize,
 //! Rayleigh–Ritz, repeat. It works on plane-wave coefficients, as
 //! plane-wave DFT codes do: a band is carried as its unitary expansion
-//! `c(G) = (F ψ)(G)/√N` over the `N` bins of the FFT grid, where the
-//! kinetic energy `(ħ²/2m)G²` and the preconditioner `1/(1 + (ħ²/2m)G²)`
-//! are both diagonal. The local potential stays pointwise in real space
-//! and the nonlocal part goes through the projector machinery of
-//! [`crate::pseudo`], so one application of `H` to a coefficient vector
-//! is an inverse 3-D FFT, the real-space potential step, a forward 3-D
-//! FFT and a diagonal kinetic term — the kernels the paper characterizes.
+//! `c(G) = (F ψ)(G)/√N` over a sphere of the bins of the `N`-point FFT
+//! grid, where the kinetic energy `(ħ²/2m)G²` and the preconditioner
+//! `1/(1 + (ħ²/2m)G²)` are both diagonal. The local potential stays
+//! pointwise in real space and the nonlocal part goes through the
+//! projector machinery of [`crate::pseudo`], so one application of `H` to
+//! a coefficient vector is an inverse 3-D FFT, the real-space potential
+//! step, a forward 3-D FFT and a diagonal kinetic term — the kernels the
+//! paper characterizes.
+//!
+//! # The wavefunction sphere
+//!
+//! A band keeps the plane waves with `|G| ≤ G_w = π/(2h)`, half the grid's
+//! Nyquist wavenumber `π/h`. This is the density-grid relation of
+//! plane-wave codes: the density `|ψ|²`, whose components reach `2·G_w`,
+//! still fits on the grid. The sphere holds 515 of Si_8's 8,000 bins,
+//! 1,013 of Si_16's 16,000 and 1,527 of Si_24's 24,000 (6.4 %). The solve
+//! diagonalizes `P·H·P`, with `P` the projector onto the sphere. That is
+//! `H` compressed to a subspace, so each of its eigenvalues lies at or
+//! above the matching one of `H` on the whole grid.
 //!
 //! The solve runs at Γ, where `H` is real: `V_loc` and the projectors are
 //! real grid functions and `|G|²` is even in `G`. So every band is kept
-//! real in real space, i.e. its coefficients satisfy `c(−G) = c(G)*`, as
-//! in the `gamma_only` path of plane-wave codes:
+//! real in real space, i.e. its coefficients satisfy `c(−G) = c(G)*`, and
+//! it is stored on half the sphere, as in the `gamma_only` path of
+//! plane-wave codes: one real value per self-conjugate bin and one complex
+//! coefficient per ±G pair, ordered by `|G|²`. At this cutoff `G = 0` is
+//! the only self-conjugate bin, so a band is about 3 % of `N` coefficients.
+//! Inner products read `c₀d₀ + 2·Σ Re(c̄d)`, and every vector operation of
+//! the solve runs on these compact rows:
 //!
 //! - The start vectors are real: the unit vector at `G = 0`, then the cos
 //!   and sin combinations of each ±G pair by ascending `|G|²`, and the cos
@@ -30,11 +47,20 @@
 //! - Inner products of such vectors are real, so the Gram–Schmidt
 //!   projections, `H_sub` (real symmetric, solved by `syevd`) and the Ritz
 //!   rotations all use real coefficients, which keep `c(−G) = c(G)*` exact.
-//! - Every application of `H` packs two real bands into one complex grid,
-//!   `ψ_a + iψ_b`: one inverse FFT, one pass of the real potential (the
-//!   projections onto the real `β` carry both bands at once), one forward
-//!   FFT, and `X(G) ± X(−G)*` splits the image into `Hψ_a` and `Hψ_b`.
-//!   An odd last band rides alone.
+//! - Every application of `H` scatters two real bands, with their mirrors
+//!   `c(−G) = c(G)*`, into one zeroed complex grid as `ψ_a + iψ_b`: one
+//!   inverse FFT, one pass of the real potential (the projections onto the
+//!   real `β` carry both bands at once), one forward FFT, and
+//!   `X(G) ± X(−G)*` at the sphere's bins splits the image into `Hψ_a` and
+//!   `Hψ_b`. An odd last band rides alone.
+//! - Both FFTs are pruned to the sphere's sticks ([`StickMap`]). The
+//!   inverse transforms only the x-rows whose `(G_y, G_z)` meet the sphere
+//!   and the y-lines only in the z-slabs whose `G_z` meets it; the forward
+//!   computes only those; the z-pass runs in full. On every system grid the
+//!   sphere meets 81 of the 400 `(y, z)` rows and 11 of the 20 slabs, so
+//!   one pruned transform runs 701 of the 1,200 1-D transforms of a full
+//!   one on Si_8, 1,321 of 2,000 on Si_16 and 1,941 of 2,800 on Si_24
+//!   ([`StickMap::lines`]).
 //!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to
@@ -53,10 +79,10 @@
 //!   (times `√2`), a product of one phase table per axis, so the start
 //!   vectors' H-images need only the forward FFT.
 //! - While `ψ` is still the start, the product of a start vector with a
-//!   vector `x` reads the element `x[g]` of its bin: the Rayleigh
-//!   quotients, the projection of the new directions `W` onto `ψ`, the `ψ`
-//!   rows of `H_sub` and the `ψ` part of the Ritz rotation are element
-//!   reads and writes at the start bins.
+//!   vector `x` reads one coefficient of `x`: the Rayleigh quotients, the
+//!   projection of the new directions `W` onto `ψ`, the `ψ` rows of
+//!   `H_sub` and the `ψ` part of the Ritz rotation are element reads and
+//!   writes.
 //! - After a Ritz rotation, `ψᵀHψ` is `diag(ε)` up to rounding, with `ε`
 //!   the Rayleigh quotients the residual step computes anyway.
 //! - `H_sub` is symmetric: `WᵀHψ` is computed once and fills `ψᵀHW` too,
@@ -71,15 +97,18 @@
 //! per block, the potential is applied to `p·(k + 1)` grids and the solve
 //! runs `p·(2k + 2)` 3-D FFTs: one forward FFT per packed start pair, two
 //! per later packed pair, and one inverse FFT per pair of bands at the
-//! end. The preconditioner costs none.
+//! end. Each of them is pruned, so the solve runs `p·(2k + 2)·L` 1-D
+//! transforms, with `L` the lines of one pruned transform above (701 on
+//! Si_8). The preconditioner costs none.
 
-use crate::basis::{local_potential, lowest_g_indices, minus_g_bins, system_g2, HBAR2_OVER_2M};
+use crate::basis::{half_sphere_dot, local_potential, system_g2, WaveSphere, HBAR2_OVER_2M};
 use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
-use ndft_numerics::{syevd, vecops, CMat, Complex64, EigError, Fft3Plan, Mat};
+#[cfg(doc)]
+use ndft_numerics::StickMap;
+use ndft_numerics::{syevd, CMat, Complex64, EigError, Fft3Plan, Mat};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2, TAU};
 
 /// Converged (or best-effort) ground state.
@@ -89,6 +118,9 @@ pub struct GroundState {
     pub energies_ev: Vec<f64>,
     /// Orbitals, one per row, unit grid 2-norm. They are real (every
     /// imaginary part is zero): the solve runs at Γ, where `H` is real.
+    /// They are band-limited to the wavefunction sphere `|G| ≤ G_w` (see
+    /// the module docs): every plane wave outside it has a zero
+    /// coefficient, to rounding.
     pub orbitals: CMat,
     /// Residual 2-norms `‖Hψ − εψ‖` per band. They belong to the
     /// returned orbitals when the solve converged (or ran no update);
@@ -134,12 +166,13 @@ impl Default for ScfOptions {
     }
 }
 
-/// The model Kohn–Sham Hamiltonian on a system's grid.
+/// The model Kohn–Sham Hamiltonian on a system's grid, with the
+/// wavefunction sphere its bands live on.
 pub struct KsHamiltonian {
     plan: Fft3Plan,
+    /// `|G|²` of every grid bin (the Hartree step's table).
     g2: Vec<f64>,
-    /// The bin of `−G` for every bin `G`.
-    neg: Vec<usize>,
+    sphere: WaveSphere,
     vloc: Vec<f64>,
     pseudos: Pseudopotential,
     dv: f64,
@@ -147,14 +180,34 @@ pub struct KsHamiltonian {
 }
 
 impl KsHamiltonian {
-    /// Builds the Hamiltonian for a system.
+    /// Builds the Hamiltonian for a system, on its wavefunction sphere.
     pub fn new(system: &SiliconSystem, opts: &ScfOptions) -> Self {
+        let g2 = system_g2(system);
+        let sphere = WaveSphere::new(system.grid(), &g2);
+        Self::on_sphere(system, opts, g2, sphere)
+    }
+
+    /// The Hamiltonian on a sphere that holds every grid bin: the
+    /// full-grid oracle of the production sphere.
+    #[cfg(test)]
+    pub(crate) fn full_grid(system: &SiliconSystem, opts: &ScfOptions) -> Self {
+        let g2 = system_g2(system);
+        let sphere = WaveSphere::full(system.grid(), &g2);
+        Self::on_sphere(system, opts, g2, sphere)
+    }
+
+    fn on_sphere(
+        system: &SiliconSystem,
+        opts: &ScfOptions,
+        g2: Vec<f64>,
+        sphere: WaveSphere,
+    ) -> Self {
         let grid = system.grid();
         let nr = grid.len();
         KsHamiltonian {
             plan: Fft3Plan::new(grid),
-            g2: system_g2(system),
-            neg: minus_g_bins(grid),
+            g2,
+            sphere,
             vloc: local_potential(system, opts.potential_depth_ev, opts.potential_sigma),
             pseudos: build_pseudos(system, 1.8),
             dv: system.volume() / nr as f64,
@@ -172,89 +225,121 @@ impl KsHamiltonian {
         self.nr == 0
     }
 
-    /// Applies `H` to an orbital: `out = Hψ`.
+    /// Applies `P·H·P` to an orbital, with `P` the projector onto the
+    /// wavefunction sphere: the operator the band solve diagonalizes.
+    /// `ψ` is taken to plane waves and cut to the sphere; the kinetic term
+    /// acts there and the potential in real space; the sum is cut to the
+    /// sphere again and returned to real space.
     ///
     /// # Panics
     ///
     /// Panics if `psi.len()` does not match the grid.
     pub fn apply(&self, psi: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(psi.len(), self.nr, "orbital length mismatch");
-        // Kinetic: FFT → ×(ħ²/2m)G² → inverse FFT.
-        let mut kin = psi.to_vec();
-        self.fft(&mut kin, false);
-        for (z, &g2) in kin.iter_mut().zip(&self.g2) {
-            *z = z.scale(HBAR2_OVER_2M * g2);
+        let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+        let sphere = sphere
+            .zip(self.sphere.g2())
+            .flat_map(|((&g, &m), &g2)| [(g, g2), (m, g2)]);
+        let mut c = psi.to_vec();
+        self.plan.forward(&mut c);
+        let mut kept = vec![Complex64::ZERO; self.nr];
+        for (g, _) in sphere.clone() {
+            kept[g] = c[g];
         }
-        self.fft(&mut kin, true);
-        self.add_potential(psi, &mut kin);
-        kin
+        c.copy_from_slice(&kept);
+        self.plan.inverse(&mut c);
+        let mut image = vec![Complex64::ZERO; self.nr];
+        self.potential(&c, &mut image);
+        self.plan.forward(&mut image);
+        c.fill(Complex64::ZERO);
+        for (g, g2) in sphere {
+            c[g] = image[g] + kept[g].scale(HBAR2_OVER_2M * g2);
+        }
+        self.plan.inverse(&mut c);
+        c
     }
 
-    /// Rayleigh quotient `⟨ψ|H|ψ⟩` for a unit-norm orbital.
+    /// Rayleigh quotient `⟨ψ|P·H·P|ψ⟩` for a unit-norm orbital.
     pub fn expectation(&self, psi: &[Complex64]) -> f64 {
         let h = self.apply(psi);
-        vecops::dot(psi, &h).re
+        ndft_numerics::vecops::dot(psi, &h).re
     }
 
-    /// `out = H·c` for every row of the plane-wave coefficient block `c`,
-    /// each row a real band (`c(−G) = c(G)*`): the rows are packed two to a
-    /// grid into `phi` (at least `⌈rows/2⌉` grids, clobbered), taken to
-    /// real space by one batched inverse FFT, through the potential step
-    /// and back by one batched forward FFT, split, and given the diagonal
+    /// `out = H·c` for every row of the half-sphere block `c`, each row a
+    /// real band: the rows are scattered two to a grid into `grids` (at
+    /// least `⌈rows/2⌉` grids, clobbered), taken to real space by one
+    /// batched pruned inverse FFT, through the potential step into
+    /// `images` (as many grids, clobbered) and back by one batched pruned
+    /// forward FFT, split at the sphere's bins, and given the diagonal
     /// kinetic term. The forward transform is unnormalized and the inverse
     /// carries `1/N`, so this is `H` in the unitary basis `c = Fψ/√N`
     /// without any further scaling.
-    fn apply_block(&self, c: &[Complex64], phi: &mut [Complex64], out: &mut [Complex64]) {
-        let nr = self.nr;
-        let phi = &mut phi[..(c.len() / nr).div_ceil(2) * nr];
-        for (grid, pair) in phi.chunks_exact_mut(nr).zip(c.chunks(2 * nr)) {
-            let (a, b) = pair.split_at(nr);
-            pack(grid, a, (!b.is_empty()).then_some(b));
+    fn apply_block(
+        &self,
+        c: &[Complex64],
+        grids: &mut [Complex64],
+        images: &mut [Complex64],
+        out: &mut [Complex64],
+    ) {
+        let (m, nr) = (self.sphere.len(), self.nr);
+        let used = (c.len() / m).div_ceil(2) * nr;
+        let (grids, images) = (&mut grids[..used], &mut images[..used]);
+        for (grid, pair) in grids.chunks_exact_mut(nr).zip(c.chunks(2 * m)) {
+            let (a, b) = pair.split_at(m);
+            self.scatter(grid, a, (!b.is_empty()).then_some(b));
         }
-        self.fft(phi, true);
-        self.potential_image(phi, &mut out[..phi.len()]);
-        self.split_images(out);
-        for (o_row, c_row) in out.chunks_exact_mut(nr).zip(c.chunks_exact(nr)) {
-            for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(&self.g2) {
+        self.fft(grids, true);
+        self.potential_image(grids, images);
+        self.split_images(images, out);
+        for (o_row, c_row) in out.chunks_exact_mut(m).zip(c.chunks_exact(m)) {
+            for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(self.sphere.g2()) {
                 *o += z.scale(HBAR2_OVER_2M * g2);
             }
         }
     }
 
-    /// `out = F·(V_loc + V_nl)·phi` for every real-space row of `phi`: the
-    /// potential half of `H` in the plane-wave basis.
+    /// `out = F·(V_loc + V_nl)·phi` at the sphere's bins, for every
+    /// real-space grid of `phi`: the potential half of `H` in the
+    /// plane-wave basis. Every other bin of `out` is left partly
+    /// transformed.
     fn potential_image(&self, phi: &[Complex64], out: &mut [Complex64]) {
-        out.fill(Complex64::ZERO);
-        self.add_potential(phi, out);
+        self.potential(phi, out);
         self.fft(out, false);
     }
 
-    /// Splits the packed images in the first `⌈rows/2⌉` grids of `block`
-    /// into one image per row. Grid `k` holds `X = A + iB`, with `A` and `B`
-    /// the transforms of real functions, and `A(G) = (X(G) + X(−G)*)/2` and
-    /// `B(G) = (X(G) − X(−G)*)/2i` land in rows `2k` and `2k + 1` (an odd
-    /// last row keeps `A` alone). Both satisfy `c(−G) = c(G)*` exactly.
-    fn split_images(&self, block: &mut [Complex64]) {
-        let nr = self.nr;
-        let rows = block.len() / nr;
-        for k in (0..rows.div_ceil(2)).rev() {
-            if k > 0 {
-                block.copy_within(k * nr..(k + 1) * nr, 2 * k * nr);
-            }
-            let (a, rest) = block[2 * k * nr..].split_at_mut(nr);
-            let mut b = rest.get_mut(..nr);
-            for (g, &m) in self.neg.iter().enumerate() {
-                if m < g {
-                    continue;
-                }
-                let (x, y) = (a[g], a[m]);
-                let half = Complex64::new(0.5 * (x.re + y.re), 0.5 * (x.im - y.im));
-                a[m] = half.conj();
-                a[g] = half;
+    /// Writes the half-sphere rows of the real bands `a` and `b` into the
+    /// grid as the coefficients of `a + i·b` over the whole sphere:
+    /// `X(G) = a(G) + i·b(G)` and `X(−G) = a(G)* + i·b(G)*`, zero off the
+    /// sphere. A lone `a` takes `b = 0`. Works alike on any two real
+    /// bands: `F(ψ_a + iψ_b) = Fψ_a + i·Fψ_b`.
+    fn scatter(&self, grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
+        grid.fill(Complex64::ZERO);
+        let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+        for (j, (&g, &m)) in sphere.enumerate() {
+            let (x, y) = (a[j], b.map_or(Complex64::ZERO, |b| b[j]));
+            grid[m] = Complex64::new(x.re + y.im, y.re - x.im);
+            grid[g] = Complex64::new(x.re - y.im, x.im + y.re);
+        }
+    }
+
+    /// Splits the packed images in the grids of `images` into one
+    /// half-sphere row of `out` per band. Grid `k` holds `X = A + iB`, with
+    /// `A` and `B` the transforms of real functions, and
+    /// `A(G) = (X(G) + X(−G)*)/2` and `B(G) = (X(G) − X(−G)*)/2i` land in
+    /// rows `2k` and `2k + 1` (an odd last row keeps `A` alone). Only the
+    /// sphere's bins are read, and a self-conjugate bin gets a zero
+    /// imaginary part exactly.
+    fn split_images(&self, images: &[Complex64], out: &mut [Complex64]) {
+        let m = self.sphere.len();
+        for (grid, rows) in images.chunks_exact(self.nr).zip(out.chunks_mut(2 * m)) {
+            let (a, b) = rows.split_at_mut(m);
+            let mut b = (!b.is_empty()).then_some(b);
+            let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+            for (j, (&g, &mg)) in sphere.enumerate() {
+                let (x, y) = (grid[g], grid[mg]);
+                a[j] = Complex64::new(0.5 * (x.re + y.re), 0.5 * (x.im - y.im));
                 if let Some(b) = b.as_deref_mut() {
-                    let half = Complex64::new(0.5 * (x.im + y.im), 0.5 * (y.re - x.re));
-                    b[m] = half.conj();
-                    b[g] = half;
+                    b[j] = Complex64::new(0.5 * (x.im + y.im), 0.5 * (y.re - x.re));
                 }
             }
         }
@@ -263,32 +348,39 @@ impl KsHamiltonian {
     /// `out` row `b` = `H·s` for the start vector `s = starts[b]`. A start
     /// vector's real-space form is a plane wave or its real or imaginary
     /// part, a product of one phase table per axis, so the packed grids are
-    /// written into `phi` directly and only the forward FFT runs; the
-    /// kinetic term lands on the start bins alone. A cos and sin pair
-    /// packs to `√2` times the plane wave of its bin.
-    fn unit_images(&self, starts: &[Start], phi: &mut [Complex64], out: &mut [Complex64]) {
+    /// written into `grids` directly and only the forward FFT runs; the
+    /// kinetic term lands on the start coefficients alone. A cos and sin
+    /// pair packs to `√2` times the plane wave of its bin.
+    fn unit_images(
+        &self,
+        starts: &[Start],
+        grids: &mut [Complex64],
+        images: &mut [Complex64],
+        out: &mut [Complex64],
+    ) {
         let nr = self.nr;
-        let phi = &mut phi[..starts.len().div_ceil(2) * nr];
-        for (grid, pair) in phi.chunks_exact_mut(nr).zip(starts.chunks(2)) {
+        let used = starts.len().div_ceil(2) * nr;
+        let (grids, images) = (&mut grids[..used], &mut images[..used]);
+        for (grid, pair) in grids.chunks_exact_mut(nr).zip(starts.chunks(2)) {
             grid.fill(Complex64::ZERO);
             for (part, &s) in pair.iter().enumerate() {
                 self.write_start(s, grid, part == 1);
             }
         }
-        self.potential_image(phi, &mut out[..phi.len()]);
-        self.split_images(out);
-        for (row, s) in out.chunks_exact_mut(nr).zip(starts) {
-            s.add_to(row, HBAR2_OVER_2M * self.g2[s.bin()]);
+        self.potential_image(grids, images);
+        self.split_images(images, out);
+        for (row, s) in out.chunks_exact_mut(self.sphere.len()).zip(starts) {
+            s.add_to(row, HBAR2_OVER_2M * self.sphere.g2()[s.index()]);
         }
     }
 
     /// Writes `F⁻¹s` for one start vector `s` into the real part of the
     /// real-space grid `out`, or into its imaginary part with `imag`: the
-    /// real part of the plane wave `F⁻¹e_g` for a bin that is its own `−G`,
-    /// `√2` times its real or imaginary part for a cos or sin vector.
+    /// real part of the plane wave `F⁻¹e_g` for a self-conjugate bin, `√2`
+    /// times its real or imaginary part for a cos or sin vector.
     fn write_start(&self, s: Start, out: &mut [Complex64], imag: bool) {
         let dims = self.plan.dims();
-        let g = s.bin();
+        let g = self.sphere.bins()[s.index()];
         let (gx, gy, gz) = (
             g % dims.nx,
             (g / dims.nx) % dims.ny,
@@ -306,7 +398,7 @@ impl KsHamiltonian {
         );
         let scale = match s {
             Start::Unit(_) => 1.0,
-            Start::Cos(..) | Start::Sin(..) => SQRT_2,
+            Start::Cos(_) | Start::Sin(_) => SQRT_2,
         } / self.nr as f64;
         let lines = tz
             .iter()
@@ -315,8 +407,8 @@ impl KsHamiltonian {
             for (v, &x) in line.iter_mut().zip(&tx) {
                 let wave = zy * x;
                 let value = match s {
-                    Start::Sin(..) => wave.im,
-                    Start::Unit(_) | Start::Cos(..) => wave.re,
+                    Start::Sin(_) => wave.im,
+                    Start::Unit(_) | Start::Cos(_) => wave.re,
                 };
                 if imag {
                     v.im = value;
@@ -327,24 +419,26 @@ impl KsHamiltonian {
         }
     }
 
-    /// `out += (V_loc + V_nl)·φ` on the real-space grid, for every row of
-    /// the block `phi`: the potential step both [`apply`](Self::apply) (a
-    /// block of one) and the coefficient-space applies share.
-    fn add_potential(&self, phi: &[Complex64], out: &mut [Complex64]) {
+    /// `out = (V_loc + V_nl)·φ` on the real-space grid, for every row of
+    /// the block `phi`: the potential step [`apply`](Self::apply) (a block
+    /// of one) and the coefficient-space applies share.
+    fn potential(&self, phi: &[Complex64], out: &mut [Complex64]) {
         #[cfg(test)]
         tests::APPLY_CALLS.with(|c| c.set(c.get() + phi.len() / self.nr));
         // Local potential, pointwise.
         for (o_row, p_row) in out.chunks_exact_mut(self.nr).zip(phi.chunks_exact(self.nr)) {
             for ((o, p), &v) in o_row.iter_mut().zip(p_row).zip(&self.vloc) {
-                *o += p.scale(v);
+                *o = p.scale(v);
             }
         }
         // Nonlocal: Σ_a V_a φ, every atom projecting the unmodified φ.
         add_nonlocal(phi, self.nr, &self.pseudos, self.dv, out);
     }
 
-    /// Transforms every grid of `block` on this Hamiltonian's plan,
-    /// forward or inverse; an empty block is left alone.
+    /// Transforms every grid of `block` on this Hamiltonian's plan, pruned
+    /// to the sphere's sticks: the inverse of bands scattered on the
+    /// sphere, exact at every point, or the forward, exact at the sphere's
+    /// bins. An empty block is left alone.
     fn fft(&self, block: &mut [Complex64], inverse: bool) {
         #[cfg(test)]
         tests::FFT_CALLS.with(|c| c.set(c.get() + block.len() / self.nr));
@@ -352,9 +446,9 @@ impl KsHamiltonian {
             return;
         }
         if inverse {
-            self.plan.inverse_batch(block);
+            self.plan.inverse_pruned_batch(block, self.sphere.sticks());
         } else {
-            self.plan.forward_batch(block);
+            self.plan.forward_pruned_batch(block, self.sphere.sticks());
         }
     }
 }
@@ -443,7 +537,8 @@ pub struct SelfConsistentResult {
 ///
 /// # Panics
 ///
-/// Panics if `occupied > opts.bands`, `alpha` is not in (0, 1], or the
+/// Panics if `occupied > opts.bands`, `opts.bands` exceeds
+/// [`SiliconSystem::wave_sphere_len`], `alpha` is not in (0, 1], or the
 /// seed's orbital matrix does not have `opts.bands` rows on the system
 /// grid.
 pub fn run_scf_selfconsistent(
@@ -472,8 +567,8 @@ pub fn run_scf_selfconsistent(
     // The Hamiltonian already holds this system's plan and |G|² table;
     // every cycle's solve and Poisson step reuses them, and every solve
     // the start vectors and row blocks built here.
-    let starts = start_vectors(&h, opts.bands);
-    let mut blocks = BandBlocks::new(opts.bands, nr);
+    let starts = start_vectors(&h.sphere, opts.bands);
+    let mut blocks = BandBlocks::new(opts.bands, h.sphere.len(), nr);
     let bare_vloc = h.vloc.clone();
     let mut residuals = Vec::with_capacity(cycles);
     let mut gs = match seed {
@@ -521,6 +616,10 @@ pub fn run_scf_selfconsistent(
 ///
 /// Propagates [`EigError`] from the Rayleigh–Ritz diagonalization.
 ///
+/// # Panics
+///
+/// Panics if `opts.bands` exceeds [`SiliconSystem::wave_sphere_len`].
+///
 /// # Examples
 ///
 /// ```no_run
@@ -550,7 +649,8 @@ pub fn run_scf(system: &SiliconSystem, opts: &ScfOptions) -> Result<GroundState,
 ///
 /// # Panics
 ///
-/// Panics if `h` was built on a grid other than `system`'s.
+/// Panics if `h` was built on a grid other than `system`'s, or if
+/// `opts.bands` exceeds [`SiliconSystem::wave_sphere_len`].
 pub fn run_scf_in(
     system: &SiliconSystem,
     opts: &ScfOptions,
@@ -561,129 +661,85 @@ pub fn run_scf_in(
         h.plan.dims(),
         "the Hamiltonian must be built on the system's grid"
     );
-    let starts = start_vectors(h, opts.bands);
-    solve_bands(opts, h, &starts, &mut BandBlocks::new(opts.bands, h.nr))
+    let starts = start_vectors(&h.sphere, opts.bands);
+    let mut blocks = BandBlocks::new(opts.bands, h.sphere.len(), h.nr);
+    solve_bands(opts, h, &starts, &mut blocks)
 }
 
 /// A real start vector of the band solve, in the unitary plane-wave
-/// basis. With `m` the bin of `−G`:
+/// basis, at a coefficient `j` of the half-sphere.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Start {
-    /// `e_g` at a bin that is its own `−G` (`G = 0` or a Nyquist bin).
+    /// `e_g` at a self-conjugate bin (`G = 0` or a Nyquist bin).
     Unit(usize),
-    /// `(e_g + e_m)/√2`: `√2·cos(G·r)` in real space.
-    Cos(usize, usize),
-    /// `−i(e_g − e_m)/√2`: `√2·sin(G·r)` in real space.
-    Sin(usize, usize),
+    /// `c(G) = 1/√2` at a ±G pair: `√2·cos(G·r)` in real space.
+    Cos(usize),
+    /// `c(G) = −i/√2` at a ±G pair: `√2·sin(G·r)` in real space.
+    Sin(usize),
 }
 
 impl Start {
-    /// The bin `g` the vector is built on.
-    fn bin(self) -> usize {
+    /// The coefficient `j` the vector is built on.
+    fn index(self) -> usize {
         match self {
-            Start::Unit(g) | Start::Cos(g, _) | Start::Sin(g, _) => g,
+            Start::Unit(j) | Start::Cos(j) | Start::Sin(j) => j,
         }
     }
 
-    /// `⟨s|x⟩` for a vector with `x(−G) = x(G)*`: one element read.
+    /// `⟨s|x⟩` for a half-sphere row `x`: one element read.
     fn dot(self, x: &[Complex64]) -> f64 {
         match self {
-            Start::Unit(g) => x[g].re,
-            Start::Cos(g, _) => SQRT_2 * x[g].re,
-            Start::Sin(g, _) => -SQRT_2 * x[g].im,
+            Start::Unit(j) => x[j].re,
+            Start::Cos(j) => SQRT_2 * x[j].re,
+            Start::Sin(j) => -SQRT_2 * x[j].im,
         }
     }
 
     /// `x ← x + a·s`.
     fn add_to(self, x: &mut [Complex64], a: f64) {
         match self {
-            Start::Unit(g) => x[g].re += a,
-            Start::Cos(g, m) => {
-                x[g].re += a * FRAC_1_SQRT_2;
-                x[m].re += a * FRAC_1_SQRT_2;
-            }
-            Start::Sin(g, m) => {
-                x[g].im -= a * FRAC_1_SQRT_2;
-                x[m].im += a * FRAC_1_SQRT_2;
-            }
+            Start::Unit(j) => x[j].re += a,
+            Start::Cos(j) => x[j].re += a * FRAC_1_SQRT_2,
+            Start::Sin(j) => x[j].im -= a * FRAC_1_SQRT_2,
         }
     }
 
-    /// `x ← x − ⟨s|x⟩·s` for a vector with `x(−G) = x(G)*`, exactly: the
-    /// part of `x` at the bins of `s` that `s` spans is zeroed.
+    /// `x ← x − ⟨s|x⟩·s`, exactly: the part of `x` that `s` spans is
+    /// zeroed.
     fn project_out(self, x: &mut [Complex64]) {
         match self {
-            Start::Unit(g) => x[g] = Complex64::ZERO,
-            Start::Cos(g, m) => {
-                x[g].re = 0.0;
-                x[m].re = 0.0;
-            }
-            Start::Sin(g, m) => {
-                x[g].im = 0.0;
-                x[m].im = 0.0;
-            }
+            Start::Unit(j) | Start::Cos(j) => x[j].re = 0.0,
+            Start::Sin(j) => x[j].im = 0.0,
         }
     }
 }
 
-/// The `nb` real start vectors of a band solve. Walking the bins by
-/// ascending `|G|²` (ties by bin index): the unit vector of a bin that is
-/// its own `−G`, and the cos then the sin vector of a ±G pair at its first
-/// member, so the first pair the band count cuts keeps its cos half. A
-/// pair's members tie in `|G|²`, and each bin walked yields a vector for
-/// itself or its pair, so the lowest `nb` bins are enough.
+/// The `nb` real start vectors of a band solve. Walking the sphere's
+/// coefficients by ascending `|G|²`: the unit vector of a self-conjugate
+/// bin, and the cos then the sin vector of a ±G pair, so the first pair
+/// the band count cuts keeps its cos half.
 ///
 /// # Panics
 ///
-/// Panics if `nb` exceeds the number of grid bins.
-fn start_vectors(h: &KsHamiltonian, nb: usize) -> Vec<Start> {
+/// Panics if `nb` exceeds the real dimension of the sphere.
+fn start_vectors(sphere: &WaveSphere, nb: usize) -> Vec<Start> {
+    assert!(
+        nb <= sphere.dim(),
+        "more bands than the wavefunction sphere holds"
+    );
     let mut starts = Vec::with_capacity(nb + 1);
-    for g in lowest_g_indices(&h.g2, nb) {
-        let m = h.neg[g];
-        match m.cmp(&g) {
-            Ordering::Equal => starts.push(Start::Unit(g)),
-            Ordering::Greater => starts.extend([Start::Cos(g, m), Start::Sin(g, m)]),
-            Ordering::Less => {}
+    for j in 0..sphere.len() {
+        if starts.len() >= nb {
+            break;
+        }
+        if sphere.self_conjugate().contains(&j) {
+            starts.push(Start::Unit(j));
+        } else {
+            starts.extend([Start::Cos(j), Start::Sin(j)]);
         }
     }
-    assert!(starts.len() >= nb, "more bands than grid bins");
     starts.truncate(nb);
     starts
-}
-
-/// Packs two real bands into one grid, `a + i·b`, or copies a lone `a`.
-/// Works alike on coefficients (`F(a + ib) = Fa + i·Fb`) and on real-space
-/// rows.
-fn pack(grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
-    match b {
-        Some(b) => {
-            for ((z, x), y) in grid.iter_mut().zip(a).zip(b) {
-                *z = Complex64::new(x.re - y.im, x.im + y.re);
-            }
-        }
-        None => grid.copy_from_slice(a),
-    }
-}
-
-/// `⟨a|b⟩` for two vectors with `c(−G) = c(G)*`, which is real: the real
-/// part of the Hermitian product, with no imaginary part computed. Four
-/// partial sums keep the adds independent, so they vectorize.
-fn real_dot(a: &[Complex64], b: &[Complex64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    for (x, y) in a.chunks_exact(2).zip(b.chunks_exact(2)) {
-        acc[0] += x[0].re * y[0].re;
-        acc[1] += x[0].im * y[0].im;
-        acc[2] += x[1].re * y[1].re;
-        acc[3] += x[1].im * y[1].im;
-    }
-    let tail: f64 = a
-        .chunks_exact(2)
-        .remainder()
-        .iter()
-        .zip(b.chunks_exact(2).remainder())
-        .map(|(x, y)| x.re * y.re + x.im * y.im)
-        .sum();
-    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
 /// `y ← y + α·x` for a real `α`.
@@ -695,39 +751,42 @@ fn real_axpy(alpha: f64, x: &[Complex64], y: &mut [Complex64]) {
 }
 
 /// `x_b ← Σ_j c(j, b)·x_j + Σ_j c(n + j, b)·y_j` for every row `x_b` of
-/// `x` (`n` rows of `nr`), in place, over the rows `y_j` of `y`; with
-/// `keep_x` false the old rows of `x` count as zero. The grid is swept in
-/// chunks that every source row is read through once, so a chunk of all
-/// rows stays in cache while the `n` combinations are formed.
-fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], nr: usize) {
-    const CHUNK: usize = 256;
-    let n = x.len() / nr;
-    let mut out = vec![Complex64::ZERO; n * CHUNK];
-    for start in (0..nr).step_by(CHUNK) {
-        let len = CHUNK.min(nr - start);
-        for (b, acc) in out.chunks_exact_mut(CHUNK).enumerate() {
-            let acc = &mut acc[..len];
-            acc.fill(Complex64::ZERO);
-            if keep_x {
-                for j in 0..n {
-                    real_axpy(c[(j, b)], &x[j * nr + start..][..len], acc);
-                }
-            }
-            for j in 0..y.len() / nr {
-                real_axpy(c[(n + j, b)], &y[j * nr + start..][..len], acc);
+/// `x` (`n` rows of `len`), in place, over the rows `y_j` of `y`; with
+/// `keep_x` false the old rows of `x` count as zero.
+fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], len: usize) {
+    let n = x.len() / len;
+    let mut out = vec![Complex64::ZERO; x.len()];
+    for (b, acc) in out.chunks_exact_mut(len).enumerate() {
+        if keep_x {
+            for (j, xj) in x.chunks_exact(len).enumerate() {
+                real_axpy(c[(j, b)], xj, acc);
             }
         }
-        for (b, acc) in out.chunks_exact(CHUNK).enumerate() {
-            x[b * nr + start..][..len].copy_from_slice(&acc[..len]);
+        for (j, yj) in y.chunks_exact(len).enumerate() {
+            real_axpy(c[(n + j, b)], yj, acc);
         }
     }
+    x.copy_from_slice(&out);
+}
+
+/// Scales the half-sphere row `x` to unit norm and returns its old norm;
+/// a zero row is left as is.
+fn normalize(self_conjugate: &[usize], x: &mut [Complex64]) -> f64 {
+    let n = half_sphere_dot(self_conjugate, x, x).sqrt();
+    if n > f64::MIN_POSITIVE {
+        let inv = 1.0 / n;
+        for z in x.iter_mut() {
+            *z = z.scale(inv);
+        }
+    }
+    n
 }
 
 /// The row blocks of a band solve of `nb` bands, in one allocation: the
-/// bands ψ and H·ψ, the new directions W and H·W, and `⌈nb/2⌉` grids for
-/// the packed bands of every H application and of the return to real
-/// space. A self-consistent run allocates them once for all of its
-/// solves.
+/// bands ψ and H·ψ, the new directions W and H·W (half-sphere rows), and
+/// two sets of `⌈nb/2⌉` grids: the packed bands of every H application and
+/// of the return to real space, and their potential images. A
+/// self-consistent run allocates them once for all of its solves.
 ///
 /// One allocation also keeps the pages resident from job to job: when a
 /// mapped block is freed, glibc raises its mmap threshold to that block's
@@ -738,53 +797,56 @@ fn rotate_rows(c: &Mat, x: &mut [Complex64], keep_x: bool, y: &[Complex64], nr: 
 struct BandBlocks(Vec<Complex64>);
 
 impl BandBlocks {
-    fn new(nb: usize, nr: usize) -> Self {
-        BandBlocks(vec![Complex64::ZERO; (4 * nb + nb.div_ceil(2)) * nr])
+    fn new(nb: usize, m: usize, nr: usize) -> Self {
+        BandBlocks(vec![Complex64::ZERO; 4 * nb * m + 2 * nb.div_ceil(2) * nr])
     }
 
-    /// ψ, H·ψ, W, H·W (`nb` rows of `nr` each) and the packed grids.
-    fn split(&mut self, nb: usize, nr: usize) -> [&mut [Complex64]; 5] {
-        let (psi, rest) = self.0.split_at_mut(nb * nr);
-        let (hpsi, rest) = rest.split_at_mut(nb * nr);
-        let (w, rest) = rest.split_at_mut(nb * nr);
-        let (hw, packed) = rest.split_at_mut(nb * nr);
-        [psi, hpsi, w, hw, packed]
+    /// ψ, H·ψ, W, H·W (`nb` rows of `m` each), the packed grids and their
+    /// images (`⌈nb/2⌉` grids of `nr` each).
+    fn split(&mut self, nb: usize, m: usize) -> [&mut [Complex64]; 6] {
+        let (psi, rest) = self.0.split_at_mut(nb * m);
+        let (hpsi, rest) = rest.split_at_mut(nb * m);
+        let (w, rest) = rest.split_at_mut(nb * m);
+        let (hw, rest) = rest.split_at_mut(nb * m);
+        let (grids, images) = rest.split_at_mut(rest.len() / 2);
+        [psi, hpsi, w, hw, grids, images]
     }
 }
 
-/// Row `b` of a block of rows `nr` long.
-fn row(block: &[Complex64], b: usize, nr: usize) -> &[Complex64] {
-    &block[b * nr..(b + 1) * nr]
+/// Row `b` of a block of rows `len` long.
+fn row(block: &[Complex64], b: usize, len: usize) -> &[Complex64] {
+    &block[b * len..(b + 1) * len]
 }
 
-/// Row `b` of a block of rows `nr` long, mutably.
-fn row_mut(block: &mut [Complex64], b: usize, nr: usize) -> &mut [Complex64] {
-    &mut block[b * nr..(b + 1) * nr]
+/// Row `b` of a block of rows `len` long, mutably.
+fn row_mut(block: &mut [Complex64], b: usize, len: usize) -> &mut [Complex64] {
+    &mut block[b * len..(b + 1) * len]
 }
 
 /// The band solve behind [`run_scf_in`], started from the real vectors
 /// `starts` (one per band, from [`start_vectors`]) in the row blocks
 /// `blocks` (built for as many bands).
 ///
-/// Works on plane-wave coefficients throughout (see the module docs) and
-/// returns real-space orbitals.
+/// Works on half-sphere plane-wave coefficients throughout (see the module
+/// docs) and returns real-space orbitals.
 fn solve_bands(
     opts: &ScfOptions,
     h: &KsHamiltonian,
     starts: &[Start],
     blocks: &mut BandBlocks,
 ) -> Result<GroundState, EigError> {
-    let nr = h.nr;
+    let (m, nr) = (h.sphere.len(), h.nr);
     let nb = opts.bands;
-    let [psi, hpsi, w, hw, packed] = blocks.split(nb, nr);
+    let sc = h.sphere.self_conjugate();
+    let [psi, hpsi, w, hw, grids, images] = blocks.split(nb, m);
 
     // Initial guess: the real start vectors and their H-images. Until the
     // first rotation a product with ψ is an element read (`Start::dot`).
     psi.fill(Complex64::ZERO);
     for (b, s) in starts.iter().enumerate() {
-        s.add_to(row_mut(psi, b, nr), 1.0);
+        s.add_to(row_mut(psi, b, m), 1.0);
     }
-    h.unit_images(starts, packed, hpsi);
+    h.unit_images(starts, grids, images, hpsi);
     let mut unit_start = true;
 
     let mut energies = vec![0.0f64; nb];
@@ -793,22 +855,25 @@ fn solve_bands(
     loop {
         // Rayleigh quotients and residuals from the carried H·ψ; the
         // preconditioned residuals (the preconditioner is diagonal in G)
-        // are the new search directions.
+        // are the new search directions. A pair's coefficient counts twice
+        // in the residual norm, a self-conjugate one once.
         for b in 0..nb {
-            let (p, hp) = (row(psi, b, nr), row(hpsi, b, nr));
+            let (p, hp) = (row(psi, b, m), row(hpsi, b, m));
             let e = if unit_start {
                 starts[b].dot(hp)
             } else {
-                real_dot(p, hp)
+                h.sphere.dot(p, hp)
             };
             let mut norm_sqr = 0.0;
-            for (((d, hz), z), &g2) in row_mut(w, b, nr).iter_mut().zip(hp).zip(p).zip(&h.g2) {
+            let dirs = row_mut(w, b, m).iter_mut().zip(hp).zip(p);
+            for (((d, hz), z), &g2) in dirs.zip(h.sphere.g2()) {
                 let r = *hz - z.scale(e);
                 norm_sqr += r.norm_sqr();
                 *d = r.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
             }
+            let once: f64 = sc.iter().map(|&j| (hp[j] - p[j].scale(e)).norm_sqr()).sum();
             energies[b] = e;
-            residuals[b] = norm_sqr.sqrt();
+            residuals[b] = (2.0 * norm_sqr - once).sqrt();
         }
         // Converged (or a cap of 0): ψ is returned as is, with the
         // residuals just computed. A positive cap ends at the last update
@@ -820,29 +885,29 @@ fn solve_bands(
         }
         // Trial space: ψ (already orthonormal) plus the surviving new
         // directions. Projecting a start vector out of a direction zeroes
-        // part of its bins.
+        // part of one coefficient.
         if unit_start {
-            for d in w.chunks_exact_mut(nr) {
+            for d in w.chunks_exact_mut(m) {
                 for s in starts {
                     s.project_out(d);
                 }
             }
         }
         let basis = if unit_start { &[][..] } else { &psi[..] };
-        let nw = orthonormalize_against(basis, w, nr);
-        let (w_new, hw_new) = (&w[..nw * nr], &mut hw[..nw * nr]);
+        let nw = orthonormalize_against(basis, w, m, sc);
+        let (w_new, hw_new) = (&w[..nw * m], &mut hw[..nw * m]);
         // H is applied to the new directions only, as one block.
-        h.apply_block(w_new, packed, hw_new);
+        h.apply_block(w_new, grids, images, hw_new);
         // Rayleigh–Ritz in the trial space, computing only the entries of
         // the real symmetric H_sub that are not already known: after a
         // Ritz rotation ψᵀHψ is diag(ε); WᵀHψ gives both off-diagonal
         // blocks; WᵀHW needs one triangle.
-        let m = nb + nw;
-        let mut hsub = Mat::zeros(m, m);
+        let dim = nb + nw;
+        let mut hsub = Mat::zeros(dim, dim);
         for i in 0..nb {
             for j in 0..nb {
                 hsub[(i, j)] = if unit_start {
-                    starts[i].dot(row(hpsi, j, nr))
+                    starts[i].dot(row(hpsi, j, m))
                 } else if i == j {
                     energies[i]
                 } else {
@@ -851,18 +916,18 @@ fn solve_bands(
             }
         }
         for i in 0..nw {
-            let wi = row(w_new, i, nr);
+            let wi = row(w_new, i, m);
             for j in 0..nb {
                 let x = if unit_start {
-                    starts[j].dot(row(hw_new, i, nr))
+                    starts[j].dot(row(hw_new, i, m))
                 } else {
-                    real_dot(wi, row(hpsi, j, nr))
+                    h.sphere.dot(wi, row(hpsi, j, m))
                 };
                 hsub[(nb + i, j)] = x;
                 hsub[(j, nb + i)] = x;
             }
             for j in i..nw {
-                let x = real_dot(wi, row(hw_new, j, nr));
+                let x = h.sphere.dot(wi, row(hw_new, j, m));
                 hsub[(nb + j, nb + i)] = x;
                 hsub[(nb + i, nb + j)] = x;
             }
@@ -874,23 +939,23 @@ fn solve_bands(
         // joins by element writes. The last update needs no H-images: its
         // energies are the Ritz values.
         let last = iterations == opts.max_iterations;
-        rotate_rows(&eig.vectors, psi, !unit_start, w_new, nr);
+        rotate_rows(&eig.vectors, psi, !unit_start, w_new, m);
         if unit_start {
             for b in 0..nb {
                 for (j, s) in starts.iter().enumerate() {
-                    s.add_to(row_mut(psi, b, nr), eig.vectors[(j, b)]);
+                    s.add_to(row_mut(psi, b, m), eig.vectors[(j, b)]);
                 }
             }
         }
         if !last {
-            rotate_rows(&eig.vectors, hpsi, true, hw_new, nr);
+            rotate_rows(&eig.vectors, hpsi, true, hw_new, m);
         }
         for b in 0..nb {
             // A unit coefficient vector over an orthonormal basis: the
             // norm is ≈ 1, never 0.
-            let inv = 1.0 / vecops::normalize(row_mut(psi, b, nr));
+            let inv = 1.0 / normalize(sc, row_mut(psi, b, m));
             if !last {
-                for z in row_mut(hpsi, b, nr) {
+                for z in row_mut(hpsi, b, m) {
                     *z = z.scale(inv);
                 }
             }
@@ -912,17 +977,18 @@ fn solve_bands(
     // Back to real space in one batch, two bands to a grid: grid k holds
     // bands 2k and 2k + 1 as its real and imaginary parts, and
     // ψ = √N · F⁻¹c keeps the unit grid norm.
-    for (grid, pair) in packed.chunks_exact_mut(nr).zip(idx.chunks(2)) {
-        pack(
+    let grids = &mut grids[..nb.div_ceil(2) * nr];
+    for (grid, pair) in grids.chunks_exact_mut(nr).zip(idx.chunks(2)) {
+        h.scatter(
             grid,
-            row(psi, pair[0], nr),
-            pair.get(1).map(|&j| row(psi, j, nr)),
+            row(psi, pair[0], m),
+            pair.get(1).map(|&j| row(psi, j, m)),
         );
     }
-    h.fft(packed, true);
+    h.fft(grids, true);
     let sqrt_n = (nr as f64).sqrt();
     let mut orbitals = CMat::zeros(nb, nr);
-    for (grid, rows) in packed
+    for (grid, rows) in grids
         .chunks_exact(nr)
         .zip(orbitals.as_mut_slice().chunks_mut(2 * nr))
     {
@@ -942,20 +1008,26 @@ fn solve_bands(
     })
 }
 
-/// Orthonormalizes the rows of `dirs` (each `len` long) against the
-/// orthonormal rows of `basis` and against each other by modified
-/// Gram–Schmidt, in place. Every row is a real band (`c(−G) = c(G)*`), so
-/// the projections are real. A direction whose remainder falls below
-/// `1e-12` (the cut of [`vecops::mgs_orthonormalize`]) is dropped; the
-/// survivors are packed to the front in their original order, and their
-/// count is returned.
+/// Orthonormalizes the half-sphere rows of `dirs` (each `len` long)
+/// against the orthonormal rows of `basis` and against each other by
+/// modified Gram–Schmidt, in place, in the inner product whose
+/// self-conjugate coefficients sit at `self_conjugate`. Every row is a
+/// real band, so the projections are real. A direction whose remainder
+/// falls below `1e-12` (the cut of [`ndft_numerics::vecops::mgs_orthonormalize`]) is
+/// dropped; the survivors are packed to the front in their original
+/// order, and their count is returned.
 ///
 /// Every direction is projected twice ("twice is enough", Giraud et al.
 /// 2005). One pass leaves a remainder about as far from orthogonal as the
 /// rounding of what it cancelled, and on a long solve the new directions
 /// lie nearly inside the span of `ψ`. A trial basis that skews over the
 /// updates lets the Ritz values fall below the spectrum.
-fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usize) -> usize {
+fn orthonormalize_against(
+    basis: &[Complex64],
+    dirs: &mut [Complex64],
+    len: usize,
+    self_conjugate: &[usize],
+) -> usize {
     let mut kept = 0;
     for b in 0..dirs.len() / len {
         if b != kept {
@@ -965,10 +1037,10 @@ fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usiz
         let d = &mut rest[..len];
         for _pass in 0..2 {
             for q in basis.chunks_exact(len).chain(done.chunks_exact(len)) {
-                real_axpy(-real_dot(q, d), q, d);
+                real_axpy(-half_sphere_dot(self_conjugate, q, d), q, d);
             }
         }
-        if vecops::normalize(d) > 1e-12 {
+        if normalize(self_conjugate, d) > 1e-12 {
             kept += 1;
         }
     }
@@ -979,6 +1051,7 @@ fn orthonormalize_against(basis: &[Complex64], dirs: &mut [Complex64], len: usiz
 mod tests {
     use super::*;
     use crate::basis::{minus_g_bins, plane_wave, sorted_g_indices};
+    use ndft_numerics::vecops;
     use std::cell::Cell;
 
     thread_local! {
@@ -1198,13 +1271,15 @@ mod tests {
 
     #[test]
     fn plane_wave_solve_matches_real_space_energies() {
-        // A solve that converges before its cap returns the orbitals of
-        // its last update: the real-space solve capped at that count.
+        // On a sphere that holds every bin, the solve is the full-grid one
+        // the real-space solver matched. A solve that converges before its
+        // cap returns the orbitals of its last update: the real-space
+        // solve capped at that count.
         let mut converged_early = 0;
         for &(atoms, bands, iters, _) in &REAL_SPACE_ENERGIES {
             let sys = SiliconSystem::new(atoms).unwrap();
             let opts = small_opts(bands, iters);
-            let gs = run_scf(&sys, &opts).unwrap();
+            let gs = run_scf_in(&sys, &opts, &KsHamiltonian::full_grid(&sys, &opts)).unwrap();
             let case = format!("Si_{atoms}, {bands} bands, cap {iters}");
             if gs.iterations < iters {
                 assert!(gs.max_residual() < opts.residual_tolerance, "{case}");
@@ -1262,25 +1337,101 @@ mod tests {
         }
     }
 
+    /// Converged solves (tolerance 1e-7, cap 200) of `bands` bands of
+    /// Si_`atoms` on the production sphere and on the full-grid oracle.
+    fn converged_on_both(atoms: usize, bands: usize) -> (GroundState, GroundState) {
+        let sys = SiliconSystem::new(atoms).unwrap();
+        let opts = ScfOptions {
+            residual_tolerance: 1e-7,
+            ..small_opts(bands, 200)
+        };
+        let sphere = run_scf(&sys, &opts).unwrap();
+        let full = run_scf_in(&sys, &opts, &KsHamiltonian::full_grid(&sys, &opts)).unwrap();
+        for gs in [&sphere, &full] {
+            assert!(
+                gs.max_residual() < opts.residual_tolerance,
+                "Si_{atoms}, {bands} bands: max residual {:e}",
+                gs.max_residual()
+            );
+        }
+        (sphere, full)
+    }
+
+    /// Asserts that every converged sphere energy lies at or above the
+    /// full-grid one (a subspace is variational) and returns the largest
+    /// shift in eV. Both are Ritz values of converged solves, so each
+    /// is within rounding of its operator's eigenvalue.
+    fn largest_upward_shift(sphere: &GroundState, full: &GroundState, case: &str) -> f64 {
+        let mut worst = 0.0f64;
+        for (b, (&e, &x)) in sphere.energies_ev.iter().zip(&full.energies_ev).enumerate() {
+            assert!(
+                e >= x - 1e-10,
+                "{case}, band {b}: {e} eV below the full grid's {x}"
+            );
+            worst = worst.max(e - x);
+        }
+        worst
+    }
+
+    #[test]
+    fn sphere_energies_lie_just_above_the_full_grid_and_converge_as_fast() {
+        // Every scf_sweep GroundState shape; the bands of the
+        // self-consistent shapes are among them.
+        for atoms in [8, 16, 24] {
+            for bands in [2, 3, 4] {
+                let case = format!("Si_{atoms}, {bands} bands");
+                let (sphere, full) = converged_on_both(atoms, bands);
+                let shift = largest_upward_shift(&sphere, &full, &case);
+                assert!(shift <= 1e-4, "{case}: shift {shift:e} eV");
+                assert!(
+                    sphere.iterations <= full.iterations,
+                    "{case}: {} updates on the sphere, {} on the full grid",
+                    sphere.iterations,
+                    full.iterations
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sphere_energies_never_fall_below_the_full_grid_on_random_shapes() {
+        let mut s = 0x5a4e_7e5e_u64;
+        let mut draw = |n: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n) as usize
+        };
+        for _ in 0..4 {
+            let (atoms, bands) = ([8, 16, 24][draw(3)], 1 + draw(8));
+            let (sphere, full) = converged_on_both(atoms, bands);
+            largest_upward_shift(&sphere, &full, &format!("Si_{atoms}, {bands} bands"));
+        }
+    }
+
     #[test]
     fn plane_wave_apply_matches_real_space_apply() {
-        // apply_block(c) ≡ F·apply(F⁻¹c) on seeded random real bands, a
-        // packed pair and a lone third.
+        // apply_block(c) ≡ F·apply(F⁻¹c) at the sphere's bins, on seeded
+        // random real bands: a packed pair and a lone third.
         for (atoms, seed) in [(8, 0xc0ef_0008u64), (16, 0xc0ef_0016), (24, 0xc0ef_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let nr = h.len();
+            let (m, nr) = (h.sphere.len(), h.len());
             let c = random_real_bands(&h, 3, seed);
-            let mut phi = vec![Complex64::ZERO; 2 * nr];
-            let mut fast = vec![Complex64::ZERO; 3 * nr];
-            h.apply_block(&c, &mut phi, &mut fast);
-            for (r, (row, got)) in c.chunks_exact(nr).zip(fast.chunks_exact(nr)).enumerate() {
-                let mut psi = row.to_vec();
+            let mut grids = vec![Complex64::ZERO; 2 * nr];
+            let mut images = grids.clone();
+            let mut fast = vec![Complex64::ZERO; 3 * m];
+            h.apply_block(&c, &mut grids, &mut images, &mut fast);
+            for (r, (row, got)) in c.chunks_exact(m).zip(fast.chunks_exact(m)).enumerate() {
+                let mut psi = vec![Complex64::ZERO; nr];
+                h.scatter(&mut psi, row, None);
                 h.plan.inverse(&mut psi);
                 let mut slow = h.apply(&psi);
                 h.plan.forward(&mut slow);
-                let diff: Vec<Complex64> = got.iter().zip(&slow).map(|(a, b)| *a - *b).collect();
-                let rel = vecops::norm(&diff) / vecops::norm(&slow);
+                let mut expect = vec![Complex64::ZERO; m];
+                h.split_images(&slow, &mut expect);
+                let diff: Vec<Complex64> = got.iter().zip(&expect).map(|(a, b)| *a - *b).collect();
+                let rel = vecops::norm(&diff) / vecops::norm(&expect);
                 assert!(
                     rel <= 1e-12,
                     "Si_{atoms}, row {r}: relative difference {rel:e}"
@@ -1292,46 +1443,55 @@ mod tests {
     #[test]
     fn unit_images_match_applied_unit_vectors() {
         // The start never transforms its vectors: their real-space forms
-        // come from three per-axis phase tables. The bins cover the lowest
-        // shells, a Nyquist bin, negative frequencies on every axis, and
-        // both packings: a cos and sin pair of one bin, and vectors of two
-        // bins sharing a grid.
+        // come from three per-axis phase tables. The coefficients cover the
+        // lowest shells, the sphere's surface (negative frequencies on
+        // every axis among them), a Nyquist bin of the full-grid sphere,
+        // and both packings: a cos and sin pair of one coefficient, and
+        // vectors of two coefficients sharing a grid.
         for atoms in [8, 16, 24] {
             let sys = SiliconSystem::new(atoms).unwrap();
-            let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let grid = sys.grid();
-            let nr = h.len();
-            let mut starts = start_vectors(&h, 7);
-            let nyquist = grid.index(grid.nx / 2, 0, 0);
-            assert_eq!(h.neg[nyquist], nyquist);
-            starts.push(Start::Unit(nyquist));
-            for g in [nr - 1, nr / 2 + 3] {
-                let m = h.neg[g];
-                starts.extend([
-                    Start::Sin(g.min(m), g.max(m)),
-                    Start::Cos(g.min(m), g.max(m)),
-                ]);
-            }
-            let mut phi = vec![Complex64::ZERO; starts.len().div_ceil(2) * nr];
-            let mut images = vec![Complex64::ZERO; starts.len() * nr];
-            h.unit_images(&starts, &mut phi, &mut images);
-            let mut dense = vec![Complex64::ZERO; starts.len() * nr];
-            for (row, s) in dense.chunks_exact_mut(nr).zip(&starts) {
-                s.add_to(row, 1.0);
-            }
-            let mut applied = vec![Complex64::ZERO; starts.len() * nr];
-            h.apply_block(&dense, &mut phi, &mut applied);
-            for ((image, expect), s) in images
-                .chunks_exact(nr)
-                .zip(applied.chunks_exact(nr))
-                .zip(&starts)
-            {
-                let diff: Vec<Complex64> = image.iter().zip(expect).map(|(a, b)| *a - *b).collect();
-                let rel = vecops::norm(&diff) / vecops::norm(expect);
-                assert!(
-                    rel <= 1e-12,
-                    "Si_{atoms}, {s:?}: relative difference {rel:e}"
-                );
+            let opts = ScfOptions::default();
+            let full = KsHamiltonian::full_grid(&sys, &opts);
+            for h in [KsHamiltonian::new(&sys, &opts), full] {
+                let (m, nr) = (h.sphere.len(), h.len());
+                let mut starts = start_vectors(&h.sphere, 7);
+                let sc = h.sphere.self_conjugate();
+                let last_pair = (0..m).rev().find(|j| !sc.contains(j)).unwrap();
+                for j in [last_pair, m / 2 + 3] {
+                    assert!(!sc.contains(&j));
+                    starts.extend([Start::Sin(j), Start::Cos(j)]);
+                }
+                let grid = sys.grid();
+                let nyquist = grid.index(grid.nx / 2, 0, 0);
+                if let Some(j) = h.sphere.bins().iter().position(|&g| g == nyquist) {
+                    assert!(h.sphere.self_conjugate().contains(&j));
+                    starts.push(Start::Unit(j));
+                } else {
+                    assert_eq!(h.sphere.self_conjugate(), [0], "Si_{atoms}");
+                }
+                let mut grids = vec![Complex64::ZERO; starts.len().div_ceil(2) * nr];
+                let mut images = grids.clone();
+                let mut got = vec![Complex64::ZERO; starts.len() * m];
+                h.unit_images(&starts, &mut grids, &mut images, &mut got);
+                let mut dense = vec![Complex64::ZERO; starts.len() * m];
+                for (row, s) in dense.chunks_exact_mut(m).zip(&starts) {
+                    s.add_to(row, 1.0);
+                }
+                let mut applied = vec![Complex64::ZERO; starts.len() * m];
+                h.apply_block(&dense, &mut grids, &mut images, &mut applied);
+                for ((image, expect), s) in got
+                    .chunks_exact(m)
+                    .zip(applied.chunks_exact(m))
+                    .zip(&starts)
+                {
+                    let diff: Vec<Complex64> =
+                        image.iter().zip(expect).map(|(a, b)| *a - *b).collect();
+                    let rel = vecops::norm(&diff) / vecops::norm(expect);
+                    assert!(
+                        rel <= 1e-12,
+                        "Si_{atoms}, {m} coefficients, {s:?}: relative difference {rel:e}"
+                    );
+                }
             }
         }
     }
@@ -1344,15 +1504,16 @@ mod tests {
         for (atoms, seed) in [(8, 0xb10c_0008u64), (16, 0xb10c_0016), (24, 0xb10c_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let nr = h.len();
+            let (m, nr) = (h.sphere.len(), h.len());
             for k in 1..=5 {
                 let c = random_real_bands(&h, k, seed + k as u64);
-                let mut phi = vec![Complex64::ZERO; k.div_ceil(2) * nr];
-                let mut block = vec![Complex64::ZERO; k * nr];
-                h.apply_block(&c, &mut phi, &mut block);
-                for (p, (pair, got)) in c.chunks(2 * nr).zip(block.chunks(2 * nr)).enumerate() {
+                let mut grids = vec![Complex64::ZERO; k.div_ceil(2) * nr];
+                let mut images = grids.clone();
+                let mut block = vec![Complex64::ZERO; k * m];
+                h.apply_block(&c, &mut grids, &mut images, &mut block);
+                for (p, (pair, got)) in c.chunks(2 * m).zip(block.chunks(2 * m)).enumerate() {
                     let mut expect = vec![Complex64::ZERO; pair.len()];
-                    h.apply_block(pair, &mut phi, &mut expect);
+                    h.apply_block(pair, &mut grids, &mut images, &mut expect);
                     assert!(
                         got.iter()
                             .zip(&expect)
@@ -1414,8 +1575,7 @@ mod tests {
             let mut c = psi.to_vec();
             h.plan.forward(&mut c);
             let scale = 1.0 / (h.len() as f64).sqrt();
-            let worst = h
-                .neg
+            let worst = minus_g_bins(h.plan.dims())
                 .iter()
                 .enumerate()
                 .map(|(g, &m)| (c[m] - c[g].conj()).abs() * scale)
@@ -1423,6 +1583,15 @@ mod tests {
             assert!(
                 worst <= 1e-12,
                 "{case}, band {b}: |c(−G) − c(G)*| = {worst:e}"
+            );
+            // Band-limited to the sphere.
+            for &g in h.sphere.bins().iter().chain(h.sphere.mirrors()) {
+                c[g] = Complex64::ZERO;
+            }
+            let outside = vecops::norm(&c) * scale;
+            assert!(
+                outside <= 1e-12 * norm,
+                "{case}, band {b}: weight {outside:e} outside the sphere"
             );
             for j in 0..nb {
                 let d = vecops::dot(orbitals.row(j), psi);
@@ -1448,7 +1617,8 @@ mod tests {
             row([1.0, 1.0, 1.0, 0.0]),
         ]
         .concat();
-        let kept = orthonormalize_against(&e(0), &mut dirs, 4);
+        // Every coefficient self-conjugate: the plain real inner product.
+        let kept = orthonormalize_against(&e(0), &mut dirs, 4, &[0, 1, 2, 3]);
         assert_eq!(kept, 2);
         assert_eq!(dirs[..8], [e(1), e(2)].concat());
     }
@@ -1670,18 +1840,18 @@ mod tests {
         v
     }
 
-    /// `rows` seeded random real bands in the unitary plane-wave basis:
-    /// random real grids, transformed and scaled by `1/√N`.
+    /// `rows` seeded random unit real bands on the half-sphere: random
+    /// coefficients, with a zero imaginary part at every self-conjugate
+    /// bin.
     fn random_real_bands(h: &KsHamiltonian, rows: usize, seed: u64) -> Vec<Complex64> {
-        let nr = h.len();
-        let mut out = Vec::with_capacity(rows * nr);
+        let (m, sc) = (h.sphere.len(), h.sphere.self_conjugate());
+        let mut out = Vec::with_capacity(rows * m);
         for r in 0..rows {
-            let mut row: Vec<Complex64> = random_unit(nr, seed + r as u64)
-                .into_iter()
-                .map(|z| Complex64::from_real(z.re))
-                .collect();
-            h.plan.forward(&mut row);
-            vecops::normalize(&mut row);
+            let mut row = random_unit(m, seed + r as u64);
+            for &j in sc {
+                row[j].im = 0.0;
+            }
+            normalize(sc, &mut row);
             out.extend(row);
         }
         out

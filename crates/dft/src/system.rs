@@ -148,6 +148,15 @@ impl SiliconSystem {
         )
     }
 
+    /// Plane waves in the band solve's wavefunction sphere
+    /// `|G| ≤ G_w = π/(2h)`, half the grid's Nyquist wavenumber (see
+    /// [`crate::scf`]): the real dimension of its basis, so the most bands
+    /// a ground-state solve of this system can hold. 515 on Si_8's grid of
+    /// 8,000 points.
+    pub fn wave_sphere_len(&self) -> usize {
+        crate::basis::wave_sphere_bins(self.grid()).count()
+    }
+
     /// Auxiliary-basis size for the response-kernel contraction.
     ///
     /// Production LR-TDDFT codes build `P† f P` through density fitting /

@@ -104,12 +104,6 @@ impl FftPlan {
         self.n == 0
     }
 
-    /// Returns true when the fast 2/3/5-smooth path is used.
-    #[inline]
-    pub fn is_smooth(&self) -> bool {
-        self.bluestein.is_none()
-    }
-
     /// In-place forward (unnormalized) DFT.
     ///
     /// # Panics
@@ -488,7 +482,7 @@ mod tests {
             60, 64, 72, 80, 81, 90, 100, 120, 125, 128, 135, 144, 150, 180, 240, 243,
         ] {
             let plan = FftPlan::new(n);
-            assert!(plan.is_smooth(), "{n} should be smooth");
+            assert!(plan.bluestein.is_none(), "{n} should be smooth");
             let x = random_signal(n, n as u64 + 7);
             let expect = dft_naive(&x);
             let mut got = x.clone();
@@ -503,7 +497,10 @@ mod tests {
             7usize, 11, 13, 14, 17, 19, 21, 23, 29, 31, 33, 37, 49, 53, 77, 97, 101,
         ] {
             let plan = FftPlan::new(n);
-            assert!(!plan.is_smooth(), "{n} should take the Bluestein path");
+            assert!(
+                plan.bluestein.is_some(),
+                "{n} should take the Bluestein path"
+            );
             let x = random_signal(n, n as u64 + 13);
             let expect = dft_naive(&x);
             let mut got = x.clone();

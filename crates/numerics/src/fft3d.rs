@@ -18,12 +18,18 @@
 //! `nx·ny` columns, so the grid is transformed as `nz` planes of `nx·ny`
 //! lanes. One scratch buffer of one grid, and never less than two slabs
 //! (the transposed slab plus the kernel's ping-pong half), serves every
-//! pass of a transform and every grid of a batch. The inverse is a
-//! conjugate pass, the forward transform, then a
-//! conjugate-and-`1/(nx·ny·nz)` pass.
+//! pass of a transform and every grid of a batch. The inverse is the
+//! forward transform of the conjugate (taken as the x-pass gathers its
+//! rows), then a conjugate-and-`1/(nx·ny·nz)` pass.
+//!
+//! A [`StickMap`] prunes a transform to the x-rows a set of bins meets, as
+//! plane-wave codes do for a wavefunction cutoff sphere: the pruned
+//! inverse skips the rows and slabs that are zero, and the pruned forward
+//! computes only the map's rows. Each pass skips whole rows or slabs, so
+//! the lane layout is unchanged.
 
 use crate::counters::{KernelCost, C64_BYTES};
-use crate::fft::{conj_all, conj_scale_all, FftPlan};
+use crate::fft::{conj_scale_all, FftPlan};
 use crate::Complex64;
 
 /// Dimensions of a 3-D grid.
@@ -60,11 +66,6 @@ impl GridDims {
         GridDims { nx, ny, nz }
     }
 
-    /// Creates a cubic grid `n × n × n`.
-    pub fn cubic(n: usize) -> Self {
-        GridDims::new(n, n, n)
-    }
-
     /// Total number of grid points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -85,6 +86,64 @@ impl GridDims {
     }
 }
 
+/// The sticks of a set of bins on a 3-D grid, as plane-wave codes keep
+/// them for a cutoff sphere: the x-rows `(y, z)` that hold at least one
+/// bin, grouped by z-slab. A transform pruned to the map
+/// ([`Fft3Plan::inverse_pruned_batch`], [`Fft3Plan::forward_pruned_batch`])
+/// skips every other x-row and every slab the map does not meet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StickMap {
+    dims: GridDims,
+    /// The y of every row that holds a bin, slab by slab, ascending.
+    rows: Vec<usize>,
+    /// Every slab that holds a bin: its z and the end of its rows in
+    /// `rows` (each slab's rows start where the previous slab's end).
+    slabs: Vec<(usize, usize)>,
+}
+
+impl StickMap {
+    /// The map of the linear bin indices `bins` on a grid of `dims`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bin lies outside the grid.
+    pub fn new(dims: GridDims, bins: impl IntoIterator<Item = usize>) -> Self {
+        let GridDims { nx, ny, nz } = dims;
+        let mut hit = vec![false; ny * nz];
+        for g in bins {
+            assert!(g < dims.len(), "bin {g} outside the grid");
+            hit[g / nx] = true;
+        }
+        let mut rows = Vec::new();
+        let mut slabs = Vec::new();
+        for (z, slab) in hit.chunks_exact(ny).enumerate() {
+            let before = rows.len();
+            rows.extend((0..ny).filter(|&y| slab[y]));
+            if rows.len() > before {
+                slabs.push((z, rows.len()));
+            }
+        }
+        StickMap { dims, rows, slabs }
+    }
+
+    /// 1-D transforms one pruned 3-D transform runs: one per row of the
+    /// map, `nx` per slab of the map, and `nx·ny` along z. A full transform
+    /// runs `ny·nz + nx·nz + nx·ny`.
+    pub fn lines(&self) -> usize {
+        let GridDims { nx, ny, .. } = self.dims;
+        self.rows.len() + nx * self.slabs.len() + nx * ny
+    }
+
+    /// Every slab of the map: its z and the ys of its rows.
+    fn slabs(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        let starts = std::iter::once(0).chain(self.slabs.iter().map(|&(_, end)| end));
+        self.slabs
+            .iter()
+            .zip(starts)
+            .map(|(&(z, end), start)| (z, &self.rows[start..end]))
+    }
+}
+
 /// A reusable 3-D FFT plan.
 ///
 /// # Examples
@@ -92,7 +151,7 @@ impl GridDims {
 /// ```
 /// use ndft_numerics::{Complex64, Fft3Plan, GridDims};
 ///
-/// let plan = Fft3Plan::new(GridDims::cubic(4));
+/// let plan = Fft3Plan::new(GridDims::new(4, 4, 4));
 /// let mut field = vec![Complex64::ONE; 64];
 /// plan.forward(&mut field);
 /// assert!((field[0].re - 64.0).abs() < 1e-9); // DC bin carries everything
@@ -163,23 +222,9 @@ impl Fft3Plan {
     /// [`scratch`](Self::scratch)).
     fn transform_in(&self, data: &mut [Complex64], inverse: bool, scratch: &mut [Complex64]) {
         let GridDims { nx, ny, .. } = self.dims;
-        if inverse {
-            conj_all(data);
-        }
-        // x: the slab's rows, transposed into interleaved lanes.
-        let (lanes, kernel_scratch) = scratch.split_at_mut(nx * ny);
+        // x: the slab's rows, conjugated on the way in for the inverse.
         for slab in data.chunks_exact_mut(nx * ny) {
-            for (x, column) in lanes.chunks_exact_mut(ny).enumerate() {
-                for (v, row) in column.iter_mut().zip(slab.chunks_exact(nx)) {
-                    *v = row[x];
-                }
-            }
-            self.plan_x.forward_lanes(lanes, ny, kernel_scratch);
-            for (x, column) in lanes.chunks_exact(ny).enumerate() {
-                for (&v, row) in column.iter().zip(slab.chunks_exact_mut(nx)) {
-                    row[x] = v;
-                }
-            }
+            self.x_pass(slab, 0..ny, inverse, scratch);
         }
         // y: within each z-slab, the nx columns are interleaved lanes.
         for slab in data.chunks_exact_mut(nx * ny) {
@@ -189,6 +234,90 @@ impl Fft3Plan {
         self.plan_z.forward_lanes(data, nx * ny, scratch);
         if inverse {
             conj_scale_all(data, 1.0 / data.len() as f64);
+        }
+    }
+
+    /// The x-pass over the rows `ys` of one z-slab: the rows are gathered
+    /// into interleaved lanes of `scratch` (conjugated on the way in with
+    /// `conj`), transformed together and scattered back. Each lane does
+    /// exactly the arithmetic of a lone row, whichever rows share the pass.
+    fn x_pass<I>(&self, slab: &mut [Complex64], ys: I, conj: bool, scratch: &mut [Complex64])
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let nx = self.dims.nx;
+        let n = ys.len();
+        let (lanes, kernel_scratch) = scratch.split_at_mut(nx * n);
+        for (x, column) in lanes.chunks_exact_mut(n).enumerate() {
+            for (v, y) in column.iter_mut().zip(ys.clone()) {
+                let z = slab[y * nx + x];
+                *v = if conj { z.conj() } else { z };
+            }
+        }
+        self.plan_x.forward_lanes(lanes, n, kernel_scratch);
+        for (x, column) in lanes.chunks_exact(n).enumerate() {
+            for (&v, y) in column.iter().zip(ys.clone()) {
+                slab[y * nx + x] = v;
+            }
+        }
+    }
+
+    /// Inverse 3-D DFT, normalized by `1/(nx·ny·nz)`, of every grid of
+    /// `data` whose bins all lie in the rows of `sticks`: every bin outside
+    /// them must be zero. The x-pass transforms only the map's rows and the
+    /// y-pass only its slabs, since every other line is zero and stays
+    /// zero; the z-pass runs in full. Every point of real space is valid,
+    /// and bit-identical to [`inverse_batch`](Self::inverse_batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sticks` was built for other dimensions, or if
+    /// `data.len()` is not a positive multiple of `dims().len()`.
+    pub fn inverse_pruned_batch(&self, data: &mut [Complex64], sticks: &StickMap) {
+        self.pruned_batch(data, sticks, true);
+    }
+
+    /// Forward (unnormalized) 3-D DFT of every grid of `data`, computed only
+    /// at the bins of the rows of `sticks`: the z-pass runs in full, then the
+    /// y-pass on the map's slabs and the x-pass on its rows. Every bin
+    /// outside the map's rows is left partly transformed, and must not be
+    /// read. The kept bins match [`forward_batch`](Self::forward_batch) to
+    /// rounding (the passes run in the other order).
+    ///
+    /// # Panics
+    ///
+    /// As [`inverse_pruned_batch`](Self::inverse_pruned_batch).
+    pub fn forward_pruned_batch(&self, data: &mut [Complex64], sticks: &StickMap) {
+        self.pruned_batch(data, sticks, false);
+    }
+
+    fn pruned_batch(&self, data: &mut [Complex64], sticks: &StickMap, inverse: bool) {
+        assert_eq!(sticks.dims, self.dims, "stick map built for another grid");
+        let GridDims { nx, ny, .. } = self.dims;
+        let len = self.dims.len();
+        assert!(
+            !data.is_empty() && data.len().is_multiple_of(len),
+            "batched 3-D FFT buffer must hold a positive whole number of grids"
+        );
+        let mut scratch = self.scratch();
+        for grid in data.chunks_exact_mut(len) {
+            if !inverse {
+                self.plan_z.forward_lanes(grid, nx * ny, &mut scratch);
+            }
+            for (z, ys) in sticks.slabs() {
+                let slab = &mut grid[z * nx * ny..(z + 1) * nx * ny];
+                if inverse {
+                    self.x_pass(slab, ys.iter().copied(), true, &mut scratch);
+                    self.plan_y.forward_lanes(slab, nx, &mut scratch);
+                } else {
+                    self.plan_y.forward_lanes(slab, nx, &mut scratch);
+                    self.x_pass(slab, ys.iter().copied(), false, &mut scratch);
+                }
+            }
+            if inverse {
+                self.plan_z.forward_lanes(grid, nx * ny, &mut scratch);
+                conj_scale_all(grid, 1.0 / len as f64);
+            }
         }
     }
 
@@ -249,7 +378,7 @@ impl Fft3Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::dft_naive;
+    use crate::fft::{conj_all, dft_naive};
 
     fn random_field(n: usize, seed: u64) -> Vec<Complex64> {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(99);
@@ -336,7 +465,7 @@ mod tests {
         // Cubic, non-cubic, Bluestein lengths on x (7) and z (7), and
         // grids with a single z-slab or a single row per slab.
         for dims in [
-            GridDims::cubic(8),
+            GridDims::new(8, 8, 8),
             GridDims::new(20, 6, 7),
             GridDims::new(7, 4, 3),
             GridDims::new(12, 10, 1),
@@ -427,7 +556,7 @@ mod tests {
 
     #[test]
     fn parseval_3d() {
-        let dims = GridDims::cubic(6);
+        let dims = GridDims::new(6, 6, 6);
         let x = random_field(dims.len(), 8);
         let te: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let mut y = x;
@@ -474,7 +603,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_buffer_length_panics() {
-        let plan = Fft3Plan::new(GridDims::cubic(4));
+        let plan = Fft3Plan::new(GridDims::new(4, 4, 4));
         let mut buf = vec![Complex64::ZERO; 63];
         plan.forward(&mut buf);
     }
@@ -505,8 +634,149 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of grids")]
     fn ragged_batch_panics() {
-        let plan = Fft3Plan::new(GridDims::cubic(4));
+        let plan = Fft3Plan::new(GridDims::new(4, 4, 4));
         let mut buf = vec![Complex64::ZERO; 100];
         plan.forward_batch(&mut buf);
+    }
+
+    /// The bins of the ball `Σ (k_a/n_a)² ≤ 1/16` of signed frequencies
+    /// `k_a`: a cutoff sphere at half the Nyquist wavenumber on a grid with
+    /// the same spacing along every axis.
+    fn ball(dims: GridDims) -> Vec<usize> {
+        let p = dims.len() as i64;
+        let term = |i: usize, n: usize| {
+            let k = if i <= n / 2 {
+                i as i64
+            } else {
+                i as i64 - n as i64
+            };
+            (k * p / n as i64).pow(2)
+        };
+        (0..dims.len())
+            .filter(|&g| {
+                let (x, y, z) = (
+                    g % dims.nx,
+                    (g / dims.nx) % dims.ny,
+                    g / (dims.nx * dims.ny),
+                );
+                16 * (term(x, dims.nx) + term(y, dims.ny) + term(z, dims.nz)) <= p * p
+            })
+            .collect()
+    }
+
+    /// The grids of Si_8, Si_16 and Si_24, and two with a Bluestein axis.
+    const PRUNED_GRIDS: [(usize, usize, usize); 5] = [
+        (20, 20, 20),
+        (40, 20, 20),
+        (60, 20, 20),
+        (14, 20, 7),
+        (20, 14, 21),
+    ];
+
+    #[test]
+    fn pruned_transforms_match_the_full_ones() {
+        for (nx, ny, nz) in PRUNED_GRIDS {
+            let dims = GridDims::new(nx, ny, nz);
+            let plan = Fft3Plan::new(dims);
+            let bins = ball(dims);
+            let sticks = StickMap::new(dims, bins.iter().copied());
+            let grids = 3;
+            // Inverse: random coefficients on the ball, zero elsewhere.
+            let noise = random_field(dims.len() * grids, dims.len() as u64 + 11);
+            let mut coeffs = vec![Complex64::ZERO; noise.len()];
+            for (grid, src) in coeffs
+                .chunks_exact_mut(dims.len())
+                .zip(noise.chunks_exact(dims.len()))
+            {
+                for &g in &bins {
+                    grid[g] = src[g];
+                }
+            }
+            let mut full = coeffs.clone();
+            plan.inverse_batch(&mut full);
+            let mut pruned = coeffs;
+            plan.inverse_pruned_batch(&mut pruned, &sticks);
+            for (got, expect) in pruned
+                .chunks_exact(dims.len())
+                .zip(full.chunks_exact(dims.len()))
+            {
+                let scale = expect.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
+                for (r, (a, b)) in got.iter().zip(expect).enumerate() {
+                    let d = (*a - *b).abs();
+                    assert!(d <= 1e-12 * scale, "{dims:?}: inverse, point {r}: {d:e}");
+                }
+            }
+            // Forward: random real-space grids, compared at every kept bin.
+            let mut full = noise.clone();
+            plan.forward_batch(&mut full);
+            let mut pruned = noise;
+            plan.forward_pruned_batch(&mut pruned, &sticks);
+            for (got, expect) in pruned
+                .chunks_exact(dims.len())
+                .zip(full.chunks_exact(dims.len()))
+            {
+                let scale = expect.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
+                for &g in &bins {
+                    let d = (got[g] - expect[g]).abs();
+                    assert!(d <= 1e-12 * scale, "{dims:?}: forward, bin {g}: {d:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_inverse_is_bitwise_the_full_one() {
+        // The pruned inverse skips only lines that are zero: every line it
+        // runs gets the arithmetic the full transform gives it.
+        for (nx, ny, nz) in PRUNED_GRIDS {
+            let dims = GridDims::new(nx, ny, nz);
+            let plan = Fft3Plan::new(dims);
+            let bins = ball(dims);
+            let noise = random_field(dims.len(), 77);
+            let mut coeffs = vec![Complex64::ZERO; dims.len()];
+            for &g in &bins {
+                coeffs[g] = noise[g];
+            }
+            let mut full = coeffs.clone();
+            plan.inverse(&mut full);
+            plan.inverse_pruned_batch(&mut coeffs, &StickMap::new(dims, bins));
+            for (a, b) in coeffs.iter().zip(&full) {
+                // Equal values; a skipped zero line may differ in the sign
+                // of a zero.
+                assert!(a.re == b.re && a.im == b.im, "{dims:?}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn stick_map_line_counts_are_pinned() {
+        // (rows, slabs, 1-D transforms per pruned transform, per full one):
+        // the ball meets 81 of the 400 (y, z) rows and 11 of the 20 slabs
+        // of every Si grid, so Si_8 runs 701 of 1,200 lines (58 %).
+        let expect = [
+            (81, 11, 701, 1_200),
+            (81, 11, 1_321, 2_000),
+            (81, 11, 1_941, 2_800),
+            (29, 3, 351, 518),
+            (61, 11, 561, 994),
+        ];
+        for ((nx, ny, nz), (rows, slabs, lines, full)) in PRUNED_GRIDS.into_iter().zip(expect) {
+            let dims = GridDims::new(nx, ny, nz);
+            let sticks = StickMap::new(dims, ball(dims));
+            assert_eq!(sticks.rows.len(), rows, "{dims:?}");
+            assert_eq!(sticks.slabs.len(), slabs, "{dims:?}");
+            assert_eq!(sticks.lines(), lines, "{dims:?}");
+            assert_eq!(ny * nz + nx * nz + nx * ny, full, "{dims:?}");
+            let every = StickMap::new(dims, 0..dims.len());
+            assert_eq!(every.lines(), full, "{dims:?}: a map of every bin");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stick map built for another grid")]
+    fn stick_map_of_another_grid_panics() {
+        let plan = Fft3Plan::new(GridDims::new(4, 4, 4));
+        let sticks = StickMap::new(GridDims::new(4, 4, 2), [0]);
+        plan.forward_pruned_batch(&mut vec![Complex64::ZERO; 64], &sticks);
     }
 }

@@ -155,7 +155,8 @@ mod tests {
         let a = rand_cmat(20, 7, 21);
         let b = rand_cmat(20, 9, 23);
         let fast = gemm_adjoint_c64(&a, &b);
-        let slow = gemm_c64_naive(&a.adjoint(), &b);
+        let adjoint = CMat::from_fn(a.cols(), a.rows(), |i, j| a[(j, i)].conj());
+        let slow = gemm_c64_naive(&adjoint, &b);
         let err: f64 = fast
             .as_slice()
             .iter()

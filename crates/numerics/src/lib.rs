@@ -44,6 +44,6 @@ pub use davidson::{davidson, DavidsonError, DavidsonOptions, DavidsonResult, Sym
 pub use eig::{heevd, syevd, EigError, Eigen, HermEigen};
 pub use facesplit::{face_splitting, face_splitting_cost_for};
 pub use fft::{dft_naive, FftPlan};
-pub use fft3d::{Fft3Plan, GridDims};
+pub use fft3d::{Fft3Plan, GridDims, StickMap};
 pub use gemm::{gemm_adjoint_c64, gemm_c64_naive, gemm_f64, gemm_f64_naive};
 pub use matrix::{CMat, Mat};

@@ -265,11 +265,6 @@ impl CMat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Conjugate transpose `A†`.
-    pub fn adjoint(&self) -> CMat {
-        CMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
-    }
-
     /// Maximum absolute deviation from Hermitian symmetry,
     /// `max |a_ij - conj(a_ji)|`.
     ///
@@ -345,20 +340,5 @@ mod tests {
     fn index_out_of_bounds_panics() {
         let a = Mat::zeros(2, 2);
         let _ = a[(2, 0)];
-    }
-
-    #[test]
-    fn adjoint_of_hermitian_is_self() {
-        let h = CMat::from_fn(3, 3, |i, j| {
-            if i == j {
-                Complex64::from_real((i + 1) as f64)
-            } else {
-                Complex64::new(1.0, (i as f64) - (j as f64))
-            }
-        });
-        // Make it Hermitian explicitly.
-        let h = CMat::from_fn(3, 3, |i, j| (h[(i, j)] + h[(j, i)].conj()).scale(0.5));
-        assert!(h.hermitian_deviation() < 1e-15);
-        assert_eq!(h.adjoint(), h);
     }
 }

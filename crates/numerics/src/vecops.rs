@@ -34,18 +34,6 @@ pub fn norm(a: &[Complex64]) -> f64 {
     norm_sqr(a).sqrt()
 }
 
-/// `y ← α·x + y`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: Complex64, x: &[Complex64], y: &mut [Complex64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(*xi, *yi);
-    }
-}
-
 /// Normalizes `x` to unit 2-norm and returns the original norm.
 ///
 /// Leaves `x` untouched and returns 0.0 when its norm underflows.
@@ -106,15 +94,6 @@ mod tests {
         let mut v = vec![Complex64::ZERO; 5];
         v[3] = Complex64::I;
         assert!((norm(&v) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = [Complex64::ONE, Complex64::I];
-        let mut y = [Complex64::ZERO, Complex64::ONE];
-        axpy(Complex64::from_real(2.0), &x, &mut y);
-        assert_eq!(y[0], Complex64::from_real(2.0));
-        assert_eq!(y[1], Complex64::new(1.0, 2.0));
     }
 
     #[test]

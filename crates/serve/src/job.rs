@@ -178,8 +178,20 @@ impl DftJob {
     /// Returns [`JobError::InvalidSystem`] describing the first
     /// violated bound.
     pub fn validate(&self) -> Result<(), JobError> {
-        self.system()
+        let system = self
+            .system()
             .map_err(|e| JobError::InvalidSystem(e.to_string()))?;
+        if let DftJob::GroundState { bands, .. } | DftJob::ScfSelfConsistent { bands, .. } = *self {
+            // A band solve holds at most as many bands as its basis has
+            // plane waves.
+            let most = system.wave_sphere_len();
+            if !(1..=most).contains(&bands) {
+                return Err(JobError::InvalidSystem(format!(
+                    "bands must be in 1..={most} for Si_{}, got {bands}",
+                    system.atoms()
+                )));
+            }
+        }
         match *self {
             DftJob::BandStructure {
                 segments,
@@ -968,6 +980,36 @@ mod tests {
             bad_alpha.validate(),
             Err(JobError::InvalidSystem(_))
         ));
+    }
+
+    #[test]
+    fn validate_bounds_bands_by_the_wave_sphere() {
+        // Si_8's wavefunction sphere holds 515 plane waves, Si_16's 1,013.
+        for (atoms, most) in [(8, 515), (16, 1_013)] {
+            for bands in [0, 1, most, most + 1] {
+                let ground = DftJob::GroundState {
+                    atoms,
+                    bands,
+                    max_iterations: 4,
+                };
+                let sc = DftJob::ScfSelfConsistent {
+                    atoms,
+                    bands,
+                    max_iterations: 4,
+                    occupied: 1,
+                    cycles: 2,
+                    alpha: 0.5,
+                };
+                for job in [ground, sc] {
+                    let ok = (1..=most).contains(&bands);
+                    match job.validate() {
+                        Ok(()) => assert!(ok, "{job:?} passed"),
+                        Err(JobError::InvalidSystem(_)) => assert!(!ok, "{job:?} refused"),
+                        Err(e) => panic!("{job:?}: {e:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := b"NDFTWAL4"                      (8 bytes, format version)
+//! header := b"NDFTWAL5"                      (8 bytes, format version)
 //! record := marker   u32  = 0x4352444E ("NDRC", little-endian)
 //!           fp       u128                    (Fingerprint::to_le_bytes)
 //!           cost     f64                     (modeled compute cost, bits)
@@ -110,9 +110,11 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
 /// gather-charging machine; 3: the job is the fingerprint's `u64` words
 /// and outcomes no longer repeat the fingerprint; 4: outcomes keep only
 /// the placement policy, and decode re-plans the placement and modeled
-/// run): an old file then fails the header check and is reset rather
-/// than misdecoded or misread.
-const HEADER: &[u8; 8] = b"NDFTWAL4";
+/// run; 5: ground states are solved on the wavefunction sphere, so the
+/// same fingerprint names another answer than a full-grid one): an old
+/// file then fails the header check and is reset rather than
+/// misdecoded or misread.
+const HEADER: &[u8; 8] = b"NDFTWAL5";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
 /// truncates from there — it does not skip ahead looking for the next
@@ -1226,30 +1228,34 @@ mod tests {
 
     #[test]
     fn previous_wal_version_is_reset() {
-        let dir = tmp_dir("v3");
-        let path = {
+        // NDFTWAL3 is the previous codec; NDFTWAL4 is this codec, but its
+        // ground states were solved on the full grid, not the sphere.
+        for old in [b"NDFTWAL3", b"NDFTWAL4"] {
+            let dir = tmp_dir(std::str::from_utf8(old).unwrap());
+            let path = {
+                let tier = DiskTier::open(&dir).unwrap();
+                tier.append(Fingerprint(5), 1.0, b"an older outcome");
+                tier.path().to_path_buf()
+            };
+            // The record stays well-formed; only the version says its
+            // payload is an older answer, so it must never be served.
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..HEADER.len()].copy_from_slice(old);
+            std::fs::write(&path, bytes).unwrap();
             let tier = DiskTier::open(&dir).unwrap();
-            tier.append(Fingerprint(5), 1.0, b"an NDFTWAL3 outcome");
-            tier.path().to_path_buf()
-        };
-        // The record stays well-formed; only the version says its
-        // payload is in the previous codec, so it must never be decoded.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..HEADER.len()].copy_from_slice(b"NDFTWAL3");
-        std::fs::write(&path, bytes).unwrap();
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(
-            (tier.len(), tier.bytes_persisted()),
-            (0, HEADER.len() as u64)
-        );
-        assert!(tier.get(&Fingerprint(5)).is_none());
-        tier.append(Fingerprint(6), 1.0, b"usable again");
-        drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.len(), 1);
-        assert!(tier.get(&Fingerprint(5)).is_none());
-        assert_eq!(tier.get(&Fingerprint(6)).unwrap().0, b"usable again");
-        std::fs::remove_dir_all(&dir).unwrap();
+            assert_eq!(
+                (tier.len(), tier.bytes_persisted()),
+                (0, HEADER.len() as u64)
+            );
+            assert!(tier.get(&Fingerprint(5)).is_none());
+            tier.append(Fingerprint(6), 1.0, b"usable again");
+            drop(tier);
+            let tier = DiskTier::open(&dir).unwrap();
+            assert_eq!(tier.len(), 1);
+            assert!(tier.get(&Fingerprint(5)).is_none());
+            assert_eq!(tier.get(&Fingerprint(6)).unwrap().0, b"usable again");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
