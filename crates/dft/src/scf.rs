@@ -1303,19 +1303,18 @@ mod tests {
 
     /// `(atoms, bands, energies, density_residuals)` of the perfbench
     /// `scf_sweep` self-consistent shapes (2 iterations, every band
-    /// occupied, 2 cycles at α = 0.5). The rows with 3 bands, whose start
-    /// fills whole ±G pairs, were recorded from the complex solver that
-    /// started from plane waves and hold on the real one to 1e-14. The
-    /// rows with 2 bands occupy the cos half of the first ±G pair, a
-    /// standing wave where the complex solver occupied a travelling one,
-    /// and were recorded from the real solver.
+    /// occupied, 2 cycles at α = 0.5), recorded from the solve on the
+    /// wavefunction sphere. The rows with 2 bands occupy the cos half of
+    /// the first ±G pair, a standing wave. The full-grid solve put every
+    /// energy 2.1e-5 to 5.8e-5 eV lower and every density residual within
+    /// 2.3e-4 of these, relative.
     #[rustfmt::skip]
     const SELF_CONSISTENT_PIN: [(usize, usize, &[f64], &[f64]); 5] = [
-        (8, 2, &[-2.5575814987373424, 3.0080046531808797], &[0.05127939805143593, 0.018598521917288984]),
-        (8, 3, &[-2.537436747678707, 2.8164649129996904, 2.8164649129996913], &[0.060467710373029865, 0.020960649371869814]),
-        (16, 2, &[-2.6130442035557264, -0.8796309484375833], &[0.12717139583557052, 0.03876569726399893]),
-        (16, 3, &[-2.5627030803800683, -1.2029274796761755, -1.202927479676143], &[0.016903868410140667, 0.007485444150299357]),
-        (24, 2, &[-2.6346606046577543, -1.7110588876100046], &[0.36756103095583725, 0.012942152301654285]),
+        (8, 2, &[-2.5575253388500054, 3.0080269308936316], &[0.05127979644554565, 0.018598539248969353]),
+        (8, 3, &[-2.537380122608354, 2.8164863881428146, 2.8164863881428173], &[0.06047066280706457, 0.020962402511413486]),
+        (16, 2, &[-2.612988161806659, -0.8795888501508546], &[0.12717204539328505, 0.03876565569589559]),
+        (16, 3, &[-2.562647046006068, -1.20288481038715, -1.2028848103871472], &[0.016903951131570196, 0.00748547664881062]),
+        (24, 2, &[-2.6346031072368907, -1.711011682678115], &[0.3675666793356404, 0.012945150168496154]),
     ];
 
     #[test]
