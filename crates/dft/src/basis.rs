@@ -104,20 +104,20 @@ pub(crate) fn wave_sphere_bins(grid: GridDims) -> impl Iterator<Item = usize> {
 /// - each ±G pair is stored at its lower bin as the complex `c(G)`, which
 ///   counts twice.
 ///
-/// So `⟨c|d⟩ = Σ_sc c·d + 2·Σ_pairs Re(c̄·d)` ([`dot`](Self::dot)). The
+/// So `⟨c|d⟩ = Σ_sc c·d + 2·Σ_pairs Re(c̄·d)` ([`half_sphere_dot`]). The
 /// stored bins are ordered by ascending `(|G|², bin)`.
 pub(crate) struct WaveSphere {
     /// The stored bin of every coefficient.
-    bins: Vec<usize>,
+    pub(crate) bins: Vec<usize>,
     /// The bin of `−G` for every stored bin (itself when self-conjugate).
-    mirrors: Vec<usize>,
+    pub(crate) mirrors: Vec<usize>,
     /// `|G|²` of every stored bin.
-    g2: Vec<f64>,
+    pub(crate) g2: Vec<f64>,
     /// The positions of the self-conjugate bins among the stored ones.
-    self_conjugate: Vec<usize>,
+    pub(crate) self_conjugate: Vec<usize>,
     /// The x-rows and z-slabs the full set (both members of each pair)
     /// meets: the pruning of the solve's 3-D FFTs.
-    sticks: StickMap,
+    pub(crate) sticks: StickMap,
 }
 
 impl WaveSphere {
@@ -167,36 +167,6 @@ impl WaveSphere {
     /// self-conjugate bin and two per pair. No more bands than this fit.
     pub(crate) fn dim(&self) -> usize {
         2 * self.len() - self.self_conjugate.len()
-    }
-
-    /// The stored bin of every coefficient.
-    pub(crate) fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
-    /// The bin of `−G` for every stored bin.
-    pub(crate) fn mirrors(&self) -> &[usize] {
-        &self.mirrors
-    }
-
-    /// `|G|²` of every stored bin.
-    pub(crate) fn g2(&self) -> &[f64] {
-        &self.g2
-    }
-
-    /// The positions of the self-conjugate bins among the stored ones.
-    pub(crate) fn self_conjugate(&self) -> &[usize] {
-        &self.self_conjugate
-    }
-
-    /// The pruning of the 3-D FFTs of a band scattered over the sphere.
-    pub(crate) fn sticks(&self) -> &StickMap {
-        &self.sticks
-    }
-
-    /// `⟨c|d⟩` of two bands stored on the half-sphere.
-    pub(crate) fn dot(&self, c: &[Complex64], d: &[Complex64]) -> f64 {
-        half_sphere_dot(&self.self_conjugate, c, d)
     }
 }
 
@@ -389,15 +359,10 @@ mod tests {
             assert_eq!(sys.wave_sphere_len(), len, "Si_{atoms}");
             assert_eq!(sphere.dim(), len, "Si_{atoms}");
             // Half the sphere: G = 0 alone, then one bin per ±G pair.
-            assert_eq!(sphere.self_conjugate(), [0], "Si_{atoms}");
+            assert_eq!(sphere.self_conjugate, [0], "Si_{atoms}");
             assert_eq!(sphere.len(), len.div_ceil(2), "Si_{atoms}");
-            assert_eq!(sphere.bins()[0], 0, "Si_{atoms}");
-            let mut all: Vec<usize> = sphere
-                .bins()
-                .iter()
-                .chain(sphere.mirrors())
-                .copied()
-                .collect();
+            assert_eq!(sphere.bins[0], 0, "Si_{atoms}");
+            let mut all: Vec<usize> = sphere.bins.iter().chain(&sphere.mirrors).copied().collect();
             all.sort_unstable();
             all.dedup();
             let mut expect: Vec<usize> = wave_sphere_bins(grid).collect();
@@ -414,13 +379,13 @@ mod tests {
                 assert_eq!(inside(g), below, "Si_{atoms}, bin {g}");
             }
             // Ordered by |G|² (ties by bin), each pair at its lower bin.
-            for w in sphere.bins().windows(2) {
+            for w in sphere.bins.windows(2) {
                 assert!((g2[w[0]], w[0]) < (g2[w[1]], w[1]), "Si_{atoms}: {w:?}");
             }
-            for (j, (&g, &m)) in sphere.bins().iter().zip(sphere.mirrors()).enumerate() {
+            for (j, (&g, &m)) in sphere.bins.iter().zip(&sphere.mirrors).enumerate() {
                 assert_eq!(m, minus_g(grid, g));
                 assert!(g < m || j == 0, "Si_{atoms}, coefficient {j}");
-                assert_eq!(sphere.g2()[j].to_bits(), g2[g].to_bits());
+                assert_eq!(sphere.g2[j].to_bits(), g2[g].to_bits());
             }
             // No Nyquist plane: every frequency is within a quarter of its
             // axis.
@@ -455,7 +420,7 @@ mod tests {
         };
         let full = |c: &[Complex64]| {
             let mut out = vec![Complex64::ZERO; grid.len()];
-            for ((&g, &m), &z) in sphere.bins().iter().zip(sphere.mirrors()).zip(c) {
+            for ((&g, &m), &z) in sphere.bins.iter().zip(&sphere.mirrors).zip(c) {
                 out[m] = z.conj();
                 out[g] = z;
             }
@@ -464,7 +429,10 @@ mod tests {
         let (c, d) = (half(0.37), half(1.91));
         let expect = vecops::dot(&full(&c), &full(&d));
         assert!(expect.im.abs() < 1e-12);
-        assert!((sphere.dot(&c, &d) - expect.re).abs() < 1e-12 * expect.re.abs().max(1.0));
+        assert!(
+            (half_sphere_dot(&sphere.self_conjugate, &c, &d) - expect.re).abs()
+                < 1e-12 * expect.re.abs().max(1.0)
+        );
     }
 
     #[test]

@@ -53,14 +53,14 @@
 //!   real `β` carry both bands at once), one forward FFT, and
 //!   `X(G) ± X(−G)*` at the sphere's bins splits the image into `Hψ_a` and
 //!   `Hψ_b`. An odd last band rides alone.
-//! - Both FFTs are pruned to the sphere's sticks ([`StickMap`]). The
+//! - Both FFTs are pruned to the sphere's sticks ([`StickMap`](ndft_numerics::StickMap)). The
 //!   inverse transforms only the x-rows whose `(G_y, G_z)` meet the sphere
 //!   and the y-lines only in the z-slabs whose `G_z` meets it; the forward
 //!   computes only those; the z-pass runs in full. On every system grid the
 //!   sphere meets 81 of the 400 `(y, z)` rows and 11 of the 20 slabs, so
 //!   one pruned transform runs 701 of the 1,200 1-D transforms of a full
 //!   one on Si_8, 1,321 of 2,000 on Si_16 and 1,941 of 2,800 on Si_24
-//!   ([`StickMap::lines`]).
+//!   ([`StickMap::lines`](ndft_numerics::StickMap::lines)).
 //!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to
@@ -104,9 +104,7 @@
 use crate::basis::{half_sphere_dot, local_potential, system_g2, WaveSphere, HBAR2_OVER_2M};
 use crate::pseudo::{add_nonlocal, build_pseudos, Pseudopotential};
 use crate::system::SiliconSystem;
-#[cfg(doc)]
-use ndft_numerics::StickMap;
-use ndft_numerics::{syevd, CMat, Complex64, EigError, Fft3Plan, Mat};
+use ndft_numerics::{syevd, vecops, CMat, Complex64, EigError, Fft3Plan, Mat};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2, TAU};
@@ -236,9 +234,9 @@ impl KsHamiltonian {
     /// Panics if `psi.len()` does not match the grid.
     pub fn apply(&self, psi: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(psi.len(), self.nr, "orbital length mismatch");
-        let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+        let sphere = self.sphere.bins.iter().zip(&self.sphere.mirrors);
         let sphere = sphere
-            .zip(self.sphere.g2())
+            .zip(&self.sphere.g2)
             .flat_map(|((&g, &m), &g2)| [(g, g2), (m, g2)]);
         let mut c = psi.to_vec();
         self.plan.forward(&mut c);
@@ -262,7 +260,7 @@ impl KsHamiltonian {
     /// Rayleigh quotient `⟨ψ|P·H·P|ψ⟩` for a unit-norm orbital.
     pub fn expectation(&self, psi: &[Complex64]) -> f64 {
         let h = self.apply(psi);
-        ndft_numerics::vecops::dot(psi, &h).re
+        vecops::dot(psi, &h).re
     }
 
     /// `out = H·c` for every row of the half-sphere block `c`, each row a
@@ -292,7 +290,7 @@ impl KsHamiltonian {
         self.potential_image(grids, images);
         self.split_images(images, out);
         for (o_row, c_row) in out.chunks_exact_mut(m).zip(c.chunks_exact(m)) {
-            for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(self.sphere.g2()) {
+            for ((o, z), &g2) in o_row.iter_mut().zip(c_row).zip(&self.sphere.g2) {
                 *o += z.scale(HBAR2_OVER_2M * g2);
             }
         }
@@ -314,7 +312,7 @@ impl KsHamiltonian {
     /// bands: `F(ψ_a + iψ_b) = Fψ_a + i·Fψ_b`.
     fn scatter(&self, grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
         grid.fill(Complex64::ZERO);
-        let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+        let sphere = self.sphere.bins.iter().zip(&self.sphere.mirrors);
         for (j, (&g, &m)) in sphere.enumerate() {
             let (x, y) = (a[j], b.map_or(Complex64::ZERO, |b| b[j]));
             grid[m] = Complex64::new(x.re + y.im, y.re - x.im);
@@ -334,7 +332,7 @@ impl KsHamiltonian {
         for (grid, rows) in images.chunks_exact(self.nr).zip(out.chunks_mut(2 * m)) {
             let (a, b) = rows.split_at_mut(m);
             let mut b = (!b.is_empty()).then_some(b);
-            let sphere = self.sphere.bins().iter().zip(self.sphere.mirrors());
+            let sphere = self.sphere.bins.iter().zip(&self.sphere.mirrors);
             for (j, (&g, &mg)) in sphere.enumerate() {
                 let (x, y) = (grid[g], grid[mg]);
                 a[j] = Complex64::new(0.5 * (x.re + y.re), 0.5 * (x.im - y.im));
@@ -370,7 +368,7 @@ impl KsHamiltonian {
         self.potential_image(grids, images);
         self.split_images(images, out);
         for (row, s) in out.chunks_exact_mut(self.sphere.len()).zip(starts) {
-            s.add_to(row, HBAR2_OVER_2M * self.sphere.g2()[s.index()]);
+            s.add_to(row, HBAR2_OVER_2M * self.sphere.g2[s.index()]);
         }
     }
 
@@ -380,7 +378,7 @@ impl KsHamiltonian {
     /// times its real or imaginary part for a cos or sin vector.
     fn write_start(&self, s: Start, out: &mut [Complex64], imag: bool) {
         let dims = self.plan.dims();
-        let g = self.sphere.bins()[s.index()];
+        let g = self.sphere.bins[s.index()];
         let (gx, gy, gz) = (
             g % dims.nx,
             (g / dims.nx) % dims.ny,
@@ -446,9 +444,9 @@ impl KsHamiltonian {
             return;
         }
         if inverse {
-            self.plan.inverse_pruned_batch(block, self.sphere.sticks());
+            self.plan.inverse_pruned_batch(block, &self.sphere.sticks);
         } else {
-            self.plan.forward_pruned_batch(block, self.sphere.sticks());
+            self.plan.forward_pruned_batch(block, &self.sphere.sticks);
         }
     }
 }
@@ -732,7 +730,7 @@ fn start_vectors(sphere: &WaveSphere, nb: usize) -> Vec<Start> {
         if starts.len() >= nb {
             break;
         }
-        if sphere.self_conjugate().contains(&j) {
+        if sphere.self_conjugate.contains(&j) {
             starts.push(Start::Unit(j));
         } else {
             starts.extend([Start::Cos(j), Start::Sin(j)]);
@@ -837,7 +835,7 @@ fn solve_bands(
 ) -> Result<GroundState, EigError> {
     let (m, nr) = (h.sphere.len(), h.nr);
     let nb = opts.bands;
-    let sc = h.sphere.self_conjugate();
+    let sc = &h.sphere.self_conjugate;
     let [psi, hpsi, w, hw, grids, images] = blocks.split(nb, m);
 
     // Initial guess: the real start vectors and their H-images. Until the
@@ -862,11 +860,11 @@ fn solve_bands(
             let e = if unit_start {
                 starts[b].dot(hp)
             } else {
-                h.sphere.dot(p, hp)
+                half_sphere_dot(sc, p, hp)
             };
             let mut norm_sqr = 0.0;
             let dirs = row_mut(w, b, m).iter_mut().zip(hp).zip(p);
-            for (((d, hz), z), &g2) in dirs.zip(h.sphere.g2()) {
+            for (((d, hz), z), &g2) in dirs.zip(&h.sphere.g2) {
                 let r = *hz - z.scale(e);
                 norm_sqr += r.norm_sqr();
                 *d = r.scale(1.0 / (1.0 + HBAR2_OVER_2M * g2));
@@ -921,13 +919,13 @@ fn solve_bands(
                 let x = if unit_start {
                     starts[j].dot(row(hw_new, i, m))
                 } else {
-                    h.sphere.dot(wi, row(hpsi, j, m))
+                    half_sphere_dot(sc, wi, row(hpsi, j, m))
                 };
                 hsub[(nb + i, j)] = x;
                 hsub[(j, nb + i)] = x;
             }
             for j in i..nw {
-                let x = h.sphere.dot(wi, row(hw_new, j, m));
+                let x = half_sphere_dot(sc, wi, row(hw_new, j, m));
                 hsub[(nb + j, nb + i)] = x;
                 hsub[(nb + i, nb + j)] = x;
             }
@@ -1051,7 +1049,6 @@ fn orthonormalize_against(
 mod tests {
     use super::*;
     use crate::basis::{minus_g_bins, plane_wave, sorted_g_indices};
-    use ndft_numerics::vecops;
     use std::cell::Cell;
 
     thread_local! {
@@ -1454,7 +1451,7 @@ mod tests {
             for h in [KsHamiltonian::new(&sys, &opts), full] {
                 let (m, nr) = (h.sphere.len(), h.len());
                 let mut starts = start_vectors(&h.sphere, 7);
-                let sc = h.sphere.self_conjugate();
+                let sc = &h.sphere.self_conjugate;
                 let last_pair = (0..m).rev().find(|j| !sc.contains(j)).unwrap();
                 for j in [last_pair, m / 2 + 3] {
                     assert!(!sc.contains(&j));
@@ -1462,11 +1459,11 @@ mod tests {
                 }
                 let grid = sys.grid();
                 let nyquist = grid.index(grid.nx / 2, 0, 0);
-                if let Some(j) = h.sphere.bins().iter().position(|&g| g == nyquist) {
-                    assert!(h.sphere.self_conjugate().contains(&j));
+                if let Some(j) = h.sphere.bins.iter().position(|&g| g == nyquist) {
+                    assert!(h.sphere.self_conjugate.contains(&j));
                     starts.push(Start::Unit(j));
                 } else {
-                    assert_eq!(h.sphere.self_conjugate(), [0], "Si_{atoms}");
+                    assert_eq!(h.sphere.self_conjugate, [0], "Si_{atoms}");
                 }
                 let mut grids = vec![Complex64::ZERO; starts.len().div_ceil(2) * nr];
                 let mut images = grids.clone();
@@ -1584,7 +1581,7 @@ mod tests {
                 "{case}, band {b}: |c(−G) − c(G)*| = {worst:e}"
             );
             // Band-limited to the sphere.
-            for &g in h.sphere.bins().iter().chain(h.sphere.mirrors()) {
+            for &g in h.sphere.bins.iter().chain(&h.sphere.mirrors) {
                 c[g] = Complex64::ZERO;
             }
             let outside = vecops::norm(&c) * scale;
@@ -1843,7 +1840,7 @@ mod tests {
     /// coefficients, with a zero imaginary part at every self-conjugate
     /// bin.
     fn random_real_bands(h: &KsHamiltonian, rows: usize, seed: u64) -> Vec<Complex64> {
-        let (m, sc) = (h.sphere.len(), h.sphere.self_conjugate());
+        let (m, sc) = (h.sphere.len(), &h.sphere.self_conjugate);
         let mut out = Vec::with_capacity(rows * m);
         for r in 0..rows {
             let mut row = random_unit(m, seed + r as u64);

@@ -31,6 +31,7 @@
 use crate::counters::{KernelCost, C64_BYTES};
 use crate::fft::{conj_scale_all, FftPlan};
 use crate::Complex64;
+use std::ops::Range;
 
 /// Dimensions of a 3-D grid.
 ///
@@ -96,9 +97,9 @@ pub struct StickMap {
     dims: GridDims,
     /// The y of every row that holds a bin, slab by slab, ascending.
     rows: Vec<usize>,
-    /// Every slab that holds a bin: its z and the end of its rows in
-    /// `rows` (each slab's rows start where the previous slab's end).
-    slabs: Vec<(usize, usize)>,
+    /// Every slab that holds a bin: its z and the range of its rows in
+    /// `rows`.
+    slabs: Vec<(usize, Range<usize>)>,
 }
 
 impl StickMap {
@@ -117,10 +118,10 @@ impl StickMap {
         let mut rows = Vec::new();
         let mut slabs = Vec::new();
         for (z, slab) in hit.chunks_exact(ny).enumerate() {
-            let before = rows.len();
+            let start = rows.len();
             rows.extend((0..ny).filter(|&y| slab[y]));
-            if rows.len() > before {
-                slabs.push((z, rows.len()));
+            if rows.len() > start {
+                slabs.push((z, start..rows.len()));
             }
         }
         StickMap { dims, rows, slabs }
@@ -136,11 +137,9 @@ impl StickMap {
 
     /// Every slab of the map: its z and the ys of its rows.
     fn slabs(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        let starts = std::iter::once(0).chain(self.slabs.iter().map(|&(_, end)| end));
         self.slabs
             .iter()
-            .zip(starts)
-            .map(|(&(z, end), start)| (z, &self.rows[start..end]))
+            .map(|(z, range)| (*z, &self.rows[range.clone()]))
     }
 }
 
