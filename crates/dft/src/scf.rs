@@ -53,10 +53,11 @@
 //!   real `β` carry both bands at once), one forward FFT, and
 //!   `X(G) ± X(−G)*` at the sphere's bins splits the image into `Hψ_a` and
 //!   `Hψ_b`. An odd last band rides alone.
-//! - Both FFTs are pruned to the sphere's sticks ([`StickMap`](ndft_numerics::StickMap)). The
-//!   inverse transforms only the x-rows whose `(G_y, G_z)` meet the sphere
-//!   and the y-lines only in the z-slabs whose `G_z` meets it; the forward
-//!   computes only those; the z-pass runs in full. On every system grid the
+//! - Both FFTs are pruned to the sphere's sticks
+//!   ([`StickMap`](ndft_numerics::StickMap)). The inverse transforms only
+//!   the x-rows whose `(G_y, G_z)` meet the sphere and the y-lines only in
+//!   the z-slabs whose `G_z` meets it; the forward computes only those;
+//!   the z-pass runs in full. On every system grid the
 //!   sphere meets 81 of the 400 `(y, z)` rows and 11 of the 20 slabs, so
 //!   one pruned transform runs 701 of the 1,200 1-D transforms of a full
 //!   one on Si_8, 1,321 of 2,000 on Si_16 and 1,941 of 2,800 on Si_24
