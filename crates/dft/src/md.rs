@@ -454,6 +454,9 @@ mod tests {
             },
         );
         assert!(hot.final_mean_displacement > cold.final_mean_displacement);
+        // Same atoms and steps on both sides, so the totals compare the
+        // mean rebuild fractions.
+        assert!(hot.total_rebuilds >= cold.total_rebuilds);
         assert!(
             hot.total_rebuilds > 0,
             "900 K must cross a 0.05 Å threshold"

@@ -60,8 +60,8 @@
 //!   the z-pass runs in full. On every system grid the
 //!   sphere meets 81 of the 400 `(y, z)` rows and 11 of the 20 slabs, so
 //!   one pruned transform runs 701 of the 1,200 1-D transforms of a full
-//!   one on Si_8, 1,321 of 2,000 on Si_16 and 1,941 of 2,800 on Si_24
-//!   ([`StickMap::lines`](ndft_numerics::StickMap::lines)).
+//!   one on Si_8, 1,321 of 2,000 on Si_16 and 1,941 of 2,800 on Si_24:
+//!   one per kept row, `n_x` per kept slab and `n_x·n_y` along z.
 //!
 //! Every Hamiltonian application streams whole grids through the FFT and
 //! the projector gather/scatter, so the solver applies `H` only to

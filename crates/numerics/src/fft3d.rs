@@ -130,7 +130,8 @@ impl StickMap {
     /// 1-D transforms one pruned 3-D transform runs: one per row of the
     /// map, `nx` per slab of the map, and `nx·ny` along z. A full transform
     /// runs `ny·nz + nx·nz + nx·ny`.
-    pub fn lines(&self) -> usize {
+    #[cfg(test)]
+    fn lines(&self) -> usize {
         let GridDims { nx, ny, .. } = self.dims;
         self.rows.len() + nx * self.slabs.len() + nx * ny
     }

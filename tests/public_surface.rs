@@ -13,7 +13,7 @@ use std::path::Path;
 /// `(crate directory, ceiling)`: the most public-item lines each crate may
 /// declare.
 const CEILINGS: [(&str, usize); 7] = [
-    ("numerics", 112),
+    ("numerics", 111),
     ("dft", 114),
     ("sim", 118),
     ("shmem", 49),
