@@ -1799,6 +1799,59 @@ mod tests {
         }
     }
 
+    /// The real-space orbitals of a ground state of `sys`, one per row.
+    fn grid_orbitals(gs: &GroundState, _sys: &SiliconSystem) -> CMat {
+        gs.orbitals.clone()
+    }
+
+    /// FNV-1a over the bit patterns of every value, real part first.
+    fn bit_hash(values: impl IntoIterator<Item = f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    fn orbital_hash(orbitals: &CMat) -> u64 {
+        bit_hash(orbitals.as_slice().iter().flat_map(|z| [z.re, z.im]))
+    }
+
+    #[test]
+    fn real_space_orbitals_and_density_bits_are_pinned() {
+        // The bits of the real-space orbitals of three GroundState sweep
+        // shapes (atoms, bands, cap), and of the orbitals and density of
+        // the Si_24 self-consistent shape (2 bands, cap 2, 2 cycles at
+        // α = 0.5). Whatever path takes the bands back to real space must
+        // reproduce them exactly.
+        for (atoms, bands, cap, expect) in [
+            (8, 2, 2, 0x1b3f_0757_5179_a0acu64),
+            (16, 3, 3, 0x2db7_a266_31c4_8d6b),
+            (24, 4, 4, 0x6735_723d_a5d5_0b31),
+        ] {
+            let sys = SiliconSystem::new(atoms).unwrap();
+            let gs = run_scf(&sys, &small_opts(bands, cap)).unwrap();
+            let orbitals = grid_orbitals(&gs, &sys);
+            assert_eq!(
+                (orbitals.rows(), orbitals.cols()),
+                (bands, sys.grid().len())
+            );
+            assert_eq!(
+                orbital_hash(&orbitals),
+                expect,
+                "Si_{atoms}, {bands} bands, cap {cap}"
+            );
+        }
+        let sys = SiliconSystem::new(24).unwrap();
+        let r = run_scf_selfconsistent(&sys, &small_opts(2, 2), 2, 2, 0.5, None).unwrap();
+        assert_eq!(
+            orbital_hash(&grid_orbitals(&r.ground_state, &sys)),
+            0x84d7_9e43_4a0c_5ef1
+        );
+        assert_eq!(bit_hash(r.density.iter().copied()), 0x1a0f_e38f_ae0f_02fe);
+    }
+
     #[test]
     fn seeding_with_the_bare_solve_is_bit_identical() {
         // The warm-start contract: injecting the ground state that
