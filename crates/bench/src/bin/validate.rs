@@ -141,10 +141,11 @@ fn main() {
         // At Γ the orbitals are real: the imaginary part of each, relative
         // to its norm, and the largest deviation of the Gram matrix from
         // the identity.
-        let nb = gs.orbitals.rows();
+        let orbitals = gs.real_space_orbitals(&sys);
+        let nb = orbitals.rows();
         let imaginary = (0..nb)
             .map(|b| {
-                let psi = gs.orbitals.row(b);
+                let psi = orbitals.row(b);
                 let im = psi.iter().map(|z| z.im * z.im).sum::<f64>().sqrt();
                 im / vecops::norm(psi)
             })
@@ -152,7 +153,7 @@ fn main() {
         let mut gram = 0.0f64;
         for i in 0..nb {
             for j in 0..nb {
-                let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                let d = vecops::dot(orbitals.row(i), orbitals.row(j));
                 let identity = Complex64::from_real(if i == j { 1.0 } else { 0.0 });
                 gram = gram.max((d - identity).abs());
             }
@@ -164,7 +165,7 @@ fn main() {
         let outside_bins = &sorted_g_indices(&system_g2(&sys))[sys.wave_sphere_len()..];
         let outside = (0..nb)
             .map(|b| {
-                let mut c = gs.orbitals.row(b).to_vec();
+                let mut c = orbitals.row(b).to_vec();
                 plan.forward(&mut c);
                 let out = outside_bins.iter().map(|&g| c[g].norm_sqr()).sum::<f64>();
                 (out / c.iter().map(|z| z.norm_sqr()).sum::<f64>()).sqrt()

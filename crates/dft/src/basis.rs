@@ -168,6 +168,20 @@ impl WaveSphere {
     pub(crate) fn dim(&self) -> usize {
         2 * self.len() - self.self_conjugate.len()
     }
+
+    /// Writes the half-sphere rows of the real bands `a` and `b` into the
+    /// grid as the coefficients of `a + i·b` over the whole sphere:
+    /// `X(G) = a(G) + i·b(G)` and `X(−G) = a(G)* + i·b(G)*`, zero off the
+    /// sphere. A lone `a` takes `b = 0`. Works alike on any two real
+    /// bands: `F(ψ_a + iψ_b) = Fψ_a + i·Fψ_b`.
+    pub(crate) fn scatter(&self, grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
+        grid.fill(Complex64::ZERO);
+        for (j, (&g, &m)) in self.bins.iter().zip(&self.mirrors).enumerate() {
+            let (x, y) = (a[j], b.map_or(Complex64::ZERO, |b| b[j]));
+            grid[m] = Complex64::new(x.re + y.im, y.re - x.im);
+            grid[g] = Complex64::new(x.re - y.im, x.im + y.re);
+        }
+    }
 }
 
 /// `⟨c|d⟩ = Σ_sc c·d + 2·Σ_pairs Re(c̄·d)` of two real bands on a

@@ -71,8 +71,15 @@
 //! block, one batched forward FFT). It keeps `Hψ` beside every trial
 //! vector and rotates it with the same Ritz coefficients and normalization
 //! as `ψ`, as LOBPCG/Davidson codes do; residuals and band energies come
-//! from those carried pairs. The orbitals return to real space once, at
-//! the end, in one batch, two to a grid.
+//! from those carried pairs.
+//!
+//! The solve returns its bands as they are: [`GroundState::orbitals`]
+//! holds the half-sphere rows, sorted by energy, about 3 % of `N`
+//! complex values a band. A band goes back to real space only when
+//! something reads it there, two bands to a grid through one pruned
+//! inverse FFT: the self-consistent loop sums each density from those
+//! grids, and [`GroundState::real_space_orbitals`] expands the rows for a
+//! caller that needs grid orbitals.
 //!
 //! The solver also skips work whose result it already knows:
 //!
@@ -115,11 +122,16 @@ use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2, TAU};
 pub struct GroundState {
     /// Band energies in eV, ascending.
     pub energies_ev: Vec<f64>,
-    /// Orbitals, one per row, unit grid 2-norm. They are real (every
-    /// imaginary part is zero): the solve runs at Γ, where `H` is real.
-    /// They are band-limited to the wavefunction sphere `|G| ≤ G_w` (see
-    /// the module docs): every plane wave outside it has a zero
-    /// coefficient, to rounding.
+    /// Orbitals, one band per row, as the band solve holds them: the
+    /// unitary plane-wave coefficients `c(G) = (Fψ)(G)/√N` on half of the
+    /// wavefunction sphere `|G| ≤ G_w` (see the module docs). A row holds
+    /// the real value at `G = 0` first, then one complex `c(G)` per ±G
+    /// pair, ordered by `(|G|², bin)`: 258, 507 and 764 columns on Si_8,
+    /// Si_16 and Si_24. Each band is real in real space, so its mirror
+    /// coefficient is `c(−G) = c(G)*` and a pair counts twice in an inner
+    /// product: `⟨c|d⟩ = c₀d₀ + 2·Σ Re(c̄d)`, and every row has unit norm
+    /// in that product. [`real_space_orbitals`](Self::real_space_orbitals)
+    /// expands the rows to orbitals on the grid.
     pub orbitals: CMat,
     /// Residual 2-norms `‖Hψ − εψ‖` per band. They belong to the
     /// returned orbitals when the solve converged (or ran no update);
@@ -135,6 +147,48 @@ impl GroundState {
     /// Largest band residual (convergence diagnostic).
     pub fn max_residual(&self) -> f64 {
         self.residuals.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// The orbitals on the real-space grid of `system`, one per row, with
+    /// unit grid 2-norm. Every imaginary part is zero, and every plane
+    /// wave outside the wavefunction sphere has a zero coefficient, to
+    /// rounding. Builds the system's sphere and FFT plan, not a
+    /// Hamiltonian, and runs `⌈bands/2⌉` pruned inverse 3-D FFTs, two
+    /// bands to a grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are not as long as `system`'s half-sphere.
+    pub fn real_space_orbitals(&self, system: &SiliconSystem) -> CMat {
+        let grid = system.grid();
+        let sphere = WaveSphere::new(grid, &system_g2(system));
+        assert_eq!(
+            self.orbitals.cols(),
+            sphere.len(),
+            "orbitals must be rows of the system's half-sphere"
+        );
+        let (nb, nr) = (self.orbitals.rows(), grid.len());
+        let mut grids = vec![Complex64::ZERO; nb.div_ceil(2) * nr];
+        let grids = to_real_space(
+            &Fft3Plan::new(grid),
+            &sphere,
+            self.orbitals.as_slice(),
+            &mut grids,
+        );
+        let mut out = CMat::zeros(nb, nr);
+        for (grid, rows) in grids
+            .chunks_exact(nr)
+            .zip(out.as_mut_slice().chunks_mut(2 * nr))
+        {
+            let (a, b) = rows.split_at_mut(nr);
+            for (i, z) in grid.iter().enumerate() {
+                a[i] = Complex64::from_real(z.re);
+                if let Some(y) = b.get_mut(i) {
+                    *y = Complex64::from_real(z.im);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -214,16 +268,6 @@ impl KsHamiltonian {
         }
     }
 
-    /// Number of real-space grid points.
-    pub fn len(&self) -> usize {
-        self.nr
-    }
-
-    /// True when the grid is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.nr == 0
-    }
-
     /// Applies `P·H·P` to an orbital, with `P` the projector onto the
     /// wavefunction sphere: the operator the band solve diagonalizes.
     /// `ψ` is taken to plane waves and cut to the sphere; the kinetic term
@@ -285,7 +329,7 @@ impl KsHamiltonian {
         let (grids, images) = (&mut grids[..used], &mut images[..used]);
         for (grid, pair) in grids.chunks_exact_mut(nr).zip(c.chunks(2 * m)) {
             let (a, b) = pair.split_at(m);
-            self.scatter(grid, a, (!b.is_empty()).then_some(b));
+            self.sphere.scatter(grid, a, (!b.is_empty()).then_some(b));
         }
         self.fft(grids, true);
         self.potential_image(grids, images);
@@ -304,21 +348,6 @@ impl KsHamiltonian {
     fn potential_image(&self, phi: &[Complex64], out: &mut [Complex64]) {
         self.potential(phi, out);
         self.fft(out, false);
-    }
-
-    /// Writes the half-sphere rows of the real bands `a` and `b` into the
-    /// grid as the coefficients of `a + i·b` over the whole sphere:
-    /// `X(G) = a(G) + i·b(G)` and `X(−G) = a(G)* + i·b(G)*`, zero off the
-    /// sphere. A lone `a` takes `b = 0`. Works alike on any two real
-    /// bands: `F(ψ_a + iψ_b) = Fψ_a + i·Fψ_b`.
-    fn scatter(&self, grid: &mut [Complex64], a: &[Complex64], b: Option<&[Complex64]>) {
-        grid.fill(Complex64::ZERO);
-        let sphere = self.sphere.bins.iter().zip(&self.sphere.mirrors);
-        for (j, (&g, &m)) in sphere.enumerate() {
-            let (x, y) = (a[j], b.map_or(Complex64::ZERO, |b| b[j]));
-            grid[m] = Complex64::new(x.re + y.im, y.re - x.im);
-            grid[g] = Complex64::new(x.re - y.im, x.im + y.re);
-        }
     }
 
     /// Splits the packed images in the grids of `images` into one
@@ -434,44 +463,87 @@ impl KsHamiltonian {
         add_nonlocal(phi, self.nr, &self.pseudos, self.dv, out);
     }
 
-    /// Transforms every grid of `block` on this Hamiltonian's plan, pruned
-    /// to the sphere's sticks: the inverse of bands scattered on the
-    /// sphere, exact at every point, or the forward, exact at the sphere's
-    /// bins. An empty block is left alone.
+    /// [`pruned_fft`] of every grid of `block` on this Hamiltonian's plan
+    /// and sphere.
     fn fft(&self, block: &mut [Complex64], inverse: bool) {
-        #[cfg(test)]
-        tests::FFT_CALLS.with(|c| c.set(c.get() + block.len() / self.nr));
-        if block.is_empty() {
-            return;
-        }
-        if inverse {
-            self.plan.inverse_pruned_batch(block, &self.sphere.sticks);
-        } else {
-            self.plan.forward_pruned_batch(block, &self.sphere.sticks);
-        }
+        pruned_fft(&self.plan, &self.sphere, block, inverse);
     }
 }
 
-/// Electron charge density `ρ(r) = Σ_b f_b |ψ_b(r)|²`, normalized so that
-/// `Σ_r ρ(r)·dv` equals the electron count (`Σ f_b` for grid-unit-norm
-/// orbitals scaled by `1/dv`).
+/// Transforms every grid of `block` on `plan`, pruned to the sticks of
+/// `sphere`: the inverse of bands scattered on the sphere, exact at every
+/// point, or the forward, exact at the sphere's bins. An empty block is
+/// left alone.
+fn pruned_fft(plan: &Fft3Plan, sphere: &WaveSphere, block: &mut [Complex64], inverse: bool) {
+    #[cfg(test)]
+    tests::FFT_CALLS.with(|c| c.set(c.get() + block.len() / plan.dims().len()));
+    if block.is_empty() {
+        return;
+    }
+    if inverse {
+        plan.inverse_pruned_batch(block, &sphere.sticks);
+    } else {
+        plan.forward_pruned_batch(block, &sphere.sticks);
+    }
+}
+
+/// Takes the real bands whose half-sphere rows are `rows` back to real
+/// space, two to a grid, in the first `⌈bands/2⌉` grids of `grids`
+/// (clobbered), and returns those grids. Grid `k` holds bands `2k` and
+/// `2k + 1` as its real and imaginary parts (an odd last band leaves a
+/// zero imaginary part), scaled to `ψ = √N·F⁻¹c`, which keeps the unit
+/// grid norm: one scatter per grid, one batched pruned inverse FFT.
+fn to_real_space<'a>(
+    plan: &Fft3Plan,
+    sphere: &WaveSphere,
+    rows: &[Complex64],
+    grids: &'a mut [Complex64],
+) -> &'a [Complex64] {
+    let (m, nr) = (sphere.len(), plan.dims().len());
+    let grids = &mut grids[..(rows.len() / m).div_ceil(2) * nr];
+    for (grid, pair) in grids.chunks_exact_mut(nr).zip(rows.chunks(2 * m)) {
+        let (a, b) = pair.split_at(m);
+        sphere.scatter(grid, a, (!b.is_empty()).then_some(b));
+    }
+    pruned_fft(plan, sphere, grids, true);
+    let sqrt_n = (nr as f64).sqrt();
+    for z in grids.iter_mut() {
+        *z = Complex64::new(sqrt_n * z.re, sqrt_n * z.im);
+    }
+    grids
+}
+
+/// Electron charge density `ρ(r) = Σ_b f_b |ψ_b(r)|²` of the bands whose
+/// half-sphere rows are `orbitals`, normalized so that `Σ_r ρ(r)·dv`
+/// equals the electron count (`Σ f_b` for grid-unit-norm orbitals scaled
+/// by `1/dv`). The bands go to real space two to a grid in `grids` (at
+/// least `⌈bands/2⌉` grids, clobbered), and every point sums them in band
+/// order.
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree.
-fn charge_density(orbitals: &CMat, occupations: &[f64], dv: f64) -> Vec<f64> {
+fn charge_density(
+    h: &KsHamiltonian,
+    orbitals: &CMat,
+    occupations: &[f64],
+    grids: &mut [Complex64],
+) -> Vec<f64> {
     assert_eq!(
         orbitals.rows(),
         occupations.len(),
         "one occupation per band"
     );
-    let nr = orbitals.cols();
-    let mut rho = vec![0.0f64; nr];
-    for (b, &f) in occupations.iter().enumerate() {
-        for (r, z) in orbitals.row(b).iter().enumerate() {
+    let mut rho = vec![0.0f64; h.nr];
+    let grids = to_real_space(&h.plan, &h.sphere, orbitals.as_slice(), grids);
+    for (grid, f) in grids.chunks_exact(h.nr).zip(occupations.chunks(2)) {
+        for (r, z) in rho.iter_mut().zip(grid) {
             // Grid-unit-norm orbitals: |ψ|² sums to 1 over the grid, so
             // dividing by dv makes ρ integrate (Σ ρ dv) to f per band.
-            rho[r] += f * z.norm_sqr() / dv;
+            *r += f[0] * (z.re * z.re) / h.dv;
+            if let Some(&f) = f.get(1) {
+                *r += f * (z.im * z.im) / h.dv;
+            }
         }
     }
     rho
@@ -538,8 +610,8 @@ pub struct SelfConsistentResult {
 ///
 /// Panics if `occupied > opts.bands`, `opts.bands` exceeds
 /// [`SiliconSystem::wave_sphere_len`], `alpha` is not in (0, 1], or the
-/// seed's orbital matrix does not have `opts.bands` rows on the system
-/// grid.
+/// seed's orbital matrix does not have `opts.bands` rows of the system's
+/// half-sphere.
 pub fn run_scf_selfconsistent(
     system: &SiliconSystem,
     opts: &ScfOptions,
@@ -556,8 +628,6 @@ pub fn run_scf_selfconsistent(
         alpha > 0.0 && alpha <= 1.0,
         "mixing factor must be in (0, 1]"
     );
-    let nr = system.grid().len();
-    let dv = system.volume() / nr as f64;
     let occupations: Vec<f64> = (0..opts.bands)
         .map(|b| if b < occupied { 2.0 } else { 0.0 })
         .collect();
@@ -567,7 +637,8 @@ pub fn run_scf_selfconsistent(
     // every cycle's solve and Poisson step reuses them, and every solve
     // the start vectors and row blocks built here.
     let starts = start_vectors(&h.sphere, opts.bands);
-    let mut blocks = BandBlocks::new(opts.bands, h.sphere.len(), nr);
+    let m = h.sphere.len();
+    let mut blocks = BandBlocks::new(opts.bands, m, h.nr);
     let bare_vloc = h.vloc.clone();
     let mut residuals = Vec::with_capacity(cycles);
     let mut gs = match seed {
@@ -579,22 +650,22 @@ pub fn run_scf_selfconsistent(
             );
             assert_eq!(
                 seed.orbitals.cols(),
-                nr,
-                "seed orbitals must live on the system grid"
+                m,
+                "seed orbitals must be rows of the system's half-sphere"
             );
             Cow::Borrowed(seed)
         }
         None => Cow::Owned(solve_bands(opts, &h, &starts, &mut blocks)?),
     };
     // The bare ground state's density is the first input density.
-    let mut rho = charge_density(&gs.orbitals, &occupations, dv);
+    let mut rho = charge_density(&h, &gs.orbitals, &occupations, blocks.grids(opts.bands, m));
     for _cycle in 0..cycles {
         let vh = hartree_in(&h.plan, &h.g2, &rho);
         for ((v, b), htr) in h.vloc.iter_mut().zip(&bare_vloc).zip(&vh) {
             *v = *b + *htr;
         }
         gs = Cow::Owned(solve_bands(opts, &h, &starts, &mut blocks)?);
-        let rho_out = charge_density(&gs.orbitals, &occupations, dv);
+        let rho_out = charge_density(&h, &gs.orbitals, &occupations, blocks.grids(opts.bands, m));
         let norm_in: f64 = rho.iter().map(|x| x.abs()).sum::<f64>().max(1e-30);
         let diff: f64 = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum();
         residuals.push(diff / norm_in);
@@ -784,8 +855,9 @@ fn normalize(self_conjugate: &[usize], x: &mut [Complex64]) -> f64 {
 /// The row blocks of a band solve of `nb` bands, in one allocation: the
 /// bands ψ and H·ψ, the new directions W and H·W (half-sphere rows), and
 /// two sets of `⌈nb/2⌉` grids: the packed bands of every H application and
-/// of the return to real space, and their potential images. A
-/// self-consistent run allocates them once for all of its solves.
+/// of the density's return to real space, and their potential images. A
+/// self-consistent run allocates them once for all of its solves and
+/// densities.
 ///
 /// One allocation also keeps the pages resident from job to job: when a
 /// mapped block is freed, glibc raises its mmap threshold to that block's
@@ -810,6 +882,12 @@ impl BandBlocks {
         let (grids, images) = rest.split_at_mut(rest.len() / 2);
         [psi, hpsi, w, hw, grids, images]
     }
+
+    /// The packed grids alone.
+    fn grids(&mut self, nb: usize, m: usize) -> &mut [Complex64] {
+        let [.., grids, _] = self.split(nb, m);
+        grids
+    }
 }
 
 /// Row `b` of a block of rows `len` long.
@@ -827,14 +905,14 @@ fn row_mut(block: &mut [Complex64], b: usize, len: usize) -> &mut [Complex64] {
 /// `blocks` (built for as many bands).
 ///
 /// Works on half-sphere plane-wave coefficients throughout (see the module
-/// docs) and returns real-space orbitals.
+/// docs) and returns the bands as those rows, sorted by energy.
 fn solve_bands(
     opts: &ScfOptions,
     h: &KsHamiltonian,
     starts: &[Start],
     blocks: &mut BandBlocks,
 ) -> Result<GroundState, EigError> {
-    let (m, nr) = (h.sphere.len(), h.nr);
+    let m = h.sphere.len();
     let nb = opts.bands;
     let sc = &h.sphere.self_conjugate;
     let [psi, hpsi, w, hw, grids, images] = blocks.split(nb, m);
@@ -973,31 +1051,9 @@ fn solve_bands(
             .partial_cmp(&energies[b])
             .expect("finite energies")
     });
-    // Back to real space in one batch, two bands to a grid: grid k holds
-    // bands 2k and 2k + 1 as its real and imaginary parts, and
-    // ψ = √N · F⁻¹c keeps the unit grid norm.
-    let grids = &mut grids[..nb.div_ceil(2) * nr];
-    for (grid, pair) in grids.chunks_exact_mut(nr).zip(idx.chunks(2)) {
-        h.scatter(
-            grid,
-            row(psi, pair[0], m),
-            pair.get(1).map(|&j| row(psi, j, m)),
-        );
-    }
-    h.fft(grids, true);
-    let sqrt_n = (nr as f64).sqrt();
-    let mut orbitals = CMat::zeros(nb, nr);
-    for (grid, rows) in grids
-        .chunks_exact(nr)
-        .zip(orbitals.as_mut_slice().chunks_mut(2 * nr))
-    {
-        let (a, b) = rows.split_at_mut(nr);
-        for (i, z) in grid.iter().enumerate() {
-            a[i] = Complex64::from_real(sqrt_n * z.re);
-            if let Some(y) = b.get_mut(i) {
-                *y = Complex64::from_real(sqrt_n * z.im);
-            }
-        }
+    let mut orbitals = CMat::zeros(nb, m);
+    for (out, &i) in orbitals.as_mut_slice().chunks_exact_mut(m).zip(&idx) {
+        out.copy_from_slice(row(psi, i, m));
     }
     Ok(GroundState {
         energies_ev: idx.iter().map(|&i| energies[i]).collect(),
@@ -1149,8 +1205,9 @@ mod tests {
                     let (k, grids) = (gs.iterations, bands.div_ceil(2));
                     assert_eq!(applies, grids * (k + 1), "{case}");
                     assert_eq!(ffts, grids * (2 * k + 2), "{case}");
+                    let orbitals = gs.real_space_orbitals(&sys);
                     for (b, &e) in gs.energies_ev.iter().enumerate() {
-                        let fresh = h.expectation(gs.orbitals.row(b));
+                        let fresh = h.expectation(orbitals.row(b));
                         assert!(
                             (e - fresh).abs() <= 1e-10 * fresh.abs(),
                             "{case}, band {b}: rotated {e} vs recomputed {fresh}"
@@ -1158,7 +1215,7 @@ mod tests {
                     }
                     for i in 0..bands {
                         for j in 0..bands {
-                            let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                            let d = vecops::dot(orbitals.row(i), orbitals.row(j));
                             let expect = if i == j { 1.0 } else { 0.0 };
                             assert!(
                                 (d - Complex64::from_real(expect)).abs() < 1e-10,
@@ -1180,11 +1237,12 @@ mod tests {
         let lowest = run_scf(&sys, &small_opts(4, 12)).unwrap();
         assert!(lowest.max_residual() < 1e-3);
         let gs = run_scf(&sys, &small_opts(12, 60)).unwrap();
-        let nb = gs.orbitals.rows();
+        let orbitals = gs.real_space_orbitals(&sys);
+        let nb = orbitals.rows();
         let mut gram_error = 0.0f64;
         for i in 0..nb {
             for j in 0..nb {
-                let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                let d = vecops::dot(orbitals.row(i), orbitals.row(j));
                 let expect = Complex64::from_real(if i == j { 1.0 } else { 0.0 });
                 gram_error = gram_error.max((d - expect).abs());
             }
@@ -1214,8 +1272,9 @@ mod tests {
         assert_eq!(APPLY_CALLS.with(Cell::get) - applies, 2 * 7);
         assert_eq!(FFT_CALLS.with(Cell::get) - ffts, 2 * 14);
         assert!(gs.max_residual() < opts.residual_tolerance);
+        let orbitals = gs.real_space_orbitals(&sys);
         for (b, (&e, &res)) in gs.energies_ev.iter().zip(&gs.residuals).enumerate() {
-            let psi = gs.orbitals.row(b);
+            let psi = orbitals.row(b);
             let r: Vec<Complex64> = h
                 .apply(psi)
                 .iter()
@@ -1413,7 +1472,7 @@ mod tests {
         for (atoms, seed) in [(8, 0xc0ef_0008u64), (16, 0xc0ef_0016), (24, 0xc0ef_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let (m, nr) = (h.sphere.len(), h.len());
+            let (m, nr) = (h.sphere.len(), h.nr);
             let c = random_real_bands(&h, 3, seed);
             let mut grids = vec![Complex64::ZERO; 2 * nr];
             let mut images = grids.clone();
@@ -1421,7 +1480,7 @@ mod tests {
             h.apply_block(&c, &mut grids, &mut images, &mut fast);
             for (r, (row, got)) in c.chunks_exact(m).zip(fast.chunks_exact(m)).enumerate() {
                 let mut psi = vec![Complex64::ZERO; nr];
-                h.scatter(&mut psi, row, None);
+                h.sphere.scatter(&mut psi, row, None);
                 h.plan.inverse(&mut psi);
                 let mut slow = h.apply(&psi);
                 h.plan.forward(&mut slow);
@@ -1450,7 +1509,7 @@ mod tests {
             let opts = ScfOptions::default();
             let full = KsHamiltonian::full_grid(&sys, &opts);
             for h in [KsHamiltonian::new(&sys, &opts), full] {
-                let (m, nr) = (h.sphere.len(), h.len());
+                let (m, nr) = (h.sphere.len(), h.nr);
                 let mut starts = start_vectors(&h.sphere, 7);
                 let sc = &h.sphere.self_conjugate;
                 let last_pair = (0..m).rev().find(|j| !sc.contains(j)).unwrap();
@@ -1501,7 +1560,7 @@ mod tests {
         for (atoms, seed) in [(8, 0xb10c_0008u64), (16, 0xb10c_0016), (24, 0xb10c_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let (m, nr) = (h.sphere.len(), h.len());
+            let (m, nr) = (h.sphere.len(), h.nr);
             for k in 1..=5 {
                 let c = random_real_bands(&h, k, seed + k as u64);
                 let mut grids = vec![Complex64::ZERO; k.div_ceil(2) * nr];
@@ -1552,9 +1611,10 @@ mod tests {
                 .unwrap()
                 .ground_state;
             let case = format!("Si_{atoms}, {bands} bands, cap {cap}");
-            for orbitals in [&gs.orbitals, &sc.orbitals] {
-                assert_eq!(orbitals.rows(), bands, "{case}");
-                assert_orbitals_real_and_orthonormal(&h, orbitals, &case);
+            for gs in [&gs, &sc] {
+                assert_eq!(gs.orbitals.rows(), bands, "{case}");
+                let orbitals = gs.real_space_orbitals(&sys);
+                assert_orbitals_real_and_orthonormal(&h, &orbitals, &case);
             }
         }
     }
@@ -1571,7 +1631,7 @@ mod tests {
             );
             let mut c = psi.to_vec();
             h.plan.forward(&mut c);
-            let scale = 1.0 / (h.len() as f64).sqrt();
+            let scale = 1.0 / (h.nr as f64).sqrt();
             let worst = minus_g_bins(h.plan.dims())
                 .iter()
                 .enumerate()
@@ -1673,10 +1733,11 @@ mod tests {
         for w in gs.energies_ev.windows(2) {
             assert!(w[0] <= w[1] + 1e-9, "ascending energies");
         }
-        let nb = gs.orbitals.rows();
+        let orbitals = gs.real_space_orbitals(&sys);
+        let nb = orbitals.rows();
         for i in 0..nb {
             for j in 0..nb {
-                let d = vecops::dot(gs.orbitals.row(i), gs.orbitals.row(j));
+                let d = vecops::dot(orbitals.row(i), orbitals.row(j));
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!(
                     (d - Complex64::from_real(expect)).abs() < 1e-8,
@@ -1715,11 +1776,13 @@ mod tests {
     #[test]
     fn density_integrates_to_electron_count() {
         let sys = SiliconSystem::new(16).unwrap();
-        let gs = run_scf(&sys, &small_opts(4, 2)).unwrap();
-        let nr = sys.grid().len();
-        let dv = sys.volume() / nr as f64;
+        let opts = small_opts(4, 2);
+        let h = KsHamiltonian::new(&sys, &opts);
+        let gs = run_scf_in(&sys, &opts, &h).unwrap();
+        let dv = h.dv;
         let occ = vec![2.0, 2.0, 2.0, 2.0];
-        let rho = charge_density(&gs.orbitals, &occ, dv);
+        let mut grids = vec![Complex64::ZERO; 2 * h.nr];
+        let rho = charge_density(&h, &gs.orbitals, &occ, &mut grids);
         assert!(
             rho.iter().all(|&x| x >= 0.0),
             "density must be non-negative"
@@ -1800,8 +1863,8 @@ mod tests {
     }
 
     /// The real-space orbitals of a ground state of `sys`, one per row.
-    fn grid_orbitals(gs: &GroundState, _sys: &SiliconSystem) -> CMat {
-        gs.orbitals.clone()
+    fn grid_orbitals(gs: &GroundState, sys: &SiliconSystem) -> CMat {
+        gs.real_space_orbitals(sys)
     }
 
     /// FNV-1a over the bit patterns of every value, real part first.
@@ -1870,6 +1933,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "seed orbitals must be rows of the system's half-sphere")]
+    fn seed_on_the_real_space_grid_is_rejected() {
+        let sys = SiliconSystem::new(8).unwrap();
+        let mut seed = run_scf(&sys, &small_opts(2, 2)).unwrap();
+        seed.orbitals = seed.real_space_orbitals(&sys);
+        let _ = run_scf_selfconsistent(&sys, &small_opts(2, 2), 2, 1, 0.5, Some(&seed));
+    }
+
+    #[test]
     #[should_panic(expected = "seed must carry one orbital per solved band")]
     fn seed_with_wrong_band_count_is_rejected() {
         let sys = SiliconSystem::new(16).unwrap();
@@ -1915,8 +1987,8 @@ mod tests {
         for (atoms, seed) in [(8, 0x5eed_0008u64), (16, 0x5eed_0016), (24, 0x5eed_0024)] {
             let sys = SiliconSystem::new(atoms).unwrap();
             let h = KsHamiltonian::new(&sys, &ScfOptions::default());
-            let a = random_unit(h.len(), seed);
-            let b = random_unit(h.len(), !seed);
+            let a = random_unit(h.nr, seed);
+            let b = random_unit(h.nr, !seed);
             let lhs = vecops::dot(&b, &h.apply(&a));
             let rhs = vecops::dot(&a, &h.apply(&b)).conj();
             assert!(

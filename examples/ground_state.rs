@@ -34,13 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Split the solved bands into the LR-TDDFT windows. The grid-norm
     // orbitals must be rescaled to quadrature normalization (⟨ψ|ψ⟩dv = 1).
+    let orbitals = gs.real_space_orbitals(&sys);
     let nr = sys.grid().len();
     let dv = sys.volume() / nr as f64;
     let s = 1.0 / dv.sqrt();
     let scale_rows = |rows: std::ops::Range<usize>| {
         let mut data = Vec::with_capacity(rows.len() * nr);
         for r in rows {
-            data.extend(gs.orbitals.row(r).iter().map(|z| z.scale(s)));
+            data.extend(orbitals.row(r).iter().map(|z| z.scale(s)));
         }
         ndft::numerics::CMat::from_vec(data.len() / nr, nr, data)
     };
@@ -70,5 +71,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model_spectrum.optical_gap()
     );
     println!("the timing study is insensitive to which orbital source is used).");
+    for (path, gap) in [
+        ("SCF", scf_spectrum.optical_gap()),
+        ("model", model_spectrum.optical_gap()),
+    ] {
+        if !(gap.is_finite() && gap > 0.0) {
+            return Err(format!("the {path} path's optical gap is {gap} eV").into());
+        }
+    }
     Ok(())
 }

@@ -179,13 +179,14 @@ fn self_consistent_scf_feeds_response_pipeline() {
     };
     let sc = ndft::dft::run_scf_selfconsistent(&sys, &opts, nv, 2, 0.5, None).unwrap();
     let gs = &sc.ground_state;
+    let orbitals = gs.real_space_orbitals(&sys);
     let nr = sys.grid().len();
     let dv = sys.volume() / nr as f64;
     let s = 1.0 / dv.sqrt();
     let take = |range: std::ops::Range<usize>| {
         let mut data = Vec::new();
         for r in range.clone() {
-            data.extend(gs.orbitals.row(r).iter().map(|z| z.scale(s)));
+            data.extend(orbitals.row(r).iter().map(|z| z.scale(s)));
         }
         ndft::numerics::CMat::from_vec(range.len(), nr, data)
     };
