@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! file   := header record*
-//! header := b"NDFTWAL5"                      (8 bytes, format version)
+//! header := b"NDFTWAL6"                      (8 bytes, format version)
 //! record := marker   u32  = 0x4352444E ("NDRC", little-endian)
 //!           fp       u128                    (Fingerprint::to_le_bytes)
 //!           cost     f64                     (modeled compute cost, bits)
@@ -40,13 +40,17 @@
 //!           parameter in declaration order: counts as u64, floats as
 //!           raw bits, `full_casida` as 0/1 — the bytes the
 //!           fingerprint hashes, so `fp` is the digest of `job`
+//! orbitals := rows u64, cols u64, then rows × cols values (re, im bits):
+//!           a ground state's bands as half-sphere rows, so `bands` rows
+//!           of `⌈wave_sphere_len/2⌉` for its job's system
 //! ```
 //!
 //! Appends are atomic at record granularity in the WAL sense: a crash
 //! mid-append leaves a truncated tail, and the open-time scan stops at
 //! the first malformed or checksum-failing record (for a cache's log,
 //! also at the first whose payload does not decode: a policy tag of 5
-//! or more, or a job with no valid system, say) and **truncates the
+//! or more, a job with no valid system, or orbitals that are not its
+//! job's half-sphere rows, say) and **truncates the
 //! file back to the last good boundary** — corruption costs the tail of
 //! the cache, never a panic and never a poisoned index. A later record for the same fingerprint
 //! shadows an earlier one (last write wins), so refreshing an entry
@@ -111,10 +115,11 @@ pub fn replica_cache_dir(root: impl AsRef<Path>, replica: usize) -> PathBuf {
 /// and outcomes no longer repeat the fingerprint; 4: outcomes keep only
 /// the placement policy, and decode re-plans the placement and modeled
 /// run; 5: ground states are solved on the wavefunction sphere, so the
-/// same fingerprint names another answer than a full-grid one): an old
-/// file then fails the header check and is reset rather than
-/// misdecoded or misread.
-const HEADER: &[u8; 8] = b"NDFTWAL5";
+/// same fingerprint names another answer than a full-grid one; 6: a
+/// ground state's orbitals are its bands' half-sphere rows, not grid
+/// orbitals): an old file then fails the header check and is reset
+/// rather than misdecoded or misread.
+const HEADER: &[u8; 8] = b"NDFTWAL6";
 /// Per-record marker ("NDRC" little-endian). The open-time scan
 /// treats anything else where a record should start as corruption and
 /// truncates from there — it does not skip ahead looking for the next
@@ -612,6 +617,9 @@ impl PersistValue for JobOutcome {
     fn decode(dec: &mut Dec<'_>) -> Option<Self> {
         let job = DftJob::decode(dec)?;
         let payload = JobPayload::decode(dec)?;
+        if !orbitals_fit(&job, &payload) {
+            return None;
+        }
         let policy = *PlacementPolicy::all().get(usize::from(dec.u8()?))?;
         let secs = dec.u64()?;
         let nanos = dec.u32()?;
@@ -629,6 +637,22 @@ impl PersistValue for JobOutcome {
             wall_numeric: Duration::new(secs, nanos),
         })
     }
+}
+
+/// Whether a ground state in `payload` holds what `job`'s solve returns:
+/// `bands` rows of its system's half-sphere. That sphere holds `G = 0`
+/// and both members of each ±G pair, so a row is `⌈wave_sphere_len/2⌉`
+/// long. A payload without orbitals fits any job.
+fn orbitals_fit(job: &DftJob, payload: &JobPayload) -> bool {
+    let gs = match payload {
+        JobPayload::GroundState(gs) => gs,
+        JobPayload::SelfConsistent(sc) => &sc.ground_state,
+        _ => return true,
+    };
+    let (Ok(system), Some(opts)) = (job.system(), job.scf_options()) else {
+        return false;
+    };
+    (gs.orbitals.rows(), gs.orbitals.cols()) == (opts.bands, system.wave_sphere_len().div_ceil(2))
 }
 
 impl PersistValue for Arc<JobOutcome> {
@@ -1169,6 +1193,91 @@ mod tests {
     }
 
     #[test]
+    fn orbitals_off_the_half_sphere_are_never_served() {
+        // A ground state whose orbital matrix is not `bands` rows of its
+        // system's half-sphere does not decode: grid orbitals, as an
+        // `NDFTWAL5` record held them, and a band too many or too few. A
+        // log holding such a record keeps the one before it and never
+        // serves it.
+        let ground = outcome_for(DftJob::GroundState {
+            atoms: 8,
+            bands: 2,
+            max_iterations: 2,
+        });
+        let sc = outcome_for(DftJob::ScfSelfConsistent {
+            atoms: 8,
+            bands: 2,
+            max_iterations: 2,
+            occupied: 2,
+            cycles: 1,
+            alpha: 0.5,
+        });
+        fn ground_state(out: &mut JobOutcome) -> &mut GroundState {
+            match &mut out.payload {
+                JobPayload::GroundState(gs) => gs,
+                JobPayload::SelfConsistent(sc) => &mut sc.ground_state,
+                _ => unreachable!("a ground-state payload"),
+            }
+        }
+        let system = ground.job.system().unwrap();
+        let mut bad = Vec::new();
+        for out in [&ground, &sc] {
+            let mut out = out.clone();
+            let gs = ground_state(&mut out);
+            assert_eq!((gs.orbitals.rows(), gs.orbitals.cols()), (2, 258));
+            let bytes = encode(&|enc| out.encode(enc));
+            let back = JobOutcome::decode(&mut Dec::new(&bytes));
+            assert_eq!(back.as_ref(), Some(&out));
+            for rows in [1, 2, 3] {
+                let mut off = out.clone();
+                let gs = ground_state(&mut off);
+                gs.orbitals = if rows == 2 {
+                    gs.real_space_orbitals(&system)
+                } else {
+                    let data = gs.orbitals.as_slice().iter().copied().cycle();
+                    CMat::from_vec(rows, 258, data.take(rows * 258).collect())
+                };
+                bad.push(off);
+            }
+        }
+        for (case, out) in bad.iter().enumerate() {
+            let bytes = encode(&|enc| out.encode(enc));
+            assert!(
+                JobOutcome::decode(&mut Dec::new(&bytes)).is_none(),
+                "case {case}"
+            );
+            let dir = tmp_dir(&format!("off-sphere-{case}"));
+            {
+                let tier = DiskTier::open(&dir).unwrap();
+                tier.append(ground.fingerprint, 1.0, &encode(&|enc| ground.encode(enc)));
+                tier.append(out.fingerprint, 1.0, &bytes);
+            }
+            let cache = crate::ResultCache::<Arc<JobOutcome>>::with_disk(
+                4,
+                crate::CachePolicy::CostWeighted,
+                &dir,
+            )
+            .unwrap();
+            // A reshaped `GroundState` shares the good record's
+            // fingerprint, and that record still answers for it.
+            let served = (out.fingerprint == ground.fingerprint).then_some(&ground);
+            assert_eq!(
+                cache.get(&out.fingerprint).as_deref(),
+                served,
+                "case {case}"
+            );
+            assert_eq!(
+                cache.get(&ground.fingerprint).as_deref(),
+                Some(&ground),
+                "case {case}"
+            );
+            assert_eq!(cache.stats().disk_len, 1, "case {case}");
+            drop(cache);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn a_disk_hit_reports_the_idle_solo_plan_of_its_policy() {
         // Stored from a fused batch of four under load and a
         // non-default policy, an outcome comes back off the disk with
@@ -1229,8 +1338,9 @@ mod tests {
     #[test]
     fn previous_wal_version_is_reset() {
         // NDFTWAL3 is the previous codec; NDFTWAL4 is this codec, but its
-        // ground states were solved on the full grid, not the sphere.
-        for old in [b"NDFTWAL3", b"NDFTWAL4"] {
+        // ground states were solved on the full grid, not the sphere;
+        // NDFTWAL5 holds the sphere's answer as grid orbitals.
+        for old in [b"NDFTWAL3", b"NDFTWAL4", b"NDFTWAL5"] {
             let dir = tmp_dir(std::str::from_utf8(old).unwrap());
             let path = {
                 let tier = DiskTier::open(&dir).unwrap();
