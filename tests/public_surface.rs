@@ -14,7 +14,7 @@ use std::path::Path;
 /// declare.
 const CEILINGS: [(&str, usize); 7] = [
     ("numerics", 111),
-    ("dft", 114),
+    ("dft", 113),
     ("sim", 118),
     ("shmem", 49),
     ("sched", 56),
