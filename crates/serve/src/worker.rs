@@ -905,6 +905,36 @@ mod tests {
     }
 
     #[test]
+    fn ground_state_payloads_hold_half_sphere_rows() {
+        // A ground state is served, cached and logged as its bands'
+        // half-sphere rows: 764 values a band on Si_24, against 24,000 on
+        // its grid. A self-consistent outcome is then mostly its density,
+        // which stays on the grid.
+        let ground = DftJob::GroundState {
+            atoms: 24,
+            bands: 4,
+            max_iterations: 4,
+        };
+        let (JobPayload::GroundState(gs), _) = execute_payload(&ground).unwrap() else {
+            panic!("a ground-state payload");
+        };
+        assert_eq!(gs.orbitals.as_slice().len(), 4 * 764);
+        let sc = DftJob::ScfSelfConsistent {
+            atoms: 24,
+            bands: 2,
+            max_iterations: 2,
+            occupied: 2,
+            cycles: 2,
+            alpha: 0.5,
+        };
+        let (JobPayload::SelfConsistent(sc), _) = execute_payload(&sc).unwrap() else {
+            panic!("a self-consistent payload");
+        };
+        assert_eq!(sc.ground_state.orbitals.as_slice().len(), 2 * 764);
+        assert_eq!(sc.density.len(), 24_000);
+    }
+
+    #[test]
     fn fused_execution_is_bit_identical_to_solo() {
         // Ground-state batch: one shared Hamiltonian, varying band
         // counts (the same spread a same-class flood produces).
