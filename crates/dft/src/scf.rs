@@ -331,7 +331,7 @@ impl KsHamiltonian {
             let (a, b) = pair.split_at(m);
             self.sphere.scatter(grid, a, (!b.is_empty()).then_some(b));
         }
-        self.fft(grids, true);
+        pruned_fft(&self.plan, &self.sphere, grids, true);
         self.potential_image(grids, images);
         self.split_images(images, out);
         for (o_row, c_row) in out.chunks_exact_mut(m).zip(c.chunks_exact(m)) {
@@ -347,7 +347,7 @@ impl KsHamiltonian {
     /// transformed.
     fn potential_image(&self, phi: &[Complex64], out: &mut [Complex64]) {
         self.potential(phi, out);
-        self.fft(out, false);
+        pruned_fft(&self.plan, &self.sphere, out, false);
     }
 
     /// Splits the packed images in the grids of `images` into one
@@ -461,12 +461,6 @@ impl KsHamiltonian {
         }
         // Nonlocal: Σ_a V_a φ, every atom projecting the unmodified φ.
         add_nonlocal(phi, self.nr, &self.pseudos, self.dv, out);
-    }
-
-    /// [`pruned_fft`] of every grid of `block` on this Hamiltonian's plan
-    /// and sphere.
-    fn fft(&self, block: &mut [Complex64], inverse: bool) {
-        pruned_fft(&self.plan, &self.sphere, block, inverse);
     }
 }
 
